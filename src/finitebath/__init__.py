@@ -9,122 +9,3 @@ a Boltzmann law to read off an effective temperature.
 """
 
 __version__ = "0.1.0"
-
-from .bath import pairwise_cancelled, realize_bath, symmetrize_check
-from .config import ConfigError, build_sweep_spec, parse_config
-from .experiments import (
-    PointResult,
-    SweepSpec,
-    ThermalizationCurve,
-    peak_location,
-    run_initial_energy_scan,
-    run_single_bath_point,
-    run_sweep,
-    run_two_bath_point,
-    run_two_bath_sweep,
-)
-from .model import (
-    BathRealization,
-    BathSpec,
-    DensityOfStates,
-    SystemState,
-    TestParticleSpec,
-    bare_energy,
-    total_energy,
-)
-from .oracles import (
-    arcsine_cdf,
-    degenerate_energy_series,
-    effective_temperature,
-    langevin_friction,
-    langevin_reference,
-    memory_kernel,
-    mixture_distribution,
-    renormalized_frequency,
-)
-from .propagator import (
-    EigenPropagator,
-    EigensolverError,
-    NumericalError,
-    build_coupling_matrix,
-    build_multi_coupling_matrix,
-    diagonalize,
-    observe_test_particle,
-)
-from .stats import (
-    EnergyHistogram,
-    FitError,
-    NonThermalDistributionError,
-    SamplingPlan,
-    TemperatureFit,
-    aggregate_seeds,
-    bath_temperature,
-    build_histogram,
-    fit_energy_samples,
-    fit_temperature,
-    make_sampling_times,
-)
-from .switched import (
-    SwitchedPropagator,
-    SwitchSchedule,
-    TwoBathSystem,
-    default_step_size,
-    run_switched,
-)
-
-__all__ = [
-    "__version__",
-    "BathRealization",
-    "BathSpec",
-    "DensityOfStates",
-    "SystemState",
-    "TestParticleSpec",
-    "bare_energy",
-    "total_energy",
-    "pairwise_cancelled",
-    "realize_bath",
-    "symmetrize_check",
-    "ConfigError",
-    "build_sweep_spec",
-    "parse_config",
-    "PointResult",
-    "SweepSpec",
-    "ThermalizationCurve",
-    "peak_location",
-    "run_initial_energy_scan",
-    "run_single_bath_point",
-    "run_sweep",
-    "run_two_bath_point",
-    "run_two_bath_sweep",
-    "arcsine_cdf",
-    "degenerate_energy_series",
-    "effective_temperature",
-    "langevin_friction",
-    "langevin_reference",
-    "memory_kernel",
-    "mixture_distribution",
-    "renormalized_frequency",
-    "EigenPropagator",
-    "EigensolverError",
-    "NumericalError",
-    "build_coupling_matrix",
-    "build_multi_coupling_matrix",
-    "diagonalize",
-    "observe_test_particle",
-    "EnergyHistogram",
-    "FitError",
-    "NonThermalDistributionError",
-    "SamplingPlan",
-    "TemperatureFit",
-    "aggregate_seeds",
-    "bath_temperature",
-    "build_histogram",
-    "fit_energy_samples",
-    "fit_temperature",
-    "make_sampling_times",
-    "SwitchedPropagator",
-    "SwitchSchedule",
-    "TwoBathSystem",
-    "default_step_size",
-    "run_switched",
-]

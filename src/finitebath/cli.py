@@ -33,6 +33,7 @@ from . import __version__
 from .bath import realize_bath
 from .config import ConfigError, build_sweep_spec, check_config
 from .experiments import (
+    iter_points,
     run_single_bath_point,
     run_sweep,
     run_two_bath_point,
@@ -122,35 +123,27 @@ def cmd_single(args: argparse.Namespace) -> int:
     runner = run_two_bath_point if spec.bath2 is not None else run_single_bath_point
 
     fits, failures = [], []
-    for seed in spec.seeds:
-        try:
-            point = runner(omega, spec, seed)
-        except (NumericalError, FitError) as err:
-            failures.append((seed, err))
-            print(f"seed {seed}: {type(err).__name__}: {err}", file=sys.stderr)
-            continue
-        if point.fit is None:
-            failures.append((seed, FitError(point.fit_error)))
-            print(f"seed {seed}: {point.fit_error}", file=sys.stderr)
+    for _, point, failure in iter_points(spec, runner):
+        if failure is not None:
+            failures.append(failure)
+            print(f"seed {failure.seed}: {failure}", file=sys.stderr)
             continue
         fits.append(point.fit)
-        hist_path = out / f"hist_seed{seed}.csv"
+        hist_path = out / f"hist_seed{point.seed}.csv"
         emit_histogram(point.hist, point.fit, hist_path,
                        manifest_ref="manifest.json")
         manifest.outputs.append(hist_path.name)
         if point.max_snap_distance is not None:
             manifest.max_snap_distance = max(manifest.max_snap_distance or 0.0,
                                              point.max_snap_distance)
-        print(f"seed {seed}: T = {fmt(point.fit.temperature)} "
+        print(f"seed {point.seed}: T = {fmt(point.fit.temperature)} "
               f"+- {fmt(point.fit.sigma)}")
 
-    manifest.failures = [f"seed {seed}: {type(err).__name__}: {err}"
-                         for seed, err in failures]
+    manifest.failures = [f"seed {f.seed}: {f}" for f in failures]
     if not fits:
         manifest.finish()
         manifest.write(out / "manifest.json")
-        _, err = failures[-1]
-        raise err
+        raise failures[-1].error
     temperature, sigma = aggregate_seeds(fits)
     print(f"aggregate over {len(fits)} seeds: "
           f"T = {fmt(temperature)} +- {fmt(sigma)}")
@@ -167,10 +160,14 @@ def _sweep_exit(curve) -> int:
     """Success if any grid point produced a temperature."""
     if np.any(np.isfinite(curve.temperature)):
         return EXIT_OK
-    if any("NumericalError" in msg or "EigensolverError" in msg
-           for msg in curve.failures):
+    if any(isinstance(f.error, NumericalError) for f in curve.failures):
         return EXIT_NUMERICAL
     return EXIT_FIT
+
+
+def _failure_records(curve, label: str = "") -> list:
+    """Manifest entries [omega, seed, message] of a curve's failed points."""
+    return [[f.omega, f.seed, f"{label}{f}"] for f in curve.failures]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -181,7 +178,7 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = run_sweep(spec)
     emit_curve(curve, out / "curve.csv")
     manifest.outputs.append("curve.csv")
-    manifest.failures = list(curve.failures)
+    manifest.failures = _failure_records(curve)
     manifest.bath_initial = curve.bath_initial
     manifest.bath_final = curve.bath_final
     manifest.finish()
@@ -206,9 +203,8 @@ def cmd_twobath(args: argparse.Namespace) -> int:
         name = f"curve_bath{index + 1}_alone.csv"
         emit_curve(alone, out / name)
         manifest.outputs.append(name)
-        manifest.failures.extend(f"bath{index + 1} alone: {msg}"
-                                 for msg in alone.failures)
-    manifest.failures.extend(result.combined.failures)
+        manifest.failures.extend(_failure_records(alone, f"bath{index + 1} alone: "))
+    manifest.failures.extend(_failure_records(result.combined))
     manifest.bath_initial = result.combined.bath_initial
     manifest.bath_final = result.combined.bath_final
     manifest.finish()

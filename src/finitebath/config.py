@@ -8,6 +8,7 @@ and every error message names the offending key.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 
 from .model import INVERSE_SQUARE, SQUARE, UNIFORM, BathSpec, DensityOfStates
@@ -22,6 +23,8 @@ class ConfigError(ValueError):
 def _as_float(key, value):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{key}: expected a number, got {value!r}")
+    if not math.isfinite(value):
+        raise ConfigError(f"{key}: expected a finite number, got {value!r}")
     return float(value)
 
 

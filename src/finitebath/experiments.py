@@ -5,6 +5,7 @@ propagate, sample the particle energy at random times, fit a
 temperature.  Curves aggregate the per-seed fits by inverse variance.
 A failing point (non-thermal fit, diverged run) is recorded and the
 sweep continues; a grid point with no surviving seed reports NaN.
+Every consumer of (omega, seed) points walks them through iter_points.
 """
 
 from __future__ import annotations
@@ -16,13 +17,13 @@ import numpy as np
 from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, oscillator_energies)
-from .propagator import (NumericalError, build_coupling_matrix, diagonalize,
-                         full_state)
+from .propagator import (NumericalError, build_multi_coupling_matrix,
+                         diagonalize, full_state)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
-                    build_histogram, fit_energy_samples, fit_temperature,
-                    make_sampling_times, sample_skewness)
+                    build_histogram, check_bin_count, fit_energy_samples,
+                    fit_temperature, make_sampling_times, sample_skewness)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
 
@@ -66,6 +67,16 @@ class SweepSpec:
             raise ValueError(f"unknown energy convention {self.energy_convention!r}")
         if self.renormalization not in ("switched", "static"):
             raise ValueError(f"unknown renormalization {self.renormalization!r}")
+        if self.steps_per_period < 1:
+            raise ValueError(f"steps_per_period must be >= 1, got {self.steps_per_period}")
+        if self.span_factor <= 0.0:
+            raise ValueError(f"span_factor must be positive, got {self.span_factor}")
+        # the checks the histogram, the particle and the schedule make at run
+        # time; an unset step size is derived per point, positive by construction
+        check_bin_count(self.n_bins)
+        TestParticleSpec(mass=self.tp_mass)
+        SwitchSchedule(delta_t_steps=self.delta_t_steps, active_first=self.active_first,
+                       step_size=1.0 if self.step_size is None else self.step_size)
 
     def test_particle(self, omega: float) -> TestParticleSpec:
         """Initial energy is placed entirely in the momentum."""
@@ -92,7 +103,7 @@ class PointResult:
     bath_final: tuple        # per bath TemperatureFit or None (too small to fit)
     max_snap_distance: float
     n_steps: int
-    fit_error: str | None = None
+    fit_error: FitError | None = None
 
 
 # Bath blocks hold only N ~ 200 energies.  The log-count fit drops empty
@@ -124,7 +135,7 @@ def _reduce_samples(spec, omega, seed, q, p, renorm_spring, final_state,
     try:
         fit, fit_error = fit_temperature(hist), None
     except FitError as err:
-        fit, fit_error = None, f"{type(err).__name__}: {err}"
+        fit, fit_error = None, err
     bath_final = tuple(
         _fit_bath_block(oscillator_energies(bq, bp, real.frequencies, real.m))
         for real, bq, bp in zip_baths(final_state))
@@ -153,17 +164,15 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
     v0 = SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
                      bath_q=(real.positions,), bath_p=(real.momenta,)).as_vector()
     renorm = float(np.sum(real.m * real.frequencies**2))
+    cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
     if spec.propagator == "eigen":
-        cm = build_coupling_matrix(tp, real.frequencies, real.m)
         prop = diagonalize(cm, v0)
         q, p = prop.sample_test_particle(times)
         final = full_state(prop, float(times[-1]))
         return _reduce_samples(spec, omega, seed, q, p, renorm,
                                ((real,), final))
-    # continuous RK4: both switch phases use the engaged matrix
-    system = build_switched_matrices(tp, (bath, real), None)
-    system = TwoBathSystem(tp=tp, bath1=(bath, real), bath2=None,
-                           a1=system.a1, a2=system.a1)
+    # continuous RK4: both switch phases use the engaged bath
+    system = TwoBathSystem(tp=tp, bath1=(bath, real), bath2=None, a1=cm, a2=cm)
     dt = spec.step_size or default_step_size(tp, (real.frequencies,),
                                              spec.steps_per_period)
     schedule = SwitchSchedule(delta_t_steps=1, step_size=dt, active_first=1)
@@ -202,6 +211,42 @@ def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
 
 
 @dataclass(frozen=True)
+class PointFailure:
+    """Why one (omega, seed) point produced no temperature.
+
+    ``error`` is the exception the run raised or the fit failure it
+    recorded; its class tells numerical failures from fit failures.
+    """
+
+    omega: float
+    seed: int
+    error: Exception
+
+    def __str__(self) -> str:
+        return f"{type(self.error).__name__}: {self.error}"
+
+
+def iter_points(spec: SweepSpec, runner):
+    """Run every (omega, seed) point of the spec in grid order.
+
+    Yields (grid index, point, failure).  point is None when the run
+    raised; failure is None when a temperature was fitted.
+    """
+    for i, w in enumerate(spec.omega_grid):
+        w = float(w)
+        for seed in spec.seeds:
+            try:
+                point = runner(w, spec, seed)
+            except (FitError, NumericalError) as err:
+                yield i, None, PointFailure(w, seed, err)
+                continue
+            failure = None
+            if point.fit is None:
+                failure = PointFailure(w, seed, point.fit_error)
+            yield i, point, failure
+
+
+@dataclass(frozen=True)
 class ThermalizationCurve:
     """Aggregated sweep output, one row per grid frequency."""
 
@@ -212,7 +257,7 @@ class ThermalizationCurve:
     overflow_fraction: np.ndarray
     bath_initial: tuple     # per bath (temperature, sigma), seed aggregated
     bath_final: tuple       # per bath (temperatures[nw], sigmas[nw])
-    failures: tuple         # (omega, seed, message)
+    failures: tuple         # PointFailure per failed (omega, seed)
     spec: SweepSpec
 
     @property
@@ -229,33 +274,25 @@ def _sweep(spec: SweepSpec, runner, n_baths: int, initial_reals) -> Thermalizati
     overflow = np.full(nw, np.nan)
     final_t = [np.full(nw, np.nan) for _ in range(n_baths)]
     final_s = [np.full(nw, np.nan) for _ in range(n_baths)]
+    fitted = [[] for _ in range(nw)]
     failures = []
+    for i, point, failure in iter_points(spec, runner):
+        if failure is not None:
+            failures.append(failure)
+        else:
+            fitted[i].append(point)
 
-    for i, w in enumerate(omegas):
-        fits, over = [], []
-        finals = [[] for _ in range(n_baths)]
-        for seed in spec.seeds:
-            try:
-                point = runner(float(w), spec, seed)
-            except (FitError, NumericalError) as err:
-                failures.append((float(w), seed, f"{type(err).__name__}: {err}"))
-                continue
-            if point.fit is None:
-                failures.append((float(w), seed, point.fit_error))
-                continue
-            fits.append(point.fit)
-            over.append(point.hist.overflow_fraction)
-            for b in range(n_baths):
-                if point.bath_final[b] is not None:
-                    finals[b].append(point.bath_final[b])
-        if not fits:
+    for i, points in enumerate(fitted):
+        if not points:
             continue
+        fits = [pt.fit for pt in points]
         temperature[i], sigma[i] = aggregate_seeds(fits)
         goodness[i] = float(np.mean([f.goodness for f in fits]))
-        overflow[i] = float(np.mean(over))
+        overflow[i] = float(np.mean([pt.hist.overflow_fraction for pt in points]))
         for b in range(n_baths):
-            if finals[b]:
-                final_t[b][i], final_s[b][i] = aggregate_seeds(finals[b])
+            finals = [pt.bath_final[b] for pt in points if pt.bath_final[b] is not None]
+            if finals:
+                final_t[b][i], final_s[b][i] = aggregate_seeds(finals)
 
     bath_initial = []
     for b in range(n_baths):
@@ -342,7 +379,7 @@ class InitialEnergyScan:
     mean_energy: np.ndarray
     mean_energy_sigma: np.ndarray
     skewness: np.ndarray
-    failures: tuple
+    failures: tuple              # (e0, PointFailure) per failed point
 
 
 def run_initial_energy_scan(omegas, e0_values, spec: SweepSpec) -> InitialEnergyScan:
@@ -357,23 +394,18 @@ def run_initial_energy_scan(omegas, e0_values, spec: SweepSpec) -> InitialEnergy
     skew = np.full(shape, np.nan)
     failures = []
     for j, e0 in enumerate(e0_values):
-        espec = replace(spec, initial_energy=float(e0))
-        for i, w in enumerate(omegas):
-            fits, means, skews = [], [], []
-            for seed in espec.seeds:
-                try:
-                    point = run_single_bath_point(float(w), espec, seed)
-                except (FitError, NumericalError) as err:
-                    failures.append((float(w), float(e0), seed,
-                                     f"{type(err).__name__}: {err}"))
-                    continue
-                means.append(point.mean_energy)
-                skews.append(point.skewness)
-                if point.fit is None:
-                    failures.append((float(w), float(e0), seed,
-                                     point.fit_error))
-                else:
-                    fits.append(point.fit)
+        espec = replace(spec, omega_grid=tuple(float(w) for w in omegas),
+                        initial_energy=float(e0))
+        finished = [[] for _ in omegas]
+        for i, point, failure in iter_points(espec, run_single_bath_point):
+            if failure is not None:
+                failures.append((float(e0), failure))
+            if point is not None:
+                finished[i].append(point)
+        for i, points in enumerate(finished):
+            means = [pt.mean_energy for pt in points]
+            skews = [pt.skewness for pt in points]
+            fits = [pt.fit for pt in points if pt.fit is not None]
             if means:
                 mean_e[i, j] = np.mean(means)
                 mean_e_sig[i, j] = (np.std(means, ddof=1) / np.sqrt(len(means))
@@ -437,7 +469,7 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     v0 = SystemState(time=0.0, test_q=0.0, test_p=tp.p0,
                      bath_q=(real.positions,),
                      bath_p=(real.momenta,)).as_vector()
-    prop = diagonalize(build_coupling_matrix(tp, real.frequencies, m), v0)
+    prop = diagonalize(build_multi_coupling_matrix(tp, [(m, real.frequencies, True)]), v0)
 
     dnu = exchange_splitting(omega_r, xi)
     t_beat = 2.0 * np.pi / dnu

@@ -1,30 +1,26 @@
-"""Exact propagation of the coupled linear system by normal modes.
+"""Exact propagation of the coupled linear system by real normal modes.
 
-The equations of motion are v' = A v for the interleaved state vector
-v = (Q, P, q_1, p_1, ...).  A is diagonalized as A = C D C^-1 with purely
-imaginary eigenvalue pairs +-i nu_k, after which any observation time is
-O(N): only the two rows of C belonging to (Q, P) and the transformed
-initial state are needed.
+With positions x = (Q, q_1, ..., q_N), momenta p and the diagonal mass
+matrix M, the equations of motion are M x'' = -K x with a symmetric
+stiffness K.  The generalized eigenproblem K u = nu^2 M u gives the
+normal modes of particle and bath (Ullersma, Physica 32, 27 (1966)).
+With the u_k mass-orthonormal,
 
-Rather than running a complex nonsymmetric eigensolver on A, the modes
-are obtained from the equivalent symmetric problem K u = nu^2 M u built
-from the stiffness and mass matrices.  That factorization is well
-conditioned even for fully degenerate baths, and C, C^-1 and D follow
-from it in closed form:
+    x(t) = sum_k u_k (a_k cos nu_k t + b_k sin nu_k t / nu_k)
+    p(t) = M sum_k u_k (b_k cos nu_k t - a_k nu_k sin nu_k t)
 
-    column (k, +-) of C      = (u_k, +-i nu_k M u_k)     interleaved
-    row    (k, +-) of C^-1   = (M u_k, -+i u_k / nu_k)/2 interleaved
+where a_k = u_k . M x0 and b_k = u_k . p0, so after one factorization
+the particle costs O(N) per observation time and the full state O(N^2).
+The factorization is well conditioned even for fully degenerate baths.
+A zero frequency mode (Omega = 0) has no such form and is rejected.
 
-with the u_k mass-orthonormal.  A run with frequency band well away from
-zero never needs a fallback; a genuine zero mode (Omega = 0) is detected
-and handed to the RK4 stepper instead.
+The dense drift matrix A of v' = A v, v = (Q, P, q_1, p_1, ...), is
+needed only by RK4 stepping; drift_matrix builds it on demand.
 """
 
 from __future__ import annotations
 
-import warnings
-from dataclasses import dataclass, field
-from typing import Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -52,13 +48,14 @@ def _blocks_from(baths):
 
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Drift matrix A of v' = A v plus the ingredients it was built from.
+    """Parameters of one contact phase: the particle and every bath.
 
-    ``static_renorm`` keeps every bath's spring sum in the particle
-    stiffness even while that bath's linear coupling is disengaged.
+    Inactive baths evolve as free oscillators and exert no force on the
+    particle.  ``static_renorm`` keeps every bath's spring sum in the
+    particle stiffness even while that bath's linear coupling is
+    disengaged.
     """
 
-    matrix: np.ndarray
     tp: TestParticleSpec
     bath_masses: tuple
     bath_frequencies: tuple
@@ -66,23 +63,37 @@ class CouplingMatrix:
     static_renorm: bool = False
 
     @property
-    def dim(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
     def bath_sizes(self) -> tuple:
         return tuple(len(f) for f in self.bath_frequencies)
 
+    @property
+    def dim(self) -> int:
+        return 2 + 2 * sum(self.bath_sizes)
 
-def _drift_matrix(tp: TestParticleSpec, blocks,
-                  static_renorm: bool = False) -> np.ndarray:
-    n_total = sum(len(f) for _, f, _ in blocks)
-    dim = 2 + 2 * n_total
-    a = np.zeros((dim, dim))
-    a[0, 1] = 1.0 / tp.mass
-    a[1, 0] = -tp.mass * tp.omega**2
+
+def build_multi_coupling_matrix(tp: TestParticleSpec, baths,
+                                static_renorm: bool = False) -> CouplingMatrix:
+    """Coupling description for any number of baths, each engaged or free.
+
+    baths is a sequence of (m, frequencies, active) triples.  With
+    static_renorm the spring sums of the inactive baths still stiffen
+    the particle (their linear coupling stays off).
+    """
+    blocks = _blocks_from(baths)
+    return CouplingMatrix(tp=tp,
+                          bath_masses=tuple(b[0] for b in blocks),
+                          bath_frequencies=tuple(b[1] for b in blocks),
+                          active=tuple(b[2] for b in blocks),
+                          static_renorm=static_renorm)
+
+
+def drift_matrix(cm: CouplingMatrix) -> np.ndarray:
+    """Dense drift matrix A of v' = A v, (2 + 2N) square."""
+    a = np.zeros((cm.dim, cm.dim))
+    a[0, 1] = 1.0 / cm.tp.mass
+    a[1, 0] = -cm.tp.mass * cm.tp.omega**2
     col = 2
-    for m, freqs, active in blocks:
+    for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
         for w in freqs:
             k = m * w * w
             a[col, col + 1] = 1.0 / m
@@ -91,37 +102,10 @@ def _drift_matrix(tp: TestParticleSpec, blocks,
                 a[1, 0] -= k
                 a[1, col] = k
                 a[col + 1, 0] = k
-            elif static_renorm:
+            elif cm.static_renorm:
                 a[1, 0] -= k
             col += 2
     return a
-
-
-def build_coupling_matrix(tp: TestParticleSpec, frequencies, m: float) -> CouplingMatrix:
-    """Single bath drift matrix with the coupling engaged."""
-    blocks = _blocks_from([(m, frequencies, True)])
-    return CouplingMatrix(matrix=_drift_matrix(tp, blocks), tp=tp,
-                          bath_masses=(blocks[0][0],),
-                          bath_frequencies=(blocks[0][1],),
-                          active=(True,))
-
-
-def build_multi_coupling_matrix(tp: TestParticleSpec, baths,
-                                static_renorm: bool = False) -> CouplingMatrix:
-    """Drift matrix for any number of baths, each engaged or free.
-
-    baths is a sequence of (m, frequencies, active) triples; inactive
-    baths evolve as free oscillators and exert no force on the particle.
-    With static_renorm the spring sums of the inactive baths still
-    stiffen the particle (their linear coupling stays off).
-    """
-    blocks = _blocks_from(baths)
-    return CouplingMatrix(matrix=_drift_matrix(tp, blocks, static_renorm),
-                          tp=tp,
-                          bath_masses=tuple(b[0] for b in blocks),
-                          bath_frequencies=tuple(b[1] for b in blocks),
-                          active=tuple(b[2] for b in blocks),
-                          static_renorm=static_renorm)
 
 
 def _stiffness(cm: CouplingMatrix):
@@ -150,28 +134,14 @@ def _stiffness(cm: CouplingMatrix):
 
 @dataclass
 class EigenPropagator:
-    """Spectral solution of one initial value problem.
-
-    eigenvalues, vprime0 and observation_rows expose the complex normal
-    form (D, C^-1 v0 and the two particle rows of C); the real mode data
-    u0, nu, coef_cos, coef_sin drive the fast samplers.
-    """
+    """Real normal-mode solution of one initial value problem."""
 
     cm: CouplingMatrix
-    eigenvalues: np.ndarray       # (dim,) complex, pairs (+i nu_k, -i nu_k)
-    vprime0: np.ndarray           # (dim,) complex
-    observation_rows: np.ndarray  # (2, dim) complex rows of C for Q and P
     nu: np.ndarray                # (n,) mode angular frequencies
     modes: np.ndarray             # (n, n) mass-orthonormal mode shapes
     mass: np.ndarray              # (n,) position-space masses
     coef_cos: np.ndarray          # (n,) mode amplitudes a_k = u_k . M x0
     coef_sin: np.ndarray          # (n,) mode amplitudes b_k = u_k . p0
-
-    def observe_test_particle(self, t: float) -> tuple[float, float]:
-        return observe_test_particle(self, t)
-
-    def full_state(self, t: float) -> SystemState:
-        return full_state(self, t)
 
     def sample_test_particle(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) at many times through the real mode form, O(N) per time."""
@@ -195,32 +165,6 @@ class EigenPropagator:
             p[lo:lo + step] = m0 * (c @ pc - s @ ps)
         return q, p
 
-    def mode_matrix(self) -> np.ndarray:
-        """Full complex eigenvector matrix C (columns ordered +-, +-, ...)."""
-        n = len(self.nu)
-        dim = 2 * n
-        c = np.zeros((dim, dim), dtype=complex)
-        for k in range(n):
-            uk = self.modes[:, k]
-            c[0::2, 2 * k] = uk
-            c[0::2, 2 * k + 1] = uk
-            c[1::2, 2 * k] = 1j * self.nu[k] * self.mass * uk
-            c[1::2, 2 * k + 1] = -1j * self.nu[k] * self.mass * uk
-        return c
-
-    def mode_matrix_inverse(self) -> np.ndarray:
-        """Closed form C^-1 from mass orthonormality of the modes."""
-        n = len(self.nu)
-        dim = 2 * n
-        cinv = np.zeros((dim, dim), dtype=complex)
-        for k in range(n):
-            muk = self.mass * self.modes[:, k]
-            cinv[2 * k, 0::2] = 0.5 * muk
-            cinv[2 * k, 1::2] = -0.5j * self.modes[:, k] / self.nu[k]
-            cinv[2 * k + 1, 0::2] = 0.5 * muk
-            cinv[2 * k + 1, 1::2] = 0.5j * self.modes[:, k] / self.nu[k]
-        return cinv
-
 
 def _as_vector(v0, dim):
     if isinstance(v0, SystemState):
@@ -234,14 +178,12 @@ def _as_vector(v0, dim):
 ZERO_MODE_CUTOFF = 1e-9
 
 
-def diagonalize(cm: CouplingMatrix, v0, fallback: str = "rk4"):
+def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     """Factor the system and bind an initial state.
 
-    Returns an EigenPropagator, or an Rk4Propagator when a zero
-    frequency mode makes the spectral form unusable (Omega = 0) and
-    fallback is "rk4".  Raises EigensolverError if the factorization
-    itself fails; perturbing exactly degenerate frequencies by one part
-    in 1e12 is usually enough in that case.
+    Raises EigensolverError if the factorization fails or the system
+    has a zero frequency mode (Omega = 0); perturbing exactly degenerate
+    frequencies by one part in 1e12 is usually enough in the first case.
     """
     v0 = _as_vector(v0, cm.dim)
     mass, k = _stiffness(cm)
@@ -260,67 +202,21 @@ def diagonalize(cm: CouplingMatrix, v0, fallback: str = "rk4"):
             "the model Hamiltonian cannot produce this"
         )
     if lam[0] <= ZERO_MODE_CUTOFF * scale:
-        if fallback != "rk4":
-            raise EigensolverError(
-                "system has a zero frequency mode (Omega = 0?); "
-                "the spectral propagator does not apply"
-            )
-        warnings.warn("zero frequency mode detected; falling back to RK4 stepping",
-                      RuntimeWarning, stacklevel=2)
-        from .switched import Rk4Propagator
-        return Rk4Propagator(cm, v0)
+        raise EigensolverError(
+            "system has a zero frequency mode (Omega = 0?); "
+            "the spectral propagator does not apply"
+        )
 
     modes = vec * s[:, None]          # mass orthonormal
     nu = np.sqrt(lam)
-    x0 = v0[0::2]
-    p0 = v0[1::2]
-    a = modes.T @ (mass * x0)
-    b = modes.T @ p0
-
-    dim = cm.dim
-    eig = np.empty(dim, dtype=complex)
-    eig[0::2] = 1j * nu
-    eig[1::2] = -1j * nu
-    vprime0 = np.empty(dim, dtype=complex)
-    vprime0[0::2] = 0.5 * (a - 1j * b / nu)
-    vprime0[1::2] = 0.5 * (a + 1j * b / nu)
-    obs = np.empty((2, dim), dtype=complex)
-    u0 = modes[0]
-    obs[0, 0::2] = u0
-    obs[0, 1::2] = u0
-    obs[1, 0::2] = 1j * nu * cm.tp.mass * u0
-    obs[1, 1::2] = -1j * nu * cm.tp.mass * u0
-
-    return EigenPropagator(cm=cm, eigenvalues=eig, vprime0=vprime0,
-                           observation_rows=obs, nu=nu, modes=modes,
-                           mass=mass, coef_cos=a, coef_sin=b)
+    a = modes.T @ (mass * v0[0::2])
+    b = modes.T @ v0[1::2]
+    return EigenPropagator(cm=cm, nu=nu, modes=modes, mass=mass,
+                           coef_cos=a, coef_sin=b)
 
 
-def observe_test_particle(prop, t: float) -> tuple[float, float]:
-    """(Q, P) at time t through the complex normal form.
-
-    The imaginary parts must cancel between conjugate mode pairs; a
-    residue above 1e-9 of the total modal amplitude aborts the run
-    instead of silently returning a wrong real part.
-    """
-    if not hasattr(prop, "eigenvalues"):  # RK4 fallback propagator
-        return prop.observe_test_particle(t)
-    w = prop.vprime0 * np.exp(prop.eigenvalues * t)
-    out = prop.observation_rows @ w
-    scale = np.abs(prop.observation_rows) @ np.abs(w)
-    bad = np.abs(out.imag) > 1e-9 * np.maximum(scale, 1e-300)
-    if np.any(bad):
-        raise NumericalError(
-            f"imaginary residue {np.max(np.abs(out.imag)):.3e} exceeds 1e-9 of the "
-            "observation magnitude; the spectral factorization has degraded"
-        )
-    return float(out[0].real), float(out[1].real)
-
-
-def full_state(prop, t: float) -> SystemState:
+def full_state(prop: EigenPropagator, t: float) -> SystemState:
     """Reconstruct every coordinate at time t (O(N^2))."""
-    if not hasattr(prop, "eigenvalues"):
-        return prop.full_state(t)
     ph = prop.nu * t
     c = np.cos(ph)
     s = np.sin(ph)
@@ -332,10 +228,8 @@ def full_state(prop, t: float) -> SystemState:
     return SystemState.from_vector(vec, prop.cm.bath_sizes, time=t)
 
 
-def reconstruction_residual(prop: EigenPropagator) -> float:
-    """|| C D C^-1 - A || / || A ||, the defining check of the factorization."""
-    c = prop.mode_matrix()
-    cinv = prop.mode_matrix_inverse()
-    a = (c * prop.eigenvalues[None, :]) @ cinv
-    denom = np.linalg.norm(prop.cm.matrix)
-    return float(np.linalg.norm(a.real - prop.cm.matrix) / denom)
+def mode_residual(prop: EigenPropagator) -> float:
+    """|| K U - M U diag(nu^2) || / || K ||, the defining check of the modes."""
+    mass, k = _stiffness(prop.cm)
+    res = k @ prop.modes - (mass[:, None] * prop.modes) * prop.nu**2
+    return float(np.linalg.norm(res) / np.linalg.norm(k))

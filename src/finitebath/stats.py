@@ -79,6 +79,11 @@ class EnergyHistogram:
         return self.overflow / self.total_samples
 
 
+def check_bin_count(n_bins: int) -> None:
+    if n_bins < 5:
+        raise ValueError(f"need at least 5 bins, got {n_bins}")
+
+
 def build_histogram(energies, n_bins: int, e_max: float) -> EnergyHistogram:
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
@@ -87,8 +92,7 @@ def build_histogram(energies, n_bins: int, e_max: float) -> EnergyHistogram:
         raise ValueError(f"{int(np.sum(energies < 0))} sampled energies are negative")
     if not np.any(energies > 0.0):
         raise ValueError("all sampled energies are zero; nothing to fit")
-    if n_bins < 5:
-        raise ValueError(f"need at least 5 bins, got {n_bins}")
+    check_bin_count(n_bins)
     if e_max <= 0.0:
         raise ValueError(f"e_max must be positive, got {e_max}")
     counts, edges = np.histogram(energies, bins=n_bins, range=(0.0, e_max))

@@ -20,14 +20,13 @@ falls back to it when the factorization looks degraded.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from dataclasses import dataclass
 
 import numpy as np
 
-from .model import BathRealization, BathSpec, SystemState, TestParticleSpec
+from .model import SystemState, TestParticleSpec
 from .propagator import (CouplingMatrix, NumericalError,
-                         build_multi_coupling_matrix)
+                         build_multi_coupling_matrix, drift_matrix)
 
 
 @dataclass(frozen=True)
@@ -75,7 +74,10 @@ def default_step_size(tp: TestParticleSpec, frequencies,
 
 @dataclass(frozen=True)
 class TwoBathSystem:
-    """Test particle plus two bath realizations and both contact matrices.
+    """Test particle plus its bath realizations and both contact phases.
+
+    With bath2 None the system is one bath in continuous contact, a1 and
+    a2 both describing the engaged bath.
 
     ``renormalization`` chooses how the quadratic spring sums enter the
     particle stiffness while a bath is disengaged: "switched" removes
@@ -85,7 +87,7 @@ class TwoBathSystem:
 
     tp: TestParticleSpec
     bath1: tuple           # (BathSpec, BathRealization)
-    bath2: tuple | None    # may be None for a degenerate "one bath" setup
+    bath2: tuple | None    # (BathSpec, BathRealization) or None
     a1: CouplingMatrix
     a2: CouplingMatrix
     renormalization: str = "switched"
@@ -113,22 +115,20 @@ def build_switched_matrices(tp: TestParticleSpec, bath1, bath2,
                             renormalization: str = "switched") -> TwoBathSystem:
     """Build A1 (bath 1 engaged) and A2 (bath 2 engaged).
 
-    bath1 and bath2 are (BathSpec, BathRealization) pairs; bath2 may be
-    None, in which case A1 is exactly the single bath matrix and A2 has
-    every coupling disengaged.
+    bath1 and bath2 are (BathSpec, BathRealization) pairs.
     """
     if renormalization not in ("switched", "static"):
         raise ValueError(f"unknown renormalization {renormalization!r}")
+    if bath2 is None:
+        raise ValueError("switched contact needs a second bath")
     static = renormalization == "static"
-    spec1, real1 = bath1
-    blocks1 = [(real1.m, real1.frequencies, True)]
-    blocks2 = [(real1.m, real1.frequencies, False)]
-    if bath2 is not None:
-        spec2, real2 = bath2
-        blocks1.append((real2.m, real2.frequencies, False))
-        blocks2.append((real2.m, real2.frequencies, True))
-    a1 = build_multi_coupling_matrix(tp, blocks1, static_renorm=static)
-    a2 = build_multi_coupling_matrix(tp, blocks2, static_renorm=static)
+    real1, real2 = bath1[1], bath2[1]
+    a1 = build_multi_coupling_matrix(
+        tp, [(real1.m, real1.frequencies, True), (real2.m, real2.frequencies, False)],
+        static_renorm=static)
+    a2 = build_multi_coupling_matrix(
+        tp, [(real1.m, real1.frequencies, False), (real2.m, real2.frequencies, True)],
+        static_renorm=static)
     return TwoBathSystem(tp=tp, bath1=bath1, bath2=bath2, a1=a1, a2=a2,
                          renormalization=renormalization)
 
@@ -182,7 +182,7 @@ class SwitchedRunResult:
     steps: np.ndarray          # step indices the samples were snapped to
     q: np.ndarray
     p: np.ndarray
-    final_state: SystemState | None
+    final_state: SystemState
     max_snap_distance: float
     n_steps: int
     engine: str
@@ -206,8 +206,8 @@ class SwitchedPropagator:
         self.system = system
         self.schedule = schedule
         h = schedule.step_size
-        self.u1 = rk4_update_matrix(system.a1.matrix, h)
-        self.u2 = rk4_update_matrix(system.a2.matrix, h)
+        self.u1 = rk4_update_matrix(drift_matrix(system.a1), h)
+        self.u2 = rk4_update_matrix(drift_matrix(system.a2), h)
         self._floq = None
         self._floq_broken = False
 
@@ -293,7 +293,10 @@ class SwitchedPropagator:
         chunk = max(1, 4_000_000 // self.system.dim)
         for lo in range(0, len(steps_wanted), chunk):
             sl = slice(lo, min(lo + chunk, len(steps_wanted)))
-            w = np.exp(np.outer(fl["log_mu"], ks[sl])) * vprime0[:, None]
+            # in place: each (modes x chunk) complex table is tens of MB
+            w = np.outer(fl["log_mu"], ks[sl])
+            np.exp(w, out=w)
+            w *= vprime0[:, None]
             for r in np.unique(rs[sl]):
                 cols = np.nonzero(rs[sl] == r)[0]
                 out = fl["rows01"][r] @ w[:, cols]
@@ -306,9 +309,7 @@ class SwitchedPropagator:
                 p[lo + cols] = out[1].real
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NumericalError("switched run diverged")
-        final_v = None
-        if final_step is not None:
-            final_v = self._state_floquet(fl, vprime0, final_step)
+        final_v = self._state_floquet(fl, vprime0, final_step)
         if observer is not None:
             h = self.schedule.step_size
             for s in np.asarray(steps_wanted):
@@ -330,7 +331,14 @@ class SwitchedPropagator:
     # -- entry point -----------------------------------------------------
 
     def run(self, v0, sample_times, t_final=None, observer=None,
-            engine: str = "auto", want_final_state: bool = True) -> SwitchedRunResult:
+            engine: str = "auto") -> SwitchedRunResult:
+        """Sample the test particle from v0 and return the state at t_final.
+
+        Identical inputs reproduce identical output arrays; the spectral
+        engine and the literal stepping engine agree to floating point
+        accuracy and are interchangeable.  t_final defaults to the last
+        (snapped) sample time.
+        """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):
             raise ValueError(f"initial vector has shape {v0.shape}, "
@@ -342,8 +350,8 @@ class SwitchedPropagator:
         max_snap = float(np.max(np.abs(snapped - sample_times))) if len(steps) else 0.0
         if t_final is None:
             t_final = float(snapped.max()) if len(steps) else 0.0
-        final_step = int(np.rint(t_final / h)) if want_final_state else None
-        last = max(int(steps.max()) if len(steps) else 0, final_step or 0)
+        final_step = int(np.rint(t_final / h))
+        last = max(int(steps.max()) if len(steps) else 0, final_step)
 
         if engine == "auto":
             engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
@@ -351,97 +359,13 @@ class SwitchedPropagator:
             q, p, final_v = self._run_floquet(v0, steps, final_step, observer)
             used = "dense" if self._floq_broken else "floquet"
         elif engine == "dense":
-            q, p, final_v = self._run_dense(v0, steps,
-                                            final_step if final_step is not None else 0,
-                                            observer)
+            q, p, final_v = self._run_dense(v0, steps, final_step, observer)
             used = "dense"
-            if not want_final_state:
-                final_v = None
         else:
             raise ValueError(f"unknown engine {engine!r}")
 
-        final_state = None
-        if final_v is not None and want_final_state:
-            final_state = SystemState.from_vector(
-                final_v, self.system.a1.bath_sizes, time=(final_step or 0) * h)
+        final_state = SystemState.from_vector(
+            final_v, self.system.a1.bath_sizes, time=final_step * h)
         return SwitchedRunResult(times=snapped, steps=steps, q=q, p=p,
                                  final_state=final_state, max_snap_distance=max_snap,
                                  n_steps=last, engine=used, schedule=self.schedule)
-
-
-def run_switched(system: TwoBathSystem, schedule: SwitchSchedule, t_final: float,
-                 sample_times=(), observer: Callable | None = None,
-                 initial_state=None, engine: str = "auto",
-                 want_final_state: bool = True) -> SwitchedRunResult:
-    """Run one switched trajectory and sample the test particle.
-
-    Identical inputs reproduce identical output arrays; the spectral
-    engine and the literal stepping engine agree to floating point
-    accuracy and are interchangeable.
-    """
-    if initial_state is None:
-        v0 = system.initial_vector()
-    elif isinstance(initial_state, SystemState):
-        v0 = initial_state.as_vector()
-    else:
-        v0 = np.asarray(initial_state, dtype=float)
-    prop = SwitchedPropagator(system, schedule)
-    return prop.run(v0, sample_times, t_final=t_final, observer=observer,
-                    engine=engine, want_final_state=want_final_state)
-
-
-class Rk4Propagator:
-    """Stepping stand-in for the spectral propagator (zero mode fallback).
-
-    Exposes the same observation surface as EigenPropagator but walks
-    there with RK4 steps, caching the last step boundary so monotone
-    observation sequences do not restart from zero.
-    """
-
-    def __init__(self, cm: CouplingMatrix, v0: np.ndarray, step_size: float | None = None):
-        self.cm = cm
-        self.v0 = np.asarray(v0, dtype=float)
-        if step_size is None:
-            freqs = [f for f in cm.bath_frequencies if len(f)]
-            top = max([float(np.max(f)) for f in freqs] + [cm.tp.omega, 1.0])
-            step_size = 2.0 * np.pi / top / DEFAULT_STEPS_PER_PERIOD
-        self.step_size = step_size
-        self.u_step = rk4_update_matrix(cm.matrix, step_size)
-        self._cache_step = 0
-        self._cache_v = self.v0.copy()
-
-    def _vector_at(self, t: float) -> np.ndarray:
-        if t < 0:
-            raise ValueError("RK4 fallback cannot step backwards")
-        n = int(t / self.step_size)
-        if n < self._cache_step:
-            self._cache_step = 0
-            self._cache_v = self.v0.copy()
-        v = self._cache_v
-        for _ in range(self._cache_step, n):
-            v = self.u_step @ v
-        if n > self._cache_step:
-            self._cache_step = n
-            self._cache_v = v
-        rem = t - n * self.step_size
-        if rem > 1e-12 * self.step_size:
-            v = rk4_step(self.cm.matrix, v, rem)
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("RK4 fallback diverged")
-        return v
-
-    def observe_test_particle(self, t: float) -> tuple[float, float]:
-        v = self._vector_at(t)
-        return float(v[0]), float(v[1])
-
-    def sample_test_particle(self, times):
-        times = np.atleast_1d(np.asarray(times, dtype=float))
-        order = np.argsort(times)
-        q = np.empty(len(times))
-        p = np.empty(len(times))
-        for i in order:
-            q[i], p[i] = self.observe_test_particle(float(times[i]))
-        return q, p
-
-    def full_state(self, t: float) -> SystemState:
-        return SystemState.from_vector(self._vector_at(t), self.cm.bath_sizes, time=t)

@@ -5,7 +5,9 @@ import json
 import numpy as np
 import pytest
 
-from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_OK, main
+from finitebath import experiments
+from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
+from finitebath.propagator import NumericalError
 from finitebath.output import read_curve, read_histogram
 
 QUICK = {
@@ -128,6 +130,47 @@ def test_sweep_writes_the_curve(tmp_path, quick_config, capsys):
     assert np.isfinite(cols["T_bath_init"][0])
 
 
+def _diverging_point(omega, spec, seed, **kwargs):
+    raise NumericalError("switched run diverged")
+
+
+def test_sweep_where_every_point_fails_numerically_exits_3(
+        tmp_path, quick_config, monkeypatch, capsys):
+    monkeypatch.setattr(experiments, "run_single_bath_point", _diverging_point)
+    out = tmp_path / "run"
+    code = main(["sweep", "--config", str(quick_config),
+                 "--set", "omega_grid=[0.3, 0.5]", "--seed-list", "1", "2",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [[w, s, "NumericalError: switched run diverged"]
+                        for w in (0.3, 0.5) for s in (1, 2)]
+
+
+@pytest.mark.parametrize("override", [
+    "bath1_temperature=NaN", "mean_interval=Infinity", "omega_grid=[NaN]"])
+def test_non_finite_numbers_are_config_errors(tmp_path, quick_config, capsys,
+                                              override):
+    code = main(["sweep", "--config", str(quick_config),
+                 "--set", "omega_grid=[0.5]", "--set", override,
+                 "--seed-list", "1", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert "expected a finite number" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("override", [
+    "step_size=-1", "delta_t_steps=0", "active_first=3", "steps_per_period=0",
+    "n_bins=0", "span_factor=-1", "mass=0"])
+def test_bad_run_parameters_fail_before_running(tmp_path, twobath_config,
+                                                capsys, override):
+    out = tmp_path / "x"
+    code = main(["twobath", "--config", str(twobath_config),
+                 "--set", override, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+
+
 def test_twobath_needs_a_second_bath(tmp_path, quick_config, capsys):
     code = main(["twobath", "--config", str(quick_config),
                  "--set", "omega_grid=[0.4]", "--out", str(tmp_path / "x")])
@@ -144,6 +187,19 @@ def test_twobath_writes_combined_and_alone_curves(tmp_path, twobath_config):
         assert (out / name).exists()
     combined = read_curve(out / "curve_combined.csv")
     assert combined["omega"][0] == 0.4
+
+
+def test_twobath_failures_name_their_point_and_error(
+        tmp_path, twobath_config, monkeypatch):
+    # the single-bath reference curves fail, the switched curve does not
+    monkeypatch.setattr(experiments, "run_single_bath_point", _diverging_point)
+    out = tmp_path / "run"
+    code = main(["twobath", "--config", str(twobath_config), "--out", str(out)])
+    assert code == EXIT_OK
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [
+        [0.4, 1, "bath1 alone: NumericalError: switched run diverged"],
+        [0.4, 1, "bath2 alone: NumericalError: switched run diverged"]]
 
 
 def test_single_uses_the_switched_pair_when_bath2_is_configured(

@@ -15,6 +15,7 @@ from finitebath.experiments import (
     run_two_bath_sweep,
     smoothed_curve,
 )
+from finitebath import propagator, switched
 from finitebath.model import BathSpec, DensityOfStates
 from finitebath.stats import SamplingPlan
 
@@ -197,3 +198,16 @@ def test_degenerate_exchange_beats_at_the_splitting():
     assert np.max(res.energies) > 8.5
     assert np.max(res.energies) < 10.0 * 1.2
     assert res.ks_energies.shape == (500,)
+
+
+def test_eigen_path_builds_no_drift_matrix(monkeypatch):
+    def refuse(cm):
+        raise AssertionError("the eigen path must not build the drift matrix")
+
+    monkeypatch.setattr(propagator, "drift_matrix", refuse)
+    monkeypatch.setattr(switched, "drift_matrix", refuse)
+    point = run_single_bath_point(0.5, _quick_spec(propagator="eigen"), 1)
+    assert point.fit is not None
+    res = run_degenerate_exchange(n=8, xi=0.04, n_periods=4, n_grid=512,
+                                  n_ks_samples=100)
+    assert res.ks_energies.shape == (100,)

@@ -20,7 +20,7 @@ from finitebath.oracles import (
     mixture_distribution,
     renormalized_frequency,
 )
-from finitebath.propagator import build_coupling_matrix, diagonalize
+from finitebath.propagator import build_multi_coupling_matrix, diagonalize
 
 
 # -- memory kernel and fluctuation force --------------------------------
@@ -100,7 +100,7 @@ def test_exchange_splitting_matches_the_microscopic_modes():
     n, xi, omega_r = 6, 0.04, 1.3
     m = xi / n
     tp = TestParticleSpec(mass=1.0, omega=omega_r * np.sqrt(1.0 - xi))
-    cm = build_coupling_matrix(tp, np.full(n, omega_r), m)
+    cm = build_multi_coupling_matrix(tp, [(m, np.full(n, omega_r), True)])
     prop = diagonalize(cm, np.zeros(cm.dim))
     nu = np.sort(prop.nu)
     assert nu[0] == pytest.approx(omega_r * np.sqrt(1.0 - np.sqrt(xi)), rel=1e-12)

@@ -7,29 +7,36 @@ import pytest
 
 from finitebath.bath import realize_bath
 from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
-from finitebath.propagator import NumericalError, diagonalize
+from finitebath.propagator import (NumericalError, build_multi_coupling_matrix,
+                                   diagonalize)
 from finitebath.switched import (
     SwitchSchedule,
     SwitchedPropagator,
+    TwoBathSystem,
     build_switched_matrices,
     default_step_size,
     rk4_step,
     rk4_update_matrix,
-    run_switched,
     switched_energy,
 )
+
+SPEC1 = BathSpec(size=4, mass=0.01, temperature=5.0,
+                 dos=DensityOfStates("uniform", 0.2, 1.0))
+SPEC2 = BathSpec(size=3, mass=0.02, temperature=5.0,
+                 dos=DensityOfStates("uniform", 2.0, 3.0))
 
 
 def _tiny_system(renormalization="switched", seed=5):
     tp = TestParticleSpec(mass=1.0, omega=0.5, q0=0.4, p0=0.0)
-    spec1 = BathSpec(size=4, mass=0.01, temperature=5.0,
-                     dos=DensityOfStates("uniform", 0.2, 1.0))
-    spec2 = BathSpec(size=3, mass=0.02, temperature=5.0,
-                     dos=DensityOfStates("uniform", 2.0, 3.0))
-    real1 = realize_bath(spec1, seed=seed, bath_index=0)
-    real2 = realize_bath(spec2, seed=seed, bath_index=1)
-    return build_switched_matrices(tp, (spec1, real1), (spec2, real2),
+    real1 = realize_bath(SPEC1, seed=seed, bath_index=0)
+    real2 = realize_bath(SPEC2, seed=seed, bath_index=1)
+    return build_switched_matrices(tp, (SPEC1, real1), (SPEC2, real2),
                                    renormalization=renormalization)
+
+
+def _run(system, sched, times, **kwargs):
+    prop = SwitchedPropagator(system, sched)
+    return prop.run(system.initial_vector(), times, **kwargs)
 
 
 # -- schedule ----------------------------------------------------------
@@ -104,23 +111,23 @@ def test_rk4_step_flags_overflow():
 
 def test_unknown_renormalization_is_rejected():
     tp = TestParticleSpec()
-    spec = BathSpec(size=4, mass=0.01, temperature=5.0,
-                    dos=DensityOfStates("uniform", 0.2, 1.0))
-    real = realize_bath(spec, seed=1)
+    real1 = realize_bath(SPEC1, seed=1, bath_index=0)
+    real2 = realize_bath(SPEC2, seed=1, bath_index=1)
     with pytest.raises(ValueError, match="unknown renormalization"):
-        build_switched_matrices(tp, (spec, real), None, renormalization="half")
+        build_switched_matrices(tp, (SPEC1, real1), (SPEC2, real2),
+                                renormalization="half")
 
 
 def test_single_bath_system_has_one_realization():
     tp = TestParticleSpec()
-    spec = BathSpec(size=4, mass=0.01, temperature=5.0,
-                    dos=DensityOfStates("uniform", 0.2, 1.0))
-    real = realize_bath(spec, seed=1)
-    system = build_switched_matrices(tp, (spec, real), None)
+    real = realize_bath(SPEC1, seed=1)
+    cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
+    system = TwoBathSystem(tp=tp, bath1=(SPEC1, real), bath2=None, a1=cm, a2=cm)
     assert system.dim == 2 + 2 * 4
     assert len(system.realizations) == 1
-    # the "bath 2 engaged" matrix couples to nothing
-    assert system.a2.active == (False,)
+    # switched contact is only built for a pair of baths
+    with pytest.raises(ValueError, match="second bath"):
+        build_switched_matrices(tp, (SPEC1, real), None)
 
 
 def test_static_mode_shifts_energy_by_the_idle_spring_sum():
@@ -144,8 +151,7 @@ def test_identical_matrices_reduce_to_the_continuous_run():
     degenerate = dataclasses.replace(system, a2=system.a1)
     sched = SwitchSchedule(delta_t_steps=5, step_size=0.02)
     times = np.linspace(0.0, 50.0, 40)
-    res = run_switched(degenerate, sched, t_final=50.0, sample_times=times,
-                       engine="dense")
+    res = _run(degenerate, sched, times, t_final=50.0, engine="dense")
     eig = diagonalize(system.a1, system.initial_vector())
     q_ref, p_ref = eig.sample_test_particle(res.times)
     np.testing.assert_allclose(res.q, q_ref, atol=1e-6)
@@ -156,10 +162,8 @@ def test_period_map_engine_matches_literal_stepping():
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
     times = np.linspace(0.0, 30.0, 23)
-    dense = run_switched(system, sched, t_final=30.0, sample_times=times,
-                         engine="dense")
-    floq = run_switched(system, sched, t_final=30.0, sample_times=times,
-                        engine="floquet")
+    dense = _run(system, sched, times, t_final=30.0, engine="dense")
+    floq = _run(system, sched, times, t_final=30.0, engine="floquet")
     assert floq.engine == "floquet"
     np.testing.assert_allclose(floq.q, dense.q, atol=1e-9)
     np.testing.assert_allclose(floq.p, dense.p, atol=1e-9)
@@ -171,7 +175,7 @@ def test_sample_times_snap_to_the_nearest_step():
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=1, step_size=0.02)
     times = np.pi * np.arange(1, 5) / 7.0
-    res = run_switched(system, sched, t_final=2.0, sample_times=times)
+    res = _run(system, sched, times, t_final=2.0)
     assert res.max_snap_distance <= 0.5 * sched.step_size + 1e-15
     np.testing.assert_allclose(res.times, res.steps * sched.step_size, rtol=1e-15)
 
@@ -181,10 +185,9 @@ def test_energy_is_conserved_inside_contact_windows():
     h = 0.02
     sched = SwitchSchedule(delta_t_steps=3, step_size=h)
     states = []
-    res = run_switched(system, sched, t_final=4 * h,
-                       sample_times=h * np.arange(5), engine="dense",
-                       observer=lambda t, v: states.append(
-                           SystemState.from_vector(v, system.a1.bath_sizes, time=t)))
+    _run(system, sched, h * np.arange(5), t_final=4 * h, engine="dense",
+         observer=lambda t, v: states.append(
+             SystemState.from_vector(v, system.a1.bath_sizes, time=t)))
     assert len(states) == 5
     # steps 0..3 sit on one bath-1 trajectory
     e1 = [switched_energy(system, s, bath1_active=True) for s in states[:4]]
@@ -201,26 +204,17 @@ def test_runs_are_deterministic():
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=2, step_size=0.02)
     times = np.linspace(0.0, 10.0, 11)
-    a = run_switched(system, sched, t_final=10.0, sample_times=times)
-    b = run_switched(system, sched, t_final=10.0, sample_times=times)
+    a = _run(system, sched, times, t_final=10.0)
+    b = _run(system, sched, times, t_final=10.0)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.p, b.p)
-
-
-def test_final_state_can_be_skipped():
-    system = _tiny_system()
-    sched = SwitchSchedule(step_size=0.02)
-    res = run_switched(system, sched, t_final=1.0, sample_times=[0.5],
-                       want_final_state=False)
-    assert res.final_state is None
 
 
 def test_unknown_engine_is_rejected():
     system = _tiny_system()
     sched = SwitchSchedule(step_size=0.02)
     with pytest.raises(ValueError, match="unknown engine"):
-        run_switched(system, sched, t_final=1.0, sample_times=[0.5],
-                     engine="verlet")
+        _run(system, sched, [0.5], t_final=1.0, engine="verlet")
 
 
 def test_initial_vector_shape_is_checked():
