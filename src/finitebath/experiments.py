@@ -16,7 +16,7 @@ import numpy as np
 
 from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
-                    bare_energy, oscillator_energies)
+                    bare_energy, oscillator_energies, total_energy)
 from .propagator import (NumericalError, build_multi_coupling_matrix,
                          diagonalize, full_state)
 from .rng import SAMPLING_TIMES, substream
@@ -152,23 +152,45 @@ def zip_baths(final):
     return [(r, state.bath_q[i], state.bath_p[i]) for i, r in enumerate(reals)]
 
 
+# The normal-mode flow conserves the Hamiltonian exactly; what remains
+# is roundoff, orders of magnitude below this bound.
+ENERGY_DRIFT_TOL = 1e-8
+
+
+def _check_energy_drift(initial: SystemState, final: SystemState,
+                       tp: TestParticleSpec, real) -> None:
+    """Raise NumericalError if the total Hamiltonian moved between two states."""
+    h0 = total_energy(initial, tp, [(real, True)])
+    h1 = total_energy(final, tp, [(real, True)])
+    if not abs(h1 - h0) <= ENERGY_DRIFT_TOL * abs(h0):   # NaN fails too
+        raise NumericalError(
+            f"total energy drifted from {h0:.12g} to {h1:.12g} by t={final.time:g}, "
+            f"more than {ENERGY_DRIFT_TOL:g} relative")
+
+
 def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
                           bath: BathSpec | None = None,
                           bath_index: int = 0) -> PointResult:
-    """One continuous contact run: exact normal modes (or plain RK4)."""
+    """One continuous contact run: exact normal modes (or plain RK4).
+
+    On the normal-mode path the total Hamiltonian at the last sample
+    time must match its initial value (NumericalError otherwise).
+    """
     bath = bath if bath is not None else spec.bath1
     tp = spec.test_particle(omega)
     real = realize_bath(bath, seed, bath_index)
     times = make_sampling_times(
         spec.plan, substream(seed, SAMPLING_TIMES).generator())
-    v0 = SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
-                     bath_q=(real.positions,), bath_p=(real.momenta,)).as_vector()
+    state0 = SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
+                         bath_q=(real.positions,), bath_p=(real.momenta,))
+    v0 = state0.as_vector()
     renorm = float(np.sum(real.m * real.frequencies**2))
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
     if spec.propagator == "eigen":
         prop = diagonalize(cm, v0)
         q, p = prop.sample_test_particle(times)
         final = full_state(prop, float(times[-1]))
+        _check_energy_drift(state0, final, tp, real)
         return _reduce_samples(spec, omega, seed, q, p, renorm,
                                ((real,), final))
     # continuous RK4: both switch phases use the engaged bath

@@ -11,9 +11,34 @@ With the u_k mass-orthonormal,
 
 where a_k = u_k . M x0 and b_k = u_k . p0, so after one factorization
 the particle costs O(N) per observation time and the full state O(N^2).
-The factorization is well conditioned even for fully degenerate baths.
-A zero frequency mode (Omega = 0) has no such form and is rejected.
 
+The factorization never forms K.  In mass-weighted coordinates
+M^(1/2) x the stiffness is an arrowhead matrix: the diagonal
+d_n = w_n^2, the border z_n = -sqrt(m/M) w_n^2 (0 for a free bath), and
+the corner alpha = alpha0 + sum_n c_n with c_n = z_n^2 / d_n and
+alpha0 = Omega^2 (plus the spring sums of free baths under static
+renormalization).  Its modes cost O(N^2) time and O(N) memory beyond
+the mode matrix (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
+(1995)):
+
+1. Deflation.  Free oscillators (z_n = 0) are modes on their own.
+   Oscillators whose d_n agree to rounding fold into one pole along
+   their z direction; the orthogonal combinations are modes without
+   particle motion.  A fully degenerate bath leaves two coupled modes.
+2. Roots.  The other eigenvalues solve Ullersma's secular equation
+
+       1 - alpha0 / lam + sum_n c_n / (d_n - lam) = 0,
+
+   which has one root between consecutive poles 0 < d_1 < d_2 < ...
+   and one above the last.  Unlike det(H - lam) it has no cancellation
+   between alpha and the c_n, so slow modes keep full relative accuracy.
+   Each root is stored as its nearer pole plus an offset, which keeps
+   every difference lam - d_n exact.
+3. Vectors.  Loewner's formula recomputes z so that the computed roots
+   are the exact eigenvalues of a nearby arrowhead; the eigenvectors
+   (1, z_n / (lam - d_n)) are then orthogonal to working accuracy.
+
+A zero frequency mode (Omega = 0) has no such form and is rejected.
 The dense drift matrix A of v' = A v, v = (Q, P, q_1, p_1, ...), is
 needed only by RK4 stepping; drift_matrix builds it on demand.
 """
@@ -108,28 +133,271 @@ def drift_matrix(cm: CouplingMatrix) -> np.ndarray:
     return a
 
 
-def _stiffness(cm: CouplingMatrix):
-    """Mass vector and stiffness matrix of the position-space problem."""
-    sizes = cm.bath_sizes
-    n = 1 + sum(sizes)
-    mass = np.empty(n)
-    mass[0] = cm.tp.mass
-    k = np.zeros((n, n))
-    k[0, 0] = cm.tp.mass * cm.tp.omega**2
-    j = 1
+@dataclass(frozen=True)
+class _Arrowhead:
+    """Mass-weighted stiffness of one contact phase, in arrowhead form."""
+
+    mass: np.ndarray     # (1 + N,) position-space masses, particle first
+    d: np.ndarray        # (N,) squared bath frequencies
+    z: np.ndarray        # (N,) border, 0 for free baths
+    c: np.ndarray        # (N,) secular weights z^2 / d
+    alpha0: float        # corner minus sum(c)
+
+    @property
+    def alpha(self) -> float:
+        return self.alpha0 + float(np.sum(self.c))
+
+
+def _arrowhead(cm: CouplingMatrix) -> _Arrowhead:
+    big_m = cm.tp.mass
+    alpha0 = cm.tp.omega**2
+    d, z, c = [], [], []
     for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
-        nn = len(freqs)
-        spring = m * freqs**2
-        mass[j:j + nn] = m
-        k[np.arange(j, j + nn), np.arange(j, j + nn)] = spring
+        w2 = freqs**2
+        d.append(w2)
         if active:
-            k[0, 0] += float(np.sum(spring))
-            k[0, j:j + nn] = -spring
-            k[j:j + nn, 0] = -spring
-        elif cm.static_renorm:
-            k[0, 0] += float(np.sum(spring))
-        j += nn
-    return mass, k
+            z.append(-np.sqrt(m / big_m) * w2)
+            c.append(m / big_m * w2)
+        else:
+            z.append(np.zeros(len(w2)))
+            c.append(np.zeros(len(w2)))
+            if cm.static_renorm:
+                alpha0 += m / big_m * float(np.sum(w2))
+    mass = np.concatenate(
+        [[big_m]] + [np.full(len(f), m) for m, f in zip(cm.bath_masses,
+                                                        cm.bath_frequencies)])
+    return _Arrowhead(mass=mass, d=np.concatenate(d), z=np.concatenate(z),
+                      c=np.concatenate(c), alpha0=float(alpha0))
+
+
+@dataclass(frozen=True)
+class _Deflated:
+    """The arrowhead after deflation: secular poles and what folds into them.
+
+    ``poles`` ascend: 0 (weight alpha0, when positive) then one pole per
+    cluster of coupled oscillators.  Member i of a cluster enters each
+    coupled mode with the cluster's amplitude times ``direction[i]``.
+    """
+
+    poles: np.ndarray
+    weights: np.ndarray
+    members: np.ndarray      # coupled bath indices, ordered by d
+    cluster: np.ndarray      # each member's cluster, 0-based
+    direction: np.ndarray    # z_i / |z over the cluster|
+    starts: np.ndarray       # first member of each cluster
+    free: np.ndarray         # bath indices that are modes on their own
+
+
+def _deflate(ah: _Arrowhead) -> _Deflated:
+    tol = 8.0 * np.finfo(float).eps * max(ah.alpha, float(np.max(ah.d, initial=0.0)))
+    free = np.flatnonzero(np.abs(ah.z) <= tol)
+    members = np.flatnonzero(np.abs(ah.z) > tol)
+    members = members[np.argsort(ah.d[members], kind="stable")]
+    ds, zs = ah.d[members], ah.z[members]
+    starts = np.flatnonzero(np.r_[len(ds) > 0, np.diff(ds) > tol])
+    cluster = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(members)]))
+    poles, weights, direction = np.empty(0), np.empty(0), np.empty(0)
+    if len(members):
+        z2 = zs * zs
+        r2 = np.add.reduceat(z2, starts)
+        poles = np.add.reduceat(z2 * ds, starts) / r2
+        weights = np.add.reduceat(ah.c[members], starts)
+        direction = zs / np.sqrt(r2)[cluster]
+    if ah.alpha0 > 0.0:
+        poles = np.r_[0.0, poles]
+        weights = np.r_[ah.alpha0, weights]
+    return _Deflated(poles=poles, weights=weights, members=members,
+                     cluster=cluster, direction=direction, starts=starts,
+                     free=free)
+
+
+# entries of one vectorized (roots x poles) table, 8 MB
+SECULAR_CHUNK = 1 << 20
+SECULAR_MAX_ITER = 50
+
+
+def _secular_terms(poles, weights, origin, tau, work):
+    """Secular function at lam = poles[origin] + tau, one row per root.
+
+    Returns (w, near, below, above, dbelow, dabove): the value, the
+    origin pole's term, the sums of the other terms over the poles below
+    and above lam, and the derivatives of those sums in tau.  work holds
+    two scratch tables of at least len(origin) rows.
+    """
+    r, up = work[0][:len(origin)], work[1][:len(origin)]
+    np.subtract(poles[None, :], poles[origin][:, None], out=r)
+    r -= tau[:, None]
+    np.reciprocal(r, out=r)
+    r[np.arange(len(origin)), origin] = 0.0
+    np.maximum(r, 0.0, out=up)
+    np.minimum(r, 0.0, out=r)
+    below, above = r @ weights, up @ weights
+    r *= r
+    up *= up
+    near = -weights[origin] / tau
+    return 1.0 + below + above + near, near, below, above, r @ weights, up @ weights
+
+
+def _solve_chunk(poles, weights, k):
+    n = len(poles)
+    eps = np.finfo(float).eps
+    last = k == n - 1
+    right = np.minimum(k + 1, n - 1)
+    half = 0.5 * (poles[right] - poles[k])
+    total = float(np.sum(weights))
+    work = np.empty((2, len(k), n))
+    # start at the midpoint, seen from the left pole; w increases, so its
+    # sign tells which pole is nearer the root
+    origin = k.copy()
+    tau = np.where(last, 0.5 * total, half)
+    terms = _secular_terms(poles, weights, origin, tau, work)
+    w, near, below, above, dbelow, dabove = terms
+    left = last | (w >= 0.0)
+    flip = ~left
+    h, cl, cr = half[flip], weights[k[flip]], weights[right[flip]]
+    below[flip] -= cl / h
+    dbelow[flip] += cl / (h * h)
+    above[flip] -= cr / h
+    dabove[flip] -= cr / (h * h)
+    near[flip] = cr / h
+    origin[flip] = right[flip]
+    tau[flip] = -h
+    other = np.where(last, k - 1, np.where(left, right, k))
+    lo = np.where(left, 0.0, -half)
+    hi = np.where(last, total, np.where(left, half, 0.0))
+
+    active = np.arange(len(k))
+    for it in range(SECULAR_MAX_ITER):
+        t = tau[active]
+        if it:
+            terms = _secular_terms(poles, weights, origin[active], t, work)
+        w, near, below, above, dbelow, dabove = terms
+        neg = w < 0.0
+        lo[active] = np.where(neg, t, lo[active])
+        hi[active] = np.where(neg, hi[active], t)
+        keep = np.abs(w) > 8.0 * eps * (1.0 + above - below + np.abs(near))
+        active, t = active[keep], t[keep]
+        if not len(active):
+            return origin, tau
+        # model: the poles on the origin's side of the root fold into the
+        # origin pole, those on the other side into the other neighbour
+        on_left = left[active]
+        same = np.where(on_left, below[keep], above[keep])
+        dsame = np.where(on_left, dbelow[keep], dabove[keep])
+        far = np.where(on_left, above[keep], below[keep])
+        dfar = np.where(on_left, dabove[keep], dbelow[keep])
+        s0 = weights[origin[active]] + dsame * t * t
+        dp = poles[other[active]] - poles[origin[active]]
+        gap = dp - t
+        a = 1.0 + same + dsame * t + far - dfar * gap
+        b = -(a * dp + s0 + dfar * gap * gap)
+        c = s0 * dp
+        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x1, x2 = c / q, q / a
+        lo_a, hi_a = lo[active], hi[active]
+        new = np.where((x1 > lo_a) & (x1 < hi_a), x1,
+                       np.where((x2 > lo_a) & (x2 < hi_a), x2, 0.5 * (lo_a + hi_a)))
+        tau[active] = new
+        moved = np.abs(new - t) > 2.0 * eps * np.abs(t)
+        active = active[moved]
+        if not len(active):
+            return origin, tau
+    raise EigensolverError(
+        f"secular equation did not converge for {len(active)} of {len(k)} roots")
+
+
+def _secular_roots(poles, weights, which):
+    """Roots of 1 + sum_j weights_j / (poles_j - lam) = 0, as (origin, tau).
+
+    poles ascend and weights are positive, so root k lies in
+    (poles[k], poles[k+1]) and the last one above poles[-1].  Root k is
+    poles[origin] + tau with poles[origin] its nearer pole.  A fixed
+    weight iteration keeps that pole's term exact, folds the other poles
+    on its side of the root into it and those across the root into the
+    other neighbour, solves the resulting quadratic and falls back to
+    bisection of the bracket; rows are processed in chunks.
+    """
+    which = np.asarray(which, dtype=np.intp)
+    if len(poles) == 1:
+        return np.zeros(len(which), np.intp), np.full(len(which), weights[0])
+    origin = np.empty(len(which), np.intp)
+    tau = np.empty(len(which))
+    step = max(1, SECULAR_CHUNK // len(poles))
+    for lo in range(0, len(which), step):
+        sl = slice(lo, lo + step)
+        origin[sl], tau[sl] = _solve_chunk(poles, weights, which[sl])
+    return origin, tau
+
+
+def _helmert(zc):
+    """Orthonormal basis of the complement of zc, as (len, len - 1) columns.
+
+    Column t is the Givens chain's t-th deflated vector: zc[:t+1]
+    rotated onto zc's direction leaves it orthogonal to zc.
+    """
+    r = np.sqrt(np.cumsum(zc * zc))
+    n = len(zc)
+    basis = np.outer(zc, zc[1:] / (r[1:] * r[:-1]))
+    basis *= np.arange(n)[:, None] <= np.arange(n - 1)[None, :]
+    basis[np.arange(1, n), np.arange(n - 1)] = -r[:-1] / r[1:]
+    return basis
+
+
+def max_mode_frequency(cm: CouplingMatrix) -> float:
+    """Largest normal mode frequency: the top secular root or a free oscillator."""
+    ah = _arrowhead(cm)
+    df = _deflate(ah)
+    top = float(np.max(ah.d[df.free], initial=0.0))
+    if len(df.poles):
+        origin, tau = _secular_roots(df.poles, df.weights, [len(df.poles) - 1])
+        top = max(top, float(df.poles[origin[0]] + tau[0]))
+    return float(np.sqrt(top))
+
+
+def _coupled_modes(df: _Deflated, origin, tau, shapes, cols):
+    """Write the secular modes, mass-weighted, into rows cols of shapes.
+
+    df.poles[0] must be the particle's pole at 0 (alpha0 > 0).
+    """
+    poles = df.poles
+    bath = poles[1:]
+    n_s, n_r = len(bath), len(poles)
+    lam0 = poles[origin]
+
+    def delta(roots, arms):
+        # lam_k - d_a, exact through the stored (pole, offset) form
+        out = lam0[roots][:, None] - bath[arms][None, :]
+        out += tau[roots][:, None]
+        return out
+
+    # Loewner: the z for which the computed roots are exact eigenvalues
+    zhat = np.empty(n_s)
+    step = max(1, SECULAR_CHUNK // max(n_s, 1))
+    for lo in range(0, n_s, step):
+        arms = np.arange(lo, min(lo + step, n_s))
+        ratio = delta(np.arange(1, n_r), arms)
+        den = bath[:, None] - bath[arms][None, :]
+        den[arms, np.arange(len(arms))] = 1.0
+        ratio /= den
+        zhat[arms] = -delta(np.array([0]), arms)[0] * np.prod(ratio, axis=0)
+    if not np.all(zhat > 0.0):
+        raise EigensolverError("secular roots do not interlace the bath poles")
+    np.sqrt(zhat, out=zhat)
+
+    # vectors (1, zhat_a / (lam_k - d_a)), one row of shapes per mode
+    perm = np.argsort(df.members)
+    members, arms = df.members[perm], df.cluster[perm]
+    coef = zhat[arms] * df.direction[perm]
+    step = max(1, SECULAR_CHUNK // max(len(members), 1))
+    for lo in range(0, n_r, step):
+        roots = np.arange(lo, min(lo + step, n_r))
+        amp = delta(roots, arms)
+        np.divide(coef[None, :], amp, out=amp)
+        norm = np.sqrt(1.0 + np.einsum("ij,ij->i", amp, amp))
+        amp /= norm[:, None]
+        shapes[cols[roots], 0] = 1.0 / norm
+        shapes[np.ix_(cols[roots], 1 + members)] = amp
 
 
 @dataclass
@@ -176,42 +444,56 @@ def _as_vector(v0, dim):
 
 
 ZERO_MODE_CUTOFF = 1e-9
+ZERO_MODE = ("system has a zero frequency mode (Omega = 0?); "
+             "the spectral propagator does not apply")
 
 
 def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     """Factor the system and bind an initial state.
 
-    Raises EigensolverError if the factorization fails or the system
-    has a zero frequency mode (Omega = 0); perturbing exactly degenerate
-    frequencies by one part in 1e12 is usually enough in the first case.
+    Raises EigensolverError if the secular iteration fails or the
+    system has a zero frequency mode (Omega = 0).
     """
     v0 = _as_vector(v0, cm.dim)
-    mass, k = _stiffness(cm)
-    s = 1.0 / np.sqrt(mass)
-    try:
-        lam, vec = np.linalg.eigh(k * np.outer(s, s))
-    except np.linalg.LinAlgError as err:
-        raise EigensolverError(
-            "normal mode eigensolver did not converge; perturb degenerate "
-            "frequencies by ~1e-12 relative or propagate with RK4"
-        ) from err
-    scale = max(float(lam[-1]), 1.0)
-    if lam[0] < -ZERO_MODE_CUTOFF * scale:
-        raise EigensolverError(
-            f"stiffness matrix is indefinite (min eigenvalue {lam[0]:.3e}); "
-            "the model Hamiltonian cannot produce this"
-        )
-    if lam[0] <= ZERO_MODE_CUTOFF * scale:
-        raise EigensolverError(
-            "system has a zero frequency mode (Omega = 0?); "
-            "the spectral propagator does not apply"
-        )
+    ah = _arrowhead(cm)
+    if ah.alpha0 <= 0.0:
+        raise EigensolverError(ZERO_MODE)
+    df = _deflate(ah)
+    origin, tau = _secular_roots(df.poles, df.weights, np.arange(len(df.poles)))
 
-    modes = vec * s[:, None]          # mass orthonormal
-    nu = np.sqrt(lam)
-    a = modes.T @ (mass * v0[0::2])
-    b = modes.T @ v0[1::2]
-    return EigenPropagator(cm=cm, nu=nu, modes=modes, mass=mass,
+    ends = np.r_[df.starts[1:], len(df.members)]
+    blocks = []
+    for s, e in zip(df.starts, ends):
+        if e - s > 1:
+            idx = df.members[s:e]
+            basis = _helmert(ah.z[idx])
+            blocks.append((idx, basis, np.einsum("it,it,i->t", basis, basis, ah.d[idx])))
+
+    lam = np.concatenate([df.poles[origin] + tau, ah.d[df.free]]
+                         + [b[2] for b in blocks])
+    order = np.argsort(lam, kind="stable")
+    col = np.empty(len(lam), dtype=np.intp)
+    col[order] = np.arange(len(lam))
+    lam = lam[order]
+    if lam[0] <= ZERO_MODE_CUTOFF * max(float(lam[-1]), 1.0):
+        raise EigensolverError(ZERO_MODE)
+
+    # one row per mode, so each mode is written contiguously
+    n = len(ah.mass)
+    shapes = np.zeros((n, n))
+    n_r = len(origin)
+    _coupled_modes(df, origin, tau, shapes, col[:n_r])
+    at = n_r + len(df.free)
+    shapes[col[n_r:at], 1 + df.free] = 1.0
+    for idx, basis, _ in blocks:
+        shapes[np.ix_(col[at:at + basis.shape[1]], 1 + idx)] = basis.T
+        at += basis.shape[1]
+    shapes /= np.sqrt(ah.mass)[None, :]   # mass orthonormal
+
+    a = shapes @ (ah.mass * v0[0::2])
+    b = shapes @ v0[1::2]
+    modes = shapes.T
+    return EigenPropagator(cm=cm, nu=np.sqrt(lam), modes=modes, mass=ah.mass,
                            coef_cos=a, coef_sin=b)
 
 
@@ -229,7 +511,18 @@ def full_state(prop: EigenPropagator, t: float) -> SystemState:
 
 
 def mode_residual(prop: EigenPropagator) -> float:
-    """|| K U - M U diag(nu^2) || / || K ||, the defining check of the modes."""
-    mass, k = _stiffness(prop.cm)
-    res = k @ prop.modes - (mass[:, None] * prop.modes) * prop.nu**2
-    return float(np.linalg.norm(res) / np.linalg.norm(k))
+    """|| K U - M U diag(nu^2) || / || K ||, the defining check of the modes.
+
+    K = M^(1/2) H M^(1/2) is applied through the arrowhead H, never formed.
+    """
+    ah = _arrowhead(prop.cm)
+    u = prop.modes
+    root_m = np.sqrt(ah.mass)
+    k00 = ah.mass[0] * ah.alpha
+    kdiag = ah.mass[1:] * ah.d
+    kside = root_m[0] * root_m[1:] * ah.z
+    res = -(ah.mass[:, None] * u) * prop.nu**2
+    res[0] += k00 * u[0] + kside @ u[1:]
+    res[1:] += kdiag[:, None] * u[1:] + kside[:, None] * u[0][None, :]
+    knorm = np.sqrt(k00**2 + np.sum(kdiag**2) + 2.0 * np.sum(kside**2))
+    return float(np.linalg.norm(res) / knorm)

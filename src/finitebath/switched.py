@@ -15,6 +15,10 @@ the map over one full switching period is diagonalized once, after
 which any sample time costs O(N) instead of stepping there.  The
 spectral engine is checked against the literal stepping engine and
 falls back to it when the factorization looks degraded.
+
+A step beyond RK4's stability limit, h nu_max > 2 sqrt(2) for the
+fastest normal mode of either contact phase, is rejected up front: the
+run would otherwise grow by orders of magnitude without overflowing.
 """
 
 from __future__ import annotations
@@ -26,7 +30,8 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec
 from .propagator import (CouplingMatrix, NumericalError,
-                         build_multi_coupling_matrix, drift_matrix)
+                         build_multi_coupling_matrix, drift_matrix,
+                         max_mode_frequency)
 
 
 @dataclass(frozen=True)
@@ -56,6 +61,9 @@ class SwitchSchedule:
 
 
 DEFAULT_STEPS_PER_PERIOD = 50
+
+# RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)
+RK4_STABILITY_LIMIT = 2.0 * np.sqrt(2.0)
 
 
 def default_step_size(tp: TestParticleSpec, frequencies,
@@ -206,8 +214,16 @@ class SwitchedPropagator:
         self.system = system
         self.schedule = schedule
         h = schedule.step_size
+        same = system.a2 is system.a1
+        for cm in (system.a1,) if same else (system.a1, system.a2):
+            nu_max = max_mode_frequency(cm)
+            if h * nu_max > RK4_STABILITY_LIMIT:
+                raise NumericalError(
+                    f"RK4 step h={h:g} is unstable for the fastest mode "
+                    f"nu_max={nu_max:.6g}: h*nu_max={h * nu_max:.4g} exceeds "
+                    f"2*sqrt(2); use step_size < {RK4_STABILITY_LIMIT / nu_max:.4g}")
         self.u1 = rk4_update_matrix(drift_matrix(system.a1), h)
-        self.u2 = rk4_update_matrix(drift_matrix(system.a2), h)
+        self.u2 = self.u1 if same else rk4_update_matrix(drift_matrix(system.a2), h)
         self._floq = None
         self._floq_broken = False
 

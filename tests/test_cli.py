@@ -147,6 +147,19 @@ def test_sweep_where_every_point_fails_numerically_exits_3(
                         for w in (0.3, 0.5) for s in (1, 2)]
 
 
+def test_unstable_rk4_step_exits_3(tmp_path, capsys):
+    out = tmp_path / "run"
+    code = main(["sweep", "--set", "bath1_size=20", "--set", "propagator=rk4",
+                 "--set", "step_size=5", "--set", "omega_grid=[0.5]",
+                 "--set", "seeds=[1,2]", "--set", "n_samples=100",
+                 "--set", "mean_interval=1", "--set", "warmup=0",
+                 "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [f[:2] for f in failures] == [[0.5, 1], [0.5, 2]]
+    assert all(f[2].startswith("NumericalError: RK4 step h=5 ") for f in failures)
+
+
 @pytest.mark.parametrize("override", [
     "bath1_temperature=NaN", "mean_interval=Infinity", "omega_grid=[NaN]"])
 def test_non_finite_numbers_are_config_errors(tmp_path, quick_config, capsys,

@@ -1,5 +1,7 @@
 """Sweep drivers, curve reduction and the degenerate exchange experiment."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -15,7 +17,7 @@ from finitebath.experiments import (
     run_two_bath_sweep,
     smoothed_curve,
 )
-from finitebath import propagator, switched
+from finitebath import experiments, propagator, switched
 from finitebath.model import BathSpec, DensityOfStates
 from finitebath.stats import SamplingPlan
 
@@ -111,6 +113,18 @@ def test_rk4_point_agrees_with_the_spectral_point():
     # sample times snap to the step grid, so agreement is statistical
     assert rk4.mean_energy == pytest.approx(eig.mean_energy, rel=0.05)
     assert rk4.n_steps > 0
+
+
+def test_energy_drift_on_the_eigen_path_is_a_numerical_error(monkeypatch):
+    exact = experiments.diagonalize
+
+    def corrupted(cm, v0):
+        prop = exact(cm, v0)
+        return dataclasses.replace(prop, nu=prop.nu * 1.001)
+
+    monkeypatch.setattr(experiments, "diagonalize", corrupted)
+    with pytest.raises(propagator.NumericalError, match="energy drifted"):
+        run_single_bath_point(0.5, _quick_spec(), 1)
 
 
 # -- two bath points ---------------------------------------------------

@@ -2,16 +2,21 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from finitebath import propagator
 from finitebath.bath import realize_bath
 from finitebath.model import (BathSpec, SystemState, TestParticleSpec,
                               total_energy)
 from finitebath.propagator import (
+    EigenPropagator,
     EigensolverError,
     build_multi_coupling_matrix,
     diagonalize,
     drift_matrix,
     full_state,
+    max_mode_frequency,
     mode_residual,
 )
 from finitebath.switched import SwitchSchedule, SwitchedPropagator, TwoBathSystem
@@ -163,3 +168,123 @@ def test_initial_vector_shape_is_checked(small_bath, particle):
 def test_bath_frequencies_must_be_positive(particle):
     with pytest.raises(ValueError, match="positive"):
         _one_bath(particle, np.array([0.5, -0.1]), 0.01)
+
+
+# -- the secular solver against a dense eigh oracle ----------------------
+
+
+def _dense_stiffness(cm):
+    """Position-space masses and stiffness K, built entry by entry."""
+    n = 1 + sum(cm.bath_sizes)
+    mass = np.empty(n)
+    mass[0] = cm.tp.mass
+    k = np.zeros((n, n))
+    k[0, 0] = cm.tp.mass * cm.tp.omega**2
+    j = 1
+    for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
+        for w in freqs:
+            mass[j] = m
+            k[j, j] = m * w * w
+            if active or cm.static_renorm:
+                k[0, 0] += m * w * w
+            if active:
+                k[0, j] = k[j, 0] = -m * w * w
+            j += 1
+    return mass, k
+
+
+def _eigh_propagator(cm, v0):
+    """Eigenvalues and the propagator of a dense eigh factorization."""
+    mass, k = _dense_stiffness(cm)
+    s = 1.0 / np.sqrt(mass)
+    lam, vec = np.linalg.eigh(k * np.outer(s, s))
+    modes = vec * s[:, None]
+    return lam, EigenPropagator(cm=cm, nu=np.sqrt(lam), modes=modes, mass=mass,
+                                coef_cos=modes.T @ (mass * v0[0::2]),
+                                coef_sin=modes.T @ v0[1::2])
+
+
+@st.composite
+def coupled_systems(draw):
+    """A particle with one or two baths, and a random initial state."""
+    kind = draw(st.sampled_from(
+        ["random", "equal", "clusters", "inactive", "single"]))
+    tp = TestParticleSpec(mass=draw(st.floats(0.5, 2.0)),
+                          omega=draw(st.floats(0.05, 3.0)))
+    m = draw(st.floats(1e-4, 0.05))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    static = False
+    if kind == "random":
+        baths = [(m, rng.uniform(0.1, 2.0, draw(st.integers(1, 40))), True)]
+    elif kind == "equal":
+        baths = [(m, np.full(draw(st.integers(2, 40)), rng.uniform(0.1, 2.0)), True)]
+    elif kind == "clusters":
+        # groups of frequencies 1e-13 apart
+        size = draw(st.integers(2, 5))
+        base = np.repeat(rng.uniform(0.1, 2.0, draw(st.integers(1, 8))), size)
+        offsets = np.tile(np.arange(size) * 1e-13, len(base) // size)
+        baths = [(m, base + offsets, True)]
+    elif kind == "inactive":
+        static = draw(st.booleans())
+        baths = [(m, rng.uniform(0.1, 2.0, draw(st.integers(1, 20))),
+                  draw(st.booleans())),
+                 (draw(st.floats(1e-4, 0.05)),
+                  rng.uniform(0.1, 2.0, draw(st.integers(1, 20))), False)]
+    else:
+        baths = [(m, rng.uniform(0.1, 2.0, 1), True)]
+    cm = build_multi_coupling_matrix(tp, baths, static_renorm=static)
+    return cm, rng.normal(size=cm.dim)
+
+
+@given(system=coupled_systems())
+@settings(max_examples=60, deadline=None)
+def test_secular_modes_match_dense_eigh(system):
+    cm, v0 = system
+    lam, ref = _eigh_propagator(cm, v0)
+    prop = diagonalize(cm, v0)
+    np.testing.assert_allclose(prop.nu**2, lam, rtol=0.0, atol=1e-12 * lam[-1])
+    assert max_mode_frequency(cm) == pytest.approx(np.sqrt(lam[-1]), rel=1e-12)
+    u = prop.modes
+    np.testing.assert_allclose(u.T @ (prop.mass[:, None] * u), np.eye(len(u)),
+                               rtol=0.0, atol=1e-12)
+    assert mode_residual(prop) < 1e-12
+    times = np.linspace(0.0, 50.0, 64)
+    for got, want in zip(prop.sample_test_particle(times),
+                         ref.sample_test_particle(times)):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-10 * np.max(np.abs(want)))
+
+
+def test_slow_mode_keeps_full_relative_accuracy():
+    """One oscillator: the product of the two eigenvalues is Omega^2 w^2."""
+    tp = TestParticleSpec(mass=1.0, omega=1e-3)
+    cm = _one_bath(tp, np.array([1.0]), 1.0)
+    nu2 = diagonalize(cm, np.zeros(cm.dim)).nu**2
+    assert nu2[0] * nu2[1] == pytest.approx(1e-6, rel=1e-14)
+
+
+def test_eigen_path_does_not_call_eigh(monkeypatch, small_bath, particle):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the normal modes must not come from eigh")
+
+    monkeypatch.setattr(propagator.np.linalg, "eigh", refuse)
+    real = realize_bath(small_bath, seed=4)
+    cm = _one_bath(particle, real.frequencies, real.m)
+    prop = diagonalize(cm, _initial_vector(particle, real))
+    assert mode_residual(prop) < 1e-12
+    assert max_mode_frequency(cm) == pytest.approx(prop.nu[-1], rel=1e-12)
+
+
+def test_loewner_vectors_stay_orthogonal_when_the_roots_carry_error():
+    """Roots off by 1e-9 of their offsets still give orthonormal modes."""
+    tp = TestParticleSpec(mass=1.0, omega=0.6)
+    freqs = np.repeat(np.linspace(0.3, 0.9, 8), 2) + np.tile([0.0, 1e-10], 8)
+    cm = _one_bath(tp, freqs, 0.01)
+    df = propagator._deflate(propagator._arrowhead(cm))
+    n = len(df.poles)
+    assert n == 1 + len(freqs)              # nothing deflates
+    origin, tau = propagator._secular_roots(df.poles, df.weights, np.arange(n))
+    tau = tau * (1.0 + 1e-9 * np.random.default_rng(0).uniform(-1.0, 1.0, n))
+    shapes = np.zeros((n, n))
+    propagator._coupled_modes(df, origin, tau, shapes, np.arange(n))
+    np.testing.assert_allclose(shapes @ shapes.T, np.eye(n), rtol=0.0, atol=1e-13)

@@ -5,11 +5,13 @@ import dataclasses
 import numpy as np
 import pytest
 
+from finitebath import switched
 from finitebath.bath import realize_bath
 from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
 from finitebath.propagator import (NumericalError, build_multi_coupling_matrix,
-                                   diagonalize)
+                                   diagonalize, drift_matrix, max_mode_frequency)
 from finitebath.switched import (
+    RK4_STABILITY_LIMIT,
     SwitchSchedule,
     SwitchedPropagator,
     TwoBathSystem,
@@ -104,6 +106,39 @@ def test_rk4_step_flags_overflow():
     with np.errstate(over="ignore", invalid="ignore"):
         with pytest.raises(NumericalError, match="non-finite"):
             rk4_step(a, np.array([1.0, 0.0]), 1e200)
+
+
+def test_rk4_stability_limit_matches_the_update_map():
+    system = _tiny_system()
+    nu_max = max(max_mode_frequency(system.a1), max_mode_frequency(system.a2))
+    limit = RK4_STABILITY_LIMIT / nu_max
+
+    def radius(h):
+        return max(np.max(np.abs(np.linalg.eigvals(rk4_update_matrix(drift_matrix(a), h))))
+                   for a in (system.a1, system.a2))
+
+    assert radius(0.99 * limit) <= 1.0 + 1e-12
+    assert radius(1.01 * limit) > 1.0
+    SwitchedPropagator(system, SwitchSchedule(step_size=0.99 * limit))
+    with pytest.raises(NumericalError, match="nu_max"):
+        SwitchedPropagator(system, SwitchSchedule(step_size=1.01 * limit))
+
+
+def test_rk4_map_is_built_once_per_distinct_phase(monkeypatch):
+    calls = []
+
+    def counting(cm):
+        calls.append(cm)
+        return drift_matrix(cm)
+
+    monkeypatch.setattr(switched, "drift_matrix", counting)
+    system = _tiny_system()
+    continuous = dataclasses.replace(system, a2=system.a1)
+    prop = SwitchedPropagator(continuous, SwitchSchedule(step_size=0.02))
+    assert len(calls) == 1
+    assert prop.u2 is prop.u1
+    SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
+    assert len(calls) == 3
 
 
 # -- system construction ----------------------------------------------
