@@ -41,6 +41,12 @@ the mode matrix (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
 A zero frequency mode (Omega = 0) has no such form and is rejected.
 The dense drift matrix A of v' = A v, v = (Q, P, q_1, p_1, ...), is
 needed only by RK4 stepping; drift_matrix builds it on demand.
+
+Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
+(hA)^4/24 of the drift matrix, so it has the same normal modes: one step
+multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}.  n steps are the
+mode form with nu_k t replaced by n phi_k and scaled by rho_k^n, which
+sample_rk4 and rk4_full_state evaluate without stepping.
 """
 
 from __future__ import annotations
@@ -413,25 +419,63 @@ class EigenPropagator:
 
     def sample_test_particle(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) at many times through the real mode form, O(N) per time."""
-        times = np.atleast_1d(np.asarray(times, dtype=float))
+        return self._sample(times, self.nu, None, 2_000_000)
+
+    def sample_rk4(self, steps, h: float) -> tuple[np.ndarray, np.ndarray]:
+        """(Q, P) after integer numbers of classical RK4 steps of size h.
+
+        One step multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}, so
+        the mode form holds with nu_k t replaced by n phi_k and scaled by
+        rho_k^n.  O(N) per sample, no stepping.
+        """
+        phi, log_rho = rk4_mode_factors(self.nu, h)
+        return self._sample(steps, phi, log_rho, RK4_CHUNK)
+
+    def _sample(self, x, rate, log_decay, entries):
+        """The mode form at phases x * rate, each mode scaled by exp(x * log_decay)."""
+        x = np.atleast_1d(np.asarray(x, dtype=float))
         u0 = self.modes[0]
         qc = u0 * self.coef_cos
         qs = u0 * self.coef_sin / self.nu
         pc = u0 * self.coef_sin
         ps = u0 * self.coef_cos * self.nu
-        q = np.empty(len(times))
-        p = np.empty(len(times))
-        # chunked so the (times x modes) trig tables stay cache friendly
-        step = max(1, 2_000_000 // max(len(self.nu), 1))
+        q = np.empty(len(x))
+        p = np.empty(len(x))
+        # chunked so the (samples x modes) tables stay cache friendly
+        step = max(1, entries // max(len(self.nu), 1))
         m0 = self.cm.tp.mass
-        for lo in range(0, len(times), step):
-            tt = times[lo:lo + step]
-            ph = np.outer(tt, self.nu)
+        for lo in range(0, len(x), step):
+            xx = x[lo:lo + step]
+            ph = np.outer(xx, rate)
             c = np.cos(ph)
             s = np.sin(ph)
+            if log_decay is not None:
+                decay = np.outer(xx, log_decay, out=ph)
+                np.exp(decay, out=decay)
+                c *= decay
+                s *= decay
             q[lo:lo + step] = c @ qc + s @ qs
             p[lo:lo + step] = m0 * (c @ pc - s @ ps)
         return q, p
+
+
+# entries of one (samples x modes) table of the RK4 sampler, 2 MB; larger
+# tables raise the peak memory of a run more than they save time
+RK4_CHUNK = 250_000
+
+
+def rk4_mode_factors(nu, h: float) -> tuple[np.ndarray, np.ndarray]:
+    """Phase phi and log amplitude log rho of one RK4 step on each mode.
+
+    R(i theta) = 1 - theta^2/2 + theta^4/24 + i theta (1 - theta^2/6) with
+    theta = h nu, and |R|^2 = 1 - theta^6/72 + theta^8/576 exactly, so
+    log rho keeps full relative accuracy however small the damping.
+    """
+    theta = h * np.asarray(nu, dtype=float)
+    t2 = theta * theta
+    phi = np.arctan2(theta * (1.0 - t2 / 6.0), 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
+    log_rho = 0.5 * np.log1p(t2**3 * (t2 / 576.0 - 1.0 / 72.0))
+    return phi, log_rho
 
 
 def _as_vector(v0, dim):
@@ -443,9 +487,17 @@ def _as_vector(v0, dim):
     return v0
 
 
-ZERO_MODE_CUTOFF = 1e-9
 ZERO_MODE = ("system has a zero frequency mode (Omega = 0?); "
              "the spectral propagator does not apply")
+
+
+def has_zero_mode(cm: CouplingMatrix) -> bool:
+    """Whether the system has a zero frequency mode (a free translation).
+
+    That happens only when nothing pins the particle, alpha0 = 0: for
+    alpha0 > 0 every secular root lies above the pole at 0.
+    """
+    return _arrowhead(cm).alpha0 <= 0.0
 
 
 def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
@@ -475,7 +527,7 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     col = np.empty(len(lam), dtype=np.intp)
     col[order] = np.arange(len(lam))
     lam = lam[order]
-    if lam[0] <= ZERO_MODE_CUTOFF * max(float(lam[-1]), 1.0):
+    if not lam[0] > 0.0:
         raise EigensolverError(ZERO_MODE)
 
     # one row per mode, so each mode is written contiguously
@@ -500,8 +552,19 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
 def full_state(prop: EigenPropagator, t: float) -> SystemState:
     """Reconstruct every coordinate at time t (O(N^2))."""
     ph = prop.nu * t
-    c = np.cos(ph)
-    s = np.sin(ph)
+    return _mode_state(prop, np.cos(ph), np.sin(ph), t)
+
+
+def rk4_full_state(prop: EigenPropagator, step: int, h: float) -> SystemState:
+    """Every coordinate after `step` classical RK4 steps of size h (O(N^2))."""
+    phi, log_rho = rk4_mode_factors(prop.nu, h)
+    decay = np.exp(step * log_rho)
+    ph = step * phi
+    return _mode_state(prop, decay * np.cos(ph), decay * np.sin(ph), step * h)
+
+
+def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
+    """The state whose mode k carries cos and sin factors c_k and s_k."""
     x = prop.modes @ (prop.coef_cos * c + prop.coef_sin * s / prop.nu)
     p = prop.mass * (prop.modes @ (prop.coef_sin * c - prop.coef_cos * prop.nu * s))
     vec = np.empty(2 * len(x))

@@ -10,11 +10,17 @@ Switching happens only on step boundaries, and observations are snapped
 to the nearest completed step (distance <= dt/2, reported).
 
 Because the system is linear, one classical RK4 step equals multiplying
-by I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs exploit that:
-the map over one full switching period is diagonalized once, after
+by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs exploit
+that: the map over one full switching period is diagonalized once, after
 which any sample time costs O(N) instead of stepping there.  The
 spectral engine is checked against the literal stepping engine and
 falls back to it when the factorization looks degraded.
+
+Continuous contact (both phases the same matrix) needs no period map.
+R(hA) has the normal modes of the exact flow, and one step multiplies
+mode k by R(i h nu_k) = rho_k e^{i phi_k}, so n steps are sampled in
+closed form through the secular-equation modes: phases n phi_k and
+amplitudes rho_k^n, RK4's own small damping included.
 
 A step beyond RK4's stability limit, h nu_max > 2 sqrt(2) for the
 fastest normal mode of either contact phase, is rejected up front: the
@@ -30,8 +36,8 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec
 from .propagator import (CouplingMatrix, NumericalError,
-                         build_multi_coupling_matrix, drift_matrix,
-                         max_mode_frequency)
+                         build_multi_coupling_matrix, diagonalize, drift_matrix,
+                         has_zero_mode, max_mode_frequency, rk4_full_state)
 
 
 @dataclass(frozen=True)
@@ -203,7 +209,9 @@ class SwitchedPropagator:
     The object owns only matrix-level data (step maps and, lazily, the
     period map factorization), so one instance can serve many initial
     conditions of the same system, e.g. the same frequency draw filled
-    at different temperatures.
+    at different temperatures.  A continuous system (a2 is a1) is
+    sampled through its normal modes and builds its step map only when
+    a stepping engine is requested by name.
     """
 
     # steps beyond which the period map factorization pays for itself
@@ -214,18 +222,25 @@ class SwitchedPropagator:
         self.system = system
         self.schedule = schedule
         h = schedule.step_size
-        same = system.a2 is system.a1
-        for cm in (system.a1,) if same else (system.a1, system.a2):
+        self.continuous = system.a2 is system.a1
+        for cm in (system.a1,) if self.continuous else (system.a1, system.a2):
             nu_max = max_mode_frequency(cm)
             if h * nu_max > RK4_STABILITY_LIMIT:
                 raise NumericalError(
                     f"RK4 step h={h:g} is unstable for the fastest mode "
                     f"nu_max={nu_max:.6g}: h*nu_max={h * nu_max:.4g} exceeds "
                     f"2*sqrt(2); use step_size < {RK4_STABILITY_LIMIT / nu_max:.4g}")
-        self.u1 = rk4_update_matrix(drift_matrix(system.a1), h)
-        self.u2 = self.u1 if same else rk4_update_matrix(drift_matrix(system.a2), h)
+        self.u1 = self.u2 = None
+        if not self.continuous:
+            self._build_step_maps()
         self._floq = None
         self._floq_broken = False
+
+    def _build_step_maps(self):
+        h = self.schedule.step_size
+        self.u1 = rk4_update_matrix(drift_matrix(self.system.a1), h)
+        self.u2 = (self.u1 if self.continuous
+                   else rk4_update_matrix(drift_matrix(self.system.a2), h))
 
     def step_matrix(self, step: int) -> np.ndarray:
         return self.u1 if self.schedule.bath1_active(step) else self.u2
@@ -263,6 +278,18 @@ class SwitchedPropagator:
                 final_v = v.copy()
         if not np.all(np.isfinite(v)):
             raise NumericalError("switched run diverged")
+        return q, p, final_v
+
+    # -- normal modes of a continuous system -----------------------------
+
+    def _run_modes(self, v0, steps_wanted, final_step, observer):
+        prop = diagonalize(self.system.a1, v0)
+        h = self.schedule.step_size
+        q, p = prop.sample_rk4(steps_wanted, h)
+        final_v = rk4_full_state(prop, final_step, h).as_vector()
+        if observer is not None:
+            for s in np.asarray(steps_wanted):
+                observer(s * h, rk4_full_state(prop, int(s), h).as_vector())
         return q, p, final_v
 
     # -- period map spectral engine --------------------------------------
@@ -315,8 +342,12 @@ class SwitchedPropagator:
             w *= vprime0[:, None]
             for r in np.unique(rs[sl]):
                 cols = np.nonzero(rs[sl] == r)[0]
-                out = fl["rows01"][r] @ w[:, cols]
-                scale = np.abs(fl["rows01"][r]) @ np.abs(w[:, cols])
+                wc = w[:, cols]
+                out = fl["rows01"][r] @ wc
+                scale = np.abs(fl["rows01"][r]) @ np.abs(wc)
+                # freed now, not when the next class's copy replaces it: two
+                # live copies would raise the run's peak memory
+                del wc
                 if np.any(np.abs(out.imag) > 1e-9 * np.maximum(scale, 1e-300)):
                     raise NumericalError(
                         "imaginary residue in period map observation exceeds "
@@ -351,9 +382,11 @@ class SwitchedPropagator:
         """Sample the test particle from v0 and return the state at t_final.
 
         Identical inputs reproduce identical output arrays; the spectral
-        engine and the literal stepping engine agree to floating point
-        accuracy and are interchangeable.  t_final defaults to the last
-        (snapped) sample time.
+        engines and the literal stepping engine agree to floating point
+        accuracy and are interchangeable.  "auto" samples a continuous
+        system without a zero mode through its normal modes (reported as
+        engine "modes") and otherwise picks the period map or stepping by
+        run length.  t_final defaults to the last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):
@@ -369,16 +402,22 @@ class SwitchedPropagator:
         final_step = int(np.rint(t_final / h))
         last = max(int(steps.max()) if len(steps) else 0, final_step)
 
-        if engine == "auto":
-            engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
-        if engine == "floquet":
-            q, p, final_v = self._run_floquet(v0, steps, final_step, observer)
-            used = "dense" if self._floq_broken else "floquet"
-        elif engine == "dense":
-            q, p, final_v = self._run_dense(v0, steps, final_step, observer)
-            used = "dense"
+        if engine == "auto" and self.continuous and not has_zero_mode(self.system.a1):
+            q, p, final_v = self._run_modes(v0, steps, final_step, observer)
+            used = "modes"
         else:
-            raise ValueError(f"unknown engine {engine!r}")
+            if engine == "auto":
+                engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
+            if engine not in ("floquet", "dense"):
+                raise ValueError(f"unknown engine {engine!r}")
+            if self.u1 is None:
+                self._build_step_maps()
+            if engine == "floquet":
+                q, p, final_v = self._run_floquet(v0, steps, final_step, observer)
+                used = "dense" if self._floq_broken else "floquet"
+            else:
+                q, p, final_v = self._run_dense(v0, steps, final_step, observer)
+                used = "dense"
 
         final_state = SystemState.from_vector(
             final_v, self.system.a1.bath_sizes, time=final_step * h)

@@ -160,6 +160,24 @@ def test_unstable_rk4_step_exits_3(tmp_path, capsys):
     assert all(f[2].startswith("NumericalError: RK4 step h=5 ") for f in failures)
 
 
+def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):
+    """Omega = 3e-5 still pins the particle, so every mode frequency is positive."""
+    checked = []
+    check = experiments._check_energy_drift
+
+    def spy(*args):
+        check(*args)
+        checked.append(args)
+
+    monkeypatch.setattr(experiments, "_check_energy_drift", spy)
+    out = tmp_path / "run"
+    code = main(["single", "--omega", "3e-5", "--set", "bath1_size=150",
+                 "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
+    assert len(checked) == 15          # every seed passed the energy check
+
+
 @pytest.mark.parametrize("override", [
     "bath1_temperature=NaN", "mean_interval=Infinity", "omega_grid=[NaN]"])
 def test_non_finite_numbers_are_config_errors(tmp_path, quick_config, capsys,

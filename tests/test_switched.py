@@ -6,10 +6,11 @@ import numpy as np
 import pytest
 
 from finitebath import switched
-from finitebath.bath import realize_bath
+from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
 from finitebath.propagator import (NumericalError, build_multi_coupling_matrix,
-                                   diagonalize, drift_matrix, max_mode_frequency)
+                                   diagonalize, drift_matrix, has_zero_mode,
+                                   max_mode_frequency, rk4_mode_factors)
 from finitebath.switched import (
     RK4_STABILITY_LIMIT,
     SwitchSchedule,
@@ -125,20 +126,30 @@ def test_rk4_stability_limit_matches_the_update_map():
 
 
 def test_rk4_map_is_built_once_per_distinct_phase(monkeypatch):
-    calls = []
+    calls, maps = [], []
 
     def counting(cm):
         calls.append(cm)
         return drift_matrix(cm)
 
+    def counting_map(a, h):
+        maps.append(h)
+        return rk4_update_matrix(a, h)
+
     monkeypatch.setattr(switched, "drift_matrix", counting)
+    monkeypatch.setattr(switched, "rk4_update_matrix", counting_map)
     system = _tiny_system()
     continuous = dataclasses.replace(system, a2=system.a1)
     prop = SwitchedPropagator(continuous, SwitchSchedule(step_size=0.02))
-    assert len(calls) == 1
+    assert prop.run(continuous.initial_vector(), [0.5, 1.0]).engine == "modes"
+    assert calls == [] and maps == []
+    # a stepping engine requested by name builds the one map, once
+    for _ in range(2):
+        prop.run(continuous.initial_vector(), [0.5], engine="dense")
+    assert len(calls) == 1 and len(maps) == 1
     assert prop.u2 is prop.u1
     SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
-    assert len(calls) == 3
+    assert len(calls) == 3 and len(maps) == 3
 
 
 # -- system construction ----------------------------------------------
@@ -257,3 +268,85 @@ def test_initial_vector_shape_is_checked():
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
     with pytest.raises(ValueError, match="initial vector has shape"):
         prop.run(np.zeros(3), [0.0])
+
+
+# -- continuous contact through the normal modes ------------------------
+
+WIDE = BathSpec(size=30, mass=0.01, temperature=5.0,
+                dos=DensityOfStates("uniform", 0.2, 1.0))
+DEGENERATE = BathSpec(size=30, mass=0.01, temperature=5.0,
+                      dos=DensityOfStates("uniform", 0.6, 0.6))
+
+
+def _continuous_system(omega, bath, cancel=False):
+    tp = TestParticleSpec(mass=1.0, omega=omega, q0=0.4, p0=-0.3)
+    real = realize_bath(bath, seed=3)
+    if cancel:
+        real = pairwise_cancelled(real)
+    cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
+    return TwoBathSystem(tp=tp, bath1=(bath, real), bath2=None, a1=cm, a2=cm)
+
+
+@pytest.mark.parametrize("omega,bath,cancel,courant", [
+    (0.01, WIDE, False, 0.05),
+    (0.5, WIDE, False, 0.05),
+    (5.0, WIDE, False, 0.05),
+    (0.5, DEGENERATE, True, 0.05),
+    (0.5, WIDE, False, 0.99),
+], ids=["slow", "in_band", "stiff", "deflated", "stability_edge"])
+def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant):
+    system = _continuous_system(omega, bath, cancel)
+    nu_max = max_mode_frequency(system.a1)
+    h = courant * RK4_STABILITY_LIMIT / nu_max
+    v0 = system.initial_vector()
+    # unsorted, two pairs snapping to one step each, t_final past them all
+    times = h * np.array([3000.4, 17.2, 2999.6, 0.0, 1234.0, 17.0])
+    t_final = 4000.0 * h
+    prop = SwitchedPropagator(system, SwitchSchedule(step_size=h))
+
+    def observed(engine):
+        states = []
+        res = prop.run(v0, times, t_final=t_final, engine=engine,
+                       observer=lambda t, v: states.append((t, v)))
+        return res, sorted(states, key=lambda o: o[0])
+
+    modes, obs_m = observed("auto")
+    dense, obs_d = observed("dense")
+    assert modes.engine == "modes" and modes.n_steps == dense.n_steps == 4000
+    np.testing.assert_array_equal(modes.steps, [3000, 17, 3000, 0, 1234, 17])
+    assert modes.max_snap_distance == dense.max_snap_distance
+    for got, want in ((modes.q, dense.q), (modes.p, dense.p)):
+        np.testing.assert_allclose(got, want, rtol=0.0,
+                                   atol=1e-10 * np.max(np.abs(want)))
+    final = dense.final_state.as_vector()
+    assert modes.final_state.time == dense.final_state.time
+    np.testing.assert_allclose(modes.final_state.as_vector(), final, rtol=0.0,
+                               atol=1e-10 * np.max(np.abs(final)))
+    # the observer sees the reconstructed state at every observed step
+    assert [t for t, _ in obs_m] == [t for t, _ in obs_d]
+    for (_, vm), (_, vd) in zip(obs_m, obs_d):
+        np.testing.assert_allclose(vm, vd, rtol=0.0, atol=1e-10 * np.max(np.abs(vd)))
+    eig = diagonalize(system.a1, v0)
+    if cancel:
+        assert np.sum(eig.modes[0] == 0.0) >= bath.size - 1
+    if courant > 0.5:
+        # RK4's damping of the fastest mode is part of what is compared
+        _, log_rho = rk4_mode_factors(eig.nu, h)
+        assert np.exp(3000 * log_rho.min()) < 1e-3
+
+
+def test_rk4_amplification_factor_is_one_step_of_the_polynomial():
+    theta = np.array([1e-4, 0.1, 1.0, 2.0, 0.99 * RK4_STABILITY_LIMIT])
+    phi, log_rho = rk4_mode_factors(theta, 1.0)
+    z = 1j * theta
+    r = 1.0 + z + z**2 / 2.0 + z**3 / 6.0 + z**4 / 24.0
+    np.testing.assert_allclose(np.exp(log_rho + 1j * phi), r, rtol=1e-14)
+    # log rho keeps its relative accuracy where 1 - |R| underflows
+    assert log_rho[0] == pytest.approx(-(1e-4) ** 6 / 144.0, rel=1e-12)
+
+
+def test_continuous_system_with_a_zero_mode_is_stepped():
+    system = _continuous_system(0.0, WIDE)
+    assert has_zero_mode(system.a1)
+    res = _run(system, SwitchSchedule(step_size=0.05), [1.0, 2.0])
+    assert res.engine == "dense"
