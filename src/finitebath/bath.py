@@ -16,25 +16,18 @@ from __future__ import annotations
 import numpy as np
 
 from .model import BathRealization, BathSpec
-from .rng import ENERGIES, FREQUENCIES, PHASES, RngStream, substream
+from .rng import ENERGIES, FREQUENCIES, PHASES, substream
 
 
-def _generator(rng) -> np.random.Generator:
-    """Accept either an RngStream or a ready numpy Generator."""
-    if isinstance(rng, RngStream):
-        return rng.generator()
-    return rng
-
-
-def sample_frequencies(bath: BathSpec, rng) -> np.ndarray:
+def sample_frequencies(bath: BathSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw bath.size oscillator frequencies from the band distribution."""
-    u = _generator(rng).random(bath.size)
+    u = rng.random(bath.size)
     return bath.dos.ppf(u)
 
 
-def sample_energies(bath: BathSpec, rng) -> np.ndarray:
+def sample_energies(bath: BathSpec, rng: np.random.Generator) -> np.ndarray:
     """Draw bath.size Boltzmann energies, E = -T ln(1 - u)."""
-    u = _generator(rng).random(bath.size)
+    u = rng.random(bath.size)
     return -bath.temperature * np.log1p(-u)
 
 

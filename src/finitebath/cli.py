@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from pathlib import Path
 
@@ -47,7 +48,8 @@ from .oracles import (
     memory_kernel,
     mixture_distribution,
 )
-from .output import RunManifest, emit_curve, emit_histogram, fmt, read_histogram
+from .output import (RunManifest, emit_curve, emit_histogram, fmt, read_histogram,
+                     write_csv)
 from .propagator import NumericalError
 from .rng import LANGEVIN, substream
 from .stats import FitError, aggregate_seeds, fit_temperature
@@ -58,13 +60,32 @@ EXIT_NUMERICAL = 3
 EXIT_FIT = 4
 
 
+def _checked(cast, ok, what: str):
+    """An argparse type: cast the text, then refuse values that are not `what`."""
+    def parse(text: str):
+        value = cast(text)
+        if not ok(value):
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text!r}")
+        return value
+    parse.__name__ = cast.__name__     # argparse names the type in its errors
+    return parse
+
+
+_seed = _checked(int, lambda v: v >= 0, "a non-negative integer")
+_count = _checked(int, lambda v: v >= 1, "an integer >= 1")
+_positive = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
+                     "a finite positive number")
+_non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
+                         "a finite number >= 0")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file (flat key/value object)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         dest="overrides",
                         help="override a config key (repeatable); VALUE is JSON")
-    parser.add_argument("--seed-list", type=int, nargs="+", default=None,
+    parser.add_argument("--seed-list", type=_seed, nargs="+", default=None,
                         help="replace the configured seed list")
     parser.add_argument("--out", type=Path, default=Path("."),
                         help="output directory (created if missing)")
@@ -130,8 +151,7 @@ def cmd_single(args: argparse.Namespace) -> int:
             continue
         fits.append(point.fit)
         hist_path = out / f"hist_seed{point.seed}.csv"
-        emit_histogram(point.hist, point.fit, hist_path,
-                       manifest_ref="manifest.json")
+        emit_histogram(point.hist, point.fit, hist_path)
         manifest.outputs.append(hist_path.name)
         if point.max_snap_distance is not None:
             manifest.max_snap_distance = max(manifest.max_snap_distance or 0.0,
@@ -215,6 +235,10 @@ def cmd_twobath(args: argparse.Namespace) -> int:
 
 
 def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
+    n_steps = int(round(args.t_final / args.dt))
+    if args.stride > n_steps:
+        raise ConfigError(f"--stride {args.stride} exceeds the run's {n_steps} "
+                          "steps; no energy would be sampled")
     tp = TestParticleSpec(mass=args.mass, omega=args.omega)
     rng = substream(args.seed, LANGEVIN).generator()
     times, energies = langevin_reference(
@@ -222,11 +246,8 @@ def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
         t_final=args.t_final, dt=args.dt, rng=rng,
         n_paths=args.n_paths, sample_stride=args.stride)
     path = out / "langevin.csv"
-    with path.open("w") as fh:
-        fh.write("path,t,energy\n")
-        for p in range(energies.shape[0]):
-            for t, e in zip(times, energies[p]):
-                fh.write(f"{p},{fmt(t)},{fmt(e)}\n")
+    write_csv(path, "path,t,energy", ((p, t, e) for p in range(energies.shape[0])
+                                      for t, e in zip(times, energies[p])))
     keep = times >= 0.5 * times[-1]
     mean_late = float(np.mean(energies[:, keep]))
     print(f"late-time mean energy: {fmt(mean_late)} "
@@ -238,10 +259,7 @@ def _oracle_degenerate(args: argparse.Namespace, out: Path) -> list:
     times = np.linspace(0.0, args.t_final, args.n_points)
     energies = degenerate_energy_series(args.e0, args.omega_r, times)
     path = out / "degenerate.csv"
-    with path.open("w") as fh:
-        fh.write("t,energy\n")
-        for t, e in zip(times, energies):
-            fh.write(f"{fmt(t)},{fmt(e)}\n")
+    write_csv(path, "t,energy", zip(times, energies))
     return [path.name]
 
 
@@ -251,22 +269,16 @@ def _oracle_kernel(args: argparse.Namespace, out: Path, cfg: dict) -> list:
     tau = np.linspace(0.0, args.t_final, args.n_points)
     kernel = memory_kernel(real.frequencies, spec.bath1.mass, tau)
     path = out / "kernel.csv"
-    with path.open("w") as fh:
-        fh.write("tau,kernel\n")
-        for t, k in zip(tau, kernel):
-            fh.write(f"{fmt(t)},{fmt(k)}\n")
+    write_csv(path, "tau,kernel", zip(tau, kernel))
     return [path.name]
 
 
 def _oracle_mixture(args: argparse.Namespace, out: Path) -> list:
     energies = np.linspace(0.0, args.e_max, args.n_points)
     path = out / "mixture.csv"
-    with path.open("w") as fh:
-        fh.write("energy,density,t_eff\n")
-        for e in energies:
-            rho = mixture_distribution(e, args.t1, args.t2)
-            teff = effective_temperature(e, args.t1, args.t2)
-            fh.write(f"{fmt(e)},{fmt(rho)},{fmt(teff)}\n")
+    write_csv(path, "energy,density,t_eff",
+              ((e, mixture_distribution(e, args.t1, args.t2),
+                effective_temperature(e, args.t1, args.t2)) for e in energies))
     return [path.name]
 
 
@@ -343,38 +355,38 @@ def build_parser() -> argparse.ArgumentParser:
 
     o_lang = o_sub.add_parser("langevin", help="Langevin ensemble mean energy")
     _add_common(o_lang)
-    o_lang.add_argument("--gamma", type=float, required=True)
-    o_lang.add_argument("--temperature", type=float, required=True)
-    o_lang.add_argument("--omega", type=float, default=1.0)
-    o_lang.add_argument("--mass", type=float, default=1.0)
-    o_lang.add_argument("--t-final", type=float, default=200.0)
-    o_lang.add_argument("--dt", type=float, default=1e-3)
-    o_lang.add_argument("--seed", type=int, default=0)
-    o_lang.add_argument("--n-paths", type=int, default=64)
-    o_lang.add_argument("--stride", type=int, default=100)
+    o_lang.add_argument("--gamma", type=_non_negative, required=True)
+    o_lang.add_argument("--temperature", type=_non_negative, required=True)
+    o_lang.add_argument("--omega", type=_non_negative, default=1.0)
+    o_lang.add_argument("--mass", type=_positive, default=1.0)
+    o_lang.add_argument("--t-final", type=_positive, default=200.0)
+    o_lang.add_argument("--dt", type=_positive, default=1e-3)
+    o_lang.add_argument("--seed", type=_seed, default=0)
+    o_lang.add_argument("--n-paths", type=_count, default=64)
+    o_lang.add_argument("--stride", type=_count, default=100)
     o_lang.set_defaults(func=cmd_oracle)
 
     o_deg = o_sub.add_parser("degenerate", help="degenerate exchange envelope")
     _add_common(o_deg)
     o_deg.add_argument("--e0", type=float, required=True)
     o_deg.add_argument("--omega-r", type=float, required=True)
-    o_deg.add_argument("--t-final", type=float, default=100.0)
-    o_deg.add_argument("--n-points", type=int, default=1000)
+    o_deg.add_argument("--t-final", type=_positive, default=100.0)
+    o_deg.add_argument("--n-points", type=_count, default=1000)
     o_deg.set_defaults(func=cmd_oracle)
 
     o_ker = o_sub.add_parser("kernel", help="bath memory kernel")
     _add_common(o_ker)
-    o_ker.add_argument("--seed", type=int, default=0)
-    o_ker.add_argument("--t-final", type=float, default=50.0)
-    o_ker.add_argument("--n-points", type=int, default=1000)
+    o_ker.add_argument("--seed", type=_seed, default=0)
+    o_ker.add_argument("--t-final", type=_positive, default=50.0)
+    o_ker.add_argument("--n-points", type=_count, default=1000)
     o_ker.set_defaults(func=cmd_oracle)
 
     o_mix = o_sub.add_parser("mixture", help="two-temperature mixture profile")
     _add_common(o_mix)
-    o_mix.add_argument("--t1", type=float, required=True)
-    o_mix.add_argument("--t2", type=float, required=True)
-    o_mix.add_argument("--e-max", type=float, default=20.0)
-    o_mix.add_argument("--n-points", type=int, default=500)
+    o_mix.add_argument("--t1", type=_positive, required=True)
+    o_mix.add_argument("--t2", type=_positive, required=True)
+    o_mix.add_argument("--e-max", type=_non_negative, default=20.0)
+    o_mix.add_argument("--n-points", type=_count, default=500)
     o_mix.set_defaults(func=cmd_oracle)
 
     p_fit = sub.add_parser("fit", help="re-fit a stored histogram")

@@ -7,7 +7,6 @@ and every error message names the offending key.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
@@ -98,15 +97,6 @@ def check_config(raw: dict) -> dict:
             raise ConfigError(f"unknown config key {key!r}")
         out[key] = _CASTERS[key](key, value)
     return out
-
-
-def parse_config(text: str) -> dict:
-    """Parse and type-check a flat JSON config document."""
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as err:
-        raise ConfigError(f"config is not valid JSON: {err}") from err
-    return check_config(raw)
 
 
 def _build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:

@@ -11,6 +11,7 @@ Every consumer of (omega, seed) points walks them through iter_points.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
 
@@ -59,6 +60,8 @@ class SweepSpec:
             raise ValueError("sweep frequencies must be positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
+        if any(seed < 0 for seed in self.seeds):
+            raise ValueError(f"seeds must be non-negative, got {list(self.seeds)}")
         if self.initial_energy < 0.0:
             raise ValueError(f"initial_energy must be >= 0, got {self.initial_energy}")
         if self.propagator not in ("eigen", "rk4"):
@@ -169,16 +172,16 @@ def _check_energy_drift(initial: SystemState, final: SystemState,
 
 
 def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
-                          bath: BathSpec | None = None,
                           bath_index: int = 0) -> PointResult:
-    """One continuous contact run: exact normal modes (or plain RK4).
+    """One continuous contact run with spec.bath1: exact normal modes (or RK4).
 
-    On the normal-mode path the total Hamiltonian at the last sample
-    time must match its initial value (NumericalError otherwise).
+    bath_index picks the bath's random streams, so a two-bath spec's
+    second bath alone is spec.bath1 = bath2 drawn with bath_index 1.  On
+    the normal-mode path the total Hamiltonian at the last sample time
+    must match its initial value (NumericalError otherwise).
     """
-    bath = bath if bath is not None else spec.bath1
     tp = spec.test_particle(omega)
-    real = realize_bath(bath, seed, bath_index)
+    real = realize_bath(spec.bath1, seed, bath_index)
     times = make_sampling_times(
         spec.plan, substream(seed, SAMPLING_TIMES).generator())
     state0 = SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
@@ -194,7 +197,7 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
         return _reduce_samples(spec, omega, seed, q, p, renorm,
                                ((real,), final))
     # continuous RK4: both switch phases use the engaged bath
-    system = TwoBathSystem(tp=tp, bath1=(bath, real), bath2=None, a1=cm, a2=cm)
+    system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
     dt = spec.step_size or default_step_size(tp, (real.frequencies,),
                                              spec.steps_per_period)
     schedule = SwitchSchedule(delta_t_steps=1, step_size=dt, active_first=1)
@@ -211,8 +214,7 @@ def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
     tp = spec.test_particle(omega)
     r1 = realize_bath(spec.bath1, seed, 0)
     r2 = realize_bath(spec.bath2, seed, 1)
-    system = build_switched_matrices(tp, (spec.bath1, r1), (spec.bath2, r2),
-                                     renormalization=spec.renormalization)
+    system = build_switched_matrices(tp, r1, r2, renormalization=spec.renormalization)
     dt = spec.step_size or default_step_size(
         tp, (r1.frequencies, r2.frequencies), spec.steps_per_period)
     schedule = SwitchSchedule(delta_t_steps=spec.delta_t_steps, step_size=dt,
@@ -287,7 +289,9 @@ class ThermalizationCurve:
         return len(self.bath_initial)
 
 
-def _sweep(spec: SweepSpec, runner, n_baths: int, initial_reals) -> ThermalizationCurve:
+def _sweep(spec: SweepSpec, runner, initial_reals) -> ThermalizationCurve:
+    """Aggregate the spec's points; initial_reals holds each bath's draws per seed."""
+    n_baths = len(initial_reals)
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw = len(omegas)
     temperature = np.full(nw, np.nan)
@@ -333,10 +337,10 @@ def run_sweep(spec: SweepSpec) -> ThermalizationCurve:
     """Thermalization curve over the frequency grid of the spec."""
     if spec.bath2 is None:
         reals = ([realize_bath(spec.bath1, s, 0) for s in spec.seeds],)
-        return _sweep(spec, run_single_bath_point, 1, reals)
+        return _sweep(spec, run_single_bath_point, reals)
     reals = ([realize_bath(spec.bath1, s, 0) for s in spec.seeds],
              [realize_bath(spec.bath2, s, 1) for s in spec.seeds])
-    return _sweep(spec, run_two_bath_point, 2, reals)
+    return _sweep(spec, run_two_bath_point, reals)
 
 
 @dataclass(frozen=True)
@@ -347,8 +351,7 @@ class TwoBathSweepResult:
     alone: tuple   # (bath 1 alone, bath 2 alone) ThermalizationCurves
 
 
-def run_two_bath_sweep(spec: SweepSpec,
-                       include_alone: bool = True) -> TwoBathSweepResult:
+def run_two_bath_sweep(spec: SweepSpec) -> TwoBathSweepResult:
     """Switched sweep, each bath alone for comparison, bath checks included.
 
     The alone curves reuse exactly the same bath draws (same seeds and
@@ -357,18 +360,12 @@ def run_two_bath_sweep(spec: SweepSpec,
     if spec.bath2 is None:
         raise ValueError("two bath sweep needs bath2 in the spec")
     combined = run_sweep(spec)
-    alone = ()
-    if include_alone:
-        alone_specs = (replace(spec, bath1=spec.bath1, bath2=None, propagator="eigen"),
-                       replace(spec, bath1=spec.bath2, bath2=None, propagator="eigen"))
-        curves = []
-        for idx, aspec in enumerate(alone_specs):
-            def runner(w, s, seed, _idx=idx):
-                return run_single_bath_point(w, s, seed, bath=s.bath1, bath_index=_idx)
-            reals = ([realize_bath(aspec.bath1, s, idx) for s in aspec.seeds],)
-            curves.append(_sweep(aspec, runner, 1, reals))
-        alone = tuple(curves)
-    return TwoBathSweepResult(combined=combined, alone=alone)
+    curves = []
+    for idx, bath in enumerate((spec.bath1, spec.bath2)):
+        aspec = replace(spec, bath1=bath, bath2=None, propagator="eigen")
+        reals = ([realize_bath(bath, s, idx) for s in spec.seeds],)
+        curves.append(_sweep(aspec, partial(run_single_bath_point, bath_index=idx), reals))
+    return TwoBathSweepResult(combined=combined, alone=tuple(curves))
 
 
 def smoothed_curve(values) -> np.ndarray:
@@ -469,22 +466,23 @@ def exchange_splitting(omega_r: float, xi: float) -> float:
 
 
 def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
-                            omega_r: float = 1.0, e0: float = 10.0,
-                            bath_temperature: float = 1.0, seed: int = 3,
+                            omega_r: float = 1.0, e0: float = 10.0, seed: int = 3,
                             n_periods: int = 16, n_grid: int = 8192,
                             n_ks_samples: int = 4000,
                             ks_seed: int = 11) -> DegenerateExchange:
     """Kick the particle with e0 against a degenerate bath at resonance.
 
     The particle frequency is set to omega_r sqrt(1 - xi) so that its
-    renormalized frequency matches the bath line exactly.
+    renormalized frequency matches the bath line exactly.  The bath is
+    drawn at temperature 1; pairwise cancellation leaves its collective
+    coordinate at rest whatever the temperature.
     """
     from .bath import pairwise_cancelled
 
     m = xi / float(n)                       # test particle mass is 1
     omega = omega_r * np.sqrt(1.0 - xi)
     dos = DensityOfStates("uniform", omega_r, omega_r)
-    bath = BathSpec(size=n, mass=m, temperature=bath_temperature, dos=dos)
+    bath = BathSpec(size=n, mass=m, temperature=1.0, dos=dos)
     real = pairwise_cancelled(realize_bath(bath, seed, 0))
     tp = TestParticleSpec(mass=1.0, omega=omega, q0=0.0,
                           p0=float(np.sqrt(2.0 * e0)))

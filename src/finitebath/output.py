@@ -24,24 +24,29 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
-def emit_curve(curve: ThermalizationCurve, path, bath_index: int = 0) -> None:
+def write_csv(path, header: str, rows) -> None:
+    """Write the header line, then one line per row.
+
+    Integer cells are written as integers, every other cell through fmt.
+    """
+    def cell(x) -> str:
+        return str(int(x)) if isinstance(x, (int, np.integer)) else fmt(x)
+
+    lines = [header] + [",".join(cell(x) for x in row) for row in rows]
+    Path(path).write_text("\n".join(lines) + "\n")
+
+
+def emit_curve(curve: ThermalizationCurve, path) -> None:
     """Write a thermalization curve as CSV.
 
-    The bath reference columns report bath `bath_index` (initial fitted
+    The bath reference columns report bath 1 (initial fitted
     temperature, constant down the column, and the per-frequency final
     fit).  Two bath runs carry the full per-bath story in the manifest.
     """
-    t_init = curve.bath_initial[bath_index][0] if curve.n_baths else float("nan")
-    finals = (curve.bath_final[bath_index][0] if curve.n_baths
-              else np.full(len(curve.omegas), np.nan))
-    lines = [CURVE_HEADER]
-    for i, w in enumerate(curve.omegas):
-        lines.append(",".join([
-            fmt(w), fmt(curve.temperature[i]), fmt(curve.sigma[i]),
-            fmt(curve.goodness[i]), fmt(curve.overflow_fraction[i]),
-            fmt(t_init), fmt(finals[i]),
-        ]))
-    Path(path).write_text("\n".join(lines) + "\n")
+    t_init = curve.bath_initial[0][0]
+    write_csv(path, CURVE_HEADER, zip(
+        curve.omegas, curve.temperature, curve.sigma, curve.goodness,
+        curve.overflow_fraction, [t_init] * len(curve.omegas), curve.bath_final[0][0]))
 
 
 def read_curve(path) -> dict:
@@ -55,15 +60,15 @@ def read_curve(path) -> dict:
     return {name: data[:, j] for j, name in enumerate(names)}
 
 
-def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path,
-                   manifest_ref: str | None = None,
-                   sidecar_path=None) -> None:
-    """Write histogram CSV plus a JSON sidecar with the fit parameters."""
-    lines = ["bin_lo,bin_hi,count"]
-    for lo, hi, c in zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts):
-        lines.append(f"{fmt(lo)},{fmt(hi)},{int(c)}")
+def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path) -> None:
+    """Write histogram CSV plus a JSON sidecar with the fit parameters.
+
+    The sidecar sits next to the CSV (same name, .json) and refers to the
+    run's manifest.json in the same directory.
+    """
     path = Path(path)
-    path.write_text("\n".join(lines) + "\n")
+    write_csv(path, "bin_lo,bin_hi,count",
+              zip(hist.bin_edges[:-1], hist.bin_edges[1:], hist.counts))
     sidecar = {
         "overflow": hist.overflow,
         "total_samples": hist.total_samples,
@@ -76,11 +81,9 @@ def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path,
             "n_bins_used": fit.n_bins_used,
             "goodness": fit.goodness,
         },
-        "manifest": manifest_ref,
+        "manifest": "manifest.json",
     }
-    if sidecar_path is None:
-        sidecar_path = path.with_suffix(".json")
-    Path(sidecar_path).write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def read_histogram(path) -> EnergyHistogram:

@@ -38,9 +38,12 @@ the mode matrix (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
    are the exact eigenvalues of a nearby arrowhead; the eigenvectors
    (1, z_n / (lam - d_n)) are then orthogonal to working accuracy.
 
-A zero frequency mode (Omega = 0) has no such form and is rejected.
-The dense drift matrix A of v' = A v, v = (Q, P, q_1, p_1, ...), is
-needed only by RK4 stepping; drift_matrix builds it on demand.
+A zero frequency mode (Omega = 0, a free translation) has no such form,
+so diagonalize rejects it for the exact and the RK4 sampler alike.  It
+occurs only when nothing pins the particle, alpha0 = 0: for alpha0 > 0
+every secular root lies above the pole at 0.  The dense drift matrix A
+of v' = A v, v = (Q, P, q_1, p_1, ...), is needed only by RK4 stepping;
+drift_matrix builds it on demand.
 
 Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 (hA)^4/24 of the drift matrix, so it has the same normal modes: one step
@@ -419,7 +422,7 @@ class EigenPropagator:
 
     def sample_test_particle(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) at many times through the real mode form, O(N) per time."""
-        return self._sample(times, self.nu, None, 2_000_000)
+        return self._sample(times, self.nu, None)
 
     def sample_rk4(self, steps, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) after integer numbers of classical RK4 steps of size h.
@@ -429,9 +432,9 @@ class EigenPropagator:
         rho_k^n.  O(N) per sample, no stepping.
         """
         phi, log_rho = rk4_mode_factors(self.nu, h)
-        return self._sample(steps, phi, log_rho, RK4_CHUNK)
+        return self._sample(steps, phi, log_rho)
 
-    def _sample(self, x, rate, log_decay, entries):
+    def _sample(self, x, rate, log_decay):
         """The mode form at phases x * rate, each mode scaled by exp(x * log_decay)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
         u0 = self.modes[0]
@@ -442,7 +445,7 @@ class EigenPropagator:
         q = np.empty(len(x))
         p = np.empty(len(x))
         # chunked so the (samples x modes) tables stay cache friendly
-        step = max(1, entries // max(len(self.nu), 1))
+        step = max(1, SAMPLE_CHUNK // max(len(self.nu), 1))
         m0 = self.cm.tp.mass
         for lo in range(0, len(x), step):
             xx = x[lo:lo + step]
@@ -459,9 +462,9 @@ class EigenPropagator:
         return q, p
 
 
-# entries of one (samples x modes) table of the RK4 sampler, 2 MB; larger
+# entries of one (samples x modes) table of either sampler, 2 MB; larger
 # tables raise the peak memory of a run more than they save time
-RK4_CHUNK = 250_000
+SAMPLE_CHUNK = 250_000
 
 
 def rk4_mode_factors(nu, h: float) -> tuple[np.ndarray, np.ndarray]:
@@ -489,15 +492,6 @@ def _as_vector(v0, dim):
 
 ZERO_MODE = ("system has a zero frequency mode (Omega = 0?); "
              "the spectral propagator does not apply")
-
-
-def has_zero_mode(cm: CouplingMatrix) -> bool:
-    """Whether the system has a zero frequency mode (a free translation).
-
-    That happens only when nothing pins the particle, alpha0 = 0: for
-    alpha0 > 0 every secular root lies above the pole at 0.
-    """
-    return _arrowhead(cm).alpha0 <= 0.0
 
 
 def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:

@@ -173,33 +173,6 @@ def aggregate_seeds(fits) -> tuple[float, float]:
     return float(np.sum(w * t) / np.sum(w)), float(1.0 / np.sqrt(np.sum(w)))
 
 
-@dataclass(frozen=True)
-class AggregateTemperature:
-    temperature: float
-    sigma: float
-    per_seed: tuple
-
-
-def bath_temperature(realizations, n_bins: int = DEFAULT_N_BINS,
-                     span_factor: float = DEFAULT_SPAN_FACTOR):
-    """Fit the Boltzmann temperature of drawn bath energies.
-
-    Accepts one realization (returns a TemperatureFit) or several
-    (returns an AggregateTemperature combining the per-seed fits).  A
-    meaningful fit needs at least 100 oscillators per realization.
-    """
-    if hasattr(realizations, "energies"):
-        if realizations.size < 100:
-            raise ValueError(
-                f"bath has {realizations.size} oscillators; "
-                "need at least 100 for a temperature fit")
-        fit, _ = fit_energy_samples(realizations.energies, n_bins, span_factor)
-        return fit
-    fits = tuple(bath_temperature(r, n_bins, span_factor) for r in realizations)
-    t, s = aggregate_seeds(fits)
-    return AggregateTemperature(temperature=t, sigma=s, per_seed=fits)
-
-
 def sample_skewness(x) -> float:
     """Third standardized moment; 2 for an exponential, 0 for a Gaussian."""
     x = np.asarray(x, dtype=float)

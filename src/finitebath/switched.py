@@ -20,7 +20,10 @@ Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
 mode k by R(i h nu_k) = rho_k e^{i phi_k}, so n steps are sampled in
 closed form through the secular-equation modes: phases n phi_k and
-amplitudes rho_k^n, RK4's own small damping included.
+amplitudes rho_k^n, RK4's own small damping included.  That is what
+"auto" does for every continuous system; like the exact propagator it
+rejects a zero frequency mode (Omega = 0), which only the stepping
+engine, requested by name, can run.
 
 A step beyond RK4's stability limit, h nu_max > 2 sqrt(2) for the
 fastest normal mode of either contact phase, is rejected up front: the
@@ -37,7 +40,7 @@ import numpy as np
 from .model import SystemState, TestParticleSpec
 from .propagator import (CouplingMatrix, NumericalError,
                          build_multi_coupling_matrix, diagonalize, drift_matrix,
-                         has_zero_mode, max_mode_frequency, rk4_full_state)
+                         max_mode_frequency, rk4_full_state)
 
 
 @dataclass(frozen=True)
@@ -90,8 +93,8 @@ def default_step_size(tp: TestParticleSpec, frequencies,
 class TwoBathSystem:
     """Test particle plus its bath realizations and both contact phases.
 
-    With bath2 None the system is one bath in continuous contact, a1 and
-    a2 both describing the engaged bath.
+    With one realization the system is one bath in continuous contact, a1
+    and a2 both describing the engaged bath; switched contact has two.
 
     ``renormalization`` chooses how the quadratic spring sums enter the
     particle stiffness while a bath is disengaged: "switched" removes
@@ -100,8 +103,7 @@ class TwoBathSystem:
     """
 
     tp: TestParticleSpec
-    bath1: tuple           # (BathSpec, BathRealization)
-    bath2: tuple | None    # (BathSpec, BathRealization) or None
+    realizations: tuple    # BathRealization per bath, bath 1 first
     a1: CouplingMatrix
     a2: CouplingMatrix
     renormalization: str = "switched"
@@ -109,13 +111,6 @@ class TwoBathSystem:
     @property
     def dim(self) -> int:
         return self.a1.dim
-
-    @property
-    def realizations(self) -> tuple:
-        reals = [self.bath1[1]]
-        if self.bath2 is not None:
-            reals.append(self.bath2[1])
-        return tuple(reals)
 
     def initial_vector(self) -> np.ndarray:
         state = SystemState(
@@ -125,25 +120,21 @@ class TwoBathSystem:
         return state.as_vector()
 
 
-def build_switched_matrices(tp: TestParticleSpec, bath1, bath2,
+def build_switched_matrices(tp: TestParticleSpec, real1, real2,
                             renormalization: str = "switched") -> TwoBathSystem:
-    """Build A1 (bath 1 engaged) and A2 (bath 2 engaged).
-
-    bath1 and bath2 are (BathSpec, BathRealization) pairs.
-    """
+    """Build A1 (bath 1 engaged) and A2 (bath 2 engaged) from two realizations."""
     if renormalization not in ("switched", "static"):
         raise ValueError(f"unknown renormalization {renormalization!r}")
-    if bath2 is None:
+    if real2 is None:
         raise ValueError("switched contact needs a second bath")
     static = renormalization == "static"
-    real1, real2 = bath1[1], bath2[1]
     a1 = build_multi_coupling_matrix(
         tp, [(real1.m, real1.frequencies, True), (real2.m, real2.frequencies, False)],
         static_renorm=static)
     a2 = build_multi_coupling_matrix(
         tp, [(real1.m, real1.frequencies, False), (real2.m, real2.frequencies, True)],
         static_renorm=static)
-    return TwoBathSystem(tp=tp, bath1=bath1, bath2=bath2, a1=a1, a2=a2,
+    return TwoBathSystem(tp=tp, realizations=(real1, real2), a1=a1, a2=a2,
                          renormalization=renormalization)
 
 
@@ -252,7 +243,7 @@ class SwitchedPropagator:
 
     # -- literal stepping ------------------------------------------------
 
-    def _run_dense(self, v0, steps_wanted, final_step, observer):
+    def _run_dense(self, v0, steps_wanted, final_step):
         wanted = {}
         for i, s in enumerate(steps_wanted):
             wanted.setdefault(int(s), []).append(i)
@@ -260,20 +251,15 @@ class SwitchedPropagator:
         p = np.empty(len(steps_wanted))
         v = v0.copy()
         last = max(final_step, max(wanted) if wanted else 0)
-        h = self.schedule.step_size
         final_v = v.copy() if final_step == 0 else None
         for idx in wanted.get(0, []):
             q[idx], p[idx] = v[0], v[1]
-            if observer is not None:
-                observer(0.0, v.copy())
         for s in range(1, last + 1):
             v = self.step_matrix(s - 1) @ v
             if s % 4096 == 0 and not np.all(np.isfinite(v)):
                 raise NumericalError(f"switched run diverged by step {s}")
             for idx in wanted.get(s, []):
                 q[idx], p[idx] = v[0], v[1]
-                if observer is not None:
-                    observer(s * h, v.copy())
             if s == final_step:
                 final_v = v.copy()
         if not np.all(np.isfinite(v)):
@@ -282,15 +268,11 @@ class SwitchedPropagator:
 
     # -- normal modes of a continuous system -----------------------------
 
-    def _run_modes(self, v0, steps_wanted, final_step, observer):
+    def _run_modes(self, v0, steps_wanted, final_step):
         prop = diagonalize(self.system.a1, v0)
         h = self.schedule.step_size
         q, p = prop.sample_rk4(steps_wanted, h)
-        final_v = rk4_full_state(prop, final_step, h).as_vector()
-        if observer is not None:
-            for s in np.asarray(steps_wanted):
-                observer(s * h, rk4_full_state(prop, int(s), h).as_vector())
-        return q, p, final_v
+        return q, p, rk4_full_state(prop, final_step, h).as_vector()
 
     # -- period map spectral engine --------------------------------------
 
@@ -324,10 +306,10 @@ class SwitchedPropagator:
             self._floq = self._build_floquet()
         return self._floq
 
-    def _run_floquet(self, v0, steps_wanted, final_step, observer):
+    def _run_floquet(self, v0, steps_wanted, final_step):
         fl = self._floquet()
         if fl is None:
-            return self._run_dense(v0, steps_wanted, final_step, observer)
+            return self._run_dense(v0, steps_wanted, final_step)
         period = fl["period"]
         vprime0 = np.linalg.solve(fl["s"], v0.astype(complex))
         q = np.empty(len(steps_wanted))
@@ -356,12 +338,7 @@ class SwitchedPropagator:
                 p[lo + cols] = out[1].real
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NumericalError("switched run diverged")
-        final_v = self._state_floquet(fl, vprime0, final_step)
-        if observer is not None:
-            h = self.schedule.step_size
-            for s in np.asarray(steps_wanted):
-                observer(s * h, self._state_floquet(fl, vprime0, int(s)))
-        return q, p, final_v
+        return q, p, self._state_floquet(fl, vprime0, final_step)
 
     def _state_floquet(self, fl, vprime0, step):
         k, r = divmod(int(step), fl["period"])
@@ -377,16 +354,17 @@ class SwitchedPropagator:
 
     # -- entry point -----------------------------------------------------
 
-    def run(self, v0, sample_times, t_final=None, observer=None,
+    def run(self, v0, sample_times, t_final=None,
             engine: str = "auto") -> SwitchedRunResult:
         """Sample the test particle from v0 and return the state at t_final.
 
         Identical inputs reproduce identical output arrays; the spectral
         engines and the literal stepping engine agree to floating point
         accuracy and are interchangeable.  "auto" samples a continuous
-        system without a zero mode through its normal modes (reported as
-        engine "modes") and otherwise picks the period map or stepping by
-        run length.  t_final defaults to the last (snapped) sample time.
+        system through its normal modes (reported as engine "modes";
+        EigensolverError for a zero mode) and picks the period map or
+        stepping for a switched one by run length.  t_final defaults to
+        the last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):
@@ -402,8 +380,8 @@ class SwitchedPropagator:
         final_step = int(np.rint(t_final / h))
         last = max(int(steps.max()) if len(steps) else 0, final_step)
 
-        if engine == "auto" and self.continuous and not has_zero_mode(self.system.a1):
-            q, p, final_v = self._run_modes(v0, steps, final_step, observer)
+        if engine == "auto" and self.continuous:
+            q, p, final_v = self._run_modes(v0, steps, final_step)
             used = "modes"
         else:
             if engine == "auto":
@@ -413,10 +391,10 @@ class SwitchedPropagator:
             if self.u1 is None:
                 self._build_step_maps()
             if engine == "floquet":
-                q, p, final_v = self._run_floquet(v0, steps, final_step, observer)
+                q, p, final_v = self._run_floquet(v0, steps, final_step)
                 used = "dense" if self._floq_broken else "floquet"
             else:
-                q, p, final_v = self._run_dense(v0, steps, final_step, observer)
+                q, p, final_v = self._run_dense(v0, steps, final_step)
                 used = "dense"
 
         final_state = SystemState.from_vector(

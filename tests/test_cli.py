@@ -117,6 +117,15 @@ def test_unknown_config_key_exits_with_config_error(tmp_path, capsys):
     assert "unknown config key" in capsys.readouterr().err
 
 
+def test_invalid_json_config_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "bad.json"
+    for text, message in (("{not json", "not valid JSON"), ("[1, 2]", "JSON object")):
+        path.write_text(text)
+        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x")])
+        assert code == EXIT_CONFIG
+        assert message in capsys.readouterr().err
+
+
 def test_sweep_writes_the_curve(tmp_path, quick_config, capsys):
     out = tmp_path / "run"
     code = main(["sweep", "--config", str(quick_config),
@@ -289,6 +298,60 @@ def test_oracle_langevin_runs_quickly(tmp_path):
     lines = (out / "langevin.csv").read_text().strip().splitlines()
     assert lines[0] == "path,t,energy"
     assert len(lines) > 4
+
+
+def _exit_code(argv) -> int:
+    """main's return value, or the code argparse exits with."""
+    try:
+        return main(argv)
+    except SystemExit as exc:
+        return exc.code
+
+
+LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
+            "--t-final", "5", "--dt", "0.01"]
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["single", "--omega", "0.5", "--seed-list", "-1"], id="single-seed-list"),
+    pytest.param(["sweep", "--set", "omega_grid=[0.5]", "--seed-list", "-1"],
+                 id="sweep-seed-list"),
+    pytest.param(["twobath", "--set", "omega_grid=[0.5]", "--set", "bath2_size=10",
+                  "--seed-list", "-1"], id="twobath-seed-list"),
+    pytest.param(["single", "--omega", "0.5", "--set", "seeds=[-2]"], id="set-seeds"),
+    pytest.param(["oracle", "kernel", "--seed", "-1"], id="kernel-seed"),
+    pytest.param(LANGEVIN + ["--seed", "-1"], id="langevin-seed"),
+    pytest.param(LANGEVIN + ["--dt", "0"], id="langevin-dt"),
+    pytest.param(LANGEVIN + ["--stride", "0"], id="langevin-stride-0"),
+    pytest.param(LANGEVIN + ["--stride", "100000", "--t-final", "1"],
+                 id="langevin-stride-beyond-the-run"),
+    pytest.param(LANGEVIN + ["--n-paths", "-3"], id="langevin-n-paths-negative"),
+    pytest.param(LANGEVIN + ["--n-paths", "0"], id="langevin-n-paths-0"),
+    pytest.param(LANGEVIN + ["--gamma", "-1"], id="langevin-gamma"),
+    pytest.param(LANGEVIN + ["--temperature", "-1"], id="langevin-temperature"),
+    pytest.param(["oracle", "mixture", "--t1", "0", "--t2", "10"], id="mixture-t1"),
+    pytest.param(["oracle", "kernel", "--n-points", "-1"], id="kernel-n-points"),
+    pytest.param(["oracle", "degenerate", "--e0", "10", "--omega-r", "1",
+                  "--n-points", "-1"], id="degenerate-n-points"),
+])
+def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert _exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert "Traceback" not in capsys.readouterr().err
+    assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    LANGEVIN + ["--mass", "0"],
+    LANGEVIN + ["--omega", "-1"],
+    LANGEVIN + ["--gamma", "nan"],
+    ["oracle", "mixture", "--t1", "5", "--t2", "10", "--e-max", "-1"],
+], ids=["langevin-mass", "langevin-omega", "langevin-gamma-nan", "mixture-e-max"])
+def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
+    out = tmp_path / "x"
+    assert _exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
+    assert "must be a finite" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_fit_round_trips_a_stored_histogram(tmp_path, capsys):

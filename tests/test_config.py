@@ -1,10 +1,8 @@
 """Flat JSON run configs and their translation to sweep specs."""
 
-import json
-
 import pytest
 
-from finitebath.config import ConfigError, build_sweep_spec, check_config, parse_config
+from finitebath.config import ConfigError, build_sweep_spec, check_config
 
 GOOD = {
     "omega_grid": [0.3, 0.5],
@@ -28,7 +26,7 @@ GOOD = {
 
 
 def test_happy_path_builds_the_full_spec():
-    spec = build_sweep_spec(parse_config(json.dumps(GOOD)))
+    spec = build_sweep_spec(check_config(GOOD))
     assert spec.omega_grid == (0.3, 0.5)
     assert spec.seeds == (1, 2, 3)
     assert spec.bath1.size == 300
@@ -43,7 +41,7 @@ def test_happy_path_builds_the_full_spec():
 
 def test_second_bath_appears_when_any_of_its_keys_do():
     cfg = dict(GOOD, bath2_temperature=10.0, bath2_size=200)
-    spec = build_sweep_spec(parse_config(json.dumps(cfg)))
+    spec = build_sweep_spec(check_config(cfg))
     assert spec.bath2 is not None
     assert spec.bath2.temperature == 10.0
     assert spec.bath2.size == 200
@@ -72,13 +70,6 @@ def test_booleans_are_not_numbers():
 
 def test_whole_floats_pass_as_integers():
     assert check_config({"n_samples": 500.0}) == {"n_samples": 500}
-
-
-def test_invalid_json_is_a_config_error():
-    with pytest.raises(ConfigError, match="not valid JSON"):
-        parse_config("{not json")
-    with pytest.raises(ConfigError, match="JSON object"):
-        parse_config("[1, 2]")
 
 
 def test_single_omega_key_becomes_a_grid():

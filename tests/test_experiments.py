@@ -177,8 +177,6 @@ def test_two_bath_sweep_produces_alone_curves():
     for curve in res.alone:
         assert curve.n_baths == 1
         assert curve.omegas.shape == (1,)
-    bare = run_two_bath_sweep(spec, include_alone=False)
-    assert bare.alone == ()
     with pytest.raises(ValueError, match="bath2"):
         run_two_bath_sweep(_quick_spec())
 

@@ -73,7 +73,7 @@ def test_histogram_round_trip(tmp_path):
     fit = TemperatureFit(temperature=5.0, sigma=0.3, slope=-0.2, intercept=2.0,
                          n_bins_used=4, goodness=0.1)
     path = tmp_path / "hist.csv"
-    emit_histogram(hist, fit, path, manifest_ref="manifest.json")
+    emit_histogram(hist, fit, path)
     back = read_histogram(path)
     np.testing.assert_allclose(back.bin_edges, hist.bin_edges, rtol=1e-15)
     np.testing.assert_array_equal(back.counts, hist.counts)

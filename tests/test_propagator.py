@@ -119,16 +119,20 @@ def test_observation_starts_at_the_initial_condition(small_bath, particle):
     assert p[0] == pytest.approx(-0.7, abs=1e-12)
 
 
-def test_vectorized_sampling_matches_pointwise(small_bath, particle):
+def test_vectorized_sampling_matches_pointwise(small_bath, particle, monkeypatch):
     real = realize_bath(small_bath, seed=8)
     cm = _one_bath(particle, real.frequencies, real.m)
     prop = diagonalize(cm, _initial_vector(particle, real))
     times = np.array([0.0, 0.7, 3.1, 12.9, 55.0])
-    q, p = prop.sample_test_particle(times)
-    for i, t in enumerate(times):
-        state = full_state(prop, float(t))
-        assert q[i] == pytest.approx(state.test_q, abs=1e-10)
-        assert p[i] == pytest.approx(state.test_p, abs=1e-10)
+    whole = prop.sample_test_particle(times)
+    # two samples per table: every chunk boundary and a short last chunk
+    monkeypatch.setattr(propagator, "SAMPLE_CHUNK", 2 * len(prop.nu))
+    chunked = prop.sample_test_particle(times)
+    for q, p in (whole, chunked):
+        for i, t in enumerate(times):
+            state = full_state(prop, float(t))
+            assert q[i] == pytest.approx(state.test_q, abs=1e-10)
+            assert p[i] == pytest.approx(state.test_p, abs=1e-10)
 
 
 def test_spectral_propagator_agrees_with_stepping(band):
@@ -139,7 +143,7 @@ def test_spectral_propagator_agrees_with_stepping(band):
     v0 = _initial_vector(tp, real)
     eig = diagonalize(cm, v0)
     # continuous contact: both switch phases engage the one bath
-    system = TwoBathSystem(tp=tp, bath1=(bath, real), bath2=None, a1=cm, a2=cm)
+    system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
     times = np.array([1.0, 5.0])
     rk4 = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3)).run(
         v0, times, engine="dense")

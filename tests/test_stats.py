@@ -7,16 +7,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitebath.bath import realize_bath
+from finitebath.experiments import BATH_FIT_BINS, BATH_FIT_SPAN, _fit_bath_block
 from finitebath.model import BathSpec
 from finitebath.stats import (
-    AggregateTemperature,
     EnergyHistogram,
     FitError,
     NonThermalDistributionError,
     SamplingPlan,
     TemperatureFit,
     aggregate_seeds,
-    bath_temperature,
     build_histogram,
     fit_energy_samples,
     fit_temperature,
@@ -172,29 +171,35 @@ def test_aggregate_validation():
 
 
 # -- bath thermometry --------------------------------------------------
+# A bath's temperature is the particle's fit applied to the drawn
+# oscillator energies; runs use the coarse bath binning of experiments.
 
 
 def test_bath_temperature_single_realization(band):
     spec = BathSpec(size=2000, mass=0.01, temperature=5.0, dos=band)
-    fit = bath_temperature(realize_bath(spec, seed=4))
-    assert isinstance(fit, TemperatureFit)
+    energies = realize_bath(spec, seed=4).energies
+    fit, _ = fit_energy_samples(energies)
     assert 0.9 < fit.ratio(5.0) < 1.15
+    coarse, _ = fit_energy_samples(energies, n_bins=BATH_FIT_BINS,
+                                   span_factor=BATH_FIT_SPAN)
+    assert _fit_bath_block(energies) == coarse
+    assert 0.9 < coarse.ratio(5.0) < 1.15
 
 
 def test_bath_temperature_aggregates_realizations(band):
     spec = BathSpec(size=2000, mass=0.01, temperature=5.0, dos=band)
-    reals = [realize_bath(spec, seed=s) for s in (4, 5, 6)]
-    agg = bath_temperature(reals)
-    assert isinstance(agg, AggregateTemperature)
-    assert len(agg.per_seed) == 3
-    assert agg.sigma < min(f.sigma for f in agg.per_seed)
-    assert 4.5 < agg.temperature < 5.75
+    fits = [fit_energy_samples(realize_bath(spec, seed=s).energies)[0]
+            for s in (4, 5, 6)]
+    temperature, sigma = aggregate_seeds(fits)
+    assert sigma < min(f.sigma for f in fits)
+    assert 4.5 < temperature < 5.75
 
 
 def test_bath_temperature_needs_enough_oscillators(band):
-    spec = BathSpec(size=50, mass=0.01, temperature=5.0, dos=band)
-    with pytest.raises(ValueError, match="at least 100"):
-        bath_temperature(realize_bath(spec, seed=1))
+    spec = BathSpec(size=99, mass=0.01, temperature=5.0, dos=band)
+    assert _fit_bath_block(realize_bath(spec, seed=1).energies) is None
+    bigger = BathSpec(size=100, mass=0.01, temperature=5.0, dos=band)
+    assert _fit_bath_block(realize_bath(bigger, seed=1).energies) is not None
 
 
 # -- skewness ----------------------------------------------------------

@@ -8,9 +8,9 @@ import pytest
 from finitebath import switched
 from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
-from finitebath.propagator import (NumericalError, build_multi_coupling_matrix,
-                                   diagonalize, drift_matrix, has_zero_mode,
-                                   max_mode_frequency, rk4_mode_factors)
+from finitebath.propagator import (EigensolverError, NumericalError,
+                                   build_multi_coupling_matrix, diagonalize,
+                                   drift_matrix, max_mode_frequency, rk4_mode_factors)
 from finitebath.switched import (
     RK4_STABILITY_LIMIT,
     SwitchSchedule,
@@ -33,8 +33,7 @@ def _tiny_system(renormalization="switched", seed=5):
     tp = TestParticleSpec(mass=1.0, omega=0.5, q0=0.4, p0=0.0)
     real1 = realize_bath(SPEC1, seed=seed, bath_index=0)
     real2 = realize_bath(SPEC2, seed=seed, bath_index=1)
-    return build_switched_matrices(tp, (SPEC1, real1), (SPEC2, real2),
-                                   renormalization=renormalization)
+    return build_switched_matrices(tp, real1, real2, renormalization=renormalization)
 
 
 def _run(system, sched, times, **kwargs):
@@ -160,20 +159,19 @@ def test_unknown_renormalization_is_rejected():
     real1 = realize_bath(SPEC1, seed=1, bath_index=0)
     real2 = realize_bath(SPEC2, seed=1, bath_index=1)
     with pytest.raises(ValueError, match="unknown renormalization"):
-        build_switched_matrices(tp, (SPEC1, real1), (SPEC2, real2),
-                                renormalization="half")
+        build_switched_matrices(tp, real1, real2, renormalization="half")
 
 
 def test_single_bath_system_has_one_realization():
     tp = TestParticleSpec()
     real = realize_bath(SPEC1, seed=1)
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
-    system = TwoBathSystem(tp=tp, bath1=(SPEC1, real), bath2=None, a1=cm, a2=cm)
+    system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
     assert system.dim == 2 + 2 * 4
     assert len(system.realizations) == 1
     # switched contact is only built for a pair of baths
     with pytest.raises(ValueError, match="second bath"):
-        build_switched_matrices(tp, (SPEC1, real), None)
+        build_switched_matrices(tp, real, None)
 
 
 def test_static_mode_shifts_energy_by_the_idle_spring_sum():
@@ -182,7 +180,7 @@ def test_static_mode_shifts_energy_by_the_idle_spring_sum():
     state = SystemState(time=0.0, test_q=0.7, test_p=0.2,
                         bath_q=tuple(r.positions for r in sys_sw.realizations),
                         bath_p=tuple(r.momenta for r in sys_sw.realizations))
-    real2 = sys_sw.bath2[1]
+    real2 = sys_sw.realizations[1]
     k2 = float(np.sum(real2.m * real2.frequencies**2))
     d = (switched_energy(sys_st, state, bath1_active=True)
          - switched_energy(sys_sw, state, bath1_active=True))
@@ -229,12 +227,10 @@ def test_sample_times_snap_to_the_nearest_step():
 def test_energy_is_conserved_inside_contact_windows():
     system = _tiny_system()
     h = 0.02
-    sched = SwitchSchedule(delta_t_steps=3, step_size=h)
-    states = []
-    _run(system, sched, h * np.arange(5), t_final=4 * h, engine="dense",
-         observer=lambda t, v: states.append(
-             SystemState.from_vector(v, system.a1.bath_sizes, time=t)))
-    assert len(states) == 5
+    prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=3, step_size=h))
+    states = [prop.run(system.initial_vector(), [0.0], t_final=s * h,
+                       engine="dense").final_state for s in range(5)]
+    assert [s.time for s in states] == [s * h for s in range(5)]
     # steps 0..3 sit on one bath-1 trajectory
     e1 = [switched_energy(system, s, bath1_active=True) for s in states[:4]]
     np.testing.assert_allclose(e1, e1[0], rtol=1e-7)
@@ -284,7 +280,7 @@ def _continuous_system(omega, bath, cancel=False):
     if cancel:
         real = pairwise_cancelled(real)
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
-    return TwoBathSystem(tp=tp, bath1=(bath, real), bath2=None, a1=cm, a2=cm)
+    return TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
 
 
 @pytest.mark.parametrize("omega,bath,cancel,courant", [
@@ -303,15 +299,8 @@ def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant):
     times = h * np.array([3000.4, 17.2, 2999.6, 0.0, 1234.0, 17.0])
     t_final = 4000.0 * h
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=h))
-
-    def observed(engine):
-        states = []
-        res = prop.run(v0, times, t_final=t_final, engine=engine,
-                       observer=lambda t, v: states.append((t, v)))
-        return res, sorted(states, key=lambda o: o[0])
-
-    modes, obs_m = observed("auto")
-    dense, obs_d = observed("dense")
+    modes = prop.run(v0, times, t_final=t_final)
+    dense = prop.run(v0, times, t_final=t_final, engine="dense")
     assert modes.engine == "modes" and modes.n_steps == dense.n_steps == 4000
     np.testing.assert_array_equal(modes.steps, [3000, 17, 3000, 0, 1234, 17])
     assert modes.max_snap_distance == dense.max_snap_distance
@@ -322,9 +311,10 @@ def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant):
     assert modes.final_state.time == dense.final_state.time
     np.testing.assert_allclose(modes.final_state.as_vector(), final, rtol=0.0,
                                atol=1e-10 * np.max(np.abs(final)))
-    # the observer sees the reconstructed state at every observed step
-    assert [t for t, _ in obs_m] == [t for t, _ in obs_d]
-    for (_, vm), (_, vd) in zip(obs_m, obs_d):
+    # the reconstructed state at every observed step
+    for step in np.unique(modes.steps):
+        vm, vd = (prop.run(v0, [0.0], t_final=step * h, engine=engine)
+                  .final_state.as_vector() for engine in ("auto", "dense"))
         np.testing.assert_allclose(vm, vd, rtol=0.0, atol=1e-10 * np.max(np.abs(vd)))
     eig = diagonalize(system.a1, v0)
     if cancel:
@@ -345,8 +335,10 @@ def test_rk4_amplification_factor_is_one_step_of_the_polynomial():
     assert log_rho[0] == pytest.approx(-(1e-4) ** 6 / 144.0, rel=1e-12)
 
 
-def test_continuous_system_with_a_zero_mode_is_stepped():
+def test_continuous_zero_mode_is_stepped_only_by_name():
     system = _continuous_system(0.0, WIDE)
-    assert has_zero_mode(system.a1)
-    res = _run(system, SwitchSchedule(step_size=0.05), [1.0, 2.0])
-    assert res.engine == "dense"
+    prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.05))
+    with pytest.raises(EigensolverError, match="zero frequency mode"):
+        prop.run(system.initial_vector(), [1.0, 2.0])
+    res = prop.run(system.initial_vector(), [1.0, 2.0], engine="dense")
+    assert res.engine == "dense" and np.all(np.isfinite(res.q))
