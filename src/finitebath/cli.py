@@ -368,8 +368,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     o_deg = o_sub.add_parser("degenerate", help="degenerate exchange envelope")
     _add_common(o_deg)
-    o_deg.add_argument("--e0", type=float, required=True)
-    o_deg.add_argument("--omega-r", type=float, required=True)
+    o_deg.add_argument("--e0", type=_non_negative, required=True)
+    o_deg.add_argument("--omega-r", type=_positive, required=True)
     o_deg.add_argument("--t-final", type=_positive, default=100.0)
     o_deg.add_argument("--n-points", type=_count, default=1000)
     o_deg.set_defaults(func=cmd_oracle)

@@ -56,8 +56,8 @@ class SweepSpec:
     def __post_init__(self):
         if len(self.omega_grid) == 0:
             raise ValueError("omega_grid must not be empty")
-        if any(w <= 0.0 for w in self.omega_grid):
-            raise ValueError("sweep frequencies must be positive")
+        if not all(0.0 < w < np.inf for w in self.omega_grid):
+            raise ValueError("sweep frequencies must be finite and positive")
         if not self.seeds:
             raise ValueError("need at least one seed")
         if any(seed < 0 for seed in self.seeds):

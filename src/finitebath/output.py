@@ -91,6 +91,8 @@ def read_histogram(path) -> EnergyHistogram:
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != "bin_lo,bin_hi,count":
         raise ValueError(f"{path}: not a histogram CSV (bad header)")
+    if len(lines) < 2:
+        raise ValueError(f"{path}: histogram CSV has no bins")
     lo, hi, counts = [], [], []
     for ln in lines[1:]:
         a, b, c = ln.split(",")

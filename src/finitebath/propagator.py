@@ -25,17 +25,22 @@ the mode matrix (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
    Oscillators whose d_n agree to rounding fold into one pole along
    their z direction; the orthogonal combinations are modes without
    particle motion.  A fully degenerate bath leaves two coupled modes.
-2. Roots.  The other eigenvalues solve Ullersma's secular equation
+2. Roots.  The other eigenvalues lam = nu^2 solve Ullersma's secular
+   equation
 
        1 - alpha0 / lam + sum_n c_n / (d_n - lam) = 0,
 
    which has one root between consecutive poles 0 < d_1 < d_2 < ...
    and one above the last.  Unlike det(H - lam) it has no cancellation
    between alpha and the c_n, so slow modes keep full relative accuracy.
-   Each root is stored as its nearer pole plus an offset, which keeps
-   every difference lam - d_n exact.
-3. Vectors.  Loewner's formula recomputes z so that the computed roots
-   are the exact eigenvalues of a nearby arrowhead; the eigenvectors
+   It is solved in frequencies: the poles are the bath frequencies w_n
+   plus 0 for the term alpha0 / lam, and LAPACK's dlasd4 finds each
+   root nu_k.  A root is stored as its nearer pole w_o plus the offset
+   nu_k - w_o, which keeps every difference nu_k - w_n exact.
+3. Vectors.  Each lam_k - d_n is formed as the two factors
+   (nu_k - w_n)(nu_k + w_n); the second has no cancellation.  Loewner's
+   formula recomputes z so that the computed roots are the exact
+   eigenvalues of a nearby arrowhead; the eigenvectors
    (1, z_n / (lam - d_n)) are then orthogonal to working accuracy.
 
 A zero frequency mode (Omega = 0, a free translation) has no such form,
@@ -57,6 +62,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.linalg.lapack import dlasd4
 
 from .model import SystemState, TestParticleSpec
 
@@ -147,7 +153,8 @@ class _Arrowhead:
     """Mass-weighted stiffness of one contact phase, in arrowhead form."""
 
     mass: np.ndarray     # (1 + N,) position-space masses, particle first
-    d: np.ndarray        # (N,) squared bath frequencies
+    w: np.ndarray        # (N,) bath frequencies
+    d: np.ndarray        # (N,) their squares
     z: np.ndarray        # (N,) border, 0 for free baths
     c: np.ndarray        # (N,) secular weights z^2 / d
     alpha0: float        # corner minus sum(c)
@@ -160,10 +167,9 @@ class _Arrowhead:
 def _arrowhead(cm: CouplingMatrix) -> _Arrowhead:
     big_m = cm.tp.mass
     alpha0 = cm.tp.omega**2
-    d, z, c = [], [], []
+    z, c = [], []
     for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
         w2 = freqs**2
-        d.append(w2)
         if active:
             z.append(-np.sqrt(m / big_m) * w2)
             c.append(m / big_m * w2)
@@ -175,7 +181,8 @@ def _arrowhead(cm: CouplingMatrix) -> _Arrowhead:
     mass = np.concatenate(
         [[big_m]] + [np.full(len(f), m) for m, f in zip(cm.bath_masses,
                                                         cm.bath_frequencies)])
-    return _Arrowhead(mass=mass, d=np.concatenate(d), z=np.concatenate(z),
+    w = np.concatenate(cm.bath_frequencies)
+    return _Arrowhead(mass=mass, w=w, d=w**2, z=np.concatenate(z),
                       c=np.concatenate(c), alpha0=float(alpha0))
 
 
@@ -183,8 +190,10 @@ def _arrowhead(cm: CouplingMatrix) -> _Arrowhead:
 class _Deflated:
     """The arrowhead after deflation: secular poles and what folds into them.
 
-    ``poles`` ascend: 0 (weight alpha0, when positive) then one pole per
-    cluster of coupled oscillators.  Member i of a cluster enters each
+    ``poles`` are frequencies and ascend: 0 (weight alpha0, when positive)
+    then one pole per cluster of coupled oscillators.  A lone oscillator's
+    pole is its own frequency; a merged cluster's is the square root of
+    its d averaged with weights z^2.  Member i of a cluster enters each
     coupled mode with the cluster's amplitude times ``direction[i]``.
     """
 
@@ -209,7 +218,9 @@ def _deflate(ah: _Arrowhead) -> _Deflated:
     if len(members):
         z2 = zs * zs
         r2 = np.add.reduceat(z2, starts)
-        poles = np.add.reduceat(z2 * ds, starts) / r2
+        poles = ah.w[members[starts]]
+        merged = np.diff(np.r_[starts, len(members)]) > 1
+        poles[merged] = np.sqrt(np.add.reduceat(z2 * ds, starts)[merged] / r2[merged])
         weights = np.add.reduceat(ah.c[members], starts)
         direction = zs / np.sqrt(r2)[cluster]
     if ah.alpha0 > 0.0:
@@ -220,122 +231,39 @@ def _deflate(ah: _Arrowhead) -> _Deflated:
                      free=free)
 
 
-# entries of one vectorized (roots x poles) table, 8 MB
+# entries of one (roots x poles) table of the mode vectors, 8 MB
 SECULAR_CHUNK = 1 << 20
-SECULAR_MAX_ITER = 50
-
-
-def _secular_terms(poles, weights, origin, tau, work):
-    """Secular function at lam = poles[origin] + tau, one row per root.
-
-    Returns (w, near, below, above, dbelow, dabove): the value, the
-    origin pole's term, the sums of the other terms over the poles below
-    and above lam, and the derivatives of those sums in tau.  work holds
-    two scratch tables of at least len(origin) rows.
-    """
-    r, up = work[0][:len(origin)], work[1][:len(origin)]
-    np.subtract(poles[None, :], poles[origin][:, None], out=r)
-    r -= tau[:, None]
-    np.reciprocal(r, out=r)
-    r[np.arange(len(origin)), origin] = 0.0
-    np.maximum(r, 0.0, out=up)
-    np.minimum(r, 0.0, out=r)
-    below, above = r @ weights, up @ weights
-    r *= r
-    up *= up
-    near = -weights[origin] / tau
-    return 1.0 + below + above + near, near, below, above, r @ weights, up @ weights
-
-
-def _solve_chunk(poles, weights, k):
-    n = len(poles)
-    eps = np.finfo(float).eps
-    last = k == n - 1
-    right = np.minimum(k + 1, n - 1)
-    half = 0.5 * (poles[right] - poles[k])
-    total = float(np.sum(weights))
-    work = np.empty((2, len(k), n))
-    # start at the midpoint, seen from the left pole; w increases, so its
-    # sign tells which pole is nearer the root
-    origin = k.copy()
-    tau = np.where(last, 0.5 * total, half)
-    terms = _secular_terms(poles, weights, origin, tau, work)
-    w, near, below, above, dbelow, dabove = terms
-    left = last | (w >= 0.0)
-    flip = ~left
-    h, cl, cr = half[flip], weights[k[flip]], weights[right[flip]]
-    below[flip] -= cl / h
-    dbelow[flip] += cl / (h * h)
-    above[flip] -= cr / h
-    dabove[flip] -= cr / (h * h)
-    near[flip] = cr / h
-    origin[flip] = right[flip]
-    tau[flip] = -h
-    other = np.where(last, k - 1, np.where(left, right, k))
-    lo = np.where(left, 0.0, -half)
-    hi = np.where(last, total, np.where(left, half, 0.0))
-
-    active = np.arange(len(k))
-    for it in range(SECULAR_MAX_ITER):
-        t = tau[active]
-        if it:
-            terms = _secular_terms(poles, weights, origin[active], t, work)
-        w, near, below, above, dbelow, dabove = terms
-        neg = w < 0.0
-        lo[active] = np.where(neg, t, lo[active])
-        hi[active] = np.where(neg, hi[active], t)
-        keep = np.abs(w) > 8.0 * eps * (1.0 + above - below + np.abs(near))
-        active, t = active[keep], t[keep]
-        if not len(active):
-            return origin, tau
-        # model: the poles on the origin's side of the root fold into the
-        # origin pole, those on the other side into the other neighbour
-        on_left = left[active]
-        same = np.where(on_left, below[keep], above[keep])
-        dsame = np.where(on_left, dbelow[keep], dabove[keep])
-        far = np.where(on_left, above[keep], below[keep])
-        dfar = np.where(on_left, dabove[keep], dbelow[keep])
-        s0 = weights[origin[active]] + dsame * t * t
-        dp = poles[other[active]] - poles[origin[active]]
-        gap = dp - t
-        a = 1.0 + same + dsame * t + far - dfar * gap
-        b = -(a * dp + s0 + dfar * gap * gap)
-        c = s0 * dp
-        q = -0.5 * (b + np.copysign(np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0)), b))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x1, x2 = c / q, q / a
-        lo_a, hi_a = lo[active], hi[active]
-        new = np.where((x1 > lo_a) & (x1 < hi_a), x1,
-                       np.where((x2 > lo_a) & (x2 < hi_a), x2, 0.5 * (lo_a + hi_a)))
-        tau[active] = new
-        moved = np.abs(new - t) > 2.0 * eps * np.abs(t)
-        active = active[moved]
-        if not len(active):
-            return origin, tau
-    raise EigensolverError(
-        f"secular equation did not converge for {len(active)} of {len(k)} roots")
 
 
 def _secular_roots(poles, weights, which):
-    """Roots of 1 + sum_j weights_j / (poles_j - lam) = 0, as (origin, tau).
+    """Roots nu of 1 + sum_j weights_j / (poles_j^2 - nu^2) = 0, as (origin, tau).
 
-    poles ascend and weights are positive, so root k lies in
-    (poles[k], poles[k+1]) and the last one above poles[-1].  Root k is
-    poles[origin] + tau with poles[origin] its nearer pole.  A fixed
-    weight iteration keeps that pole's term exact, folds the other poles
-    on its side of the root into it and those across the root into the
-    other neighbour, solves the resulting quadratic and falls back to
-    bisection of the bracket; rows are processed in chunks.
+    poles are frequencies that ascend from 0 or above, and weights are
+    positive, so root k lies in (poles[k], poles[k+1]) and the last one
+    above poles[-1].  Root k is poles[origin] + tau with poles[origin]
+    its nearer pole.  One call of LAPACK's dlasd4 per root (R.-C. Li's
+    middle way, LAPACK Working Note 89) returns every poles_j - nu_k
+    relative to that pole; a failed call raises EigensolverError.
     """
     which = np.asarray(which, dtype=np.intp)
     if len(poles) == 1:
-        return np.zeros(len(which), np.intp), np.full(len(which), weights[0])
-    origin = np.empty(len(which), np.intp)
+        # dlasd4 returns no offset for a single pole
+        p, c = float(poles[0]), float(weights[0])
+        return (np.zeros(len(which), np.intp),
+                np.full(len(which), c / (p + np.sqrt(p * p + c))))
+    # rho = 1 and z unscaled, although LAPACK documents |z| = 1: scaled that
+    # way (rho = sum(weights)), the top root of a heavy bath (m/M ~ 700)
+    # came out 1.5e-12 off a 50-digit reference, unscaled 2e-16
+    z = np.sqrt(weights)
+    origin = np.minimum(which + 1, len(poles) - 1)
     tau = np.empty(len(which))
-    step = max(1, SECULAR_CHUNK // len(poles))
-    for lo in range(0, len(which), step):
-        sl = slice(lo, lo + step)
-        origin[sl], tau[sl] = _solve_chunk(poles, weights, which[sl])
+    for j, k in enumerate(which):
+        delta, _, _, info = dlasd4(k, poles, z)
+        if info != 0:
+            raise EigensolverError(f"dlasd4 failed on secular root {k} (info = {info})")
+        if abs(delta[k]) <= abs(delta[origin[j]]):
+            origin[j] = k
+        tau[j] = -delta[origin[j]]
     return origin, tau
 
 
@@ -357,11 +285,11 @@ def max_mode_frequency(cm: CouplingMatrix) -> float:
     """Largest normal mode frequency: the top secular root or a free oscillator."""
     ah = _arrowhead(cm)
     df = _deflate(ah)
-    top = float(np.max(ah.d[df.free], initial=0.0))
+    top = float(np.max(ah.w[df.free], initial=0.0))
     if len(df.poles):
         origin, tau = _secular_roots(df.poles, df.weights, [len(df.poles) - 1])
         top = max(top, float(df.poles[origin[0]] + tau[0]))
-    return float(np.sqrt(top))
+    return top
 
 
 def _coupled_modes(df: _Deflated, origin, tau, shapes, cols):
@@ -372,12 +300,15 @@ def _coupled_modes(df: _Deflated, origin, tau, shapes, cols):
     poles = df.poles
     bath = poles[1:]
     n_s, n_r = len(bath), len(poles)
-    lam0 = poles[origin]
+    nu0 = poles[origin]
+    nu = nu0 + tau
 
     def delta(roots, arms):
-        # lam_k - d_a, exact through the stored (pole, offset) form
-        out = lam0[roots][:, None] - bath[arms][None, :]
+        # lam_k - d_a = (nu_k - w_a)(nu_k + w_a); the first factor exact
+        # through the stored (pole, offset) form, the second has no cancellation
+        out = nu0[roots][:, None] - bath[arms][None, :]
         out += tau[roots][:, None]
+        out *= np.add.outer(nu[roots], bath[arms])
         return out
 
     # Loewner: the z for which the computed roots are exact eigenvalues
@@ -386,7 +317,7 @@ def _coupled_modes(df: _Deflated, origin, tau, shapes, cols):
     for lo in range(0, n_s, step):
         arms = np.arange(lo, min(lo + step, n_s))
         ratio = delta(np.arange(1, n_r), arms)
-        den = bath[:, None] - bath[arms][None, :]
+        den = (bath[:, None] - bath[arms][None, :]) * np.add.outer(bath, bath[arms])
         den[arms, np.arange(len(arms))] = 1.0
         ratio /= den
         zhat[arms] = -delta(np.array([0]), arms)[0] * np.prod(ratio, axis=0)
@@ -447,11 +378,15 @@ class EigenPropagator:
         # chunked so the (samples x modes) tables stay cache friendly
         step = max(1, SAMPLE_CHUNK // max(len(self.nu), 1))
         m0 = self.cm.tp.mass
+        # one set of tables for every chunk: tables allocated per chunk are
+        # often mapped afresh by malloc and page-faulted in again
+        tables = np.empty((3, min(step, len(x)), len(rate)))
         for lo in range(0, len(x), step):
             xx = x[lo:lo + step]
-            ph = np.outer(xx, rate)
-            c = np.cos(ph)
-            s = np.sin(ph)
+            ph, c, s = tables[:, :len(xx)]
+            np.outer(xx, rate, out=ph)
+            np.cos(ph, out=c)
+            np.sin(ph, out=s)
             if log_decay is not None:
                 decay = np.outer(xx, log_decay, out=ph)
                 np.exp(decay, out=decay)
@@ -497,7 +432,7 @@ ZERO_MODE = ("system has a zero frequency mode (Omega = 0?); "
 def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     """Factor the system and bind an initial state.
 
-    Raises EigensolverError if the secular iteration fails or the
+    Raises EigensolverError if dlasd4 fails on a secular root or the
     system has a zero frequency mode (Omega = 0).
     """
     v0 = _as_vector(v0, cm.dim)
@@ -515,13 +450,13 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
             basis = _helmert(ah.z[idx])
             blocks.append((idx, basis, np.einsum("it,it,i->t", basis, basis, ah.d[idx])))
 
-    lam = np.concatenate([df.poles[origin] + tau, ah.d[df.free]]
-                         + [b[2] for b in blocks])
-    order = np.argsort(lam, kind="stable")
-    col = np.empty(len(lam), dtype=np.intp)
-    col[order] = np.arange(len(lam))
-    lam = lam[order]
-    if not lam[0] > 0.0:
+    nu = np.concatenate([df.poles[origin] + tau, ah.w[df.free]]
+                        + [np.sqrt(b[2]) for b in blocks])
+    order = np.argsort(nu, kind="stable")
+    col = np.empty(len(nu), dtype=np.intp)
+    col[order] = np.arange(len(nu))
+    nu = nu[order]
+    if not nu[0] > 0.0:
         raise EigensolverError(ZERO_MODE)
 
     # one row per mode, so each mode is written contiguously
@@ -539,7 +474,7 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     a = shapes @ (ah.mass * v0[0::2])
     b = shapes @ v0[1::2]
     modes = shapes.T
-    return EigenPropagator(cm=cm, nu=np.sqrt(lam), modes=modes, mass=ah.mass,
+    return EigenPropagator(cm=cm, nu=nu, modes=modes, mass=ah.mass,
                            coef_cos=a, coef_sin=b)
 
 

@@ -280,12 +280,12 @@ class SwitchedPropagator:
         dim = self.system.dim
         period = self.schedule.period_steps
         rows01 = np.empty((period, 2, dim), dtype=complex)
-        prefix = np.eye(dim)
-        prefix_rows = [prefix[0:2].copy()]
+        # prefix r is the map of steps 0..r-1; prefix 0 is the identity
+        prefix_rows = [np.eye(2, dim)]
+        u_period = self.step_matrix(0)
         for r in range(1, period):
-            prefix = self.step_matrix(r - 1) @ prefix
-            prefix_rows.append(prefix[0:2].copy())
-        u_period = self.step_matrix(period - 1) @ prefix
+            prefix_rows.append(u_period[0:2].copy())
+            u_period = self.step_matrix(r) @ u_period
         mu, s_mat = np.linalg.eig(u_period)
         res = np.linalg.norm(u_period @ s_mat - s_mat * mu[None, :])
         rel = res / max(np.linalg.norm(u_period), 1e-300)

@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from finitebath import experiments
+from finitebath import experiments, propagator
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
 from finitebath.propagator import NumericalError
 from finitebath.output import read_curve, read_histogram
@@ -154,6 +154,18 @@ def test_sweep_where_every_point_fails_numerically_exits_3(
     failures = json.loads((out / "manifest.json").read_text())["failures"]
     assert failures == [[w, s, "NumericalError: switched run diverged"]
                         for w in (0.3, 0.5) for s in (1, 2)]
+
+
+def test_secular_solver_failure_exits_3(tmp_path, quick_config, monkeypatch, capsys):
+    monkeypatch.setattr(propagator, "dlasd4",
+                        lambda i, d, z: (np.ones_like(d), 1.0, np.ones_like(d), 1))
+    out = tmp_path / "run"
+    code = main(["single", "--config", str(quick_config), "--omega", "0.5",
+                 "--seed-list", "1", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert len(failures) == 1
+    assert failures[0].startswith("seed 1: EigensolverError: dlasd4 failed")
 
 
 def test_unstable_rk4_step_exits_3(tmp_path, capsys):
@@ -314,6 +326,8 @@ LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
 
 @pytest.mark.parametrize("argv", [
     pytest.param(["single", "--omega", "0.5", "--seed-list", "-1"], id="single-seed-list"),
+    pytest.param(["single", "--omega", "nan"], id="single-omega-nan"),
+    pytest.param(["single", "--omega", "inf"], id="single-omega-inf"),
     pytest.param(["sweep", "--set", "omega_grid=[0.5]", "--seed-list", "-1"],
                  id="sweep-seed-list"),
     pytest.param(["twobath", "--set", "omega_grid=[0.5]", "--set", "bath2_size=10",
@@ -346,7 +360,11 @@ def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
     LANGEVIN + ["--omega", "-1"],
     LANGEVIN + ["--gamma", "nan"],
     ["oracle", "mixture", "--t1", "5", "--t2", "10", "--e-max", "-1"],
-], ids=["langevin-mass", "langevin-omega", "langevin-gamma-nan", "mixture-e-max"])
+    ["oracle", "degenerate", "--e0", "-1", "--omega-r", "1"],
+    ["oracle", "degenerate", "--e0", "inf", "--omega-r", "1"],
+    ["oracle", "degenerate", "--e0", "10", "--omega-r", "nan"],
+], ids=["langevin-mass", "langevin-omega", "langevin-gamma-nan", "mixture-e-max",
+        "degenerate-e0-negative", "degenerate-e0-inf", "degenerate-omega-r-nan"])
 def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert _exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
@@ -382,3 +400,11 @@ def test_fit_rejects_rising_histograms(tmp_path, capsys):
 def test_fit_missing_file_is_a_config_error(tmp_path, capsys):
     assert main(["fit", str(tmp_path / "nope.csv")]) == EXIT_CONFIG
     assert "cannot read histogram" in capsys.readouterr().err
+
+
+def test_fit_header_only_histogram_is_a_config_error(tmp_path, capsys):
+    path = tmp_path / "empty.csv"
+    path.write_text("bin_lo,bin_hi,count\n")
+    assert main(["fit", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "has no bins" in err and "Traceback" not in err

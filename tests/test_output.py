@@ -96,6 +96,9 @@ def test_histogram_reader_rejects_other_files(tmp_path):
     path.write_text("omega,T\n")
     with pytest.raises(ValueError, match="bad header"):
         read_histogram(path)
+    path.write_text("bin_lo,bin_hi,count\n")
+    with pytest.raises(ValueError, match="no bins"):
+        read_histogram(path)
 
 
 def test_manifest_records_the_run(tmp_path):

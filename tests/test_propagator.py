@@ -252,6 +252,9 @@ def test_secular_modes_match_dense_eigh(system):
     np.testing.assert_allclose(u.T @ (prop.mass[:, None] * u), np.eye(len(u)),
                                rtol=0.0, atol=1e-12)
     assert mode_residual(prop) < 1e-12
+    for freqs, active in zip(cm.bath_frequencies, cm.active):
+        if not active:      # a free oscillator is a mode at its own frequency
+            assert np.all(np.isin(freqs, prop.nu))
     times = np.linspace(0.0, 50.0, 64)
     for got, want in zip(prop.sample_test_particle(times),
                          ref.sample_test_particle(times)):
@@ -277,6 +280,20 @@ def test_eigen_path_does_not_call_eigh(monkeypatch, small_bath, particle):
     prop = diagonalize(cm, _initial_vector(particle, real))
     assert mode_residual(prop) < 1e-12
     assert max_mode_frequency(cm) == pytest.approx(prop.nu[-1], rel=1e-12)
+
+
+def _failing_dlasd4(i, d, z):
+    return np.ones_like(d), 1.0, np.ones_like(d), 1
+
+
+def test_secular_solver_failure_is_an_eigensolver_error(monkeypatch, small_bath, particle):
+    monkeypatch.setattr(propagator, "dlasd4", _failing_dlasd4)
+    real = realize_bath(small_bath, seed=4)
+    cm = _one_bath(particle, real.frequencies, real.m)
+    with pytest.raises(EigensolverError, match="dlasd4 failed"):
+        diagonalize(cm, _initial_vector(particle, real))
+    with pytest.raises(EigensolverError, match="dlasd4 failed"):
+        max_mode_frequency(cm)
 
 
 def test_loewner_vectors_stay_orthogonal_when_the_roots_carry_error():
