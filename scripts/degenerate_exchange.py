@@ -19,7 +19,7 @@ from finitebath.experiments import run_degenerate_exchange
 from finitebath.oracles import arcsine_distribution_check
 
 
-def parse_args(argv=None):
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=100, help="bath oscillators")
     ap.add_argument("--xi", type=float, default=0.01,
@@ -31,14 +31,18 @@ def parse_args(argv=None):
     ap.add_argument("--n-periods", type=int, default=16,
                     help="beat periods covered by the trace")
     ap.add_argument("--out", type=Path, default=Path("exchange_trace.csv"))
-    return ap.parse_args(argv)
+    return ap
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    ex = run_degenerate_exchange(n=args.size, xi=args.xi,
-                                 omega_r=args.omega_r, e0=args.e0,
-                                 seed=args.seed, n_periods=args.n_periods)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        ex = run_degenerate_exchange(n=args.size, xi=args.xi,
+                                     omega_r=args.omega_r, e0=args.e0,
+                                     seed=args.seed, n_periods=args.n_periods)
+    except ValueError as err:     # out-of-range arguments
+        parser.error(str(err))
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(("time", "energy"))

@@ -22,7 +22,7 @@ from finitebath.output import emit_curve
 from finitebath.stats import SamplingPlan
 
 
-def parse_args(argv=None):
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=400, help="bath oscillators")
     ap.add_argument("--mass", type=float, default=1e-3, help="bath mass m (M=1)")
@@ -39,20 +39,24 @@ def parse_args(argv=None):
     ap.add_argument("--n-samples", type=int, default=4000)
     ap.add_argument("--warmup", type=float, default=500.0)
     ap.add_argument("--out", type=Path, default=Path("single_bath_curve.csv"))
-    return ap.parse_args(argv)
+    return ap
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    spec = SweepSpec(
-        omega_grid=tuple(args.omegas),
-        bath1=BathSpec(size=args.size, mass=args.mass,
-                       temperature=args.temperature,
-                       dos=DensityOfStates(args.dos, *args.band)),
-        seeds=tuple(args.seeds),
-        plan=SamplingPlan(args.mean_interval, args.n_samples, args.warmup),
-    )
-    curve = run_sweep(spec)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        spec = SweepSpec(
+            omega_grid=tuple(args.omegas),
+            bath1=BathSpec(size=args.size, mass=args.mass,
+                           temperature=args.temperature,
+                           dos=DensityOfStates(args.dos, *args.band)),
+            seeds=tuple(args.seeds),
+            plan=SamplingPlan(args.mean_interval, args.n_samples, args.warmup),
+        )
+        curve = run_sweep(spec)
+    except ValueError as err:     # out-of-range arguments
+        parser.error(str(err))
     emit_curve(curve, args.out)
     print(f"omega    T_tp      sigma     T_tp/T_bath")
     for w, t, s in zip(curve.omegas, curve.temperature, curve.sigma):

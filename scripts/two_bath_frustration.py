@@ -20,7 +20,7 @@ from finitebath.output import emit_curve
 from finitebath.stats import SamplingPlan
 
 
-def parse_args(argv=None):
+def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("--size", type=int, default=200, help="oscillators per bath")
     ap.add_argument("--mass", type=float, default=1e-3)
@@ -41,26 +41,30 @@ def parse_args(argv=None):
     ap.add_argument("--n-samples", type=int, default=2000)
     ap.add_argument("--warmup", type=float, default=1000.0)
     ap.add_argument("--outdir", type=Path, default=Path("."))
-    return ap.parse_args(argv)
+    return ap
 
 
 def main(argv=None) -> int:
-    args = parse_args(argv)
-    dos1 = DensityOfStates("uniform", *args.band)
-    dos2 = DensityOfStates("uniform", *(args.band2 or args.band))
-    spec = SweepSpec(
-        omega_grid=tuple(args.omegas),
-        bath1=BathSpec(size=args.size, mass=args.mass, temperature=args.t1,
-                       dos=dos1),
-        bath2=BathSpec(size=args.size, mass=args.mass, temperature=args.t2,
-                       dos=dos2),
-        seeds=tuple(args.seeds),
-        plan=SamplingPlan(args.mean_interval, args.n_samples, args.warmup),
-        n_bins=20, span_factor=5.0,
-        delta_t_steps=args.delta_t_steps, step_size=args.step_size,
-        renormalization=args.renormalization,
-    )
-    result = run_two_bath_sweep(spec)
+    parser = build_parser()
+    args = parser.parse_args(argv)
+    try:
+        dos1 = DensityOfStates("uniform", *args.band)
+        dos2 = DensityOfStates("uniform", *(args.band2 or args.band))
+        spec = SweepSpec(
+            omega_grid=tuple(args.omegas),
+            bath1=BathSpec(size=args.size, mass=args.mass, temperature=args.t1,
+                           dos=dos1),
+            bath2=BathSpec(size=args.size, mass=args.mass, temperature=args.t2,
+                           dos=dos2),
+            seeds=tuple(args.seeds),
+            plan=SamplingPlan(args.mean_interval, args.n_samples, args.warmup),
+            n_bins=20, span_factor=5.0,
+            delta_t_steps=args.delta_t_steps, step_size=args.step_size,
+            renormalization=args.renormalization,
+        )
+        result = run_two_bath_sweep(spec)
+    except ValueError as err:     # out-of-range arguments
+        parser.error(str(err))
     curves = {"switched": result.combined,
               "bath1_alone": result.alone[0],
               "bath2_alone": result.alone[1]}

@@ -3,8 +3,9 @@
 Subcommands
 -----------
 ``single``
-    Thermalize one test particle at a fixed frequency and fit its
-    energy distribution; writes per-seed histograms and a manifest.
+    Thermalize one test particle at a fixed frequency (a sweep over a
+    one-point grid) and fit its energy distribution; writes per-seed
+    histograms, a summary and a manifest.
 ``sweep``
     Frequency sweep against one bath (or the switched pair when a
     second bath is configured); writes the thermalization curve.
@@ -33,13 +34,7 @@ import numpy as np
 from . import __version__
 from .bath import realize_bath
 from .config import ConfigError, build_sweep_spec, check_config
-from .experiments import (
-    iter_points,
-    run_single_bath_point,
-    run_sweep,
-    run_two_bath_point,
-    run_two_bath_sweep,
-)
+from .experiments import run_sweep, run_two_bath_sweep
 from .model import TestParticleSpec
 from .oracles import (
     degenerate_energy_series,
@@ -52,7 +47,7 @@ from .output import (RunManifest, emit_curve, emit_histogram, fmt, read_histogra
                      write_csv)
 from .propagator import NumericalError
 from .rng import LANGEVIN, substream
-from .stats import FitError, aggregate_seeds, fit_temperature
+from .stats import FitError, fit_temperature
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -119,7 +114,7 @@ def _outdir(args: argparse.Namespace) -> Path:
     return args.out
 
 
-def _manifest(args: argparse.Namespace, command: str, cfg: dict, spec) -> RunManifest:
+def _manifest(command: str, cfg: dict, spec) -> RunManifest:
     return RunManifest(
         command=command,
         config=cfg,
@@ -131,6 +126,20 @@ def _manifest(args: argparse.Namespace, command: str, cfg: dict, spec) -> RunMan
     )
 
 
+def _record(manifest: RunManifest, curve, label: str = "") -> None:
+    """Add a curve's failures, bath fits and largest snap distance to the manifest.
+
+    Failures are [omega, seed, message] entries; the bath fits are the
+    curve's, so the curve recorded last supplies them.
+    """
+    manifest.failures.extend([f.omega, f.seed, f"{label}{f}"] for f in curve.failures)
+    manifest.bath_initial = curve.bath_initial
+    manifest.bath_final = curve.bath_final
+    if curve.points:
+        manifest.max_snap_distance = max(manifest.max_snap_distance or 0.0,
+                                         *(pt.max_snap_distance for pt in curve.points))
+
+
 def cmd_single(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     spec = build_sweep_spec(cfg, omega_override=args.omega,
@@ -138,37 +147,27 @@ def cmd_single(args: argparse.Namespace) -> int:
     if len(spec.omega_grid) != 1:
         raise ConfigError("single needs exactly one frequency "
                           "(--omega or a one-point omega_grid)")
-    omega = spec.omega_grid[0]
     out = _outdir(args)
-    manifest = _manifest(args, "single", cfg, spec)
-    runner = run_two_bath_point if spec.bath2 is not None else run_single_bath_point
-
-    fits, failures = [], []
-    for _, point, failure in iter_points(spec, runner):
-        if failure is not None:
-            failures.append(failure)
-            print(f"seed {failure.seed}: {failure}", file=sys.stderr)
-            continue
-        fits.append(point.fit)
+    manifest = _manifest("single", cfg, spec)
+    curve = run_sweep(spec)
+    _record(manifest, curve)
+    for failure in curve.failures:
+        print(f"seed {failure.seed}: {failure}", file=sys.stderr)
+    for point in curve.points:
         hist_path = out / f"hist_seed{point.seed}.csv"
         emit_histogram(point.hist, point.fit, hist_path)
         manifest.outputs.append(hist_path.name)
-        if point.max_snap_distance is not None:
-            manifest.max_snap_distance = max(manifest.max_snap_distance or 0.0,
-                                             point.max_snap_distance)
         print(f"seed {point.seed}: T = {fmt(point.fit.temperature)} "
               f"+- {fmt(point.fit.sigma)}")
-
-    manifest.failures = [f"seed {f.seed}: {f}" for f in failures]
-    if not fits:
+    if not curve.points:
         manifest.finish()
         manifest.write(out / "manifest.json")
-        raise failures[-1].error
-    temperature, sigma = aggregate_seeds(fits)
-    print(f"aggregate over {len(fits)} seeds: "
+        raise curve.failures[-1].error
+    temperature, sigma = curve.temperature[0], curve.sigma[0]
+    print(f"aggregate over {len(curve.points)} seeds: "
           f"T = {fmt(temperature)} +- {fmt(sigma)}")
-    summary = {"omega": omega, "temperature": temperature, "sigma": sigma,
-               "n_seeds": len(fits)}
+    summary = {"omega": spec.omega_grid[0], "temperature": temperature,
+               "sigma": sigma, "n_seeds": len(curve.points)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     manifest.outputs.append("summary.json")
     manifest.finish()
@@ -185,22 +184,15 @@ def _sweep_exit(curve) -> int:
     return EXIT_FIT
 
 
-def _failure_records(curve, label: str = "") -> list:
-    """Manifest entries [omega, seed, message] of a curve's failed points."""
-    return [[f.omega, f.seed, f"{label}{f}"] for f in curve.failures]
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     spec = build_sweep_spec(cfg, seeds_override=args.seed_list)
     out = _outdir(args)
-    manifest = _manifest(args, "sweep", cfg, spec)
+    manifest = _manifest("sweep", cfg, spec)
     curve = run_sweep(spec)
     emit_curve(curve, out / "curve.csv")
     manifest.outputs.append("curve.csv")
-    manifest.failures = _failure_records(curve)
-    manifest.bath_initial = curve.bath_initial
-    manifest.bath_final = curve.bath_final
+    _record(manifest, curve)
     manifest.finish()
     manifest.write(out / "manifest.json")
     n_ok = int(np.sum(np.isfinite(curve.temperature)))
@@ -215,7 +207,7 @@ def cmd_twobath(args: argparse.Namespace) -> int:
     if spec.bath2 is None:
         raise ConfigError("twobath needs bath2_* config keys")
     out = _outdir(args)
-    manifest = _manifest(args, "twobath", cfg, spec)
+    manifest = _manifest("twobath", cfg, spec)
     result = run_two_bath_sweep(spec)
     emit_curve(result.combined, out / "curve_combined.csv")
     manifest.outputs.append("curve_combined.csv")
@@ -223,10 +215,8 @@ def cmd_twobath(args: argparse.Namespace) -> int:
         name = f"curve_bath{index + 1}_alone.csv"
         emit_curve(alone, out / name)
         manifest.outputs.append(name)
-        manifest.failures.extend(_failure_records(alone, f"bath{index + 1} alone: "))
-    manifest.failures.extend(_failure_records(result.combined))
-    manifest.bath_initial = result.combined.bath_initial
-    manifest.bath_final = result.combined.bath_final
+        _record(manifest, alone, f"bath{index + 1} alone: ")
+    _record(manifest, result.combined)     # last: its bath fits are the run's
     manifest.finish()
     manifest.write(out / "manifest.json")
     n_ok = int(np.sum(np.isfinite(result.combined.temperature)))

@@ -1,11 +1,13 @@
-"""Composed experiments: thermalization curves and energy scans.
+"""Composed experiments: thermalization curves and the degenerate exchange.
 
 A sweep point is one (particle frequency, seed) pair: draw the baths,
 propagate, sample the particle energy at random times, fit a
 temperature.  Curves aggregate the per-seed fits by inverse variance.
 A failing point (non-thermal fit, diverged run) is recorded and the
 sweep continues; a grid point with no surviving seed reports NaN.
-Every consumer of (omega, seed) points walks them through iter_points.
+_sweep is the one loop over (omega, seed) points: the single-bath and
+switched curves, each bath alone, and the CLI's one-frequency run all
+go through it.
 """
 
 from __future__ import annotations
@@ -250,26 +252,6 @@ class PointFailure:
         return f"{type(self.error).__name__}: {self.error}"
 
 
-def iter_points(spec: SweepSpec, runner):
-    """Run every (omega, seed) point of the spec in grid order.
-
-    Yields (grid index, point, failure).  point is None when the run
-    raised; failure is None when a temperature was fitted.
-    """
-    for i, w in enumerate(spec.omega_grid):
-        w = float(w)
-        for seed in spec.seeds:
-            try:
-                point = runner(w, spec, seed)
-            except (FitError, NumericalError) as err:
-                yield i, None, PointFailure(w, seed, err)
-                continue
-            failure = None
-            if point.fit is None:
-                failure = PointFailure(w, seed, point.fit_error)
-            yield i, point, failure
-
-
 @dataclass(frozen=True)
 class ThermalizationCurve:
     """Aggregated sweep output, one row per grid frequency."""
@@ -282,6 +264,7 @@ class ThermalizationCurve:
     bath_initial: tuple     # per bath (temperature, sigma), seed aggregated
     bath_final: tuple       # per bath (temperatures[nw], sigmas[nw])
     failures: tuple         # PointFailure per failed (omega, seed)
+    points: tuple           # fitted PointResults, grid order then seed order
     spec: SweepSpec
 
     @property
@@ -289,58 +272,62 @@ class ThermalizationCurve:
         return len(self.bath_initial)
 
 
-def _sweep(spec: SweepSpec, runner, initial_reals) -> ThermalizationCurve:
-    """Aggregate the spec's points; initial_reals holds each bath's draws per seed."""
-    n_baths = len(initial_reals)
+def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
+    """Run every (omega, seed) point of the spec in grid order and aggregate.
+
+    runner(omega, spec, seed) returns a PointResult.  baths holds one
+    (BathSpec, bath_index) pair per bath the runner draws; their initial
+    fits are made on the same per-seed draws.
+    """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw = len(omegas)
-    temperature = np.full(nw, np.nan)
-    sigma = np.full(nw, np.nan)
-    goodness = np.full(nw, np.nan)
-    overflow = np.full(nw, np.nan)
-    final_t = [np.full(nw, np.nan) for _ in range(n_baths)]
-    final_s = [np.full(nw, np.nan) for _ in range(n_baths)]
-    fitted = [[] for _ in range(nw)]
-    failures = []
-    for i, point, failure in iter_points(spec, runner):
-        if failure is not None:
-            failures.append(failure)
-        else:
-            fitted[i].append(point)
-
-    for i, points in enumerate(fitted):
-        if not points:
+    temperature, sigma, goodness, overflow = (np.full(nw, np.nan) for _ in range(4))
+    final = [(np.full(nw, np.nan), np.full(nw, np.nan)) for _ in baths]
+    points, failures = [], []
+    for i, w in enumerate(spec.omega_grid):
+        w = float(w)
+        fitted = []
+        for seed in spec.seeds:
+            try:
+                point = runner(w, spec, seed)
+            except (FitError, NumericalError) as err:
+                failures.append(PointFailure(w, seed, err))
+                continue
+            if point.fit is None:
+                failures.append(PointFailure(w, seed, point.fit_error))
+            else:
+                fitted.append(point)
+        points.extend(fitted)
+        if not fitted:
             continue
-        fits = [pt.fit for pt in points]
+        fits = [pt.fit for pt in fitted]
         temperature[i], sigma[i] = aggregate_seeds(fits)
         goodness[i] = float(np.mean([f.goodness for f in fits]))
-        overflow[i] = float(np.mean([pt.hist.overflow_fraction for pt in points]))
-        for b in range(n_baths):
-            finals = [pt.bath_final[b] for pt in points if pt.bath_final[b] is not None]
+        overflow[i] = float(np.mean([pt.hist.overflow_fraction for pt in fitted]))
+        for b, (final_t, final_s) in enumerate(final):
+            finals = [pt.bath_final[b] for pt in fitted if pt.bath_final[b] is not None]
             if finals:
-                final_t[b][i], final_s[b][i] = aggregate_seeds(finals)
+                final_t[i], final_s[i] = aggregate_seeds(finals)
 
     bath_initial = []
-    for b in range(n_baths):
-        per_seed = [_fit_bath_block(r.energies) for r in initial_reals[b]]
+    for bath, index in baths:
+        per_seed = [_fit_bath_block(realize_bath(bath, s, index).energies)
+                    for s in spec.seeds]
         per_seed = [f for f in per_seed if f is not None]
         bath_initial.append(aggregate_seeds(per_seed) if per_seed else (np.nan, np.nan))
 
     return ThermalizationCurve(
         omegas=omegas, temperature=temperature, sigma=sigma, goodness=goodness,
         overflow_fraction=overflow, bath_initial=tuple(bath_initial),
-        bath_final=tuple((final_t[b], final_s[b]) for b in range(n_baths)),
-        failures=tuple(failures), spec=spec)
+        bath_final=tuple(final), failures=tuple(failures), points=tuple(points),
+        spec=spec)
 
 
 def run_sweep(spec: SweepSpec) -> ThermalizationCurve:
     """Thermalization curve over the frequency grid of the spec."""
     if spec.bath2 is None:
-        reals = ([realize_bath(spec.bath1, s, 0) for s in spec.seeds],)
-        return _sweep(spec, run_single_bath_point, reals)
-    reals = ([realize_bath(spec.bath1, s, 0) for s in spec.seeds],
-             [realize_bath(spec.bath2, s, 1) for s in spec.seeds])
-    return _sweep(spec, run_two_bath_point, reals)
+        return _sweep(spec, run_single_bath_point, [(spec.bath1, 0)])
+    return _sweep(spec, run_two_bath_point, [(spec.bath1, 0), (spec.bath2, 1)])
 
 
 @dataclass(frozen=True)
@@ -363,8 +350,8 @@ def run_two_bath_sweep(spec: SweepSpec) -> TwoBathSweepResult:
     curves = []
     for idx, bath in enumerate((spec.bath1, spec.bath2)):
         aspec = replace(spec, bath1=bath, bath2=None, propagator="eigen")
-        reals = ([realize_bath(bath, s, idx) for s in spec.seeds],)
-        curves.append(_sweep(aspec, partial(run_single_bath_point, bath_index=idx), reals))
+        curves.append(_sweep(aspec, partial(run_single_bath_point, bath_index=idx),
+                             [(bath, idx)]))
     return TwoBathSweepResult(combined=combined, alone=tuple(curves))
 
 
@@ -385,57 +372,6 @@ def peak_location(omegas, temperatures) -> float:
     if not np.any(np.isfinite(sm)):
         raise ValueError("curve has no finite values; cannot locate a peak")
     return float(omegas[np.nanargmax(sm)])
-
-
-@dataclass(frozen=True)
-class InitialEnergyScan:
-    """Grid of (omega, E0) runs for the decoupling study."""
-
-    omegas: np.ndarray
-    e0_values: np.ndarray
-    temperature: np.ndarray      # (n_omega, n_e0)
-    sigma: np.ndarray
-    mean_energy: np.ndarray
-    mean_energy_sigma: np.ndarray
-    skewness: np.ndarray
-    failures: tuple              # (e0, PointFailure) per failed point
-
-
-def run_initial_energy_scan(omegas, e0_values, spec: SweepSpec) -> InitialEnergyScan:
-    """Sweep initial particle energy (placed in P0) across frequencies."""
-    omegas = np.asarray(omegas, dtype=float)
-    e0_values = np.asarray(e0_values, dtype=float)
-    shape = (len(omegas), len(e0_values))
-    temperature = np.full(shape, np.nan)
-    sigma = np.full(shape, np.nan)
-    mean_e = np.full(shape, np.nan)
-    mean_e_sig = np.full(shape, np.nan)
-    skew = np.full(shape, np.nan)
-    failures = []
-    for j, e0 in enumerate(e0_values):
-        espec = replace(spec, omega_grid=tuple(float(w) for w in omegas),
-                        initial_energy=float(e0))
-        finished = [[] for _ in omegas]
-        for i, point, failure in iter_points(espec, run_single_bath_point):
-            if failure is not None:
-                failures.append((float(e0), failure))
-            if point is not None:
-                finished[i].append(point)
-        for i, points in enumerate(finished):
-            means = [pt.mean_energy for pt in points]
-            skews = [pt.skewness for pt in points]
-            fits = [pt.fit for pt in points if pt.fit is not None]
-            if means:
-                mean_e[i, j] = np.mean(means)
-                mean_e_sig[i, j] = (np.std(means, ddof=1) / np.sqrt(len(means))
-                                    if len(means) > 1 else np.nan)
-                skew[i, j] = np.mean(skews)
-            if fits:
-                temperature[i, j], sigma[i, j] = aggregate_seeds(fits)
-    return InitialEnergyScan(omegas=omegas, e0_values=e0_values,
-                             temperature=temperature, sigma=sigma,
-                             mean_energy=mean_e, mean_energy_sigma=mean_e_sig,
-                             skewness=skew, failures=tuple(failures))
 
 
 @dataclass(frozen=True)

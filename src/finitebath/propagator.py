@@ -503,18 +503,17 @@ def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
 
 
 def mode_residual(prop: EigenPropagator) -> float:
-    """|| K U - M U diag(nu^2) || / || K ||, the defining check of the modes.
+    """|| H V - V diag(nu^2) || / || H ||, the defining check of the modes.
 
-    K = M^(1/2) H M^(1/2) is applied through the arrowhead H, never formed.
+    H = M^(-1/2) K M^(-1/2) is the arrowhead and V = M^(1/2) U the
+    orthonormal mass-weighted modes.  In this form the residual does not
+    depend on the bath-to-particle mass ratio, as it would for K U - M U
+    diag(nu^2) measured against || K ||.
     """
     ah = _arrowhead(prop.cm)
-    u = prop.modes
-    root_m = np.sqrt(ah.mass)
-    k00 = ah.mass[0] * ah.alpha
-    kdiag = ah.mass[1:] * ah.d
-    kside = root_m[0] * root_m[1:] * ah.z
-    res = -(ah.mass[:, None] * u) * prop.nu**2
-    res[0] += k00 * u[0] + kside @ u[1:]
-    res[1:] += kdiag[:, None] * u[1:] + kside[:, None] * u[0][None, :]
-    knorm = np.sqrt(k00**2 + np.sum(kdiag**2) + 2.0 * np.sum(kside**2))
-    return float(np.linalg.norm(res) / knorm)
+    v = np.sqrt(ah.mass)[:, None] * prop.modes
+    res = -v * prop.nu**2
+    res[0] += ah.alpha * v[0] + ah.z @ v[1:]
+    res[1:] += ah.d[:, None] * v[1:] + ah.z[:, None] * v[0][None, :]
+    hnorm = np.sqrt(ah.alpha**2 + np.sum(ah.d**2) + 2.0 * np.sum(ah.z**2))
+    return float(np.linalg.norm(res) / hnorm)

@@ -165,7 +165,8 @@ def test_secular_solver_failure_exits_3(tmp_path, quick_config, monkeypatch, cap
     assert code == EXIT_NUMERICAL
     failures = json.loads((out / "manifest.json").read_text())["failures"]
     assert len(failures) == 1
-    assert failures[0].startswith("seed 1: EigensolverError: dlasd4 failed")
+    assert failures[0][:2] == [0.5, 1]
+    assert failures[0][2].startswith("EigensolverError: dlasd4 failed")
 
 
 def test_unstable_rk4_step_exits_3(tmp_path, capsys):
@@ -179,6 +180,25 @@ def test_unstable_rk4_step_exits_3(tmp_path, capsys):
     failures = json.loads((out / "manifest.json").read_text())["failures"]
     assert [f[:2] for f in failures] == [[0.5, 1], [0.5, 2]]
     assert all(f[2].startswith("NumericalError: RK4 step h=5 ") for f in failures)
+
+
+def test_manifests_record_snap_distance_and_bath_fits(tmp_path, quick_config):
+    h = 0.05
+    out = tmp_path / "sweep"
+    code = main(["sweep", "--config", str(quick_config), "--set", "propagator=rk4",
+                 "--set", f"step_size={h}", "--set", "omega_grid=[0.5]",
+                 "--seed-list", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert 0.0 < manifest["max_snap_distance"] <= 0.5 * h
+    out = tmp_path / "single"
+    code = main(["single", "--config", str(quick_config), "--omega", "0.5",
+                 "--seed-list", "1", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    (t_init, sigma_init), = manifest["bath_initial"]
+    assert 3.0 < t_init < 8.0 and sigma_init > 0.0
+    assert len(manifest["bath_final"]) == 1
 
 
 def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):

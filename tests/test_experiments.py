@@ -10,7 +10,6 @@ from finitebath.experiments import (
     exchange_splitting,
     peak_location,
     run_degenerate_exchange,
-    run_initial_energy_scan,
     run_single_bath_point,
     run_sweep,
     run_two_bath_point,
@@ -181,17 +180,18 @@ def test_two_bath_sweep_produces_alone_curves():
         run_two_bath_sweep(_quick_spec())
 
 
-# -- initial energy scan -----------------------------------------------
+# -- initial energy ----------------------------------------------------
 
 
-def test_energy_scan_decoupled_particle_keeps_its_energy():
+def test_decoupled_particle_keeps_its_initial_energy():
     spec = _quick_spec(
         bath1=BathSpec(size=100, mass=0.001, temperature=5.0, dos=BAND),
         seeds=(1, 2, 3),
         plan=SamplingPlan(mean_interval=1.0, n_samples=200, warmup=10.0))
-    scan = run_initial_energy_scan([50.0], [0.5], spec)
-    assert scan.temperature.shape == (1, 1)
-    assert 0.35 < scan.mean_energy[0, 0] < 0.55
+    kicked = dataclasses.replace(spec, initial_energy=0.5)
+    mean = np.mean([run_single_bath_point(50.0, kicked, s).mean_energy
+                    for s in spec.seeds])
+    assert 0.35 < mean < 0.55
 
 
 # -- degenerate exchange -----------------------------------------------

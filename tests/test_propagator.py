@@ -280,6 +280,10 @@ def test_eigen_path_does_not_call_eigh(monkeypatch, small_bath, particle):
     prop = diagonalize(cm, _initial_vector(particle, real))
     assert mode_residual(prop) < 1e-12
     assert max_mode_frequency(cm) == pytest.approx(prop.nu[-1], rel=1e-12)
+    # bath masses 1e-6 of the particle's: the residual must not scale with m/M
+    light = _one_bath(TestParticleSpec(mass=1.0, omega=1.0),
+                      np.geomspace(1e-3, 1e3, 40), 1e-6)
+    assert mode_residual(diagonalize(light, np.ones(light.dim))) < 1e-12
 
 
 def _failing_dlasd4(i, d, z):

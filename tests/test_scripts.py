@@ -34,3 +34,15 @@ def test_script_runs_and_writes_its_output(tmp_path, capsys, name, args, outputs
     assert _main(name)(argv) == 0
     for out in outputs:
         assert (tmp_path / out).stat().st_size > 0
+
+
+@pytest.mark.parametrize("name,args", [
+    ("single_bath_sweep", ["--omegas", "nan", "--size", "10", "--out", "{tmp}/c.csv"]),
+    ("two_bath_frustration", ["--delta-t-steps", "0", "--size", "10", "--outdir", "{tmp}"]),
+    ("degenerate_exchange", ["--size", "3", "--out", "{tmp}/trace.csv"]),
+])
+def test_bad_script_arguments_exit_2(tmp_path, capsys, name, args):
+    with pytest.raises(SystemExit) as exc:
+        _main(name)([a.format(tmp=tmp_path) for a in args])
+    assert exc.value.code == 2
+    assert "error:" in capsys.readouterr().err

@@ -215,6 +215,22 @@ def test_period_map_engine_matches_literal_stepping():
                                dense.final_state.as_vector(), atol=1e-9)
 
 
+def test_failed_period_map_falls_back_to_literal_stepping(monkeypatch):
+    monkeypatch.setattr(SwitchedPropagator, "QUALITY_TOL", -1.0)   # every residual fails
+    system = _tiny_system()
+    sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
+    times = np.linspace(0.0, 30.0, 23)
+    with pytest.warns(RuntimeWarning, match="literal stepping") as caught:
+        fallback = _run(system, sched, times, t_final=30.0, engine="floquet")
+    assert len(caught) == 1
+    assert fallback.engine == "dense"
+    dense = _run(system, sched, times, t_final=30.0, engine="dense")
+    np.testing.assert_array_equal(fallback.q, dense.q)
+    np.testing.assert_array_equal(fallback.p, dense.p)
+    np.testing.assert_array_equal(fallback.final_state.as_vector(),
+                                  dense.final_state.as_vector())
+
+
 def test_sample_times_snap_to_the_nearest_step():
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=1, step_size=0.02)
