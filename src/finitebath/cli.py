@@ -162,7 +162,10 @@ def cmd_single(args: argparse.Namespace) -> int:
     if not curve.points:
         manifest.finish()
         manifest.write(out / "manifest.json")
-        raise curve.failures[-1].error
+        # as for sweep: a numerical failure of any seed outranks fit failures
+        errors = [f.error for f in curve.failures]
+        raise next((e for e in reversed(errors) if isinstance(e, NumericalError)),
+                   errors[-1])
     temperature, sigma = curve.temperature[0], curve.sigma[0]
     print(f"aggregate over {len(curve.points)} seeds: "
           f"T = {fmt(temperature)} +- {fmt(sigma)}")

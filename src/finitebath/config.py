@@ -8,11 +8,10 @@ and every error message names the offending key.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 from .model import INVERSE_SQUARE, SQUARE, UNIFORM, BathSpec, DensityOfStates
 from .stats import SamplingPlan
-from .experiments import BARE, RENORMALIZED, SweepSpec
+from .experiments import SweepSpec
 
 
 class ConfigError(ValueError):
@@ -70,10 +69,7 @@ _CASTERS = {
     "span_factor": _as_float,
     "propagator": _as_choice({"eigen", "rk4"}),
     "delta_t_steps": _as_int,
-    "steps_per_period": _as_int,
     "step_size": _as_float,
-    "active_first": _as_int,
-    "energy_convention": _as_choice({BARE, RENORMALIZED}),
     "renormalization": _as_choice({"switched", "static"}),
 }
 for _prefix in ("bath1", "bath2"):
@@ -160,10 +156,7 @@ def build_sweep_spec(cfg: dict, omega_override=None,
     for key, name in (("mass", "tp_mass"), ("initial_energy", "initial_energy"),
                       ("seeds", "seeds"), ("n_bins", "n_bins"),
                       ("span_factor", "span_factor"), ("propagator", "propagator"),
-                      ("delta_t_steps", "delta_t_steps"),
-                      ("steps_per_period", "steps_per_period"),
-                      ("step_size", "step_size"), ("active_first", "active_first"),
-                      ("energy_convention", "energy_convention"),
+                      ("delta_t_steps", "delta_t_steps"), ("step_size", "step_size"),
                       ("renormalization", "renormalization")):
         if key in cfg:
             kwargs[name] = cfg[key]

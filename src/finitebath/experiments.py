@@ -26,13 +26,9 @@ from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
                     build_histogram, check_bin_count, fit_energy_samples,
-                    fit_temperature, make_sampling_times, sample_skewness)
+                    fit_temperature, make_sampling_times)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
-
-BARE = "bare"
-RENORMALIZED = "renormalized"
-
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -49,10 +45,7 @@ class SweepSpec:
     span_factor: float = DEFAULT_SPAN_FACTOR
     propagator: str = "eigen"        # "eigen" or "rk4" (continuous stepping)
     delta_t_steps: int = 1
-    steps_per_period: int = 50
     step_size: float | None = None   # None: derived from the fastest frequency
-    active_first: int = 1
-    energy_convention: str = BARE
     renormalization: str = "switched"   # two-bath stiffness bookkeeping
 
     def __post_init__(self):
@@ -68,19 +61,15 @@ class SweepSpec:
             raise ValueError(f"initial_energy must be >= 0, got {self.initial_energy}")
         if self.propagator not in ("eigen", "rk4"):
             raise ValueError(f"unknown propagator {self.propagator!r}")
-        if self.energy_convention not in (BARE, RENORMALIZED):
-            raise ValueError(f"unknown energy convention {self.energy_convention!r}")
         if self.renormalization not in ("switched", "static"):
             raise ValueError(f"unknown renormalization {self.renormalization!r}")
-        if self.steps_per_period < 1:
-            raise ValueError(f"steps_per_period must be >= 1, got {self.steps_per_period}")
         if self.span_factor <= 0.0:
             raise ValueError(f"span_factor must be positive, got {self.span_factor}")
         # the checks the histogram, the particle and the schedule make at run
         # time; an unset step size is derived per point, positive by construction
         check_bin_count(self.n_bins)
         TestParticleSpec(mass=self.tp_mass)
-        SwitchSchedule(delta_t_steps=self.delta_t_steps, active_first=self.active_first,
+        SwitchSchedule(delta_t_steps=self.delta_t_steps,
                        step_size=1.0 if self.step_size is None else self.step_size)
 
     def test_particle(self, omega: float) -> TestParticleSpec:
@@ -93,10 +82,10 @@ class SweepSpec:
 class PointResult:
     """One (omega, seed) simulation reduced to its statistics.
 
-    ``fit`` is None when the energy distribution is not Boltzmann-like
-    (e.g. the decoupled high-frequency regime, where the distribution
-    is a narrow Gaussian); the histogram, mean, and skewness are still
-    recorded so the regime remains identifiable.
+    The energies are bare particle energies.  ``fit`` is None when their
+    distribution is not Boltzmann-like (e.g. the decoupled high-frequency
+    regime, where it is a narrow Gaussian); the histogram and mean are
+    still recorded so the regime remains identifiable.
     """
 
     omega: float
@@ -104,7 +93,6 @@ class PointResult:
     fit: TemperatureFit | None
     hist: EnergyHistogram
     mean_energy: float
-    skewness: float
     bath_final: tuple        # per bath TemperatureFit or None (too small to fit)
     max_snap_distance: float
     n_steps: int
@@ -129,12 +117,9 @@ def _fit_bath_block(energies) -> TemperatureFit | None:
         return None
 
 
-def _reduce_samples(spec, omega, seed, q, p, renorm_spring, final_state,
+def _reduce_samples(spec, omega, seed, q, p, reals, final_state,
                     max_snap=0.0, n_steps=0) -> PointResult:
-    tp = spec.test_particle(omega)
-    energies = bare_energy(q, p, tp)
-    if spec.energy_convention == RENORMALIZED:
-        energies = energies + 0.5 * renorm_spring * q * q
+    energies = bare_energy(q, p, spec.test_particle(omega))
     hist = build_histogram(energies, spec.n_bins,
                            spec.span_factor * float(np.mean(energies)))
     try:
@@ -143,18 +128,11 @@ def _reduce_samples(spec, omega, seed, q, p, renorm_spring, final_state,
         fit, fit_error = None, err
     bath_final = tuple(
         _fit_bath_block(oscillator_energies(bq, bp, real.frequencies, real.m))
-        for real, bq, bp in zip_baths(final_state))
+        for real, bq, bp in zip(reals, final_state.bath_q, final_state.bath_p))
     return PointResult(omega=omega, seed=seed, fit=fit, hist=hist,
                        mean_energy=float(np.mean(energies)),
-                       skewness=sample_skewness(energies),
                        bath_final=bath_final, max_snap_distance=max_snap,
                        n_steps=n_steps, fit_error=fit_error)
-
-
-def zip_baths(final):
-    """(realization, q block, p block) triples of a (reals, state) pair."""
-    reals, state = final
-    return [(r, state.bath_q[i], state.bath_p[i]) for i, r in enumerate(reals)]
 
 
 # The normal-mode flow conserves the Hamiltonian exactly; what remains
@@ -189,23 +167,18 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
     state0 = SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
                          bath_q=(real.positions,), bath_p=(real.momenta,))
     v0 = state0.as_vector()
-    renorm = float(np.sum(real.m * real.frequencies**2))
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
     if spec.propagator == "eigen":
         prop = diagonalize(cm, v0)
         q, p = prop.sample_test_particle(times)
         final = full_state(prop, float(times[-1]))
         _check_energy_drift(state0, final, tp, real)
-        return _reduce_samples(spec, omega, seed, q, p, renorm,
-                               ((real,), final))
+        return _reduce_samples(spec, omega, seed, q, p, (real,), final)
     # continuous RK4: both switch phases use the engaged bath
     system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
-    dt = spec.step_size or default_step_size(tp, (real.frequencies,),
-                                             spec.steps_per_period)
-    schedule = SwitchSchedule(delta_t_steps=1, step_size=dt, active_first=1)
-    res = SwitchedPropagator(system, schedule).run(v0, times)
-    return _reduce_samples(spec, omega, seed, res.q, res.p, renorm,
-                           ((real,), res.final_state),
+    dt = spec.step_size or default_step_size(tp, (real.frequencies,))
+    res = SwitchedPropagator(system, SwitchSchedule(step_size=dt)).run(v0, times)
+    return _reduce_samples(spec, omega, seed, res.q, res.p, (real,), res.final_state,
                            max_snap=res.max_snap_distance, n_steps=res.n_steps)
 
 
@@ -217,22 +190,12 @@ def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
     r1 = realize_bath(spec.bath1, seed, 0)
     r2 = realize_bath(spec.bath2, seed, 1)
     system = build_switched_matrices(tp, r1, r2, renormalization=spec.renormalization)
-    dt = spec.step_size or default_step_size(
-        tp, (r1.frequencies, r2.frequencies), spec.steps_per_period)
-    schedule = SwitchSchedule(delta_t_steps=spec.delta_t_steps, step_size=dt,
-                              active_first=spec.active_first)
+    dt = spec.step_size or default_step_size(tp, (r1.frequencies, r2.frequencies))
+    schedule = SwitchSchedule(delta_t_steps=spec.delta_t_steps, step_size=dt)
     times = make_sampling_times(
         spec.plan, substream(seed, SAMPLING_TIMES).generator())
     res = SwitchedPropagator(system, schedule).run(system.initial_vector(), times)
-    if spec.energy_convention == RENORMALIZED:
-        s1 = float(np.sum(r1.m * r1.frequencies**2))
-        s2 = float(np.sum(r2.m * r2.frequencies**2))
-        active1 = np.array([schedule.bath1_active(int(s)) for s in res.steps])
-        renorm = np.where(active1, s1, s2)
-    else:
-        renorm = 0.0
-    return _reduce_samples(spec, omega, seed, res.q, res.p, renorm,
-                           ((r1, r2), res.final_state),
+    return _reduce_samples(spec, omega, seed, res.q, res.p, (r1, r2), res.final_state,
                            max_snap=res.max_snap_distance, n_steps=res.n_steps)
 
 
@@ -266,10 +229,6 @@ class ThermalizationCurve:
     failures: tuple         # PointFailure per failed (omega, seed)
     points: tuple           # fitted PointResults, grid order then seed order
     spec: SweepSpec
-
-    @property
-    def n_baths(self) -> int:
-        return len(self.bath_initial)
 
 
 def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
@@ -411,10 +370,18 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     The particle frequency is set to omega_r sqrt(1 - xi) so that its
     renormalized frequency matches the bath line exactly.  The bath is
     drawn at temperature 1; pairwise cancellation leaves its collective
-    coordinate at rest whatever the temperature.
+    coordinate at rest whatever the temperature.  Out-of-range inputs
+    are a ValueError before the bath is built.
     """
     from .bath import pairwise_cancelled
 
+    if n < 1 or n_periods < 1:
+        raise ValueError(f"need n >= 1 and n_periods >= 1, got n={n}, "
+                         f"n_periods={n_periods}")
+    if not (0.0 < e0 < np.inf and 0.0 < omega_r < np.inf):
+        raise ValueError(f"e0 and omega_r must be finite and positive, got "
+                         f"e0={e0}, omega_r={omega_r}")
+    dnu = exchange_splitting(omega_r, xi)
     m = xi / float(n)                       # test particle mass is 1
     omega = omega_r * np.sqrt(1.0 - xi)
     dos = DensityOfStates("uniform", omega_r, omega_r)
@@ -427,7 +394,6 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
                      bath_p=(real.momenta,)).as_vector()
     prop = diagonalize(build_multi_coupling_matrix(tp, [(m, real.frequencies, True)]), v0)
 
-    dnu = exchange_splitting(omega_r, xi)
     t_beat = 2.0 * np.pi / dnu
     times = np.linspace(0.0, n_periods * t_beat, n_grid)
     q, p = prop.sample_test_particle(times)

@@ -19,8 +19,6 @@ from typing import Sequence
 
 import numpy as np
 
-kb = 1.0
-
 UNIFORM = "uniform"
 INVERSE_SQUARE = "inverse_square"
 SQUARE = "square"
@@ -98,37 +96,6 @@ class DensityOfStates:
                 d = 1.0 / (omega**2 * (1.0 / a - 1.0 / b))
         return np.where((omega >= a) & (omega <= b), d, 0.0)
 
-    def mean(self) -> float:
-        a, b = self.omega_ir, self.omega_uv
-        if self.degenerate:
-            return a
-        if self.family == UNIFORM:
-            return 0.5 * (a + b)
-        if self.family == SQUARE:
-            return 0.75 * (b**4 - a**4) / (b**3 - a**3)
-        return float(np.log(b / a) / (1.0 / a - 1.0 / b))
-
-    def median(self) -> float:
-        a, b = self.omega_ir, self.omega_uv
-        if self.degenerate:
-            return a
-        if self.family == UNIFORM:
-            return 0.5 * (a + b)
-        if self.family == SQUARE:
-            return float(np.cbrt(0.5 * (a**3 + b**3)))
-        return 2.0 * a * b / (a + b)
-
-    def mean_square(self) -> float:
-        """Band average of w^2, the scale of the frequency pulling by a bath."""
-        a, b = self.omega_ir, self.omega_uv
-        if self.degenerate:
-            return a * a
-        if self.family == UNIFORM:
-            return (b**3 - a**3) / (3.0 * (b - a))
-        if self.family == SQUARE:
-            return 0.6 * (b**5 - a**5) / (b**3 - a**3)
-        return a * b
-
 
 @dataclass(frozen=True)
 class TestParticleSpec:
@@ -144,9 +111,6 @@ class TestParticleSpec:
             raise ValueError(f"test particle mass must be positive, got {self.mass}")
         if self.omega < 0.0:
             raise ValueError(f"test particle frequency must be >= 0, got {self.omega}")
-
-    def initial_energy(self) -> float:
-        return bare_energy(self.q0, self.p0, self)
 
 
 @dataclass(frozen=True)
@@ -275,11 +239,6 @@ def bare_energy(q, p, tp: TestParticleSpec):
     return p * p / (2.0 * tp.mass) + 0.5 * tp.mass * tp.omega**2 * q * q
 
 
-def test_particle_energy(state: SystemState, tp: TestParticleSpec) -> float:
-    """Bare test particle energy of a state snapshot."""
-    return float(bare_energy(state.test_q, state.test_p, tp))
-
-
 def total_energy(state: SystemState, tp: TestParticleSpec,
                  baths: Sequence[tuple]) -> float:
     """Full Hamiltonian of a state.
@@ -295,7 +254,7 @@ def total_energy(state: SystemState, tp: TestParticleSpec,
         raise ValueError(
             f"state holds {len(state.bath_q)} baths but {len(baths)} were described"
         )
-    h = test_particle_energy(state, tp)
+    h = float(bare_energy(state.test_q, state.test_p, tp))
     for i, ((real, active), q, p) in enumerate(zip(baths, state.bath_q, state.bath_p)):
         if len(q) != real.size:
             raise ValueError(

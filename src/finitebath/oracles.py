@@ -1,10 +1,9 @@
 """Closed-form references the microscopic simulation is checked against.
 
 These are small, independent implementations of the analytic limits of
-the model: the memory kernel and fluctuation force of the generalized
-Langevin form, the Markovian Langevin reference, the zero bandwidth
-exchange law with its arcsine sampling distribution, the frequency
-renormalization scaling, and the two temperature mixture with its
+the model: the memory kernel of the generalized Langevin form, the
+Markovian Langevin reference, the zero bandwidth exchange law with its
+arcsine sampling distribution, and the two temperature mixture with its
 effective temperature.
 """
 
@@ -13,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 from scipy import stats as sp_stats
 
-from .model import BathRealization, BathSpec, TestParticleSpec, bare_energy
+from .model import BathSpec, TestParticleSpec, bare_energy
 
 
 def memory_kernel(frequencies, m: float, tau) -> np.ndarray:
@@ -22,22 +21,6 @@ def memory_kernel(frequencies, m: float, tau) -> np.ndarray:
     tau = np.asarray(tau, dtype=float)
     spring = m * frequencies**2
     return np.cos(np.multiply.outer(tau, frequencies)) @ spring
-
-
-def fluctuation_force(real: BathRealization, tp: TestParticleSpec, t,
-                      t0: float = 0.0) -> np.ndarray:
-    """Pi(t) from the bath initial conditions, the GLE driving force.
-
-    Pi(t) = sum_n m w_n^2 [ (q_n(t0) - Q(t0)) cos(w_n (t - t0))
-                            + p_n(t0) / (m w_n) sin(w_n (t - t0)) ]
-    """
-    t = np.asarray(t, dtype=float)
-    w = real.frequencies
-    spring = real.m * w**2
-    phase = np.multiply.outer(t - t0, w)
-    cos_part = (real.positions - tp.q0) * spring
-    sin_part = real.momenta * w
-    return np.cos(phase) @ cos_part + np.sin(phase) @ sin_part
 
 
 def langevin_friction(tp: TestParticleSpec, bath: BathSpec, omega: float) -> float:
@@ -111,13 +94,6 @@ def arcsine_distribution_check(samples, e0: float) -> tuple[float, float]:
             "they cannot follow the arcsine exchange law")
     result = sp_stats.kstest(samples, lambda e: arcsine_cdf(e, e0))
     return float(result.statistic), float(result.pvalue)
-
-
-def renormalized_frequency(omega: float, xi: float) -> float:
-    """Effective particle frequency sqrt(1 + xi) Omega, xi = N m / M."""
-    if xi < 0.0:
-        raise ValueError(f"mass ratio xi must be >= 0, got {xi}")
-    return float(np.sqrt(1.0 + xi) * omega)
 
 
 def mixture_distribution(e, t1: float, t2: float) -> np.ndarray:

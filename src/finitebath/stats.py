@@ -46,10 +46,6 @@ class SamplingPlan:
         if self.warmup < 0.0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
 
-    def horizon(self) -> float:
-        """Expected time of the last sample."""
-        return self.warmup + self.mean_interval * self.n_samples
-
 
 def make_sampling_times(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
     """Strictly increasing sample times starting after the warmup."""
@@ -112,9 +108,6 @@ class TemperatureFit:
     n_bins_used: int
     goodness: float       # weighted sum of squared log residuals
 
-    def ratio(self, reference: float) -> float:
-        return self.temperature / reference
-
 
 def fit_temperature(hist: EnergyHistogram) -> TemperatureFit:
     """T = -1/slope of ln N_i versus bin center, weights w_i = N_i."""
@@ -171,13 +164,3 @@ def aggregate_seeds(fits) -> tuple[float, float]:
         raise ValueError("every fit needs a positive standard error")
     w = 1.0 / s**2
     return float(np.sum(w * t) / np.sum(w)), float(1.0 / np.sqrt(np.sum(w)))
-
-
-def sample_skewness(x) -> float:
-    """Third standardized moment; 2 for an exponential, 0 for a Gaussian."""
-    x = np.asarray(x, dtype=float)
-    m = np.mean(x)
-    s2 = np.mean((x - m) ** 2)
-    if s2 == 0.0:
-        return 0.0
-    return float(np.mean((x - m) ** 3) / s2**1.5)

@@ -2,19 +2,19 @@
 
 The coupling is switched as a square wave: bath 1 is engaged during
 step blocks [2k dT, (2k+1) dT) and bath 2 during the complementary
-blocks (or the other way round).  Two drift matrices A1 and A2 of the
-same dimension describe the two contact phases; during its off phase a
-bath evolves freely and exerts no force on the particle.
+blocks.  Two drift matrices A1 and A2 of the same dimension describe
+the two contact phases; during its off phase a bath evolves freely and
+exerts no force on the particle.
 
 Switching happens only on step boundaries, and observations are snapped
 to the nearest completed step (distance <= dt/2, reported).
 
 Because the system is linear, one classical RK4 step equals multiplying
 by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs exploit
-that: the map over one full switching period is diagonalized once, after
-which any sample time costs O(N) instead of stepping there.  The
-spectral engine is checked against the literal stepping engine and
-falls back to it when the factorization looks degraded.
+that: the map over one full switching period is diagonalized once per
+run, after which any sample time costs O(N) instead of stepping there.
+A factorization whose residual looks degraded is a NumericalError:
+stepping a long run literally instead would take hours.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
@@ -32,7 +32,6 @@ run would otherwise grow by orders of magnitude without overflowing.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -49,15 +48,12 @@ class SwitchSchedule:
 
     delta_t_steps: int = 1
     step_size: float = 0.02
-    active_first: int = 1
 
     def __post_init__(self):
         if self.delta_t_steps < 1:
             raise ValueError(f"delta_t_steps must be >= 1, got {self.delta_t_steps}")
         if self.step_size <= 0.0:
             raise ValueError(f"step_size must be positive, got {self.step_size}")
-        if self.active_first not in (1, 2):
-            raise ValueError(f"active_first must be 1 or 2, got {self.active_first}")
 
     @property
     def period_steps(self) -> int:
@@ -65,19 +61,17 @@ class SwitchSchedule:
 
     def bath1_active(self, step: int) -> bool:
         """Whether bath 1 is engaged during step index `step`."""
-        first = (step // self.delta_t_steps) % 2 == 0
-        return first if self.active_first == 1 else not first
+        return (step // self.delta_t_steps) % 2 == 0
 
 
-DEFAULT_STEPS_PER_PERIOD = 50
+STEPS_PER_PERIOD = 50
 
 # RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)
 RK4_STABILITY_LIMIT = 2.0 * np.sqrt(2.0)
 
 
-def default_step_size(tp: TestParticleSpec, frequencies,
-                      steps_per_period: int = DEFAULT_STEPS_PER_PERIOD) -> float:
-    """One steps_per_period'th of the shortest period in the system.
+def default_step_size(tp: TestParticleSpec, frequencies) -> float:
+    """One STEPS_PER_PERIOD'th of the shortest period in the system.
 
     The particle frequency participates too: a stiff particle that RK4
     does not resolve would be damped artificially over long runs.
@@ -86,7 +80,7 @@ def default_step_size(tp: TestParticleSpec, frequencies,
             tp.omega)
     if w <= 0.0:
         raise ValueError("need at least one positive frequency to set a step size")
-    return 2.0 * np.pi / w / steps_per_period
+    return 2.0 * np.pi / w / STEPS_PER_PERIOD
 
 
 @dataclass(frozen=True)
@@ -191,16 +185,14 @@ class SwitchedRunResult:
     max_snap_distance: float
     n_steps: int
     engine: str
-    schedule: SwitchSchedule
 
 
 class SwitchedPropagator:
     """Propagates one TwoBathSystem under one schedule.
 
-    The object owns only matrix-level data (step maps and, lazily, the
-    period map factorization), so one instance can serve many initial
-    conditions of the same system, e.g. the same frequency draw filled
-    at different temperatures.  A continuous system (a2 is a1) is
+    The object owns only the step maps, so one instance can serve many
+    initial conditions of the same system; the period map is factorized
+    by each run that uses it.  A continuous system (a2 is a1) is
     sampled through its normal modes and builds its step map only when
     a stepping engine is requested by name.
     """
@@ -224,8 +216,6 @@ class SwitchedPropagator:
         self.u1 = self.u2 = None
         if not self.continuous:
             self._build_step_maps()
-        self._floq = None
-        self._floq_broken = False
 
     def _build_step_maps(self):
         h = self.schedule.step_size
@@ -289,27 +279,17 @@ class SwitchedPropagator:
         mu, s_mat = np.linalg.eig(u_period)
         res = np.linalg.norm(u_period @ s_mat - s_mat * mu[None, :])
         rel = res / max(np.linalg.norm(u_period), 1e-300)
-        if rel > self.QUALITY_TOL:
-            warnings.warn(
-                f"period map factorization residual {rel:.2e} too large; "
-                "using literal stepping", RuntimeWarning, stacklevel=3)
-            self._floq_broken = True
-            return None
+        if not rel <= self.QUALITY_TOL:      # NaN fails too
+            raise NumericalError(
+                f"period map factorization residual {rel:.2e} exceeds "
+                f"{self.QUALITY_TOL:g}")
         for r in range(period):
             rows01[r] = prefix_rows[r] @ s_mat
-        log_mu = np.log(mu)
-        return {"mu": mu, "log_mu": log_mu, "s": s_mat, "rows01": rows01,
+        return {"log_mu": np.log(mu), "s": s_mat, "rows01": rows01,
                 "period": period}
 
-    def _floquet(self):
-        if self._floq is None and not self._floq_broken:
-            self._floq = self._build_floquet()
-        return self._floq
-
     def _run_floquet(self, v0, steps_wanted, final_step):
-        fl = self._floquet()
-        if fl is None:
-            return self._run_dense(v0, steps_wanted, final_step)
+        fl = self._build_floquet()
         period = fl["period"]
         vprime0 = np.linalg.solve(fl["s"], v0.astype(complex))
         q = np.empty(len(steps_wanted))
@@ -363,8 +343,9 @@ class SwitchedPropagator:
         accuracy and are interchangeable.  "auto" samples a continuous
         system through its normal modes (reported as engine "modes";
         EigensolverError for a zero mode) and picks the period map or
-        stepping for a switched one by run length.  t_final defaults to
-        the last (snapped) sample time.
+        stepping for a switched one by run length; a period map that
+        factorizes with a residual above QUALITY_TOL is a NumericalError.
+        t_final defaults to the last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):
@@ -392,13 +373,12 @@ class SwitchedPropagator:
                 self._build_step_maps()
             if engine == "floquet":
                 q, p, final_v = self._run_floquet(v0, steps, final_step)
-                used = "dense" if self._floq_broken else "floquet"
             else:
                 q, p, final_v = self._run_dense(v0, steps, final_step)
-                used = "dense"
+            used = engine
 
         final_state = SystemState.from_vector(
             final_v, self.system.a1.bath_sizes, time=final_step * h)
         return SwitchedRunResult(times=snapped, steps=steps, q=q, p=p,
                                  final_state=final_state, max_snap_distance=max_snap,
-                                 n_steps=last, engine=used, schedule=self.schedule)
+                                 n_steps=last, engine=used)

@@ -9,6 +9,7 @@ from finitebath import experiments, propagator
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
 from finitebath.propagator import NumericalError
 from finitebath.output import read_curve, read_histogram
+from finitebath.stats import FitError
 
 QUICK = {
     "bath1_size": 150,
@@ -156,6 +157,24 @@ def test_sweep_where_every_point_fails_numerically_exits_3(
                         for w in (0.3, 0.5) for s in (1, 2)]
 
 
+def test_single_exits_3_when_any_seed_failed_numerically(
+        tmp_path, quick_config, monkeypatch, capsys):
+    def failing_point(omega, spec, seed, **kwargs):
+        if seed == 1:
+            raise NumericalError("switched run diverged")
+        raise FitError("only 2 nonempty bins")
+
+    monkeypatch.setattr(experiments, "run_single_bath_point", failing_point)
+    out = tmp_path / "run"
+    code = main(["single", "--config", str(quick_config), "--omega", "0.5",
+                 "--seed-list", "1", "2", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    assert "numerical failure: switched run diverged" in capsys.readouterr().err
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [[0.5, 1, "NumericalError: switched run diverged"],
+                        [0.5, 2, "FitError: only 2 nonempty bins"]]
+
+
 def test_secular_solver_failure_exits_3(tmp_path, quick_config, monkeypatch, capsys):
     monkeypatch.setattr(propagator, "dlasd4",
                         lambda i, d, z: (np.ones_like(d), 1.0, np.ones_like(d), 1))
@@ -231,8 +250,7 @@ def test_non_finite_numbers_are_config_errors(tmp_path, quick_config, capsys,
 
 
 @pytest.mark.parametrize("override", [
-    "step_size=-1", "delta_t_steps=0", "active_first=3", "steps_per_period=0",
-    "n_bins=0", "span_factor=-1", "mass=0"])
+    "step_size=-1", "delta_t_steps=0", "n_bins=0", "span_factor=-1", "mass=0"])
 def test_bad_run_parameters_fail_before_running(tmp_path, twobath_config,
                                                 capsys, override):
     out = tmp_path / "x"
@@ -240,6 +258,18 @@ def test_bad_run_parameters_fail_before_running(tmp_path, twobath_config,
                  "--set", override, "--out", str(out)])
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith("error: ")
+    assert not (out / "manifest.json").exists()
+
+
+@pytest.mark.parametrize("override", [
+    "energy_convention=bare", "active_first=1", "steps_per_period=50"])
+def test_removed_run_options_are_unknown_keys(tmp_path, twobath_config, capsys,
+                                              override):
+    out = tmp_path / "x"
+    code = main(["twobath", "--config", str(twobath_config),
+                 "--set", override, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert "unknown config key" in capsys.readouterr().err
     assert not (out / "manifest.json").exists()
 
 

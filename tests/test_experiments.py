@@ -17,7 +17,7 @@ from finitebath.experiments import (
     smoothed_curve,
 )
 from finitebath import experiments, propagator, switched
-from finitebath.model import BathSpec, DensityOfStates
+from finitebath.model import BathSpec, DensityOfStates, bare_energy
 from finitebath.stats import SamplingPlan
 
 BAND = DensityOfStates("uniform", 0.2, 1.0)
@@ -72,8 +72,6 @@ def test_sweep_spec_validation():
         _quick_spec(initial_energy=-1.0)
     with pytest.raises(ValueError, match="unknown propagator"):
         _quick_spec(propagator="verlet")
-    with pytest.raises(ValueError, match="unknown energy convention"):
-        _quick_spec(energy_convention="free")
     with pytest.raises(ValueError, match="unknown renormalization"):
         _quick_spec(renormalization="half")
 
@@ -83,7 +81,7 @@ def test_spec_puts_the_initial_energy_in_the_momentum():
     tp = spec.test_particle(0.5)
     assert tp.q0 == 0.0
     assert tp.p0 == pytest.approx(np.sqrt(32.0))
-    assert tp.initial_energy() == pytest.approx(8.0)
+    assert bare_energy(tp.q0, tp.p0, tp) == pytest.approx(8.0)
 
 
 # -- single bath points ------------------------------------------------
@@ -156,7 +154,7 @@ def test_sweep_covers_the_grid_and_flags_the_decoupled_regime():
     spec = _quick_spec(omega_grid=(0.5, 10.0), seeds=(1, 2))
     curve = run_sweep(spec)
     assert curve.omegas.shape == (2,)
-    assert curve.n_baths == 1
+    assert len(curve.bath_initial) == 1
     assert 3.0 < curve.temperature[0] < 8.0
     # decoupled: either no thermal fit at all or a freezing temperature
     assert np.isnan(curve.temperature[1]) or curve.temperature[1] < 1.5
@@ -171,10 +169,10 @@ def test_two_bath_sweep_produces_alone_curves():
         omega_grid=(0.4,), bath1=small, bath2=small, seeds=(1, 2),
         plan=SamplingPlan(mean_interval=1.5, n_samples=200, warmup=50.0))
     res = run_two_bath_sweep(spec)
-    assert res.combined.n_baths == 2
+    assert len(res.combined.bath_initial) == 2
     assert len(res.alone) == 2
     for curve in res.alone:
-        assert curve.n_baths == 1
+        assert len(curve.bath_initial) == 1
         assert curve.omegas.shape == (1,)
     with pytest.raises(ValueError, match="bath2"):
         run_two_bath_sweep(_quick_spec())

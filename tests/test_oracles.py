@@ -1,29 +1,26 @@
-"""Closed-form references: kernel, GLE force, Langevin limit, exchange law,
-frequency renormalization and the two temperature mixture."""
+"""Closed-form references: kernel, Langevin limit, exchange law and the
+two temperature mixture."""
 
 import numpy as np
 import pytest
 
 from finitebath.bath import realize_bath
 from finitebath.experiments import exchange_splitting
-from finitebath.model import (BathRealization, BathSpec, DensityOfStates,
-                              TestParticleSpec)
+from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
 from finitebath.oracles import (
     arcsine_cdf,
     arcsine_distribution_check,
     degenerate_energy_series,
     effective_temperature,
-    fluctuation_force,
     langevin_friction,
     langevin_reference,
     memory_kernel,
     mixture_distribution,
-    renormalized_frequency,
 )
 from finitebath.propagator import build_multi_coupling_matrix, diagonalize
 
 
-# -- memory kernel and fluctuation force --------------------------------
+# -- memory kernel ------------------------------------------------------
 
 
 def test_kernel_at_zero_lag_is_the_spring_sum():
@@ -39,20 +36,6 @@ def test_kernel_hand_value_and_shape():
     out = memory_kernel(w, 0.5, tau)
     np.testing.assert_allclose(out, 2.0 * np.cos(2.0 * tau), rtol=1e-14)
     assert out.shape == (3,)
-
-
-def test_fluctuation_force_single_oscillator():
-    # m = 2, w = 3, bath (q, p) = (0.5, 1.2), particle at Q0 = 0.1:
-    # Pi(t) = m w^2 (q - Q0) cos(w t) + p w sin(w t)
-    real = BathRealization(frequencies=np.array([3.0]),
-                          energies=np.array([2.61]),
-                          positions=np.array([0.5]),
-                          momenta=np.array([1.2]), m=2.0)
-    tp = TestParticleSpec(mass=1.0, omega=1.0, q0=0.1)
-    t = np.array([0.0, 0.7, 2.3])
-    expected = 18.0 * 0.4 * np.cos(3.0 * t) + 1.2 * 3.0 * np.sin(3.0 * t)
-    np.testing.assert_allclose(fluctuation_force(real, tp, t), expected,
-                               rtol=1e-12)
 
 
 # -- Markovian limit ----------------------------------------------------
@@ -145,16 +128,6 @@ def test_arcsine_check_accepts_true_arcsine_samples():
 def test_arcsine_check_rejects_out_of_band_samples():
     with pytest.raises(ValueError, match="outside"):
         arcsine_distribution_check(np.array([0.5, 1.5]), 1.0)
-
-
-# -- renormalization ----------------------------------------------------
-
-
-def test_renormalized_frequency_scaling():
-    assert renormalized_frequency(2.0, 0.21) == pytest.approx(2.2, rel=1e-12)
-    assert renormalized_frequency(0.5, 0.0) == 0.5
-    with pytest.raises(ValueError, match="xi"):
-        renormalized_frequency(1.0, -0.1)
 
 
 # -- two temperature mixture --------------------------------------------

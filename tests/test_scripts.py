@@ -40,6 +40,10 @@ def test_script_runs_and_writes_its_output(tmp_path, capsys, name, args, outputs
     ("single_bath_sweep", ["--omegas", "nan", "--size", "10", "--out", "{tmp}/c.csv"]),
     ("two_bath_frustration", ["--delta-t-steps", "0", "--size", "10", "--outdir", "{tmp}"]),
     ("degenerate_exchange", ["--size", "3", "--out", "{tmp}/trace.csv"]),
+    ("degenerate_exchange", ["--size", "0", "--out", "{tmp}/trace.csv"]),
+    ("degenerate_exchange", ["--xi", "2", "--out", "{tmp}/trace.csv"]),
+    ("degenerate_exchange", ["--n-periods", "0", "--out", "{tmp}/trace.csv"]),
+    ("degenerate_exchange", ["--e0", "-5", "--out", "{tmp}/trace.csv"]),
 ])
 def test_bad_script_arguments_exit_2(tmp_path, capsys, name, args):
     with pytest.raises(SystemExit) as exc:
