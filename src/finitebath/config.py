@@ -121,16 +121,13 @@ def build_sweep_spec(cfg: dict, omega_override=None,
                      seeds_override=None) -> SweepSpec:
     """Assemble the sweep description a config describes.
 
-    omega_override (a single frequency or a grid) and seeds_override
-    take precedence over the config values, which is how command line
-    flags win over the file.
+    omega_override (one frequency) and seeds_override take precedence
+    over the config values, which is how command line flags win over
+    the file.
     """
     cfg = dict(cfg)
     if omega_override is not None:
-        if isinstance(omega_override, (list, tuple)):
-            cfg["omega_grid"] = tuple(float(w) for w in omega_override)
-        else:
-            cfg["omega_grid"] = (float(omega_override),)
+        cfg["omega_grid"] = (float(omega_override),)
     elif "omega" in cfg and "omega_grid" not in cfg:
         cfg["omega_grid"] = (cfg["omega"],)
     if "omega_grid" not in cfg:

@@ -87,7 +87,12 @@ def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path) -> N
 
 
 def read_histogram(path) -> EnergyHistogram:
-    """Read back an emitted histogram CSV."""
+    """Read back an emitted histogram CSV.
+
+    ValueError unless the edges are finite, strictly increasing and
+    contiguous (each bin_lo is the previous bin_hi) and no count is
+    negative.
+    """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != "bin_lo,bin_hi,count":
         raise ValueError(f"{path}: not a histogram CSV (bad header)")
@@ -99,8 +104,16 @@ def read_histogram(path) -> EnergyHistogram:
         lo.append(float(a))
         hi.append(float(b))
         counts.append(int(c))
-    edges = np.array(lo + [hi[-1]])
-    counts = np.array(counts)
+    lo, hi, counts = np.array(lo), np.array(hi), np.array(counts)
+    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
+        raise ValueError(f"{path}: histogram edges must be finite")
+    if not np.all(hi > lo):
+        raise ValueError(f"{path}: histogram edges must strictly increase")
+    if not np.array_equal(lo[1:], hi[:-1]):
+        raise ValueError(f"{path}: each bin_lo must equal the previous bin_hi")
+    if np.any(counts < 0):
+        raise ValueError(f"{path}: histogram counts must be non-negative")
+    edges = np.append(lo, hi[-1])
     return EnergyHistogram(bin_edges=edges, counts=counts, overflow=0,
                            total_samples=int(counts.sum()))
 

@@ -54,7 +54,9 @@ Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 (hA)^4/24 of the drift matrix, so it has the same normal modes: one step
 multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}.  n steps are the
 mode form with nu_k t replaced by n phi_k and scaled by rho_k^n, which
-sample_rk4 and rk4_full_state evaluate without stepping.
+sample_rk4 and rk4_full_state evaluate without stepping.  The same
+stability rule, h nu_max <= 2 sqrt(2), holds for these and for the
+switched pair's stepping (check_rk4_stability).
 """
 
 from __future__ import annotations
@@ -402,14 +404,34 @@ class EigenPropagator:
 SAMPLE_CHUNK = 250_000
 
 
+# RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)
+RK4_STABILITY_LIMIT = 2.0 * np.sqrt(2.0)
+
+
+def check_rk4_stability(h: float, nu_max: float) -> None:
+    """NumericalError if RK4 steps of size h are unstable for the mode nu_max.
+
+    Beyond h nu_max = 2 sqrt(2) a run grows by orders of magnitude
+    without overflowing, so it is rejected before it starts.
+    """
+    if h * nu_max > RK4_STABILITY_LIMIT:
+        raise NumericalError(
+            f"RK4 step h={h:g} is unstable for the fastest mode "
+            f"nu_max={nu_max:.6g}: h*nu_max={h * nu_max:.4g} exceeds "
+            f"2*sqrt(2); use step_size < {RK4_STABILITY_LIMIT / nu_max:.4g}")
+
+
 def rk4_mode_factors(nu, h: float) -> tuple[np.ndarray, np.ndarray]:
     """Phase phi and log amplitude log rho of one RK4 step on each mode.
 
     R(i theta) = 1 - theta^2/2 + theta^4/24 + i theta (1 - theta^2/6) with
     theta = h nu, and |R|^2 = 1 - theta^6/72 + theta^8/576 exactly, so
-    log rho keeps full relative accuracy however small the damping.
+    log rho keeps full relative accuracy however small the damping.  A
+    step beyond the stability limit of the fastest mode is a NumericalError.
     """
-    theta = h * np.asarray(nu, dtype=float)
+    nu = np.asarray(nu, dtype=float)
+    check_rk4_stability(h, float(np.max(nu)))
+    theta = h * nu
     t2 = theta * theta
     phi = np.arctan2(theta * (1.0 - t2 / 6.0), 1.0 - t2 / 2.0 + t2 * t2 / 24.0)
     log_rho = 0.5 * np.log1p(t2**3 * (t2 / 576.0 - 1.0 / 72.0))
@@ -417,8 +439,6 @@ def rk4_mode_factors(nu, h: float) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _as_vector(v0, dim):
-    if isinstance(v0, SystemState):
-        v0 = v0.as_vector()
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (dim,):
         raise ValueError(f"initial state has shape {v0.shape}, expected ({dim},)")

@@ -383,6 +383,15 @@ LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
     pytest.param(["twobath", "--set", "omega_grid=[0.5]", "--set", "bath2_size=10",
                   "--seed-list", "-1"], id="twobath-seed-list"),
     pytest.param(["single", "--omega", "0.5", "--set", "seeds=[-2]"], id="set-seeds"),
+    # a repeated seed is the same fit again and would shrink sigma as if independent
+    pytest.param(["single", "--omega", "0.5", "--seed-list", "1", "1"],
+                 id="single-seed-list-repeated"),
+    pytest.param(["single", "--omega", "0.5", "--set", "seeds=[2,3,2]"],
+                 id="set-seeds-repeated"),
+    pytest.param(["sweep", "--set", "omega_grid=[0.5]", "--seed-list", "4", "4"],
+                 id="sweep-seed-list-repeated"),
+    pytest.param(["twobath", "--set", "omega_grid=[0.5]", "--set", "bath2_size=10",
+                  "--seed-list", "1", "1"], id="twobath-seed-list-repeated"),
     pytest.param(["oracle", "kernel", "--seed", "-1"], id="kernel-seed"),
     pytest.param(LANGEVIN + ["--seed", "-1"], id="langevin-seed"),
     pytest.param(LANGEVIN + ["--dt", "0"], id="langevin-dt"),
@@ -458,3 +467,19 @@ def test_fit_header_only_histogram_is_a_config_error(tmp_path, capsys):
     assert main(["fit", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert "has no bins" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("rows,message", [
+    (["nan,1,9", "1,2,5", "2,3,2"], "edges must be finite"),
+    (["0,1,9", "1,inf,5"], "edges must be finite"),
+    (["0,1,9", "1,1,5", "1,2,2"], "strictly increase"),
+    (["0,2,9", "2,1,5"], "strictly increase"),
+    (["0,1,9", "1.5,2,5", "2,3,2"], "previous bin_hi"),
+    (["0,1,9", "1,2,-5", "2,3,2", "3,4,1"], "non-negative"),
+], ids=["nan-edge", "inf-edge", "empty-bin", "falling-edge", "gap", "negative-count"])
+def test_fit_malformed_histogram_is_a_config_error(tmp_path, capsys, rows, message):
+    path = tmp_path / "bad.csv"
+    path.write_text("\n".join(["bin_lo,bin_hi,count"] + rows) + "\n")
+    assert main(["fit", str(path)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert message in err and "Traceback" not in err

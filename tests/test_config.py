@@ -83,12 +83,12 @@ def test_omega_grid_beats_single_omega():
 
 
 def test_overrides_beat_the_config():
-    spec = build_sweep_spec({"omega": 0.7, "seeds": [1, 2]},
-                            omega_override=[0.9, 1.1], seeds_override=[5])
+    spec = build_sweep_spec({"omega": 0.7, "omega_grid": (0.9, 1.1), "seeds": [1, 2]},
+                            seeds_override=[5])
     assert spec.omega_grid == (0.9, 1.1)
     assert spec.seeds == (5,)
-    single = build_sweep_spec({}, omega_override=0.9)
-    assert single.omega_grid == (0.9,)
+    single = build_sweep_spec({"omega_grid": (0.9, 1.1)}, omega_override=0.7)
+    assert single.omega_grid == (0.7,)
 
 
 def test_missing_frequency_is_rejected():
