@@ -21,13 +21,13 @@ from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, oscillator_energies, total_energy)
 from .propagator import (NumericalError, build_multi_coupling_matrix,
-                         diagonalize, full_state, rk4_full_state)
+                         diagonalize, full_state)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
                     build_histogram, check_bin_count, fit_energy_samples,
                     fit_temperature, make_sampling_times)
-from .switched import (SwitchSchedule, SwitchedPropagator,
+from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
 
 @dataclass(frozen=True)
@@ -43,7 +43,7 @@ class SweepSpec:
     plan: SamplingPlan = field(default_factory=SamplingPlan)
     n_bins: int = DEFAULT_N_BINS
     span_factor: float = DEFAULT_SPAN_FACTOR
-    propagator: str = "eigen"        # "eigen" or "rk4" (single-bath RK4 steps)
+    propagator: str = "eigen"        # "eigen" or "rk4" (continuous stepping)
     delta_t_steps: int = 1
     step_size: float | None = None   # None: derived from the fastest frequency
     renormalization: str = "switched"   # two-bath stiffness bookkeeping
@@ -160,10 +160,8 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
 
     bath_index picks the bath's random streams, so a two-bath spec's
     second bath alone is spec.bath1 = bath2 drawn with bath_index 1.  On
-    the exact path the total Hamiltonian at the last sample time must
-    match its initial value (NumericalError otherwise).  RK4 snaps the
-    sample times to the nearest step and evaluates those steps through
-    the same normal modes, without stepping.
+    the normal-mode path the total Hamiltonian at the last sample time
+    must match its initial value (NumericalError otherwise).
     """
     tp = spec.test_particle(omega)
     real = realize_bath(spec.bath1, seed, bath_index)
@@ -173,19 +171,18 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
                          bath_q=(real.positions,), bath_p=(real.momenta,))
     v0 = state0.as_vector()
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
-    prop = diagonalize(cm, v0)
     if spec.propagator == "eigen":
+        prop = diagonalize(cm, v0)
         q, p = prop.sample_test_particle(times)
         final = full_state(prop, float(times[-1]))
         _check_energy_drift(state0, final, tp, real)
         return _reduce_samples(spec, omega, seed, q, p, (real,), final)
-    h = spec.step_size or default_step_size(tp, (real.frequencies,))
-    steps = np.rint(times / h)
-    q, p = prop.sample_rk4(steps, h)
-    final = rk4_full_state(prop, int(steps[-1]), h)
-    return _reduce_samples(spec, omega, seed, q, p, (real,), final,
-                           max_snap=float(np.max(np.abs(steps * h - times))),
-                           n_steps=int(steps[-1]))
+    # continuous RK4: both switch phases use the engaged bath
+    system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
+    dt = spec.step_size or default_step_size(tp, (real.frequencies,))
+    res = SwitchedPropagator(system, SwitchSchedule(step_size=dt)).run(v0, times)
+    return _reduce_samples(spec, omega, seed, res.q, res.p, (real,), res.final_state,
+                           max_snap=res.max_snap_distance, n_steps=res.n_steps)
 
 
 def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:

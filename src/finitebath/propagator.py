@@ -55,8 +55,8 @@ Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}.  n steps are the
 mode form with nu_k t replaced by n phi_k and scaled by rho_k^n, which
 sample_rk4 and rk4_full_state evaluate without stepping.  The same
-stability rule, h nu_max <= 2 sqrt(2), holds for these and for the
-switched pair's stepping (check_rk4_stability).
+stability rule, h nu_max <= 2 sqrt(2), holds for these and for literal
+stepping in the switched module (check_rk4_stability).
 """
 
 from __future__ import annotations

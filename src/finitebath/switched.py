@@ -16,11 +16,18 @@ run, after which any sample time costs O(N) instead of stepping there.
 A factorization whose residual looks degraded is a NumericalError:
 stepping a long run literally instead would take hours.
 
+Continuous contact (both phases the same matrix) needs no period map.
+R(hA) has the normal modes of the exact flow, and one step multiplies
+mode k by R(i h nu_k) = rho_k e^{i phi_k}, so n steps are sampled in
+closed form through the secular-equation modes: phases n phi_k and
+amplitudes rho_k^n, RK4's own small damping included.  That is what
+"auto" does for every continuous system; like the exact propagator it
+rejects a zero frequency mode (Omega = 0), which only the stepping
+engine, requested by name, can run.
+
 A step beyond RK4's stability limit, h nu_max > 2 sqrt(2) for the
 fastest normal mode of either contact phase, is rejected up front: the
 run would otherwise grow by orders of magnitude without overflowing.
-A single bath's RK4 steps are not taken here: they are sampled in
-closed form through its normal modes (EigenPropagator.sample_rk4).
 """
 
 from __future__ import annotations
@@ -32,7 +39,8 @@ import numpy as np
 from .model import SystemState, TestParticleSpec
 from .propagator import (CouplingMatrix, NumericalError,
                          build_multi_coupling_matrix, check_rk4_stability,
-                         drift_matrix, max_mode_frequency)
+                         diagonalize, drift_matrix, max_mode_frequency,
+                         rk4_full_state)
 
 
 @dataclass(frozen=True)
@@ -75,9 +83,11 @@ def default_step_size(tp: TestParticleSpec, frequencies) -> float:
 
 @dataclass(frozen=True)
 class TwoBathSystem:
-    """Test particle, its two bath realizations and both contact phases.
+    """Test particle plus its bath realizations and both contact phases.
 
-    a1 engages bath 1 and a2 bath 2.  Their ``static_renorm`` records how
+    With one realization the system is one bath in continuous contact, a1
+    and a2 both describing the engaged bath; switched contact has two, a1
+    engaging bath 1 and a2 bath 2.  Their ``static_renorm`` records how
     the quadratic spring sums enter the particle stiffness while a bath
     is disengaged: under "switched" renormalization they leave together
     with the linear coupling, under "static" every bath's spring sum
@@ -85,7 +95,7 @@ class TwoBathSystem:
     """
 
     tp: TestParticleSpec
-    realizations: tuple    # (bath 1, bath 2) BathRealizations
+    realizations: tuple    # BathRealization per bath, bath 1 first
     a1: CouplingMatrix
     a2: CouplingMatrix
 
@@ -176,9 +186,11 @@ class SwitchedRunResult:
 class SwitchedPropagator:
     """Propagates one TwoBathSystem under one schedule.
 
-    The object owns only the two step maps, built up front, so one
-    instance can serve many initial conditions of the same system; the
-    period map is factorized by each run that uses it.
+    The object owns only the step maps, so one instance can serve many
+    initial conditions of the same system; the period map is factorized
+    by each run that uses it.  A continuous system (a2 is a1) is
+    sampled through its normal modes and builds its step map only when
+    a stepping engine is requested by name.
     """
 
     # steps beyond which the period map factorization pays for itself
@@ -188,19 +200,21 @@ class SwitchedPropagator:
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
         self.system = system
         self.schedule = schedule
-        h = schedule.step_size
-        for cm in (system.a1, system.a2):
-            check_rk4_stability(h, max_mode_frequency(cm))
-        self.u1 = rk4_update_matrix(drift_matrix(system.a1), h)
-        self.u2 = rk4_update_matrix(drift_matrix(system.a2), h)
+        self.continuous = system.a2 is system.a1
+        for cm in (system.a1,) if self.continuous else (system.a1, system.a2):
+            check_rk4_stability(schedule.step_size, max_mode_frequency(cm))
+        self.u1 = self.u2 = None
+        if not self.continuous:
+            self._build_step_maps()
+
+    def _build_step_maps(self):
+        h = self.schedule.step_size
+        self.u1 = rk4_update_matrix(drift_matrix(self.system.a1), h)
+        self.u2 = (self.u1 if self.continuous
+                   else rk4_update_matrix(drift_matrix(self.system.a2), h))
 
     def step_matrix(self, step: int) -> np.ndarray:
         return self.u1 if self.schedule.bath1_active(step) else self.u2
-
-    def snap(self, t) -> np.ndarray:
-        """Nearest step indices for observation times."""
-        t = np.asarray(t, dtype=float)
-        return np.rint(t / self.schedule.step_size).astype(np.int64)
 
     # -- literal stepping ------------------------------------------------
 
@@ -226,6 +240,14 @@ class SwitchedPropagator:
         if not np.all(np.isfinite(v)):
             raise NumericalError("switched run diverged")
         return q, p, final_v
+
+    # -- normal modes of a continuous system -----------------------------
+
+    def _run_modes(self, v0, steps_wanted, final_step):
+        prop = diagonalize(self.system.a1, v0)
+        h = self.schedule.step_size
+        q, p = prop.sample_rk4(steps_wanted, h)
+        return q, p, rk4_full_state(prop, final_step, h).as_vector()
 
     # -- period map spectral engine --------------------------------------
 
@@ -301,12 +323,15 @@ class SwitchedPropagator:
             engine: str = "auto") -> SwitchedRunResult:
         """Sample the test particle from v0 and return the state at t_final.
 
-        Identical inputs reproduce identical output arrays; the period
-        map engine and the literal stepping engine agree to floating
-        point accuracy and are interchangeable.  "auto" picks the period
-        map or stepping by run length; a period map that factorizes with
-        a residual above QUALITY_TOL is a NumericalError.  t_final
-        defaults to the last (snapped) sample time.
+        Identical inputs reproduce identical output arrays; the spectral
+        engines and the literal stepping engine agree to floating point
+        accuracy and are interchangeable.  Sample times snap to the
+        nearest step.  "auto" samples a continuous system through its
+        normal modes (reported as engine "modes"; EigensolverError for a
+        zero mode) and picks the period map or stepping for a switched
+        one by run length; a period map that factorizes with a residual
+        above QUALITY_TOL is a NumericalError.  t_final defaults to the
+        last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):
@@ -314,7 +339,7 @@ class SwitchedPropagator:
                              f"expected ({self.system.dim},)")
         sample_times = np.atleast_1d(np.asarray(sample_times, dtype=float))
         h = self.schedule.step_size
-        steps = self.snap(sample_times)
+        steps = np.rint(sample_times / h).astype(np.int64)
         snapped = steps * h
         max_snap = float(np.max(np.abs(snapped - sample_times))) if len(steps) else 0.0
         if t_final is None:
@@ -322,17 +347,24 @@ class SwitchedPropagator:
         final_step = int(np.rint(t_final / h))
         last = max(int(steps.max()) if len(steps) else 0, final_step)
 
-        if engine == "auto":
-            engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
-        if engine == "floquet":
-            q, p, final_v = self._run_floquet(v0, steps, final_step)
-        elif engine == "dense":
-            q, p, final_v = self._run_dense(v0, steps, final_step)
+        if engine == "auto" and self.continuous:
+            q, p, final_v = self._run_modes(v0, steps, final_step)
+            used = "modes"
         else:
-            raise ValueError(f"unknown engine {engine!r}")
+            if engine == "auto":
+                engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
+            if engine not in ("floquet", "dense"):
+                raise ValueError(f"unknown engine {engine!r}")
+            if self.u1 is None:
+                self._build_step_maps()
+            if engine == "floquet":
+                q, p, final_v = self._run_floquet(v0, steps, final_step)
+            else:
+                q, p, final_v = self._run_dense(v0, steps, final_step)
+            used = engine
 
         final_state = SystemState.from_vector(
             final_v, self.system.a1.bath_sizes, time=final_step * h)
         return SwitchedRunResult(times=snapped, steps=steps, q=q, p=p,
                                  final_state=final_state, max_snap_distance=max_snap,
-                                 n_steps=last, engine=engine)
+                                 n_steps=last, engine=used)

@@ -7,13 +7,11 @@ import pytest
 
 from finitebath import switched
 from finitebath.bath import pairwise_cancelled, realize_bath
-from finitebath.experiments import SweepSpec, run_single_bath_point
 from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
 from finitebath.propagator import (RK4_STABILITY_LIMIT, EigensolverError,
                                    NumericalError, build_multi_coupling_matrix,
                                    diagonalize, drift_matrix, max_mode_frequency,
-                                   rk4_full_state, rk4_mode_factors)
-from finitebath.stats import SamplingPlan
+                                   rk4_mode_factors)
 from finitebath.switched import (
     SwitchSchedule,
     SwitchedPropagator,
@@ -136,22 +134,17 @@ def test_rk4_map_is_built_once_per_distinct_phase(monkeypatch):
     monkeypatch.setattr(switched, "drift_matrix", counting)
     monkeypatch.setattr(switched, "rk4_update_matrix", counting_map)
     system = _tiny_system()
-    prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
-    assert calls == [system.a1, system.a2] and maps == [0.02, 0.02]
-    # runs reuse the two maps
-    for engine in ("dense", "floquet"):
-        prop.run(system.initial_vector(), [0.5], engine=engine)
-    assert len(calls) == 2 and len(maps) == 2
-
-    # single-bath RK4 runs through the normal modes and builds none
-    def refuse(cm):
-        raise AssertionError("single-bath RK4 built a drift matrix")
-
-    monkeypatch.setattr(switched, "drift_matrix", refuse)
-    spec = SweepSpec(omega_grid=(0.5,), bath1=SPEC1, seeds=(1,), propagator="rk4",
-                     plan=SamplingPlan(mean_interval=1.0, n_samples=200, warmup=10.0))
-    point = run_single_bath_point(0.5, spec, seed=1)
-    assert point.n_steps > 0 and point.max_snap_distance > 0.0
+    continuous = dataclasses.replace(system, a2=system.a1)
+    prop = SwitchedPropagator(continuous, SwitchSchedule(step_size=0.02))
+    assert prop.run(continuous.initial_vector(), [0.5, 1.0]).engine == "modes"
+    assert calls == [] and maps == []
+    # a stepping engine requested by name builds the one map, once
+    for _ in range(2):
+        prop.run(continuous.initial_vector(), [0.5], engine="dense")
+    assert len(calls) == 1 and len(maps) == 1
+    assert prop.u2 is prop.u1
+    SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
+    assert len(calls) == 3 and len(maps) == 3
 
 
 # -- system construction ----------------------------------------------
@@ -169,7 +162,9 @@ def test_single_bath_system_has_one_realization():
     tp = TestParticleSpec()
     real = realize_bath(SPEC1, seed=1)
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
-    assert cm.bath_sizes == (4,) and cm.dim == 2 + 2 * 4
+    system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
+    assert system.dim == 2 + 2 * 4
+    assert len(system.realizations) == 1
     # switched contact is only built for a pair of baths
     with pytest.raises(ValueError, match="second bath"):
         build_switched_matrices(tp, real, None)
@@ -289,7 +284,6 @@ DEGENERATE = BathSpec(size=30, mass=0.01, temperature=5.0,
 
 
 def _continuous_system(omega, bath, cancel=False):
-    """One bath in both contact phases, so literal stepping is continuous RK4."""
     tp = TestParticleSpec(mass=1.0, omega=omega, q0=0.4, p0=-0.3)
     real = realize_bath(bath, seed=3)
     if cancel:
@@ -312,29 +306,26 @@ def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant):
     v0 = system.initial_vector()
     # unsorted, two pairs snapping to one step each, t_final past them all
     times = h * np.array([3000.4, 17.2, 2999.6, 0.0, 1234.0, 17.0])
+    t_final = 4000.0 * h
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=h))
-    dense = prop.run(v0, times, t_final=4000.0 * h, engine="dense")
-    eig = diagonalize(system.a1, v0)
-    # the snapping run_single_bath_point does before sampling the modes
-    steps = np.rint(times / h)
-    np.testing.assert_array_equal(steps, [3000, 17, 3000, 0, 1234, 17])
-    np.testing.assert_array_equal(steps, dense.steps)
-    assert dense.n_steps == 4000
-    assert float(np.max(np.abs(steps * h - times))) == dense.max_snap_distance
-    q, p = eig.sample_rk4(steps, h)
-    for got, want in ((q, dense.q), (p, dense.p)):
+    modes = prop.run(v0, times, t_final=t_final)
+    dense = prop.run(v0, times, t_final=t_final, engine="dense")
+    assert modes.engine == "modes" and modes.n_steps == dense.n_steps == 4000
+    np.testing.assert_array_equal(modes.steps, [3000, 17, 3000, 0, 1234, 17])
+    assert modes.max_snap_distance == dense.max_snap_distance
+    for got, want in ((modes.q, dense.q), (modes.p, dense.p)):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-10 * np.max(np.abs(want)))
-    modes_final = rk4_full_state(eig, 4000, h)
     final = dense.final_state.as_vector()
-    assert modes_final.time == dense.final_state.time
-    np.testing.assert_allclose(modes_final.as_vector(), final, rtol=0.0,
+    assert modes.final_state.time == dense.final_state.time
+    np.testing.assert_allclose(modes.final_state.as_vector(), final, rtol=0.0,
                                atol=1e-10 * np.max(np.abs(final)))
     # the reconstructed state at every observed step
-    for step in np.unique(steps):
-        vm = rk4_full_state(eig, int(step), h).as_vector()
-        vd = prop.run(v0, [0.0], t_final=step * h, engine="dense").final_state.as_vector()
+    for step in np.unique(modes.steps):
+        vm, vd = (prop.run(v0, [0.0], t_final=step * h, engine=engine)
+                  .final_state.as_vector() for engine in ("auto", "dense"))
         np.testing.assert_allclose(vm, vd, rtol=0.0, atol=1e-10 * np.max(np.abs(vd)))
+    eig = diagonalize(system.a1, v0)
     if cancel:
         assert np.sum(eig.modes[0] == 0.0) >= bath.size - 1
     if courant > 0.5:
@@ -356,11 +347,10 @@ def test_rk4_amplification_factor_is_one_step_of_the_polynomial():
         rk4_mode_factors(theta, 1.02)
 
 
-def test_continuous_zero_mode_is_stepped_not_sampled():
+def test_continuous_zero_mode_is_stepped_only_by_name():
     system = _continuous_system(0.0, WIDE)
-    with pytest.raises(EigensolverError, match="zero frequency mode"):
-        diagonalize(system.a1, system.initial_vector())
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.05))
-    for engine in ("auto", "dense"):
-        res = prop.run(system.initial_vector(), [1.0, 2.0], engine=engine)
-        assert res.engine == "dense" and np.all(np.isfinite(res.q))
+    with pytest.raises(EigensolverError, match="zero frequency mode"):
+        prop.run(system.initial_vector(), [1.0, 2.0])
+    res = prop.run(system.initial_vector(), [1.0, 2.0], engine="dense")
+    assert res.engine == "dense" and np.all(np.isfinite(res.q))
