@@ -10,7 +10,6 @@ effective temperature.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats as sp_stats
 
 from .model import BathSpec, TestParticleSpec, bare_energy
 
@@ -92,6 +91,10 @@ def arcsine_distribution_check(samples, e0: float) -> tuple[float, float]:
         raise ValueError(
             f"{outside} of {samples.size} samples lie outside (0, {e0}); "
             "they cannot follow the arcsine exchange law")
+    # imported here, its only use: scipy.stats roughly doubles the time and
+    # memory of importing the command line interface
+    from scipy import stats as sp_stats
+
     result = sp_stats.kstest(samples, lambda e: arcsine_cdf(e, e0))
     return float(result.statistic), float(result.pvalue)
 

@@ -17,9 +17,9 @@ M^(1/2) x the stiffness is an arrowhead matrix: the diagonal
 d_n = w_n^2, the border z_n = -sqrt(m/M) w_n^2 (0 for a free bath), and
 the corner alpha = alpha0 + sum_n c_n with c_n = z_n^2 / d_n and
 alpha0 = Omega^2 (plus the spring sums of free baths under static
-renormalization).  Its modes cost O(N^2) time and O(N) memory beyond
-the mode matrix (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
-(1995)):
+renormalization).  Its modes cost O(N^2) time and O(N) memory, since
+the (N+1)^2 mode matrix is never stored (Gu & Eisenstat, SIAM J.
+Matrix Anal. Appl. 16, 172 (1995)):
 
 1. Deflation.  Free oscillators (z_n = 0) are modes on their own.
    Oscillators whose d_n agree to rounding fold into one pole along
@@ -42,6 +42,11 @@ the mode matrix (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172
    formula recomputes z so that the computed roots are the exact
    eigenvalues of a nearby arrowhead; the eigenvectors
    (1, z_n / (lam - d_n)) are then orthogonal to working accuracy.
+   Only the roots, Loewner's z and the deflation are kept, O(N).  The
+   mode shapes are rebuilt block by block, a fixed number of modes at
+   a time, for each pass over them: one in diagonalize for the
+   amplitudes a_k, b_k and the particle's entries u_k[0] that the
+   samplers read, one per full state and one in mode_residual.
 
 A zero frequency mode (Omega = 0, a free translation) has no such form,
 so diagonalize rejects it for the exact and the RK4 sampler alike.  It
@@ -233,8 +238,11 @@ def _deflate(ah: _Arrowhead) -> _Deflated:
                      free=free)
 
 
-# entries of one (roots x poles) table of the mode vectors, 8 MB
-SECULAR_CHUNK = 1 << 20
+# modes per (coordinates x modes) block of shapes, and poles per (poles x
+# roots) table of Loewner's product: a factorization holds a few arrays of
+# 64 (N + 1) entries, O(N) memory.  Fewer columns shorten numpy's inner
+# loops: at N = 2e4, 6 columns (a fixed 1 MB block) ran twice as slow
+SHAPE_BLOCK = 64
 
 
 def _secular_roots(poles, weights, which):
@@ -269,18 +277,29 @@ def _secular_roots(poles, weights, which):
     return origin, tau
 
 
-def _helmert(zc):
-    """Orthonormal basis of the complement of zc, as (len, len - 1) columns.
+def _helmert_columns(zc, t, out):
+    """Write vectors t of an orthonormal basis of zc's complement into out's columns.
 
-    Column t is the Givens chain's t-th deflated vector: zc[:t+1]
-    rotated onto zc's direction leaves it orthogonal to zc.
+    Vector t (0 <= t < len(zc) - 1) is the Givens chain's t-th deflated
+    vector: zc[:t+1] rotated onto zc's direction leaves it orthogonal to
+    zc.  It is zc[i] zc[t+1] / (r_t+1 r_t) for i <= t and -r_t / r_t+1
+    at i = t + 1, with r_t = |zc[:t+1]|.
     """
     r = np.sqrt(np.cumsum(zc * zc))
-    n = len(zc)
-    basis = np.outer(zc, zc[1:] / (r[1:] * r[:-1]))
-    basis *= np.arange(n)[:, None] <= np.arange(n - 1)[None, :]
-    basis[np.arange(1, n), np.arange(n - 1)] = -r[:-1] / r[1:]
-    return basis
+    np.outer(zc, zc[t + 1] / (r[t + 1] * r[t]), out=out)
+    out *= np.arange(len(zc))[:, None] <= t[None, :]
+    out[t + 1, np.arange(len(t))] = -r[t] / r[t + 1]
+
+
+def _helmert_frequencies(zc, dc):
+    """Frequencies of the Helmert vectors of zc under the diagonal dc.
+
+    Vector t's Rayleigh quotient in closed form: the d-weighted squares
+    of its first t + 1 entries plus the square of entry t + 1 times its d.
+    """
+    r2 = np.cumsum(zc * zc)
+    head = np.cumsum(zc * zc * dc)[:-1] * zc[1:] ** 2 / (r2[1:] * r2[:-1])
+    return np.sqrt(head + r2[:-1] / r2[1:] * dc[1:])
 
 
 def max_mode_frequency(cm: CouplingMatrix) -> float:
@@ -294,52 +313,128 @@ def max_mode_frequency(cm: CouplingMatrix) -> float:
     return top
 
 
-def _coupled_modes(df: _Deflated, origin, tau, shapes, cols):
-    """Write the secular modes, mass-weighted, into rows cols of shapes.
+def _d_minus_lam(w, nu0, tau, out=None):
+    """w_a^2 - lam_k for poles w_a (rows) and roots nu_k = nu0_k + tau_k.
+
+    Formed as (w_a - nu_k)(w_a + nu_k): the first factor exact through
+    the stored (pole, offset) form of the root, the second without
+    cancellation.
+    """
+    out = np.subtract.outer(w, nu0, out=out)
+    out -= tau
+    out *= np.add.outer(w, nu0 + tau)
+    return out
+
+
+def _loewner_z(bath, nu0, tau):
+    """Loewner's z: the border for which the computed roots are exact eigenvalues.
+
+    bath are the coupled poles above the particle's pole at 0, and the
+    roots (nu0 + tau) interlace them.
+    """
+    n_s = len(bath)
+    zhat = np.empty(n_s)
+    for lo in range(0, n_s, SHAPE_BLOCK):
+        arms = np.arange(lo, min(lo + SHAPE_BLOCK, n_s))
+        w = bath[arms]
+        # (d_a - lam_j+1) / (d_a - d_j), and -(d_a - lam_a+1) for j = a
+        ratio = _d_minus_lam(w, nu0[1:], tau[1:])
+        den = np.subtract.outer(w, bath)
+        den *= np.add.outer(w, bath)
+        den[np.arange(len(arms)), arms] = -1.0
+        ratio /= den
+        zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
+    if not np.all(zhat > 0.0):
+        raise EigensolverError("secular roots do not interlace the bath poles")
+    return np.sqrt(zhat)
+
+
+@dataclass(frozen=True)
+class _ModeShapes:
+    """O(N) data from which _mode_blocks rebuilds every mode shape.
+
+    Shapes are mass weighted (orthonormal) over the coordinates ``coord``:
+    the particle, the coupled oscillators ordered by d, then the free
+    ones.  Modes come in the order secular roots, free oscillators,
+    Helmert vectors of each merged cluster; ``cols`` maps that order to
+    positions in the ascending frequencies.
+    """
+
+    coord: np.ndarray        # (n,) coordinate index of each shape entry
+    nu0: np.ndarray          # (n_r,) nearer pole of each secular root
+    tau: np.ndarray          # (n_r,) root minus that pole
+    pole: np.ndarray         # (n_c,) pole of each coupled oscillator's cluster
+    coef: np.ndarray         # (n_c,) Loewner z of the cluster times direction
+    clusters: tuple          # (first coupled position, z) per merged cluster
+    cols: np.ndarray         # (n,) position in nu of each mode
+
+
+def _mode_shapes(ah: _Arrowhead, df: _Deflated, origin, tau):
+    """Ascending mode frequencies and the _ModeShapes of one arrowhead.
 
     df.poles[0] must be the particle's pole at 0 (alpha0 > 0).
     """
-    poles = df.poles
-    bath = poles[1:]
-    n_s, n_r = len(bath), len(poles)
-    nu0 = poles[origin]
-    nu = nu0 + tau
+    nu0 = df.poles[origin]
+    zhat = _loewner_z(df.poles[1:], nu0, tau)
+    ends = np.r_[df.starts[1:], len(df.members)]
+    merged = [(s, df.members[s:e]) for s, e in zip(df.starts, ends) if e - s > 1]
+    nu = np.concatenate([nu0 + tau, ah.w[df.free]]
+                        + [_helmert_frequencies(ah.z[idx], ah.d[idx]) for _, idx in merged])
+    order = np.argsort(nu, kind="stable")
+    cols = np.empty(len(nu), dtype=np.intp)
+    cols[order] = np.arange(len(nu))
+    shapes = _ModeShapes(coord=np.r_[0, 1 + df.members, 1 + df.free],
+                         nu0=nu0, tau=tau, pole=df.poles[1:][df.cluster],
+                         coef=zhat[df.cluster] * df.direction,
+                         clusters=tuple((s, ah.z[idx]) for s, idx in merged),
+                         cols=cols)
+    return nu[order], shapes
 
-    def delta(roots, arms):
-        # lam_k - d_a = (nu_k - w_a)(nu_k + w_a); the first factor exact
-        # through the stored (pole, offset) form, the second has no cancellation
-        out = nu0[roots][:, None] - bath[arms][None, :]
-        out += tau[roots][:, None]
-        out *= np.add.outer(nu[roots], bath[arms])
-        return out
 
-    # Loewner: the z for which the computed roots are exact eigenvalues
-    zhat = np.empty(n_s)
-    step = max(1, SECULAR_CHUNK // max(n_s, 1))
-    for lo in range(0, n_s, step):
-        arms = np.arange(lo, min(lo + step, n_s))
-        ratio = delta(np.arange(1, n_r), arms)
-        den = (bath[:, None] - bath[arms][None, :]) * np.add.outer(bath, bath[arms])
-        den[arms, np.arange(len(arms))] = 1.0
-        ratio /= den
-        zhat[arms] = -delta(np.array([0]), arms)[0] * np.prod(ratio, axis=0)
-    if not np.all(zhat > 0.0):
-        raise EigensolverError("secular roots do not interlace the bath poles")
-    np.sqrt(zhat, out=zhat)
+def _mode_blocks(sh: _ModeShapes):
+    """Yield (cols, block): the shapes of a block of modes, one column each.
 
-    # vectors (1, zhat_a / (lam_k - d_a)), one row of shapes per mode
-    perm = np.argsort(df.members)
-    members, arms = df.members[perm], df.cluster[perm]
-    coef = zhat[arms] * df.direction[perm]
-    step = max(1, SECULAR_CHUNK // max(len(members), 1))
+    block[:, j] is the mass-weighted shape of mode cols[j] over sh.coord.
+    Every block is a view of one buffer of SHAPE_BLOCK columns, valid
+    until the next block is drawn, so no n x n array is ever formed.
+    """
+    n, n_r, n_c = len(sh.coord), len(sh.nu0), len(sh.pole)
+    n_free = n - 1 - n_c
+    step = SHAPE_BLOCK
+    flat = np.empty(n * min(step, n))
+
+    def block_of(k):
+        # contiguous for any k, so row-wise operations stream
+        return flat[:n * k].reshape(n, k)
+
+    # secular modes (1, zhat_a direction_i / (lam_k - d_a)), normalized
+    minus_coef = -sh.coef[:, None]
     for lo in range(0, n_r, step):
-        roots = np.arange(lo, min(lo + step, n_r))
-        amp = delta(roots, arms)
-        np.divide(coef[None, :], amp, out=amp)
-        norm = np.sqrt(1.0 + np.einsum("ij,ij->i", amp, amp))
-        amp /= norm[:, None]
-        shapes[cols[roots], 0] = 1.0 / norm
-        shapes[np.ix_(cols[roots], 1 + members)] = amp
+        hi = min(lo + step, n_r)
+        block = block_of(hi - lo)
+        amp = _d_minus_lam(sh.pole, sh.nu0[lo:hi], sh.tau[lo:hi], out=block[1:1 + n_c])
+        np.divide(minus_coef, amp, out=amp)
+        block[0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->j", amp, amp))
+        amp *= block[0]
+        block[1 + n_c:] = 0.0
+        yield sh.cols[lo:hi], block
+    # modes without particle motion: free oscillators, then Helmert vectors
+    at = n_r
+    for lo in range(0, n_free, step):
+        block = block_of(min(step, n_free - lo))
+        block[:] = 0.0
+        k = np.arange(block.shape[1])
+        block[1 + n_c + lo + k, k] = 1.0
+        yield sh.cols[at + lo:at + lo + len(k)], block
+    at += n_free
+    for first, zc in sh.clusters:
+        for lo in range(0, len(zc) - 1, step):
+            t = np.arange(lo, min(lo + step, len(zc) - 1))
+            block = block_of(len(t))
+            block[:] = 0.0
+            _helmert_columns(zc, t, block[1 + first:1 + first + len(zc)])
+            yield sh.cols[at + t], block
+        at += len(zc) - 1
 
 
 @dataclass
@@ -348,10 +443,11 @@ class EigenPropagator:
 
     cm: CouplingMatrix
     nu: np.ndarray                # (n,) mode angular frequencies
-    modes: np.ndarray             # (n, n) mass-orthonormal mode shapes
     mass: np.ndarray              # (n,) position-space masses
+    u0: np.ndarray                # (n,) particle entry of each mode u_k
     coef_cos: np.ndarray          # (n,) mode amplitudes a_k = u_k . M x0
     coef_sin: np.ndarray          # (n,) mode amplitudes b_k = u_k . p0
+    shapes: _ModeShapes           # rebuilds the u_k, block by block
 
     def sample_test_particle(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) at many times through the real mode form, O(N) per time."""
@@ -370,7 +466,7 @@ class EigenPropagator:
     def _sample(self, x, rate, log_decay):
         """The mode form at phases x * rate, each mode scaled by exp(x * log_decay)."""
         x = np.atleast_1d(np.asarray(x, dtype=float))
-        u0 = self.modes[0]
+        u0 = self.u0
         qc = u0 * self.coef_cos
         qs = u0 * self.coef_sin / self.nu
         pc = u0 * self.coef_sin
@@ -462,40 +558,21 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     df = _deflate(ah)
     origin, tau = _secular_roots(df.poles, df.weights, np.arange(len(df.poles)))
 
-    ends = np.r_[df.starts[1:], len(df.members)]
-    blocks = []
-    for s, e in zip(df.starts, ends):
-        if e - s > 1:
-            idx = df.members[s:e]
-            basis = _helmert(ah.z[idx])
-            blocks.append((idx, basis, np.einsum("it,it,i->t", basis, basis, ah.d[idx])))
-
-    nu = np.concatenate([df.poles[origin] + tau, ah.w[df.free]]
-                        + [np.sqrt(b[2]) for b in blocks])
-    order = np.argsort(nu, kind="stable")
-    col = np.empty(len(nu), dtype=np.intp)
-    col[order] = np.arange(len(nu))
-    nu = nu[order]
+    nu, shapes = _mode_shapes(ah, df, origin, tau)
     if not nu[0] > 0.0:
         raise EigensolverError(ZERO_MODE)
 
-    # one row per mode, so each mode is written contiguously
-    n = len(ah.mass)
-    shapes = np.zeros((n, n))
-    n_r = len(origin)
-    _coupled_modes(df, origin, tau, shapes, col[:n_r])
-    at = n_r + len(df.free)
-    shapes[col[n_r:at], 1 + df.free] = 1.0
-    for idx, basis, _ in blocks:
-        shapes[np.ix_(col[at:at + basis.shape[1]], 1 + idx)] = basis.T
-        at += basis.shape[1]
-    shapes /= np.sqrt(ah.mass)[None, :]   # mass orthonormal
-
-    a = shapes @ (ah.mass * v0[0::2])
-    b = shapes @ v0[1::2]
-    modes = shapes.T
-    return EigenPropagator(cm=cm, nu=nu, modes=modes, mass=ah.mass,
-                           coef_cos=a, coef_sin=b)
+    # one pass over the shapes: a = U^T M x0, b = U^T p0 and U's particle row
+    root_m = np.sqrt(ah.mass)
+    y = np.stack([root_m * v0[0::2], v0[1::2] / root_m])[:, shapes.coord]
+    ab = np.empty((2, len(nu)))
+    u0 = np.empty(len(nu))
+    for cols, block in _mode_blocks(shapes):
+        ab[:, cols] = y @ block
+        u0[cols] = block[0]
+    u0 /= root_m[0]
+    return EigenPropagator(cm=cm, nu=nu, mass=ah.mass, u0=u0,
+                           coef_cos=ab[0], coef_sin=ab[1], shapes=shapes)
 
 
 def full_state(prop: EigenPropagator, t: float) -> SystemState:
@@ -513,12 +590,21 @@ def rk4_full_state(prop: EigenPropagator, step: int, h: float) -> SystemState:
 
 
 def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
-    """The state whose mode k carries cos and sin factors c_k and s_k."""
-    x = prop.modes @ (prop.coef_cos * c + prop.coef_sin * s / prop.nu)
-    p = prop.mass * (prop.modes @ (prop.coef_sin * c - prop.coef_cos * prop.nu * s))
-    vec = np.empty(2 * len(x))
-    vec[0::2] = x
-    vec[1::2] = p
+    """The state whose mode k carries cos and sin factors c_k and s_k.
+
+    One pass over the mode shapes accumulates x = U f and p = M U g.
+    """
+    fg = np.stack([prop.coef_cos * c + prop.coef_sin * s / prop.nu,
+                   prop.coef_sin * c - prop.coef_cos * prop.nu * s], axis=1)
+    acc = np.zeros((len(prop.nu), 2))
+    for cols, block in _mode_blocks(prop.shapes):
+        acc += block @ fg[cols]
+    root_m = np.sqrt(prop.mass)
+    vec = np.empty(2 * len(prop.nu))
+    vec[0::2][prop.shapes.coord] = acc[:, 0]
+    vec[1::2][prop.shapes.coord] = acc[:, 1]
+    vec[0::2] /= root_m
+    vec[1::2] *= root_m
     return SystemState.from_vector(vec, prop.cm.bath_sizes, time=t)
 
 
@@ -528,12 +614,17 @@ def mode_residual(prop: EigenPropagator) -> float:
     H = M^(-1/2) K M^(-1/2) is the arrowhead and V = M^(1/2) U the
     orthonormal mass-weighted modes.  In this form the residual does not
     depend on the bath-to-particle mass ratio, as it would for K U - M U
-    diag(nu^2) measured against || K ||.
+    diag(nu^2) measured against || K ||.  H acts on each block of modes
+    through alpha, z and d alone.
     """
     ah = _arrowhead(prop.cm)
-    v = np.sqrt(ah.mass)[:, None] * prop.modes
-    res = -v * prop.nu**2
-    res[0] += ah.alpha * v[0] + ah.z @ v[1:]
-    res[1:] += ah.d[:, None] * v[1:] + ah.z[:, None] * v[0][None, :]
+    bath = prop.shapes.coord[1:] - 1
+    z, d = ah.z[bath], ah.d[bath]
+    sq = 0.0
+    for cols, v in _mode_blocks(prop.shapes):
+        res = v * -prop.nu[cols] ** 2
+        res[0] += ah.alpha * v[0] + z @ v[1:]
+        res[1:] += d[:, None] * v[1:] + z[:, None] * v[0]
+        sq += float(np.einsum("ij,ij->", res, res))
     hnorm = np.sqrt(ah.alpha**2 + np.sum(ah.d**2) + 2.0 * np.sum(ah.z**2))
-    return float(np.linalg.norm(res) / hnorm)
+    return float(np.sqrt(sq) / hnorm)

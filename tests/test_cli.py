@@ -1,10 +1,15 @@
 """End-to-end command line runs on miniature systems."""
 
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import finitebath
 from finitebath import experiments, propagator
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
 from finitebath.propagator import NumericalError
@@ -337,6 +342,13 @@ def test_oracle_degenerate_series(tmp_path):
     assert np.all(energies >= 0.0)
     assert np.all(energies <= 10.0)
     assert np.max(energies) > 9.0
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """Only the arcsine check of `oracle degenerate` needs scipy.stats."""
+    code = "import sys, finitebath.cli; sys.exit('scipy.stats' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
+    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
 def test_oracle_kernel_starts_at_the_spring_sum(tmp_path, quick_config):

@@ -1,5 +1,7 @@
 """Coupling description, drift matrix and the normal-mode propagator."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -10,7 +12,6 @@ from finitebath.bath import realize_bath
 from finitebath.model import (BathSpec, SystemState, TestParticleSpec,
                               total_energy)
 from finitebath.propagator import (
-    EigenPropagator,
     EigensolverError,
     build_multi_coupling_matrix,
     diagonalize,
@@ -30,6 +31,15 @@ def _initial_vector(tp, real):
 
 def _one_bath(tp, frequencies, m):
     return build_multi_coupling_matrix(tp, [(m, frequencies, True)])
+
+
+def _mode_matrix(prop):
+    """The dense mass-orthonormal mode matrix U, gathered from the shape blocks."""
+    n = len(prop.nu)
+    v = np.zeros((n, n))
+    for cols, block in propagator._mode_blocks(prop.shapes):
+        v[np.ix_(prop.shapes.coord, cols)] = block
+    return v / np.sqrt(prop.mass)[:, None]
 
 
 def test_single_oscillator_drift_matrix_by_hand():
@@ -91,11 +101,17 @@ def test_symmetric_pair_normal_modes():
 def test_normal_modes_solve_the_stiffness_problem(small_bath, particle):
     real = realize_bath(small_bath, seed=3)
     cm = _one_bath(particle, real.frequencies, real.m)
-    prop = diagonalize(cm, _initial_vector(particle, real))
+    v0 = _initial_vector(particle, real)
+    prop = diagonalize(cm, v0)
     assert mode_residual(prop) < 1e-9
-    u = prop.modes
+    u = _mode_matrix(prop)
     np.testing.assert_allclose(u.T @ (prop.mass[:, None] * u), np.eye(len(u)),
                                atol=1e-9)
+    np.testing.assert_array_equal(prop.u0, u[0])
+    np.testing.assert_allclose(prop.coef_cos, u.T @ (prop.mass * v0[0::2]),
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(prop.coef_cos)))
+    np.testing.assert_allclose(prop.coef_sin, u.T @ v0[1::2],
+                               rtol=0.0, atol=1e-12 * np.max(np.abs(prop.coef_sin)))
 
 
 def test_energy_is_conserved_along_the_flow(band, particle):
@@ -197,15 +213,18 @@ def _dense_stiffness(cm):
     return mass, k
 
 
-def _eigh_propagator(cm, v0):
-    """Eigenvalues and the propagator of a dense eigh factorization."""
+def _eigh_samples(cm, v0, times):
+    """Eigenvalues and (Q, P) at the times from a dense eigh factorization."""
     mass, k = _dense_stiffness(cm)
     s = 1.0 / np.sqrt(mass)
     lam, vec = np.linalg.eigh(k * np.outer(s, s))
     modes = vec * s[:, None]
-    return lam, EigenPropagator(cm=cm, nu=np.sqrt(lam), modes=modes, mass=mass,
-                                coef_cos=modes.T @ (mass * v0[0::2]),
-                                coef_sin=modes.T @ v0[1::2])
+    nu = np.sqrt(lam)
+    a, b = modes.T @ (mass * v0[0::2]), modes.T @ v0[1::2]
+    c, sn = np.cos(np.outer(times, nu)), np.sin(np.outer(times, nu))
+    q = (c * a + sn * (b / nu)) @ modes[0]
+    p = mass[0] * ((c * b - sn * (a * nu)) @ modes[0])
+    return lam, (q, p)
 
 
 @st.composite
@@ -244,20 +263,19 @@ def coupled_systems(draw):
 @settings(max_examples=60, deadline=None)
 def test_secular_modes_match_dense_eigh(system):
     cm, v0 = system
-    lam, ref = _eigh_propagator(cm, v0)
+    times = np.linspace(0.0, 50.0, 64)
+    lam, ref = _eigh_samples(cm, v0, times)
     prop = diagonalize(cm, v0)
     np.testing.assert_allclose(prop.nu**2, lam, rtol=0.0, atol=1e-12 * lam[-1])
     assert max_mode_frequency(cm) == pytest.approx(np.sqrt(lam[-1]), rel=1e-12)
-    u = prop.modes
+    u = _mode_matrix(prop)
     np.testing.assert_allclose(u.T @ (prop.mass[:, None] * u), np.eye(len(u)),
                                rtol=0.0, atol=1e-12)
     assert mode_residual(prop) < 1e-12
     for freqs, active in zip(cm.bath_frequencies, cm.active):
         if not active:      # a free oscillator is a mode at its own frequency
             assert np.all(np.isin(freqs, prop.nu))
-    times = np.linspace(0.0, 50.0, 64)
-    for got, want in zip(prop.sample_test_particle(times),
-                         ref.sample_test_particle(times)):
+    for got, want in zip(prop.sample_test_particle(times), ref):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-10 * np.max(np.abs(want)))
 
@@ -305,11 +323,53 @@ def test_loewner_vectors_stay_orthogonal_when_the_roots_carry_error():
     tp = TestParticleSpec(mass=1.0, omega=0.6)
     freqs = np.repeat(np.linspace(0.3, 0.9, 8), 2) + np.tile([0.0, 1e-10], 8)
     cm = _one_bath(tp, freqs, 0.01)
-    df = propagator._deflate(propagator._arrowhead(cm))
+    ah = propagator._arrowhead(cm)
+    df = propagator._deflate(ah)
     n = len(df.poles)
     assert n == 1 + len(freqs)              # nothing deflates
     origin, tau = propagator._secular_roots(df.poles, df.weights, np.arange(n))
     tau = tau * (1.0 + 1e-9 * np.random.default_rng(0).uniform(-1.0, 1.0, n))
-    shapes = np.zeros((n, n))
-    propagator._coupled_modes(df, origin, tau, shapes, np.arange(n))
-    np.testing.assert_allclose(shapes @ shapes.T, np.eye(n), rtol=0.0, atol=1e-13)
+    _, sh = propagator._mode_shapes(ah, df, origin, tau)
+    shapes = np.concatenate([block.copy() for _, block in propagator._mode_blocks(sh)],
+                            axis=1)
+    np.testing.assert_allclose(shapes.T @ shapes, np.eye(n), rtol=0.0, atol=1e-13)
+
+
+def test_mode_blocks_do_not_depend_on_the_block_size(monkeypatch):
+    """Blocks of two modes give the one-block amplitudes and state.
+
+    The bath mixes clusters of equal frequencies (Helmert vectors spanning
+    blocks) with a free bath (unit vectors).
+    """
+    tp = TestParticleSpec(mass=1.0, omega=0.5)
+    rng = np.random.default_rng(5)
+    clustered = np.repeat(rng.uniform(0.3, 0.9, 4), 5)
+    cm = build_multi_coupling_matrix(tp, [(0.01, clustered, True),
+                                          (0.02, rng.uniform(0.2, 1.0, 7), False)])
+    v0 = rng.normal(size=cm.dim)
+    whole = diagonalize(cm, v0)
+    monkeypatch.setattr(propagator, "SHAPE_BLOCK", 2)
+    blocks = diagonalize(cm, v0)
+    np.testing.assert_array_equal(blocks.nu, whole.nu)
+    for got, want in ((blocks.u0, whole.u0),
+                      (blocks.coef_cos, whole.coef_cos), (blocks.coef_sin, whole.coef_sin),
+                      (full_state(blocks, 7.3).as_vector(),
+                       full_state(whole, 7.3).as_vector())):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
+    assert mode_residual(blocks) < 1e-12
+
+
+def test_factorization_never_holds_a_mode_matrix(band):
+    """diagonalize plus full_state at N = 2000 stay far below one (N+1)^2 array."""
+    bath = BathSpec(size=2000, mass=2e-3, temperature=5.0, dos=band)
+    tp = TestParticleSpec(mass=1.0, omega=0.5)
+    real = realize_bath(bath, seed=1)
+    cm = _one_bath(tp, real.frequencies, real.m)
+    v0 = _initial_vector(tp, real)
+    tracemalloc.start()
+    try:
+        full_state(diagonalize(cm, v0), 10.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 8 * (bath.size + 1) ** 2 / 4
