@@ -9,14 +9,16 @@ modes, and energies sampled at random times follow the arcsine law.
 """
 
 import argparse
-import csv
 import sys
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
+from finitebath.cli import EXIT_NUMERICAL
 from finitebath.experiments import run_degenerate_exchange
 from finitebath.oracles import arcsine_distribution_check
+from finitebath.output import write_csv
+from finitebath.propagator import NumericalError
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -43,10 +45,10 @@ def main(argv=None) -> int:
                                      seed=args.seed, n_periods=args.n_periods)
     except ValueError as err:     # out-of-range arguments
         parser.error(str(err))
-    with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(("time", "energy"))
-        writer.writerows(zip(ex.times, ex.energies))
+    except NumericalError as err:
+        print(f"numerical failure: {err}", file=sys.stderr)
+        return EXIT_NUMERICAL
+    write_csv(args.out, "time,energy", zip(ex.times, ex.energies))
     d, p = arcsine_distribution_check(ex.ks_energies, ex.e0)
     print(f"predicted exchange frequency {ex.exchange_frequency:.6f}")
     print(f"dominant spectral line at    {ex.dominant_frequency:.6f}"

@@ -27,6 +27,7 @@ import argparse
 import json
 import math
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 import numpy as np
@@ -34,7 +35,7 @@ import numpy as np
 from . import __version__
 from .bath import realize_bath
 from .config import ConfigError, build_sweep_spec, check_config
-from .experiments import run_sweep, run_two_bath_sweep
+from .experiments import peak_location, run_sweep, run_two_bath_sweep
 from .model import TestParticleSpec
 from .oracles import (
     degenerate_energy_series,
@@ -74,16 +75,24 @@ _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
                          "a finite number >= 0")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _add_out(parser: argparse.ArgumentParser) -> None:
+    parser.add_argument("--out", type=Path, default=Path("."),
+                        help="output directory (created if missing)")
+
+
+def _add_config(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", type=Path, default=None,
                         help="JSON config file (flat key/value object)")
     parser.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                         dest="overrides",
                         help="override a config key (repeatable); VALUE is JSON")
+    _add_out(parser)
+
+
+def _add_run(parser: argparse.ArgumentParser) -> None:
+    _add_config(parser)
     parser.add_argument("--seed-list", type=_seed, nargs="+", default=None,
                         help="replace the configured seed list")
-    parser.add_argument("--out", type=Path, default=Path("."),
-                        help="output directory (created if missing)")
 
 
 def _load_config(args: argparse.Namespace) -> dict:
@@ -187,14 +196,27 @@ def _sweep_exit(curve) -> int:
     return EXIT_FIT
 
 
+def _write_curve(manifest: RunManifest, curve, out: Path, name: str) -> None:
+    """Write a curve CSV, list it as an output and record its peak frequency.
+
+    The peak is None when the curve has no finite temperature.
+    """
+    emit_curve(curve, out / name)
+    manifest.outputs.append(name)
+    peak = (peak_location(curve.omegas, curve.temperature)
+            if np.any(np.isfinite(curve.temperature)) else None)
+    manifest.peaks[name] = peak
+    print(f"{name}: " + ("no finite temperature, no peak" if peak is None
+                         else f"peak at omega = {peak:g}"))
+
+
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = _load_config(args)
     spec = build_sweep_spec(cfg, seeds_override=args.seed_list)
     out = _outdir(args)
     manifest = _manifest("sweep", cfg, spec)
     curve = run_sweep(spec)
-    emit_curve(curve, out / "curve.csv")
-    manifest.outputs.append("curve.csv")
+    _write_curve(manifest, curve, out, "curve.csv")
     _record(manifest, curve)
     manifest.finish()
     manifest.write(out / "manifest.json")
@@ -212,12 +234,9 @@ def cmd_twobath(args: argparse.Namespace) -> int:
     out = _outdir(args)
     manifest = _manifest("twobath", cfg, spec)
     result = run_two_bath_sweep(spec)
-    emit_curve(result.combined, out / "curve_combined.csv")
-    manifest.outputs.append("curve_combined.csv")
+    _write_curve(manifest, result.combined, out, "curve_combined.csv")
     for index, alone in enumerate(result.alone):
-        name = f"curve_bath{index + 1}_alone.csv"
-        emit_curve(alone, out / name)
-        manifest.outputs.append(name)
+        _write_curve(manifest, alone, out, f"curve_bath{index + 1}_alone.csv")
         _record(manifest, alone, f"bath{index + 1} alone: ")
     _record(manifest, result.combined)     # last: its bath fits are the run's
     manifest.finish()
@@ -276,7 +295,7 @@ def _oracle_mixture(args: argparse.Namespace, out: Path) -> list:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _load_config(args)
+    cfg = _load_config(args) if args.which == "kernel" else {}
     out = _outdir(args)
     manifest = RunManifest(command=f"oracle {args.which}", config=cfg,
                            seeds=[args.seed] if hasattr(args, "seed") else [],
@@ -304,19 +323,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     except ValueError as err:
         raise ConfigError(str(err)) from err
     fit = fit_temperature(hist)
-    result = {
-        "temperature": fit.temperature,
-        "sigma": fit.sigma,
-        "slope": fit.slope,
-        "intercept": fit.intercept,
-        "n_bins_used": fit.n_bins_used,
-        "goodness": fit.goodness,
-    }
     print(f"T = {fmt(fit.temperature)} +- {fmt(fit.sigma)} "
           f"({fit.n_bins_used} bins)")
     if args.json_out is not None:
         args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(json.dumps(result, indent=2) + "\n")
+        args.json_out.write_text(json.dumps(asdict(fit), indent=2) + "\n")
     return EXIT_OK
 
 
@@ -330,24 +341,24 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_single = sub.add_parser("single", help="one frequency, full histogram")
-    _add_common(p_single)
+    _add_run(p_single)
     p_single.add_argument("--omega", type=float, default=None,
                           help="test particle frequency")
     p_single.set_defaults(func=cmd_single)
 
     p_sweep = sub.add_parser("sweep", help="thermalization curve over a grid")
-    _add_common(p_sweep)
+    _add_run(p_sweep)
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_two = sub.add_parser("twobath", help="switched two-bath sweep")
-    _add_common(p_two)
+    _add_run(p_two)
     p_two.set_defaults(func=cmd_twobath)
 
     p_oracle = sub.add_parser("oracle", help="reference computations")
     o_sub = p_oracle.add_subparsers(dest="which", required=True)
 
     o_lang = o_sub.add_parser("langevin", help="Langevin ensemble mean energy")
-    _add_common(o_lang)
+    _add_out(o_lang)
     o_lang.add_argument("--gamma", type=_non_negative, required=True)
     o_lang.add_argument("--temperature", type=_non_negative, required=True)
     o_lang.add_argument("--omega", type=_non_negative, default=1.0)
@@ -360,7 +371,7 @@ def build_parser() -> argparse.ArgumentParser:
     o_lang.set_defaults(func=cmd_oracle)
 
     o_deg = o_sub.add_parser("degenerate", help="degenerate exchange envelope")
-    _add_common(o_deg)
+    _add_out(o_deg)
     o_deg.add_argument("--e0", type=_non_negative, required=True)
     o_deg.add_argument("--omega-r", type=_positive, required=True)
     o_deg.add_argument("--t-final", type=_positive, default=100.0)
@@ -368,14 +379,14 @@ def build_parser() -> argparse.ArgumentParser:
     o_deg.set_defaults(func=cmd_oracle)
 
     o_ker = o_sub.add_parser("kernel", help="bath memory kernel")
-    _add_common(o_ker)
+    _add_config(o_ker)
     o_ker.add_argument("--seed", type=_seed, default=0)
     o_ker.add_argument("--t-final", type=_positive, default=50.0)
     o_ker.add_argument("--n-points", type=_count, default=1000)
     o_ker.set_defaults(func=cmd_oracle)
 
     o_mix = o_sub.add_parser("mixture", help="two-temperature mixture profile")
-    _add_common(o_mix)
+    _add_out(o_mix)
     o_mix.add_argument("--t1", type=_positive, required=True)
     o_mix.add_argument("--t2", type=_positive, required=True)
     o_mix.add_argument("--e-max", type=_non_negative, default=20.0)

@@ -7,7 +7,7 @@ the exact binary values and identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -73,14 +73,7 @@ def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path) -> N
         "overflow": hist.overflow,
         "total_samples": hist.total_samples,
         "e_max": hist.e_max,
-        "fit": None if fit is None else {
-            "temperature": fit.temperature,
-            "sigma": fit.sigma,
-            "slope": fit.slope,
-            "intercept": fit.intercept,
-            "n_bins_used": fit.n_bins_used,
-            "goodness": fit.goodness,
-        },
+        "fit": None if fit is None else asdict(fit),
         "manifest": "manifest.json",
     }
     path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
@@ -136,6 +129,7 @@ class RunManifest:
     bath_final: list = field(default_factory=list)
     failures: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
+    peaks: dict = field(default_factory=dict)   # curve CSV -> peak omega or None
 
     def __post_init__(self):
         if not self.started:

@@ -418,6 +418,13 @@ LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
     pytest.param(["oracle", "kernel", "--n-points", "-1"], id="kernel-n-points"),
     pytest.param(["oracle", "degenerate", "--e0", "10", "--omega-r", "1",
                   "--n-points", "-1"], id="degenerate-n-points"),
+    # flags an oracle does not read are refused, not silently recorded
+    pytest.param(LANGEVIN + ["--seed-list", "1"], id="langevin-seed-list"),
+    pytest.param(["oracle", "mixture", "--t1", "5", "--t2", "10", "--set", "bath1_size=3"],
+                 id="mixture-set"),
+    pytest.param(["oracle", "degenerate", "--e0", "10", "--omega-r", "1",
+                  "--set", "seeds=[2]"], id="degenerate-set"),
+    pytest.param(["oracle", "kernel", "--seed-list", "1"], id="kernel-seed-list"),
 ])
 def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
     out = tmp_path / "x"

@@ -211,6 +211,32 @@ def test_period_map_engine_matches_literal_stepping():
                                dense.final_state.as_vector(), atol=1e-9)
 
 
+def test_period_map_engine_drift_stays_at_its_measured_level():
+    # 2 x 20 oscillators at 2e4 steps: the eig phase error puts the period map
+    # engine 4.4e-9 of |v| away from repeated squaring of the period map, and
+    # literal stepping 4.4e-13 away; each bound is at most 10x its measurement
+    spec = BathSpec(size=20, mass=0.01, temperature=7.5,
+                    dos=DensityOfStates("uniform", 0.2, 1.0))
+    tp = TestParticleSpec(mass=1.0, omega=0.55)
+    system = build_switched_matrices(tp, realize_bath(spec, seed=2, bath_index=0),
+                                     realize_bath(spec, seed=2, bath_index=1),
+                                     renormalization="static")
+    prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=1, step_size=1e-3))
+    v0 = system.initial_vector()
+    n_steps = 20_000
+    floquet = prop.run(v0, [20.0], engine="floquet")
+    dense = prop.run(v0, [20.0], engine="dense")
+    assert floquet.n_steps == dense.n_steps == n_steps
+    u, k, ref = prop.u2 @ prop.u1, n_steps // 2, v0
+    while k:
+        if k & 1:
+            ref = u @ ref
+        u, k = u @ u, k >> 1
+    norm = np.linalg.norm(ref)
+    assert np.linalg.norm(dense.final_state.as_vector() - ref) <= 4e-12 * norm
+    assert np.linalg.norm(floquet.final_state.as_vector() - ref) <= 3e-8 * norm
+
+
 def test_failed_period_map_raises_numerical_error(monkeypatch):
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
