@@ -53,11 +53,6 @@ def realize_bath(bath: BathSpec, seed: int, bath_index: int = 0) -> BathRealizat
                            positions=q, momenta=p, m=bath.mass, seed=seed)
 
 
-def symmetrize_check(real: BathRealization) -> tuple[float, float]:
-    """Sums (sum q_n, sum p_n); O(sqrt(N)) cancellation for uniform phases."""
-    return float(np.sum(real.positions)), float(np.sum(real.momenta))
-
-
 def pairwise_cancelled(real: BathRealization) -> BathRealization:
     """Copy of a realization with oscillator 2j+1 mirroring 2j.
 

@@ -11,9 +11,13 @@ Subcommands
     second bath is configured); writes the thermalization curve.
 ``twobath``
     Switched two-bath sweep plus the two single-bath reference curves.
+``exchange``
+    Kick the particle against a zero-bandwidth bath at resonance; writes
+    the energy trace, its spectral lines and arcsine check, and a
+    manifest.
 ``oracle``
-    Stand-alone reference computations (Langevin ensemble, degenerate
-    exchange series, memory kernel, two-temperature mixture).
+    Stand-alone reference computations (Langevin ensemble, memory
+    kernel, two-temperature mixture).
 ``fit``
     Re-fit a histogram CSV produced by an earlier run.
 
@@ -34,11 +38,12 @@ import numpy as np
 
 from . import __version__
 from .bath import realize_bath
-from .config import ConfigError, build_sweep_spec, check_config
-from .experiments import peak_location, run_sweep, run_two_bath_sweep
+from .config import ConfigError, build_bath, build_sweep_spec, check_config
+from .experiments import (peak_location, run_degenerate_exchange, run_sweep,
+                          run_two_bath_sweep)
 from .model import TestParticleSpec
 from .oracles import (
-    degenerate_energy_series,
+    arcsine_distribution_check,
     effective_temperature,
     langevin_reference,
     memory_kernel,
@@ -246,6 +251,38 @@ def cmd_twobath(args: argparse.Namespace) -> int:
     return _sweep_exit(result.combined)
 
 
+def cmd_exchange(args: argparse.Namespace) -> int:
+    config = {key: getattr(args, key) for key in ("size", "xi", "omega_r", "e0", "n_periods")}
+    manifest = RunManifest(command="exchange", config=config, seeds=[],
+                           code_version=__version__, propagator="eigen")
+    try:
+        ex = run_degenerate_exchange(n=args.size, xi=args.xi, omega_r=args.omega_r,
+                                     e0=args.e0, n_periods=args.n_periods)
+    except ValueError as err:     # out-of-range arguments
+        raise ConfigError(str(err)) from err
+    manifest.seeds = [ex.seed]    # the trace does not depend on it
+    out = _outdir(args)
+    trace = out / "exchange.csv"
+    write_csv(trace, "time,energy", zip(ex.times, ex.energies))
+    d, p = arcsine_distribution_check(ex.ks_energies, ex.e0)
+    print(f"predicted exchange frequency {ex.exchange_frequency:.6f}")
+    print(f"dominant spectral line at    {ex.dominant_frequency:.6f}"
+          f"  (relative error "
+          f"{abs(ex.dominant_frequency / ex.exchange_frequency - 1):.2e})")
+    print(f"secondary line amplitude     {ex.secondary_ratio:.3f} of dominant")
+    print(f"arcsine KS statistic {d:.4f}  p = {p:.3f}")
+    print(f"trace written to {trace}")
+    summary = {"exchange_frequency": ex.exchange_frequency,
+               "dominant_frequency": ex.dominant_frequency,
+               "secondary_ratio": ex.secondary_ratio,
+               "ks_statistic": d, "ks_pvalue": p}
+    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    manifest.outputs = [trace.name, "summary.json"]
+    manifest.finish()
+    manifest.write(out / "manifest.json")
+    return EXIT_OK
+
+
 def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
     n_steps = int(round(args.t_final / args.dt))
     if args.stride > n_steps:
@@ -267,19 +304,19 @@ def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
     return [path.name]
 
 
-def _oracle_degenerate(args: argparse.Namespace, out: Path) -> list:
-    times = np.linspace(0.0, args.t_final, args.n_points)
-    energies = degenerate_energy_series(args.e0, args.omega_r, times)
-    path = out / "degenerate.csv"
-    write_csv(path, "t,energy", zip(times, energies))
-    return [path.name]
+def _kernel_bath(args: argparse.Namespace):
+    """The config and the bath of `oracle kernel`: bath1_* keys only."""
+    cfg = _load_config(args)
+    other = [key for key in cfg if not key.startswith("bath1_")]
+    if other:
+        raise ConfigError(f"oracle kernel reads only bath1_* keys, got {other[0]!r}")
+    return cfg, build_bath(cfg, "bath1", required=True)
 
 
-def _oracle_kernel(args: argparse.Namespace, out: Path, cfg: dict) -> list:
-    spec = build_sweep_spec(cfg, omega_override=1.0)
-    real = realize_bath(spec.bath1, args.seed)
+def _oracle_kernel(args: argparse.Namespace, out: Path, bath) -> list:
+    real = realize_bath(bath, args.seed)
     tau = np.linspace(0.0, args.t_final, args.n_points)
-    kernel = memory_kernel(real.frequencies, spec.bath1.mass, tau)
+    kernel = memory_kernel(real.frequencies, bath.mass, tau)
     path = out / "kernel.csv"
     write_csv(path, "tau,kernel", zip(tau, kernel))
     return [path.name]
@@ -295,7 +332,7 @@ def _oracle_mixture(args: argparse.Namespace, out: Path) -> list:
 
 
 def cmd_oracle(args: argparse.Namespace) -> int:
-    cfg = _load_config(args) if args.which == "kernel" else {}
+    cfg, bath = _kernel_bath(args) if args.which == "kernel" else ({}, None)
     out = _outdir(args)
     manifest = RunManifest(command=f"oracle {args.which}", config=cfg,
                            seeds=[args.seed] if hasattr(args, "seed") else [],
@@ -304,10 +341,8 @@ def cmd_oracle(args: argparse.Namespace) -> int:
                            delta_t_steps=None)
     if args.which == "langevin":
         manifest.outputs = _oracle_langevin(args, out)
-    elif args.which == "degenerate":
-        manifest.outputs = _oracle_degenerate(args, out)
     elif args.which == "kernel":
-        manifest.outputs = _oracle_kernel(args, out, cfg)
+        manifest.outputs = _oracle_kernel(args, out, bath)
     else:
         manifest.outputs = _oracle_mixture(args, out)
     manifest.finish()
@@ -354,6 +389,18 @@ def build_parser() -> argparse.ArgumentParser:
     _add_run(p_two)
     p_two.set_defaults(func=cmd_twobath)
 
+    p_ex = sub.add_parser("exchange", help="degenerate-bath energy exchange")
+    _add_out(p_ex)
+    p_ex.add_argument("--size", type=_count, default=100, help="bath oscillators")
+    p_ex.add_argument("--xi", type=float, default=0.01,
+                      help="coupling strength N m / M, must be < 1")
+    p_ex.add_argument("--omega-r", type=_positive, default=1.0,
+                      help="shared bath frequency")
+    p_ex.add_argument("--e0", type=_positive, default=10.0, help="kick energy")
+    p_ex.add_argument("--n-periods", type=_count, default=16,
+                      help="beat periods covered by the trace")
+    p_ex.set_defaults(func=cmd_exchange)
+
     p_oracle = sub.add_parser("oracle", help="reference computations")
     o_sub = p_oracle.add_subparsers(dest="which", required=True)
 
@@ -369,14 +416,6 @@ def build_parser() -> argparse.ArgumentParser:
     o_lang.add_argument("--n-paths", type=_count, default=64)
     o_lang.add_argument("--stride", type=_count, default=100)
     o_lang.set_defaults(func=cmd_oracle)
-
-    o_deg = o_sub.add_parser("degenerate", help="degenerate exchange envelope")
-    _add_out(o_deg)
-    o_deg.add_argument("--e0", type=_non_negative, required=True)
-    o_deg.add_argument("--omega-r", type=_positive, required=True)
-    o_deg.add_argument("--t-final", type=_positive, default=100.0)
-    o_deg.add_argument("--n-points", type=_count, default=1000)
-    o_deg.set_defaults(func=cmd_oracle)
 
     o_ker = o_sub.add_parser("kernel", help="bath memory kernel")
     _add_config(o_ker)

@@ -95,7 +95,8 @@ def check_config(raw: dict) -> dict:
     return out
 
 
-def _build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:
+def build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:
+    """The bath that the prefix_* keys describe, None if absent and not required."""
     keys = {k: cfg[f"{prefix}_{k}"] for k in _BATH_KEYS if f"{prefix}_{k}" in cfg}
     if not keys and not required:
         return None
@@ -135,8 +136,8 @@ def build_sweep_spec(cfg: dict, omega_override=None,
     if seeds_override is not None:
         cfg["seeds"] = tuple(int(s) for s in seeds_override)
 
-    bath1 = _build_bath(cfg, "bath1", required=True)
-    bath2 = _build_bath(cfg, "bath2", required=False)
+    bath1 = build_bath(cfg, "bath1", required=True)
+    bath2 = build_bath(cfg, "bath2", required=False)
 
     plan_kwargs = {}
     for key, name in (("mean_interval", "mean_interval"),

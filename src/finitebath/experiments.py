@@ -353,6 +353,7 @@ class DegenerateExchange:
     dominant_frequency: float      # FFT argmax (DC excluded)
     secondary_ratio: float         # next line amplitude / dominant
     ks_energies: np.ndarray        # randomly timed samples for the arcsine test
+    seed: int                      # of the bath draw and the sample times
 
 
 def exchange_splitting(omega_r: float, xi: float) -> float:
@@ -366,15 +367,16 @@ def exchange_splitting(omega_r: float, xi: float) -> float:
 def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
                             omega_r: float = 1.0, e0: float = 10.0, seed: int = 3,
                             n_periods: int = 16, n_grid: int = 8192,
-                            n_ks_samples: int = 4000,
-                            ks_seed: int = 11) -> DegenerateExchange:
+                            n_ks_samples: int = 4000) -> DegenerateExchange:
     """Kick the particle with e0 against a degenerate bath at resonance.
 
     The particle frequency is set to omega_r sqrt(1 - xi) so that its
     renormalized frequency matches the bath line exactly.  The bath is
     drawn at temperature 1; pairwise cancellation leaves its collective
-    coordinate at rest whatever the temperature.  Out-of-range inputs
-    are a ValueError before the bath is built.
+    coordinate at rest whatever the temperature, so the trace does not
+    depend on the seed (to rounding).  The seed picks the bath draw and
+    the randomly timed samples of the arcsine test.  Out-of-range
+    inputs are a ValueError before the bath is built.
     """
     from .bath import pairwise_cancelled
 
@@ -411,7 +413,7 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     search[max(0, k - 5):k + 6] = 0.0
     k2 = int(np.argmax(search))
 
-    ks_times = np.sort(np.random.default_rng(ks_seed).uniform(
+    ks_times = np.sort(substream(seed, SAMPLING_TIMES).generator().uniform(
         0.0, 200.0 * t_beat, n_ks_samples))
     ks_q, ks_p = prop.sample_test_particle(ks_times)
 
@@ -419,4 +421,4 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
         times=times, energies=energies, e0=e0, exchange_frequency=dnu,
         dominant_frequency=float(freqs[k]),
         secondary_ratio=float(amplitude[k2] / amplitude[k]),
-        ks_energies=bare_energy(ks_q, ks_p, tp))
+        ks_energies=bare_energy(ks_q, ks_p, tp), seed=seed)

@@ -2,8 +2,8 @@
 
 These are small, independent implementations of the analytic limits of
 the model: the memory kernel of the generalized Langevin form, the
-Markovian Langevin reference, the zero bandwidth exchange law with its
-arcsine sampling distribution, and the two temperature mixture with its
+Markovian Langevin reference, the arcsine law of energies sampled from
+the zero bandwidth exchange, and the two temperature mixture with its
 effective temperature.
 """
 
@@ -61,16 +61,6 @@ def langevin_reference(tp: TestParticleSpec, gamma: float, temperature: float,
             times.append(step * dt)
             energies.append(bare_energy(q, p, tp))
     return np.array(times), np.array(energies).T
-
-
-def degenerate_energy_series(e0: float, omega_r: float, times) -> np.ndarray:
-    """Analytic exchange law E0 sin(w_R t), clamped to the physical band [0, E0].
-
-    This is only a period/amplitude reference; the microscopic
-    integration of the degenerate bath is the authoritative series.
-    """
-    times = np.asarray(times, dtype=float)
-    return np.clip(e0 * np.sin(omega_r * times), 0.0, e0)
 
 
 def arcsine_cdf(e, e0: float) -> np.ndarray:

@@ -128,37 +128,6 @@ def build_switched_matrices(tp: TestParticleSpec, real1, real2,
     return TwoBathSystem(tp=tp, realizations=(real1, real2), a1=a1, a2=a2)
 
 
-def switched_energy(system: TwoBathSystem, state, bath1_active: bool) -> float:
-    """Instantaneous Hamiltonian honoring the system's renormalization mode.
-
-    Under static renormalization a disengaged bath still contributes its
-    spring sum times Q^2/2 to the particle potential.
-    """
-    from .model import total_energy
-
-    reals = system.realizations
-    flags = [bath1_active, not bath1_active]
-    h = total_energy(state, system.tp, list(zip(reals, flags)))
-    if system.a1.static_renorm:
-        for real, active in zip(reals, flags):
-            if not active:
-                spring = float(np.sum(real.m * real.frequencies**2))
-                h += 0.5 * spring * state.test_q**2
-    return h
-
-
-def rk4_step(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
-    """One classical RK4 step of v' = A v."""
-    k1 = h * (a @ v)
-    k2 = h * (a @ (v + 0.5 * k1))
-    k3 = h * (a @ (v + 0.5 * k2))
-    k4 = h * (a @ (v + k3))
-    out = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
-    if not np.all(np.isfinite(out)):
-        raise NumericalError("RK4 step produced non-finite values; reduce the step size")
-    return out
-
-
 def rk4_update_matrix(a: np.ndarray, h: float) -> np.ndarray:
     """The linear map of one classical RK4 step, I + hA + ... + (hA)^4/24."""
     eye = np.eye(a.shape[0])

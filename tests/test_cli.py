@@ -331,29 +331,18 @@ def test_oracle_mixture_profile(tmp_path):
     assert e0_row[2] == pytest.approx(7.5, rel=1e-9)
 
 
-def test_oracle_degenerate_series(tmp_path):
-    out = tmp_path / "run"
-    code = main(["oracle", "degenerate", "--e0", "10", "--omega-r", "1",
-                 "--t-final", "20", "--n-points", "200", "--out", str(out)])
-    assert code == EXIT_OK
-    rows = [[float(x) for x in ln.split(",")]
-            for ln in (out / "degenerate.csv").read_text().strip().splitlines()[1:]]
-    energies = np.array(rows)[:, 1]
-    assert np.all(energies >= 0.0)
-    assert np.all(energies <= 10.0)
-    assert np.max(energies) > 9.0
-
-
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """Only the arcsine check of `oracle degenerate` needs scipy.stats."""
+    """Only the arcsine check of `exchange` needs scipy.stats."""
     code = "import sys, finitebath.cli; sys.exit('scipy.stats' in sys.modules)"
     env = {**os.environ, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
     assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
 
 
-def test_oracle_kernel_starts_at_the_spring_sum(tmp_path, quick_config):
+def test_oracle_kernel_starts_at_the_spring_sum(tmp_path):
     out = tmp_path / "run"
-    code = main(["oracle", "kernel", "--config", str(quick_config),
+    bath = tmp_path / "bath.json"
+    bath.write_text(json.dumps({k: v for k, v in QUICK.items() if k.startswith("bath1_")}))
+    code = main(["oracle", "kernel", "--config", str(bath),
                  "--t-final", "10", "--n-points", "50", "--out", str(out)])
     assert code == EXIT_OK
     first = (out / "kernel.csv").read_text().strip().splitlines()[1]
@@ -361,6 +350,17 @@ def test_oracle_kernel_starts_at_the_spring_sum(tmp_path, quick_config):
     assert tau0 == 0.0
     # 150 oscillators, m = 0.01, <w^2> ~ 0.41 for the default band
     assert k0 == pytest.approx(150 * 0.01 * 0.41, rel=0.2)
+
+
+@pytest.mark.parametrize("key", ["seeds", "bath2_size", "propagator"])
+def test_oracle_kernel_refuses_keys_it_does_not_read(tmp_path, capsys, key):
+    value = {"seeds": "[5]", "bath2_size": "4", "propagator": "rk4"}[key]
+    out = tmp_path / "run"
+    code = main(["oracle", "kernel", "--set", "bath1_size=50",
+                 "--set", f"{key}={value}", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert repr(key) in capsys.readouterr().err
+    assert not (out / "manifest.json").exists()
 
 
 def test_oracle_langevin_runs_quickly(tmp_path):
@@ -416,14 +416,12 @@ LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
     pytest.param(LANGEVIN + ["--temperature", "-1"], id="langevin-temperature"),
     pytest.param(["oracle", "mixture", "--t1", "0", "--t2", "10"], id="mixture-t1"),
     pytest.param(["oracle", "kernel", "--n-points", "-1"], id="kernel-n-points"),
-    pytest.param(["oracle", "degenerate", "--e0", "10", "--omega-r", "1",
-                  "--n-points", "-1"], id="degenerate-n-points"),
+    pytest.param(["exchange", "--n-periods", "-1"], id="degenerate-n-periods"),
     # flags an oracle does not read are refused, not silently recorded
     pytest.param(LANGEVIN + ["--seed-list", "1"], id="langevin-seed-list"),
     pytest.param(["oracle", "mixture", "--t1", "5", "--t2", "10", "--set", "bath1_size=3"],
                  id="mixture-set"),
-    pytest.param(["oracle", "degenerate", "--e0", "10", "--omega-r", "1",
-                  "--set", "seeds=[2]"], id="degenerate-set"),
+    pytest.param(["exchange", "--set", "seeds=[2]"], id="degenerate-set"),
     pytest.param(["oracle", "kernel", "--seed-list", "1"], id="kernel-seed-list"),
 ])
 def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
@@ -438,9 +436,9 @@ def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
     LANGEVIN + ["--omega", "-1"],
     LANGEVIN + ["--gamma", "nan"],
     ["oracle", "mixture", "--t1", "5", "--t2", "10", "--e-max", "-1"],
-    ["oracle", "degenerate", "--e0", "-1", "--omega-r", "1"],
-    ["oracle", "degenerate", "--e0", "inf", "--omega-r", "1"],
-    ["oracle", "degenerate", "--e0", "10", "--omega-r", "nan"],
+    ["exchange", "--e0", "-1"],
+    ["exchange", "--e0", "inf"],
+    ["exchange", "--omega-r", "nan"],
 ], ids=["langevin-mass", "langevin-omega", "langevin-gamma-nan", "mixture-e-max",
         "degenerate-e0-negative", "degenerate-e0-inf", "degenerate-omega-r-nan"])
 def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):

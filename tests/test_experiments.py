@@ -210,6 +210,16 @@ def test_degenerate_exchange_beats_at_the_splitting():
     assert res.ks_energies.shape == (500,)
 
 
+def test_degenerate_exchange_trace_does_not_depend_on_the_seed():
+    """Pairwise cancellation leaves the bath's collective coordinate at rest."""
+    a, b = (run_degenerate_exchange(n=20, n_periods=4, n_grid=1024,
+                                    n_ks_samples=100, seed=seed) for seed in (0, 7))
+    assert a.seed == 0 and b.seed == 7
+    assert np.max(np.abs(a.energies - b.energies)) <= 1e-12 * a.e0
+    # the sample times of the arcsine check do follow the seed
+    assert not np.array_equal(a.ks_energies, b.ks_energies)
+
+
 def test_eigen_path_builds_no_drift_matrix(monkeypatch):
     def refuse(cm):
         raise AssertionError("the eigen path must not build the drift matrix")

@@ -1,5 +1,5 @@
-"""Closed-form references: kernel, Langevin limit, exchange law and the
-two temperature mixture."""
+"""Closed-form references: kernel, Langevin limit, exchange splitting and
+arcsine law, and the two temperature mixture."""
 
 import numpy as np
 import pytest
@@ -10,7 +10,6 @@ from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
 from finitebath.oracles import (
     arcsine_cdf,
     arcsine_distribution_check,
-    degenerate_energy_series,
     effective_temperature,
     langevin_friction,
     langevin_reference,
@@ -98,16 +97,6 @@ def test_exchange_splitting_domain():
         exchange_splitting(1.0, 0.0)
     with pytest.raises(ValueError, match="0 < xi < 1"):
         exchange_splitting(1.0, 1.0)
-
-
-def test_degenerate_series_is_clamped_to_the_physical_band():
-    t = np.linspace(0.0, 10.0, 1001)
-    e = degenerate_energy_series(10.0, 2.0, t)
-    assert np.all(e >= 0.0)
-    assert np.all(e <= 10.0)
-    assert e[0] == 0.0
-    t_peak = np.pi / 4.0
-    assert degenerate_energy_series(10.0, 2.0, t_peak) == pytest.approx(10.0)
 
 
 def test_arcsine_cdf_endpoints_and_median():

@@ -1,10 +1,11 @@
-"""The studies in scripts/ run end to end at miniature size.
+"""The paper's three studies run end to end at miniature size.
 
-A study is either a flat config (``<name>.json``) that a CLI command
-runs, or a script (``<name>.py``) for the one study without a command.
+Two are flat configs under scripts/ (``<name>.json``) that a CLI
+command runs.  The degenerate exchange has no config: it is the
+``exchange`` command with its own flags.  scripts/ holds nothing but
+the configs, so every study has one front end.
 """
 
-import importlib.util
 import json
 from pathlib import Path
 
@@ -40,35 +41,52 @@ def _sets(overrides: dict) -> list:
 
 
 def _run(name, argv) -> int:
-    """Exit code of a study: its config run by the CLI, or its script."""
+    """Exit code of a study: its config run by its command, or `exchange`."""
     if name in CONFIGS:
-        return main([COMMANDS[name], "--config", str(SCRIPTS / f"{name}.json"), *argv])
-    spec = importlib.util.spec_from_file_location(name, SCRIPTS / f"{name}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+        argv = [COMMANDS[name], "--config", str(SCRIPTS / f"{name}.json"), *argv]
+    else:
+        argv = ["exchange", *argv]
     try:
-        return module.main(argv)
-    except SystemExit as exc:
+        return main(argv)
+    except SystemExit as exc:     # argparse refusing a flag
         return exc.code
+
+
+def test_scripts_holds_only_configs_that_a_test_runs():
+    files = [path for path in SCRIPTS.rglob("*")
+             if path.is_file() and "__pycache__" not in path.parts]
+    assert files and all(path.suffix == ".json" for path in files), files
+    for path in files:
+        check_config(json.loads(path.read_text()))
+    # each config has the command and the overrides that the run test below uses
+    assert CONFIGS == sorted(COMMANDS) == sorted(MINIATURE)
 
 
 @pytest.mark.parametrize("name,args,outputs", [
     *((name, _sets(MINIATURE[name]) + ["--out", "{tmp}"], CURVES[COMMANDS[name]])
       for name in CONFIGS),
-    ("degenerate_exchange",
-     ["--size", "20", "--n-periods", "4", "--out", "{tmp}/trace.csv"],
-     ["trace.csv"]),
+    ("degenerate_exchange", ["--size", "20", "--n-periods", "4", "--out", "{tmp}"],
+     ["exchange.csv", "summary.json"]),
 ])
 def test_script_runs_and_writes_its_output(tmp_path, capsys, name, args, outputs):
     assert _run(name, [a.format(tmp=tmp_path) for a in args]) == 0
     for out in outputs:
         assert (tmp_path / out).stat().st_size > 0
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
     if name in CONFIGS:
-        check_config(json.loads((SCRIPTS / f"{name}.json").read_text()))
-        manifest = json.loads((tmp_path / "manifest.json").read_text())
         assert sorted(manifest["peaks"]) == sorted(outputs)
         assert all(peak in MINIATURE[name]["omega_grid"]
                    for peak in manifest["peaks"].values())
+    else:
+        assert manifest["command"] == "exchange"
+        assert manifest["outputs"] == outputs
+        assert manifest["config"] == {"size": 20, "xi": 0.01, "omega_r": 1.0,
+                                      "e0": 10.0, "n_periods": 4}
+        assert manifest["seeds"] == [3]
+        summary = json.loads((tmp_path / "summary.json").read_text())
+        assert summary["dominant_frequency"] == pytest.approx(
+            summary["exchange_frequency"], rel=1e-3)
+        assert 0.0 <= summary["ks_pvalue"] <= 1.0
 
 
 @pytest.mark.parametrize("name,args", [
@@ -76,15 +94,18 @@ def test_script_runs_and_writes_its_output(tmp_path, capsys, name, args, outputs
                            "--out", "{tmp}"]),
     ("two_bath_frustration", ["--set", "delta_t_steps=0", "--set", "bath1_size=10",
                               "--out", "{tmp}"]),
-    ("degenerate_exchange", ["--size", "3", "--out", "{tmp}/trace.csv"]),
-    ("degenerate_exchange", ["--size", "0", "--out", "{tmp}/trace.csv"]),
-    ("degenerate_exchange", ["--xi", "2", "--out", "{tmp}/trace.csv"]),
-    ("degenerate_exchange", ["--n-periods", "0", "--out", "{tmp}/trace.csv"]),
-    ("degenerate_exchange", ["--e0", "-5", "--out", "{tmp}/trace.csv"]),
+    ("degenerate_exchange", ["--size", "3", "--out", "{tmp}"]),
+    ("degenerate_exchange", ["--size", "0", "--out", "{tmp}"]),
+    ("degenerate_exchange", ["--xi", "2", "--out", "{tmp}"]),
+    ("degenerate_exchange", ["--n-periods", "0", "--out", "{tmp}"]),
+    ("degenerate_exchange", ["--e0", "-5", "--out", "{tmp}"]),
 ])
 def test_bad_script_arguments_exit_2(tmp_path, capsys, name, args):
     assert _run(name, [a.format(tmp=tmp_path) for a in args]) == 2
-    assert "error:" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "error:" in err
+    assert "Traceback" not in err
+    assert not list(tmp_path.iterdir())
 
 
 def _diverging_point(omega, spec, seed, **kwargs):
@@ -103,19 +124,19 @@ def test_all_failed_sweep_records_a_null_peak_and_exits_3(tmp_path, capsys, monk
 def test_exchange_factorization_failure_exits_3(tmp_path, capsys, monkeypatch):
     monkeypatch.setattr(propagator, "dlasd4",
                         lambda i, d, z: (np.ones_like(d), 1.0, np.ones_like(d), 1))
-    trace = tmp_path / "trace.csv"
-    assert _run("degenerate_exchange", ["--size", "20", "--out", str(trace)]) == 3
+    assert _run("degenerate_exchange", ["--size", "20", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: dlasd4 failed")
     assert err.count("\n") == 1
-    assert not trace.exists()
+    assert not (tmp_path / "exchange.csv").exists()
 
 
 def test_exchange_trace_is_written_by_the_csv_writer(tmp_path, capsys):
-    trace = tmp_path / "trace.csv"
     assert _run("degenerate_exchange",
-                ["--size", "20", "--n-periods", "4", "--out", str(trace)]) == 0
+                ["--size", "20", "--n-periods", "4", "--out", str(tmp_path)]) == 0
+    trace = tmp_path / "exchange.csv"
     header, *lines = trace.read_text().splitlines()
+    assert header == "time,energy"
     rows = [[float(x) for x in line.split(",")] for line in lines]
     write_csv(tmp_path / "again.csv", header, rows)
     assert trace.read_bytes() == (tmp_path / "again.csv").read_bytes()

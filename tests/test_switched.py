@@ -7,7 +7,8 @@ import pytest
 
 from finitebath import switched
 from finitebath.bath import pairwise_cancelled, realize_bath
-from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
+from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
+                              total_energy)
 from finitebath.propagator import (RK4_STABILITY_LIMIT, EigensolverError,
                                    NumericalError, build_multi_coupling_matrix,
                                    diagonalize, drift_matrix, max_mode_frequency,
@@ -18,9 +19,7 @@ from finitebath.switched import (
     TwoBathSystem,
     build_switched_matrices,
     default_step_size,
-    rk4_step,
     rk4_update_matrix,
-    switched_energy,
 )
 
 SPEC1 = BathSpec(size=4, mass=0.01, temperature=5.0,
@@ -34,6 +33,35 @@ def _tiny_system(renormalization="switched", seed=5):
     real1 = realize_bath(SPEC1, seed=seed, bath_index=0)
     real2 = realize_bath(SPEC2, seed=seed, bath_index=1)
     return build_switched_matrices(tp, real1, real2, renormalization=renormalization)
+
+
+def rk4_step(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of v' = A v, the reference for the update map."""
+    k1 = h * (a @ v)
+    k2 = h * (a @ (v + 0.5 * k1))
+    k3 = h * (a @ (v + 0.5 * k2))
+    k4 = h * (a @ (v + k3))
+    out = v + (k1 + 2.0 * k2 + 2.0 * k3 + k4) / 6.0
+    if not np.all(np.isfinite(out)):
+        raise NumericalError("RK4 step produced non-finite values; reduce the step size")
+    return out
+
+
+def switched_energy(system: TwoBathSystem, state, bath1_active: bool) -> float:
+    """Instantaneous Hamiltonian honoring the system's renormalization mode.
+
+    Under static renormalization a disengaged bath still contributes its
+    spring sum times Q^2/2 to the particle potential.
+    """
+    reals = system.realizations
+    flags = [bath1_active, not bath1_active]
+    h = total_energy(state, system.tp, list(zip(reals, flags)))
+    if system.a1.static_renorm:
+        for real, active in zip(reals, flags):
+            if not active:
+                spring = float(np.sum(real.m * real.frequencies**2))
+                h += 0.5 * spring * state.test_q**2
+    return h
 
 
 def _run(system, sched, times, **kwargs):
