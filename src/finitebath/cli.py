@@ -129,12 +129,13 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _manifest(command: str, cfg: dict, spec) -> RunManifest:
+    # with bath2 the switched curve is always RK4, whatever spec.propagator
     return RunManifest(
         command=command,
         config=cfg,
         seeds=list(spec.seeds),
         code_version=__version__,
-        propagator=spec.propagator,
+        propagator=spec.propagator if spec.bath2 is None else "rk4",
         step_size=spec.step_size,
         delta_t_steps=spec.delta_t_steps,
     )

@@ -118,6 +118,24 @@ def build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:
         raise ConfigError(f"{prefix}: {err}") from err
 
 
+def _refuse_unread(cfg: dict, two_bath: bool) -> None:
+    """ConfigError naming a run key that this kind of run never reads.
+
+    A run with bath2 samples its switched curve by RK4 and each bath
+    alone through the exact modes, whatever the propagator; a one-bath
+    run has no schedule and no idle bath; the exact modes take no step.
+    """
+    if two_bath:
+        unread = {"propagator": "a run with bath2"}
+    else:
+        unread = dict.fromkeys(("delta_t_steps", "renormalization"), "a run without bath2")
+        if cfg.get("propagator", "eigen") == "eigen":
+            unread["step_size"] = "the eigen propagator"
+    for key, run in unread.items():
+        if key in cfg:
+            raise ConfigError(f"{key}: {run} never reads it")
+
+
 def build_sweep_spec(cfg: dict, omega_override=None,
                      seeds_override=None) -> SweepSpec:
     """Assemble the sweep description a config describes.
@@ -138,6 +156,7 @@ def build_sweep_spec(cfg: dict, omega_override=None,
 
     bath1 = build_bath(cfg, "bath1", required=True)
     bath2 = build_bath(cfg, "bath2", required=False)
+    _refuse_unread(cfg, bath2 is not None)
 
     plan_kwargs = {}
     for key, name in (("mean_interval", "mean_interval"),

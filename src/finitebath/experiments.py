@@ -376,7 +376,8 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     coordinate at rest whatever the temperature, so the trace does not
     depend on the seed (to rounding).  The seed picks the bath draw and
     the randomly timed samples of the arcsine test.  Out-of-range
-    inputs are a ValueError before the bath is built.
+    inputs, and a xi so small that the splitting is below 1e4 eps of
+    omega_r, are a ValueError before the bath is built.
     """
     from .bath import pairwise_cancelled
 
@@ -387,6 +388,12 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
         raise ValueError(f"e0 and omega_r must be finite and positive, got "
                          f"e0={e0}, omega_r={omega_r}")
     dnu = exchange_splitting(omega_r, xi)
+    # sqrt(1 +- sqrt(xi)) each round to about eps, so the predicted splitting
+    # carries an error near eps omega_r: at 1e4 eps omega_r that is 1e-4 of
+    # it, the accuracy to which the trace's FFT line finds it
+    if not dnu >= 1e4 * np.finfo(float).eps * omega_r:
+        raise ValueError(f"xi={xi:g} splits the resonance by {dnu / omega_r:.3g} "
+                         "of omega_r, below the 1e4 eps double precision resolves")
     m = xi / float(n)                       # test particle mass is 1
     omega = omega_r * np.sqrt(1.0 - xi)
     dos = DensityOfStates("uniform", omega_r, omega_r)

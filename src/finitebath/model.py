@@ -167,9 +167,6 @@ class BathRealization:
     def size(self) -> int:
         return len(self.frequencies)
 
-    def total_energy(self) -> float:
-        return float(np.sum(self.energies))
-
 
 def oscillator_energies(q, p, omega, m):
     """Free oscillator energies p^2/2m + m w^2 q^2 / 2, vectorized."""

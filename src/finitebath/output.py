@@ -49,17 +49,6 @@ def emit_curve(curve: ThermalizationCurve, path) -> None:
         curve.overflow_fraction, [t_init] * len(curve.omegas), curve.bath_final[0][0]))
 
 
-def read_curve(path) -> dict:
-    """Parse an emitted curve CSV back into column arrays."""
-    lines = Path(path).read_text().strip().split("\n")
-    if lines[0] != CURVE_HEADER:
-        raise ValueError(f"{path}: not a curve CSV (bad header)")
-    names = CURVE_HEADER.split(",")
-    rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
-    data = np.array(rows, dtype=float).reshape(len(rows), len(names))
-    return {name: data[:, j] for j, name in enumerate(names)}
-
-
 def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path) -> None:
     """Write histogram CSV plus a JSON sidecar with the fit parameters.
 

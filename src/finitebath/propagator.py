@@ -46,7 +46,9 @@ Matrix Anal. Appl. 16, 172 (1995)):
    mode shapes are rebuilt block by block, a fixed number of modes at
    a time, for each pass over them: one in diagonalize for the
    amplitudes a_k, b_k and the particle's entries u_k[0] that the
-   samplers read, one per full state and one in mode_residual.
+   samplers read, one per full state and one in mode_residual.  The
+   samplers need no shapes after that: Q and P are two coefficient
+   rows of mode_sums built from u_k[0], a_k and b_k.
 
 A zero frequency mode (Omega = 0, a free translation) has no such form,
 so diagonalize rejects it for the exact and the RK4 sampler alike.  It
@@ -62,6 +64,12 @@ mode form with nu_k t replaced by n phi_k and scaled by rho_k^n, which
 sample_rk4 and rk4_full_state evaluate without stepping.  The same
 stability rule, h nu_max <= 2 sqrt(2), holds for these and for literal
 stepping in the switched module (check_rk4_stability).
+
+Every sampler is one direct sum, mode_sums: sum_k e^{x d_k} (A_k cos x
+theta_k + B_k sin x theta_k) through chunked real tables.  The exact
+form has x = t, theta = nu and no decay; RK4 has x = n, theta = phi and
+d = log rho; the switched module's period map has x = periods,
+d + i theta = log of its multipliers.
 """
 
 from __future__ import annotations
@@ -465,39 +473,50 @@ class EigenPropagator:
 
     def _sample(self, x, rate, log_decay):
         """The mode form at phases x * rate, each mode scaled by exp(x * log_decay)."""
-        x = np.atleast_1d(np.asarray(x, dtype=float))
         u0 = self.u0
-        qc = u0 * self.coef_cos
-        qs = u0 * self.coef_sin / self.nu
-        pc = u0 * self.coef_sin
-        ps = u0 * self.coef_cos * self.nu
-        q = np.empty(len(x))
-        p = np.empty(len(x))
-        # chunked so the (samples x modes) tables stay cache friendly
-        step = max(1, SAMPLE_CHUNK // max(len(self.nu), 1))
-        m0 = self.cm.tp.mass
-        # one set of tables for every chunk: tables allocated per chunk are
-        # often mapped afresh by malloc and page-faulted in again
-        tables = np.empty((3, min(step, len(x)), len(rate)))
-        for lo in range(0, len(x), step):
-            xx = x[lo:lo + step]
-            ph, c, s = tables[:, :len(xx)]
-            np.outer(xx, rate, out=ph)
-            np.cos(ph, out=c)
-            np.sin(ph, out=s)
-            if log_decay is not None:
-                decay = np.outer(xx, log_decay, out=ph)
-                np.exp(decay, out=decay)
-                c *= decay
-                s *= decay
-            q[lo:lo + step] = c @ qc + s @ qs
-            p[lo:lo + step] = m0 * (c @ pc - s @ ps)
-        return q, p
+        q, p = mode_sums(x, rate, log_decay,
+                         [(u0 * self.coef_cos, u0 * self.coef_sin / self.nu),
+                          (u0 * self.coef_sin, -(u0 * self.coef_cos * self.nu))])
+        return q, self.cm.tp.mass * p
 
 
-# entries of one (samples x modes) table of either sampler, 2 MB; larger
-# tables raise the peak memory of a run more than they save time
+# entries of one (samples x modes) table of mode_sums, 2 MB; larger tables
+# raise the peak memory of a run more than they save time
 SAMPLE_CHUNK = 250_000
+
+
+def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
+    """Direct sums over the modes k at each x, one per coefficient row.
+
+    Row j of the result is sum_k e^{x d_k} (A_jk cos(x theta_k) +
+    B_jk sin(x theta_k)) for the j-th pair (A_j, B_j) of rows, with
+    d = log_decay (no decay when None); the rows of decay_rows D_j, which
+    need log_decay, follow as sum_k e^{x d_k} D_jk.  Every sampler goes
+    through here: the exact and the RK4 mode forms and the period map.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    out = np.empty((len(rows) + len(decay_rows), len(x)))
+    # chunked so the (samples x modes) tables stay cache friendly
+    step = max(1, SAMPLE_CHUNK // max(len(theta), 1))
+    # one set of tables for every chunk: tables allocated per chunk are
+    # often mapped afresh by malloc and page-faulted in again
+    tables = np.empty((3, min(step, len(x)), len(theta)))
+    for lo in range(0, len(x), step):
+        xx = x[lo:lo + step]
+        ph, c, s = tables[:, :len(xx)]
+        np.outer(xx, theta, out=ph)
+        np.cos(ph, out=c)
+        np.sin(ph, out=s)
+        if log_decay is not None:
+            decay = np.outer(xx, log_decay, out=ph)
+            np.exp(decay, out=decay)
+            c *= decay
+            s *= decay
+        for j, (a, b) in enumerate(rows):
+            out[j, lo:lo + step] = c @ a + s @ b
+        for j, d in enumerate(decay_rows, len(rows)):
+            out[j, lo:lo + step] = ph @ d
+    return out
 
 
 # RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)

@@ -14,7 +14,13 @@ by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs exploit
 that: the map over one full switching period is diagonalized once per
 run, after which any sample time costs O(N) instead of stepping there.
 A factorization whose residual looks degraded is a NumericalError:
-stepping a long run literally instead would take hours.
+stepping a long run literally instead would take hours.  With the
+period map S diag(mu) S^-1 and v' = S^-1 v0, the particle after k
+periods and r more steps is Re sum_j c_j mu_j^k, c = (rows 0 and 1 of
+the first r steps' map) S times v'.  propagator.mode_sums evaluates
+these sums, the same chunked real tables that sample the normal modes,
+with theta = arg mu and d = log |mu|; their imaginary parts must cancel
+to 1e-9 of sum_j |c_j| |mu_j|^k.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
@@ -40,7 +46,7 @@ from .model import SystemState, TestParticleSpec
 from .propagator import (CouplingMatrix, NumericalError,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
-                         rk4_full_state)
+                         mode_sums, rk4_full_state)
 
 
 @dataclass(frozen=True)
@@ -221,13 +227,10 @@ class SwitchedPropagator:
     # -- period map spectral engine --------------------------------------
 
     def _build_floquet(self):
-        dim = self.system.dim
-        period = self.schedule.period_steps
-        rows01 = np.empty((period, 2, dim), dtype=complex)
         # prefix r is the map of steps 0..r-1; prefix 0 is the identity
-        prefix_rows = [np.eye(2, dim)]
+        prefix_rows = [np.eye(2, self.system.dim)]
         u_period = self.step_matrix(0)
-        for r in range(1, period):
+        for r in range(1, self.schedule.period_steps):
             prefix_rows.append(u_period[0:2].copy())
             u_period = self.step_matrix(r) @ u_period
         mu, s_mat = np.linalg.eig(u_period)
@@ -237,39 +240,29 @@ class SwitchedPropagator:
             raise NumericalError(
                 f"period map factorization residual {rel:.2e} exceeds "
                 f"{self.QUALITY_TOL:g}")
-        for r in range(period):
-            rows01[r] = prefix_rows[r] @ s_mat
-        return {"log_mu": np.log(mu), "s": s_mat, "rows01": rows01,
-                "period": period}
+        return {"log_mu": np.log(mu), "s": s_mat, "rows01": np.stack(prefix_rows) @ s_mat,
+                "period": self.schedule.period_steps}
 
     def _run_floquet(self, v0, steps_wanted, final_step):
         fl = self._build_floquet()
-        period = fl["period"]
         vprime0 = np.linalg.solve(fl["s"], v0.astype(complex))
-        q = np.empty(len(steps_wanted))
-        p = np.empty(len(steps_wanted))
-        ks, rs = np.divmod(steps_wanted, period)
-        chunk = max(1, 4_000_000 // self.system.dim)
-        for lo in range(0, len(steps_wanted), chunk):
-            sl = slice(lo, min(lo + chunk, len(steps_wanted)))
-            # in place: each (modes x chunk) complex table is tens of MB
-            w = np.outer(fl["log_mu"], ks[sl])
-            np.exp(w, out=w)
-            w *= vprime0[:, None]
-            for r in np.unique(rs[sl]):
-                cols = np.nonzero(rs[sl] == r)[0]
-                wc = w[:, cols]
-                out = fl["rows01"][r] @ wc
-                scale = np.abs(fl["rows01"][r]) @ np.abs(wc)
-                # freed now, not when the next class's copy replaces it: two
-                # live copies would raise the run's peak memory
-                del wc
-                if np.any(np.abs(out.imag) > 1e-9 * np.maximum(scale, 1e-300)):
-                    raise NumericalError(
-                        "imaginary residue in period map observation exceeds "
-                        "1e-9 of the modal amplitude")
-                q[lo + cols] = out[0].real
-                p[lo + cols] = out[1].real
+        q, p = np.empty((2, len(steps_wanted)))
+        ks, rs = np.divmod(steps_wanted, fl["period"])
+        for r in np.unique(rs):
+            at = rs == r
+            # (Q, P) after k periods and r steps are Re sum_j c_j mu_j^k with
+            # c = rows01[r] v'; the imaginary parts must cancel to rounding
+            # against their scale sum_j |c_j| |mu_j|^k
+            c = fl["rows01"][r] * vprime0
+            sums = mode_sums(ks[at], fl["log_mu"].imag, fl["log_mu"].real,
+                             [(c.real[i], -c.imag[i]) for i in (0, 1)]
+                             + [(c.imag[i], c.real[i]) for i in (0, 1)],
+                             decay_rows=np.abs(c))
+            if np.any(np.abs(sums[2:4]) > 1e-9 * np.maximum(sums[4:], 1e-300)):
+                raise NumericalError(
+                    "imaginary residue in period map observation exceeds "
+                    "1e-9 of the modal amplitude")
+            q[at], p[at] = sums[0], sums[1]
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NumericalError("switched run diverged")
         return q, p, self._state_floquet(fl, vprime0, final_step)
@@ -306,8 +299,10 @@ class SwitchedPropagator:
         normal modes (reported as engine "modes"; EigensolverError for a
         zero mode) and picks the period map or stepping for a switched
         one by run length; a period map that factorizes with a residual
-        above QUALITY_TOL is a NumericalError.  t_final defaults to the
-        last (snapped) sample time.
+        above QUALITY_TOL is a NumericalError.  The period map is sampled
+        through propagator.mode_sums, so beyond its dense matrices a run
+        holds one set of SAMPLE_CHUNK tables however many samples it
+        takes.  t_final defaults to the last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):

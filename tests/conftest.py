@@ -6,10 +6,13 @@ read without scanning the full pytest output.
 """
 
 import re
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
+from finitebath.output import CURVE_HEADER
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
@@ -28,6 +31,20 @@ def small_bath(band):
 @pytest.fixture
 def particle():
     return TestParticleSpec(mass=1.0, omega=0.5)
+
+
+@pytest.fixture
+def read_curve():
+    """A reader that parses an emitted curve CSV back into column arrays."""
+    def read(path) -> dict:
+        lines = Path(path).read_text().strip().split("\n")
+        if lines[0] != CURVE_HEADER:
+            raise ValueError(f"{path}: not a curve CSV (bad header)")
+        names = CURVE_HEADER.split(",")
+        rows = [[float(x) for x in line.split(",")] for line in lines[1:]]
+        data = np.array(rows, dtype=float).reshape(len(rows), len(names))
+        return {name: data[:, j] for j, name in enumerate(names)}
+    return read
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

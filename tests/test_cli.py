@@ -13,7 +13,7 @@ import finitebath
 from finitebath import experiments, propagator
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
 from finitebath.propagator import NumericalError
-from finitebath.output import read_curve, read_histogram
+from finitebath.output import read_histogram
 from finitebath.stats import FitError
 
 QUICK = {
@@ -132,7 +132,7 @@ def test_invalid_json_config_is_a_config_error(tmp_path, capsys):
         assert message in capsys.readouterr().err
 
 
-def test_sweep_writes_the_curve(tmp_path, quick_config, capsys):
+def test_sweep_writes_the_curve(tmp_path, quick_config, capsys, read_curve):
     out = tmp_path / "run"
     code = main(["sweep", "--config", str(quick_config),
                  "--set", "omega_grid=[0.5]", "--seed-list", "1",
@@ -278,6 +278,24 @@ def test_removed_run_options_are_unknown_keys(tmp_path, twobath_config, capsys,
     assert not (out / "manifest.json").exists()
 
 
+@pytest.mark.parametrize("command,override", [
+    ("twobath", "propagator=rk4"),
+    ("sweep", "renormalization=static"),
+    ("sweep", "delta_t_steps=2"),
+    ("sweep", "step_size=0.05"),
+])
+def test_run_keys_the_run_never_reads_exit_2(tmp_path, quick_config, twobath_config,
+                                             capsys, command, override):
+    out = tmp_path / "x"
+    config = twobath_config if command == "twobath" else quick_config
+    code = main([command, "--config", str(config), "--set", "omega_grid=[0.4]",
+                 "--set", override, "--out", str(out)])
+    assert code == EXIT_CONFIG
+    key = override.partition("=")[0]
+    assert capsys.readouterr().err.startswith(f"error: {key}: ")
+    assert not out.exists()
+
+
 def test_twobath_needs_a_second_bath(tmp_path, quick_config, capsys):
     code = main(["twobath", "--config", str(quick_config),
                  "--set", "omega_grid=[0.4]", "--out", str(tmp_path / "x")])
@@ -285,7 +303,8 @@ def test_twobath_needs_a_second_bath(tmp_path, quick_config, capsys):
     assert "bath2" in capsys.readouterr().err
 
 
-def test_twobath_writes_combined_and_alone_curves(tmp_path, twobath_config):
+def test_twobath_writes_combined_and_alone_curves(tmp_path, twobath_config,
+                                                  read_curve):
     out = tmp_path / "run"
     code = main(["twobath", "--config", str(twobath_config), "--out", str(out)])
     assert code == EXIT_OK
@@ -294,6 +313,8 @@ def test_twobath_writes_combined_and_alone_curves(tmp_path, twobath_config):
         assert (out / name).exists()
     combined = read_curve(out / "curve_combined.csv")
     assert combined["omega"][0] == 0.4
+    # the switched curve runs on RK4 maps, never on the eigen propagator
+    assert json.loads((out / "manifest.json").read_text())["propagator"] == "rk4"
 
 
 def test_twobath_failures_name_their_point_and_error(
@@ -446,6 +467,20 @@ def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
     assert _exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert "must be a finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_exchange_refuses_a_splitting_below_double_precision(tmp_path, capsys):
+    # at xi = 1e-30 the splitting is 1e-15 of omega_r: the trace would sit at
+    # e0 and the arcsine check would end in a ValueError traceback
+    out = tmp_path / "tiny"
+    argv = ["exchange", "--size", "20", "--n-periods", "4", "--out", str(out)]
+    assert main(argv + ["--xi", "1e-30"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: xi=1e-30 splits the resonance")
+    assert "Traceback" not in err
+    assert not out.exists()
+    assert main(argv + ["--xi", "1e-12"]) == EXIT_OK
+    assert (out / "exchange.csv").exists() and (out / "summary.json").exists()
 
 
 def test_fit_round_trips_a_stored_histogram(tmp_path, capsys):

@@ -21,7 +21,6 @@ GOOD = {
     "n_bins": 30,
     "span_factor": 6.0,
     "propagator": "eigen",
-    "renormalization": "static",
 }
 
 
@@ -35,16 +34,36 @@ def test_happy_path_builds_the_full_spec():
     assert spec.plan.n_samples == 500
     assert spec.plan.warmup == 100.0
     assert spec.n_bins == 30
-    assert spec.renormalization == "static"
+    assert spec.propagator == "eigen"
     assert spec.initial_energy == 0.5
 
 
 def test_second_bath_appears_when_any_of_its_keys_do():
-    cfg = dict(GOOD, bath2_temperature=10.0, bath2_size=200)
+    cfg = {key: value for key, value in GOOD.items() if key != "propagator"}
+    cfg.update(bath2_temperature=10.0, bath2_size=200, renormalization="static",
+               delta_t_steps=2, step_size=0.01)
     spec = build_sweep_spec(check_config(cfg))
     assert spec.bath2 is not None
     assert spec.bath2.temperature == 10.0
     assert spec.bath2.size == 200
+    assert spec.renormalization == "static"
+    assert (spec.delta_t_steps, spec.step_size) == (2, 0.01)
+
+
+@pytest.mark.parametrize("key,extra", [
+    ("propagator", {"propagator": "rk4", "bath2_size": 20}),
+    ("delta_t_steps", {"delta_t_steps": 2}),
+    ("renormalization", {"renormalization": "static", "propagator": "rk4"}),
+    ("step_size", {"step_size": 0.01}),
+    ("step_size", {"step_size": 0.01, "propagator": "eigen"}),
+])
+def test_keys_a_run_never_reads_are_refused(key, extra):
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        build_sweep_spec({"omega": 0.5, **extra})
+    # the same key where the run reads it
+    if key == "step_size":
+        spec = build_sweep_spec({"omega": 0.5, **extra, "propagator": "rk4"})
+        assert spec.step_size == 0.01
 
 
 def test_unknown_keys_fail_loudly():

@@ -13,7 +13,6 @@ from finitebath.output import (
     emit_curve,
     emit_histogram,
     fmt,
-    read_curve,
     read_histogram,
 )
 from finitebath.stats import EnergyHistogram, TemperatureFit
@@ -40,7 +39,7 @@ def test_fmt_round_trips_binary_floats():
     assert fmt(float("nan")) == "nan"
 
 
-def test_curve_round_trip(tmp_path):
+def test_curve_round_trip(tmp_path, read_curve):
     path = tmp_path / "curve.csv"
     emit_curve(_toy_curve(), path)
     cols = read_curve(path)
@@ -59,7 +58,7 @@ def test_identical_curves_write_identical_bytes(tmp_path):
     assert a.read_bytes() == b.read_bytes()
 
 
-def test_curve_reader_rejects_other_files(tmp_path):
+def test_curve_reader_rejects_other_files(tmp_path, read_curve):
     path = tmp_path / "other.csv"
     path.write_text("x,y\n1,2\n")
     with pytest.raises(ValueError, match="bad header"):

@@ -1,11 +1,12 @@
 """Square wave bath switching: schedule, stepping, period map engine."""
 
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from finitebath import switched
+from finitebath import propagator, switched
 from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                               total_energy)
@@ -226,17 +227,64 @@ def test_identical_matrices_reduce_to_the_continuous_run():
     np.testing.assert_allclose(res.p, p_ref, atol=1e-6)
 
 
-def test_period_map_engine_matches_literal_stepping():
+def test_period_map_engine_matches_literal_stepping(monkeypatch):
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
     times = np.linspace(0.0, 30.0, 23)
     dense = _run(system, sched, times, t_final=30.0, engine="dense")
     floq = _run(system, sched, times, t_final=30.0, engine="floquet")
-    assert floq.engine == "floquet"
-    np.testing.assert_allclose(floq.q, dense.q, atol=1e-9)
-    np.testing.assert_allclose(floq.p, dense.p, atol=1e-9)
-    np.testing.assert_allclose(floq.final_state.as_vector(),
-                               dense.final_state.as_vector(), atol=1e-9)
+    # two samples per table: every chunk boundary and a short last chunk
+    monkeypatch.setattr(propagator, "SAMPLE_CHUNK", 2 * system.dim)
+    chunked = _run(system, sched, times, t_final=30.0, engine="floquet")
+    for res in (floq, chunked):
+        assert res.engine == "floquet"
+        np.testing.assert_allclose(res.q, dense.q, atol=1e-9)
+        np.testing.assert_allclose(res.p, dense.p, atol=1e-9)
+        np.testing.assert_allclose(res.final_state.as_vector(),
+                                   dense.final_state.as_vector(), atol=1e-9)
+    np.testing.assert_allclose(chunked.q, floq.q, rtol=0.0, atol=1e-14)
+    np.testing.assert_allclose(chunked.p, floq.p, rtol=0.0, atol=1e-14)
+
+
+def test_period_map_observation_keeps_its_imaginary_residue_check(monkeypatch):
+    system = _tiny_system()
+    sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
+    build = SwitchedPropagator._build_floquet
+
+    def non_conjugate(self):
+        # i c_k and i conj(c_k) are no conjugate pair: the sums turn imaginary
+        fl = build(self)
+        fl["rows01"] = 1j * fl["rows01"]
+        return fl
+
+    monkeypatch.setattr(SwitchedPropagator, "_build_floquet", non_conjugate)
+    with pytest.raises(NumericalError, match="imaginary residue in period map "
+                                             "observation exceeds 1e-9"):
+        _run(system, sched, np.linspace(0.0, 30.0, 23), engine="floquet")
+
+
+def test_period_map_engine_samples_in_bounded_memory():
+    # 2 x 100 oscillators (dim 402), 2e4 samples over 1e7 steps.  Factoring the
+    # period map peaks near 10 MB (a few real and complex 402^2 arrays); the
+    # sampling holds 4 MB plus 3 SAMPLE_CHUNK doubles of tables (6 MB), and
+    # the run peaked at 11 MB.  Complex (modes x samples) tables of 4e6
+    # entries took it to 132 MB; 30 MB is under a quarter of that
+    spec = BathSpec(size=100, mass=0.01, temperature=7.5,
+                    dos=DensityOfStates("uniform", 0.2, 1.0))
+    tp = TestParticleSpec(mass=1.0, omega=0.55)
+    system = build_switched_matrices(tp, realize_bath(spec, seed=2, bath_index=0),
+                                     realize_bath(spec, seed=2, bath_index=1),
+                                     renormalization="static")
+    prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-2))
+    v0 = system.initial_vector()
+    tracemalloc.start()
+    try:
+        res = prop.run(v0, np.linspace(0.0, 1e5, 20_000))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert res.engine == "floquet" and np.all(np.isfinite(res.q))
+    assert peak <= 30e6
 
 
 def test_period_map_engine_drift_stays_at_its_measured_level():
