@@ -129,25 +129,31 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _manifest(command: str, cfg: dict, spec) -> RunManifest:
-    # with bath2 the switched curve is always RK4, whatever spec.propagator
+    # with bath2 the switched curve is always RK4, whatever spec.propagator;
+    # the steps are recorded per point as the curves come in (_record)
     return RunManifest(
         command=command,
         config=cfg,
         seeds=list(spec.seeds),
         code_version=__version__,
         propagator=spec.propagator if spec.bath2 is None else "rk4",
-        step_size=spec.step_size,
-        delta_t_steps=spec.delta_t_steps,
+        delta_t_steps=None if spec.bath2 is None else spec.delta_t_steps,
     )
 
 
 def _record(manifest: RunManifest, curve, label: str = "") -> None:
-    """Add a curve's failures, bath fits and largest snap distance to the manifest.
+    """Add a curve's failures, bath fits, RK4 steps and largest snap distance.
 
-    Failures are [omega, seed, message] entries; the bath fits are the
-    curve's, so the curve recorded last supplies them.
+    Failures are [omega, seed, message] entries and steps [omega, seed,
+    h] entries, one per fitted RK4 point, whether its step was configured
+    or derived; the bath fits are the curve's, so the curve recorded last
+    supplies them.
     """
     manifest.failures.extend([f.omega, f.seed, f"{label}{f}"] for f in curve.failures)
+    steps = [[pt.omega, pt.seed, pt.step_size] for pt in curve.points
+             if pt.step_size is not None]
+    if steps:
+        manifest.step_size = (manifest.step_size or []) + steps
     manifest.bath_initial = curve.bath_initial
     manifest.bath_final = curve.bath_final
     if curve.points:

@@ -100,6 +100,7 @@ class PointResult:
     max_snap_distance: float
     n_steps: int
     fit_error: FitError | None = None
+    step_size: float | None = None     # the RK4 step; None for normal modes
 
 
 # Bath blocks hold only N ~ 200 energies.  The log-count fit drops empty
@@ -121,7 +122,7 @@ def _fit_bath_block(energies) -> TemperatureFit | None:
 
 
 def _reduce_samples(spec, omega, seed, q, p, reals, final_state,
-                    max_snap=0.0, n_steps=0) -> PointResult:
+                    max_snap=0.0, n_steps=0, step_size=None) -> PointResult:
     energies = bare_energy(q, p, spec.test_particle(omega))
     hist = build_histogram(energies, spec.n_bins,
                            spec.span_factor * float(np.mean(energies)))
@@ -135,7 +136,7 @@ def _reduce_samples(spec, omega, seed, q, p, reals, final_state,
     return PointResult(omega=omega, seed=seed, fit=fit, hist=hist,
                        mean_energy=float(np.mean(energies)),
                        bath_final=bath_final, max_snap_distance=max_snap,
-                       n_steps=n_steps, fit_error=fit_error)
+                       n_steps=n_steps, fit_error=fit_error, step_size=step_size)
 
 
 # The normal-mode flow conserves the Hamiltonian exactly; what remains
@@ -182,7 +183,8 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
     dt = spec.step_size or default_step_size(tp, (real.frequencies,))
     res = SwitchedPropagator(system, SwitchSchedule(step_size=dt)).run(v0, times)
     return _reduce_samples(spec, omega, seed, res.q, res.p, (real,), res.final_state,
-                           max_snap=res.max_snap_distance, n_steps=res.n_steps)
+                           max_snap=res.max_snap_distance, n_steps=res.n_steps,
+                           step_size=dt)
 
 
 def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
@@ -199,7 +201,8 @@ def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
         spec.plan, substream(seed, SAMPLING_TIMES).generator())
     res = SwitchedPropagator(system, schedule).run(system.initial_vector(), times)
     return _reduce_samples(spec, omega, seed, res.q, res.p, (r1, r2), res.final_state,
-                           max_snap=res.max_snap_distance, n_steps=res.n_steps)
+                           max_snap=res.max_snap_distance, n_steps=res.n_steps,
+                           step_size=dt)
 
 
 @dataclass(frozen=True)

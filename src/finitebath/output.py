@@ -109,8 +109,8 @@ class RunManifest:
     seeds: tuple
     code_version: str
     propagator: str
-    step_size: float | None = None
-    delta_t_steps: int | None = None
+    step_size: list | None = None        # [omega, seed, h] per fitted RK4 point
+    delta_t_steps: int | None = None     # two-bath runs only
     max_snap_distance: float | None = None
     started: str = ""
     finished: str = ""

@@ -48,7 +48,7 @@ Matrix Anal. Appl. 16, 172 (1995)):
    amplitudes a_k, b_k and the particle's entries u_k[0] that the
    samplers read, one per full state and one in mode_residual.  The
    samplers need no shapes after that: Q and P are two coefficient
-   rows of mode_sums built from u_k[0], a_k and b_k.
+   rows (A, B) of the mode sums below, built from u_k[0], a_k and b_k.
 
 A zero frequency mode (Omega = 0, a free translation) has no such form,
 so diagonalize rejects it for the exact and the RK4 sampler alike.  It
@@ -65,11 +65,19 @@ sample_rk4 and rk4_full_state evaluate without stepping.  The same
 stability rule, h nu_max <= 2 sqrt(2), holds for these and for literal
 stepping in the switched module (check_rk4_stability).
 
-Every sampler is one direct sum, mode_sums: sum_k e^{x d_k} (A_k cos x
-theta_k + B_k sin x theta_k) through chunked real tables.  The exact
-form has x = t, theta = nu and no decay; RK4 has x = n, theta = phi and
-d = log rho; the switched module's period map has x = periods,
-d + i theta = log of its multipliers.
+Every sampler evaluates sum_k e^{x d_k} (A_k cos x theta_k + B_k sin x
+theta_k).  RK4 has x = n, theta = phi and d = log rho, the switched
+module's period map x = periods and d + i theta = log of its
+multipliers; both go through the direct sum mode_sums, chunked real
+tables of O(N) work per sample.  The exact form (x = t, theta = nu, no
+decay) is a pure phase, so sample_test_particle evaluates it as a type-3
+nonuniform FFT, gridded_sums: O(N + M + grid) for M times, within
+NUFFT_TOL of sum_k |A_k - i B_k| at every time.  Only the modes inside
+the bath band are gridded; the secular roots interlace the bath poles,
+so at most two lie outside it (the particle-like mode at an out-of-band
+Omega, and one above the band), and those go through mode_sums, which
+keeps the grid independent of Omega.  Inputs too small for the grid to
+pay (gridding_pays) are summed directly too.
 """
 
 from __future__ import annotations
@@ -458,8 +466,30 @@ class EigenPropagator:
     shapes: _ModeShapes           # rebuilds the u_k, block by block
 
     def sample_test_particle(self, times) -> tuple[np.ndarray, np.ndarray]:
-        """(Q, P) at many times through the real mode form, O(N) per time."""
-        return self._sample(times, self.nu, None)
+        """(Q, P) at many times through the real mode form.
+
+        The modes inside the bath band [min w_n, max w_n] go through the
+        type-3 transform gridded_sums; the secular roots outside it, at
+        most one below the lowest pole and one above the highest, go
+        through mode_sums, so the grid does not grow with Omega.  Modes
+        without particle motion (u_k[0] = 0) add nothing and are left
+        out.  Where the grid costs more than the direct sum (few times
+        or few modes, see gridding_pays) every mode goes through mode_sums.
+        """
+        t = np.atleast_1d(np.asarray(times, dtype=float))
+        rows = self._rows()
+        bath = np.concatenate(self.cm.bath_frequencies)
+        live = self.u0 != 0.0
+        inside = live & (self.nu >= np.min(bath)) & (self.nu <= np.max(bath))
+        if not gridding_pays(t, self.nu[inside]):
+            inside[:] = False
+        direct = live & ~inside
+        out = mode_sums(t, self.nu[direct], None,
+                        [(a[direct], b[direct]) for a, b in rows])
+        if np.any(inside):
+            out += gridded_sums(t, self.nu[inside],
+                                [(a[inside], b[inside]) for a, b in rows])
+        return out[0], self.cm.tp.mass * out[1]
 
     def sample_rk4(self, steps, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) after integer numbers of classical RK4 steps of size h.
@@ -469,19 +499,21 @@ class EigenPropagator:
         rho_k^n.  O(N) per sample, no stepping.
         """
         phi, log_rho = rk4_mode_factors(self.nu, h)
-        return self._sample(steps, phi, log_rho)
-
-    def _sample(self, x, rate, log_decay):
-        """The mode form at phases x * rate, each mode scaled by exp(x * log_decay)."""
-        u0 = self.u0
-        q, p = mode_sums(x, rate, log_decay,
-                         [(u0 * self.coef_cos, u0 * self.coef_sin / self.nu),
-                          (u0 * self.coef_sin, -(u0 * self.coef_cos * self.nu))])
+        q, p = mode_sums(steps, phi, log_rho, self._rows())
         return q, self.cm.tp.mass * p
 
+    def _rows(self):
+        """Coefficient rows (A, B) of Q and of P / M over the modes."""
+        u0 = self.u0
+        return [(u0 * self.coef_cos, u0 * self.coef_sin / self.nu),
+                (u0 * self.coef_sin, -(u0 * self.coef_cos * self.nu))]
 
-# entries of one (samples x modes) table of mode_sums, 2 MB; larger tables
-# raise the peak memory of a run more than they save time
+
+# entries of one table or buffer of mode_sums and gridded_sums, 2 MB: the
+# direct sum holds three (samples x modes) tables, the transform three
+# spreading buffers (modes x points) and then three gathering buffers
+# (times x points).  Larger tables raise the peak memory of a run more
+# than they save time
 SAMPLE_CHUNK = 250_000
 
 
@@ -491,8 +523,10 @@ def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
     Row j of the result is sum_k e^{x d_k} (A_jk cos(x theta_k) +
     B_jk sin(x theta_k)) for the j-th pair (A_j, B_j) of rows, with
     d = log_decay (no decay when None); the rows of decay_rows D_j, which
-    need log_decay, follow as sum_k e^{x d_k} D_jk.  Every sampler goes
-    through here: the exact and the RK4 mode forms and the period map.
+    need log_decay, follow as sum_k e^{x d_k} D_jk.  The RK4 and the
+    period-map samplers go through here, and so do the exact sampler's
+    modes outside the bath band and its inputs too small for
+    gridded_sums; the tests check gridded_sums against it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((len(rows) + len(decay_rows), len(x)))
@@ -517,6 +551,202 @@ def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
         for j, d in enumerate(decay_rows, len(rows)):
             out[j, lo:lo + step] = ph @ d
     return out
+
+
+# Accuracy of the type-3 transform gridded_sums: at each time its
+# gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|.  Like the
+# direct sum it also carries the rounding of the phases nu t, up to
+# about eps max|nu t| of the same sum.
+NUFFT_TOL = 1e-12
+
+# Every kernel parameter follows from the tolerance, L = log(1 / NUFFT_TOL).
+# The frequency kernel is a Gaussian of standard deviation s = a / X for
+# times within X of the centre; dividing by its transform there raises
+# errors by up to e^(a^2 / 2), which is given a ninth of the digits
+# (a = 2.48).  Truncating it at _KERNEL_CUT s, and aliasing the times
+# from a grid that places their images _KERNEL_CUT / s beyond the span,
+# each leave e^(-_KERNEL_CUT^2 / 2) = NUFFT_TOL e^(-a^2 / 2) (cut 7.84).
+_DIGITS = float(np.log(1.0 / NUFFT_TOL))
+_KERNEL_A = float(np.sqrt(2.0 * _DIGITS / 9.0))
+_KERNEL_CUT = float(np.sqrt(2.0 * _DIGITS + _KERNEL_A**2))
+# the type-2 step of Greengard & Lee (SIAM Rev. 46, 443 (2004)) oversamples
+# its FFT R = _OVERSAMPLE times and gathers 2 _M_SP points per time, with
+# error e^(-pi _M_SP (R - 1/2) / R) below the same e^(-_KERNEL_CUT^2 / 2)
+# (_M_SP = 14)
+_OVERSAMPLE = 2
+_M_SP = int(np.ceil(_KERNEL_CUT**2 / 2.0 / (np.pi * (1.0 - 0.5 / _OVERSAMPLE))))
+# grid spacings per kernel standard deviation, and grid points per mode
+_SIGMA = (_KERNEL_A + _KERNEL_CUT) / (2.0 * np.pi)
+_WIDTH = int(2.0 * _KERNEL_CUT * _SIGMA) + 2
+
+
+@dataclass(frozen=True)
+class _Grid:
+    """Where gridded_sums centres its inputs, and its grid's sizes."""
+
+    t_c: float           # centre of the times
+    half_span: float     # X: every time lies within it of t_c (X > 0)
+    nu_c: float          # centre of the frequencies
+    h: float             # frequency grid spacing
+    half: int            # K: the grid is g h for |g| <= K
+    n_fft: int           # length of the type-2 step's FFT
+
+
+def _fft_length(n: int) -> int:
+    """Smallest 2^i 3^j 5^k that is at least n."""
+    best, p5 = 2 * n, 1
+    while p5 < best:
+        p35 = p5
+        while p35 < best:
+            p = p35
+            while p < n:
+                p *= 2
+            best = min(best, p)
+            p35 *= 3
+        p5 *= 5
+    return best
+
+
+def _grid(t, nu) -> _Grid:
+    t_lo, t_hi, nu_lo, nu_hi = np.min(t), np.max(t), np.min(nu), np.max(nu)
+    # a zero span (one time, or repeated ones) still needs X > 0; any X
+    # that covers the times is as accurate, and X = 1 / nu_hi keeps the
+    # grid as small as the kernel allows
+    half_span = max(0.5 * (t_hi - t_lo), 1.0 / nu_hi)
+    h = 2.0 * np.pi / (half_span * (1.0 + _KERNEL_CUT / _KERNEL_A))
+    half = int(np.ceil(0.5 * (nu_hi - nu_lo) / h + _KERNEL_CUT * _SIGMA)) + 2
+    return _Grid(t_c=0.5 * (t_lo + t_hi), half_span=half_span,
+                 nu_c=0.5 * (nu_lo + nu_hi), h=h, half=half,
+                 n_fft=_fft_length(_OVERSAMPLE * (2 * half + 1)))
+
+
+def gridding_pays(t, nu) -> bool:
+    """True when gridded_sums is cheaper than mode_sums for these inputs.
+
+    The direct sum costs one table entry per (time, mode), the transform
+    _WIDTH grid operations per mode, 2 _M_SP per time and about one per
+    FFT point.  Measured with numpy on one core: an entry costs about as
+    much as three grid operations, and the transform's fixed set-up as
+    2000 entries.  So one time, a handful of modes or a few dozen of
+    each are summed directly.  So is a span so long that the FFT would
+    outgrow _MAX_FFT: the direct sum's memory does not grow with it.
+    """
+    if len(t) == 0 or len(nu) == 0:
+        return False
+    n_fft = _grid(t, nu).n_fft
+    work = _WIDTH * len(nu) + 2 * _M_SP * len(t) + n_fft
+    return n_fft <= _MAX_FFT and 3 * (len(t) * len(nu) - 2000) > work
+
+
+# FFT points of gridded_sums, 64 MB of complex rows for Q and P; the
+# benchmark sweeps need 2.2e4 (band 0.8 wide, times 4e4 long)
+_MAX_FFT = 1 << 20
+
+
+def gridded_sums(t, nu, rows) -> np.ndarray:
+    """mode_sums(t, nu, None, rows) by a type-3 nonuniform FFT.
+
+    Row j of the result is Re sum_k c_jk e^{i nu_k t}, c_jk = A_jk - i B_jk,
+    within NUFFT_TOL sum_k |c_jk| at each time.  Gaussian gridding (Lee &
+    Greengard, J. Comput. Phys. 206, 1 (2005)):
+
+    1. Centre: nu = nu_c + v and t = t_c + t', |t'| <= X, so the sum is
+       e^{i nu_c t} g(t') with g(t') = sum_k c'_k e^{i v_k t'} and
+       c'_k = c_k e^{i v_k t_c}.  N + M trig evaluations.
+    2. Spread each c'_k onto the grid v = g h with the Gaussian
+       exp(-(v - v_k)^2 / 2 s^2), s = a / X, cut at _KERNEL_CUT s: grid
+       coefficients F_g, two np.bincount calls (real, imaginary) per row.
+    3. h sum_g F_g e^{i g h t'} = g(t') phi(t') up to truncation and
+       aliasing, phi(t') = s sqrt(2 pi) e^{-s^2 t'^2 / 2} the kernel's
+       transform.  Evaluate it at the t' by the Gaussian type-2 step:
+       deconvolve, zero-padded np.fft, gather 2 _M_SP grid points per time.
+    4. Divide by phi(t') and restore e^{i nu_c t}.
+
+    Spreading and gathering go through buffers of at most SAMPLE_CHUNK
+    entries each, reused chunk after chunk.
+    """
+    t = np.atleast_1d(np.asarray(t, dtype=float))
+    nu = np.asarray(nu, dtype=float)
+    # 1.-2. centre, and spread the c'_k in grid units u_k = v_k / h
+    g = _grid(t, nu)
+    v = nu - g.nu_c
+    spin = np.exp(1j * (v * g.t_c))
+    grid = _spread(v / g.h, [(a - 1j * b) * spin for a, b in rows], g.half)
+
+    # 3. type-2 step: sum_|m|<=K F_m e^{i m x} at x = h t' in (-pi, pi)
+    size, n_fft = 2 * g.half + 1, g.n_fft
+    r = n_fft / size
+    tau = np.pi * _M_SP / (size * size * r * (r - 0.5))
+    modes = np.arange(-g.half, g.half + 1)
+    padded = np.zeros((len(rows), n_fft), complex)
+    padded[:, modes] = grid * (np.sqrt(np.pi / tau) * np.exp(tau * modes * modes))
+    smooth = np.fft.ifft(padded, axis=1)
+    del grid, padded
+    tp = t - g.t_c
+    re_im = _gather(smooth, tp * (g.h * n_fft / (2.0 * np.pi)),
+                    -(2.0 * np.pi / n_fft) ** 2 / (4.0 * tau))
+
+    # 4. Re e^{i nu_c t} (re + i im) h / phi(t')
+    s = _KERNEL_A / g.half_span
+    scale = (g.h / (s * np.sqrt(2.0 * np.pi))) * np.exp(0.5 * (s * tp) ** 2)
+    phase = g.nu_c * t
+    return re_im[:, 0] * (np.cos(phase) * scale) - re_im[:, 1] * (np.sin(phase) * scale)
+
+
+def _spread(u, coef, half) -> np.ndarray:
+    """Grid coefficients F_m, |m| <= half, of Gaussians at grid positions u.
+
+    Row j is sum_k coef[j][k] exp(-(m - u_k)^2 / 2 _SIGMA^2) over the
+    _WIDTH grid points around each u_k, accumulated by np.bincount.
+    """
+    size = 2 * half + 1
+    cut = _KERNEL_CUT * _SIGMA
+    step = max(1, SAMPLE_CHUNK // _WIDTH)
+    shape = (min(step, len(u)), _WIDTH)
+    index, weight, part = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
+    points = np.arange(_WIDTH)
+    grid = np.zeros((len(coef), size), complex)
+    for lo in range(0, len(u), step):
+        uu = u[lo:lo + step]
+        first = np.ceil(uu - cut)
+        ix, w, pt = index[:len(uu)], weight[:len(uu)], part[:len(uu)]
+        np.add.outer(first.astype(np.intp) + half, points, out=ix)
+        np.add.outer(first - uu, points, out=w)
+        w *= w
+        w *= -0.5 / _SIGMA**2
+        np.exp(w, out=w)
+        for row, c in zip(grid, coef):
+            for out, values in ((row.real, c.real), (row.imag, c.imag)):
+                np.multiply(w, values[lo:lo + step, None], out=pt)
+                out += np.bincount(ix.ravel(), pt.ravel(), size)
+    return grid
+
+
+def _gather(smooth, xi, rate) -> np.ndarray:
+    """(rows, 2, times): real and imaginary Gaussian sums of each smooth row.
+
+    Entry [j, :, i] is sum_l smooth[j, l] exp(rate (xi_i - l)^2) over the
+    2 _M_SP points l nearest xi_i, indices taken modulo the row length.
+    """
+    step = max(1, SAMPLE_CHUNK // (2 * _M_SP))
+    shape = (min(step, len(xi)), 2 * _M_SP)
+    index, weight, taken = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
+    points = np.arange(1 - _M_SP, _M_SP + 1)
+    acc = np.empty((len(smooth), 2, len(xi)))
+    for lo in range(0, len(xi), step):
+        xx = xi[lo:lo + step]
+        first = np.floor(xx)
+        ix, w, tk = index[:len(xx)], weight[:len(xx)], taken[:len(xx)]
+        np.add.outer(first.astype(np.intp), points, out=ix)
+        np.subtract.outer(xx - first, points, out=w)
+        w *= w
+        w *= rate
+        np.exp(w, out=w)
+        for row, out in zip(smooth, acc):
+            for part, values in enumerate((row.real, row.imag)):
+                np.take(values, ix, out=tk, mode="wrap")
+                np.einsum("ij,ij->i", tk, w, out=out[part, lo:lo + step])
+    return acc
 
 
 # RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)

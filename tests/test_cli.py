@@ -225,6 +225,41 @@ def test_manifests_record_snap_distance_and_bath_fits(tmp_path, quick_config):
     assert len(manifest["bath_final"]) == 1
 
 
+def test_manifest_records_the_steps_each_run_used(tmp_path, quick_config,
+                                                  twobath_config):
+    """RK4 points record their own step; delta_t_steps is a two-bath key."""
+    from finitebath.bath import realize_bath
+    from finitebath.config import build_bath
+    from finitebath.model import TestParticleSpec
+    from finitebath.switched import default_step_size
+
+    grid = ["--set", "omega_grid=[0.5,1.5]", "--seed-list", "1", "2"]
+    out = tmp_path / "rk4"
+    assert main(["sweep", "--config", str(quick_config), "--set", "propagator=rk4",
+                 *grid, "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    bath = build_bath(QUICK, "bath1", True)
+    want = [[w, s, default_step_size(TestParticleSpec(omega=w),
+                                      (realize_bath(bath, s).frequencies,))]
+            for w in (0.5, 1.5) for s in (1, 2)]
+    assert manifest["step_size"] == want
+    assert manifest["delta_t_steps"] is None
+    out = tmp_path / "eigen"
+    assert main(["sweep", "--config", str(quick_config), *grid,
+                 "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["step_size"] is None and manifest["delta_t_steps"] is None
+    out = tmp_path / "twobath"
+    assert main(["twobath", "--config", str(twobath_config), "--out", str(out)]) == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["delta_t_steps"] == 1
+    # the switched points only: the alone curves run on normal modes
+    baths = [realize_bath(build_bath(TWOBATH, f"bath{b + 1}", True), 1, b).frequencies
+             for b in (0, 1)]
+    assert manifest["step_size"] == [
+        [0.4, 1, default_step_size(TestParticleSpec(omega=0.4), baths)]]
+
+
 def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):
     """Omega = 3e-5 still pins the particle, so every mode frequency is positive."""
     checked = []
