@@ -145,13 +145,14 @@ def _record(manifest: RunManifest, curve, label: str = "") -> None:
     """Add a curve's failures, bath fits, RK4 steps and largest snap distance.
 
     Failures are [omega, seed, message] entries and steps [omega, seed,
-    h] entries, one per fitted RK4 point, whether its step was configured
-    or derived; the bath fits are the curve's, so the curve recorded last
-    supplies them.
+    h] entries, one per RK4 point that stepped to its end, whether its
+    step was configured or derived: the fitted points, then those whose
+    fit failed.  The bath fits are the curve's, so the curve recorded
+    last supplies them.
     """
     manifest.failures.extend([f.omega, f.seed, f"{label}{f}"] for f in curve.failures)
-    steps = [[pt.omega, pt.seed, pt.step_size] for pt in curve.points
-             if pt.step_size is not None]
+    steps = [[pt.omega, pt.seed, pt.step_size]
+             for pt in (*curve.points, *curve.failures) if pt.step_size is not None]
     if steps:
         manifest.step_size = (manifest.step_size or []) + steps
     manifest.bath_initial = curve.bath_initial

@@ -211,11 +211,14 @@ class PointFailure:
 
     ``error`` is the exception the run raised or the fit failure it
     recorded; its class tells numerical failures from fit failures.
+    ``step_size`` is the RK4 step of a run that stepped to its end and
+    then failed its fit (None otherwise).
     """
 
     omega: float
     seed: int
     error: Exception
+    step_size: float | None = None
 
     def __str__(self) -> str:
         return f"{type(self.error).__name__}: {self.error}"
@@ -259,7 +262,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
                 failures.append(PointFailure(w, seed, err))
                 continue
             if point.fit is None:
-                failures.append(PointFailure(w, seed, point.fit_error))
+                failures.append(PointFailure(w, seed, point.fit_error, point.step_size))
             else:
                 fitted.append(point)
         points.extend(fitted)

@@ -109,7 +109,7 @@ class RunManifest:
     seeds: tuple
     code_version: str
     propagator: str
-    step_size: list | None = None        # [omega, seed, h] per fitted RK4 point
+    step_size: list | None = None        # [omega, seed, h] per RK4 point run
     delta_t_steps: int | None = None     # two-bath runs only
     max_snap_distance: float | None = None
     started: str = ""

@@ -76,8 +76,8 @@ NUFFT_TOL of sum_k |A_k - i B_k| at every time.  Only the modes inside
 the bath band are gridded; the secular roots interlace the bath poles,
 so at most two lie outside it (the particle-like mode at an out-of-band
 Omega, and one above the band), and those go through mode_sums, which
-keeps the grid independent of Omega.  Inputs too small for the grid to
-pay (gridding_pays) are summed directly too.
+keeps the grid independent of Omega.  A span so long that the grid
+would outgrow its memory cap (grid_fits) is summed directly too.
 """
 
 from __future__ import annotations
@@ -473,15 +473,15 @@ class EigenPropagator:
         most one below the lowest pole and one above the highest, go
         through mode_sums, so the grid does not grow with Omega.  Modes
         without particle motion (u_k[0] = 0) add nothing and are left
-        out.  Where the grid costs more than the direct sum (few times
-        or few modes, see gridding_pays) every mode goes through mode_sums.
+        out.  Where the grid would outgrow its memory cap (grid_fits)
+        every mode goes through mode_sums.
         """
         t = np.atleast_1d(np.asarray(times, dtype=float))
         rows = self._rows()
         bath = np.concatenate(self.cm.bath_frequencies)
         live = self.u0 != 0.0
         inside = live & (self.nu >= np.min(bath)) & (self.nu <= np.max(bath))
-        if not gridding_pays(t, self.nu[inside]):
+        if not grid_fits(t, self.nu[inside]):
             inside[:] = False
         direct = live & ~inside
         out = mode_sums(t, self.nu[direct], None,
@@ -525,8 +525,8 @@ def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
     d = log_decay (no decay when None); the rows of decay_rows D_j, which
     need log_decay, follow as sum_k e^{x d_k} D_jk.  The RK4 and the
     period-map samplers go through here, and so do the exact sampler's
-    modes outside the bath band and its inputs too small for
-    gridded_sums; the tests check gridded_sums against it.
+    modes outside the bath band and its spans too long for gridded_sums;
+    the tests check gridded_sums against it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((len(rows) + len(decay_rows), len(x)))
@@ -570,9 +570,9 @@ _DIGITS = float(np.log(1.0 / NUFFT_TOL))
 _KERNEL_A = float(np.sqrt(2.0 * _DIGITS / 9.0))
 _KERNEL_CUT = float(np.sqrt(2.0 * _DIGITS + _KERNEL_A**2))
 # the type-2 step of Greengard & Lee (SIAM Rev. 46, 443 (2004)) oversamples
-# its FFT R = _OVERSAMPLE times and gathers 2 _M_SP points per time, with
-# error e^(-pi _M_SP (R - 1/2) / R) below the same e^(-_KERNEL_CUT^2 / 2)
-# (_M_SP = 14)
+# its FFT R >= _OVERSAMPLE times (the length is the next power of two) and
+# gathers 2 _M_SP points per time, with error e^(-pi _M_SP (R - 1/2) / R)
+# below the same e^(-_KERNEL_CUT^2 / 2) (_M_SP = 14)
 _OVERSAMPLE = 2
 _M_SP = int(np.ceil(_KERNEL_CUT**2 / 2.0 / (np.pi * (1.0 - 0.5 / _OVERSAMPLE))))
 # grid spacings per kernel standard deviation, and grid points per mode
@@ -592,21 +592,6 @@ class _Grid:
     n_fft: int           # length of the type-2 step's FFT
 
 
-def _fft_length(n: int) -> int:
-    """Smallest 2^i 3^j 5^k that is at least n."""
-    best, p5 = 2 * n, 1
-    while p5 < best:
-        p35 = p5
-        while p35 < best:
-            p = p35
-            while p < n:
-                p *= 2
-            best = min(best, p)
-            p35 *= 3
-        p5 *= 5
-    return best
-
-
 def _grid(t, nu) -> _Grid:
     t_lo, t_hi, nu_lo, nu_hi = np.min(t), np.max(t), np.min(nu), np.max(nu)
     # a zero span (one time, or repeated ones) still needs X > 0; any X
@@ -617,30 +602,26 @@ def _grid(t, nu) -> _Grid:
     half = int(np.ceil(0.5 * (nu_hi - nu_lo) / h + _KERNEL_CUT * _SIGMA)) + 2
     return _Grid(t_c=0.5 * (t_lo + t_hi), half_span=half_span,
                  nu_c=0.5 * (nu_lo + nu_hi), h=h, half=half,
-                 n_fft=_fft_length(_OVERSAMPLE * (2 * half + 1)))
+                 n_fft=1 << (_OVERSAMPLE * (2 * half + 1) - 1).bit_length())
 
 
-def gridding_pays(t, nu) -> bool:
-    """True when gridded_sums is cheaper than mode_sums for these inputs.
+# FFT points of gridded_sums.  While the FFT runs it holds the padded
+# rows and their transform, 64 bytes per point for Q and P together:
+# 8.4 MB at the cap, and a peak of about 9 MB with the other arrays,
+# next to the direct sum's 6 MB of tables.  The benchmark sweeps need
+# 2^15 points (band 0.8 wide, times 4e4 to 5e4 long); a band of that
+# width fits times up to about 2.4e5 long
+_MAX_FFT = 1 << 17
 
-    The direct sum costs one table entry per (time, mode), the transform
-    _WIDTH grid operations per mode, 2 _M_SP per time and about one per
-    FFT point.  Measured with numpy on one core: an entry costs about as
-    much as three grid operations, and the transform's fixed set-up as
-    2000 entries.  So one time, a handful of modes or a few dozen of
-    each are summed directly.  So is a span so long that the FFT would
-    outgrow _MAX_FFT: the direct sum's memory does not grow with it.
+
+def grid_fits(t, nu) -> bool:
+    """True when gridded_sums takes these inputs.
+
+    It needs a time and a mode, and a grid whose FFT has at most
+    _MAX_FFT points; a longer span or a wider band is summed directly,
+    as the direct sum's memory does not grow with either.
     """
-    if len(t) == 0 or len(nu) == 0:
-        return False
-    n_fft = _grid(t, nu).n_fft
-    work = _WIDTH * len(nu) + 2 * _M_SP * len(t) + n_fft
-    return n_fft <= _MAX_FFT and 3 * (len(t) * len(nu) - 2000) > work
-
-
-# FFT points of gridded_sums, 64 MB of complex rows for Q and P; the
-# benchmark sweeps need 2.2e4 (band 0.8 wide, times 4e4 long)
-_MAX_FFT = 1 << 20
+    return len(t) > 0 and len(nu) > 0 and _grid(t, nu).n_fft <= _MAX_FFT
 
 
 def gridded_sums(t, nu, rows) -> np.ndarray:
@@ -663,7 +644,9 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
     4. Divide by phi(t') and restore e^{i nu_c t}.
 
     Spreading and gathering go through buffers of at most SAMPLE_CHUNK
-    entries each, reused chunk after chunk.
+    entries each, reused chunk after chunk.  The FFT rows grow with span
+    times band: about 64 bytes per FFT point for two rows while the FFT
+    runs, which grid_fits caps at _MAX_FFT points.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     nu = np.asarray(nu, dtype=float)
@@ -678,10 +661,12 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
     r = n_fft / size
     tau = np.pi * _M_SP / (size * size * r * (r - 0.5))
     modes = np.arange(-g.half, g.half + 1)
+    grid *= np.sqrt(np.pi / tau) * np.exp(tau * modes * modes)
     padded = np.zeros((len(rows), n_fft), complex)
-    padded[:, modes] = grid * (np.sqrt(np.pi / tau) * np.exp(tau * modes * modes))
+    padded[:, modes] = grid
+    del grid
     smooth = np.fft.ifft(padded, axis=1)
-    del grid, padded
+    del padded
     tp = t - g.t_c
     re_im = _gather(smooth, tp * (g.h * n_fft / (2.0 * np.pi)),
                     -(2.0 * np.pi / n_fft) ** 2 / (4.0 * tau))

@@ -260,6 +260,32 @@ def test_manifest_records_the_steps_each_run_used(tmp_path, quick_config,
         [0.4, 1, default_step_size(TestParticleSpec(omega=0.4), baths)]]
 
 
+def test_manifest_records_the_steps_of_points_that_failed_their_fit(
+        tmp_path, quick_config, monkeypatch):
+    """An RK4 point that stepped to its end keeps its step when its fit fails."""
+    from finitebath.bath import realize_bath
+    from finitebath.config import build_bath
+    from finitebath.model import TestParticleSpec
+    from finitebath.switched import default_step_size
+
+    def no_fit(hist):
+        raise FitError("only 2 nonempty bins")
+
+    monkeypatch.setattr(experiments, "fit_temperature", no_fit)
+    out = tmp_path / "run"
+    assert main(["sweep", "--config", str(quick_config), "--set", "propagator=rk4",
+                 "--set", "omega_grid=[0.5]", "--seed-list", "1", "2",
+                 "--out", str(out)]) == EXIT_FIT
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["failures"] == [[0.5, s, "FitError: only 2 nonempty bins"]
+                                    for s in (1, 2)]
+    bath = build_bath(QUICK, "bath1", True)
+    assert manifest["step_size"] == [
+        [0.5, s, default_step_size(TestParticleSpec(omega=0.5),
+                                   (realize_bath(bath, s).frequencies,))]
+        for s in (1, 2)]
+
+
 def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):
     """Omega = 3e-5 still pins the particle, so every mode frequency is positive."""
     checked = []

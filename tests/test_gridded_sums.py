@@ -202,15 +202,16 @@ def test_sampler_takes_a_scalar_or_a_list():
     _check_sampler(prop, np.array(t))
 
 
-def test_small_inputs_are_summed_directly():
+def test_only_an_oversized_grid_is_summed_directly():
     rng = np.random.default_rng(3)
     nu = rng.uniform(0.2, 1.0, 400)
-    assert not propagator.gridding_pays(np.array([5.0]), nu)
-    assert not propagator.gridding_pays(np.array([]), nu)
-    assert not propagator.gridding_pays(np.arange(64.0), nu[:5])
-    assert propagator.gridding_pays(_times(SWEEP), nu)
+    assert propagator.grid_fits(np.array([5.0]), nu)
+    assert propagator.grid_fits(np.arange(64.0), nu[:5])
+    assert propagator.grid_fits(_times(SWEEP), nu)
+    assert not propagator.grid_fits(np.array([]), nu)
+    assert not propagator.grid_fits(np.array([5.0]), nu[:0])
     # a span whose FFT would hold 5e8 points
-    assert not propagator.gridding_pays(np.linspace(0.0, 1e9, 4000), nu)
+    assert not propagator.grid_fits(np.linspace(0.0, 1e9, 4000), nu)
 
 
 # -- bounded memory -----------------------------------------------------------
@@ -247,3 +248,13 @@ def test_transform_samples_in_bounded_memory():
     direct = _peak(lambda: mode_sums(t, prop.nu, None, rows))
     assert 5e6 < direct < 7e6
     assert fast <= direct
+
+
+def test_transform_memory_just_below_the_grid_cap():
+    """The longest span that is still gridded: FFT rows of 8.4 MB at most."""
+    prop = _prop(400, 0.5)
+    t = np.linspace(0.0, 2.4e5, 4000)
+    assert propagator._grid(t, prop.nu).n_fft == propagator._MAX_FFT
+    assert not propagator.grid_fits(np.linspace(0.0, 2.5e5, 4000), prop.nu)
+    assert _peak(lambda: prop.sample_test_particle(t)) < 1e7
+    _check_sampler(prop, t)
