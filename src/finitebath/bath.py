@@ -44,13 +44,8 @@ def realize_bath(bath: BathSpec, seed: int, bath_index: int = 0) -> BathRealizat
 
     amp_q = np.sqrt(2.0 * energies / (bath.mass * freqs**2))
     amp_p = np.sqrt(2.0 * bath.mass * energies)
-    q = amp_q * np.cos(phases)
-    p = amp_p * np.sin(phases)
-    # store the exact shell energies the phase-space point was built from
-    energies = (p * p / (2.0 * bath.mass)
-                + 0.5 * bath.mass * freqs**2 * q * q)
-    return BathRealization(frequencies=freqs, energies=energies,
-                           positions=q, momenta=p, m=bath.mass, seed=seed)
+    return BathRealization(frequencies=freqs, positions=amp_q * np.cos(phases),
+                           momenta=amp_p * np.sin(phases), m=bath.mass)
 
 
 def pairwise_cancelled(real: BathRealization) -> BathRealization:
@@ -72,7 +67,4 @@ def pairwise_cancelled(real: BathRealization) -> BathRealization:
     p = real.momenta.copy()
     q[1::2] = -q[0::2]
     p[1::2] = -p[0::2]
-    e = real.energies.copy()
-    e[1::2] = e[0::2]
-    return BathRealization(frequencies=freqs, energies=e, positions=q,
-                           momenta=p, m=real.m, seed=real.seed)
+    return BathRealization(frequencies=freqs, positions=q, momenta=p, m=real.m)

@@ -129,11 +129,16 @@ def _outdir(args: argparse.Namespace) -> Path:
 
 
 def _manifest(command: str, cfg: dict, spec) -> RunManifest:
-    # with bath2 the switched curve is always RK4, whatever spec.propagator;
-    # the steps are recorded per point as the curves come in (_record)
+    # the recorded config names the grid and seeds the run used, whether they
+    # came from the file, an omega key, --omega or --seed-list, so it alone
+    # replays the run; with bath2 the switched curve is always RK4, whatever
+    # spec.propagator; the steps are recorded per point as the curves come
+    # in (_record)
+    config = {key: value for key, value in cfg.items() if key != "omega"}
+    config.update(omega_grid=list(spec.omega_grid), seeds=list(spec.seeds))
     return RunManifest(
         command=command,
-        config=cfg,
+        config=config,
         seeds=list(spec.seeds),
         code_version=__version__,
         propagator=spec.propagator if spec.bath2 is None else "rk4",
@@ -184,10 +189,7 @@ def cmd_single(args: argparse.Namespace) -> int:
     if not curve.points:
         manifest.finish()
         manifest.write(out / "manifest.json")
-        # as for sweep: a numerical failure of any seed outranks fit failures
-        errors = [f.error for f in curve.failures]
-        raise next((e for e in reversed(errors) if isinstance(e, NumericalError)),
-                   errors[-1])
+        raise _worst_failure(curve)
     temperature, sigma = curve.temperature[0], curve.sigma[0]
     print(f"aggregate over {len(curve.points)} seeds: "
           f"T = {fmt(temperature)} +- {fmt(sigma)}")
@@ -200,13 +202,22 @@ def cmd_single(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _worst_failure(curve) -> Exception | None:
+    """The error a run with no fitted point ends with (None if none failed).
+
+    A numerical failure of any point outranks fit failures; among equals
+    the last one recorded is reported.
+    """
+    errors = [f.error for f in curve.failures]
+    numerical = [e for e in errors if isinstance(e, NumericalError)]
+    return (numerical or errors or [None])[-1]
+
+
 def _sweep_exit(curve) -> int:
     """Success if any grid point produced a temperature."""
     if np.any(np.isfinite(curve.temperature)):
         return EXIT_OK
-    if any(isinstance(f.error, NumericalError) for f in curve.failures):
-        return EXIT_NUMERICAL
-    return EXIT_FIT
+    return EXIT_NUMERICAL if isinstance(_worst_failure(curve), NumericalError) else EXIT_FIT
 
 
 def _write_curve(manifest: RunManifest, curve, out: Path, name: str) -> None:
@@ -344,9 +355,7 @@ def cmd_oracle(args: argparse.Namespace) -> int:
     out = _outdir(args)
     manifest = RunManifest(command=f"oracle {args.which}", config=cfg,
                            seeds=[args.seed] if hasattr(args, "seed") else [],
-                           code_version=__version__,
-                           propagator="closed-form", step_size=None,
-                           delta_t_steps=None)
+                           code_version=__version__, propagator="closed-form")
     if args.which == "langevin":
         manifest.outputs = _oracle_langevin(args, out)
     elif args.which == "kernel":

@@ -19,7 +19,7 @@ import numpy as np
 
 from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
-                    bare_energy, oscillator_energies, total_energy)
+                    bare_energy, initial_state, oscillator_energies, total_energy)
 from .propagator import (NumericalError, build_multi_coupling_matrix,
                          diagonalize, full_state)
 from .rng import SAMPLING_TIMES, substream
@@ -43,9 +43,9 @@ class SweepSpec:
     plan: SamplingPlan = field(default_factory=SamplingPlan)
     n_bins: int = DEFAULT_N_BINS
     span_factor: float = DEFAULT_SPAN_FACTOR
-    propagator: str = "eigen"        # "eigen" or "rk4" (continuous stepping)
+    propagator: str = "eigen"        # "eigen" or "rk4" (RK4 steps, sampled through the modes)
     delta_t_steps: int = 1
-    step_size: float | None = None   # None: derived from the fastest frequency
+    step_size: float | None = None   # None: derived from the largest bare frequency
     renormalization: str = "switched"   # two-bath stiffness bookkeeping
 
     def __post_init__(self):
@@ -168,8 +168,7 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
     real = realize_bath(spec.bath1, seed, bath_index)
     times = make_sampling_times(
         spec.plan, substream(seed, SAMPLING_TIMES).generator())
-    state0 = SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
-                         bath_q=(real.positions,), bath_p=(real.momenta,))
+    state0 = initial_state(tp, (real,))
     v0 = state0.as_vector()
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
     if spec.propagator == "eigen":
@@ -407,9 +406,7 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     real = pairwise_cancelled(realize_bath(bath, seed, 0))
     tp = TestParticleSpec(mass=1.0, omega=omega, q0=0.0,
                           p0=float(np.sqrt(2.0 * e0)))
-    v0 = SystemState(time=0.0, test_q=0.0, test_p=tp.p0,
-                     bath_q=(real.positions,),
-                     bath_p=(real.momenta,)).as_vector()
+    v0 = initial_state(tp, (real,)).as_vector()
     prop = diagonalize(build_multi_coupling_matrix(tp, [(m, real.frequencies, True)]), v0)
 
     t_beat = 2.0 * np.pi / dnu

@@ -23,16 +23,21 @@ UNIFORM = "uniform"
 INVERSE_SQUARE = "inverse_square"
 SQUARE = "square"
 
-_DOS_FAMILIES = (UNIFORM, INVERSE_SQUARE, SQUARE)
+# each family weights the band as the power w^k of the frequency
+_DOS_EXPONENTS = {UNIFORM: 0, INVERSE_SQUARE: -2, SQUARE: 2}
+_DOS_FAMILIES = tuple(_DOS_EXPONENTS)
 
 
 @dataclass(frozen=True)
 class DensityOfStates:
     """Bath frequency distribution on the band [omega_ir, omega_uv].
 
-    The supported families weight the band as 1, 1/w^2 or w^2.  A band
-    with omega_ir == omega_uv is the degenerate (zero bandwidth) bath
-    where every oscillator sits at the same frequency.
+    The supported families weight the band as w^k with k = 0, -2 or 2
+    (the weights 1, 1/w^2 and w^2).  With s = k + 1 the cumulative
+    distribution is (w^s - a^s) / (b^s - a^s) on [a, b]; the inverse CDF
+    and the density follow from it.  A band with omega_ir == omega_uv
+    is the degenerate (zero bandwidth) bath where every oscillator sits
+    at the same frequency.
     """
 
     family: str = UNIFORM
@@ -55,46 +60,44 @@ class DensityOfStates:
     def degenerate(self) -> bool:
         return self.omega_ir == self.omega_uv
 
+    def _power(self):
+        """(s, a^s, b^s), the band edges raised to the CDF's power s = k + 1.
+
+        numpy's array power (not its scalar power) takes exact paths for
+        the exponents 1 and -1, a copy and 1/x, so the uniform and 1/w^2
+        bands round as their closed forms a + u (b - a) and 1/(1/a - ...).
+        """
+        s = _DOS_EXPONENTS[self.family] + 1
+        lo, hi = np.array([self.omega_ir, self.omega_uv]) ** s
+        return s, lo, hi
+
     def ppf(self, u):
         """Map uniform draws u in [0, 1) to frequencies (inverse CDF)."""
         u = np.asarray(u, dtype=float)
-        a, b = self.omega_ir, self.omega_uv
         if self.degenerate:
-            return np.full_like(u, a)
-        if self.family == UNIFORM:
-            return a + u * (b - a)
-        if self.family == SQUARE:
-            return np.cbrt(a**3 + u * (b**3 - a**3))
-        # inverse square: cdf(w) = (1/a - 1/w) / (1/a - 1/b)
-        return 1.0 / (1.0 / a - u * (1.0 / a - 1.0 / b))
+            return np.full_like(u, self.omega_ir)
+        s, lo, hi = self._power()
+        # asarray: a 0-d u would otherwise take the scalar power
+        return np.asarray(lo + u * (hi - lo)) ** (1.0 / s)
 
     def cdf(self, omega):
         omega = np.asarray(omega, dtype=float)
-        a, b = self.omega_ir, self.omega_uv
         if self.degenerate:
-            return np.where(omega >= a, 1.0, 0.0)
-        if self.family == UNIFORM:
-            c = (omega - a) / (b - a)
-        elif self.family == SQUARE:
-            c = (omega**3 - a**3) / (b**3 - a**3)
-        else:
-            c = (1.0 / a - 1.0 / omega) / (1.0 / a - 1.0 / b)
-        return np.clip(c, 0.0, 1.0)
+            return np.where(omega >= self.omega_ir, 1.0, 0.0)
+        s, lo, hi = self._power()
+        return np.clip((omega**s - lo) / (hi - lo), 0.0, 1.0)
 
     def pdf(self, omega):
         """Normalized density on the band; zero outside, undefined if degenerate."""
         if self.degenerate:
             raise ValueError("a zero bandwidth bath has no density of states")
         omega = np.asarray(omega, dtype=float)
-        a, b = self.omega_ir, self.omega_uv
-        if self.family == UNIFORM:
-            d = np.full_like(omega, 1.0 / (b - a))
-        elif self.family == SQUARE:
-            d = 3.0 * omega**2 / (b**3 - a**3)
-        else:
-            with np.errstate(divide="ignore"):
-                d = 1.0 / (omega**2 * (1.0 / a - 1.0 / b))
-        return np.where((omega >= a) & (omega <= b), d, 0.0)
+        s, lo, hi = self._power()
+        # s w^(s-1) / (b^s - a^s) written as s / (w^(1-s) (b^s - a^s)), so the
+        # 1/w^2 band rounds as 1/(w^2 (1/a - 1/b)); w = 0 gives inf, no warning
+        with np.errstate(divide="ignore"):
+            d = s / (omega ** (1 - s) * (hi - lo))
+        return np.where((omega >= self.omega_ir) & (omega <= self.omega_uv), d, 0.0)
 
 
 @dataclass(frozen=True)
@@ -133,47 +136,46 @@ class BathSpec:
 
 @dataclass(frozen=True)
 class BathRealization:
-    """One concrete draw of a bath: frequencies, energies and phase space.
+    """One concrete draw of a bath: its frequencies and phase-space point.
 
-    The stored energies must reproduce p_n^2/2m + m w_n^2 q_n^2 / 2 to a
-    relative 1e-12; the constructor enforces this so any downstream code
-    can treat the three views as interchangeable.
+    The oscillators' masses are all m.  Their energies are not stored:
+    ``energies`` derives them from (positions, momenta, frequencies, m),
+    so they cannot disagree with the phase space they describe.
     """
 
     frequencies: np.ndarray
-    energies: np.ndarray
     positions: np.ndarray
     momenta: np.ndarray
     m: float
-    seed: int | None = None
 
     def __post_init__(self):
         n = len(self.frequencies)
-        for name in ("energies", "positions", "momenta"):
+        for name in ("positions", "momenta"):
             if len(getattr(self, name)) != n:
                 raise ValueError(f"{name} has length {len(getattr(self, name))}, expected {n}")
         if self.m <= 0.0:
             raise ValueError(f"oscillator mass must be positive, got {self.m}")
-        recomputed = oscillator_energies(self.positions, self.momenta, self.frequencies, self.m)
-        if not np.allclose(self.energies, recomputed, rtol=1e-12, atol=1e-300):
-            worst = int(np.argmax(np.abs(self.energies - recomputed)))
-            raise ValueError(
-                "stored energies disagree with phase space: oscillator "
-                f"{worst} has E={self.energies[worst]!r} but "
-                f"p^2/2m + m w^2 q^2/2 = {recomputed[worst]!r}"
-            )
 
     @property
     def size(self) -> int:
         return len(self.frequencies)
 
+    @property
+    def energies(self) -> np.ndarray:
+        """Free oscillator energies p_n^2/2m + m w_n^2 q_n^2 / 2."""
+        return oscillator_energies(self.positions, self.momenta, self.frequencies, self.m)
+
 
 def oscillator_energies(q, p, omega, m):
-    """Free oscillator energies p^2/2m + m w^2 q^2 / 2, vectorized."""
+    """Free oscillator energies p^2/2m + m w^2 q^2 / 2, vectorized.
+
+    The one place the harmonic energy is written: the test particle's,
+    the bath's and the total Hamiltonian's all come from here.
+    """
     q = np.asarray(q, dtype=float)
     p = np.asarray(p, dtype=float)
     omega = np.asarray(omega, dtype=float)
-    return p * p / (2.0 * m) + 0.5 * m * omega * omega * q * q
+    return p * p / (2.0 * m) + 0.5 * m * omega**2 * q * q
 
 
 @dataclass(frozen=True)
@@ -224,6 +226,13 @@ class SystemState:
                    bath_q=tuple(bath_q), bath_p=tuple(bath_p))
 
 
+def initial_state(tp: TestParticleSpec, realizations: Sequence) -> SystemState:
+    """The state at t = 0: the particle at (q0, p0), each bath at its draw."""
+    return SystemState(time=0.0, test_q=tp.q0, test_p=tp.p0,
+                       bath_q=tuple(r.positions for r in realizations),
+                       bath_p=tuple(r.momenta for r in realizations))
+
+
 def bare_energy(q, p, tp: TestParticleSpec):
     """Test particle energy P^2/2M + M Omega^2 Q^2 / 2, vectorized.
 
@@ -231,9 +240,7 @@ def bare_energy(q, p, tp: TestParticleSpec):
     renormalization terms are deliberately excluded.  It is the quantity
     histogrammed when fitting an effective particle temperature.
     """
-    q = np.asarray(q, dtype=float)
-    p = np.asarray(p, dtype=float)
-    return p * p / (2.0 * tp.mass) + 0.5 * tp.mass * tp.omega**2 * q * q
+    return oscillator_energies(q, p, tp.omega, tp.mass)
 
 
 def total_energy(state: SystemState, tp: TestParticleSpec,
@@ -258,7 +265,5 @@ def total_energy(state: SystemState, tp: TestParticleSpec,
                 f"bath {i}: state block has {len(q)} oscillators, realization has {real.size}"
             )
         anchor = state.test_q if active else 0.0
-        w = real.frequencies
-        h += float(np.sum(p * p) / (2.0 * real.m)
-                   + 0.5 * real.m * np.sum(w * w * (q - anchor) ** 2))
+        h += float(np.sum(oscillator_energies(q - anchor, p, real.frequencies, real.m)))
     return h

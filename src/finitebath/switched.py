@@ -42,7 +42,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .model import SystemState, TestParticleSpec
+from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (CouplingMatrix, NumericalError,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
@@ -75,10 +75,16 @@ STEPS_PER_PERIOD = 50
 
 
 def default_step_size(tp: TestParticleSpec, frequencies) -> float:
-    """One STEPS_PER_PERIOD'th of the shortest period in the system.
+    """2 pi / (STEPS_PER_PERIOD w), w the largest bare frequency.
 
-    The particle frequency participates too: a stiff particle that RK4
-    does not resolve would be damped artificially over long runs.
+    w is the largest of the bath frequencies and the particle's Omega:
+    a stiff particle that RK4 does not resolve would be damped
+    artificially over long runs.  These are bare frequencies, not normal
+    modes.  The top root of the secular equation lies above the highest
+    bath frequency, so the fastest normal mode gets fewer than
+    STEPS_PER_PERIOD steps per period, and against a heavy bath the
+    derived step can exceed RK4's stability limit (a NumericalError
+    from check_rk4_stability, not a smaller step).
     """
     w = max(float(np.max(np.concatenate([np.atleast_1d(f) for f in frequencies]))),
             tp.omega)
@@ -110,11 +116,7 @@ class TwoBathSystem:
         return self.a1.dim
 
     def initial_vector(self) -> np.ndarray:
-        state = SystemState(
-            time=0.0, test_q=self.tp.q0, test_p=self.tp.p0,
-            bath_q=tuple(r.positions for r in self.realizations),
-            bath_p=tuple(r.momenta for r in self.realizations))
-        return state.as_vector()
+        return initial_state(self.tp, self.realizations).as_vector()
 
 
 def build_switched_matrices(tp: TestParticleSpec, real1, real2,

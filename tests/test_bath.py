@@ -37,6 +37,13 @@ def test_realize_bath_respects_band(small_bath):
         rtol=1e-12)
 
 
+def test_realization_energies_derive_from_its_phase_space(small_bath):
+    real = realize_bath(small_bath, seed=4)
+    np.testing.assert_array_equal(
+        real.energies,
+        oscillator_energies(real.positions, real.momenta, real.frequencies, real.m))
+
+
 def test_bath_index_separates_draws(small_bath):
     a = realize_bath(small_bath, seed=4, bath_index=0)
     b = realize_bath(small_bath, seed=4, bath_index=1)

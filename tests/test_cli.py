@@ -115,6 +115,40 @@ def test_set_overrides_reach_the_manifest(tmp_path, quick_config):
     assert manifest["config"]["n_samples"] == 150
 
 
+def _replays_from_its_manifest(tmp_path, argv):
+    """Run argv, rerun it from its manifest alone; every output must match."""
+    first, second = tmp_path / "first", tmp_path / "second"
+    assert main([*argv, "--out", str(first)]) == EXIT_OK
+    manifest = json.loads((first / "manifest.json").read_text())
+    config = tmp_path / "replay.json"
+    config.write_text(json.dumps(manifest["config"]))
+    assert main([manifest["command"], "--config", str(config),
+                 "--out", str(second)]) == EXIT_OK
+    names = sorted(f.name for f in first.iterdir() if f.name != "manifest.json")
+    assert names == sorted(f.name for f in second.iterdir() if f.name != "manifest.json")
+    assert set(manifest["outputs"]) <= set(names)
+    for name in names:
+        assert (first / name).read_bytes() == (second / name).read_bytes(), name
+    return manifest
+
+
+def test_single_replays_from_its_manifest(tmp_path, quick_config):
+    manifest = _replays_from_its_manifest(tmp_path, [
+        "single", "--config", str(quick_config), "--omega", "0.45",
+        "--set", "bath1_size=30", "--set", "n_samples=200", "--seed-list", "2"])
+    # the frequency and seeds came from the command line, not the file
+    assert manifest["config"]["omega_grid"] == [0.45]
+    assert manifest["config"]["seeds"] == [2]
+
+
+def test_twobath_replays_from_its_manifest(tmp_path, twobath_config):
+    manifest = _replays_from_its_manifest(tmp_path, [
+        "twobath", "--config", str(twobath_config), "--set", "bath2_size=40",
+        "--seed-list", "3"])
+    assert manifest["config"]["omega_grid"] == [0.4]
+    assert manifest["config"]["seeds"] == [3]
+
+
 def test_unknown_config_key_exits_with_config_error(tmp_path, capsys):
     path = tmp_path / "bad.json"
     path.write_text(json.dumps({"omga": 0.5}))

@@ -12,6 +12,7 @@ from finitebath.model import (
     SystemState,
     TestParticleSpec,
     bare_energy,
+    initial_state,
     oscillator_energies,
     total_energy,
 )
@@ -86,6 +87,64 @@ def test_ppf_cdf_roundtrip(family, u):
     assert float(dos.cdf(w)) == pytest.approx(u, abs=1e-12)
 
 
+# the per-family closed forms the single power-law formula replaced
+def _closed_ppf(family, a, b, u):
+    if family == "uniform":
+        return a + u * (b - a)
+    if family == "square":
+        return np.cbrt(a**3 + u * (b**3 - a**3))
+    return 1.0 / (1.0 / a - u * (1.0 / a - 1.0 / b))
+
+
+def _closed_cdf(family, a, b, w):
+    if family == "uniform":
+        c = (w - a) / (b - a)
+    elif family == "square":
+        c = (w**3 - a**3) / (b**3 - a**3)
+    else:
+        c = (1.0 / a - 1.0 / w) / (1.0 / a - 1.0 / b)
+    return np.clip(c, 0.0, 1.0)
+
+
+def _closed_pdf(family, a, b, w):
+    if family == "uniform":
+        d = np.full_like(w, 1.0 / (b - a))
+    elif family == "square":
+        d = 3.0 * w**2 / (b**3 - a**3)
+    else:
+        d = 1.0 / (w**2 * (1.0 / a - 1.0 / b))
+    return np.where((w >= a) & (w <= b), d, 0.0)
+
+
+BANDS = ((0.2, 1.0), (0.05, 3.0), (0.999, 1.001))
+
+
+def _band_forms(family, a, b):
+    """(power-law form, closed form) of ppf, cdf and pdf on 1e5 points."""
+    dos = DensityOfStates(family, a, b)
+    u = np.random.default_rng(7).random(100_000)
+    w = np.linspace(0.5 * a, 1.5 * b, 100_001)
+    return [(dos.ppf(u), _closed_ppf(family, a, b, u)),
+            (dos.cdf(w), _closed_cdf(family, a, b, w)),
+            (dos.pdf(w), _closed_pdf(family, a, b, w))]
+
+
+@pytest.mark.parametrize("family", ("uniform", "inverse_square"))
+@pytest.mark.parametrize("a, b", BANDS)
+def test_power_law_band_is_the_closed_form_bit_for_bit(family, a, b):
+    for new, old in _band_forms(family, a, b):
+        np.testing.assert_array_equal(new, old)
+    # a scalar draw rounds as an array draw does
+    dos = DensityOfStates(family, a, b)
+    assert dos.ppf(0.3) == _closed_ppf(family, a, b, 0.3)
+
+
+@pytest.mark.parametrize("a, b", BANDS)
+def test_power_law_square_band_is_the_closed_form_to_a_few_ulp(a, b):
+    for new, old in _band_forms("square", a, b):
+        np.testing.assert_array_max_ulp(new, old, maxulp=4)
+
+
 def test_degenerate_band():
     dos = DensityOfStates("uniform", 0.7, 0.7)
     assert dos.degenerate
@@ -120,17 +179,6 @@ def test_bath_spec_validation():
         BathSpec(temperature=0.0)
 
 
-def test_bath_realization_rejects_inconsistent_energies():
-    w = np.array([1.0, 2.0])
-    q = np.array([1.0, 0.5])
-    p = np.array([0.0, 0.2])
-    good = oscillator_energies(q, p, w, 0.1)
-    BathRealization(frequencies=w, energies=good, positions=q, momenta=p, m=0.1)
-    with pytest.raises(ValueError, match="disagree with phase space"):
-        BathRealization(frequencies=w, energies=good * 1.01,
-                        positions=q, momenta=p, m=0.1)
-
-
 def test_oscillator_energies_vectorized():
     w = np.array([0.5, 1.0, 2.0])
     q = np.array([1.0, -2.0, 0.3])
@@ -140,6 +188,24 @@ def test_oscillator_energies_vectorized():
                 for i in range(3)]
     np.testing.assert_allclose(oscillator_energies(q, p, w, m), expected,
                                rtol=1e-15)
+
+
+def test_bare_energy_keeps_its_closed_form_bits():
+    # the histogrammed energy, now the oscillator energy of the particle
+    tp = TestParticleSpec(mass=1.7, omega=0.3)
+    rng = np.random.default_rng(3)
+    q, p = rng.normal(size=1000), rng.normal(size=1000)
+    np.testing.assert_array_equal(
+        bare_energy(q, p, tp),
+        p * p / (2.0 * tp.mass) + 0.5 * tp.mass * tp.omega**2 * q * q)
+
+
+def test_bath_realization_checks_lengths_and_mass():
+    w, q = np.array([1.0, 2.0]), np.array([1.0, 0.5])
+    with pytest.raises(ValueError, match="momenta has length 1"):
+        BathRealization(frequencies=w, positions=q, momenta=np.zeros(1), m=0.1)
+    with pytest.raises(ValueError, match="mass must be positive"):
+        BathRealization(frequencies=w, positions=q, momenta=q, m=0.0)
 
 
 # -- state layout ------------------------------------------------------
@@ -157,6 +223,17 @@ def test_state_vector_roundtrip(sizes, data):
     np.testing.assert_array_equal(state.as_vector(), vec)
     assert state.time == 1.5
     assert [len(q) for q in state.bath_q] == sizes
+
+
+def test_initial_state_places_the_particle_and_every_draw():
+    tp = TestParticleSpec(mass=1.0, omega=0.5, q0=0.25, p0=-1.5)
+    reals = [BathRealization(frequencies=np.full(n, 1.0), positions=np.arange(n) + 1.0,
+                             momenta=-np.arange(n) - 1.0, m=0.1) for n in (2, 3)]
+    state = initial_state(tp, reals)
+    assert (state.time, state.test_q, state.test_p) == (0.0, 0.25, -1.5)
+    np.testing.assert_array_equal(
+        state.as_vector(),
+        [0.25, -1.5, 1.0, -1.0, 2.0, -2.0, 1.0, -1.0, 2.0, -2.0, 3.0, -3.0])
 
 
 def test_state_vector_rejects_wrong_length():
@@ -182,7 +259,7 @@ def test_bare_energy_excludes_interaction():
 def test_total_energy_anchor_follows_activity():
     tp = TestParticleSpec(mass=1.0, omega=1.0)
     w = np.array([1.0])
-    real = BathRealization(frequencies=w, energies=np.array([0.0]),
+    real = BathRealization(frequencies=w,
                            positions=np.array([0.0]), momenta=np.array([0.0]),
                            m=1.0)
     state = SystemState(time=0.0, test_q=2.0, test_p=0.0,
