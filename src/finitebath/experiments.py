@@ -45,7 +45,9 @@ class SweepSpec:
     span_factor: float = DEFAULT_SPAN_FACTOR
     propagator: str = "eigen"        # "eigen" or "rk4" (RK4 steps, sampled through the modes)
     delta_t_steps: int = 1
-    step_size: float | None = None   # None: derived from the largest bare frequency
+    # None: 50 steps per period of the largest bare frequency, or of the
+    # fastest normal mode where the bare step is unstable (default_step_size)
+    step_size: float | None = None
     renormalization: str = "switched"   # two-bath stiffness bookkeeping
 
     def __post_init__(self):
@@ -179,7 +181,7 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
         return _reduce_samples(spec, omega, seed, q, p, (real,), final)
     # continuous RK4: both switch phases use the engaged bath
     system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
-    dt = spec.step_size or default_step_size(tp, (real.frequencies,))
+    dt = spec.step_size or default_step_size(cm)
     res = SwitchedPropagator(system, SwitchSchedule(step_size=dt)).run(v0, times)
     return _reduce_samples(spec, omega, seed, res.q, res.p, (real,), res.final_state,
                            max_snap=res.max_snap_distance, n_steps=res.n_steps,
@@ -194,7 +196,7 @@ def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
     r1 = realize_bath(spec.bath1, seed, 0)
     r2 = realize_bath(spec.bath2, seed, 1)
     system = build_switched_matrices(tp, r1, r2, renormalization=spec.renormalization)
-    dt = spec.step_size or default_step_size(tp, (r1.frequencies, r2.frequencies))
+    dt = spec.step_size or default_step_size(system.a1, system.a2)
     schedule = SwitchSchedule(delta_t_steps=spec.delta_t_steps, step_size=dt)
     times = make_sampling_times(
         spec.plan, substream(seed, SAMPLING_TIMES).generator())

@@ -13,11 +13,12 @@ where a_k = u_k . M x0 and b_k = u_k . p0, so after one factorization
 the particle costs O(N) per observation time and the full state O(N^2).
 
 The factorization never forms K.  In mass-weighted coordinates
-M^(1/2) x the stiffness is an arrowhead matrix: the diagonal
-d_n = w_n^2, the border z_n = -sqrt(m/M) w_n^2 (0 for a free bath), and
-the corner alpha = alpha0 + sum_n c_n with c_n = z_n^2 / d_n and
-alpha0 = Omega^2 (plus the spring sums of free baths under static
-renormalization).  Its modes cost O(N^2) time and O(N) memory, since
+M^(1/2) x the stiffness is an arrowhead matrix, which CouplingMatrix
+holds for each contact phase: the diagonal d_n = w_n^2, the border
+z_n = -sqrt(m/M) w_n^2 (0 for a free bath), and the corner
+alpha = alpha0 + sum_n c_n with c_n = z_n^2 / d_n and alpha0 = Omega^2
+(plus the spring sums of free baths under static renormalization).
+Its modes cost O(N^2) time and O(N) memory, since
 the (N+1)^2 mode matrix is never stored (Gu & Eisenstat, SIAM J.
 Matrix Anal. Appl. 16, 172 (1995)):
 
@@ -55,7 +56,7 @@ so diagonalize rejects it for the exact and the RK4 sampler alike.  It
 occurs only when nothing pins the particle, alpha0 = 0: for alpha0 > 0
 every secular root lies above the pole at 0.  The dense drift matrix A
 of v' = A v, v = (Q, P, q_1, p_1, ...), is needed only by RK4 stepping;
-drift_matrix builds it on demand.
+drift_matrix writes it from the same arrowhead on demand.
 
 Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 (hA)^4/24 of the drift matrix, so it has the same normal modes: one step
@@ -98,115 +99,84 @@ class EigensolverError(NumericalError):
     """The normal mode factorization failed."""
 
 
-# (m, frequencies, active) triple describing one bath block of the matrix
-def _blocks_from(baths):
-    blocks = []
-    for m, freqs, active in baths:
-        freqs = np.asarray(freqs, dtype=float)
-        if np.any(freqs <= 0.0):
-            raise ValueError("bath frequencies must be positive")
-        blocks.append((float(m), freqs, bool(active)))
-    return blocks
-
-
 @dataclass(frozen=True)
 class CouplingMatrix:
-    """Parameters of one contact phase: the particle and every bath.
+    """One contact phase: the mass-weighted stiffness H = M^(-1/2) K M^(-1/2).
 
-    Inactive baths evolve as free oscillators and exert no force on the
-    particle.  ``static_renorm`` keeps every bath's spring sum in the
-    particle stiffness even while that bath's linear coupling is
-    disengaged.
+    H is an arrowhead: the corner alpha = alpha0 + sum(c), the diagonal
+    d_n = w_n^2 and the border z_n, with c_n = z_n^2 / d_n.  An engaged
+    bath's oscillator has z_n = -sqrt(m/M) w_n^2; a disengaged one
+    evolves freely (z_n = 0) and exerts no force on the particle, and
+    its spring sum enters alpha0 only under static renormalization.
+    Everything else, the drift matrix, the normal modes and their
+    residual, is derived from these arrays; build_multi_coupling_matrix
+    is the one place that states the coupling.
     """
 
     tp: TestParticleSpec
-    bath_masses: tuple
-    bath_frequencies: tuple
-    active: tuple
-    static_renorm: bool = False
-
-    @property
-    def bath_sizes(self) -> tuple:
-        return tuple(len(f) for f in self.bath_frequencies)
-
-    @property
-    def dim(self) -> int:
-        return 2 + 2 * sum(self.bath_sizes)
-
-
-def build_multi_coupling_matrix(tp: TestParticleSpec, baths,
-                                static_renorm: bool = False) -> CouplingMatrix:
-    """Coupling description for any number of baths, each engaged or free.
-
-    baths is a sequence of (m, frequencies, active) triples.  With
-    static_renorm the spring sums of the inactive baths still stiffen
-    the particle (their linear coupling stays off).
-    """
-    blocks = _blocks_from(baths)
-    return CouplingMatrix(tp=tp,
-                          bath_masses=tuple(b[0] for b in blocks),
-                          bath_frequencies=tuple(b[1] for b in blocks),
-                          active=tuple(b[2] for b in blocks),
-                          static_renorm=static_renorm)
-
-
-def drift_matrix(cm: CouplingMatrix) -> np.ndarray:
-    """Dense drift matrix A of v' = A v, (2 + 2N) square."""
-    a = np.zeros((cm.dim, cm.dim))
-    a[0, 1] = 1.0 / cm.tp.mass
-    a[1, 0] = -cm.tp.mass * cm.tp.omega**2
-    col = 2
-    for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
-        for w in freqs:
-            k = m * w * w
-            a[col, col + 1] = 1.0 / m
-            a[col + 1, col] = -k
-            if active:
-                a[1, 0] -= k
-                a[1, col] = k
-                a[col + 1, 0] = k
-            elif cm.static_renorm:
-                a[1, 0] -= k
-            col += 2
-    return a
-
-
-@dataclass(frozen=True)
-class _Arrowhead:
-    """Mass-weighted stiffness of one contact phase, in arrowhead form."""
-
-    mass: np.ndarray     # (1 + N,) position-space masses, particle first
-    w: np.ndarray        # (N,) bath frequencies
-    d: np.ndarray        # (N,) their squares
-    z: np.ndarray        # (N,) border, 0 for free baths
-    c: np.ndarray        # (N,) secular weights z^2 / d
-    alpha0: float        # corner minus sum(c)
+    bath_sizes: tuple        # oscillators per bath, in coordinate order
+    mass: np.ndarray         # (1 + N,) position-space masses, particle first
+    w: np.ndarray            # (N,) bath frequencies
+    d: np.ndarray            # (N,) their squares
+    z: np.ndarray            # (N,) border, 0 for free oscillators
+    c: np.ndarray            # (N,) secular weights z^2 / d
+    alpha0: float            # corner minus sum(c)
 
     @property
     def alpha(self) -> float:
         return self.alpha0 + float(np.sum(self.c))
 
+    @property
+    def dim(self) -> int:
+        return 2 * len(self.mass)
 
-def _arrowhead(cm: CouplingMatrix) -> _Arrowhead:
-    big_m = cm.tp.mass
-    alpha0 = cm.tp.omega**2
-    z, c = [], []
-    for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
-        w2 = freqs**2
+
+def build_multi_coupling_matrix(tp: TestParticleSpec, baths,
+                                static_renorm: bool = False) -> CouplingMatrix:
+    """The contact phase of a particle and any number of baths, each engaged or free.
+
+    baths is a sequence of (m, frequencies, active) triples.  With
+    static_renorm the spring sums of the inactive baths still stiffen
+    the particle (their linear coupling stays off).
+    """
+    big_m = tp.mass
+    alpha0 = tp.omega**2
+    masses, freqs, z, c = [[big_m]], [], [], []
+    for m, w, active in baths:
+        w = np.asarray(w, dtype=float)
+        if np.any(w <= 0.0):
+            raise ValueError("bath frequencies must be positive")
+        m, w2 = float(m), w**2
         if active:
             z.append(-np.sqrt(m / big_m) * w2)
             c.append(m / big_m * w2)
         else:
             z.append(np.zeros(len(w2)))
             c.append(np.zeros(len(w2)))
-            if cm.static_renorm:
+            if static_renorm:
                 alpha0 += m / big_m * float(np.sum(w2))
-    mass = np.concatenate(
-        [[big_m]] + [np.full(len(f), m) for m, f in zip(cm.bath_masses,
-                                                        cm.bath_frequencies)])
-    w = np.concatenate(cm.bath_frequencies)
-    return _Arrowhead(mass=mass, w=w, d=w**2, z=np.concatenate(z),
-                      c=np.concatenate(c), alpha0=float(alpha0))
+        masses.append(np.full(len(w), m))
+        freqs.append(w)
+    w = np.concatenate(freqs)
+    return CouplingMatrix(tp=tp, bath_sizes=tuple(len(f) for f in freqs),
+                          mass=np.concatenate(masses), w=w, d=w**2,
+                          z=np.concatenate(z), c=np.concatenate(c),
+                          alpha0=float(alpha0))
+
+
+def drift_matrix(cm: CouplingMatrix) -> np.ndarray:
+    """Dense drift matrix A of v' = A v, (2 + 2N) square.
+
+    With v = (Q, P, q_1, p_1, ...), A holds 1 / M_i at (2i, 2i + 1) and
+    -K at the (odd, even) entries, K = M^(1/2) H M^(1/2): K_00 = M alpha,
+    K_nn = m_n d_n and K_0n = K_n0 = sqrt(M m_n) z_n.
+    """
+    a = np.zeros((cm.dim, cm.dim))
+    np.fill_diagonal(a[0::2, 1::2], 1.0 / cm.mass)
+    k = a[1::2, 0::2]                 # -K, a view of a
+    np.fill_diagonal(k, np.r_[-(cm.mass[0] * cm.alpha), -(cm.mass[1:] * cm.d)])
+    k[0, 1:] = k[1:, 0] = -(np.sqrt(cm.mass[0] * cm.mass[1:]) * cm.z)
+    return a
 
 
 @dataclass(frozen=True)
@@ -229,26 +199,26 @@ class _Deflated:
     free: np.ndarray         # bath indices that are modes on their own
 
 
-def _deflate(ah: _Arrowhead) -> _Deflated:
-    tol = 8.0 * np.finfo(float).eps * max(ah.alpha, float(np.max(ah.d, initial=0.0)))
-    free = np.flatnonzero(np.abs(ah.z) <= tol)
-    members = np.flatnonzero(np.abs(ah.z) > tol)
-    members = members[np.argsort(ah.d[members], kind="stable")]
-    ds, zs = ah.d[members], ah.z[members]
+def _deflate(cm: CouplingMatrix) -> _Deflated:
+    tol = 8.0 * np.finfo(float).eps * max(cm.alpha, float(np.max(cm.d, initial=0.0)))
+    free = np.flatnonzero(np.abs(cm.z) <= tol)
+    members = np.flatnonzero(np.abs(cm.z) > tol)
+    members = members[np.argsort(cm.d[members], kind="stable")]
+    ds, zs = cm.d[members], cm.z[members]
     starts = np.flatnonzero(np.r_[len(ds) > 0, np.diff(ds) > tol])
     cluster = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(members)]))
     poles, weights, direction = np.empty(0), np.empty(0), np.empty(0)
     if len(members):
         z2 = zs * zs
         r2 = np.add.reduceat(z2, starts)
-        poles = ah.w[members[starts]]
+        poles = cm.w[members[starts]]
         merged = np.diff(np.r_[starts, len(members)]) > 1
         poles[merged] = np.sqrt(np.add.reduceat(z2 * ds, starts)[merged] / r2[merged])
-        weights = np.add.reduceat(ah.c[members], starts)
+        weights = np.add.reduceat(cm.c[members], starts)
         direction = zs / np.sqrt(r2)[cluster]
-    if ah.alpha0 > 0.0:
+    if cm.alpha0 > 0.0:
         poles = np.r_[0.0, poles]
-        weights = np.r_[ah.alpha0, weights]
+        weights = np.r_[cm.alpha0, weights]
     return _Deflated(poles=poles, weights=weights, members=members,
                      cluster=cluster, direction=direction, starts=starts,
                      free=free)
@@ -320,9 +290,8 @@ def _helmert_frequencies(zc, dc):
 
 def max_mode_frequency(cm: CouplingMatrix) -> float:
     """Largest normal mode frequency: the top secular root or a free oscillator."""
-    ah = _arrowhead(cm)
-    df = _deflate(ah)
-    top = float(np.max(ah.w[df.free], initial=0.0))
+    df = _deflate(cm)
+    top = float(np.max(cm.w[df.free], initial=0.0))
     if len(df.poles):
         origin, tau = _secular_roots(df.poles, df.weights, [len(df.poles) - 1])
         top = max(top, float(df.poles[origin[0]] + tau[0]))
@@ -385,8 +354,8 @@ class _ModeShapes:
     cols: np.ndarray         # (n,) position in nu of each mode
 
 
-def _mode_shapes(ah: _Arrowhead, df: _Deflated, origin, tau):
-    """Ascending mode frequencies and the _ModeShapes of one arrowhead.
+def _mode_shapes(cm: CouplingMatrix, df: _Deflated, origin, tau):
+    """Ascending mode frequencies and the _ModeShapes of one contact phase.
 
     df.poles[0] must be the particle's pole at 0 (alpha0 > 0).
     """
@@ -394,15 +363,15 @@ def _mode_shapes(ah: _Arrowhead, df: _Deflated, origin, tau):
     zhat = _loewner_z(df.poles[1:], nu0, tau)
     ends = np.r_[df.starts[1:], len(df.members)]
     merged = [(s, df.members[s:e]) for s, e in zip(df.starts, ends) if e - s > 1]
-    nu = np.concatenate([nu0 + tau, ah.w[df.free]]
-                        + [_helmert_frequencies(ah.z[idx], ah.d[idx]) for _, idx in merged])
+    nu = np.concatenate([nu0 + tau, cm.w[df.free]]
+                        + [_helmert_frequencies(cm.z[idx], cm.d[idx]) for _, idx in merged])
     order = np.argsort(nu, kind="stable")
     cols = np.empty(len(nu), dtype=np.intp)
     cols[order] = np.arange(len(nu))
     shapes = _ModeShapes(coord=np.r_[0, 1 + df.members, 1 + df.free],
                          nu0=nu0, tau=tau, pole=df.poles[1:][df.cluster],
                          coef=zhat[df.cluster] * df.direction,
-                         clusters=tuple((s, ah.z[idx]) for s, idx in merged),
+                         clusters=tuple((s, cm.z[idx]) for s, idx in merged),
                          cols=cols)
     return nu[order], shapes
 
@@ -459,7 +428,6 @@ class EigenPropagator:
 
     cm: CouplingMatrix
     nu: np.ndarray                # (n,) mode angular frequencies
-    mass: np.ndarray              # (n,) position-space masses
     u0: np.ndarray                # (n,) particle entry of each mode u_k
     coef_cos: np.ndarray          # (n,) mode amplitudes a_k = u_k . M x0
     coef_sin: np.ndarray          # (n,) mode amplitudes b_k = u_k . p0
@@ -478,9 +446,8 @@ class EigenPropagator:
         """
         t = np.atleast_1d(np.asarray(times, dtype=float))
         rows = self._rows()
-        bath = np.concatenate(self.cm.bath_frequencies)
         live = self.u0 != 0.0
-        inside = live & (self.nu >= np.min(bath)) & (self.nu <= np.max(bath))
+        inside = live & (self.nu >= np.min(self.cm.w)) & (self.nu <= np.max(self.cm.w))
         if not grid_fits(t, self.nu[inside]):
             inside[:] = False
         direct = live & ~inside
@@ -786,18 +753,17 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     system has a zero frequency mode (Omega = 0).
     """
     v0 = _as_vector(v0, cm.dim)
-    ah = _arrowhead(cm)
-    if ah.alpha0 <= 0.0:
+    if cm.alpha0 <= 0.0:
         raise EigensolverError(ZERO_MODE)
-    df = _deflate(ah)
+    df = _deflate(cm)
     origin, tau = _secular_roots(df.poles, df.weights, np.arange(len(df.poles)))
 
-    nu, shapes = _mode_shapes(ah, df, origin, tau)
+    nu, shapes = _mode_shapes(cm, df, origin, tau)
     if not nu[0] > 0.0:
         raise EigensolverError(ZERO_MODE)
 
     # one pass over the shapes: a = U^T M x0, b = U^T p0 and U's particle row
-    root_m = np.sqrt(ah.mass)
+    root_m = np.sqrt(cm.mass)
     y = np.stack([root_m * v0[0::2], v0[1::2] / root_m])[:, shapes.coord]
     ab = np.empty((2, len(nu)))
     u0 = np.empty(len(nu))
@@ -805,7 +771,7 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
         ab[:, cols] = y @ block
         u0[cols] = block[0]
     u0 /= root_m[0]
-    return EigenPropagator(cm=cm, nu=nu, mass=ah.mass, u0=u0,
+    return EigenPropagator(cm=cm, nu=nu, u0=u0,
                            coef_cos=ab[0], coef_sin=ab[1], shapes=shapes)
 
 
@@ -833,7 +799,7 @@ def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
     acc = np.zeros((len(prop.nu), 2))
     for cols, block in _mode_blocks(prop.shapes):
         acc += block @ fg[cols]
-    root_m = np.sqrt(prop.mass)
+    root_m = np.sqrt(prop.cm.mass)
     vec = np.empty(2 * len(prop.nu))
     vec[0::2][prop.shapes.coord] = acc[:, 0]
     vec[1::2][prop.shapes.coord] = acc[:, 1]
@@ -845,20 +811,20 @@ def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
 def mode_residual(prop: EigenPropagator) -> float:
     """|| H V - V diag(nu^2) || / || H ||, the defining check of the modes.
 
-    H = M^(-1/2) K M^(-1/2) is the arrowhead and V = M^(1/2) U the
-    orthonormal mass-weighted modes.  In this form the residual does not
+    H = M^(-1/2) K M^(-1/2) is the arrowhead prop.cm and V = M^(1/2) U
+    the orthonormal mass-weighted modes.  In this form the residual does not
     depend on the bath-to-particle mass ratio, as it would for K U - M U
     diag(nu^2) measured against || K ||.  H acts on each block of modes
     through alpha, z and d alone.
     """
-    ah = _arrowhead(prop.cm)
+    cm = prop.cm
     bath = prop.shapes.coord[1:] - 1
-    z, d = ah.z[bath], ah.d[bath]
+    z, d = cm.z[bath], cm.d[bath]
     sq = 0.0
     for cols, v in _mode_blocks(prop.shapes):
         res = v * -prop.nu[cols] ** 2
-        res[0] += ah.alpha * v[0] + z @ v[1:]
+        res[0] += cm.alpha * v[0] + z @ v[1:]
         res[1:] += d[:, None] * v[1:] + z[:, None] * v[0]
         sq += float(np.einsum("ij,ij->", res, res))
-    hnorm = np.sqrt(ah.alpha**2 + np.sum(ah.d**2) + 2.0 * np.sum(ah.z**2))
+    hnorm = np.sqrt(cm.alpha**2 + np.sum(cm.d**2) + 2.0 * np.sum(cm.z**2))
     return float(np.sqrt(sq) / hnorm)

@@ -14,13 +14,16 @@ by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs exploit
 that: the map over one full switching period is diagonalized once per
 run, after which any sample time costs O(N) instead of stepping there.
 A factorization whose residual looks degraded is a NumericalError:
-stepping a long run literally instead would take hours.  With the
-period map S diag(mu) S^-1 and v' = S^-1 v0, the particle after k
-periods and r more steps is Re sum_j c_j mu_j^k, c = (rows 0 and 1 of
-the first r steps' map) S times v'.  propagator.mode_sums evaluates
-these sums, the same chunked real tables that sample the normal modes,
-with theta = arg mu and d = log |mu|; their imaginary parts must cancel
-to 1e-9 of sum_j |c_j| |mu_j|^k.
+stepping a long run literally instead would take hours.  So is a
+parametrically resonant schedule, one whose period map has a multiplier
+|mu| > 1 that grows by more than e^GROWTH_TOL over the run: its samples
+would be fitted as an enormous temperature.  With the period map
+S diag(mu) S^-1 and v' = S^-1 v0, the particle after k periods and r
+more steps is Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r
+steps' map) S times v'.  propagator.mode_sums evaluates these sums, the
+same chunked real tables that sample the normal modes, with
+theta = arg mu and d = log |mu|; their imaginary parts must cancel to
+1e-9 of sum_j |c_j| |mu_j|^k.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
@@ -43,7 +46,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
-from .propagator import (CouplingMatrix, NumericalError,
+from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix, NumericalError,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
                          mode_sums, rk4_full_state)
@@ -74,22 +77,24 @@ class SwitchSchedule:
 STEPS_PER_PERIOD = 50
 
 
-def default_step_size(tp: TestParticleSpec, frequencies) -> float:
-    """2 pi / (STEPS_PER_PERIOD w), w the largest bare frequency.
+def default_step_size(*phases: CouplingMatrix) -> float:
+    """2 pi / (STEPS_PER_PERIOD w), w the largest bare frequency unless RK4 is unstable there.
 
     w is the largest of the bath frequencies and the particle's Omega:
     a stiff particle that RK4 does not resolve would be damped
     artificially over long runs.  These are bare frequencies, not normal
     modes.  The top root of the secular equation lies above the highest
     bath frequency, so the fastest normal mode gets fewer than
-    STEPS_PER_PERIOD steps per period, and against a heavy bath the
-    derived step can exceed RK4's stability limit (a NumericalError
-    from check_rk4_stability, not a smaller step).
+    STEPS_PER_PERIOD steps per period, and against a heavy bath that
+    step would exceed RK4's stability limit (check_rk4_stability).  Only
+    then is w the fastest normal mode nu_max of the contact phases, which
+    all share one particle and one set of baths; a step that is stable
+    under the bare rule is kept.
     """
-    w = max(float(np.max(np.concatenate([np.atleast_1d(f) for f in frequencies]))),
-            tp.omega)
-    if w <= 0.0:
-        raise ValueError("need at least one positive frequency to set a step size")
+    w = max(float(np.max(phases[0].w)), phases[0].tp.omega)
+    nu_max = max(max_mode_frequency(cm) for cm in phases)
+    if 2.0 * np.pi / w / STEPS_PER_PERIOD * nu_max > RK4_STABILITY_LIMIT:
+        w = nu_max
     return 2.0 * np.pi / w / STEPS_PER_PERIOD
 
 
@@ -99,11 +104,11 @@ class TwoBathSystem:
 
     With one realization the system is one bath in continuous contact, a1
     and a2 both describing the engaged bath; switched contact has two, a1
-    engaging bath 1 and a2 bath 2.  Their ``static_renorm`` records how
-    the quadratic spring sums enter the particle stiffness while a bath
-    is disengaged: under "switched" renormalization they leave together
-    with the linear coupling, under "static" every bath's spring sum
-    stays in both matrices so only the linear coupling alternates.
+    engaging bath 1 and a2 bath 2.  The renormalization is already in
+    each phase's corner alpha0: under "switched" renormalization a
+    disengaged bath's spring sum leaves the particle stiffness together
+    with its linear coupling, under "static" every bath's spring sum
+    stays in both phases so only the linear coupling alternates.
     """
 
     tp: TestParticleSpec
@@ -173,6 +178,10 @@ class SwitchedPropagator:
     # steps beyond which the period map factorization pays for itself
     FLOQUET_THRESHOLD = 20_000
     QUALITY_TOL = 1e-7
+    # largest log-amplitude growth of a period-map mode over a run.  RK4
+    # damps every mode of a stable schedule; eig rounding leaves at most
+    # 1.3e-6 over the 5e7 steps of the study's two-bath points
+    GROWTH_TOL = 1e-3
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
         self.system = system
@@ -247,6 +256,13 @@ class SwitchedPropagator:
 
     def _run_floquet(self, v0, steps_wanted, final_step):
         fl = self._build_floquet()
+        last = max(int(np.max(steps_wanted, initial=0)), final_step)
+        growth = last / fl["period"] * float(np.max(fl["log_mu"].real))
+        if not growth <= self.GROWTH_TOL:      # NaN fails too
+            raise NumericalError(
+                f"switching schedule is parametrically unstable: a period map "
+                f"mode grows by e^{growth:.3g} over {last} steps, more than "
+                f"e^{self.GROWTH_TOL:g}")
         vprime0 = np.linalg.solve(fl["s"], v0.astype(complex))
         q, p = np.empty((2, len(steps_wanted)))
         ks, rs = np.divmod(steps_wanted, fl["period"])
@@ -292,19 +308,26 @@ class SwitchedPropagator:
         stepped trajectory: the dense eig of the period map gives each
         multiplier a phase error of about 1e-12 per period, so the error
         grows linearly with run length.  For 2 x 200 oscillators
-        (m = 1e-3, static renormalization, h = 1e-3, Omega = 0.55) its
-        state differs from repeated squaring of the period map by 7.8e-8,
-        3.3e-6 and 4.3e-5 of |v| after 2e4, 2e6 and 5e7 steps, while
+        (the baths of scripts/two_bath_frustration.json at seed 2: m =
+        1e-3, static renormalization, h = 1e-3, Omega = 0.55) its state
+        differs from repeated squaring of the period map by 7.2e-8,
+        2.8e-6 and 3.5e-5 of |v| after 2e4, 2e6 and 5e7 steps, while
         literal stepping agrees with that reference to 4e-13 at 2e4
-        steps.  That is far below the sampling noise of a fitted
-        temperature.  "auto" samples a continuous system through its
-        normal modes (reported as engine "modes"; EigensolverError for a
-        zero mode) and picks the period map or stepping for a switched
-        one by run length; a period map that factorizes with a residual
-        above QUALITY_TOL is a NumericalError.  The period map is sampled
-        through propagator.mode_sums, so beyond its dense matrices a run
-        holds one set of SAMPLE_CHUNK tables however many samples it
-        takes.  t_final defaults to the last (snapped) sample time.
+        steps.  Which figure within that scale a run shows depends on
+        rounding: an ulp changed in one drift matrix entry moves the
+        samples of a 5e7 step run by 2e-5 to 3e-5 of the largest sample.
+        That is far below the sampling noise of a fitted temperature.
+
+        "auto" samples a continuous system through its normal modes
+        (reported as engine "modes"; EigensolverError for a zero mode)
+        and picks the period map or stepping for a switched one by run
+        length.  A period map that factorizes with a residual above
+        QUALITY_TOL, or whose fastest growing mode grows by more than
+        e^GROWTH_TOL over the run (a parametrically resonant schedule),
+        is a NumericalError.  The period map is sampled through
+        propagator.mode_sums, so beyond its dense matrices a run holds
+        one set of SAMPLE_CHUNK tables however many samples it takes.
+        t_final defaults to the last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):

@@ -240,6 +240,17 @@ def test_unstable_rk4_step_exits_3(tmp_path, capsys):
     assert all(f[2].startswith("NumericalError: RK4 step h=5 ") for f in failures)
 
 
+def test_derived_rk4_step_is_stable_against_a_heavy_bath(tmp_path):
+    """The bare-frequency step (h nu_max = 3.5) gives way to one that resolves the top mode."""
+    out = tmp_path / "run"
+    code = main(["sweep", "--set", "bath1_size=400", "--set", "bath1_mass=5",
+                 "--set", "propagator=rk4", "--set", "omega_grid=[0.5]",
+                 "--set", "seeds=[1]", "--set", "n_samples=200", "--out", str(out)])
+    assert code == EXIT_OK
+    (omega, seed, h), = json.loads((out / "manifest.json").read_text())["step_size"]
+    assert h < 2.0 * np.pi / 50.0 / 1.0      # below the bare rule's step (w_UV = 1)
+
+
 def test_manifests_record_snap_distance_and_bath_fits(tmp_path, quick_config):
     h = 0.05
     out = tmp_path / "sweep"
@@ -259,13 +270,22 @@ def test_manifests_record_snap_distance_and_bath_fits(tmp_path, quick_config):
     assert len(manifest["bath_final"]) == 1
 
 
+def _one_bath_step(tp, real):
+    """The RK4 step a one-bath point derives for itself."""
+    from finitebath.propagator import build_multi_coupling_matrix
+    from finitebath.switched import default_step_size
+
+    cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
+    return default_step_size(cm)
+
+
 def test_manifest_records_the_steps_each_run_used(tmp_path, quick_config,
                                                   twobath_config):
     """RK4 points record their own step; delta_t_steps is a two-bath key."""
     from finitebath.bath import realize_bath
     from finitebath.config import build_bath
     from finitebath.model import TestParticleSpec
-    from finitebath.switched import default_step_size
+    from finitebath.switched import build_switched_matrices, default_step_size
 
     grid = ["--set", "omega_grid=[0.5,1.5]", "--seed-list", "1", "2"]
     out = tmp_path / "rk4"
@@ -273,8 +293,7 @@ def test_manifest_records_the_steps_each_run_used(tmp_path, quick_config,
                  *grid, "--out", str(out)]) == EXIT_OK
     manifest = json.loads((out / "manifest.json").read_text())
     bath = build_bath(QUICK, "bath1", True)
-    want = [[w, s, default_step_size(TestParticleSpec(omega=w),
-                                      (realize_bath(bath, s).frequencies,))]
+    want = [[w, s, _one_bath_step(TestParticleSpec(omega=w), realize_bath(bath, s))]
             for w in (0.5, 1.5) for s in (1, 2)]
     assert manifest["step_size"] == want
     assert manifest["delta_t_steps"] is None
@@ -288,10 +307,11 @@ def test_manifest_records_the_steps_each_run_used(tmp_path, quick_config,
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["delta_t_steps"] == 1
     # the switched points only: the alone curves run on normal modes
-    baths = [realize_bath(build_bath(TWOBATH, f"bath{b + 1}", True), 1, b).frequencies
-             for b in (0, 1)]
+    system = build_switched_matrices(
+        TestParticleSpec(omega=0.4),
+        *(realize_bath(build_bath(TWOBATH, f"bath{b + 1}", True), 1, b) for b in (0, 1)))
     assert manifest["step_size"] == [
-        [0.4, 1, default_step_size(TestParticleSpec(omega=0.4), baths)]]
+        [0.4, 1, default_step_size(system.a1, system.a2)]]
 
 
 def test_manifest_records_the_steps_of_points_that_failed_their_fit(
@@ -300,7 +320,6 @@ def test_manifest_records_the_steps_of_points_that_failed_their_fit(
     from finitebath.bath import realize_bath
     from finitebath.config import build_bath
     from finitebath.model import TestParticleSpec
-    from finitebath.switched import default_step_size
 
     def no_fit(hist):
         raise FitError("only 2 nonempty bins")
@@ -315,8 +334,7 @@ def test_manifest_records_the_steps_of_points_that_failed_their_fit(
                                     for s in (1, 2)]
     bath = build_bath(QUICK, "bath1", True)
     assert manifest["step_size"] == [
-        [0.5, s, default_step_size(TestParticleSpec(omega=0.5),
-                                   (realize_bath(bath, s).frequencies,))]
+        [0.5, s, _one_bath_step(TestParticleSpec(omega=0.5), realize_bath(bath, s))]
         for s in (1, 2)]
 
 

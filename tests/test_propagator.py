@@ -39,7 +39,7 @@ def _mode_matrix(prop):
     v = np.zeros((n, n))
     for cols, block in propagator._mode_blocks(prop.shapes):
         v[np.ix_(prop.shapes.coord, cols)] = block
-    return v / np.sqrt(prop.mass)[:, None]
+    return v / np.sqrt(prop.cm.mass)[:, None]
 
 
 def test_single_oscillator_drift_matrix_by_hand():
@@ -105,10 +105,10 @@ def test_normal_modes_solve_the_stiffness_problem(small_bath, particle):
     prop = diagonalize(cm, v0)
     assert mode_residual(prop) < 1e-9
     u = _mode_matrix(prop)
-    np.testing.assert_allclose(u.T @ (prop.mass[:, None] * u), np.eye(len(u)),
+    np.testing.assert_allclose(u.T @ (prop.cm.mass[:, None] * u), np.eye(len(u)),
                                atol=1e-9)
     np.testing.assert_array_equal(prop.u0, u[0])
-    np.testing.assert_allclose(prop.coef_cos, u.T @ (prop.mass * v0[0::2]),
+    np.testing.assert_allclose(prop.coef_cos, u.T @ (prop.cm.mass * v0[0::2]),
                                rtol=0.0, atol=1e-12 * np.max(np.abs(prop.coef_cos)))
     np.testing.assert_allclose(prop.coef_sin, u.T @ v0[1::2],
                                rtol=0.0, atol=1e-12 * np.max(np.abs(prop.coef_sin)))
@@ -193,19 +193,19 @@ def test_bath_frequencies_must_be_positive(particle):
 # -- the secular solver against a dense eigh oracle ----------------------
 
 
-def _dense_stiffness(cm):
-    """Position-space masses and stiffness K, built entry by entry."""
-    n = 1 + sum(cm.bath_sizes)
+def _dense_stiffness(tp, baths, static):
+    """Masses and stiffness K of (m, frequencies, active) baths, entry by entry."""
+    n = 1 + sum(len(freqs) for _, freqs, _ in baths)
     mass = np.empty(n)
-    mass[0] = cm.tp.mass
+    mass[0] = tp.mass
     k = np.zeros((n, n))
-    k[0, 0] = cm.tp.mass * cm.tp.omega**2
+    k[0, 0] = tp.mass * tp.omega**2
     j = 1
-    for m, freqs, active in zip(cm.bath_masses, cm.bath_frequencies, cm.active):
+    for m, freqs, active in baths:
         for w in freqs:
             mass[j] = m
             k[j, j] = m * w * w
-            if active or cm.static_renorm:
+            if active or static:
                 k[0, 0] += m * w * w
             if active:
                 k[0, j] = k[j, 0] = -m * w * w
@@ -213,9 +213,8 @@ def _dense_stiffness(cm):
     return mass, k
 
 
-def _eigh_samples(cm, v0, times):
+def _eigh_samples(mass, k, v0, times):
     """Eigenvalues and (Q, P) at the times from a dense eigh factorization."""
-    mass, k = _dense_stiffness(cm)
     s = 1.0 / np.sqrt(mass)
     lam, vec = np.linalg.eigh(k * np.outer(s, s))
     modes = vec * s[:, None]
@@ -229,7 +228,7 @@ def _eigh_samples(cm, v0, times):
 
 @st.composite
 def coupled_systems(draw):
-    """A particle with one or two baths, and a random initial state."""
+    """A contact phase, the (tp, baths, static) that define it, and a random initial state."""
     kind = draw(st.sampled_from(
         ["random", "equal", "clusters", "inactive", "single"]))
     tp = TestParticleSpec(mass=draw(st.floats(0.5, 2.0)),
@@ -256,23 +255,32 @@ def coupled_systems(draw):
     else:
         baths = [(m, rng.uniform(0.1, 2.0, 1), True)]
     cm = build_multi_coupling_matrix(tp, baths, static_renorm=static)
-    return cm, rng.normal(size=cm.dim)
+    return cm, (tp, baths, static), rng.normal(size=cm.dim)
 
 
 @given(system=coupled_systems())
 @settings(max_examples=60, deadline=None)
 def test_secular_modes_match_dense_eigh(system):
-    cm, v0 = system
+    cm, defined, v0 = system
+    mass, k = _dense_stiffness(*defined)
+    # the drift matrix derived from the arrowhead is K interleaved: 1 / M_i
+    # at (2i, 2i + 1), -K at the (odd, even) entries.  The oracle adds the
+    # corner one spring at a time, up to one rounding of max|K| per spring
+    a = np.zeros((cm.dim, cm.dim))
+    a[0::2, 1::2] = np.diag(1.0 / mass)
+    a[1::2, 0::2] = -k
+    np.testing.assert_allclose(drift_matrix(cm), a, rtol=0.0,
+                               atol=len(mass) * np.finfo(float).eps * np.max(np.abs(k)))
     times = np.linspace(0.0, 50.0, 64)
-    lam, ref = _eigh_samples(cm, v0, times)
+    lam, ref = _eigh_samples(mass, k, v0, times)
     prop = diagonalize(cm, v0)
     np.testing.assert_allclose(prop.nu**2, lam, rtol=0.0, atol=1e-12 * lam[-1])
     assert max_mode_frequency(cm) == pytest.approx(np.sqrt(lam[-1]), rel=1e-12)
     u = _mode_matrix(prop)
-    np.testing.assert_allclose(u.T @ (prop.mass[:, None] * u), np.eye(len(u)),
+    np.testing.assert_allclose(u.T @ (prop.cm.mass[:, None] * u), np.eye(len(u)),
                                rtol=0.0, atol=1e-12)
     assert mode_residual(prop) < 1e-12
-    for freqs, active in zip(cm.bath_frequencies, cm.active):
+    for _, freqs, active in defined[1]:
         if not active:      # a free oscillator is a mode at its own frequency
             assert np.all(np.isin(freqs, prop.nu))
     for got, want in zip(prop.sample_test_particle(times), ref):
@@ -323,13 +331,12 @@ def test_loewner_vectors_stay_orthogonal_when_the_roots_carry_error():
     tp = TestParticleSpec(mass=1.0, omega=0.6)
     freqs = np.repeat(np.linspace(0.3, 0.9, 8), 2) + np.tile([0.0, 1e-10], 8)
     cm = _one_bath(tp, freqs, 0.01)
-    ah = propagator._arrowhead(cm)
-    df = propagator._deflate(ah)
+    df = propagator._deflate(cm)
     n = len(df.poles)
     assert n == 1 + len(freqs)              # nothing deflates
     origin, tau = propagator._secular_roots(df.poles, df.weights, np.arange(n))
     tau = tau * (1.0 + 1e-9 * np.random.default_rng(0).uniform(-1.0, 1.0, n))
-    _, sh = propagator._mode_shapes(ah, df, origin, tau)
+    _, sh = propagator._mode_shapes(cm, df, origin, tau)
     shapes = np.concatenate([block.copy() for _, block in propagator._mode_blocks(sh)],
                             axis=1)
     np.testing.assert_allclose(shapes.T @ shapes, np.eye(n), rtol=0.0, atol=1e-13)

@@ -48,8 +48,9 @@ def rk4_step(a: np.ndarray, v: np.ndarray, h: float) -> np.ndarray:
     return out
 
 
-def switched_energy(system: TwoBathSystem, state, bath1_active: bool) -> float:
-    """Instantaneous Hamiltonian honoring the system's renormalization mode.
+def switched_energy(system: TwoBathSystem, state, bath1_active: bool,
+                    renormalization: str = "switched") -> float:
+    """Instantaneous Hamiltonian under the renormalization the system was built with.
 
     Under static renormalization a disengaged bath still contributes its
     spring sum times Q^2/2 to the particle potential.
@@ -57,7 +58,7 @@ def switched_energy(system: TwoBathSystem, state, bath1_active: bool) -> float:
     reals = system.realizations
     flags = [bath1_active, not bath1_active]
     h = total_energy(state, system.tp, list(zip(reals, flags)))
-    if system.a1.static_renorm:
+    if renormalization == "static":
         for real, active in zip(reals, flags):
             if not active:
                 spring = float(np.sum(real.m * real.frequencies**2))
@@ -89,14 +90,18 @@ def test_schedule_validation():
 
 def test_default_step_size_resolves_the_fastest_period():
     tp = TestParticleSpec(mass=1.0, omega=0.5)
-    h = default_step_size(tp, [np.array([1.0, 2.0]), np.array([0.5])])
+    h = default_step_size(build_multi_coupling_matrix(
+        tp, [(0.01, np.array([1.0, 2.0]), True), (0.01, np.array([0.5]), False)]))
     assert h == pytest.approx(2.0 * np.pi / 2.0 / 50.0)
     stiff = TestParticleSpec(mass=1.0, omega=10.0)
-    h = default_step_size(stiff, [np.array([1.0])])
+    h = default_step_size(build_multi_coupling_matrix(stiff, [(0.01, np.array([1.0]), True)]))
     assert h == pytest.approx(2.0 * np.pi / 10.0 / 50.0)
-    free = TestParticleSpec(mass=1.0, omega=0.0)
-    with pytest.raises(ValueError, match="positive frequency"):
-        default_step_size(free, [np.array([0.0])])
+    # a heavy bath pushes the top mode so far above the band that the
+    # bare step is unstable; then the step resolves that mode instead
+    heavy = build_multi_coupling_matrix(tp, [(5.0, np.linspace(0.2, 1.0, 400), True)])
+    nu_max = max_mode_frequency(heavy)
+    assert 2.0 * np.pi / 50.0 * nu_max > RK4_STABILITY_LIMIT
+    assert default_step_size(heavy) == pytest.approx(2.0 * np.pi / nu_max / 50.0, rel=1e-15)
 
 
 # -- RK4 ---------------------------------------------------------------
@@ -207,7 +212,7 @@ def test_static_mode_shifts_energy_by_the_idle_spring_sum():
                         bath_p=tuple(r.momenta for r in sys_sw.realizations))
     real2 = sys_sw.realizations[1]
     k2 = float(np.sum(real2.m * real2.frequencies**2))
-    d = (switched_energy(sys_st, state, bath1_active=True)
+    d = (switched_energy(sys_st, state, bath1_active=True, renormalization="static")
          - switched_energy(sys_sw, state, bath1_active=True))
     assert d == pytest.approx(0.5 * k2 * 0.7**2, rel=1e-12)
 
@@ -289,8 +294,9 @@ def test_period_map_engine_samples_in_bounded_memory():
 
 def test_period_map_engine_drift_stays_at_its_measured_level():
     # 2 x 20 oscillators at 2e4 steps: the eig phase error puts the period map
-    # engine 4.4e-9 of |v| away from repeated squaring of the period map, and
-    # literal stepping 4.4e-13 away; each bound is at most 10x its measurement
+    # engine 2.2e-9 of |v| away from repeated squaring of the period map, and
+    # literal stepping 4.4e-13 away; each bound is at most 14x its measurement
+    # (the engine's figure moves by 2x with the rounding of the drift matrix)
     spec = BathSpec(size=20, mass=0.01, temperature=7.5,
                     dos=DensityOfStates("uniform", 0.2, 1.0))
     tp = TestParticleSpec(mass=1.0, omega=0.55)
@@ -324,6 +330,27 @@ def test_failed_period_map_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(prop, "_run_dense", None)
     with pytest.raises(NumericalError, match=r"residual \d\.\d\de-\d+ exceeds -1"):
         prop.run(system.initial_vector(), times, engine="floquet")
+
+
+def test_parametrically_unstable_schedule_raises_numerical_error():
+    """A resonant half period makes the run a numerical failure, not a temperature.
+
+    At h = 0.02 the tiny system's period map is most unstable for half
+    periods of about 50 steps (switching frequency pi): its largest
+    multiplier grows by e^0.33 per period, so 20 periods grow e^6.6.
+    """
+    system = _tiny_system()
+    sched = SwitchSchedule(delta_t_steps=50, step_size=0.02)
+    prop = SwitchedPropagator(system, sched)
+    period_map = (np.linalg.matrix_power(prop.u2, 50)
+                  @ np.linalg.matrix_power(prop.u1, 50))
+    assert np.max(np.abs(np.linalg.eigvals(period_map))) > 1.3
+    times = np.linspace(0.0, 40.0, 30)
+    with pytest.raises(NumericalError, match="parametrically unstable"):
+        prop.run(system.initial_vector(), times, engine="floquet")
+    # a stable schedule of the same system, run as long, grows far below the bound
+    stable = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=3, step_size=0.02))
+    assert stable.run(system.initial_vector(), times, engine="floquet").engine == "floquet"
 
 
 def test_sample_times_snap_to_the_nearest_step():
