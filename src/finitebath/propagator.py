@@ -761,18 +761,29 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     nu, shapes = _mode_shapes(cm, df, origin, tau)
     if not nu[0] > 0.0:
         raise EigensolverError(ZERO_MODE)
+    ab, u0 = _project(cm, shapes, v0)
+    return EigenPropagator(cm=cm, nu=nu, u0=u0,
+                           coef_cos=ab[0], coef_sin=ab[1], shapes=shapes)
 
-    # one pass over the shapes: a = U^T M x0, b = U^T p0 and U's particle row
+
+def _project(cm: CouplingMatrix, shapes: _ModeShapes, v):
+    """(a, b) = (U^T M x, U^T p) of the state v, and U's particle row u_k[0].
+
+    One pass over the mode shapes.
+    """
     root_m = np.sqrt(cm.mass)
-    y = np.stack([root_m * v0[0::2], v0[1::2] / root_m])[:, shapes.coord]
-    ab = np.empty((2, len(nu)))
-    u0 = np.empty(len(nu))
+    y = np.stack([root_m * v[0::2], v[1::2] / root_m])[:, shapes.coord]
+    ab = np.empty((2, len(shapes.cols)))
+    u0 = np.empty(len(shapes.cols))
     for cols, block in _mode_blocks(shapes):
         ab[:, cols] = y @ block
         u0[cols] = block[0]
-    u0 /= root_m[0]
-    return EigenPropagator(cm=cm, nu=nu, u0=u0,
-                           coef_cos=ab[0], coef_sin=ab[1], shapes=shapes)
+    return ab, u0 / root_m[0]
+
+
+def mode_amplitudes(prop: EigenPropagator, v) -> np.ndarray:
+    """(2, n): the amplitudes a_k = u_k . M x and b_k = u_k . p of a state vector v."""
+    return _project(prop.cm, prop.shapes, _as_vector(v, prop.cm.dim))[0]
 
 
 def full_state(prop: EigenPropagator, t: float) -> SystemState:
@@ -790,12 +801,18 @@ def rk4_full_state(prop: EigenPropagator, step: int, h: float) -> SystemState:
 
 
 def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
-    """The state whose mode k carries cos and sin factors c_k and s_k.
+    """The state whose mode k carries cos and sin factors c_k and s_k."""
+    vec = mode_vector(prop, prop.coef_cos * c + prop.coef_sin * s / prop.nu,
+                      prop.coef_sin * c - prop.coef_cos * prop.nu * s)
+    return SystemState.from_vector(vec, prop.cm.bath_sizes, time=t)
 
-    One pass over the mode shapes accumulates x = U f and p = M U g.
+
+def mode_vector(prop: EigenPropagator, f, g) -> np.ndarray:
+    """The state vector with x = U f and p = M U g, the inverse of mode_amplitudes.
+
+    One pass over the mode shapes.
     """
-    fg = np.stack([prop.coef_cos * c + prop.coef_sin * s / prop.nu,
-                   prop.coef_sin * c - prop.coef_cos * prop.nu * s], axis=1)
+    fg = np.stack([f, g], axis=1)
     acc = np.zeros((len(prop.nu), 2))
     for cols, block in _mode_blocks(prop.shapes):
         acc += block @ fg[cols]
@@ -805,7 +822,7 @@ def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
     vec[1::2][prop.shapes.coord] = acc[:, 1]
     vec[0::2] /= root_m
     vec[1::2] *= root_m
-    return SystemState.from_vector(vec, prop.cm.bath_sizes, time=t)
+    return vec
 
 
 def mode_residual(prop: EigenPropagator) -> float:

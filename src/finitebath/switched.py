@@ -10,20 +10,36 @@ Switching happens only on step boundaries, and observations are snapped
 to the nearest completed step (distance <= dt/2, reported).
 
 Because the system is linear, one classical RK4 step equals multiplying
-by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs exploit
-that: the map over one full switching period is diagonalized once per
-run, after which any sample time costs O(N) instead of stepping there.
-A factorization whose residual looks degraded is a NumericalError:
-stepping a long run literally instead would take hours.  So is a
-parametrically resonant schedule, one whose period map has a multiplier
-|mu| > 1 that grows by more than e^GROWTH_TOL over the run: its samples
-would be fitted as an enormous temperature.  With the period map
+by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs factor
+the map over one full switching period once per run, after which any
+sample time costs O(N) instead of stepping there.  With the period map
 S diag(mu) S^-1 and v' = S^-1 v0, the particle after k periods and r
 more steps is Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r
 steps' map) S times v'.  propagator.mode_sums evaluates these sums, the
 same chunked real tables that sample the normal modes, with
 theta = arg mu and d = log |mu|; their imaginary parts must cancel to
 1e-9 of sum_j |c_j| |mu_j|^k.
+
+The period map is factored in O(N^2) time and O(N) memory, without
+forming it.  In phase 1's normal modes (diagonalize(a1), bath 2 free) a
+phase-1 step is the diagonal R(+-i h nu_k), and A2 - A1 has rank 2 (the
+particle's momentum row and position column), so the period map is that
+diagonal to the power 2d plus a correction of rank r <= 8d, compressed
+to its numerical rank (4 to 20 in practice).  Its multipliers are the
+roots of a secular equation, found by Aberth-Ehrlich iteration started
+at the poles (Bini & Robol, J. Comput. Appl. Math. 272, 2014); the
+eigenvectors and v' are closed forms in those roots (_ModalPeriodMap).
+The dense route forms the two step maps and the period map and calls
+eig: for a correction whose rank is not small against the dimension
+(RANK_PER_DIM), a root iteration that fails (as at a real multiplier of
+a resonant schedule), a structured residual above QUALITY_TOL, a
+continuous system, and a system diagonalize rejects (Omega = 0).  A
+dense factorization whose residual looks degraded is a NumericalError:
+stepping a long run literally instead would take hours.  So is a
+parametrically resonant schedule, one whose period map has a multiplier
+|mu| > 1 that grows by more than e^GROWTH_TOL over the run: its samples
+would be fitted as an enormous temperature.  Literal stepping applies
+the same growth bound to the same multipliers before it starts.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
@@ -41,15 +57,19 @@ run would otherwise grow by orders of magnitude without overflowing.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
-from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix, NumericalError,
+from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
+                         EigensolverError, NumericalError,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
-                         mode_sums, rk4_full_state)
+                         mode_amplitudes, mode_sums, mode_vector,
+                         rk4_full_state, rk4_mode_factors)
 
 
 @dataclass(frozen=True)
@@ -151,6 +171,316 @@ def rk4_update_matrix(a: np.ndarray, h: float) -> np.ndarray:
     return eye + ha @ u
 
 
+def _compress(x, y):
+    """Thin factors of x y^H at its numerical rank: a thin QR of each, an SVD of the core.
+
+    Singular values at or below RANK_TOL of the largest, the rounding
+    level of the product itself, are dropped.
+    """
+    qx, rx = np.linalg.qr(x)
+    qy, ry = np.linalg.qr(y)
+    u, sv, vh = np.linalg.svd(rx @ ry.conj().T)
+    k = int(np.sum(sv > RANK_TOL * np.max(sv, initial=0.0)))
+    return qx @ (u[:, :k] * sv[:k]), qy @ vh[:k].conj().T
+
+
+def _with_conjugates(a):
+    """Each entry of a's last axis followed by its conjugate.
+
+    That keeps conjugate pairs adjacent, as LAPACK's eig returns them.
+    numpy's cos and sin fill mode_sums' tables about 1.5x faster that way
+    than with the conjugates in a second half (measured on x86-64 with
+    AVX-512).
+    """
+    return np.stack([a, a.conj()], axis=-1).reshape(a.shape[:-1] + (-1,))
+
+
+EPS = np.finfo(float).eps
+RANK_TOL = 4.0 * EPS
+# Aberth sweeps before the structured route gives up
+MAX_SWEEPS = 60
+# the structured route runs while the compressed rank r of the period map's
+# correction satisfies RANK_PER_DIM r <= dim (see _ModalPeriodMap.applies)
+RANK_PER_DIM = 8
+
+
+class _ModalPeriodMap:
+    """The period map in phase 1's normal modes, D + X Y^H, never formed densely.
+
+    Mode k of phase 1 (diagonalize(a1): bath 1 engaged, bath 2 free)
+    carries z_k = a_k - i b_k / nu_k from its position and momentum
+    amplitudes, which one phase-1 RK4 step multiplies by R(i h nu_k).  A
+    state is the 2n vector (z, conj z); a real state is
+    conjugate-symmetric.  L = A2 - A1 lives in P's row and Q's column, so
+    here it is X_L Y_L^H with two columns, built from u_k[0] and one
+    projection of the spring differences.  One phase-2 step is
+    Lam + X_E Y_E^H with
+
+        E = R(h(Lam_A + L)) - R(h Lam_A)
+          = sum_{j<=3} (A2^j X_L) (Y_L^H sum_{k>j} h^k/k! Lam_A^(k-1-j)),
+
+    rank <= 8, where Lam_A = diag(+-i nu) and Lam = R(h Lam_A).  The period
+    map U2^d U1^d = Lam^2d + sum_{j<d} (U2^j X_E)(Y_E^H Lam^(2d-1-j)) is
+    the diagonal D = Lam^2d plus rank <= 8d.  It is formed as factors by
+    binary powering of U2, each product compressed to its numerical rank,
+    which grows far slower than 8d (4 at d = 1, 20 at d = 250 with
+    h = 0.02 on 2 x 200 oscillators).  Its multipliers are mu = 1 + sigma,
+    sigma the roots of det(T - sigma + X Y^H), T = D - 1 taken by expm1 of
+    the exact log phases, so every difference t_k - sigma keeps its
+    relative accuracy.  Nothing of size dim^2 is formed: each pass over the
+    roots takes SHAPE_BLOCK of them at a time, through closed forms in the
+    r x r null vectors.  floquet() finds the roots and vectors;
+    amplitudes() and state() use them.
+    """
+
+    def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
+        a1, a2 = system.a1, system.a2
+        h, self.d = schedule.step_size, schedule.delta_t_steps
+        # L's bath column: the spring differences Delta K_n0 = sqrt(M m_n)
+        # Delta z_n.  Bound to the state with these momenta, the modes'
+        # b amplitudes are kappa_k = u_k . Delta K_0 (EigensolverError at Omega = 0)
+        kick = np.zeros(system.dim)
+        kick[3::2] = np.sqrt(a1.mass[0] * a1.mass[1:]) * (a2.z - a1.z)
+        self.modes = diagonalize(a1, kick)
+        nu, u0, kappa = self.modes.nu, self.modes.u0, self.modes.coef_sin
+        dk00 = system.tp.mass * (a2.alpha - a1.alpha)
+        phi, log_rho = rk4_mode_factors(nu, h)
+        self.log_step = np.r_[log_rho + 1j * phi, log_rho - 1j * phi]
+        self.step = np.exp(self.log_step)
+        lam = np.r_[1j * nu, -1j * nu]
+        # a momentum kick db moves z by -i db / nu; Q and the force on P
+        # read the position amplitudes a_k = (z_k + conj z_k) / 2
+        x_l = np.stack([np.r_[-1j * u0 / nu, 1j * u0 / nu],
+                        np.r_[-1j * kappa / nu, 1j * kappa / nu]], axis=1)
+        y_l = -0.5 * np.stack([np.tile(dk00 * u0 + kappa, 2), np.tile(u0, 2)],
+                              axis=1).astype(complex)
+        xs, ys = [x_l], []
+        for j in range(4):
+            if j:
+                xs.append(lam[:, None] * xs[-1] + x_l @ (y_l.conj().T @ xs[-1]))
+            coef = sum(h**k / math.factorial(k) * lam ** (k - 1 - j)
+                       for k in range(j + 1, 5))
+            ys.append(coef.conj()[:, None] * y_l)
+        self.x_e, self.y_e = _compress(np.hstack(xs), np.hstack(ys))
+
+    def _times(self, left, right):
+        """(Lam^a + A B^H)(Lam^b + C D^H) = Lam^(a+b) + [A, Lam^a C + A B^H C][conj(Lam^b) B, D]^H."""
+        (a, fa, fb), (b, fc, fd) = left, right
+        lam_a = np.exp(a * self.log_step)[:, None]
+        lam_b = np.exp(b * self.log_step).conj()[:, None]
+        return (a + b, *_compress(np.hstack([fa, lam_a * fc + fa @ (fb.conj().T @ fc)]),
+                                  np.hstack([lam_b * fb, fd])))
+
+    @cached_property
+    def _factors(self):
+        """X, Y, W and T of the period map D + X Y^H = U2^d Lam^d, or None.
+
+        U2^d by binary powering of Lam + X_E Y_E^H, each product compressed;
+        None as soon as a rank fails applies().  W[k] = conj(Y_k) (x) X_k,
+        so Y^H diag(g) X = (g @ W).reshape(r, r).
+        """
+        power, base, d = None, (1, self.x_e, self.y_e), self.d
+        while True:
+            if d & 1:
+                power = base if power is None else self._times(power, base)
+                if not self.applies(power[1].shape[1]):
+                    return None
+            d >>= 1
+            if not d:
+                break
+            base = self._times(base, base)
+        x, y = power[1], np.exp(self.d * self.log_step).conj()[:, None] * power[2]
+        r = x.shape[1]
+        w = (y.conj()[:, :, None] * x[:, None, :]).reshape(-1, r * r)
+        return x, y, w, np.expm1(2 * self.d * self.log_step)
+
+    def applies(self, rank: int) -> bool:
+        """The measured crossover: the structured route runs while RANK_PER_DIM r <= dim.
+
+        Rank 0, two contact phases that are equal, has no secular equation.
+        """
+        return 0 < RANK_PER_DIM * rank <= len(self.step)
+
+    def phase2(self, v):
+        """One phase-2 RK4 step of the modal vector v."""
+        return self.step * v + self.x_e @ (self.y_e.conj().T @ v)
+
+    def _resolvent(self, sigma):
+        """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root."""
+        g = self._factors[3][None, :] - sigma[:, None]
+        return np.reciprocal(g, out=g)
+
+    def _secular(self, g, power=1):
+        """Y^H (T - sigma)^-power X per root (power 1 and 2: S(sigma) - I and S'(sigma))."""
+        x, _, w, _ = self._factors
+        r = x.shape[1]
+        return ((g if power == 1 else g * g) @ w).reshape(-1, r, r)
+
+    def roots(self):
+        """sigma with Im >= 0 by Aberth-Ehrlich iteration from the poles, or None.
+
+        f(sigma) = det(T - sigma) det S(sigma), f'/f = sum_k 1/(sigma - t_k)
+        + tr(S^-1 Y^H (T - sigma)^-2 X), and each root moves by 1 / (f'/f -
+        sum_j 1/(sigma - sigma_j)) over the other roots.  One root per
+        conjugate pair of poles is iterated, from the pole with Im >= 0
+        plus its first-order shift (X Y^H)_kk; the roots below the real
+        axis are their conjugates, counted in that sum, so conjugate pairs
+        stay exact (a real multiplier, as of a resonant schedule, is
+        therefore not reached).  A root stops once its step is below
+        4 eps of it, or below sqrt(eps) of it and no smaller than the step
+        before: the iteration has reached its rounding floor.  None when a
+        root does not stop within MAX_SWEEPS sweeps or an iterate leaves
+        the finite numbers.
+        """
+        x, y, _, t = self._factors
+        n, eye = len(t) // 2, np.eye(x.shape[1])
+        upper = np.where(t[:n].imag >= 0.0, np.arange(n), np.arange(n, 2 * n))
+        sigma = t[upper] + np.einsum("ij,ij->i", x[upper], y[upper].conj())
+        active, last = np.arange(n), np.full(n, np.inf)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            for _ in range(MAX_SWEEPS):
+                every = np.r_[sigma, sigma.conj()]
+                going = []
+                for lo in range(0, len(active), SHAPE_BLOCK):
+                    idx = active[lo:lo + SHAPE_BLOCK]
+                    g = self._resolvent(sigma[idx])
+                    trace = np.trace(np.linalg.solve(eye + self._secular(g),
+                                                     self._secular(g, 2)), axis1=1, axis2=2)
+                    pull = g.sum(axis=1)
+                    # g's buffer now holds 1 / (sigma_i - sigma_j) over every root j != i
+                    g = np.subtract.outer(sigma[idx], every, out=g)
+                    g[np.arange(len(idx)), idx] = np.inf
+                    step = 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
+                    if not np.all(np.isfinite(step)):
+                        return None
+                    size, scale = np.abs(step), np.abs(sigma[idx])
+                    done = (size <= 4.0 * EPS * scale) | (
+                        (size >= last[idx]) & (size <= np.sqrt(EPS) * scale))
+                    going.append(idx[~done])
+                    last[idx] = size
+                    sigma[idx] -= step
+                active = np.concatenate(going)
+                if not len(active):
+                    return sigma
+        return None
+
+    def _blocks(self):
+        """Yield (idx, g, c, ct): SHAPE_BLOCK roots, their resolvent rows and null vectors."""
+        for lo in range(0, len(self.sigma), SHAPE_BLOCK):
+            idx = np.arange(lo, min(lo + SHAPE_BLOCK, len(self.sigma)))
+            yield idx, self._resolvent(self.sigma[idx]), self.null[0][idx], self.null[1][idx]
+
+    def floquet(self, quality_tol: float):
+        """_build_floquet's dict for this map, or None where the dense route must run.
+
+        Root j's right eigenvector is s = (T - sigma)^-1 X c and its left one
+        w = (T - sigma)^-H Y c~, with c and c~ the right and left null
+        vectors of S(sigma); so w^H s = c~^H S'(sigma) c and Y^H s = (S - I) c.
+        None when the roots fail or the residual ||D s + X (Y^H s) - mu s||
+        = ||X S(sigma) c|| (unit s, both halves of each conjugate pair)
+        exceeds quality_tol of ||D + X Y^H||_F.
+        """
+        sigma = self.roots()
+        if sigma is None:
+            return None
+        x, y, w, t = self._factors
+        n, r = len(sigma), x.shape[1]
+        self.sigma, self.null = sigma, np.empty((2, n, r), complex)
+        # rows 0 and 1 (Q and P) of the map of the first r steps, r < 2d:
+        # Q = sum u0 a_k and P = M sum u0 b_k, with b_k = i nu (z - conj z) / 2.
+        # That map is Lam^r up to the switch and U2^(r-d) Lam^d after it
+        nu, u0 = self.modes.nu, self.modes.u0
+        row = np.stack([np.tile(0.5 * u0, 2),
+                        self.modes.cm.tp.mass * np.r_[0.5j * nu * u0, -0.5j * nu * u0]])
+        rows = [row * np.exp(k * self.log_step) for k in range(self.d + 1)]
+        lam_d = np.exp(self.d * self.log_step)
+        for _ in range(self.d - 1):
+            row = row * self.step + (row @ self.x_e) @ self.y_e.conj().T
+            rows.append(row * lam_d)
+        rows = np.stack(rows)
+        rows01 = np.empty(rows.shape[:2] + (n,), complex)
+        self.wsdot = np.empty(n, complex)
+        xx = x.conj().T @ x
+        res2 = 0.0
+        for lo in range(0, n, SHAPE_BLOCK):
+            idx = np.arange(lo, min(lo + SHAPE_BLOCK, n))
+            g = self._resolvent(sigma[idx])
+            sm = np.eye(r) + self._secular(g)
+            u, _, vh = np.linalg.svd(sm)
+            c, ct = vh[:, -1, :].conj(), u[:, :, -1]
+            self.null[0][idx], self.null[1][idx] = c, ct
+            self.wsdot[idx] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2), c)
+            right = x @ c.T
+            right *= g.T
+            rows01[..., idx] = rows @ right
+            kernel = np.einsum("jab,jb->ja", sm, c)
+            res2 += float(np.sum(np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
+                                 / (np.einsum("ij,ij->j", right.real, right.real)
+                                    + np.einsum("ij,ij->j", right.imag, right.imag))))
+        d_full = 1.0 + t
+        norm2 = (np.sum(np.abs(d_full) ** 2)
+                 + 2.0 * np.sum((d_full.conj() * np.einsum("ij,ij->i", x, y.conj())).real)
+                 + np.sum(xx * (y.conj().T @ y).T).real)
+        self.residual_sq = 2.0 * res2 / norm2
+        if not self.residual() <= quality_tol:      # NaN fails too
+            return None
+        return {"log_mu": _with_conjugates(self.log_mu(sigma)),
+                "rows01": _with_conjugates(rows01), "period": 2 * self.d,
+                "amplitudes": self.amplitudes, "state": self.state}
+
+    def residual(self) -> float:
+        """The relative eigenpair residual of the last floquet() call."""
+        return float(np.sqrt(self.residual_sq))
+
+    @staticmethod
+    def log_mu(sigma):
+        """log(1 + sigma) without cancellation in log |mu|."""
+        return (0.5 * np.log1p(2.0 * sigma.real + np.abs(sigma) ** 2)
+                + 1j * np.arctan2(sigma.imag, 1.0 + sigma.real))
+
+    def _combine(self, coef):
+        """S coef for coefficients coef of the upper roots and conj(coef) of the lower.
+
+        A lower root's eigenvector is its upper partner's conjugate with the
+        halves swapped, so S coef = u + swap(conj u) with u = sum_j s_j coef_j
+        over the upper roots, u = sum_a X_a (g^T (c coef))_a.
+        """
+        x = self._factors[0]
+        u = np.zeros(x.shape, complex)
+        for idx, g, c, _ in self._blocks():
+            u += g.T @ (c * coef[idx, None])
+        u = np.sum(x * u, axis=1)
+        n = len(self.sigma)
+        return u + np.r_[u[n:], u[:n]].conj()
+
+    def _left_products(self, v):
+        """w_j^H v / w_j^H s_j over the upper roots, w_j^H v = c~^H Y^H (T - sigma)^-1 v."""
+        y = self._factors[1]
+        out = np.empty(len(self.sigma), complex)
+        for idx, g, _, ct in self._blocks():
+            g *= v
+            out[idx] = np.einsum("ja,ja->j", ct.conj(), g @ y.conj())
+        return out / self.wsdot
+
+    def amplitudes(self, v0):
+        """v' = S^-1 v0 in modes, from the left vectors and one refinement step."""
+        a, b = mode_amplitudes(self.modes, v0)
+        z0 = a - 1j * b / self.modes.nu
+        z0 = np.r_[z0, z0.conj()]
+        vp = self._left_products(z0)
+        vp += self._left_products(z0 - self._combine(vp))
+        return _with_conjugates(vp)
+
+    def state(self, w, r):
+        """The state vector S w, then r more steps of the period, applied in modes."""
+        z = self._combine(w[0::2])
+        for j in range(r):
+            z = z * self.step if j < self.d else self.phase2(z)
+        n = len(self.sigma)
+        z = 0.5 * (z[:n] + z[n:].conj())
+        return mode_vector(self.modes, z.real, -self.modes.nu * z.imag)
+
+
 @dataclass
 class SwitchedRunResult:
     """Samples and bookkeeping from one switched run."""
@@ -168,19 +498,20 @@ class SwitchedRunResult:
 class SwitchedPropagator:
     """Propagates one TwoBathSystem under one schedule.
 
-    The object owns only the step maps, so one instance can serve many
-    initial conditions of the same system; the period map is factorized
-    by each run that uses it.  A continuous system (a2 is a1) is
-    sampled through its normal modes and builds its step map only when
-    a stepping engine is requested by name.
+    One instance can serve many initial conditions of the same system:
+    the period map is factorized by each run that uses it, and the dense
+    step maps u1 and u2 are built on first use, by the stepping engine or
+    the dense period map route.  A continuous system (a2 is a1) is
+    sampled through its normal modes and has one step map, u2 = u1.
     """
 
     # steps beyond which the period map factorization pays for itself
     FLOQUET_THRESHOLD = 20_000
     QUALITY_TOL = 1e-7
     # largest log-amplitude growth of a period-map mode over a run.  RK4
-    # damps every mode of a stable schedule; eig rounding leaves at most
-    # 1.3e-6 over the 5e7 steps of the study's two-bath points
+    # damps every mode of a stable schedule; rounding leaves at most 2.1e-14
+    # (structured route) and 1.3e-6 (dense eig) over the 5e7 steps of the
+    # study's two-bath points
     GROWTH_TOL = 1e-3
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -189,15 +520,16 @@ class SwitchedPropagator:
         self.continuous = system.a2 is system.a1
         for cm in (system.a1,) if self.continuous else (system.a1, system.a2):
             check_rk4_stability(schedule.step_size, max_mode_frequency(cm))
-        self.u1 = self.u2 = None
-        if not self.continuous:
-            self._build_step_maps()
 
-    def _build_step_maps(self):
-        h = self.schedule.step_size
-        self.u1 = rk4_update_matrix(drift_matrix(self.system.a1), h)
-        self.u2 = (self.u1 if self.continuous
-                   else rk4_update_matrix(drift_matrix(self.system.a2), h))
+    @cached_property
+    def u1(self) -> np.ndarray:
+        return rk4_update_matrix(drift_matrix(self.system.a1), self.schedule.step_size)
+
+    @cached_property
+    def u2(self) -> np.ndarray:
+        if self.continuous:
+            return self.u1
+        return rk4_update_matrix(drift_matrix(self.system.a2), self.schedule.step_size)
 
     def step_matrix(self, step: int) -> np.ndarray:
         return self.u1 if self.schedule.bath1_active(step) else self.u2
@@ -212,6 +544,8 @@ class SwitchedPropagator:
         p = np.empty(len(steps_wanted))
         v = v0.copy()
         last = max(final_step, max(wanted) if wanted else 0)
+        if not self.continuous:
+            self._check_growth(self._multipliers(), last)
         final_v = v.copy() if final_step == 0 else None
         for idx in wanted.get(0, []):
             q[idx], p[idx] = v[0], v[1]
@@ -237,7 +571,54 @@ class SwitchedPropagator:
 
     # -- period map spectral engine --------------------------------------
 
+    def _modal_map(self):
+        """The structured period map, or None where only the dense route applies.
+
+        None for a continuous system, a rank that _ModalPeriodMap.applies
+        refuses, and a system diagonalize rejects (Omega = 0).
+        """
+        if self.continuous:
+            return None
+        try:
+            modal = _ModalPeriodMap(self.system, self.schedule)
+        except EigensolverError:
+            return None
+        return modal if modal._factors is not None else None
+
+    def _multipliers(self):
+        """log mu of the period map: structured roots where they apply, else dense eigvals."""
+        modal = self._modal_map()
+        sigma = modal.roots() if modal is not None else None
+        if sigma is not None:
+            return _with_conjugates(modal.log_mu(sigma))
+        d = self.schedule.delta_t_steps
+        return np.log(np.linalg.eigvals(np.linalg.matrix_power(self.u2, d)
+                                        @ np.linalg.matrix_power(self.u1, d)))
+
+    def _check_growth(self, log_mu, last):
+        growth = last / self.schedule.period_steps * float(np.max(log_mu.real))
+        if not growth <= self.GROWTH_TOL:      # NaN fails too
+            raise NumericalError(
+                f"switching schedule is parametrically unstable: a period map "
+                f"mode grows by e^{growth:.3g} over {last} steps, more than "
+                f"e^{self.GROWTH_TOL:g}")
+
     def _build_floquet(self):
+        """The period map's log multipliers, rows01 and period, and its coordinates.
+
+        rows01[r] holds rows 0 and 1 of the first r steps' map times the
+        eigenvectors S, so the particle after k periods and r steps is
+        Re sum_j rows01[r, :, j] v'_j mu_j^k with v' = amplitudes(v0), and
+        state(mu^k v', r) is the whole state vector.  The structured route
+        (_ModalPeriodMap) runs where it applies and its residual passes;
+        otherwise the period map is formed from u1 and u2 and factored by
+        dense eig, whose residual must pass QUALITY_TOL.
+        """
+        modal = self._modal_map()
+        fl = modal.floquet(self.QUALITY_TOL) if modal is not None else None
+        return fl if fl is not None else self._dense_floquet()
+
+    def _dense_floquet(self):
         # prefix r is the map of steps 0..r-1; prefix 0 is the identity
         prefix_rows = [np.eye(2, self.system.dim)]
         u_period = self.step_matrix(0)
@@ -251,19 +632,25 @@ class SwitchedPropagator:
             raise NumericalError(
                 f"period map factorization residual {rel:.2e} exceeds "
                 f"{self.QUALITY_TOL:g}")
-        return {"log_mu": np.log(mu), "s": s_mat, "rows01": np.stack(prefix_rows) @ s_mat,
-                "period": self.schedule.period_steps}
+
+        def state(w, r):
+            v = s_mat @ w
+            scale = np.abs(s_mat) @ np.abs(w)
+            if np.any(np.abs(v.imag) > 1e-7 * np.maximum(scale, 1e-300)):
+                raise NumericalError("imaginary residue in reconstructed state")
+            v = v.real
+            for j in range(r):
+                v = self.step_matrix(j) @ v
+            return v
+
+        return {"log_mu": np.log(mu), "rows01": np.stack(prefix_rows) @ s_mat,
+                "period": self.schedule.period_steps, "state": state,
+                "amplitudes": lambda v0: np.linalg.solve(s_mat, v0.astype(complex))}
 
     def _run_floquet(self, v0, steps_wanted, final_step):
         fl = self._build_floquet()
-        last = max(int(np.max(steps_wanted, initial=0)), final_step)
-        growth = last / fl["period"] * float(np.max(fl["log_mu"].real))
-        if not growth <= self.GROWTH_TOL:      # NaN fails too
-            raise NumericalError(
-                f"switching schedule is parametrically unstable: a period map "
-                f"mode grows by e^{growth:.3g} over {last} steps, more than "
-                f"e^{self.GROWTH_TOL:g}")
-        vprime0 = np.linalg.solve(fl["s"], v0.astype(complex))
+        self._check_growth(fl["log_mu"], max(int(np.max(steps_wanted, initial=0)), final_step))
+        vprime0 = fl["amplitudes"](v0)
         q, p = np.empty((2, len(steps_wanted)))
         ks, rs = np.divmod(steps_wanted, fl["period"])
         for r in np.unique(rs):
@@ -283,19 +670,8 @@ class SwitchedPropagator:
             q[at], p[at] = sums[0], sums[1]
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NumericalError("switched run diverged")
-        return q, p, self._state_floquet(fl, vprime0, final_step)
-
-    def _state_floquet(self, fl, vprime0, step):
-        k, r = divmod(int(step), fl["period"])
-        w = np.exp(fl["log_mu"] * k) * vprime0
-        v = fl["s"] @ w
-        scale = np.abs(fl["s"]) @ np.abs(w)
-        if np.any(np.abs(v.imag) > 1e-7 * np.maximum(scale, 1e-300)):
-            raise NumericalError("imaginary residue in reconstructed state")
-        v = v.real
-        for j in range(r):
-            v = self.step_matrix(k * fl["period"] + j) @ v
-        return v
+        k, r = divmod(final_step, fl["period"])
+        return q, p, fl["state"](np.exp(fl["log_mu"] * k) * vprime0, r)
 
     # -- entry point -----------------------------------------------------
 
@@ -305,18 +681,18 @@ class SwitchedPropagator:
 
         Identical inputs reproduce identical output arrays.  Sample times
         snap to the nearest step.  The period map engine drifts from the
-        stepped trajectory: the dense eig of the period map gives each
-        multiplier a phase error of about 1e-12 per period, so the error
-        grows linearly with run length.  For 2 x 200 oscillators
-        (the baths of scripts/two_bath_frustration.json at seed 2: m =
-        1e-3, static renormalization, h = 1e-3, Omega = 0.55) its state
-        differs from repeated squaring of the period map by 7.2e-8,
-        2.8e-6 and 3.5e-5 of |v| after 2e4, 2e6 and 5e7 steps, while
-        literal stepping agrees with that reference to 4e-13 at 2e4
-        steps.  Which figure within that scale a run shows depends on
-        rounding: an ulp changed in one drift matrix entry moves the
-        samples of a 5e7 step run by 2e-5 to 3e-5 of the largest sample.
-        That is far below the sampling noise of a fitted temperature.
+        stepped trajectory as its multipliers' phase errors add up over the
+        periods.  For 2 x 200 oscillators (the baths of
+        scripts/two_bath_frustration.json at seed 2: m = 1e-3, static
+        renormalization, h = 1e-3, Omega = 0.55) the structured route's
+        state differs from repeated squaring of the period map by 7.9e-13,
+        7.5e-11 and 1.9e-9 of |v| after 2e4, 2e6 and 5e7 steps, and
+        literal stepping differs from that reference by 4.1e-13 at 2e4
+        steps; the reference carries its own rounding, which grows with
+        the number of periods too.  The dense eig route differs by 7.2e-8,
+        3.0e-6 and 4.0e-5 at the same lengths.  A one-ulp change of an
+        entry of either contact phase moves the samples of a 5e7 step
+        run by at most 6e-15 of the largest sample.
 
         "auto" samples a continuous system through its normal modes
         (reported as engine "modes"; EigensolverError for a zero mode)
@@ -324,9 +700,10 @@ class SwitchedPropagator:
         length.  A period map that factorizes with a residual above
         QUALITY_TOL, or whose fastest growing mode grows by more than
         e^GROWTH_TOL over the run (a parametrically resonant schedule),
-        is a NumericalError.  The period map is sampled through
-        propagator.mode_sums, so beyond its dense matrices a run holds
-        one set of SAMPLE_CHUNK tables however many samples it takes.
+        is a NumericalError; literal stepping of a switched system checks
+        the same growth first.  The period map is sampled through
+        propagator.mode_sums, so beyond its factorization a run holds one
+        set of SAMPLE_CHUNK tables however many samples it takes.
         t_final defaults to the last (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
@@ -351,8 +728,6 @@ class SwitchedPropagator:
                 engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
             if engine not in ("floquet", "dense"):
                 raise ValueError(f"unknown engine {engine!r}")
-            if self.u1 is None:
-                self._build_step_maps()
             if engine == "floquet":
                 q, p, final_v = self._run_floquet(v0, steps, final_step)
             else:

@@ -177,7 +177,11 @@ def test_rk4_map_is_built_once_per_distinct_phase(monkeypatch):
         prop.run(continuous.initial_vector(), [0.5], engine="dense")
     assert len(calls) == 1 and len(maps) == 1
     assert prop.u2 is prop.u1
-    SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
+    # a switched pair builds neither map up front; dense runs build each once
+    switched_prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
+    assert len(calls) == 1 and len(maps) == 1
+    for _ in range(2):
+        switched_prop.run(system.initial_vector(), [0.5], engine="dense")
     assert len(calls) == 3 and len(maps) == 3
 
 
@@ -293,10 +297,12 @@ def test_period_map_engine_samples_in_bounded_memory():
 
 
 def test_period_map_engine_drift_stays_at_its_measured_level():
-    # 2 x 20 oscillators at 2e4 steps: the eig phase error puts the period map
-    # engine 2.2e-9 of |v| away from repeated squaring of the period map, and
-    # literal stepping 4.4e-13 away; each bound is at most 14x its measurement
-    # (the engine's figure moves by 2x with the rounding of the drift matrix)
+    # 2 x 20 oscillators at 2e4 steps: the eig phase error puts the dense route
+    # of the period map engine 2.2e-9 of |v| away from repeated squaring of the
+    # period map, and literal stepping 4.4e-13 away; each bound is at most 14x
+    # its measurement (the dense route's figure moves by 2x with the rounding
+    # of the drift matrix).  The structured route, which runs here, is 5.1e-13
+    # away
     spec = BathSpec(size=20, mass=0.01, temperature=7.5,
                     dos=DensityOfStates("uniform", 0.2, 1.0))
     tp = TestParticleSpec(mass=1.0, omega=0.55)
@@ -330,6 +336,165 @@ def test_failed_period_map_raises_numerical_error(monkeypatch):
     monkeypatch.setattr(prop, "_run_dense", None)
     with pytest.raises(NumericalError, match=r"residual \d\.\d\de-\d+ exceeds -1"):
         prop.run(system.initial_vector(), times, engine="floquet")
+
+
+def _study_system(size, mass, seed=2):
+    """Two equal uniform baths in static renormalization at Omega = 0.55."""
+    spec = BathSpec(size=size, mass=mass, temperature=7.5,
+                    dos=DensityOfStates("uniform", 0.2, 1.0))
+    tp = TestParticleSpec(mass=1.0, omega=0.55)
+    return build_switched_matrices(tp, realize_bath(spec, seed=seed, bath_index=0),
+                                   realize_bath(spec, seed=seed, bath_index=1),
+                                   renormalization="static")
+
+
+def _structured_outcomes(monkeypatch):
+    """Record, per period map factored, whether the structured route delivered it."""
+    outcomes, factor = [], switched._ModalPeriodMap.floquet
+
+    def spy(self, quality_tol):
+        fl = factor(self, quality_tol)
+        outcomes.append(fl is not None)
+        return fl
+
+    monkeypatch.setattr(switched._ModalPeriodMap, "floquet", spy)
+    return outcomes
+
+
+def test_structured_period_map_is_at_least_as_accurate_as_dense_eig(monkeypatch):
+    # 2 x 20 oscillators, h = 1e-3, one step per half period, against repeated
+    # squaring of u2 u1.  Final state error relative to |v| at 1e4 and 2.5e7
+    # periods: structured 5.1e-13 and 9.0e-10, dense eig 2.2e-9 and 2.8e-6;
+    # Q alone: structured 6.5e-15 and 1.7e-11.  Each bound is about 10x the
+    # structured route's final state measurement
+    system = _study_system(20, 0.01)
+    sched = SwitchSchedule(delta_t_steps=1, step_size=1e-3)
+    v0 = system.initial_vector()
+    outcomes = _structured_outcomes(monkeypatch)
+    structured = SwitchedPropagator(system, sched)
+    with monkeypatch.context() as m:
+        m.setattr(switched, "RANK_PER_DIM", 10**9)      # the dense route only
+        dense = SwitchedPropagator(system, sched)
+        dense_runs = {k: dense.run(v0, [2e-3 * k], engine="floquet")
+                      for k in (10_000, 25_000_000)}
+    u = dense.u2 @ dense.u1
+    for periods, bound in ((10_000, 5e-12), (25_000_000, 1e-8)):
+        k, power, ref = periods, u, v0
+        while k:
+            if k & 1:
+                ref = power @ ref
+            power, k = power @ power, k >> 1
+        norm = np.linalg.norm(ref)
+        got = structured.run(v0, [2e-3 * periods], engine="floquet")
+        assert got.n_steps == 2 * periods
+        err = np.linalg.norm(got.final_state.as_vector() - ref) / norm
+        err_dense = np.linalg.norm(dense_runs[periods].final_state.as_vector() - ref) / norm
+        assert err <= bound and err <= err_dense
+        assert abs(got.q[0] - ref[0]) <= bound * norm
+    assert outcomes == [True, True]
+
+
+def test_structured_and_dense_routes_agree(monkeypatch):
+    # 2 x 20 oscillators, three steps per half period: samples at every step of
+    # the period and a final state five steps into a period.  Against literal
+    # stepping, relative to the largest entry, the structured route's samples
+    # are 2.6e-13 and its final state 9.2e-13 away, the dense route's 3.6e-11
+    # and 3.8e-10.  Each tolerance is about 10x the larger of the two
+    system = _study_system(20, 0.01)
+    sched = SwitchSchedule(delta_t_steps=3, step_size=1e-2)
+    v0 = system.initial_vector()
+    times = np.linspace(0.0, 300.0, 97) + 0.013
+    outcomes = _structured_outcomes(monkeypatch)
+    prop = SwitchedPropagator(system, sched)
+    structured = prop.run(v0, times, t_final=300.05, engine="floquet")
+    stepped = prop.run(v0, times, t_final=300.05, engine="dense")
+    assert set(np.unique(structured.steps % sched.period_steps)) == set(range(6))
+    fl = prop._build_floquet()
+    assert outcomes == [True, True]
+    with monkeypatch.context() as m:
+        m.setattr(switched, "RANK_PER_DIM", 10**9)
+        dense = SwitchedPropagator(system, sched).run(v0, times, t_final=300.05,
+                                                      engine="floquet")
+    assert outcomes == [True, True]
+    for res, tol in ((structured, 1e-11), (dense, 4e-9)):
+        for got, want in ((res.q, stepped.q), (res.p, stepped.p),
+                          (res.final_state.as_vector(), stepped.final_state.as_vector())):
+            np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * np.max(np.abs(want)))
+    # the dense engine's growth check reads the structured multipliers
+    mu = np.linalg.eigvals(np.linalg.matrix_power(prop.u2, 3)
+                           @ np.linalg.matrix_power(prop.u1, 3))
+    np.testing.assert_allclose(np.sort_complex(np.exp(prop._multipliers())),
+                               np.sort_complex(mu), rtol=0.0, atol=1e-13)
+    np.testing.assert_allclose(np.sort_complex(np.exp(fl["log_mu"])),
+                               np.sort_complex(mu), rtol=0.0, atol=1e-13)
+
+
+def test_failed_structured_residual_takes_the_dense_route(monkeypatch):
+    system = _study_system(20, 0.01)
+    sched = SwitchSchedule(delta_t_steps=1, step_size=1e-3)
+    v0 = system.initial_vector()
+    times = np.linspace(0.0, 50.0, 40)
+    outcomes = _structured_outcomes(monkeypatch)
+    with monkeypatch.context() as m:
+        m.setattr(switched, "RANK_PER_DIM", 10**9)
+        dense = SwitchedPropagator(system, sched).run(v0, times, engine="floquet")
+    assert outcomes == []
+    monkeypatch.setattr(switched._ModalPeriodMap, "residual", lambda self: 1.0)
+    fallback = SwitchedPropagator(system, sched).run(v0, times, engine="floquet")
+    assert outcomes == [False]
+    assert fallback.engine == "floquet"
+    np.testing.assert_array_equal(fallback.q, dense.q)
+    np.testing.assert_array_equal(fallback.final_state.as_vector(),
+                                  dense.final_state.as_vector())
+    # two equal contact phases held as distinct objects: no correction to
+    # factor, so the dense route runs the period map
+    same = dataclasses.replace(system, a2=dataclasses.replace(system.a1))
+    res = SwitchedPropagator(same, sched).run(v0, times, engine="floquet")
+    stepped = SwitchedPropagator(same, sched).run(v0, times, engine="dense")
+    assert outcomes == [False]
+    np.testing.assert_allclose(res.q, stepped.q, rtol=0.0, atol=1e-9 * np.max(np.abs(stepped.q)))
+
+
+def test_structured_residual_measures_the_root_error():
+    # shifting every root by delta moves each eigenpair's residual by about
+    # delta |s|: measured 13 delta for delta = 1e-12 and 1e-9, 24 delta at 1e-6
+    system = _study_system(20, 0.01)
+    modal = switched._ModalPeriodMap(system, SwitchSchedule(delta_t_steps=1, step_size=1e-3))
+    roots = modal.roots()
+    assert modal.floquet(SwitchedPropagator.QUALITY_TOL) is not None
+    assert modal.residual() < 1e-16
+    modal.roots = lambda: roots + 1e-9
+    assert modal.floquet(SwitchedPropagator.QUALITY_TOL) is not None
+    assert 1e-9 < modal.residual() < 1e-7
+    modal.roots = lambda: roots + 1e-6
+    assert modal.floquet(SwitchedPropagator.QUALITY_TOL) is None
+
+
+def test_structured_period_map_factors_in_linear_memory():
+    # 2 x 200 oscillators (dim 802): the dense route's u1 u2 product and its
+    # complex eigenvectors are 5.1 and 10.3 MB, and factoring peaked at 36 MB.
+    # The structured route holds blocks of SHAPE_BLOCK roots by dim and
+    # peaked at 3.4 MB, below one real dim x dim array
+    system = _study_system(200, 1e-3)
+    prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
+    tracemalloc.start()
+    try:
+        fl = prop._build_floquet()
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * system.dim**2
+    assert fl["rows01"].shape == (2, 2, system.dim)
+    assert "u1" not in vars(prop) and "u2" not in vars(prop)
+
+
+def test_dense_engine_rejects_a_parametrically_unstable_schedule():
+    # the schedule of the test below, stepped literally: its period map
+    # grows by e^0.33 per period, e^6.6 over these 20 periods
+    system = _tiny_system()
+    prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=50, step_size=0.02))
+    with pytest.raises(NumericalError, match="parametrically unstable"):
+        prop.run(system.initial_vector(), np.linspace(0.0, 40.0, 30), engine="dense")
 
 
 def test_parametrically_unstable_schedule_raises_numerical_error():
