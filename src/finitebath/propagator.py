@@ -55,16 +55,17 @@ A zero frequency mode (Omega = 0, a free translation) has no such form,
 so diagonalize rejects it for the exact and the RK4 sampler alike.  It
 occurs only when nothing pins the particle, alpha0 = 0: for alpha0 > 0
 every secular root lies above the pole at 0.  The dense drift matrix A
-of v' = A v, v = (Q, P, q_1, p_1, ...), is needed only by RK4 stepping;
-drift_matrix writes it from the same arrowhead on demand.
+of v' = A v, v = (Q, P, q_1, p_1, ...), is needed only by the dense
+route of the switched period map; drift_matrix writes it from the same
+arrowhead on demand.
 
 Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 (hA)^4/24 of the drift matrix, so it has the same normal modes: one step
 multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}.  n steps are the
 mode form with nu_k t replaced by n phi_k and scaled by rho_k^n, which
 sample_rk4 and rk4_full_state evaluate without stepping.  The same
-stability rule, h nu_max <= 2 sqrt(2), holds for these and for literal
-stepping in the switched module (check_rk4_stability).
+stability rule, h nu_max <= 2 sqrt(2), holds for these and for the
+switched module's period map (check_rk4_stability).
 
 Every sampler evaluates sum_k e^{x d_k} (A_k cos x theta_k + B_k sin x
 theta_k).  RK4 has x = n, theta = phi and d = log rho, the switched

@@ -10,8 +10,8 @@ Switching happens only on step boundaries, and observations are snapped
 to the nearest completed step (distance <= dt/2, reported).
 
 Because the system is linear, one classical RK4 step equals multiplying
-by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  Long runs factor
-the map over one full switching period once per run, after which any
+by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  A switched run
+factors the map over one full switching period once, after which any
 sample time costs O(N) instead of stepping there.  With the period map
 S diag(mu) S^-1 and v' = S^-1 v0, the particle after k periods and r
 more steps is Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r
@@ -32,23 +32,22 @@ eigenvectors and v' are closed forms in those roots (_ModalPeriodMap).
 The dense route forms the two step maps and the period map and calls
 eig: for a correction whose rank is not small against the dimension
 (RANK_PER_DIM), a root iteration that fails (as at a real multiplier of
-a resonant schedule), a structured residual above QUALITY_TOL, a
-continuous system, and a system diagonalize rejects (Omega = 0).  A
-dense factorization whose residual looks degraded is a NumericalError:
-stepping a long run literally instead would take hours.  So is a
-parametrically resonant schedule, one whose period map has a multiplier
-|mu| > 1 that grows by more than e^GROWTH_TOL over the run: its samples
-would be fitted as an enormous temperature.  Literal stepping applies
-the same growth bound to the same multipliers before it starts.
+a resonant schedule), a structured residual above QUALITY_TOL, and a
+system diagonalize rejects (Omega = 0).  It builds the period map by
+binary powering and the rows of its step prefixes as row products, so
+it costs O(log d N^3 + d N^2) whatever the run's length.  Every switched
+run, however short, is sampled through the period map.  A dense
+factorization whose residual looks degraded is a NumericalError.  So
+is a parametrically resonant schedule, one whose period map has a
+multiplier |mu| > 1 that grows by more than e^GROWTH_TOL over the run:
+its samples would be fitted as an enormous temperature.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
 mode k by R(i h nu_k) = rho_k e^{i phi_k}, so n steps are sampled in
 closed form through the secular-equation modes: phases n phi_k and
-amplitudes rho_k^n, RK4's own small damping included.  That is what
-"auto" does for every continuous system; like the exact propagator it
-rejects a zero frequency mode (Omega = 0), which only the stepping
-engine, requested by name, can run.
+amplitudes rho_k^n, RK4's own small damping included.  Like the exact
+propagator it rejects a zero frequency mode (Omega = 0).
 
 A step beyond RK4's stability limit, h nu_max > 2 sqrt(2) for the
 fastest normal mode of either contact phase, is rejected up front: the
@@ -88,10 +87,6 @@ class SwitchSchedule:
     @property
     def period_steps(self) -> int:
         return 2 * self.delta_t_steps
-
-    def bath1_active(self, step: int) -> bool:
-        """Whether bath 1 is engaged during step index `step`."""
-        return (step // self.delta_t_steps) % 2 == 0
 
 
 STEPS_PER_PERIOD = 50
@@ -492,20 +487,18 @@ class SwitchedRunResult:
     final_state: SystemState
     max_snap_distance: float
     n_steps: int
-    engine: str
+    engine: str                # "floquet" (switched) or "modes" (continuous)
 
 
 class SwitchedPropagator:
     """Propagates one TwoBathSystem under one schedule.
 
-    One instance can serve many initial conditions of the same system:
-    the period map is factorized by each run that uses it, and the dense
-    step maps u1 and u2 are built on first use, by the stepping engine or
-    the dense period map route.  A continuous system (a2 is a1) is
-    sampled through its normal modes and has one step map, u2 = u1.
+    One instance can serve many initial conditions of the same system.
+    A switched system is sampled through its period map, factored by
+    each run; a continuous system (a2 is a1) through its normal modes.
     """
 
-    # steps beyond which the period map factorization pays for itself
+    # chooses nothing; kept because bench/tracing.py reads it on every traced run
     FLOQUET_THRESHOLD = 20_000
     QUALITY_TOL = 1e-7
     # largest log-amplitude growth of a period-map mode over a run.  RK4
@@ -521,46 +514,6 @@ class SwitchedPropagator:
         for cm in (system.a1,) if self.continuous else (system.a1, system.a2):
             check_rk4_stability(schedule.step_size, max_mode_frequency(cm))
 
-    @cached_property
-    def u1(self) -> np.ndarray:
-        return rk4_update_matrix(drift_matrix(self.system.a1), self.schedule.step_size)
-
-    @cached_property
-    def u2(self) -> np.ndarray:
-        if self.continuous:
-            return self.u1
-        return rk4_update_matrix(drift_matrix(self.system.a2), self.schedule.step_size)
-
-    def step_matrix(self, step: int) -> np.ndarray:
-        return self.u1 if self.schedule.bath1_active(step) else self.u2
-
-    # -- literal stepping ------------------------------------------------
-
-    def _run_dense(self, v0, steps_wanted, final_step):
-        wanted = {}
-        for i, s in enumerate(steps_wanted):
-            wanted.setdefault(int(s), []).append(i)
-        q = np.empty(len(steps_wanted))
-        p = np.empty(len(steps_wanted))
-        v = v0.copy()
-        last = max(final_step, max(wanted) if wanted else 0)
-        if not self.continuous:
-            self._check_growth(self._multipliers(), last)
-        final_v = v.copy() if final_step == 0 else None
-        for idx in wanted.get(0, []):
-            q[idx], p[idx] = v[0], v[1]
-        for s in range(1, last + 1):
-            v = self.step_matrix(s - 1) @ v
-            if s % 4096 == 0 and not np.all(np.isfinite(v)):
-                raise NumericalError(f"switched run diverged by step {s}")
-            for idx in wanted.get(s, []):
-                q[idx], p[idx] = v[0], v[1]
-            if s == final_step:
-                final_v = v.copy()
-        if not np.all(np.isfinite(v)):
-            raise NumericalError("switched run diverged")
-        return q, p, final_v
-
     # -- normal modes of a continuous system -----------------------------
 
     def _run_modes(self, v0, steps_wanted, final_step):
@@ -574,26 +527,14 @@ class SwitchedPropagator:
     def _modal_map(self):
         """The structured period map, or None where only the dense route applies.
 
-        None for a continuous system, a rank that _ModalPeriodMap.applies
-        refuses, and a system diagonalize rejects (Omega = 0).
+        None for a rank that _ModalPeriodMap.applies refuses and a system
+        diagonalize rejects (Omega = 0).
         """
-        if self.continuous:
-            return None
         try:
             modal = _ModalPeriodMap(self.system, self.schedule)
         except EigensolverError:
             return None
         return modal if modal._factors is not None else None
-
-    def _multipliers(self):
-        """log mu of the period map: structured roots where they apply, else dense eigvals."""
-        modal = self._modal_map()
-        sigma = modal.roots() if modal is not None else None
-        if sigma is not None:
-            return _with_conjugates(modal.log_mu(sigma))
-        d = self.schedule.delta_t_steps
-        return np.log(np.linalg.eigvals(np.linalg.matrix_power(self.u2, d)
-                                        @ np.linalg.matrix_power(self.u1, d)))
 
     def _check_growth(self, log_mu, last):
         growth = last / self.schedule.period_steps * float(np.max(log_mu.real))
@@ -603,7 +544,7 @@ class SwitchedPropagator:
                 f"mode grows by e^{growth:.3g} over {last} steps, more than "
                 f"e^{self.GROWTH_TOL:g}")
 
-    def _build_floquet(self):
+    def _build_floquet(self, last):
         """The period map's log multipliers, rows01 and period, and its coordinates.
 
         rows01[r] holds rows 0 and 1 of the first r steps' map times the
@@ -611,20 +552,32 @@ class SwitchedPropagator:
         Re sum_j rows01[r, :, j] v'_j mu_j^k with v' = amplitudes(v0), and
         state(mu^k v', r) is the whole state vector.  The structured route
         (_ModalPeriodMap) runs where it applies and its residual passes;
-        otherwise the period map is formed from u1 and u2 and factored by
-        dense eig, whose residual must pass QUALITY_TOL.
+        otherwise the period map is formed from the two step maps and
+        factored by dense eig, whose residual must pass QUALITY_TOL.  Either
+        route then checks the multipliers' growth over `last` steps.
         """
         modal = self._modal_map()
         fl = modal.floquet(self.QUALITY_TOL) if modal is not None else None
-        return fl if fl is not None else self._dense_floquet()
+        if fl is None:
+            return self._dense_floquet(last)
+        self._check_growth(fl["log_mu"], last)
+        return fl
 
-    def _dense_floquet(self):
-        # prefix r is the map of steps 0..r-1; prefix 0 is the identity
-        prefix_rows = [np.eye(2, self.system.dim)]
-        u_period = self.step_matrix(0)
-        for r in range(1, self.schedule.period_steps):
-            prefix_rows.append(u_period[0:2].copy())
-            u_period = self.step_matrix(r) @ u_period
+    def _dense_floquet(self, last):
+        """The dense route: U2^d U1^d by binary powering, factored by eig.
+
+        Rows 0 and 1 of prefix r, the map of steps 0..r-1, are e^T U1^r up
+        to the switch and (e^T U2^(r-d)) U1^d after it: row products of
+        O(dim^2) each, formed only once the multipliers' growth over `last`
+        steps has passed the check.
+        """
+        h, d, dim = self.schedule.step_size, self.schedule.delta_t_steps, self.system.dim
+        u1, u2 = (rk4_update_matrix(drift_matrix(cm), h)
+                  for cm in (self.system.a1, self.system.a2))
+        u1_d = np.linalg.matrix_power(u1, d)
+        u_period = np.linalg.matrix_power(u2, d) @ u1_d
+        # a resonant schedule is refused before eig computes its eigenvectors
+        self._check_growth(np.log(np.linalg.eigvals(u_period)), last)
         mu, s_mat = np.linalg.eig(u_period)
         res = np.linalg.norm(u_period @ s_mat - s_mat * mu[None, :])
         rel = res / max(np.linalg.norm(u_period), 1e-300)
@@ -633,6 +586,17 @@ class SwitchedPropagator:
                 f"period map factorization residual {rel:.2e} exceeds "
                 f"{self.QUALITY_TOL:g}")
 
+        def row_powers(u, n):
+            """Rows 0 and 1 of u^k for k = 0..n-1."""
+            out = np.empty((n, 2, dim))
+            out[0] = np.eye(2, dim)
+            for k in range(1, n):
+                out[k] = out[k - 1] @ u
+            return out
+
+        after = row_powers(u2, d)[1:].reshape(-1, dim) @ u1_d
+        prefix_rows = np.concatenate([row_powers(u1, d + 1), after.reshape(-1, 2, dim)])
+
         def state(w, r):
             v = s_mat @ w
             scale = np.abs(s_mat) @ np.abs(w)
@@ -640,16 +604,15 @@ class SwitchedPropagator:
                 raise NumericalError("imaginary residue in reconstructed state")
             v = v.real
             for j in range(r):
-                v = self.step_matrix(j) @ v
+                v = (u1 if j < d else u2) @ v
             return v
 
-        return {"log_mu": np.log(mu), "rows01": np.stack(prefix_rows) @ s_mat,
+        return {"log_mu": np.log(mu), "rows01": prefix_rows @ s_mat,
                 "period": self.schedule.period_steps, "state": state,
                 "amplitudes": lambda v0: np.linalg.solve(s_mat, v0.astype(complex))}
 
-    def _run_floquet(self, v0, steps_wanted, final_step):
-        fl = self._build_floquet()
-        self._check_growth(fl["log_mu"], max(int(np.max(steps_wanted, initial=0)), final_step))
+    def _run_floquet(self, v0, steps_wanted, final_step, last):
+        fl = self._build_floquet(last)
         vprime0 = fl["amplitudes"](v0)
         q, p = np.empty((2, len(steps_wanted)))
         ks, rs = np.divmod(steps_wanted, fl["period"])
@@ -675,8 +638,7 @@ class SwitchedPropagator:
 
     # -- entry point -----------------------------------------------------
 
-    def run(self, v0, sample_times, t_final=None,
-            engine: str = "auto") -> SwitchedRunResult:
+    def run(self, v0, sample_times, t_final=None) -> SwitchedRunResult:
         """Sample the test particle from v0 and return the state at t_final.
 
         Identical inputs reproduce identical output arrays.  Sample times
@@ -694,17 +656,16 @@ class SwitchedPropagator:
         entry of either contact phase moves the samples of a 5e7 step
         run by at most 6e-15 of the largest sample.
 
-        "auto" samples a continuous system through its normal modes
-        (reported as engine "modes"; EigensolverError for a zero mode)
-        and picks the period map or stepping for a switched one by run
-        length.  A period map that factorizes with a residual above
-        QUALITY_TOL, or whose fastest growing mode grows by more than
-        e^GROWTH_TOL over the run (a parametrically resonant schedule),
-        is a NumericalError; literal stepping of a switched system checks
-        the same growth first.  The period map is sampled through
-        propagator.mode_sums, so beyond its factorization a run holds one
-        set of SAMPLE_CHUNK tables however many samples it takes.
-        t_final defaults to the last (snapped) sample time.
+        A continuous system is sampled through its normal modes (engine
+        "modes"; EigensolverError for a zero mode), a switched one through
+        its period map (engine "floquet"), however short the run.  A
+        period map that factorizes with a residual above QUALITY_TOL, or
+        whose fastest growing mode grows by more than e^GROWTH_TOL over
+        the run (a parametrically resonant schedule), is a NumericalError.
+        The period map is sampled through propagator.mode_sums, so beyond
+        its factorization a run holds one set of SAMPLE_CHUNK tables
+        however many samples it takes.  t_final defaults to the last
+        (snapped) sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):
@@ -720,22 +681,14 @@ class SwitchedPropagator:
         final_step = int(np.rint(t_final / h))
         last = max(int(steps.max()) if len(steps) else 0, final_step)
 
-        if engine == "auto" and self.continuous:
+        if self.continuous:
             q, p, final_v = self._run_modes(v0, steps, final_step)
-            used = "modes"
         else:
-            if engine == "auto":
-                engine = "floquet" if last > self.FLOQUET_THRESHOLD else "dense"
-            if engine not in ("floquet", "dense"):
-                raise ValueError(f"unknown engine {engine!r}")
-            if engine == "floquet":
-                q, p, final_v = self._run_floquet(v0, steps, final_step)
-            else:
-                q, p, final_v = self._run_dense(v0, steps, final_step)
-            used = engine
+            q, p, final_v = self._run_floquet(v0, steps, final_step, last)
 
         final_state = SystemState.from_vector(
             final_v, self.system.a1.bath_sizes, time=final_step * h)
         return SwitchedRunResult(times=snapped, steps=steps, q=q, p=p,
                                  final_state=final_state, max_snap_distance=max_snap,
-                                 n_steps=last, engine=used)
+                                 n_steps=last,
+                                 engine="modes" if self.continuous else "floquet")

@@ -13,6 +13,8 @@ import pytest
 
 from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
 from finitebath.output import CURVE_HEADER
+from finitebath.propagator import drift_matrix
+from finitebath.switched import rk4_update_matrix
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
 
@@ -45,6 +47,28 @@ def read_curve():
         data = np.array(rows, dtype=float).reshape(len(rows), len(names))
         return {name: data[:, j] for j, name in enumerate(names)}
     return read
+
+
+@pytest.fixture
+def step_literally():
+    """Literal RK4 stepping of a TwoBathSystem, the reference for SwitchedPropagator.
+
+    step_literally(system, schedule, v0, steps) returns the state vector
+    after each entry of steps (step counts, any order): A1's update map
+    acts during the first delta_t_steps of every period, A2's during the
+    rest.  A continuous system (a2 is a1) steps A1's map throughout.
+    """
+    def step(system, schedule, v0, steps):
+        h, d = schedule.step_size, schedule.delta_t_steps
+        maps = [rk4_update_matrix(drift_matrix(cm), h) for cm in (system.a1, system.a2)]
+        steps = np.asarray(steps)
+        out = np.empty((len(steps), system.dim))
+        v = np.asarray(v0, dtype=float)
+        for s in range(int(steps.max()) + 1):
+            out[steps == s] = v
+            v = maps[(s // d) % 2] @ v
+        return out
+    return step
 
 
 def pytest_terminal_summary(terminalreporter, exitstatus, config):

@@ -1,4 +1,7 @@
-"""Square wave bath switching: schedule, stepping, period map engine."""
+"""Square wave bath switching: schedule, RK4 maps, the period map and mode engines.
+
+Literal stepping (the step_literally fixture) is the reference throughout.
+"""
 
 import dataclasses
 import tracemalloc
@@ -71,14 +74,34 @@ def _run(system, sched, times, **kwargs):
     return prop.run(system.initial_vector(), times, **kwargs)
 
 
+def _stepped(step_literally, system, sched, res):
+    """Literal stepping to res's samples and its final state: (Q, P, final vector)."""
+    final_step = int(round(res.final_state.time / sched.step_size))
+    states = step_literally(system, sched, system.initial_vector(),
+                            np.r_[res.steps, final_step])
+    return states[:-1, 0], states[:-1, 1], states[-1]
+
+
+def _step_maps(system, sched):
+    return [rk4_update_matrix(drift_matrix(cm), sched.step_size)
+            for cm in (system.a1, system.a2)]
+
+
 # -- schedule ----------------------------------------------------------
 
 
 def test_schedule_alternates_in_blocks_of_delta_t():
     sched = SwitchSchedule(delta_t_steps=2, step_size=0.01)
     assert sched.period_steps == 4
-    pattern = [sched.bath1_active(s) for s in range(6)]
-    assert pattern == [True, True, False, False, True, True]
+    system = _tiny_system()
+    u1, u2 = _step_maps(system, sched)
+    prop = SwitchedPropagator(system, sched)
+    v = system.initial_vector()
+    for s, u in enumerate((u1, u1, u2, u2, u1, u1), start=1):
+        v = u @ v
+        got = prop.run(system.initial_vector(), [0.0], t_final=s * 0.01).final_state
+        np.testing.assert_allclose(got.as_vector(), v, rtol=0.0,
+                                   atol=1e-12 * np.max(np.abs(v)))
 
 
 def test_schedule_validation():
@@ -172,17 +195,13 @@ def test_rk4_map_is_built_once_per_distinct_phase(monkeypatch):
     prop = SwitchedPropagator(continuous, SwitchSchedule(step_size=0.02))
     assert prop.run(continuous.initial_vector(), [0.5, 1.0]).engine == "modes"
     assert calls == [] and maps == []
-    # a stepping engine requested by name builds the one map, once
-    for _ in range(2):
-        prop.run(continuous.initial_vector(), [0.5], engine="dense")
-    assert len(calls) == 1 and len(maps) == 1
-    assert prop.u2 is prop.u1
-    # a switched pair builds neither map up front; dense runs build each once
+    # a switched pair builds neither map up front; each run of the dense
+    # period map route builds each phase's map once
     switched_prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
-    assert len(calls) == 1 and len(maps) == 1
+    assert calls == [] and maps == []
     for _ in range(2):
-        switched_prop.run(system.initial_vector(), [0.5], engine="dense")
-    assert len(calls) == 3 and len(maps) == 3
+        switched_prop.run(system.initial_vector(), [0.5])
+    assert calls == [system.a1, system.a2] * 2 and len(maps) == 4
 
 
 # -- system construction ----------------------------------------------
@@ -226,31 +245,34 @@ def test_static_mode_shifts_energy_by_the_idle_spring_sum():
 
 def test_identical_matrices_reduce_to_the_continuous_run():
     system = _tiny_system()
-    degenerate = dataclasses.replace(system, a2=system.a1)
+    # equal phases held as distinct objects are switched contact to the engine
+    degenerate = dataclasses.replace(system, a2=dataclasses.replace(system.a1))
     sched = SwitchSchedule(delta_t_steps=5, step_size=0.02)
     times = np.linspace(0.0, 50.0, 40)
-    res = _run(degenerate, sched, times, t_final=50.0, engine="dense")
+    res = _run(degenerate, sched, times, t_final=50.0)
+    assert res.engine == "floquet"
     eig = diagonalize(system.a1, system.initial_vector())
     q_ref, p_ref = eig.sample_test_particle(res.times)
     np.testing.assert_allclose(res.q, q_ref, atol=1e-6)
     np.testing.assert_allclose(res.p, p_ref, atol=1e-6)
 
 
-def test_period_map_engine_matches_literal_stepping(monkeypatch):
+def test_period_map_engine_matches_literal_stepping(monkeypatch, step_literally):
+    # 1500 steps: however short, a switched run goes through the period map
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
     times = np.linspace(0.0, 30.0, 23)
-    dense = _run(system, sched, times, t_final=30.0, engine="dense")
-    floq = _run(system, sched, times, t_final=30.0, engine="floquet")
+    floq = _run(system, sched, times, t_final=30.0)
+    assert floq.n_steps == 1500
+    q, p, final = _stepped(step_literally, system, sched, floq)
     # two samples per table: every chunk boundary and a short last chunk
     monkeypatch.setattr(propagator, "SAMPLE_CHUNK", 2 * system.dim)
-    chunked = _run(system, sched, times, t_final=30.0, engine="floquet")
+    chunked = _run(system, sched, times, t_final=30.0)
     for res in (floq, chunked):
         assert res.engine == "floquet"
-        np.testing.assert_allclose(res.q, dense.q, atol=1e-9)
-        np.testing.assert_allclose(res.p, dense.p, atol=1e-9)
-        np.testing.assert_allclose(res.final_state.as_vector(),
-                                   dense.final_state.as_vector(), atol=1e-9)
+        np.testing.assert_allclose(res.q, q, atol=1e-9)
+        np.testing.assert_allclose(res.p, p, atol=1e-9)
+        np.testing.assert_allclose(res.final_state.as_vector(), final, atol=1e-9)
     np.testing.assert_allclose(chunked.q, floq.q, rtol=0.0, atol=1e-14)
     np.testing.assert_allclose(chunked.p, floq.p, rtol=0.0, atol=1e-14)
 
@@ -260,16 +282,16 @@ def test_period_map_observation_keeps_its_imaginary_residue_check(monkeypatch):
     sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
     build = SwitchedPropagator._build_floquet
 
-    def non_conjugate(self):
+    def non_conjugate(self, last):
         # i c_k and i conj(c_k) are no conjugate pair: the sums turn imaginary
-        fl = build(self)
+        fl = build(self, last)
         fl["rows01"] = 1j * fl["rows01"]
         return fl
 
     monkeypatch.setattr(SwitchedPropagator, "_build_floquet", non_conjugate)
     with pytest.raises(NumericalError, match="imaginary residue in period map "
                                              "observation exceeds 1e-9"):
-        _run(system, sched, np.linspace(0.0, 30.0, 23), engine="floquet")
+        _run(system, sched, np.linspace(0.0, 30.0, 23))
 
 
 def test_period_map_engine_samples_in_bounded_memory():
@@ -296,7 +318,7 @@ def test_period_map_engine_samples_in_bounded_memory():
     assert peak <= 30e6
 
 
-def test_period_map_engine_drift_stays_at_its_measured_level():
+def test_period_map_engine_drift_stays_at_its_measured_level(step_literally):
     # 2 x 20 oscillators at 2e4 steps: the eig phase error puts the dense route
     # of the period map engine 2.2e-9 of |v| away from repeated squaring of the
     # period map, and literal stepping 4.4e-13 away; each bound is at most 14x
@@ -309,19 +331,21 @@ def test_period_map_engine_drift_stays_at_its_measured_level():
     system = build_switched_matrices(tp, realize_bath(spec, seed=2, bath_index=0),
                                      realize_bath(spec, seed=2, bath_index=1),
                                      renormalization="static")
-    prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=1, step_size=1e-3))
+    sched = SwitchSchedule(delta_t_steps=1, step_size=1e-3)
+    prop = SwitchedPropagator(system, sched)
     v0 = system.initial_vector()
     n_steps = 20_000
-    floquet = prop.run(v0, [20.0], engine="floquet")
-    dense = prop.run(v0, [20.0], engine="dense")
-    assert floquet.n_steps == dense.n_steps == n_steps
-    u, k, ref = prop.u2 @ prop.u1, n_steps // 2, v0
+    floquet = prop.run(v0, [20.0])
+    assert floquet.n_steps == n_steps
+    stepped = step_literally(system, sched, v0, [n_steps])[0]
+    u1, u2 = _step_maps(system, sched)
+    u, k, ref = u2 @ u1, n_steps // 2, v0
     while k:
         if k & 1:
             ref = u @ ref
         u, k = u @ u, k >> 1
     norm = np.linalg.norm(ref)
-    assert np.linalg.norm(dense.final_state.as_vector() - ref) <= 4e-12 * norm
+    assert np.linalg.norm(stepped - ref) <= 4e-12 * norm
     assert np.linalg.norm(floquet.final_state.as_vector() - ref) <= 3e-8 * norm
 
 
@@ -330,12 +354,10 @@ def test_failed_period_map_raises_numerical_error(monkeypatch):
     sched = SwitchSchedule(delta_t_steps=3, step_size=0.02)
     times = np.linspace(0.0, 30.0, 23)
     prop = SwitchedPropagator(system, sched)
-    assert prop.run(system.initial_vector(), times, engine="floquet").engine == "floquet"
+    assert prop.run(system.initial_vector(), times).engine == "floquet"
     monkeypatch.setattr(SwitchedPropagator, "QUALITY_TOL", -1.0)   # every residual fails
-    # no fallback to literal stepping, which takes hours on a long run
-    monkeypatch.setattr(prop, "_run_dense", None)
     with pytest.raises(NumericalError, match=r"residual \d\.\d\de-\d+ exceeds -1"):
-        prop.run(system.initial_vector(), times, engine="floquet")
+        prop.run(system.initial_vector(), times)
 
 
 def _study_system(size, mass, seed=2):
@@ -375,9 +397,9 @@ def test_structured_period_map_is_at_least_as_accurate_as_dense_eig(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(switched, "RANK_PER_DIM", 10**9)      # the dense route only
         dense = SwitchedPropagator(system, sched)
-        dense_runs = {k: dense.run(v0, [2e-3 * k], engine="floquet")
-                      for k in (10_000, 25_000_000)}
-    u = dense.u2 @ dense.u1
+        dense_runs = {k: dense.run(v0, [2e-3 * k]) for k in (10_000, 25_000_000)}
+    u1, u2 = _step_maps(system, sched)
+    u = u2 @ u1
     for periods, bound in ((10_000, 5e-12), (25_000_000, 1e-8)):
         k, power, ref = periods, u, v0
         while k:
@@ -385,7 +407,7 @@ def test_structured_period_map_is_at_least_as_accurate_as_dense_eig(monkeypatch)
                 ref = power @ ref
             power, k = power @ power, k >> 1
         norm = np.linalg.norm(ref)
-        got = structured.run(v0, [2e-3 * periods], engine="floquet")
+        got = structured.run(v0, [2e-3 * periods])
         assert got.n_steps == 2 * periods
         err = np.linalg.norm(got.final_state.as_vector() - ref) / norm
         err_dense = np.linalg.norm(dense_runs[periods].final_state.as_vector() - ref) / norm
@@ -394,7 +416,7 @@ def test_structured_period_map_is_at_least_as_accurate_as_dense_eig(monkeypatch)
     assert outcomes == [True, True]
 
 
-def test_structured_and_dense_routes_agree(monkeypatch):
+def test_structured_and_dense_routes_agree(monkeypatch, step_literally):
     # 2 x 20 oscillators, three steps per half period: samples at every step of
     # the period and a final state five steps into a period.  Against literal
     # stepping, relative to the largest entry, the structured route's samples
@@ -406,30 +428,30 @@ def test_structured_and_dense_routes_agree(monkeypatch):
     times = np.linspace(0.0, 300.0, 97) + 0.013
     outcomes = _structured_outcomes(monkeypatch)
     prop = SwitchedPropagator(system, sched)
-    structured = prop.run(v0, times, t_final=300.05, engine="floquet")
-    stepped = prop.run(v0, times, t_final=300.05, engine="dense")
+    structured = prop.run(v0, times, t_final=300.05)
+    stepped = _stepped(step_literally, system, sched, structured)
     assert set(np.unique(structured.steps % sched.period_steps)) == set(range(6))
-    fl = prop._build_floquet()
+    fl = prop._build_floquet(structured.n_steps)
     assert outcomes == [True, True]
     with monkeypatch.context() as m:
         m.setattr(switched, "RANK_PER_DIM", 10**9)
-        dense = SwitchedPropagator(system, sched).run(v0, times, t_final=300.05,
-                                                      engine="floquet")
+        dense = SwitchedPropagator(system, sched).run(v0, times, t_final=300.05)
     assert outcomes == [True, True]
     for res, tol in ((structured, 1e-11), (dense, 4e-9)):
-        for got, want in ((res.q, stepped.q), (res.p, stepped.p),
-                          (res.final_state.as_vector(), stepped.final_state.as_vector())):
+        for got, want in zip((res.q, res.p, res.final_state.as_vector()), stepped):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * np.max(np.abs(want)))
-    # the dense engine's growth check reads the structured multipliers
-    mu = np.linalg.eigvals(np.linalg.matrix_power(prop.u2, 3)
-                           @ np.linalg.matrix_power(prop.u1, 3))
-    np.testing.assert_allclose(np.sort_complex(np.exp(prop._multipliers())),
+    # the structured roots are the period map's multipliers
+    u1, u2 = _step_maps(system, sched)
+    mu = np.linalg.eigvals(np.linalg.matrix_power(u2, 3) @ np.linalg.matrix_power(u1, 3))
+    roots = switched._ModalPeriodMap(system, sched).roots()
+    log_mu = switched._with_conjugates(switched._ModalPeriodMap.log_mu(roots))
+    np.testing.assert_allclose(np.sort_complex(np.exp(log_mu)),
                                np.sort_complex(mu), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(np.sort_complex(np.exp(fl["log_mu"])),
                                np.sort_complex(mu), rtol=0.0, atol=1e-13)
 
 
-def test_failed_structured_residual_takes_the_dense_route(monkeypatch):
+def test_failed_structured_residual_takes_the_dense_route(monkeypatch, step_literally):
     system = _study_system(20, 0.01)
     sched = SwitchSchedule(delta_t_steps=1, step_size=1e-3)
     v0 = system.initial_vector()
@@ -437,10 +459,10 @@ def test_failed_structured_residual_takes_the_dense_route(monkeypatch):
     outcomes = _structured_outcomes(monkeypatch)
     with monkeypatch.context() as m:
         m.setattr(switched, "RANK_PER_DIM", 10**9)
-        dense = SwitchedPropagator(system, sched).run(v0, times, engine="floquet")
+        dense = SwitchedPropagator(system, sched).run(v0, times)
     assert outcomes == []
     monkeypatch.setattr(switched._ModalPeriodMap, "residual", lambda self: 1.0)
-    fallback = SwitchedPropagator(system, sched).run(v0, times, engine="floquet")
+    fallback = SwitchedPropagator(system, sched).run(v0, times)
     assert outcomes == [False]
     assert fallback.engine == "floquet"
     np.testing.assert_array_equal(fallback.q, dense.q)
@@ -449,10 +471,53 @@ def test_failed_structured_residual_takes_the_dense_route(monkeypatch):
     # two equal contact phases held as distinct objects: no correction to
     # factor, so the dense route runs the period map
     same = dataclasses.replace(system, a2=dataclasses.replace(system.a1))
-    res = SwitchedPropagator(same, sched).run(v0, times, engine="floquet")
-    stepped = SwitchedPropagator(same, sched).run(v0, times, engine="dense")
+    res = SwitchedPropagator(same, sched).run(v0, times)
+    stepped_q = _stepped(step_literally, same, sched, res)[0]
     assert outcomes == [False]
-    np.testing.assert_allclose(res.q, stepped.q, rtol=0.0, atol=1e-9 * np.max(np.abs(stepped.q)))
+    np.testing.assert_allclose(res.q, stepped_q, rtol=0.0, atol=1e-9 * np.max(np.abs(stepped_q)))
+
+
+def test_dense_route_rows_are_row_products_of_the_step_maps(monkeypatch, step_literally):
+    # 2 x 20 oscillators, 100 steps per half period: the dense route's prefix
+    # rows e^T U1^r and (e^T U2^(r-d)) U1^d over five periods, and a final
+    # state 50 steps past the switch.  Against literal stepping, relative to
+    # the largest entry, samples and final state are 2.7e-14 away; the
+    # tolerance is about 40x that
+    system = _study_system(20, 0.01)
+    sched = SwitchSchedule(delta_t_steps=100, step_size=1e-2)
+    times = np.linspace(0.0, 10.0, 97) + 0.013
+    outcomes = _structured_outcomes(monkeypatch)
+    monkeypatch.setattr(switched, "RANK_PER_DIM", 10**9)
+    res = _run(system, sched, times, t_final=9.5)
+    assert outcomes == [] and res.engine == "floquet"
+    assert np.any(res.steps % sched.period_steps > sched.delta_t_steps)
+    for got, want in zip((res.q, res.p, res.final_state.as_vector()),
+                         _stepped(step_literally, system, sched, res)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
+
+
+@pytest.mark.parametrize("cancel", [False, True], ids=["degenerate_bath2", "cancelled_bath1"])
+def test_decoupled_bath_modes_take_the_dense_route(monkeypatch, step_literally, cancel):
+    # a degenerate bath leaves modes that neither contact phase couples,
+    # which the structured root iteration cannot start from: bath 2 in
+    # [0.6, 0.6], or bath 1 there with pairwise cancelled amplitudes.  Both
+    # run on the dense route; against literal stepping over 5000 steps,
+    # relative to the largest entry, they are at most 8.7e-11 away
+    spec = BathSpec(size=20, mass=0.01, temperature=7.5,
+                    dos=DensityOfStates("uniform", 0.2, 1.0))
+    point = dataclasses.replace(spec, dos=DensityOfStates("uniform", 0.6, 0.6))
+    real1 = realize_bath(point if cancel else spec, seed=2, bath_index=0)
+    real2 = realize_bath(spec if cancel else point, seed=2, bath_index=1)
+    system = build_switched_matrices(
+        TestParticleSpec(mass=1.0, omega=0.55),
+        pairwise_cancelled(real1) if cancel else real1, real2, renormalization="static")
+    sched = SwitchSchedule(delta_t_steps=3, step_size=1e-2)
+    outcomes = _structured_outcomes(monkeypatch)
+    res = _run(system, sched, np.linspace(0.0, 50.0, 40))
+    assert outcomes == [False] and res.engine == "floquet"
+    for got, want in zip((res.q, res.p, res.final_state.as_vector()),
+                         _stepped(step_literally, system, sched, res)):
+        np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
 
 
 def test_structured_residual_measures_the_root_error():
@@ -479,22 +544,24 @@ def test_structured_period_map_factors_in_linear_memory():
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
     tracemalloc.start()
     try:
-        fl = prop._build_floquet()
+        fl = prop._build_floquet(0)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 8 * system.dim**2
     assert fl["rows01"].shape == (2, 2, system.dim)
-    assert "u1" not in vars(prop) and "u2" not in vars(prop)
 
 
-def test_dense_engine_rejects_a_parametrically_unstable_schedule():
-    # the schedule of the test below, stepped literally: its period map
-    # grows by e^0.33 per period, e^6.6 over these 20 periods
+def test_dense_engine_rejects_a_parametrically_unstable_schedule(monkeypatch):
+    # the schedule of the test below on the dense route of the period map:
+    # its multipliers grow by e^0.33 per period, e^6.6 over these 20 periods
     system = _tiny_system()
     prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=50, step_size=0.02))
+    outcomes = _structured_outcomes(monkeypatch)
+    monkeypatch.setattr(switched, "RANK_PER_DIM", 10**9)
     with pytest.raises(NumericalError, match="parametrically unstable"):
-        prop.run(system.initial_vector(), np.linspace(0.0, 40.0, 30), engine="dense")
+        prop.run(system.initial_vector(), np.linspace(0.0, 40.0, 30))
+    assert outcomes == []
 
 
 def test_parametrically_unstable_schedule_raises_numerical_error():
@@ -507,15 +574,15 @@ def test_parametrically_unstable_schedule_raises_numerical_error():
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=50, step_size=0.02)
     prop = SwitchedPropagator(system, sched)
-    period_map = (np.linalg.matrix_power(prop.u2, 50)
-                  @ np.linalg.matrix_power(prop.u1, 50))
+    u1, u2 = _step_maps(system, sched)
+    period_map = np.linalg.matrix_power(u2, 50) @ np.linalg.matrix_power(u1, 50)
     assert np.max(np.abs(np.linalg.eigvals(period_map))) > 1.3
     times = np.linspace(0.0, 40.0, 30)
     with pytest.raises(NumericalError, match="parametrically unstable"):
-        prop.run(system.initial_vector(), times, engine="floquet")
+        prop.run(system.initial_vector(), times)
     # a stable schedule of the same system, run as long, grows far below the bound
     stable = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=3, step_size=0.02))
-    assert stable.run(system.initial_vector(), times, engine="floquet").engine == "floquet"
+    assert stable.run(system.initial_vector(), times).engine == "floquet"
 
 
 def test_sample_times_snap_to_the_nearest_step():
@@ -531,8 +598,8 @@ def test_energy_is_conserved_inside_contact_windows():
     system = _tiny_system()
     h = 0.02
     prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=3, step_size=h))
-    states = [prop.run(system.initial_vector(), [0.0], t_final=s * h,
-                       engine="dense").final_state for s in range(5)]
+    states = [prop.run(system.initial_vector(), [0.0], t_final=s * h).final_state
+              for s in range(5)]
     assert [s.time for s in states] == [s * h for s in range(5)]
     # steps 0..3 sit on one bath-1 trajectory
     e1 = [switched_energy(system, s, bath1_active=True) for s in states[:4]]
@@ -553,13 +620,6 @@ def test_runs_are_deterministic():
     b = _run(system, sched, times, t_final=10.0)
     assert np.array_equal(a.q, b.q)
     assert np.array_equal(a.p, b.p)
-
-
-def test_unknown_engine_is_rejected():
-    system = _tiny_system()
-    sched = SwitchSchedule(step_size=0.02)
-    with pytest.raises(ValueError, match="unknown engine"):
-        _run(system, sched, [0.5], t_final=1.0, engine="verlet")
 
 
 def test_initial_vector_shape_is_checked():
@@ -593,7 +653,7 @@ def _continuous_system(omega, bath, cancel=False):
     (0.5, DEGENERATE, True, 0.05),
     (0.5, WIDE, False, 0.99),
 ], ids=["slow", "in_band", "stiff", "deflated", "stability_edge"])
-def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant):
+def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant, step_literally):
     system = _continuous_system(omega, bath, cancel)
     nu_max = max_mode_frequency(system.a1)
     h = courant * RK4_STABILITY_LIMIT / nu_max
@@ -601,23 +661,23 @@ def test_rk4_modes_match_literal_stepping(omega, bath, cancel, courant):
     # unsorted, two pairs snapping to one step each, t_final past them all
     times = h * np.array([3000.4, 17.2, 2999.6, 0.0, 1234.0, 17.0])
     t_final = 4000.0 * h
-    prop = SwitchedPropagator(system, SwitchSchedule(step_size=h))
+    sched = SwitchSchedule(step_size=h)
+    prop = SwitchedPropagator(system, sched)
     modes = prop.run(v0, times, t_final=t_final)
-    dense = prop.run(v0, times, t_final=t_final, engine="dense")
-    assert modes.engine == "modes" and modes.n_steps == dense.n_steps == 4000
+    assert modes.engine == "modes" and modes.n_steps == 4000
     np.testing.assert_array_equal(modes.steps, [3000, 17, 3000, 0, 1234, 17])
-    assert modes.max_snap_distance == dense.max_snap_distance
-    for got, want in ((modes.q, dense.q), (modes.p, dense.p)):
+    assert modes.max_snap_distance == pytest.approx(0.4 * h, rel=1e-9)
+    q, p, final = _stepped(step_literally, system, sched, modes)
+    for got, want in ((modes.q, q), (modes.p, p)):
         np.testing.assert_allclose(got, want, rtol=0.0,
                                    atol=1e-10 * np.max(np.abs(want)))
-    final = dense.final_state.as_vector()
-    assert modes.final_state.time == dense.final_state.time
+    assert modes.final_state.time == 4000 * h
     np.testing.assert_allclose(modes.final_state.as_vector(), final, rtol=0.0,
                                atol=1e-10 * np.max(np.abs(final)))
     # the reconstructed state at every observed step
-    for step in np.unique(modes.steps):
-        vm, vd = (prop.run(v0, [0.0], t_final=step * h, engine=engine)
-                  .final_state.as_vector() for engine in ("auto", "dense"))
+    steps = np.unique(modes.steps)
+    for step, vd in zip(steps, step_literally(system, sched, v0, steps)):
+        vm = prop.run(v0, [0.0], t_final=step * h).final_state.as_vector()
         np.testing.assert_allclose(vm, vd, rtol=0.0, atol=1e-10 * np.max(np.abs(vd)))
     eig = diagonalize(system.a1, v0)
     if cancel:
@@ -641,10 +701,8 @@ def test_rk4_amplification_factor_is_one_step_of_the_polynomial():
         rk4_mode_factors(theta, 1.02)
 
 
-def test_continuous_zero_mode_is_stepped_only_by_name():
+def test_continuous_zero_mode_is_rejected():
     system = _continuous_system(0.0, WIDE)
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.05))
     with pytest.raises(EigensolverError, match="zero frequency mode"):
         prop.run(system.initial_vector(), [1.0, 2.0])
-    res = prop.run(system.initial_vector(), [1.0, 2.0], engine="dense")
-    assert res.engine == "dense" and np.all(np.isfinite(res.q))
