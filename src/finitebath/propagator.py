@@ -68,18 +68,22 @@ stability rule, h nu_max <= 2 sqrt(2), holds for these and for the
 switched module's period map (check_rk4_stability).
 
 Every sampler evaluates sum_k e^{x d_k} (A_k cos x theta_k + B_k sin x
-theta_k).  RK4 has x = n, theta = phi and d = log rho, the switched
-module's period map x = periods and d + i theta = log of its
-multipliers; both go through the direct sum mode_sums, chunked real
-tables of O(N) work per sample.  The exact form (x = t, theta = nu, no
-decay) is a pure phase, so sample_test_particle evaluates it as a type-3
-nonuniform FFT, gridded_sums: O(N + M + grid) for M times, within
-NUFFT_TOL of sum_k |A_k - i B_k| at every time.  Only the modes inside
-the bath band are gridded; the secular roots interlace the bath poles,
-so at most two lie outside it (the particle-like mode at an out-of-band
-Omega, and one above the band), and those go through mode_sums, which
-keeps the grid independent of Omega.  A span so long that the grid
-would outgrow its memory cap (grid_fits) is summed directly too.
+theta_k).  The exact form has x = t, theta = nu and no decay, RK4 x = n,
+theta = phi and d = log rho, and the switched module's period map x =
+periods and d + i theta = log of its multipliers.  All three go through
+banded_sums: a type-3 nonuniform FFT, gridded_sums, for the modes whose
+theta lies within that of the bath band, O(N + M + grid) for M samples
+and within NUFFT_TOL of sum_k |A_k - i B_k| at every sample.  A decay
+is small over a run (|n log rho| <= 5e-4 for RK4 at 50 steps per
+period), so it enters the grid as a short series in x d whose order
+follows from NUFFT_TOL (_decay_order): a few more gridded rows, none for
+the exact form.  The secular roots interlace the bath poles, so at most
+two modes lie outside the band (the particle-like mode at an out-of-band
+Omega, and one above the band); those go through the direct sum
+mode_sums, chunked real tables of O(N) work per sample, which keeps the
+grid independent of Omega.  Inputs whose grid would outgrow its memory
+cap (grid_fits), or hold more points than the direct sum has terms, are
+summed directly too.
 """
 
 from __future__ import annotations
@@ -440,41 +444,36 @@ class EigenPropagator:
         The modes inside the bath band [min w_n, max w_n] go through the
         type-3 transform gridded_sums; the secular roots outside it, at
         most one below the lowest pole and one above the highest, go
-        through mode_sums, so the grid does not grow with Omega.  Modes
-        without particle motion (u_k[0] = 0) add nothing and are left
-        out.  Where the grid would outgrow its memory cap (grid_fits)
-        every mode goes through mode_sums.
+        through mode_sums, so the grid does not grow with Omega
+        (banded_sums).  Modes without particle motion (u_k[0] = 0) add
+        nothing and are left out.
         """
         t = np.atleast_1d(np.asarray(times, dtype=float))
-        rows = self._rows()
-        live = self.u0 != 0.0
-        inside = live & (self.nu >= np.min(self.cm.w)) & (self.nu <= np.max(self.cm.w))
-        if not grid_fits(t, self.nu[inside]):
-            inside[:] = False
-        direct = live & ~inside
-        out = mode_sums(t, self.nu[direct], None,
-                        [(a[direct], b[direct]) for a, b in rows])
-        if np.any(inside):
-            out += gridded_sums(t, self.nu[inside],
-                                [(a[inside], b[inside]) for a, b in rows])
-        return out[0], self.cm.tp.mass * out[1]
+        live, rows = self._rows()
+        q, p = banded_sums(t, self.nu[live], None, rows, self.cm.w)
+        return q, self.cm.tp.mass * p
 
     def sample_rk4(self, steps, h: float) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) after integer numbers of classical RK4 steps of size h.
 
         One step multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}, so
         the mode form holds with nu_k t replaced by n phi_k and scaled by
-        rho_k^n.  O(N) per sample, no stepping.
+        rho_k^n; no stepping.  Like sample_test_particle it grids the
+        modes whose phase lies within those of the bath frequencies, the
+        decay rho_k^n as a short series (banded_sums): O(N + M + grid)
+        for M samples.
         """
         phi, log_rho = rk4_mode_factors(self.nu, h)
-        q, p = mode_sums(steps, phi, log_rho, self._rows())
+        live, rows = self._rows()
+        q, p = banded_sums(steps, phi[live], log_rho[live], rows,
+                           rk4_mode_factors(self.cm.w, h)[0])
         return q, self.cm.tp.mass * p
 
     def _rows(self):
-        """Coefficient rows (A, B) of Q and of P / M over the modes."""
-        u0 = self.u0
-        return [(u0 * self.coef_cos, u0 * self.coef_sin / self.nu),
-                (u0 * self.coef_sin, -(u0 * self.coef_cos * self.nu))]
+        """The modes with particle motion, and the rows (A, B) of Q and of P / M over them."""
+        live = self.u0 != 0.0
+        u0, a, b, nu = self.u0[live], self.coef_cos[live], self.coef_sin[live], self.nu[live]
+        return live, [(u0 * a, u0 * b / nu), (u0 * b, -(u0 * a * nu))]
 
 
 # entries of one table or buffer of mode_sums and gridded_sums, 2 MB: the
@@ -491,10 +490,10 @@ def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
     Row j of the result is sum_k e^{x d_k} (A_jk cos(x theta_k) +
     B_jk sin(x theta_k)) for the j-th pair (A_j, B_j) of rows, with
     d = log_decay (no decay when None); the rows of decay_rows D_j, which
-    need log_decay, follow as sum_k e^{x d_k} D_jk.  The RK4 and the
-    period-map samplers go through here, and so do the exact sampler's
-    modes outside the bath band and its spans too long for gridded_sums;
-    the tests check gridded_sums against it.
+    need log_decay, follow as sum_k e^{x d_k} D_jk.  Every sampler sends
+    its modes outside the bath band here, and all of its modes where
+    banded_sums cannot grid them; the tests check the transform against
+    it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     out = np.empty((len(rows) + len(decay_rows), len(x)))
@@ -576,9 +575,10 @@ def _grid(t, nu) -> _Grid:
 # FFT points of gridded_sums.  While the FFT runs it holds the padded
 # rows and their transform, 64 bytes per point for Q and P together:
 # 8.4 MB at the cap, and a peak of about 9 MB with the other arrays,
-# next to the direct sum's 6 MB of tables.  The benchmark sweeps need
-# 2^15 points (band 0.8 wide, times 4e4 to 5e4 long); a band of that
-# width fits times up to about 2.4e5 long
+# next to the direct sum's 6 MB of tables; banded_sums passes it two
+# rows at a time.  The benchmark sweeps need 2^15 points (band 0.8 wide,
+# times 4e4 to 5e4 long); a band of that width fits times up to about
+# 2.4e5 long
 _MAX_FFT = 1 << 17
 
 
@@ -699,6 +699,81 @@ def _gather(smooth, xi, rate) -> np.ndarray:
             for part, values in enumerate((row.real, row.imag)):
                 np.take(values, ix, out=tk, mode="wrap")
                 np.einsum("ij,ij->i", tk, w, out=out[part, lo:lo + step])
+    return acc
+
+
+def _decay_order(y_max):
+    """The order J of the series of e^y that banded_sums grids, or None.
+
+    J is the smallest order whose remainder |y|^(J+1) e^|y| / (J+1)! is
+    within NUFFT_TOL for every |y| <= y_max.  None where e^y_max > 2:
+    the transform's error on the series' terms, NUFFT_TOL e^y_max sum_k
+    |A_k - i B_k|, and their rounding would exceed twice that of a sum
+    without decay.
+    """
+    if not y_max <= np.log(2.0):      # NaN fails too
+        return None
+    order, rest = 0, y_max * np.exp(y_max)
+    while rest > NUFFT_TOL:
+        order += 1
+        rest *= y_max / (order + 1)
+    return order
+
+
+def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
+    """mode_sums(x, theta, log_decay, rows, decay_rows), the in-band modes gridded.
+
+    The modes whose theta lies within [min band, max band] go through
+    gridded_sums, the others through mode_sums, so the grid does not
+    grow with modes far outside the band; every sampler passes the
+    theta of the bath frequencies as its band.  A decay enters the grid
+    as the series e^{x d_k} = sum_{j<=J} (x d_k)^j / j!, J from
+    _decay_order at the largest |x d| in the band: gridded_sums on the
+    rows (A d^j, B d^j) for every j, recombined with the weights x^j /
+    j!, and for each decay row D the moments sum_k D_k d_k^j, O(N + M)
+    in all.  Without decay J = 0 and the gridded rows are the rows
+    themselves.  Every mode is summed directly where the series does not
+    apply, grid_fits refuses the grid, or the grid would hold more points
+    than the direct sum has terms.
+    """
+    x = np.atleast_1d(np.asarray(x, dtype=float))
+    inside = (theta >= np.min(band)) & (theta <= np.max(band))
+    order = 0
+    if log_decay is not None and np.any(inside):
+        order = _decay_order(np.max(np.abs(x), initial=0.0)
+                             * np.max(np.abs(log_decay[inside])))
+    # the grid must also be smaller than the direct sum it replaces: the
+    # FFTs of all gridded_sums calls hold no more points than the direct
+    # sum has terms.  A few times, as in each residue class of a long
+    # switching period, are summed directly, which is exact to rounding
+    calls = 0 if order is None else (order + 1) * ((len(rows) + 1) // 2)
+    if not (calls and grid_fits(x, theta[inside])
+            and calls * _grid(x, theta[inside]).n_fft <= len(x) * np.count_nonzero(inside)):
+        inside[:] = False
+    out = mode_sums(x, theta[~inside], None if log_decay is None else log_decay[~inside],
+                    [(a[~inside], b[~inside]) for a, b in rows],
+                    [d[~inside] for d in decay_rows])
+    if not np.any(inside):
+        return out
+    powers = [1.0]                   # d^j for j <= J
+    for _ in range(order):
+        powers.append(powers[-1] * log_decay[inside])
+    grid_rows = [(a[inside] * dj, b[inside] * dj) for dj in powers for a, b in rows]
+    # two rows per call, so that the FFT's memory stays that of Q and P
+    terms = np.concatenate([gridded_sums(x, theta[inside], grid_rows[i:i + 2])
+                            for i in range(0, len(grid_rows), 2)])
+    out[:len(rows)] += _series(terms.reshape(order + 1, len(rows), len(x)), x)
+    if len(decay_rows):
+        moments = [[np.sum(r[inside] * dj) for r in decay_rows] for dj in powers]
+        out[len(rows):] += _series(np.asarray(moments)[:, :, None], x)
+    return out
+
+
+def _series(terms, x):
+    """sum_j terms[j] x^j / j! by Horner's rule."""
+    acc = terms[-1]
+    for j in range(len(terms) - 2, -1, -1):
+        acc = terms[j] + acc * (x / (j + 1))
     return acc
 
 

@@ -11,14 +11,19 @@ to the nearest completed step (distance <= dt/2, reported).
 
 Because the system is linear, one classical RK4 step equals multiplying
 by R(hA) = I + hA + (hA)^2/2 + (hA)^3/6 + (hA)^4/24.  A switched run
-factors the map over one full switching period once, after which any
-sample time costs O(N) instead of stepping there.  With the period map
-S diag(mu) S^-1 and v' = S^-1 v0, the particle after k periods and r
-more steps is Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r
-steps' map) S times v'.  propagator.mode_sums evaluates these sums, the
-same chunked real tables that sample the normal modes, with
-theta = arg mu and d = log |mu|; their imaginary parts must cancel to
-1e-9 of sum_j |c_j| |mu_j|^k.
+factors the map over one full switching period once, after which no
+sample needs stepping.  With the period map S diag(mu) S^-1 and
+v' = S^-1 v0, the particle after k periods and r more steps is
+Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r steps' map) S
+times v'.  The multipliers come in conjugate pairs mu, conj(mu) with
+coefficients c, c', so each pair is summed once, as Re (c + conj c')
+mu^k; the imaginary parts, Im (c - conj c') mu^k, must cancel to 1e-9
+of sum_j |c_j| |mu_j|^k.  propagator.banded_sums evaluates the sums of
+each residue class r, as it samples the normal modes, with theta = arg
+mu in the upper half plane and d = log |mu|: the pairs whose arg lies
+within that of R(i h w)^period over the bath frequencies w through one
+type-3 transform, the others (two of 401 at 2 x 200) directly.  Folding
+the pairs halves the band the transform grids.
 
 The period map is factored in O(N^2) time and O(N) memory, without
 forming it.  In phase 1's normal modes (diagonalize(a1), bath 2 free) a
@@ -64,11 +69,11 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
-                         EigensolverError, NumericalError,
+                         EigensolverError, NumericalError, banded_sums,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
-                         mode_amplitudes, mode_sums, mode_vector,
-                         rk4_full_state, rk4_mode_factors)
+                         mode_amplitudes, mode_vector, rk4_full_state,
+                         rk4_mode_factors)
 
 
 @dataclass(frozen=True)
@@ -182,12 +187,22 @@ def _compress(x, y):
 def _with_conjugates(a):
     """Each entry of a's last axis followed by its conjugate.
 
-    That keeps conjugate pairs adjacent, as LAPACK's eig returns them.
-    numpy's cos and sin fill mode_sums' tables about 1.5x faster that way
-    than with the conjugates in a second half (measured on x86-64 with
-    AVX-512).
+    That keeps conjugate pairs adjacent, as LAPACK's eig returns them, so
+    _fold pairs the multipliers of both routes of the period map alike.
     """
     return np.stack([a, a.conj()], axis=-1).reshape(a.shape[:-1] + (-1,))
+
+
+def _fold(log_mu):
+    """(keep, mate): one multiplier per conjugate pair, and its mate's index (-1 for none).
+
+    A multiplier in the upper half plane that is directly followed by its
+    exact conjugate, as both routes of the period map order them, is
+    kept with that mate; every other multiplier is kept on its own.
+    """
+    paired = np.r_[(log_mu[:-1].imag > 0.0) & (log_mu[1:] == log_mu[:-1].conj()), False]
+    keep = np.flatnonzero(~np.r_[False, paired[:-1]])
+    return keep, np.where(paired[keep], keep + 1, -1)
 
 
 EPS = np.finfo(float).eps
@@ -320,44 +335,75 @@ class _ModalPeriodMap:
         conjugate pair of poles is iterated, from the pole with Im >= 0
         plus its first-order shift (X Y^H)_kk; the roots below the real
         axis are their conjugates, counted in that sum, so conjugate pairs
-        stay exact (a real multiplier, as of a resonant schedule, is
-        therefore not reached).  A root stops once its step is below
-        4 eps of it, or below sqrt(eps) of it and no smaller than the step
-        before: the iteration has reached its rounding floor.  None when a
-        root does not stop within MAX_SWEEPS sweeps or an iterate leaves
-        the finite numbers.
+        stay exact.  A real multiplier, as of a resonant schedule, is
+        therefore not reached: its root bounces across the axis, while a
+        complex root crosses it at most once, to settle as the conjugate
+        of its start.  A root whose step exceeds its distance to the axis
+        is iterated on its own at once, and the iteration gives up (None)
+        when it crosses the axis a second time, before the other roots
+        have converged.  A root stops once its step is below 4 eps of it,
+        or below sqrt(eps) of it and no smaller than the step before: the
+        iteration has reached its rounding floor.  None also when a root
+        does not stop within MAX_SWEEPS sweeps or an iterate leaves the
+        finite numbers.
         """
         x, y, _, t = self._factors
-        n, eye = len(t) // 2, np.eye(x.shape[1])
+        n = len(t) // 2
         upper = np.where(t[:n].imag >= 0.0, np.arange(n), np.arange(n, 2 * n))
         sigma = t[upper] + np.einsum("ij,ij->i", x[upper], y[upper].conj())
-        active, last = np.arange(n), np.full(n, np.inf)
+        last, crossed = np.full(n, np.inf), np.zeros(n, bool)
+
+        def sweep(active):
+            """Move the roots `active` once; (still going, near the axis), or None."""
+            going, near, every = [], [], np.r_[sigma, sigma.conj()]
+            for lo in range(0, len(active), SHAPE_BLOCK):
+                idx = active[lo:lo + SHAPE_BLOCK]
+                step = self._aberth_steps(every, idx)
+                if not np.all(np.isfinite(step)):
+                    return None
+                across = np.sign((sigma[idx] - step).imag) != np.sign(sigma[idx].imag)
+                if np.any(crossed[idx] & across):
+                    return None
+                crossed[idx] |= across
+                size, scale = np.abs(step), np.abs(sigma[idx])
+                done = (size <= 4.0 * EPS * scale) | (
+                    (size >= last[idx]) & (size <= np.sqrt(EPS) * scale))
+                near.append(idx[~done & (size > np.abs(sigma[idx].imag))])
+                going.append(idx[~done])
+                last[idx] = size
+                sigma[idx] -= step
+            return np.concatenate(going), np.concatenate(near)
+
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            active = np.arange(n)
             for _ in range(MAX_SWEEPS):
-                every = np.r_[sigma, sigma.conj()]
-                going = []
-                for lo in range(0, len(active), SHAPE_BLOCK):
-                    idx = active[lo:lo + SHAPE_BLOCK]
-                    g = self._resolvent(sigma[idx])
-                    trace = np.trace(np.linalg.solve(eye + self._secular(g),
-                                                     self._secular(g, 2)), axis1=1, axis2=2)
-                    pull = g.sum(axis=1)
-                    # g's buffer now holds 1 / (sigma_i - sigma_j) over every root j != i
-                    g = np.subtract.outer(sigma[idx], every, out=g)
-                    g[np.arange(len(idx)), idx] = np.inf
-                    step = 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
-                    if not np.all(np.isfinite(step)):
+                moved = sweep(active)
+                if moved is None:
+                    return None
+                active, near = moved
+                for _ in range(MAX_SWEEPS):
+                    if not len(near):
+                        break
+                    moved = sweep(near)
+                    if moved is None:
                         return None
-                    size, scale = np.abs(step), np.abs(sigma[idx])
-                    done = (size <= 4.0 * EPS * scale) | (
-                        (size >= last[idx]) & (size <= np.sqrt(EPS) * scale))
-                    going.append(idx[~done])
-                    last[idx] = size
-                    sigma[idx] -= step
-                active = np.concatenate(going)
+                    near = moved[0]
                 if not len(active):
                     return sigma
         return None
+
+    def _aberth_steps(self, every, idx):
+        """Aberth-Ehrlich steps of the roots every[idx]; every holds all roots, then their conjugates."""
+        roots = every[idx]
+        g = self._resolvent(roots)
+        eye = np.eye(self._factors[0].shape[1])
+        trace = np.trace(np.linalg.solve(eye + self._secular(g), self._secular(g, 2)),
+                         axis1=1, axis2=2)
+        pull = g.sum(axis=1)
+        # g's buffer now holds 1 / (sigma_i - sigma_j) over every root j != i
+        g = np.subtract.outer(roots, every, out=g)
+        g[np.arange(len(idx)), idx] = np.inf
+        return 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
 
     def _blocks(self):
         """Yield (idx, g, c, ct): SHAPE_BLOCK roots, their resolvent rows and null vectors."""
@@ -614,18 +660,28 @@ class SwitchedPropagator:
     def _run_floquet(self, v0, steps_wanted, final_step, last):
         fl = self._build_floquet(last)
         vprime0 = fl["amplitudes"](v0)
+        log_mu, period = fl["log_mu"], fl["period"]
+        keep, mates = _fold(log_mu)
+        # the band: the phases of the period map's diagonal R(i h w)^period
+        # over the bath frequencies, on the upper half plane as the kept modes
+        phi_w = rk4_mode_factors(self.system.a1.w, self.schedule.step_size)[0]
+        band = np.abs(np.angle(np.exp(1j * period * phi_w)))
         q, p = np.empty((2, len(steps_wanted)))
-        ks, rs = np.divmod(steps_wanted, fl["period"])
+        ks, rs = np.divmod(steps_wanted, period)
         for r in np.unique(rs):
             at = rs == r
             # (Q, P) after k periods and r steps are Re sum_j c_j mu_j^k with
-            # c = rows01[r] v'; the imaginary parts must cancel to rounding
-            # against their scale sum_j |c_j| |mu_j|^k
+            # c = rows01[r] v'.  A pair mu, conj(mu) with coefficients c, c'
+            # gives Re (c + conj c') mu^k, and the imaginary parts Im (c -
+            # conj c') mu^k must cancel to rounding against their scale
+            # sum_j |c_j| |mu_j|^k
             c = fl["rows01"][r] * vprime0
-            sums = mode_sums(ks[at], fl["log_mu"].imag, fl["log_mu"].real,
-                             [(c.real[i], -c.imag[i]) for i in (0, 1)]
-                             + [(c.imag[i], c.real[i]) for i in (0, 1)],
-                             decay_rows=np.abs(c))
+            mate = np.where(mates >= 0, c[:, mates], 0.0).conj()
+            both, diff = c[:, keep] + mate, c[:, keep] - mate
+            sums = banded_sums(ks[at], log_mu[keep].imag, log_mu[keep].real,
+                               [(both.real[i], -both.imag[i]) for i in (0, 1)]
+                               + [(diff.imag[i], diff.real[i]) for i in (0, 1)],
+                               band, decay_rows=list(np.abs(c[:, keep]) + np.abs(mate)))
             if np.any(np.abs(sums[2:4]) > 1e-9 * np.maximum(sums[4:], 1e-300)):
                 raise NumericalError(
                     "imaginary residue in period map observation exceeds "
@@ -633,8 +689,8 @@ class SwitchedPropagator:
             q[at], p[at] = sums[0], sums[1]
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NumericalError("switched run diverged")
-        k, r = divmod(final_step, fl["period"])
-        return q, p, fl["state"](np.exp(fl["log_mu"] * k) * vprime0, r)
+        k, r = divmod(final_step, period)
+        return q, p, fl["state"](np.exp(log_mu * k) * vprime0, r)
 
     # -- entry point -----------------------------------------------------
 
@@ -662,10 +718,12 @@ class SwitchedPropagator:
         period map that factorizes with a residual above QUALITY_TOL, or
         whose fastest growing mode grows by more than e^GROWTH_TOL over
         the run (a parametrically resonant schedule), is a NumericalError.
-        The period map is sampled through propagator.mode_sums, so beyond
-        its factorization a run holds one set of SAMPLE_CHUNK tables
-        however many samples it takes.  t_final defaults to the last
-        (snapped) sample time.
+        The period map is sampled through propagator.banded_sums, whose
+        transform holds a grid sized by the run's span times the bath
+        band and whose direct sum holds one set of SAMPLE_CHUNK tables,
+        so beyond its factorization a run's memory does not grow with
+        the number of samples.  t_final defaults to the last (snapped)
+        sample time.
         """
         v0 = np.asarray(v0, dtype=float)
         if v0.shape != (self.system.dim,):

@@ -1,25 +1,34 @@
-"""The exact sampler's type-3 transform against the direct mode sum.
+"""Every sampler's type-3 transform against the direct mode sum.
 
-The oracle is propagator.mode_sums over every mode, with the coefficient
-rows (u0 a, u0 b / nu) for Q and (u0 b, -u0 a nu) for P / M.  The
-transform's gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|;
-both sums also carry the rounding of the phases nu t, eps max|nu t| of
-the same sum at most, which is added to every bound against the oracle.
+The oracle is propagator.mode_sums over every mode: for the exact and
+the RK4 sampler with the coefficient rows (u0 a, u0 b / nu) for Q and
+(u0 b, -u0 a nu) for P / M, for the period map with the rows of c =
+rows01[r] v' over both members of each conjugate pair.  The transform's
+gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|; both sums also
+carry the rounding of the phases x theta, eps max|x theta| of the same
+sum at most, and a decay e^{x d} is gridded as a series whose remainder
+is at most |x d|^(J+1) e^|x d| / (J+1)!; both are added to every bound
+against the oracle.
 """
 
+import math
 import tracemalloc
 
 import numpy as np
 import pytest
 
-from finitebath import propagator
+from finitebath import propagator, switched
 from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.experiments import exchange_splitting
-from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
+from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
+                              initial_state)
 from finitebath.propagator import (NUFFT_TOL, build_multi_coupling_matrix,
-                                   diagonalize, gridded_sums, mode_sums)
+                                   diagonalize, gridded_sums, mode_sums,
+                                   rk4_mode_factors)
 from finitebath.rng import SAMPLING_TIMES, substream
 from finitebath.stats import SamplingPlan, make_sampling_times
+from finitebath.switched import (SwitchSchedule, SwitchedPropagator,
+                                 build_switched_matrices, default_step_size)
 
 BAND = DensityOfStates("uniform", 0.2, 1.0)
 # the sampling plans of sweep_n400 (X = 2e4), of the twobath-alone curves
@@ -257,3 +266,170 @@ def test_transform_memory_just_below_the_grid_cap():
     assert not propagator.grid_fits(np.linspace(0.0, 2.5e5, 4000), prop.nu)
     assert _peak(lambda: prop.sample_test_particle(t)) < 1e7
     _check_sampler(prop, t)
+
+
+# -- the RK4 and the period-map samplers ----------------------------------
+#
+# Their decays e^{x d} are gridded as the series sum_{j<=J} (x d)^j / j!.
+# The inputs are those of two benchmark workloads: rk4_dense (one bath
+# of 400 at m = 1e-3, 4000 samples 0.5 apart, the default RK4 step) and
+# twobath_floquet (2 x 200 at m = 1e-3, static renormalization, h = 1e-3,
+# 2000 samples 25 apart after a warmup of 1000).
+
+RK4_PLAN = SamplingPlan(mean_interval=0.5, n_samples=4000)
+TWOBATH_PLAN = SamplingPlan(mean_interval=25.0, n_samples=2000, warmup=1000.0)
+
+
+def _remainder(y_max):
+    """The series' remainder bound at its derived order."""
+    order = propagator._decay_order(y_max)
+    return y_max ** (order + 1) * np.exp(y_max) / math.factorial(order + 1)
+
+
+def _rk4_inputs(omega, seed=1):
+    """(prop, steps, h) of one rk4_dense point."""
+    bath = BathSpec(size=400, mass=1e-3, temperature=5.0, dos=BAND)
+    real = realize_bath(bath, seed)
+    tp = TestParticleSpec(mass=1.0, omega=omega)
+    cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
+    h = default_step_size(cm)
+    steps = np.rint(_times(RK4_PLAN, seed) / h)
+    return diagonalize(cm, initial_state(tp, (real,)).as_vector()), steps, h
+
+
+def _rk4_decay(prop, steps, h):
+    """The largest |n log rho| over the modes inside the band."""
+    phi, log_rho = rk4_mode_factors(prop.nu, h)
+    band = rk4_mode_factors(prop.cm.w, h)[0]
+    inside = (phi >= band.min()) & (phi <= band.max())
+    return np.max(steps) * np.max(np.abs(log_rho[inside]))
+
+
+@pytest.mark.parametrize("omega", [0.01, 0.5, 10.0])
+def test_rk4_sampler_matches_the_direct_sum(omega):
+    prop, steps, h = _rk4_inputs(omega)
+    phi, log_rho = rk4_mode_factors(prop.nu, h)
+    rows = _rows(prop)
+    want = mode_sums(steps, phi, log_rho, rows)
+    q, p = prop.sample_rk4(steps, h)
+    rest = _remainder(_rk4_decay(prop, steps, h))
+    for got, ref, bound in zip((q, p / prop.cm.tp.mass), want,
+                               _bounds(rows, phi, steps, NUFFT_TOL + rest)):
+        assert np.max(np.abs(got - ref)) <= bound
+
+
+def _twobath_system(omega, seed):
+    spec = BathSpec(size=200, mass=1e-3, temperature=7.5, dos=BAND)
+    return build_switched_matrices(TestParticleSpec(mass=1.0, omega=omega),
+                                   realize_bath(spec, seed, 0), realize_bath(spec, seed, 1),
+                                   renormalization="static")
+
+
+def _twobath_run(monkeypatch, omega=0.55, seed=2):
+    """One twobath_floquet point: its run result, period map data and v'."""
+    system = _twobath_system(omega, seed)
+    prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
+    built, build = [], SwitchedPropagator._build_floquet
+
+    def keep(self, last):
+        built.append(build(self, last))
+        return built[-1]
+
+    v0 = system.initial_vector()
+    with monkeypatch.context() as patch:
+        patch.setattr(SwitchedPropagator, "_build_floquet", keep)
+        res = prop.run(v0, _times(TWOBATH_PLAN, seed))
+    (fl,) = built
+    return res, fl, fl["amplitudes"](v0)
+
+
+@pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
+def test_period_map_sampler_matches_the_direct_sum(monkeypatch, dense):
+    """Both routes of the period map against the direct sum over both halves of each pair."""
+    outcomes, factor = [], switched._ModalPeriodMap.floquet
+
+    def recording(self, quality_tol):
+        fl = factor(self, quality_tol)
+        outcomes.append(fl is not None)
+        return fl
+
+    monkeypatch.setattr(switched._ModalPeriodMap, "floquet", recording)
+    if dense:
+        monkeypatch.setattr(switched, "RANK_PER_DIM", 10**9)
+    res, fl, vprime = _twobath_run(monkeypatch)
+    assert outcomes == ([] if dense else [True])
+    log_mu = fl["log_mu"]
+    ks, rs = np.divmod(res.steps, fl["period"])
+    for r in np.unique(rs):
+        at = rs == r
+        c = fl["rows01"][r] * vprime
+        rows = [(c.real[i], -c.imag[i]) for i in (0, 1)]
+        want = mode_sums(ks[at], log_mu.imag, log_mu.real, rows)
+        rest = _remainder(np.max(ks[at]) * np.max(np.abs(log_mu.real)))
+        for got, ref, bound in zip((res.q[at], res.p[at]), want,
+                                   _bounds(rows, log_mu.imag, ks[at], NUFFT_TOL + rest)):
+            assert np.max(np.abs(got - ref)) <= bound
+
+
+def test_decay_order_is_derived_from_the_tolerance(monkeypatch):
+    """J = 3 on the rk4_dense inputs, J = 0 on the twobath_floquet inputs."""
+    for omega in (0.3, 0.5, 0.7):
+        assert propagator._decay_order(_rk4_decay(*_rk4_inputs(omega))) == 3
+    res, fl, _ = _twobath_run(monkeypatch)
+    y_max = np.max(res.steps // fl["period"]) * np.max(np.abs(fl["log_mu"].real))
+    assert y_max <= 1e-12 and propagator._decay_order(y_max) == 0
+    assert propagator._decay_order(0.0) == 0
+    for y in (1e-6, 1e-3, 0.1, 0.6):
+        order = propagator._decay_order(y)
+        assert _remainder(y) <= NUFFT_TOL < y**order * np.exp(y) / math.factorial(order)
+    # beyond e^y = 2 the series is not used
+    assert propagator._decay_order(0.7) is None
+    assert propagator._decay_order(np.nan) is None
+
+
+def _recording_mode_sums(monkeypatch):
+    """Record how many modes each mode_sums call sums directly."""
+    seen = []
+
+    def recording(x, theta, *args, **kwargs):
+        seen.append(len(theta))
+        return mode_sums(x, theta, *args, **kwargs)
+
+    monkeypatch.setattr(propagator, "mode_sums", recording)
+    return seen
+
+
+def test_rk4_and_period_map_sum_only_out_of_band_modes_directly(monkeypatch):
+    """On the rk4_dense and twobath_floquet inputs mode_sums sees at most 2 modes a call."""
+    inputs = [_rk4_inputs(omega) for omega in (0.3, 0.5, 0.7)]
+    seen = _recording_mode_sums(monkeypatch)
+    for prop, steps, h in inputs:
+        prop.sample_rk4(steps, h)
+    assert len(seen) == len(inputs) and max(seen) <= 2
+    for omega, seed in ((0.35, 1), (0.55, 2), (0.75, 11)):
+        system = _twobath_system(omega, seed)
+        seen = _recording_mode_sums(monkeypatch)
+        SwitchedPropagator(system, SwitchSchedule(step_size=1e-3)).run(
+            system.initial_vector(), _times(TWOBATH_PLAN, seed))
+        # one call per residue class of the period (2 steps)
+        assert len(seen) == 2 and max(seen) <= 2
+
+
+def test_rk4_sampler_memory_stays_below_the_direct_sum():
+    prop, steps, h = _rk4_inputs(0.5)
+    phi, log_rho = rk4_mode_factors(prop.nu, h)
+    rows = _rows(prop)
+    fast = _peak(lambda: prop.sample_rk4(steps, h))
+    direct = _peak(lambda: mode_sums(steps, phi, log_rho, rows))
+    assert fast <= direct
+
+
+def test_period_map_sampler_memory_stays_below_the_direct_sum(monkeypatch):
+    """The whole switched run, against the same run with every mode summed directly."""
+    system = _twobath_system(0.55, 2)
+    prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
+    v0, t = system.initial_vector(), _times(TWOBATH_PLAN, 2)
+    fast = _peak(lambda: prop.run(v0, t))
+    monkeypatch.setattr(propagator, "grid_fits", lambda *args: False)
+    direct = _peak(lambda: prop.run(v0, t))
+    assert fast <= direct

@@ -17,6 +17,8 @@ from finitebath.propagator import (RK4_STABILITY_LIMIT, EigensolverError,
                                    NumericalError, build_multi_coupling_matrix,
                                    diagonalize, drift_matrix, max_mode_frequency,
                                    rk4_mode_factors)
+from finitebath.rng import SAMPLING_TIMES, substream
+from finitebath.stats import SamplingPlan, make_sampling_times
 from finitebath.switched import (
     SwitchSchedule,
     SwitchedPropagator,
@@ -583,6 +585,56 @@ def test_parametrically_unstable_schedule_raises_numerical_error():
     # a stable schedule of the same system, run as long, grows far below the bound
     stable = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=3, step_size=0.02))
     assert stable.run(system.initial_vector(), times).engine == "floquet"
+
+
+def _frustration_point(omega, seed, plan, schedule):
+    """A switched point of scripts/two_bath_frustration.json's baths: (propagator, v0, times)."""
+    spec = BathSpec(size=200, mass=1e-3, temperature=7.5,
+                    dos=DensityOfStates("uniform", 0.2, 1.0))
+    system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=omega),
+                                     realize_bath(spec, seed, 0), realize_bath(spec, seed, 1),
+                                     renormalization="static")
+    times = make_sampling_times(plan, substream(seed, SAMPLING_TIMES).generator())
+    return SwitchedPropagator(system, schedule), system.initial_vector(), times
+
+
+def test_a_real_multiplier_stops_the_structured_roots_at_once(monkeypatch):
+    # the resonant schedule of the study config at h = 0.02 and half periods
+    # of 250 steps (Omega = 0.55, seed 1, 200 samples 1.5 apart) has a real
+    # multiplier near -1.  Its root bounces across the real axis; iterated
+    # on its own from the first sweep, it crosses twice within 10 steps,
+    # before the other 400 roots converge (about 2300 root steps in all),
+    # and the dense route finds the growth
+    prop, v0, times = _frustration_point(
+        0.55, 1, SamplingPlan(mean_interval=1.5, n_samples=200),
+        SwitchSchedule(delta_t_steps=250, step_size=0.02))
+    moved, found, steps = [], [], switched._ModalPeriodMap._aberth_steps
+    roots = switched._ModalPeriodMap.roots
+
+    def counting(self, every, idx):
+        moved.append(len(idx))
+        return steps(self, every, idx)
+
+    monkeypatch.setattr(switched._ModalPeriodMap, "_aberth_steps", counting)
+    monkeypatch.setattr(switched._ModalPeriodMap, "roots",
+                        lambda self: found.append(roots(self)) or found[-1])
+    with pytest.raises(NumericalError, match=r"grows by e\^0.206 over"):
+        prop.run(v0, times)
+    assert found == [None] and sum(moved) < 2 * (prop.system.dim // 2)
+
+
+def test_twobath_benchmark_points_stay_on_the_structured_route(monkeypatch):
+    # the twobath_floquet points of workload seeds 0 and 5 (physics seeds 1, 2
+    # and 11, 12), 2000 samples 25 apart after a warmup of 1000
+    dense = []
+    monkeypatch.setattr(SwitchedPropagator, "_dense_floquet",
+                        lambda self, last: dense.append(self) or pytest.fail("dense route"))
+    plan = SamplingPlan(mean_interval=25.0, n_samples=2000, warmup=1000.0)
+    for seed in (1, 2, 11, 12):
+        for omega in (0.35, 0.55, 0.75):
+            prop, v0, times = _frustration_point(omega, seed, plan, SwitchSchedule(step_size=1e-3))
+            assert prop.run(v0, times).engine == "floquet"
+    assert dense == []
 
 
 def test_sample_times_snap_to_the_nearest_step():
