@@ -84,10 +84,22 @@ mode_sums, chunked real tables of O(N) work per sample, which keeps the
 grid independent of Omega.  Inputs whose grid would outgrow its memory
 cap (grid_fits), or hold more points than the direct sum has terms, are
 summed directly too.
+
+Buffers.  Beyond its O(N) data a pass over the modes holds a few buffers
+of SHAPE_BLOCK by N + 1 entries, and the transform chunk buffers of
+GRID_CHUNK entries plus its FFT rows.  Each pass allocates its buffers
+once per call and writes every block's temporaries into them (out= and
+in-place ufuncs): an array allocated afresh per block or per call is
+often handed back to the kernel by malloc when it is freed, and the
+next one is page-faulted in and zeroed again.  The FFT rows persist from
+call to call in one module buffer that only grows, to at most two rows
+of _MAX_FFT points (4 MB).  A buffer backs at most one live array at a
+time, and no array a function returns shares memory with one.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -230,9 +242,10 @@ def _deflate(cm: CouplingMatrix) -> _Deflated:
 
 
 # modes per (coordinates x modes) block of shapes, and poles per (poles x
-# roots) table of Loewner's product: a factorization holds a few arrays of
-# 64 (N + 1) entries, O(N) memory.  Fewer columns shorten numpy's inner
-# loops: at N = 2e4, 6 columns (a fixed 1 MB block) ran twice as slow
+# roots) table of Loewner's product: a pass holds a few buffers of
+# 64 (N + 1) entries, allocated once and written by every block, O(N)
+# memory.  Fewer columns shorten numpy's inner loops: at N = 2e4, 6
+# columns (a fixed 1 MB block) ran twice as slow
 SHAPE_BLOCK = 64
 
 
@@ -303,16 +316,21 @@ def max_mode_frequency(cm: CouplingMatrix) -> float:
     return top
 
 
-def _d_minus_lam(w, nu0, tau, out=None):
+def _view(buf, shape):
+    """The leading entries of the flat buffer buf as a contiguous array of this shape."""
+    return buf[:math.prod(shape)].reshape(shape)
+
+
+def _d_minus_lam(w, nu0, tau, out=None, scratch=None):
     """w_a^2 - lam_k for poles w_a (rows) and roots nu_k = nu0_k + tau_k.
 
     Formed as (w_a - nu_k)(w_a + nu_k): the first factor exact through
     the stored (pole, offset) form of the root, the second without
-    cancellation.
+    cancellation.  scratch, of out's shape, takes the second factor.
     """
     out = np.subtract.outer(w, nu0, out=out)
     out -= tau
-    out *= np.add.outer(w, nu0 + tau)
+    out *= np.add.outer(w, nu0 + tau, out=scratch)
     return out
 
 
@@ -324,14 +342,17 @@ def _loewner_z(bath, nu0, tau):
     """
     n_s = len(bath)
     zhat = np.empty(n_s)
+    # every block's ratios, their denominators and the second factor of
+    # each difference of squares
+    ratios, dens, factors = np.empty((3, min(SHAPE_BLOCK, n_s), n_s))
     for lo in range(0, n_s, SHAPE_BLOCK):
         arms = np.arange(lo, min(lo + SHAPE_BLOCK, n_s))
-        w = bath[arms]
+        k, w = len(arms), bath[arms]
         # (d_a - lam_j+1) / (d_a - d_j), and -(d_a - lam_a+1) for j = a
-        ratio = _d_minus_lam(w, nu0[1:], tau[1:])
-        den = np.subtract.outer(w, bath)
-        den *= np.add.outer(w, bath)
-        den[np.arange(len(arms)), arms] = -1.0
+        ratio = _d_minus_lam(w, nu0[1:], tau[1:], out=ratios[:k], scratch=factors[:k])
+        den = np.subtract.outer(w, bath, out=dens[:k])
+        den *= np.add.outer(w, bath, out=factors[:k])
+        den[np.arange(k), arms] = -1.0
         ratio /= den
         zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
     if not np.all(zhat > 0.0):
@@ -391,18 +412,20 @@ def _mode_blocks(sh: _ModeShapes):
     n, n_r, n_c = len(sh.coord), len(sh.nu0), len(sh.pole)
     n_free = n - 1 - n_c
     step = SHAPE_BLOCK
-    flat = np.empty(n * min(step, n))
+    # the blocks, and the second factor of each lam_k - d_a
+    flat, factor = np.empty(n * min(step, n)), np.empty(n * min(step, n))
 
     def block_of(k):
         # contiguous for any k, so row-wise operations stream
-        return flat[:n * k].reshape(n, k)
+        return _view(flat, (n, k))
 
     # secular modes (1, zhat_a direction_i / (lam_k - d_a)), normalized
     minus_coef = -sh.coef[:, None]
     for lo in range(0, n_r, step):
         hi = min(lo + step, n_r)
         block = block_of(hi - lo)
-        amp = _d_minus_lam(sh.pole, sh.nu0[lo:hi], sh.tau[lo:hi], out=block[1:1 + n_c])
+        amp = _d_minus_lam(sh.pole, sh.nu0[lo:hi], sh.tau[lo:hi], out=block[1:1 + n_c],
+                           scratch=_view(factor, (n_c, hi - lo)))
         np.divide(minus_coef, amp, out=amp)
         block[0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->j", amp, amp))
         amp *= block[0]
@@ -476,11 +499,9 @@ class EigenPropagator:
         return live, [(u0 * a, u0 * b / nu), (u0 * b, -(u0 * a * nu))]
 
 
-# entries of one table or buffer of mode_sums and gridded_sums, 2 MB: the
-# direct sum holds three (samples x modes) tables, the transform three
-# spreading buffers (modes x points) and then three gathering buffers
-# (times x points).  Larger tables raise the peak memory of a run more
-# than they save time
+# entries of one table of mode_sums, 2 MB: the direct sum holds three
+# (samples x modes) tables, allocated once per call.  Larger tables raise
+# the peak memory of a run more than they save time
 SAMPLE_CHUNK = 250_000
 
 
@@ -499,8 +520,6 @@ def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
     out = np.empty((len(rows) + len(decay_rows), len(x)))
     # chunked so the (samples x modes) tables stay cache friendly
     step = max(1, SAMPLE_CHUNK // max(len(theta), 1))
-    # one set of tables for every chunk: tables allocated per chunk are
-    # often mapped afresh by malloc and page-faulted in again
     tables = np.empty((3, min(step, len(x)), len(theta)))
     for lo in range(0, len(x), step):
         xx = x[lo:lo + step]
@@ -572,13 +591,11 @@ def _grid(t, nu) -> _Grid:
                  n_fft=1 << (_OVERSAMPLE * (2 * half + 1) - 1).bit_length())
 
 
-# FFT points of gridded_sums.  While the FFT runs it holds the padded
-# rows and their transform, 64 bytes per point for Q and P together:
-# 8.4 MB at the cap, and a peak of about 9 MB with the other arrays,
-# next to the direct sum's 6 MB of tables; banded_sums passes it two
-# rows at a time.  The benchmark sweeps need 2^15 points (band 0.8 wide,
-# times 4e4 to 5e4 long); a band of that width fits times up to about
-# 2.4e5 long
+# FFT points of gridded_sums.  Its FFT buffer holds two rows, 32 bytes
+# per point, and is transformed in place: 4 MB at the cap, kept from call
+# to call, next to the direct sum's 6 MB of tables.  The benchmark sweeps
+# need 2^15 points (band 0.8 wide, times 4e4 to 5e4 long); a band of that
+# width fits times up to about 2.4e5 long
 _MAX_FFT = 1 << 17
 
 
@@ -604,75 +621,106 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
        c'_k = c_k e^{i v_k t_c}.  N + M trig evaluations.
     2. Spread each c'_k onto the grid v = g h with the Gaussian
        exp(-(v - v_k)^2 / 2 s^2), s = a / X, cut at _KERNEL_CUT s: grid
-       coefficients F_g, two np.bincount calls (real, imaginary) per row.
+       coefficients F_g, accumulated in order by np.add.at (real,
+       imaginary) straight into the FFT row, F_g at index g mod its length.
     3. h sum_g F_g e^{i g h t'} = g(t') phi(t') up to truncation and
        aliasing, phi(t') = s sqrt(2 pi) e^{-s^2 t'^2 / 2} the kernel's
        transform.  Evaluate it at the t' by the Gaussian type-2 step:
-       deconvolve, zero-padded np.fft, gather 2 _M_SP grid points per time.
+       deconvolve, zero-padded np.fft in place, gather 2 _M_SP grid
+       points per time.
     4. Divide by phi(t') and restore e^{i nu_c t}.
 
-    Spreading and gathering go through buffers of at most SAMPLE_CHUNK
-    entries each, reused chunk after chunk.  The FFT rows grow with span
-    times band: about 64 bytes per FFT point for two rows while the FFT
-    runs, which grid_fits caps at _MAX_FFT points.
+    The rows go through steps 2 and 3 two at a time, in the module's FFT
+    buffer (_fft_rows), which grid_fits caps at two rows of _MAX_FFT
+    points.  Spreading and gathering go through buffers of GRID_CHUNK
+    entries each, reused chunk after chunk.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     nu = np.asarray(nu, dtype=float)
-    # 1.-2. centre, and spread the c'_k in grid units u_k = v_k / h
+    # 1. centre; the c'_k are spread in grid units u_k = v_k / h
     g = _grid(t, nu)
     v = nu - g.nu_c
     spin = np.exp(1j * (v * g.t_c))
-    grid = _spread(v / g.h, [(a - 1j * b) * spin for a, b in rows], g.half)
-
-    # 3. type-2 step: sum_|m|<=K F_m e^{i m x} at x = h t' in (-pi, pi)
+    u = v / g.h
+    # 3. type-2 step: sum_|m|<=K F_m e^{i m x} at x = h t' in (-pi, pi).
+    # The deconvolution is even in m: deconv[m] for m >= 0
     size, n_fft = 2 * g.half + 1, g.n_fft
     r = n_fft / size
     tau = np.pi * _M_SP / (size * size * r * (r - 0.5))
-    modes = np.arange(-g.half, g.half + 1)
-    grid *= np.sqrt(np.pi / tau) * np.exp(tau * modes * modes)
-    padded = np.zeros((len(rows), n_fft), complex)
-    padded[:, modes] = grid
-    del grid
-    smooth = np.fft.ifft(padded, axis=1)
-    del padded
+    m = np.arange(g.half + 1)
+    deconv = np.sqrt(np.pi / tau) * np.exp(tau * m * m)
     tp = t - g.t_c
-    re_im = _gather(smooth, tp * (g.h * n_fft / (2.0 * np.pi)),
-                    -(2.0 * np.pi / n_fft) ** 2 / (4.0 * tau))
-
+    xi = tp * (g.h * n_fft / (2.0 * np.pi))
+    rate = -(2.0 * np.pi / n_fft) ** 2 / (4.0 * tau)
     # 4. Re e^{i nu_c t} (re + i im) h / phi(t')
     s = _KERNEL_A / g.half_span
     scale = (g.h / (s * np.sqrt(2.0 * np.pi))) * np.exp(0.5 * (s * tp) ** 2)
     phase = g.nu_c * t
-    return re_im[:, 0] * (np.cos(phase) * scale) - re_im[:, 1] * (np.sin(phase) * scale)
+    cos, sin = np.cos(phase) * scale, np.sin(phase) * scale
+    out = np.empty((len(rows), len(t)))
+    # 2.-4. for each pair of rows
+    for lo in range(0, len(rows), 2):
+        pair = rows[lo:lo + 2]
+        grid = _fft_rows(len(pair), n_fft)
+        _spread(u, [(a - 1j * b) * spin for a, b in pair], grid)
+        grid[:, :g.half + 1] *= deconv
+        grid[:, n_fft - g.half:] *= deconv[:0:-1]
+        np.fft.ifft(grid, axis=1, out=grid)
+        re_im = _gather(grid, xi, rate)
+        out[lo:lo + 2] = re_im[:, 0] * cos - re_im[:, 1] * sin
+    return out
 
 
-def _spread(u, coef, half) -> np.ndarray:
-    """Grid coefficients F_m, |m| <= half, of Gaussians at grid positions u.
+# The transform's FFT rows persist from call to call in one buffer that
+# only grows: at most two rows of _MAX_FFT points, 4 MB
+_fft_buffer = np.empty(0, complex)
 
-    Row j is sum_k coef[j][k] exp(-(m - u_k)^2 / 2 _SIGMA^2) over the
-    _WIDTH grid points around each u_k, accumulated by np.bincount.
+
+def _fft_rows(n_rows, n_fft):
+    """n_rows zeroed FFT rows of n_fft points, a view of the module's FFT buffer.
+
+    The view is valid until the next call.
     """
-    size = 2 * half + 1
+    global _fft_buffer
+    if len(_fft_buffer) < n_rows * n_fft:
+        _fft_buffer = np.empty(n_rows * n_fft, complex)
+    rows = _view(_fft_buffer, (n_rows, n_fft))
+    rows[...] = 0.0
+    return rows
+
+
+# entries of one spreading or gathering buffer of gridded_sums, 256 KB, so
+# that a chunk's three tables stay in a 1 MB L2 cache.  At N = 400 and 4000
+# times, a quarter of that ran about 20 % slower, and four times that took
+# its tables afresh from the kernel on every call
+GRID_CHUNK = 32_768
+
+
+def _spread(u, coef, rows):
+    """Add to each row Gaussians at grid positions u: F_m at rows[j, m], m mod the length.
+
+    Row j gains sum_k coef[j][k] exp(-(m - u_k)^2 / 2 _SIGMA^2) over the
+    _WIDTH grid points m around each u_k.  np.add.at adds the terms in
+    order of k, whatever the chunk size.
+    """
     cut = _KERNEL_CUT * _SIGMA
-    step = max(1, SAMPLE_CHUNK // _WIDTH)
+    step = max(1, GRID_CHUNK // _WIDTH)
     shape = (min(step, len(u)), _WIDTH)
     index, weight, part = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
     points = np.arange(_WIDTH)
-    grid = np.zeros((len(coef), size), complex)
     for lo in range(0, len(u), step):
         uu = u[lo:lo + step]
         first = np.ceil(uu - cut)
         ix, w, pt = index[:len(uu)], weight[:len(uu)], part[:len(uu)]
-        np.add.outer(first.astype(np.intp) + half, points, out=ix)
+        np.add.outer(first.astype(np.intp), points, out=ix)
         np.add.outer(first - uu, points, out=w)
         w *= w
         w *= -0.5 / _SIGMA**2
         np.exp(w, out=w)
-        for row, c in zip(grid, coef):
+        for row, c in zip(rows, coef):
             for out, values in ((row.real, c.real), (row.imag, c.imag)):
                 np.multiply(w, values[lo:lo + step, None], out=pt)
-                out += np.bincount(ix.ravel(), pt.ravel(), size)
-    return grid
+                np.add.at(out, ix.ravel(), pt.ravel())
 
 
 def _gather(smooth, xi, rate) -> np.ndarray:
@@ -681,7 +729,7 @@ def _gather(smooth, xi, rate) -> np.ndarray:
     Entry [j, :, i] is sum_l smooth[j, l] exp(rate (xi_i - l)^2) over the
     2 _M_SP points l nearest xi_i, indices taken modulo the row length.
     """
-    step = max(1, SAMPLE_CHUNK // (2 * _M_SP))
+    step = max(1, GRID_CHUNK // (2 * _M_SP))
     shape = (min(step, len(xi)), 2 * _M_SP)
     index, weight, taken = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
     points = np.arange(1 - _M_SP, _M_SP + 1)
@@ -743,12 +791,12 @@ def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
         order = _decay_order(np.max(np.abs(x), initial=0.0)
                              * np.max(np.abs(log_decay[inside])))
     # the grid must also be smaller than the direct sum it replaces: the
-    # FFTs of all gridded_sums calls hold no more points than the direct
-    # sum has terms.  A few times, as in each residue class of a long
-    # switching period, are summed directly, which is exact to rounding
-    calls = 0 if order is None else (order + 1) * ((len(rows) + 1) // 2)
-    if not (calls and grid_fits(x, theta[inside])
-            and calls * _grid(x, theta[inside]).n_fft <= len(x) * np.count_nonzero(inside)):
+    # FFTs of gridded_sums, one per pair of rows, hold no more points than
+    # the direct sum has terms.  A few times, as in each residue class of a
+    # long switching period, are summed directly, which is exact to rounding
+    ffts = 0 if order is None else (order + 1) * ((len(rows) + 1) // 2)
+    if not (ffts and grid_fits(x, theta[inside])
+            and ffts * _grid(x, theta[inside]).n_fft <= len(x) * np.count_nonzero(inside)):
         inside[:] = False
     out = mode_sums(x, theta[~inside], None if log_decay is None else log_decay[~inside],
                     [(a[~inside], b[~inside]) for a, b in rows],
@@ -758,10 +806,8 @@ def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
     powers = [1.0]                   # d^j for j <= J
     for _ in range(order):
         powers.append(powers[-1] * log_decay[inside])
-    grid_rows = [(a[inside] * dj, b[inside] * dj) for dj in powers for a, b in rows]
-    # two rows per call, so that the FFT's memory stays that of Q and P
-    terms = np.concatenate([gridded_sums(x, theta[inside], grid_rows[i:i + 2])
-                            for i in range(0, len(grid_rows), 2)])
+    terms = gridded_sums(x, theta[inside],
+                         [(a[inside] * dj, b[inside] * dj) for dj in powers for a, b in rows])
     out[:len(rows)] += _series(terms.reshape(order + 1, len(rows), len(x)), x)
     if len(decay_rows):
         moments = [[np.sum(r[inside] * dj) for r in decay_rows] for dj in powers]
@@ -890,8 +936,9 @@ def mode_vector(prop: EigenPropagator, f, g) -> np.ndarray:
     """
     fg = np.stack([f, g], axis=1)
     acc = np.zeros((len(prop.nu), 2))
+    part = np.empty_like(acc)
     for cols, block in _mode_blocks(prop.shapes):
-        acc += block @ fg[cols]
+        acc += np.matmul(block, fg[cols], out=part)
     root_m = np.sqrt(prop.cm.mass)
     vec = np.empty(2 * len(prop.nu))
     vec[0::2][prop.shapes.coord] = acc[:, 0]
@@ -914,10 +961,14 @@ def mode_residual(prop: EigenPropagator) -> float:
     bath = prop.shapes.coord[1:] - 1
     z, d = cm.z[bath], cm.d[bath]
     sq = 0.0
+    size = len(prop.nu) * min(SHAPE_BLOCK, len(prop.nu))
+    res_buf, d_buf, z_buf = np.empty((3, size))
     for cols, v in _mode_blocks(prop.shapes):
-        res = v * -prop.nu[cols] ** 2
+        res = np.multiply(v, -prop.nu[cols] ** 2, out=_view(res_buf, v.shape))
         res[0] += cm.alpha * v[0] + z @ v[1:]
-        res[1:] += d[:, None] * v[1:] + z[:, None] * v[0]
+        dv = np.multiply(d[:, None], v[1:], out=_view(d_buf, v[1:].shape))
+        dv += np.multiply(z[:, None], v[0], out=_view(z_buf, v[1:].shape))
+        res[1:] += dv
         sq += float(np.einsum("ij,ij->", res, res))
     hnorm = np.sqrt(cm.alpha**2 + np.sum(cm.d**2) + 2.0 * np.sum(cm.z**2))
     return float(np.sqrt(sq) / hnorm)

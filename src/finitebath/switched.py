@@ -69,7 +69,7 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
-                         EigensolverError, NumericalError, banded_sums,
+                         EigensolverError, NumericalError, _view, banded_sums,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
                          mode_amplitudes, mode_vector, rk4_full_state,
@@ -239,8 +239,9 @@ class _ModalPeriodMap:
     the exact log phases, so every difference t_k - sigma keeps its
     relative accuracy.  Nothing of size dim^2 is formed: each pass over the
     roots takes SHAPE_BLOCK of them at a time, through closed forms in the
-    r x r null vectors.  floquet() finds the roots and vectors;
-    amplitudes() and state() use them.
+    r x r null vectors, and writes a block's rows into the map's two work
+    buffers.  floquet() finds the roots and vectors; amplitudes() and
+    state() use them.
     """
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -315,16 +316,32 @@ class _ModalPeriodMap:
         """One phase-2 RK4 step of the modal vector v."""
         return self.step * v + self.x_e @ (self.y_e.conj().T @ v)
 
+    @cached_property
+    def _work(self):
+        """Two flat buffers of SHAPE_BLOCK roots by dim, reused by every block.
+
+        The first holds a block's resolvent rows (or the Aberth step's root
+        differences), the second their squares or the block's right vectors.
+        """
+        dim = len(self._factors[3])
+        return np.empty((2, min(SHAPE_BLOCK, dim // 2) * dim), complex)
+
     def _resolvent(self, sigma):
-        """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root."""
-        g = self._factors[3][None, :] - sigma[:, None]
+        """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root.
+
+        A view of the first work buffer, valid until the next call.
+        """
+        t = self._factors[3]
+        g = np.subtract(t, sigma[:, None], out=_view(self._work[0], (len(sigma), len(t))))
         return np.reciprocal(g, out=g)
 
     def _secular(self, g, power=1):
         """Y^H (T - sigma)^-power X per root (power 1 and 2: S(sigma) - I and S'(sigma))."""
         x, _, w, _ = self._factors
         r = x.shape[1]
-        return ((g if power == 1 else g * g) @ w).reshape(-1, r, r)
+        if power == 2:
+            g = np.multiply(g, g, out=_view(self._work[1], g.shape))
+        return (g @ w).reshape(-1, r, r)
 
     def roots(self):
         """sigma with Im >= 0 by Aberth-Ehrlich iteration from the poles, or None.
@@ -451,7 +468,7 @@ class _ModalPeriodMap:
             c, ct = vh[:, -1, :].conj(), u[:, :, -1]
             self.null[0][idx], self.null[1][idx] = c, ct
             self.wsdot[idx] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2), c)
-            right = x @ c.T
+            right = np.matmul(x, c.T, out=_view(self._work[1], (len(t), len(idx))))
             right *= g.T
             rows01[..., idx] = rows @ right
             kernel = np.einsum("jab,jb->ja", sm, c)
@@ -488,19 +505,20 @@ class _ModalPeriodMap:
         """
         x = self._factors[0]
         u = np.zeros(x.shape, complex)
+        part = np.empty_like(u)
         for idx, g, c, _ in self._blocks():
-            u += g.T @ (c * coef[idx, None])
+            u += np.matmul(g.T, c * coef[idx, None], out=part)
         u = np.sum(x * u, axis=1)
         n = len(self.sigma)
         return u + np.r_[u[n:], u[:n]].conj()
 
     def _left_products(self, v):
         """w_j^H v / w_j^H s_j over the upper roots, w_j^H v = c~^H Y^H (T - sigma)^-1 v."""
-        y = self._factors[1]
+        y_conj = self._factors[1].conj()
         out = np.empty(len(self.sigma), complex)
         for idx, g, _, ct in self._blocks():
             g *= v
-            out[idx] = np.einsum("ja,ja->j", ct.conj(), g @ y.conj())
+            out[idx] = np.einsum("ja,ja->j", ct.conj(), g @ y_conj)
         return out / self.wsdot
 
     def amplitudes(self, v0):
