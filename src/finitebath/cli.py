@@ -29,6 +29,9 @@ from __future__ import annotations
 
 import argparse
 import json
+# unused here: argparse's translations import it when main builds the
+# parser, so it is loaded with the package instead of inside the run
+import locale
 import math
 import sys
 from dataclasses import asdict
@@ -78,6 +81,9 @@ _positive = _checked(float, lambda v: math.isfinite(v) and v > 0.0,
                      "a finite positive number")
 _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
                          "a finite number >= 0")
+# every frequency is squared (stiffness, energies)
+_frequency = _checked(float, lambda v: v >= 0.0 and math.isfinite(v * v),
+                      "a finite number >= 0 whose square is finite")
 
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
@@ -411,7 +417,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_ex.add_argument("--size", type=_count, default=100, help="bath oscillators")
     p_ex.add_argument("--xi", type=float, default=0.01,
                       help="coupling strength N m / M, must be < 1")
-    p_ex.add_argument("--omega-r", type=_positive, default=1.0,
+    p_ex.add_argument("--omega-r", type=_frequency, default=1.0,
                       help="shared bath frequency")
     p_ex.add_argument("--e0", type=_positive, default=10.0, help="kick energy")
     p_ex.add_argument("--n-periods", type=_count, default=16,
@@ -425,7 +431,7 @@ def build_parser() -> argparse.ArgumentParser:
     _add_out(o_lang)
     o_lang.add_argument("--gamma", type=_non_negative, required=True)
     o_lang.add_argument("--temperature", type=_non_negative, required=True)
-    o_lang.add_argument("--omega", type=_non_negative, default=1.0)
+    o_lang.add_argument("--omega", type=_frequency, default=1.0)
     o_lang.add_argument("--mass", type=_positive, default=1.0)
     o_lang.add_argument("--t-final", type=_positive, default=200.0)
     o_lang.add_argument("--dt", type=_positive, default=1e-3)

@@ -26,6 +26,20 @@ def _as_float(key, value):
     return float(value)
 
 
+def _as_frequency(key, value):
+    # the propagators square every frequency (stiffness, energies)
+    value = _as_float(key, value)
+    if not math.isfinite(value * value):
+        raise ConfigError(f"{key}: the square of frequency {value!r} overflows")
+    return value
+
+
+def _as_frequency_list(key, value):
+    if not isinstance(value, list) or not value:
+        raise ConfigError(f"{key}: expected a non-empty list of numbers, got {value!r}")
+    return tuple(_as_frequency(f"{key}[{i}]", v) for i, v in enumerate(value))
+
+
 def _as_int(key, value):
     if isinstance(value, bool) or not isinstance(value, int):
         if isinstance(value, float) and value.is_integer():
@@ -40,12 +54,6 @@ def _as_int_list(key, value):
     return tuple(_as_int(f"{key}[{i}]", v) for i, v in enumerate(value))
 
 
-def _as_float_list(key, value):
-    if not isinstance(value, list) or not value:
-        raise ConfigError(f"{key}: expected a non-empty list of numbers, got {value!r}")
-    return tuple(_as_float(f"{key}[{i}]", v) for i, v in enumerate(value))
-
-
 def _as_choice(choices):
     def cast(key, value):
         if value not in choices:
@@ -58,8 +66,8 @@ _BATH_KEYS = ("size", "mass", "temperature", "dos", "omega_ir", "omega_uv")
 
 _CASTERS = {
     "mass": _as_float,
-    "omega": _as_float,
-    "omega_grid": _as_float_list,
+    "omega": _as_frequency,
+    "omega_grid": _as_frequency_list,
     "initial_energy": _as_float,
     "seeds": _as_int_list,
     "n_samples": _as_int,
@@ -78,8 +86,8 @@ for _prefix in ("bath1", "bath2"):
         f"{_prefix}_mass": _as_float,
         f"{_prefix}_temperature": _as_float,
         f"{_prefix}_dos": _as_choice({UNIFORM, INVERSE_SQUARE, SQUARE}),
-        f"{_prefix}_omega_ir": _as_float,
-        f"{_prefix}_omega_uv": _as_float,
+        f"{_prefix}_omega_ir": _as_frequency,
+        f"{_prefix}_omega_uv": _as_frequency,
     })
 
 
@@ -146,7 +154,7 @@ def build_sweep_spec(cfg: dict, omega_override=None,
     """
     cfg = dict(cfg)
     if omega_override is not None:
-        cfg["omega_grid"] = (float(omega_override),)
+        cfg["omega_grid"] = (_as_frequency("--omega", omega_override),)
     elif "omega" in cfg and "omega_grid" not in cfg:
         cfg["omega_grid"] = (cfg["omega"],)
     if "omega_grid" not in cfg:

@@ -74,8 +74,10 @@ class SweepSpec:
         # time; an unset step size is derived per point, positive by construction
         check_bin_count(self.n_bins)
         TestParticleSpec(mass=self.tp_mass)
-        SwitchSchedule(delta_t_steps=self.delta_t_steps,
-                       step_size=1.0 if self.step_size is None else self.step_size)
+        schedule = SwitchSchedule(delta_t_steps=self.delta_t_steps,
+                                  step_size=1.0 if self.step_size is None else self.step_size)
+        if self.bath2 is not None:
+            schedule.check_period_fits(2 * (1 + self.bath1.size + self.bath2.size))
 
     def test_particle(self, omega: float) -> TestParticleSpec:
         """Initial energy is placed entirely in the momentum."""

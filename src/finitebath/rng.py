@@ -12,6 +12,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+# numpy imports it lazily; loaded with the package, not inside a run
+import numpy.random
 
 # purpose codes; bath index k uses stream_id = purpose + STREAM_STRIDE * k
 FREQUENCIES = 0

@@ -87,7 +87,7 @@ def build_histogram(energies, n_bins: int, e_max: float) -> EnergyHistogram:
     if np.any(energies < 0.0):
         raise ValueError(f"{int(np.sum(energies < 0))} sampled energies are negative")
     if not np.any(energies > 0.0):
-        raise ValueError("all sampled energies are zero; nothing to fit")
+        raise FitError("all sampled energies are zero; nothing to fit")
     check_bin_count(n_bins)
     if e_max <= 0.0:
         raise ValueError(f"e_max must be positive, got {e_max}")
@@ -146,10 +146,7 @@ def fit_energy_samples(energies, n_bins: int = DEFAULT_N_BINS,
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         raise ValueError("cannot fit an empty energy sample")
-    e_max = span_factor * float(np.mean(energies))
-    if e_max <= 0.0:
-        raise ValueError("all sampled energies are zero; nothing to fit")
-    hist = build_histogram(energies, n_bins, e_max)
+    hist = build_histogram(energies, n_bins, span_factor * float(np.mean(energies)))
     return fit_temperature(hist), hist
 
 

@@ -57,6 +57,9 @@ propagator it rejects a zero frequency mode (Omega = 0).
 A step beyond RK4's stability limit, h nu_max > 2 sqrt(2) for the
 fastest normal mode of either contact phase, is rejected up front: the
 run would otherwise grow by orders of magnitude without overflowing.
+So is a period whose step-prefix rows would exceed MAX_PERIOD_ENTRIES
+(period steps times coordinates), and a step that puts a sample more
+than 2^53 steps away, beyond the integers float64 holds exactly.
 """
 
 from __future__ import annotations
@@ -76,6 +79,16 @@ from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
                          rk4_mode_factors)
 
 
+# The period map keeps rows 0 and 1 of each of its period's step prefixes,
+# 2 period dim complex entries, 32 bytes per period step and coordinate,
+# and forms them in a loop over the period's steps.  A schedule beyond this
+# cap (128 MB of rows; at 2 x 200 oscillators a half period of 2614 steps)
+# is refused before anything sized by the period is allocated.
+MAX_PERIOD_ENTRIES = 1 << 22
+# step indices are exact integers in float64 up to 2^53
+MAX_STEP_INDEX = 2.0**53
+
+
 @dataclass(frozen=True)
 class SwitchSchedule:
     """Square wave contact schedule in units of RK4 steps."""
@@ -92,6 +105,15 @@ class SwitchSchedule:
     @property
     def period_steps(self) -> int:
         return 2 * self.delta_t_steps
+
+    def check_period_fits(self, dim: int) -> None:
+        """ValueError if the period's step tables over dim coordinates exceed MAX_PERIOD_ENTRIES."""
+        if self.period_steps * dim > MAX_PERIOD_ENTRIES:
+            raise ValueError(
+                f"delta_t_steps = {self.delta_t_steps}: a period of "
+                f"{self.period_steps} steps over {dim} coordinates needs "
+                f"{self.period_steps * dim:.3g} period map entries, more than "
+                f"{MAX_PERIOD_ENTRIES:.3g}")
 
 
 STEPS_PER_PERIOD = 50
@@ -575,6 +597,8 @@ class SwitchedPropagator:
         self.system = system
         self.schedule = schedule
         self.continuous = system.a2 is system.a1
+        if not self.continuous:
+            schedule.check_period_fits(system.dim)
         for cm in (system.a1,) if self.continuous else (system.a1, system.a2):
             check_rk4_stability(schedule.step_size, max_mode_frequency(cm))
 
@@ -686,7 +710,9 @@ class SwitchedPropagator:
         band = np.abs(np.angle(np.exp(1j * period * phi_w)))
         q, p = np.empty((2, len(steps_wanted)))
         ks, rs = np.divmod(steps_wanted, period)
-        for r in np.unique(rs):
+        # the residue classes in ascending order; np.unique would import
+        # numpy.ma inside the run
+        for r in np.flatnonzero(np.bincount(rs)):
             at = rs == r
             # (Q, P) after k periods and r steps are Re sum_j c_j mu_j^k with
             # c = rows01[r] v'.  A pair mu, conj(mu) with coefficients c, c'
@@ -749,6 +775,9 @@ class SwitchedPropagator:
                              f"expected ({self.system.dim},)")
         sample_times = np.atleast_1d(np.asarray(sample_times, dtype=float))
         h = self.schedule.step_size
+        reach = float(np.max(np.abs(sample_times), initial=abs(t_final or 0.0)))
+        if not reach / h <= MAX_STEP_INDEX:      # NaN fails too
+            raise NumericalError(f"step size {h:g} takes more than 2^53 steps to t = {reach:g}")
         steps = np.rint(sample_times / h).astype(np.int64)
         snapped = steps * h
         max_snap = float(np.max(np.abs(snapped - sample_times))) if len(steps) else 0.0

@@ -240,6 +240,30 @@ def test_unstable_rk4_step_exits_3(tmp_path, capsys):
     assert all(f[2].startswith("NumericalError: RK4 step h=5 ") for f in failures)
 
 
+def test_rk4_step_count_beyond_2_53_exits_3(tmp_path):
+    out = tmp_path / "run"
+    code = main(["sweep", "--set", "bath1_size=20", "--set", "propagator=rk4",
+                 "--set", "step_size=1e-300", "--set", "omega_grid=[0.5]",
+                 "--set", "seeds=[1]", "--set", "n_samples=100", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert [f[:2] for f in failures] == [[0.5, 1]]
+    assert failures[0][2].startswith(
+        "NumericalError: step size 1e-300 takes more than 2^53 steps")
+
+
+def test_all_zero_particle_energies_are_a_fit_failure(tmp_path):
+    """A bath 1e300 times heavier leaves the particle's energies below the smallest double."""
+    out = tmp_path / "run"
+    code = main(["sweep", "--set", "bath1_size=20", "--set", "bath1_mass=1e300",
+                 "--set", "omega_grid=[0.5]", "--set", "seeds=[1,2]",
+                 "--set", "n_samples=100", "--out", str(out)])
+    assert code == EXIT_FIT
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [[0.5, seed, "FitError: all sampled energies are zero; nothing to fit"]
+                        for seed in (1, 2)]
+
+
 def test_derived_rk4_step_is_stable_against_a_heavy_bath(tmp_path):
     """The bare-frequency step (h nu_max = 3.5) gives way to one that resolves the top mode."""
     out = tmp_path / "run"
@@ -409,6 +433,33 @@ def test_run_keys_the_run_never_reads_exit_2(tmp_path, quick_config, twobath_con
     assert not out.exists()
 
 
+@pytest.mark.parametrize("argv,key", [
+    (["single", "--omega", "1e200"], "--omega"),
+    (["sweep", "--set", "omega_grid=[0.5]", "--set", "bath1_omega_uv=1e200"],
+     "bath1_omega_uv"),
+    (["twobath", "--set", "omega_grid=[1e200]"], "omega_grid[0]"),
+], ids=["single", "sweep", "twobath"])
+def test_a_frequency_whose_square_overflows_exits_2(tmp_path, twobath_config, capsys,
+                                                    argv, key):
+    out = tmp_path / "x"
+    code = main([argv[0], "--config", str(twobath_config), *argv[1:], "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        f"error: {key}: the square of frequency 1e+200 overflows")
+    assert not out.exists()
+
+
+def test_a_half_period_too_long_for_memory_exits_2(tmp_path, twobath_config, capsys):
+    out = tmp_path / "x"
+    code = main(["twobath", "--config", str(twobath_config), "--set", "bath1_size=5",
+                 "--set", "bath2_size=5", "--set", "step_size=0.02",
+                 "--set", "delta_t_steps=100000000000", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "error: delta_t_steps = 100000000000: a period of 200000000000 steps over 22 ")
+    assert not out.exists()
+
+
 def test_twobath_needs_a_second_bath(tmp_path, quick_config, capsys):
     code = main(["twobath", "--config", str(quick_config),
                  "--set", "omega_grid=[0.4]", "--out", str(tmp_path / "x")])
@@ -465,11 +516,66 @@ def test_oracle_mixture_profile(tmp_path):
     assert e0_row[2] == pytest.approx(7.5, rel=1e-9)
 
 
-def test_cli_import_leaves_scipy_stats_unloaded():
-    """Only the arcsine check of `exchange` needs scipy.stats."""
-    code = "import sys, finitebath.cli; sys.exit('scipy.stats' in sys.modules)"
+def _fresh_python(code: str) -> str:
+    """What code prints in a fresh interpreter that imports finitebath from this tree."""
     env = {**os.environ, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
-    assert subprocess.run([sys.executable, "-c", code], env=env, timeout=120).returncode == 0
+    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
+def test_cli_import_leaves_scipy_stats_unloaded():
+    """dlasd4 comes from scipy's compiled LAPACK wrapper alone; only `exchange` needs scipy.stats."""
+    code = ("import sys, finitebath.cli\n"
+            "print(sorted({'scipy', 'scipy.linalg', 'scipy.stats'} & set(sys.modules)))")
+    assert _fresh_python(code) == "[]\n"
+
+
+def test_dlasd4_is_scipys_lapack_routine():
+    """Bit-identical to scipy.linalg.lapack.dlasd4 on every root of a realized bath."""
+    code = """
+import numpy as np
+from finitebath import propagator
+from finitebath.bath import realize_bath
+from finitebath.model import BathSpec, TestParticleSpec
+from scipy.linalg.lapack import dlasd4
+
+real = realize_bath(BathSpec(size=400, mass=1e-3), seed=3)
+cm = propagator.build_multi_coupling_matrix(TestParticleSpec(omega=0.5),
+                                            [(real.m, real.frequencies, True)])
+poles, z = propagator._deflate(cm).poles, np.sqrt(propagator._deflate(cm).weights)
+print(len(poles), sum(
+    any(np.asarray(a).tobytes() != np.asarray(b).tobytes()
+        for a, b in zip(propagator.dlasd4(k, poles, z), dlasd4(k, poles, z)))
+    for k in range(len(poles))))
+"""
+    assert _fresh_python(code) == "401 0\n"
+
+
+def test_runs_import_no_numpy_or_scipy_module():
+    """Every module a run uses is loaded with finitebath.cli, so none is imported inside a run."""
+    code = """
+import sys, tempfile
+from finitebath.cli import main
+
+runs = [
+    ["single", "--omega", "0.5", "--set", "bath1_size=60", "--set", "n_samples=400"],
+    ["sweep", "--set", "bath1_size=40", "--set", "omega_grid=[0.3,0.5,5.0]",
+     "--set", "n_samples=400"],
+    ["sweep", "--set", "bath1_size=30", "--set", "propagator=rk4",
+     "--set", "omega_grid=[0.5]", "--set", "n_samples=400", "--set", "mean_interval=0.5"],
+    ["twobath", "--set", "bath1_size=10", "--set", "bath2_size=10",
+     "--set", "step_size=0.02", "--set", "mean_interval=10", "--set", "n_samples=200",
+     "--set", "warmup=100", "--set", "omega_grid=[0.55]"],
+]
+with tempfile.TemporaryDirectory() as out:
+    loaded = set(sys.modules)
+    codes = [main(argv + ["--seed-list", "1", "--out", out]) for argv in runs]
+print(codes, sorted(m for m in set(sys.modules) - loaded
+                    if m.partition(".")[0] in ("numpy", "scipy")))
+"""
+    assert _fresh_python(code).splitlines()[-1] == "[0, 0, 0, 0] []"
 
 
 def test_oracle_kernel_starts_at_the_spring_sum(tmp_path):
@@ -573,8 +679,11 @@ def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
     ["exchange", "--e0", "-1"],
     ["exchange", "--e0", "inf"],
     ["exchange", "--omega-r", "nan"],
+    LANGEVIN + ["--omega", "1e200"],
+    ["exchange", "--omega-r", "1e200"],
 ], ids=["langevin-mass", "langevin-omega", "langevin-gamma-nan", "mixture-e-max",
-        "degenerate-e0-negative", "degenerate-e0-inf", "degenerate-omega-r-nan"])
+        "degenerate-e0-negative", "degenerate-e0-inf", "degenerate-omega-r-nan",
+        "langevin-omega-square-overflows", "degenerate-omega-r-square-overflows"])
 def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
     out = tmp_path / "x"
     assert _exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG

@@ -78,7 +78,7 @@ def test_histogram_validation():
         build_histogram([], n_bins=5, e_max=1.0)
     with pytest.raises(ValueError, match="negative"):
         build_histogram([0.5, -0.1], n_bins=5, e_max=1.0)
-    with pytest.raises(ValueError, match="zero"):
+    with pytest.raises(FitError, match="zero"):
         build_histogram([0.0, 0.0], n_bins=5, e_max=1.0)
     with pytest.raises(ValueError, match="at least 5 bins"):
         build_histogram([0.5], n_bins=4, e_max=1.0)

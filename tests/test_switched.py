@@ -113,6 +113,14 @@ def test_schedule_validation():
         SwitchSchedule(step_size=0.0)
 
 
+def test_a_period_beyond_the_table_cap_is_refused_up_front():
+    system = _tiny_system()
+    fits = switched.MAX_PERIOD_ENTRIES // (2 * system.dim)
+    SwitchedPropagator(system, SwitchSchedule(delta_t_steps=fits))
+    with pytest.raises(ValueError, match=f"delta_t_steps = {fits + 1}: a period"):
+        SwitchedPropagator(system, SwitchSchedule(delta_t_steps=fits + 1))
+
+
 def test_default_step_size_resolves_the_fastest_period():
     tp = TestParticleSpec(mass=1.0, omega=0.5)
     h = default_step_size(build_multi_coupling_matrix(
