@@ -315,10 +315,13 @@ def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
                           "steps; no energy would be sampled")
     tp = TestParticleSpec(mass=args.mass, omega=args.omega)
     rng = substream(args.seed, LANGEVIN).generator()
-    times, energies = langevin_reference(
-        tp, gamma=args.gamma, temperature=args.temperature,
-        t_final=args.t_final, dt=args.dt, rng=rng,
-        n_paths=args.n_paths, sample_stride=args.stride)
+    try:
+        times, energies = langevin_reference(
+            tp, gamma=args.gamma, temperature=args.temperature,
+            t_final=args.t_final, dt=args.dt, rng=rng,
+            n_paths=args.n_paths, sample_stride=args.stride)
+    except ValueError as err:     # a step the scheme cannot take
+        raise ConfigError(str(err)) from err
     path = out / "langevin.csv"
     write_csv(path, "path,t,energy", ((p, t, e) for p in range(energies.shape[0])
                                       for t, e in zip(times, energies[p])))

@@ -21,7 +21,7 @@ from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
 from .propagator import (NumericalError, build_multi_coupling_matrix,
-                         diagonalize, full_state)
+                         diagonalize, factorization_fits, flow_factors)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
@@ -78,6 +78,13 @@ class SweepSpec:
                                   step_size=1.0 if self.step_size is None else self.step_size)
         if self.bath2 is not None:
             schedule.check_period_fits(2 * (1 + self.bath1.size + self.bath2.size))
+        baths = [b for b in (self.bath1, self.bath2) if b is not None]
+        coupling = sum(b.size * b.mass for b in baths) / self.tp_mass
+        w_max = max(b.dos.omega_uv for b in baths)
+        if not factorization_fits(coupling, w_max):
+            raise ValueError(f"omega_uv={w_max:g} with N m / M = {coupling:g} over the baths "
+                             "overflows the normal modes, which form up to "
+                             "(N m / M) omega_uv^6")
 
     def test_particle(self, omega: float) -> TestParticleSpec:
         """Initial energy is placed entirely in the momentum."""
@@ -176,11 +183,10 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
     v0 = state0.as_vector()
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
     if spec.propagator == "eigen":
-        prop = diagonalize(cm, v0)
+        prop = diagonalize(cm, v0, final=partial(flow_factors, t=float(times[-1])))
         q, p = prop.sample_test_particle(times)
-        final = full_state(prop, float(times[-1]))
-        _check_energy_drift(state0, final, tp, real)
-        return _reduce_samples(spec, omega, seed, q, p, (real,), final)
+        _check_energy_drift(state0, prop.final_state, tp, real)
+        return _reduce_samples(spec, omega, seed, q, p, (real,), prop.final_state)
     # continuous RK4: both switch phases use the engaged bath
     system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
     dt = spec.step_size or default_step_size(cm)
@@ -385,8 +391,9 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     coordinate at rest whatever the temperature, so the trace does not
     depend on the seed (to rounding).  The seed picks the bath draw and
     the randomly timed samples of the arcsine test.  Out-of-range
-    inputs, and a xi so small that the splitting is below 1e4 eps of
-    omega_r, are a ValueError before the bath is built.
+    inputs, an omega_r whose normal modes would overflow, and a xi so
+    small that the splitting is below 1e4 eps of omega_r, are a
+    ValueError before the bath is built.
     """
     from .bath import pairwise_cancelled
 
@@ -397,6 +404,9 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
         raise ValueError(f"e0 and omega_r must be finite and positive, got "
                          f"e0={e0}, omega_r={omega_r}")
     dnu = exchange_splitting(omega_r, xi)
+    if not factorization_fits(xi, omega_r):
+        raise ValueError(f"omega_r={omega_r:g} overflows the normal modes of the degenerate "
+                         "bath, which form up to xi omega_r^6")
     # sqrt(1 +- sqrt(xi)) each round to about eps, so the predicted splitting
     # carries an error near eps omega_r: at 1e4 eps omega_r that is 1e-4 of
     # it, the accuracy to which the trace's FFT line finds it

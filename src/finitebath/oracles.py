@@ -40,10 +40,18 @@ def langevin_reference(tp: TestParticleSpec, gamma: float, temperature: float,
     the stationary state satisfy <P^2> = M T (equipartition at T).
     Returns (times, energies) with energies of shape (n_paths, n_times).
     dt must be well below both 1/gamma and 1/Omega; Euler-Maruyama's
-    energy bias scales like Omega^2 dt / (2 gamma).
+    energy bias scales like Omega^2 dt / (2 gamma).  A step with
+    gamma dt >= 1 or Omega^2 dt >= gamma is a ValueError: in the latter
+    the bias reaches 1/2 and one step multiplies the phase-space area by
+    1 - gamma dt + Omega^2 dt^2 >= 1, so the scheme no longer damps and
+    the energy can grow until it overflows.
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
+    if not (gamma * dt < 1.0 and tp.omega**2 * dt < gamma):
+        raise ValueError(f"dt={dt:g} is too long for the Euler-Maruyama step at "
+                         f"gamma={gamma:g}, Omega={tp.omega:g}: it needs gamma*dt < 1 "
+                         f"and Omega^2*dt < gamma")
     m = tp.mass
     n_steps = int(round(t_final / dt))
     q = np.full(n_paths, tp.q0, dtype=float)

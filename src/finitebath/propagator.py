@@ -45,9 +45,13 @@ Matrix Anal. Appl. 16, 172 (1995)):
    (1, z_n / (lam - d_n)) are then orthogonal to working accuracy.
    Only the roots, Loewner's z and the deflation are kept, O(N).  The
    mode shapes are rebuilt block by block, a fixed number of modes at
-   a time, for each pass over them: one in diagonalize for the
-   amplitudes a_k, b_k and the particle's entries u_k[0] that the
-   samplers read, one per full state and one in mode_residual.  The
+   a time, for each pass over them (_sweep).  A sampled point makes
+   one: diagonalize's pass projects the initial state onto each block,
+   giving the amplitudes a_k, b_k and the particle's entries u_k[0]
+   that the samplers read, and, given a final time, adds the same
+   block's share of the state there, which needs only a_k, b_k and
+   that time.  full_state and mode_vector (the switched period map's
+   state) make a pass of their own, and so does mode_residual.  The
    samplers need no shapes after that: Q and P are two coefficient
    rows (A, B) of the mode sums below, built from u_k[0], a_k and b_k.
 
@@ -63,7 +67,7 @@ Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 (hA)^4/24 of the drift matrix, so it has the same normal modes: one step
 multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}.  n steps are the
 mode form with nu_k t replaced by n phi_k and scaled by rho_k^n, which
-sample_rk4 and rk4_full_state evaluate without stepping.  The same
+sample_rk4 and rk4_factors evaluate without stepping.  The same
 stability rule, h nu_max <= 2 sqrt(2), holds for these and for the
 switched module's period map (check_rk4_stability).
 
@@ -328,10 +332,27 @@ def _helmert_frequencies(zc, dc):
 
     Vector t's Rayleigh quotient in closed form: the d-weighted squares
     of its first t + 1 entries plus the square of entry t + 1 times its d.
+    The first term is the z^2-weighted mean of those d times the share
+    z_t+1^2 / r_t+1^2, so it forms no product larger than the sums of
+    z^2 d that the cluster's pole needs (factorization_fits).
     """
     r2 = np.cumsum(zc * zc)
-    head = np.cumsum(zc * zc * dc)[:-1] * zc[1:] ** 2 / (r2[1:] * r2[:-1])
+    head = np.cumsum(zc * zc * dc)[:-1] / r2[:-1] * (zc[1:] ** 2 / r2[1:])
     return np.sqrt(head + r2[:-1] / r2[1:] * dc[1:])
+
+
+def factorization_fits(coupling: float, w_max: float) -> bool:
+    """True when the normal modes of baths up to frequency w_max stay finite.
+
+    coupling is sum N m / M over the baths.  The largest products the
+    factorization forms are sums over the oscillators, or over one
+    cluster of them: of c = (m / M) w^2 in the corner alpha, of
+    z^2 = (m / M) w^4 in deflation, and of z^2 d = (m / M) w^6 for a
+    merged cluster's pole and its Helmert frequencies.  Each is at most
+    coupling max(1, w_max)^6, which must stay below the largest double.
+    """
+    return (math.log(max(coupling, np.finfo(float).tiny)) + 6.0 * math.log(max(1.0, w_max))
+            < math.log(np.finfo(float).max))
 
 
 def max_mode_frequency(cm: CouplingMatrix) -> float:
@@ -488,6 +509,7 @@ class EigenPropagator:
     coef_cos: np.ndarray          # (n,) mode amplitudes a_k = u_k . M x0
     coef_sin: np.ndarray          # (n,) mode amplitudes b_k = u_k . p0
     shapes: _ModeShapes           # rebuilds the u_k, block by block
+    final_state: SystemState | None = None   # the state at diagonalize's final time
 
     def sample_test_particle(self, times) -> tuple[np.ndarray, np.ndarray]:
         """(Q, P) at many times through the real mode form.
@@ -885,6 +907,23 @@ def rk4_mode_factors(nu, h: float) -> tuple[np.ndarray, np.ndarray]:
     return phi, log_rho
 
 
+def flow_factors(nu, t: float):
+    """(c, s, t): the factors cos nu_k t and sin nu_k t of the exact flow at time t."""
+    ph = nu * t
+    return np.cos(ph), np.sin(ph), t
+
+
+def rk4_factors(nu, step: int, h: float):
+    """(c, s, t): the factors rho_k^n cos n phi_k and rho_k^n sin n phi_k of n RK4 steps.
+
+    n = step steps of size h, at t = n h.
+    """
+    phi, log_rho = rk4_mode_factors(nu, h)
+    decay = np.exp(step * log_rho)
+    ph = step * phi
+    return decay * np.cos(ph), decay * np.sin(ph), step * h
+
+
 def _as_vector(v0, dim):
     v0 = np.asarray(v0, dtype=float)
     if v0.shape != (dim,):
@@ -896,8 +935,15 @@ ZERO_MODE = ("system has a zero frequency mode (Omega = 0?); "
              "the spectral propagator does not apply")
 
 
-def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
+def diagonalize(cm: CouplingMatrix, v0, final=None) -> EigenPropagator:
     """Factor the system and bind an initial state.
+
+    final, if given, maps the mode frequencies to the factors (c, s, t)
+    of one later time, flow_factors or rk4_factors with that time bound
+    (functools.partial): the pass that projects v0 onto the modes then
+    builds the state there as well, prop.final_state, without a second
+    pass over the mode shapes.  It is full_state(prop, t) for
+    flow_factors, to the last bit.
 
     Raises EigensolverError if dlasd4 fails on a secular root or the
     system has a zero frequency mode (Omega = 0).
@@ -911,50 +957,73 @@ def diagonalize(cm: CouplingMatrix, v0) -> EigenPropagator:
     nu, shapes = _mode_shapes(cm, df, origin, tau)
     if not nu[0] > 0.0:
         raise EigensolverError(ZERO_MODE)
-    ab, u0 = _project(cm, shapes, v0)
-    return EigenPropagator(cm=cm, nu=nu, u0=u0,
-                           coef_cos=ab[0], coef_sin=ab[1], shapes=shapes)
+    rows = None
+    if final is not None:
+        c, s, t = final(nu)
+
+        def rows(cols, ab):
+            return _state_rows(ab[0, cols], ab[1, cols], nu[cols], c[cols], s[cols])
+    ab, u0, vec = _sweep(cm, shapes, _weighted(cm, shapes, v0), rows)
+    final_state = None if vec is None else SystemState.from_vector(vec, cm.bath_sizes, time=t)
+    return EigenPropagator(cm=cm, nu=nu, u0=u0, coef_cos=ab[0], coef_sin=ab[1],
+                           shapes=shapes, final_state=final_state)
 
 
-def _project(cm: CouplingMatrix, shapes: _ModeShapes, v):
-    """(a, b) = (U^T M x, U^T p) of the state v, and U's particle row u_k[0].
-
-    One pass over the mode shapes.
-    """
+def _weighted(cm: CouplingMatrix, shapes: _ModeShapes, v):
+    """(2, n): mass-weighted positions M^(1/2) x and momenta M^(-1/2) p of v, over shapes.coord."""
     root_m = np.sqrt(cm.mass)
-    y = np.stack([root_m * v[0::2], v[1::2] / root_m])[:, shapes.coord]
-    ab = np.empty((2, len(shapes.cols)))
-    u0 = np.empty(len(shapes.cols))
+    return np.stack([root_m * v[0::2], v[1::2] / root_m])[:, shapes.coord]
+
+
+def _state_rows(a, b, nu, c, s):
+    """(k, 2) rows (f, g) of the state whose modes of amplitudes a, b carry the factors c, s."""
+    return np.stack([a * c + b * s / nu, b * c - a * nu * s], axis=1)
+
+
+def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
+    """One pass over the mode shapes: projections of y, and a state built from rows.
+
+    Each block of modes projects the mass-weighted coordinate rows y
+    (over shapes.coord; None for none) onto its shapes, ab = y U, then
+    adds U (f, g) over its modes with (f, g) = rows(cols, ab), which may
+    read the projections the block has just made.  Returns ab (None
+    without y), U's particle row u_k[0] and the state vector with x = U f
+    and p = M U g (None without rows), accumulated block by block in the
+    order _mode_blocks yields them.
+    """
+    n = len(shapes.cols)
+    ab = None if y is None else np.empty((len(y), n))
+    u0 = np.empty(n)
+    acc = np.zeros((n, 2))
+    part = np.empty_like(acc)
     for cols, block in _mode_blocks(shapes):
-        ab[:, cols] = y @ block
+        if y is not None:
+            ab[:, cols] = y @ block
         u0[cols] = block[0]
-    return ab, u0 / root_m[0]
+        if rows is not None:
+            acc += np.matmul(block, rows(cols, ab), out=part)
+    root_m = np.sqrt(cm.mass)
+    vec = None
+    if rows is not None:
+        vec = np.empty(2 * n)
+        vec[0::2][shapes.coord] = acc[:, 0]
+        vec[1::2][shapes.coord] = acc[:, 1]
+        vec[0::2] /= root_m
+        vec[1::2] *= root_m
+    return ab, u0 / root_m[0], vec
 
 
 def mode_amplitudes(prop: EigenPropagator, v) -> np.ndarray:
     """(2, n): the amplitudes a_k = u_k . M x and b_k = u_k . p of a state vector v."""
-    return _project(prop.cm, prop.shapes, _as_vector(v, prop.cm.dim))[0]
+    v = _as_vector(v, prop.cm.dim)
+    return _sweep(prop.cm, prop.shapes, _weighted(prop.cm, prop.shapes, v), None)[0]
 
 
 def full_state(prop: EigenPropagator, t: float) -> SystemState:
     """Reconstruct every coordinate at time t (O(N^2))."""
-    ph = prop.nu * t
-    return _mode_state(prop, np.cos(ph), np.sin(ph), t)
-
-
-def rk4_full_state(prop: EigenPropagator, step: int, h: float) -> SystemState:
-    """Every coordinate after `step` classical RK4 steps of size h (O(N^2))."""
-    phi, log_rho = rk4_mode_factors(prop.nu, h)
-    decay = np.exp(step * log_rho)
-    ph = step * phi
-    return _mode_state(prop, decay * np.cos(ph), decay * np.sin(ph), step * h)
-
-
-def _mode_state(prop: EigenPropagator, c, s, t: float) -> SystemState:
-    """The state whose mode k carries cos and sin factors c_k and s_k."""
-    vec = mode_vector(prop, prop.coef_cos * c + prop.coef_sin * s / prop.nu,
-                      prop.coef_sin * c - prop.coef_cos * prop.nu * s)
-    return SystemState.from_vector(vec, prop.cm.bath_sizes, time=t)
+    c, s, t = flow_factors(prop.nu, t)
+    f, g = _state_rows(prop.coef_cos, prop.coef_sin, prop.nu, c, s).T
+    return SystemState.from_vector(mode_vector(prop, f, g), prop.cm.bath_sizes, time=t)
 
 
 def mode_vector(prop: EigenPropagator, f, g) -> np.ndarray:
@@ -963,17 +1032,7 @@ def mode_vector(prop: EigenPropagator, f, g) -> np.ndarray:
     One pass over the mode shapes.
     """
     fg = np.stack([f, g], axis=1)
-    acc = np.zeros((len(prop.nu), 2))
-    part = np.empty_like(acc)
-    for cols, block in _mode_blocks(prop.shapes):
-        acc += np.matmul(block, fg[cols], out=part)
-    root_m = np.sqrt(prop.cm.mass)
-    vec = np.empty(2 * len(prop.nu))
-    vec[0::2][prop.shapes.coord] = acc[:, 0]
-    vec[1::2][prop.shapes.coord] = acc[:, 1]
-    vec[0::2] /= root_m
-    vec[1::2] *= root_m
-    return vec
+    return _sweep(prop.cm, prop.shapes, None, lambda cols, _: fg[cols])[2]
 
 
 def mode_residual(prop: EigenPropagator) -> float:

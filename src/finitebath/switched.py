@@ -66,7 +66,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 
 import numpy as np
 
@@ -75,7 +75,7 @@ from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
                          EigensolverError, NumericalError, _view, banded_sums,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
-                         mode_amplitudes, mode_vector, rk4_full_state,
+                         mode_amplitudes, mode_vector, rk4_factors,
                          rk4_mode_factors)
 
 
@@ -605,10 +605,10 @@ class SwitchedPropagator:
     # -- normal modes of a continuous system -----------------------------
 
     def _run_modes(self, v0, steps_wanted, final_step):
-        prop = diagonalize(self.system.a1, v0)
         h = self.schedule.step_size
+        prop = diagonalize(self.system.a1, v0, final=partial(rk4_factors, step=final_step, h=h))
         q, p = prop.sample_rk4(steps_wanted, h)
-        return q, p, rk4_full_state(prop, final_step, h).as_vector()
+        return q, p, prop.final_state.as_vector()
 
     # -- period map spectral engine --------------------------------------
 

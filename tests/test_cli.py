@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -689,6 +690,24 @@ def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
     assert _exit_code(argv + ["--out", str(out)]) == EXIT_CONFIG
     assert "must be a finite" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["sweep", "--set", "bath1_omega_uv=1e154", "--set", "bath1_size=20",
+                  "--set", "omega_grid=[0.5]", "--set", "seeds=[1]"], id="sweep-omega-uv"),
+    pytest.param(["exchange", "--omega-r", "1e150"], id="exchange-omega-r"),
+    pytest.param(["oracle", "langevin", "--omega", "1e150", "--gamma", "0.1",
+                  "--temperature", "1"], id="langevin-omega"),
+])
+def test_frequencies_whose_higher_powers_overflow_exit_2(tmp_path, capsys, argv):
+    """Squares are finite, but the normal modes form omega^6 and Euler-Maruyama diverges."""
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not list(out.glob("*"))
 
 
 def test_exchange_refuses_a_splitting_below_double_precision(tmp_path, capsys):

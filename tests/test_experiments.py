@@ -16,7 +16,7 @@ from finitebath.experiments import (
     run_two_bath_sweep,
     smoothed_curve,
 )
-from finitebath import experiments, propagator, switched
+from finitebath import propagator, switched
 from finitebath.model import BathSpec, DensityOfStates, bare_energy
 from finitebath.stats import SamplingPlan
 
@@ -113,15 +113,38 @@ def test_rk4_point_agrees_with_the_spectral_point():
 
 
 def test_energy_drift_on_the_eigen_path_is_a_numerical_error(monkeypatch):
-    exact = experiments.diagonalize
+    """Frequencies 0.1 % off move the final state, which the energy check reads.
 
-    def corrupted(cm, v0):
-        prop = exact(cm, v0)
-        return dataclasses.replace(prop, nu=prop.nu * 1.001)
+    They are corrupted where the projection sweep reads them to build
+    that state, inside diagonalize.
+    """
+    exact = propagator._mode_shapes
 
-    monkeypatch.setattr(experiments, "diagonalize", corrupted)
+    def corrupted(*args):
+        nu, shapes = exact(*args)
+        return nu * 1.001, shapes
+
+    monkeypatch.setattr(propagator, "_mode_shapes", corrupted)
     with pytest.raises(propagator.NumericalError, match="energy drifted"):
         run_single_bath_point(0.5, _quick_spec(), 1)
+
+
+@pytest.mark.parametrize("kind", ["eigen", "rk4"])
+def test_a_single_bath_point_sweeps_the_mode_shapes_once(monkeypatch, kind):
+    """The projection sweep builds the final state: one pass over the shapes per point."""
+    sweeps = []
+    blocks = propagator._mode_blocks
+
+    def spy(shapes):
+        sweeps.append(len(shapes.cols))
+        return blocks(shapes)
+
+    monkeypatch.setattr(propagator, "_mode_blocks", spy)
+    spec = _quick_spec(bath1=BathSpec(size=40, mass=0.01, temperature=5.0, dos=BAND),
+                       plan=SamplingPlan(mean_interval=1.0, n_samples=150, warmup=20.0),
+                       propagator=kind)
+    run_single_bath_point(0.5, spec, seed=2)
+    assert len(sweeps) == 1
 
 
 # -- two bath points ---------------------------------------------------

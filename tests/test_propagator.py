@@ -1,6 +1,8 @@
 """Coupling description, drift matrix and the normal-mode propagator."""
 
+import math
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -14,11 +16,16 @@ from finitebath.model import (BathSpec, SystemState, TestParticleSpec,
 from finitebath.propagator import (
     EigensolverError,
     build_multi_coupling_matrix,
+    factorization_fits,
     diagonalize,
     drift_matrix,
+    flow_factors,
     full_state,
     max_mode_frequency,
     mode_residual,
+    mode_vector,
+    rk4_factors,
+    rk4_mode_factors,
 )
 from finitebath.switched import SwitchSchedule, TwoBathSystem
 
@@ -363,6 +370,59 @@ def test_mode_blocks_do_not_depend_on_the_block_size(monkeypatch):
                        full_state(whole, 7.3).as_vector())):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-14 * np.max(np.abs(want)))
     assert mode_residual(blocks) < 1e-12
+
+
+@pytest.mark.parametrize("block", [propagator.SHAPE_BLOCK, 3])
+def test_final_state_of_the_projection_sweep_is_bit_identical(monkeypatch, block):
+    """diagonalize's final state is the separate pass's, to the last bit.
+
+    For the exact flow that pass is full_state; for RK4 it is the mode
+    form with the factors rho^n cos n phi and rho^n sin n phi, summed by
+    mode_vector.  The bath has a free oscillator block and merged
+    clusters, so every kind of shape block takes part, and blocks of
+    three modes split each kind.
+    """
+    monkeypatch.setattr(propagator, "SHAPE_BLOCK", block)
+    tp = TestParticleSpec(mass=1.0, omega=0.5)
+    rng = np.random.default_rng(8)
+    clustered = np.r_[np.repeat(rng.uniform(0.3, 0.9, 3), 4), rng.uniform(0.2, 1.0, 9)]
+    cm = build_multi_coupling_matrix(tp, [(0.01, clustered, True),
+                                          (0.02, rng.uniform(0.2, 1.0, 7), False)])
+    v0 = rng.normal(size=cm.dim)
+    t = 123.4
+    exact = diagonalize(cm, v0, final=lambda nu: flow_factors(nu, t))
+    want = full_state(diagonalize(cm, v0), t)
+    assert exact.final_state.time == want.time == t
+    np.testing.assert_array_equal(exact.final_state.as_vector(), want.as_vector())
+
+    step, h = 1234, 0.05
+    rk4 = diagonalize(cm, v0, final=lambda nu: rk4_factors(nu, step, h))
+    phi, log_rho = rk4_mode_factors(rk4.nu, h)
+    decay = np.exp(step * log_rho)
+    c, s = decay * np.cos(step * phi), decay * np.sin(step * phi)
+    a, b, nu = rk4.coef_cos, rk4.coef_sin, rk4.nu
+    np.testing.assert_array_equal(rk4.final_state.as_vector(),
+                                  mode_vector(rk4, a * c + b * s / nu, b * c - a * nu * s))
+    assert rk4.final_state.time == step * h
+
+
+@pytest.mark.parametrize("coupling", [0.5, 30.0])
+def test_a_merged_cluster_at_the_largest_admitted_frequency_stays_finite(coupling):
+    """factorization_fits admits w and refuses 1 % more; a degenerate bath at w overflows nowhere.
+
+    A merged cluster forms the largest products, sums of (m / M) w^6 for
+    its pole and its Helmert frequencies.
+    """
+    edge = (math.log(np.finfo(float).max) - math.log(coupling)) / 6.0
+    w = 0.999 * math.exp(edge)
+    assert factorization_fits(coupling, w) and not factorization_fits(coupling, 1.01 * w)
+    tp = TestParticleSpec(mass=1.0, omega=0.9 * w)
+    cm = build_multi_coupling_matrix(tp, [(coupling / 12, np.full(12, w), True)])
+    v0 = np.random.default_rng(3).normal(size=cm.dim)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        prop = diagonalize(cm, v0, final=lambda nu: flow_factors(nu, 1.0 / w))
+    assert np.all(np.isfinite(prop.nu)) and np.all(np.isfinite(prop.final_state.as_vector()))
 
 
 def test_factorization_never_holds_a_mode_matrix(band):
