@@ -100,23 +100,32 @@ call to call in one module buffer that only grows, to at most two rows
 of _MAX_FFT points (4 MB).  A buffer backs at most one live array at a
 time, and no array a function returns shares memory with one.
 
-Start-up.  dlasd4 is bound from scipy's compiled LAPACK wrapper,
-scipy.linalg._flapack, loaded from its file without running the scipy
-or scipy.linalg package __init__: importing scipy.linalg star-imports
-numpy through scipy's array-API layer, which loads numpy.f2py,
-numpy.testing, numpy.ma and numpy.random: 116 of the 160 ms and 19 MB
-of the peak memory of importing the command line module.  The extension
-alone takes about 2 ms and 2.6 MB.  numpy.fft, which numpy loads
-lazily, is imported here so that a run does not import it inside its
-first transform.
+Start-up and threads.  dlasd4 is bound through ctypes from the library
+behind scipy's compiled LAPACK wrapper, the file of
+scipy.linalg._flapack, without running the scipy or scipy.linalg
+package __init__: importing scipy.linalg star-imports numpy through
+scipy's array-API layer, which loads numpy.f2py, numpy.testing,
+numpy.ma and numpy.random: 116 of the 160 ms and 19 MB of the peak
+memory of importing the command line module.  Unlike the f2py wrapper,
+a ctypes call releases the GIL, so the secular roots, and Loewner's
+products, whose numpy operations release it too, run on worker
+threads: plain threads started per call, one per ROOTS_PER_WORKER
+roots and at most one per CPU the process may run on, all joined
+before the call returns (_workers, _in_ranges).  Smaller systems stay
+on the calling thread.  The pass over the shapes (_sweep) stays serial:
+its accumulation order fixes the bits of the final state.  numpy.fft,
+which numpy loads lazily, is imported here so that a run does not
+import it inside its first transform.
 """
 
 from __future__ import annotations
 
+import ctypes
 import importlib.machinery
 import importlib.util
 import math
 import os
+import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -126,15 +135,25 @@ from .model import SystemState, TestParticleSpec
 
 
 def _load_dlasd4():
-    """LAPACK's dlasd4 from scipy's compiled _flapack, without scipy's packages."""
+    """LAPACK's dlasd4 from the library behind scipy's compiled _flapack, through ctypes.
+
+    The symbol is scipy_dlasd4_ in the scipy-openblas wheels and dlasd4_
+    elsewhere.  Every argument is passed by address, as Fortran takes it.
+    """
     linalg = [os.path.join(d, "linalg")
               for d in importlib.util.find_spec("scipy").submodule_search_locations]
     spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg)
     if spec is None:
         raise ImportError(f"scipy's compiled LAPACK wrapper _flapack is not in {linalg}")
-    flapack = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(flapack)
-    return flapack.dlasd4
+    lib = ctypes.CDLL(spec.origin)
+    for name in ("scipy_dlasd4_", "dlasd4_"):
+        routine = getattr(lib, name, None)
+        if routine is not None:
+            # n, i, d, z, delta, rho, sigma, work, info
+            routine.argtypes = [ctypes.c_void_p] * 9
+            routine.restype = None
+            return routine
+    raise ImportError(f"{spec.origin} exports neither scipy_dlasd4_ nor dlasd4_")
 
 
 dlasd4 = _load_dlasd4()
@@ -281,6 +300,57 @@ def _deflate(cm: CouplingMatrix) -> _Deflated:
 SHAPE_BLOCK = 64
 
 
+# secular roots (or Loewner arms) per worker thread.  A worker pays a
+# thread start and GIL hand-offs of a few microseconds per root, which the
+# root work it takes over must outweigh.  On 2 CPUs (in-process medians,
+# roots plus arms) two threads broke even at N = 400, 2.0 ms either way,
+# and won from N = 600 on: 4.1 against 2.7 ms, and 0.135 against 0.071 s
+# at N = 4000.  So N = 400 stays on the calling thread and N = 600 splits
+ROOTS_PER_WORKER = 300
+
+
+def _workers(n):
+    """Worker threads for n independent roots: one per ROOTS_PER_WORKER, at most one per CPU.
+
+    The CPUs are those the process may run on, where the platform says
+    (sched_getaffinity), else all of them.
+    """
+    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+            else os.cpu_count() or 1)
+    return max(1, min(cpus, n // ROOTS_PER_WORKER))
+
+
+def _in_ranges(task, n, workers):
+    """task(lo, hi) on each of `workers` contiguous ranges that split range(n).
+
+    The calling thread takes the first range and a new thread each other
+    one; all are joined before this returns.  An exception in a range is
+    raised after the joins, the lowest range's first.
+    """
+    bounds = [n * j // workers for j in range(workers + 1)]
+    errors = [None] * workers
+
+    def run(j):
+        try:
+            task(bounds[j], bounds[j + 1])
+        except Exception as exc:    # raised below, on the calling thread
+            errors[j] = exc
+
+    threads = []
+    try:
+        for j in range(1, workers):
+            thread = threading.Thread(target=run, args=(j,))
+            thread.start()
+            threads.append(thread)
+        run(0)
+    finally:
+        for thread in threads:
+            thread.join()
+    for exc in errors:
+        if exc is not None:
+            raise exc
+
+
 def _secular_roots(poles, weights, which):
     """Roots nu of 1 + sum_j weights_j / (poles_j^2 - nu^2) = 0, as (origin, tau).
 
@@ -289,7 +359,10 @@ def _secular_roots(poles, weights, which):
     above poles[-1].  Root k is poles[origin] + tau with poles[origin]
     its nearer pole.  One call of LAPACK's dlasd4 per root (R.-C. Li's
     middle way, LAPACK Working Note 89) returns every poles_j - nu_k
-    relative to that pole; a failed call raises EigensolverError.
+    relative to that pole.  The roots are split into contiguous ranges,
+    one per worker thread (_workers), each with its own output buffers:
+    a ctypes call releases the GIL, so the ranges run side by side.  A
+    failed call raises EigensolverError for the lowest failing root.
     """
     which = np.asarray(which, dtype=np.intp)
     if len(poles) == 1:
@@ -297,20 +370,48 @@ def _secular_roots(poles, weights, which):
         p, c = float(poles[0]), float(weights[0])
         return (np.zeros(len(which), np.intp),
                 np.full(len(which), c / (p + np.sqrt(p * p + c))))
-    # rho = 1 and z unscaled, although LAPACK documents |z| = 1: scaled that
-    # way (rho = sum(weights)), the top root of a heavy bath (m/M ~ 700)
-    # came out 1.5e-12 off a 50-digit reference, unscaled 2e-16
-    z = np.sqrt(weights)
-    origin = np.minimum(which + 1, len(poles) - 1)
-    tau = np.empty(len(which))
-    for j, k in enumerate(which):
-        delta, _, _, info = dlasd4(k, poles, z)
-        if info != 0:
-            raise EigensolverError(f"dlasd4 failed on secular root {k} (info = {info})")
-        if abs(delta[k]) <= abs(delta[origin[j]]):
-            origin[j] = k
-        tau[j] = -delta[origin[j]]
-    return origin, tau
+    # dlasd4 reads n entries behind each address, for root i in 1..n
+    n = len(poles)
+    if len(weights) != n or np.any((which < 0) | (which >= n)):
+        raise ValueError(f"{n} poles need {n} weights and roots 0 to {n - 1}")
+    # rho = 1 and z = sqrt(weights), although LAPACK documents |z| = 1:
+    # scaled that way (rho = sum(weights)), the top root of a heavy bath
+    # (m/M ~ 700) came out 1.5e-12 off a 50-digit reference, unscaled 2e-16.
+    # The equation is scale-free but dlasd4 is not: with the top pole at
+    # 1e8 or above it failed (info = 1) on half of a scan of small baths.
+    # So poles and z are multiplied by the power of two that brings the
+    # top pole into [1/2, 1), which is exact, and the offsets divided by it
+    scale = math.ldexp(1.0, -math.frexp(float(poles[-1]))[1])
+    d = np.asarray(poles, dtype=float) * scale
+    z = np.sqrt(np.asarray(weights, dtype=float)) * scale
+    # Python lists, cheaper than arrays to write one entry at a time; each
+    # thread writes only its own range
+    ks = which.tolist()
+    origin = np.minimum(which + 1, n - 1).tolist()
+    tau = [0.0] * len(ks)
+
+    def roots(lo, hi):
+        # delta as a ctypes array: reading one entry is a plain float
+        delta, work = (ctypes.c_double * n)(), (ctypes.c_double * n)()
+        size, i, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
+        rho, sigma = ctypes.c_double(1.0), ctypes.c_double()
+        args = [ctypes.addressof(size), ctypes.addressof(i), d.ctypes.data, z.ctypes.data,
+                ctypes.addressof(delta), ctypes.addressof(rho), ctypes.addressof(sigma),
+                ctypes.addressof(work), ctypes.addressof(info)]
+        for j in range(lo, hi):
+            k = ks[j]
+            i.value = k + 1
+            dlasd4(*args)
+            if info.value != 0:
+                raise EigensolverError(
+                    f"dlasd4 failed on secular root {k} (info = {info.value})")
+            o = origin[j]
+            if abs(delta[k]) <= abs(delta[o]):
+                origin[j] = o = k
+            tau[j] = -delta[o]
+
+    _in_ranges(roots, len(ks), _workers(len(ks)))
+    return np.array(origin, dtype=np.intp), np.array(tau) / scale
 
 
 def _helmert_columns(zc, t, out):
@@ -387,23 +488,34 @@ def _loewner_z(bath, nu0, tau):
     """Loewner's z: the border for which the computed roots are exact eigenvalues.
 
     bath are the coupled poles above the particle's pole at 0, and the
-    roots (nu0 + tau) interlace them.
+    roots (nu0 + tau) interlace them.  Arm a is a product over every
+    root and pole, O(N) each.  As for the roots, the arms are split into
+    contiguous ranges, one per worker thread (_workers): numpy releases
+    the GIL inside each block's operations.  Each range works in blocks
+    of SHAPE_BLOCK // workers arms, so all ranges together hold the
+    buffers of one SHAPE_BLOCK block.
     """
     n_s = len(bath)
     zhat = np.empty(n_s)
-    # every block's ratios, their denominators and the second factor of
-    # each difference of squares
-    ratios, dens, factors = np.empty((3, min(SHAPE_BLOCK, n_s), n_s))
-    for lo in range(0, n_s, SHAPE_BLOCK):
-        arms = np.arange(lo, min(lo + SHAPE_BLOCK, n_s))
-        k, w = len(arms), bath[arms]
-        # (d_a - lam_j+1) / (d_a - d_j), and -(d_a - lam_a+1) for j = a
-        ratio = _d_minus_lam(w, nu0[1:], tau[1:], out=ratios[:k], scratch=factors[:k])
-        den = np.subtract.outer(w, bath, out=dens[:k])
-        den *= np.add.outer(w, bath, out=factors[:k])
-        den[np.arange(k), arms] = -1.0
-        ratio /= den
-        zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
+    workers = _workers(n_s)
+    step = max(1, SHAPE_BLOCK // workers)
+
+    def arms_in(lo, hi):
+        # every block's ratios, their denominators and the second factor
+        # of each difference of squares
+        ratios, dens, factors = np.empty((3, min(step, hi - lo), n_s))
+        for first in range(lo, hi, step):
+            arms = np.arange(first, min(first + step, hi))
+            k, w = len(arms), bath[arms]
+            # (d_a - lam_j+1) / (d_a - d_j), and -(d_a - lam_a+1) for j = a
+            ratio = _d_minus_lam(w, nu0[1:], tau[1:], out=ratios[:k], scratch=factors[:k])
+            den = np.subtract.outer(w, bath, out=dens[:k])
+            den *= np.add.outer(w, bath, out=factors[:k])
+            den[np.arange(k), arms] = -1.0
+            ratio /= den
+            zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
+
+    _in_ranges(arms_in, n_s, workers)
     if not np.all(zhat > 0.0):
         raise EigensolverError("secular roots do not interlace the bath poles")
     return np.sqrt(zhat)

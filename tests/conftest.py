@@ -5,12 +5,14 @@ block prints one PASS/FAIL line per criterion so the verdicts can be
 read without scanning the full pytest output.
 """
 
+import ctypes
 import re
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+from finitebath import propagator
 from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
 from finitebath.output import CURVE_HEADER
 from finitebath.propagator import drift_matrix
@@ -33,6 +35,19 @@ def small_bath(band):
 @pytest.fixture
 def particle():
     return TestParticleSpec(mass=1.0, omega=0.5)
+
+
+@pytest.fixture
+def failing_dlasd4(monkeypatch):
+    """Replace propagator's dlasd4 binding by a stub that reports info = 1 on every root.
+
+    The binding takes the addresses of Fortran's arguments (n, i, d, z,
+    delta, rho, sigma, work, info); the stub writes only info.
+    """
+    def stub(n, i, d, z, delta, rho, sigma, work, info):
+        ctypes.c_int.from_address(info).value = 1
+
+    monkeypatch.setattr(propagator, "dlasd4", stub)
 
 
 @pytest.fixture

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import finitebath
-from finitebath import experiments, propagator
+from finitebath import experiments
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
 from finitebath.propagator import NumericalError
 from finitebath.output import read_histogram
@@ -215,9 +215,7 @@ def test_single_exits_3_when_any_seed_failed_numerically(
                         [0.5, 2, "FitError: only 2 nonempty bins"]]
 
 
-def test_secular_solver_failure_exits_3(tmp_path, quick_config, monkeypatch, capsys):
-    monkeypatch.setattr(propagator, "dlasd4",
-                        lambda i, d, z: (np.ones_like(d), 1.0, np.ones_like(d), 1))
+def test_secular_solver_failure_exits_3(tmp_path, quick_config, failing_dlasd4, capsys):
     out = tmp_path / "run"
     code = main(["single", "--config", str(quick_config), "--omega", "0.5",
                  "--seed-list", "1", "--out", str(out)])
@@ -226,6 +224,18 @@ def test_secular_solver_failure_exits_3(tmp_path, quick_config, monkeypatch, cap
     assert len(failures) == 1
     assert failures[0][:2] == [0.5, 1]
     assert failures[0][2].startswith("EigensolverError: dlasd4 failed")
+
+
+def test_a_bath_at_a_large_frequency_scale_factors(tmp_path):
+    """The secular roots do not depend on the frequency scale: every seed fits at 1e9."""
+    out = tmp_path / "run"
+    code = main(["sweep", "--set", "bath1_omega_uv=1e9", "--set", "bath1_omega_ir=5e8",
+                 "--set", "bath1_size=12", "--set", "bath1_mass=0.04",
+                 "--set", "omega_grid=[9e8]", "--set", "seeds=[1,2,3]", "--out", str(out)])
+    assert code == EXIT_OK
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["seeds"] == [1, 2, 3]
+    assert manifest["failures"] == []
 
 
 def test_unstable_rk4_step_exits_3(tmp_path, capsys):
@@ -527,14 +537,24 @@ def _fresh_python(code: str) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """dlasd4 comes from scipy's compiled LAPACK wrapper alone; only `exchange` needs scipy.stats."""
+    """dlasd4 comes from scipy's compiled LAPACK wrapper alone; only `exchange` needs scipy.stats.
+
+    The worker threads of the secular roots are plain threads: neither
+    concurrent.futures nor logging, which it imports, is loaded.
+    """
     code = ("import sys, finitebath.cli\n"
-            "print(sorted({'scipy', 'scipy.linalg', 'scipy.stats'} & set(sys.modules)))")
+            "print(sorted({'scipy', 'scipy.linalg', 'scipy.stats', 'concurrent.futures',"
+            " 'logging'} & set(sys.modules)))")
     assert _fresh_python(code) == "[]\n"
 
 
 def test_dlasd4_is_scipys_lapack_routine():
-    """Bit-identical to scipy.linalg.lapack.dlasd4 on every root of a realized bath."""
+    """_secular_roots is bit-identical to a loop over scipy.linalg.lapack.dlasd4.
+
+    At N = 400 the roots run on the calling thread, at N = 4000 on two
+    worker threads.  Both baths' top poles lie in [1/2, 1), where the
+    roots take the poles unscaled.
+    """
     code = """
 import numpy as np
 from finitebath import propagator
@@ -542,16 +562,27 @@ from finitebath.bath import realize_bath
 from finitebath.model import BathSpec, TestParticleSpec
 from scipy.linalg.lapack import dlasd4
 
-real = realize_bath(BathSpec(size=400, mass=1e-3), seed=3)
-cm = propagator.build_multi_coupling_matrix(TestParticleSpec(omega=0.5),
-                                            [(real.m, real.frequencies, True)])
-poles, z = propagator._deflate(cm).poles, np.sqrt(propagator._deflate(cm).weights)
-print(len(poles), sum(
-    any(np.asarray(a).tobytes() != np.asarray(b).tobytes()
-        for a, b in zip(propagator.dlasd4(k, poles, z), dlasd4(k, poles, z)))
-    for k in range(len(poles))))
+for size, workers in ((400, 1), (4000, 2)):
+    propagator._workers = lambda n: workers
+    real = realize_bath(BathSpec(size=size, mass=0.4 / size), seed=3)
+    cm = propagator.build_multi_coupling_matrix(TestParticleSpec(omega=0.5),
+                                                [(real.m, real.frequencies, True)])
+    df = propagator._deflate(cm)
+    poles, z, n = df.poles, np.sqrt(df.weights), len(df.poles)
+    assert 0.5 <= poles[-1] < 1.0
+    origin, tau = [], []
+    for k in range(n):
+        delta, _, _, info = dlasd4(k, poles, z)
+        assert info == 0
+        o = min(k + 1, n - 1)
+        if abs(delta[k]) <= abs(delta[o]):
+            o = k
+        origin.append(o)
+        tau.append(-delta[o])
+    got = propagator._secular_roots(df.poles, df.weights, np.arange(n))
+    print(n, got[0].tolist() == origin, got[1].tobytes() == np.array(tau).tobytes())
 """
-    assert _fresh_python(code) == "401 0\n"
+    assert _fresh_python(code) == "401 True True\n4001 True True\n"
 
 
 def test_runs_import_no_numpy_or_scipy_module():

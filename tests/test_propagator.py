@@ -1,6 +1,10 @@
 """Coupling description, drift matrix and the normal-mode propagator."""
 
+import ctypes
+import functools
 import math
+import sys
+import threading
 import tracemalloc
 import warnings
 
@@ -318,18 +322,86 @@ def test_eigen_path_does_not_call_eigh(monkeypatch, small_bath, particle):
     assert mode_residual(diagonalize(light, np.ones(light.dim))) < 1e-12
 
 
-def _failing_dlasd4(i, d, z):
-    return np.ones_like(d), 1.0, np.ones_like(d), 1
-
-
-def test_secular_solver_failure_is_an_eigensolver_error(monkeypatch, small_bath, particle):
-    monkeypatch.setattr(propagator, "dlasd4", _failing_dlasd4)
+def test_secular_solver_failure_is_an_eigensolver_error(failing_dlasd4, small_bath, particle):
     real = realize_bath(small_bath, seed=4)
     cm = _one_bath(particle, real.frequencies, real.m)
     with pytest.raises(EigensolverError, match="dlasd4 failed"):
         diagonalize(cm, _initial_vector(particle, real))
     with pytest.raises(EigensolverError, match="dlasd4 failed"):
         max_mode_frequency(cm)
+
+
+def _large_bath(size=4000):
+    real = realize_bath(BathSpec(size=size, mass=0.4 / size), seed=3)
+    tp = TestParticleSpec(mass=1.0, omega=0.5)
+    return _one_bath(tp, real.frequencies, real.m), _initial_vector(tp, real)
+
+
+def test_worker_threads_give_the_one_worker_factorization_bit_for_bit(monkeypatch):
+    """At N = 4000 the roots and Loewner's z on worker threads change no bit.
+
+    Each count splits the roots and arms differently: 2 as on two CPUs, 3
+    into uneven ranges and blocks of 21 arms, and 8 threads, more than
+    the cores, with the interpreter switching threads every microsecond.
+    No thread outlives the call.
+    """
+    cm, v0 = _large_bath()
+    final = functools.partial(flow_factors, t=123.4)
+
+    def factor(workers):
+        monkeypatch.setattr(propagator, "_workers", lambda n: workers)
+        prop = diagonalize(cm, v0, final=final)
+        return [prop.nu, prop.u0, prop.coef_cos, prop.coef_sin, prop.final_state.as_vector()]
+
+    want = factor(1)
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        for workers in (2, 3, 8):
+            for got, ref in zip(factor(workers), want):
+                assert got.tobytes() == ref.tobytes()
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+
+
+def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
+    """Roots 2500 and 3500 fail, both in the second of two workers' ranges."""
+    cm, v0 = _large_bath()
+    real_dlasd4 = propagator.dlasd4
+
+    def failing_above_2000(n, i, d, z, delta, rho, sigma, work, info):
+        real_dlasd4(n, i, d, z, delta, rho, sigma, work, info)
+        if ctypes.c_int.from_address(i).value - 1 in (2500, 3500):
+            ctypes.c_int.from_address(info).value = 2
+
+    monkeypatch.setattr(propagator, "dlasd4", failing_above_2000)
+    monkeypatch.setattr(propagator, "_workers", lambda n: 2)
+    threads = threading.active_count()
+    with pytest.raises(EigensolverError, match=r"secular root 2500 \(info = 2\)"):
+        diagonalize(cm, v0)
+    assert threading.active_count() == threads
+
+
+def test_the_secular_roots_do_not_depend_on_the_frequency_scale():
+    """Baths scaled from 1e-10 to 1e30 factor, with the modes of the unscaled bath.
+
+    Each bath has 6 oscillators at w_max, which merge into one pole, and
+    6 drawn in [w_max / 2, w_max]; Omega = 0.9 w_max and sum N m / M =
+    0.5.  With unscaled poles dlasd4 failed on 62 of these 123 baths, all
+    from 1e8 up.
+    """
+    rng = np.random.default_rng(11)
+    for _ in range(3):
+        shape = np.r_[np.ones(6), rng.uniform(0.5, 1.0, 6)]
+        unit = diagonalize(_one_bath(TestParticleSpec(omega=0.9), shape, 0.5 / 12),
+                           np.ones(2 + 2 * len(shape)))
+        for w_max in 10.0 ** np.arange(-10, 31):
+            cm = _one_bath(TestParticleSpec(omega=0.9 * w_max), w_max * shape, 0.5 / 12)
+            prop = diagonalize(cm, np.ones(cm.dim))
+            np.testing.assert_allclose(prop.nu / w_max, unit.nu, rtol=1e-13, atol=0.0)
+            assert mode_residual(prop) < 1e-13
 
 
 def test_loewner_vectors_stay_orthogonal_when_the_roots_carry_error():

@@ -9,10 +9,9 @@ the configs, so every study has one front end.
 import json
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-from finitebath import experiments, propagator
+from finitebath import experiments
 from finitebath.cli import EXIT_NUMERICAL, main
 from finitebath.config import check_config
 from finitebath.output import write_csv
@@ -121,9 +120,7 @@ def test_all_failed_sweep_records_a_null_peak_and_exits_3(tmp_path, capsys, monk
     assert "Traceback" not in capsys.readouterr().err
 
 
-def test_exchange_factorization_failure_exits_3(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(propagator, "dlasd4",
-                        lambda i, d, z: (np.ones_like(d), 1.0, np.ones_like(d), 1))
+def test_exchange_factorization_failure_exits_3(tmp_path, capsys, failing_dlasd4):
     assert _run("degenerate_exchange", ["--size", "20", "--out", str(tmp_path)]) == 3
     err = capsys.readouterr().err
     assert err.startswith("numerical failure: dlasd4 failed")
