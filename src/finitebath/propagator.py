@@ -112,14 +112,23 @@ products, whose numpy operations release it too, run on worker
 threads: plain threads started per call, one per ROOTS_PER_WORKER
 roots and at most one per CPU the process may run on, all joined
 before the call returns (_workers, _in_ranges).  Smaller systems stay
-on the calling thread.  The pass over the shapes (_sweep) stays serial:
-its accumulation order fixes the bits of the final state.  numpy.fft,
-which numpy loads lazily, is imported here so that a run does not
-import it inside its first transform.
+on the calling thread.  A thread runs in a copy of the caller's
+context, so np.errstate holds there too, and a range whose thread
+cannot start runs on the calling thread.  The switched module's period
+map runs its passes over its roots (the Aberth sweeps' steps, the
+eigenvectors, the left products) on the same threads, but only while
+numpy's BLAS runs on one thread (blas_threads reads OpenBLAS's count
+through ctypes): those passes call BLAS in every block, and next to
+BLAS's own threads they ran three times slower.  The pass over the
+shapes (_sweep) and the period map's sum over its roots stay serial:
+their accumulation order fixes the bits of the final state.
+numpy.fft, which numpy loads lazily, is imported here so that a run
+does not import it inside its first transform.
 """
 
 from __future__ import annotations
 
+import contextvars
 import ctypes
 import importlib.machinery
 import importlib.util
@@ -157,6 +166,29 @@ def _load_dlasd4():
 
 
 dlasd4 = _load_dlasd4()
+
+
+def _load_blas_threads():
+    """The thread count getter of the BLAS numpy calls, through ctypes, or None.
+
+    OpenBLAS's openblas_get_num_threads, under the names numpy's builds
+    give it, or MKL's MKL_Get_Max_Threads, looked up through numpy's
+    core extension, which links the BLAS.  None where neither is found.
+    """
+    try:
+        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
+    except OSError:
+        return None
+    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
+                 "openblas_get_num_threads", "MKL_Get_Max_Threads"):
+        getter = getattr(lib, name, None)
+        if getter is not None:
+            getter.argtypes, getter.restype = [], ctypes.c_int
+            return getter
+    return None
+
+
+blas_threads = _load_blas_threads()
 
 
 class NumericalError(RuntimeError):
@@ -309,40 +341,51 @@ SHAPE_BLOCK = 64
 ROOTS_PER_WORKER = 300
 
 
-def _workers(n):
-    """Worker threads for n independent roots: one per ROOTS_PER_WORKER, at most one per CPU.
+def _workers(n, per_worker=ROOTS_PER_WORKER):
+    """Worker threads for n independent roots: one per per_worker roots, at most one per CPU.
 
     The CPUs are those the process may run on, where the platform says
     (sched_getaffinity), else all of them.
     """
     cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(cpus, n // ROOTS_PER_WORKER))
+    return max(1, min(cpus, n // per_worker))
 
 
 def _in_ranges(task, n, workers):
-    """task(lo, hi) on each of `workers` contiguous ranges that split range(n).
+    """task(lo, hi, j) on each of `workers` contiguous ranges j that split range(n).
 
     The calling thread takes the first range and a new thread each other
-    one; all are joined before this returns.  An exception in a range is
-    raised after the joins, the lowest range's first.
+    one; j lets a task take its own slice of a shared buffer.  A thread
+    runs its range in a copy of the caller's context, so the caller's
+    numpy error state (np.errstate, a context variable) holds there too.
+    A range whose thread cannot start (RuntimeError, as at a limit on
+    threads or processes) runs on the calling thread after the first.
+    All threads are joined before this returns.  An exception in a range
+    is raised after the joins, the lowest range's first.
     """
     bounds = [n * j // workers for j in range(workers + 1)]
     errors = [None] * workers
 
     def run(j):
         try:
-            task(bounds[j], bounds[j + 1])
+            task(bounds[j], bounds[j + 1], j)
         except Exception as exc:    # raised below, on the calling thread
             errors[j] = exc
 
-    threads = []
+    threads, unstarted = [], []
     try:
         for j in range(1, workers):
-            thread = threading.Thread(target=run, args=(j,))
-            thread.start()
-            threads.append(thread)
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, j))
+            try:
+                thread.start()
+            except RuntimeError:
+                unstarted.append(j)
+            else:
+                threads.append(thread)
         run(0)
+        for j in unstarted:
+            run(j)
     finally:
         for thread in threads:
             thread.join()
@@ -390,7 +433,7 @@ def _secular_roots(poles, weights, which):
     origin = np.minimum(which + 1, n - 1).tolist()
     tau = [0.0] * len(ks)
 
-    def roots(lo, hi):
+    def roots(lo, hi, _):
         # delta as a ctypes array: reading one entry is a plain float
         delta, work = (ctypes.c_double * n)(), (ctypes.c_double * n)()
         size, i, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
@@ -500,7 +543,7 @@ def _loewner_z(bath, nu0, tau):
     workers = _workers(n_s)
     step = max(1, SHAPE_BLOCK // workers)
 
-    def arms_in(lo, hi):
+    def arms_in(lo, hi, _):
         # every block's ratios, their denominators and the second factor
         # of each difference of squares
         ratios, dens, factors = np.empty((3, min(step, hi - lo), n_s))

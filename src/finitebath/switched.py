@@ -72,7 +72,8 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
-                         EigensolverError, NumericalError, _view, banded_sums,
+                         EigensolverError, NumericalError, _in_ranges, _view,
+                         _workers, banded_sums, blas_threads,
                          build_multi_coupling_matrix, check_rk4_stability,
                          diagonalize, drift_matrix, max_mode_frequency,
                          mode_amplitudes, mode_vector, rk4_factors,
@@ -234,6 +235,35 @@ MAX_SWEEPS = 60
 # the structured route runs while the compressed rank r of the period map's
 # correction satisfies RANK_PER_DIM r <= dim (see _ModalPeriodMap.applies)
 RANK_PER_DIM = 8
+# roots of the period map per worker thread in a pass over them (an Aberth
+# sweep, the eigenvectors, the left products).  A root costs O(dim r^2)
+# there, far more than a dlasd4 root, so threads pay from fewer roots than
+# ROOTS_PER_WORKER.  On 2 CPUs with BLAS on one thread (in-process medians
+# of one Aberth sweep), two threads broke even at 96 roots for dim 202,
+# 0.25 ms either way, and at about 64 roots from dim 402 on: 0.49 against
+# 0.33 ms at dim 802, and 3.0 against 1.9 ms for its 401 roots
+PERIOD_ROOTS_PER_WORKER = 48
+
+
+def _chunks(n, piece):
+    """(lo, hi) of the chunks of range(n): blocks of SHAPE_BLOCK, each cut into pieces.
+
+    piece is SHAPE_BLOCK, or a multiple of four of at least eight, and a
+    lone root left at the end of a block takes four roots from the piece
+    before it.  Every root's row or column of a BLAS product then rounds
+    as it does in its block: with OpenBLAS 0.3.31 on one thread, rows
+    alike in any product of two or more, columns alike within the leading
+    multiple of four and beyond it by the count left over, while a product
+    of one root takes the matrix-vector route.
+    """
+    chunks = []
+    for lo in range(0, n, SHAPE_BLOCK):
+        hi = min(lo + SHAPE_BLOCK, n)
+        cuts = list(range(lo, hi, piece)) + [hi]
+        if len(cuts) > 2 and hi - cuts[-2] == 1:
+            cuts[-2] -= 4
+        chunks += zip(cuts[:-1], cuts[1:])
+    return chunks
 
 
 class _ModalPeriodMap:
@@ -262,7 +292,14 @@ class _ModalPeriodMap:
     relative accuracy.  Nothing of size dim^2 is formed: each pass over the
     roots takes SHAPE_BLOCK of them at a time, through closed forms in the
     r x r null vectors, and writes a block's rows into the map's two work
-    buffers.  floquet() finds the roots and vectors; amplitudes() and
+    buffers.  The passes whose roots are independent of each other, the
+    steps of each Aberth sweep, floquet()'s eigenvectors and the left
+    products of amplitudes(), run on worker threads where BLAS runs on
+    one: each thread takes a range of the roots in smaller pieces and its
+    own slice of the buffers, with the bits of one thread (_in_chunks).
+    A sweep's checks and moves stay on the calling thread, and _combine
+    stays serial, since its sum over the roots fixes the bits of the
+    state.  floquet() finds the roots and vectors; amplitudes() and
     state() use them.
     """
 
@@ -348,22 +385,54 @@ class _ModalPeriodMap:
         dim = len(self._factors[3])
         return np.empty((2, min(SHAPE_BLOCK, dim // 2) * dim), complex)
 
-    def _resolvent(self, sigma):
+    def _resolvent(self, sigma, buf):
         """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root.
 
-        A view of the first work buffer, valid until the next call.
+        A view of the flat buffer buf, valid until buf is written again.
         """
         t = self._factors[3]
-        g = np.subtract(t, sigma[:, None], out=_view(self._work[0], (len(sigma), len(t))))
+        g = np.subtract(t, sigma[:, None], out=_view(buf, (len(sigma), len(t))))
         return np.reciprocal(g, out=g)
 
-    def _secular(self, g, power=1):
-        """Y^H (T - sigma)^-power X per root (power 1 and 2: S(sigma) - I and S'(sigma))."""
+    def _secular(self, g, power=1, buf=None):
+        """Y^H (T - sigma)^-power X per root (power 1 and 2: S(sigma) - I and S'(sigma)).
+
+        Power 2 squares g into the flat buffer buf.
+        """
         x, _, w, _ = self._factors
         r = x.shape[1]
         if power == 2:
-            g = np.multiply(g, g, out=_view(self._work[1], g.shape))
+            g = np.multiply(g, g, out=_view(buf, g.shape))
         return (g @ w).reshape(-1, r, r)
+
+    def _in_chunks(self, task, n):
+        """task(part, work) on the slices `part` of range(n) that _chunks cuts, on worker threads.
+
+        No root's result may depend on another's.  Threads run only while
+        numpy's BLAS runs on one thread (blas_threads): each pass calls BLAS
+        in every chunk, and beside OpenBLAS's own threads they made the six
+        switched points of the twobath benchmark three times slower (0.17
+        against 0.50 s in-process on 2 CPUs), while such a BLAS also rounds
+        a product by how it splits it among its threads.  Then each of
+        _workers threads, one per PERIOD_ROOTS_PER_WORKER roots and at most
+        one per eight rows of the work buffers, takes a contiguous range of
+        chunks, and as work its own slice of the two buffers, so that all
+        of them together hold no more than one thread does.
+        """
+        buffers = self._work
+        rows = buffers.shape[1] // len(self._factors[3])
+        workers = 1
+        if blas_threads is not None and blas_threads() == 1:
+            workers = max(1, min(_workers(n, PERIOD_ROOTS_PER_WORKER), rows // 8))
+        share = buffers.shape[1] // workers
+        chunks = _chunks(n, SHAPE_BLOCK if workers == 1 else rows // workers // 4 * 4)
+
+        def run(lo, hi, j):
+            work = buffers[:, j * share:(j + 1) * share]
+            for first, last in chunks[lo:hi]:
+                task(slice(first, last), work)
+
+        _in_ranges(run, len(chunks), workers)
 
     def roots(self):
         """sigma with Im >= 0 by Aberth-Ehrlich iteration from the poles, or None.
@@ -393,25 +462,31 @@ class _ModalPeriodMap:
         last, crossed = np.full(n, np.inf), np.zeros(n, bool)
 
         def sweep(active):
-            """Move the roots `active` once; (still going, near the axis), or None."""
-            going, near, every = [], [], np.r_[sigma, sigma.conj()]
-            for lo in range(0, len(active), SHAPE_BLOCK):
-                idx = active[lo:lo + SHAPE_BLOCK]
-                step = self._aberth_steps(every, idx)
-                if not np.all(np.isfinite(step)):
-                    return None
-                across = np.sign((sigma[idx] - step).imag) != np.sign(sigma[idx].imag)
-                if np.any(crossed[idx] & across):
-                    return None
-                crossed[idx] |= across
-                size, scale = np.abs(step), np.abs(sigma[idx])
-                done = (size <= 4.0 * EPS * scale) | (
-                    (size >= last[idx]) & (size <= np.sqrt(EPS) * scale))
-                near.append(idx[~done & (size > np.abs(sigma[idx].imag))])
-                going.append(idx[~done])
-                last[idx] = size
-                sigma[idx] -= step
-            return np.concatenate(going), np.concatenate(near)
+            """Move the roots `active` once; (still going, near the axis), or None.
+
+            Every step reads the roots as they were before the sweep, so the
+            steps are computed on worker threads (_in_chunks) and then
+            checked and taken on this thread.
+            """
+            every, step = np.r_[sigma, sigma.conj()], np.empty(len(active), complex)
+
+            def steps(part, work):
+                step[part] = self._aberth_steps(every, active[part], work)
+
+            self._in_chunks(steps, len(active))
+            if not np.all(np.isfinite(step)):
+                return None
+            across = np.sign((sigma[active] - step).imag) != np.sign(sigma[active].imag)
+            if np.any(crossed[active] & across):
+                return None
+            crossed[active] |= across
+            size, scale = np.abs(step), np.abs(sigma[active])
+            done = (size <= 4.0 * EPS * scale) | (
+                (size >= last[active]) & (size <= np.sqrt(EPS) * scale))
+            near = active[~done & (size > np.abs(sigma[active].imag))]
+            last[active] = size
+            sigma[active] -= step
+            return active[~done], near
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             active = np.arange(n)
@@ -431,24 +506,21 @@ class _ModalPeriodMap:
                     return sigma
         return None
 
-    def _aberth_steps(self, every, idx):
-        """Aberth-Ehrlich steps of the roots every[idx]; every holds all roots, then their conjugates."""
+    def _aberth_steps(self, every, idx, work):
+        """Aberth-Ehrlich steps of the roots every[idx]; every holds all roots, then their conjugates.
+
+        work holds the two flat buffers the steps are formed in.
+        """
         roots = every[idx]
-        g = self._resolvent(roots)
+        g = self._resolvent(roots, work[0])
         eye = np.eye(self._factors[0].shape[1])
-        trace = np.trace(np.linalg.solve(eye + self._secular(g), self._secular(g, 2)),
+        trace = np.trace(np.linalg.solve(eye + self._secular(g), self._secular(g, 2, work[1])),
                          axis1=1, axis2=2)
         pull = g.sum(axis=1)
         # g's buffer now holds 1 / (sigma_i - sigma_j) over every root j != i
         g = np.subtract.outer(roots, every, out=g)
         g[np.arange(len(idx)), idx] = np.inf
         return 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
-
-    def _blocks(self):
-        """Yield (idx, g, c, ct): SHAPE_BLOCK roots, their resolvent rows and null vectors."""
-        for lo in range(0, len(self.sigma), SHAPE_BLOCK):
-            idx = np.arange(lo, min(lo + SHAPE_BLOCK, len(self.sigma)))
-            yield idx, self._resolvent(self.sigma[idx]), self.null[0][idx], self.null[1][idx]
 
     def floquet(self, quality_tol: float):
         """_build_floquet's dict for this map, or None where the dense route must run.
@@ -479,28 +551,31 @@ class _ModalPeriodMap:
             rows.append(row * lam_d)
         rows = np.stack(rows)
         rows01 = np.empty(rows.shape[:2] + (n,), complex)
-        self.wsdot = np.empty(n, complex)
+        self.wsdot, terms = np.empty(n, complex), np.empty(n)
         xx = x.conj().T @ x
-        res2 = 0.0
-        for lo in range(0, n, SHAPE_BLOCK):
-            idx = np.arange(lo, min(lo + SHAPE_BLOCK, n))
-            g = self._resolvent(sigma[idx])
+
+        def vectors(part, work):
+            g = self._resolvent(sigma[part], work[0])
             sm = np.eye(r) + self._secular(g)
             u, _, vh = np.linalg.svd(sm)
             c, ct = vh[:, -1, :].conj(), u[:, :, -1]
-            self.null[0][idx], self.null[1][idx] = c, ct
-            self.wsdot[idx] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2), c)
-            right = np.matmul(x, c.T, out=_view(self._work[1], (len(t), len(idx))))
+            self.null[0][part], self.null[1][part] = c, ct
+            self.wsdot[part] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2, work[1]), c)
+            right = np.matmul(x, c.T, out=_view(work[1], (len(t), len(c))))
             right *= g.T
-            rows01[..., idx] = rows @ right
+            rows01[..., part] = rows @ right
             kernel = np.einsum("jab,jb->ja", sm, c)
-            res2 += float(np.sum(np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
-                                 / (np.einsum("ij,ij->j", right.real, right.real)
-                                    + np.einsum("ij,ij->j", right.imag, right.imag))))
+            terms[part] = (np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
+                           / (np.einsum("ij,ij->j", right.real, right.real)
+                              + np.einsum("ij,ij->j", right.imag, right.imag)))
+
+        self._in_chunks(vectors, n)
         d_full = 1.0 + t
         norm2 = (np.sum(np.abs(d_full) ** 2)
                  + 2.0 * np.sum((d_full.conj() * np.einsum("ij,ij->i", x, y.conj())).real)
                  + np.sum(xx * (y.conj().T @ y).T).real)
+        # each root's share, summed block by block in the one-thread order
+        res2 = sum(float(np.sum(terms[lo:lo + SHAPE_BLOCK])) for lo in range(0, n, SHAPE_BLOCK))
         self.residual_sq = 2.0 * res2 / norm2
         if not self.residual() <= quality_tol:      # NaN fails too
             return None
@@ -528,8 +603,10 @@ class _ModalPeriodMap:
         x = self._factors[0]
         u = np.zeros(x.shape, complex)
         part = np.empty_like(u)
-        for idx, g, c, _ in self._blocks():
-            u += np.matmul(g.T, c * coef[idx, None], out=part)
+        for lo in range(0, len(self.sigma), SHAPE_BLOCK):
+            at = slice(lo, lo + SHAPE_BLOCK)
+            g = self._resolvent(self.sigma[at], self._work[0])
+            u += np.matmul(g.T, self.null[0][at] * coef[at, None], out=part)
         u = np.sum(x * u, axis=1)
         n = len(self.sigma)
         return u + np.r_[u[n:], u[:n]].conj()
@@ -538,9 +615,13 @@ class _ModalPeriodMap:
         """w_j^H v / w_j^H s_j over the upper roots, w_j^H v = c~^H Y^H (T - sigma)^-1 v."""
         y_conj = self._factors[1].conj()
         out = np.empty(len(self.sigma), complex)
-        for idx, g, _, ct in self._blocks():
+
+        def products(part, work):
+            g = self._resolvent(self.sigma[part], work[0])
             g *= v
-            out[idx] = np.einsum("ja,ja->j", ct.conj(), g @ y_conj)
+            out[part] = np.einsum("ja,ja->j", self.null[1][part].conj(), g @ y_conj)
+
+        self._in_chunks(products, len(self.sigma))
         return out / self.wsdot
 
     def amplitudes(self, v0):

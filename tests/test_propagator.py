@@ -384,6 +384,40 @@ def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
     assert threading.active_count() == threads
 
 
+def test_worker_threads_keep_the_callers_numpy_error_state():
+    """A range on a worker thread runs under the caller's np.errstate, a context variable."""
+    out = np.ones(4)
+
+    def divide(lo, hi, *_):
+        out[lo:hi] /= 0.0
+
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        with np.errstate(divide="ignore"):
+            propagator._in_ranges(divide, len(out), 2)
+    assert np.all(np.isinf(out))
+
+
+def test_worker_threads_that_cannot_start_leave_their_ranges_to_the_caller(monkeypatch):
+    """At a limit on threads the calling thread takes every range, with the bits of one worker."""
+    cm, v0 = _large_bath()
+
+    def factor(workers):
+        monkeypatch.setattr(propagator, "_workers", lambda n: workers)
+        prop = diagonalize(cm, v0)
+        return [prop.nu, prop.u0, prop.coef_cos, prop.coef_sin]
+
+    def refuse(self):
+        raise RuntimeError("can't start new thread")
+
+    want = factor(1)
+    threads = threading.active_count()
+    monkeypatch.setattr(threading.Thread, "start", refuse)
+    for got, ref in zip(factor(3), want):
+        assert got.tobytes() == ref.tobytes()
+    assert threading.active_count() == threads
+
+
 def test_the_secular_roots_do_not_depend_on_the_frequency_scale():
     """Baths scaled from 1e-10 to 1e30 factor, with the modes of the unscaled bath.
 
