@@ -118,12 +118,19 @@ def build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:
         dos_kwargs["omega_uv"] = keys["omega_uv"]
     try:
         dos = DensityOfStates(**dos_kwargs) if dos_kwargs else defaults.dos
-        return BathSpec(size=keys.get("size", defaults.size),
+        bath = BathSpec(size=keys.get("size", defaults.size),
                         mass=keys.get("mass", defaults.mass),
                         temperature=keys.get("temperature", defaults.temperature),
                         dos=dos)
     except ValueError as err:
         raise ConfigError(f"{prefix}: {err}") from err
+    # an oscillator's stiffness m w^2 divides its energy into the squared
+    # position amplitude 2 E / (m w^2), largest at omega_ir
+    stiffness = bath.mass * dos.omega_ir**2
+    if stiffness == 0.0 or not math.isfinite(2.0 * bath.temperature / stiffness):
+        raise ConfigError(f"{prefix}_mass: at {bath.mass!r} the squared position amplitude "
+                          f"2 T / (m omega_ir^2) = 2 * {bath.temperature!r} / {stiffness!r} overflows")
+    return bath
 
 
 def _refuse_unread(cfg: dict, two_bath: bool) -> None:

@@ -22,7 +22,8 @@ Its modes cost O(N^2) time and O(N) memory, since
 the (N+1)^2 mode matrix is never stored (Gu & Eisenstat, SIAM J.
 Matrix Anal. Appl. 16, 172 (1995)):
 
-1. Deflation.  Free oscillators (z_n = 0) are modes on their own.
+1. Deflation.  Free oscillators (z_n = 0, or negligible against the
+   corner) are modes on their own; the particle keeps their springs.
    Oscillators whose d_n agree to rounding fold into one pole along
    their z direction; the orthogonal combinations are modes without
    particle motion.  A fully degenerate bath leaves two coupled modes.
@@ -58,10 +59,9 @@ Matrix Anal. Appl. 16, 172 (1995)):
 A zero frequency mode (Omega = 0, a free translation) has no such form,
 so diagonalize rejects it for the exact and the RK4 sampler alike.  It
 occurs only when nothing pins the particle, alpha0 = 0: for alpha0 > 0
-every secular root lies above the pole at 0.  The dense drift matrix A
-of v' = A v, v = (Q, P, q_1, p_1, ...), is needed only by the dense
-route of the switched period map; drift_matrix writes it from the same
-arrowhead on demand.
+every secular root lies above the pole at 0.  No dense matrix of the
+system is ever formed: the drift matrix A of v' = A v, v = (Q, P, q_1,
+p_1, ...), exists only as the tests' reference.
 
 Classical RK4 with step h is the polynomial R(hA) = I + hA + ... +
 (hA)^4/24 of the drift matrix, so it has the same normal modes: one step
@@ -208,9 +208,9 @@ class CouplingMatrix:
     bath's oscillator has z_n = -sqrt(m/M) w_n^2; a disengaged one
     evolves freely (z_n = 0) and exerts no force on the particle, and
     its spring sum enters alpha0 only under static renormalization.
-    Everything else, the drift matrix, the normal modes and their
-    residual, is derived from these arrays; build_multi_coupling_matrix
-    is the one place that states the coupling.
+    Everything else, the normal modes and their residual, is derived
+    from these arrays; build_multi_coupling_matrix is the one place that
+    states the coupling.
     """
 
     tp: TestParticleSpec
@@ -264,30 +264,16 @@ def build_multi_coupling_matrix(tp: TestParticleSpec, baths,
                           alpha0=float(alpha0))
 
 
-def drift_matrix(cm: CouplingMatrix) -> np.ndarray:
-    """Dense drift matrix A of v' = A v, (2 + 2N) square.
-
-    With v = (Q, P, q_1, p_1, ...), A holds 1 / M_i at (2i, 2i + 1) and
-    -K at the (odd, even) entries, K = M^(1/2) H M^(1/2): K_00 = M alpha,
-    K_nn = m_n d_n and K_0n = K_n0 = sqrt(M m_n) z_n.
-    """
-    a = np.zeros((cm.dim, cm.dim))
-    np.fill_diagonal(a[0::2, 1::2], 1.0 / cm.mass)
-    k = a[1::2, 0::2]                 # -K, a view of a
-    np.fill_diagonal(k, np.r_[-(cm.mass[0] * cm.alpha), -(cm.mass[1:] * cm.d)])
-    k[0, 1:] = k[1:, 0] = -(np.sqrt(cm.mass[0] * cm.mass[1:]) * cm.z)
-    return a
-
-
 @dataclass(frozen=True)
 class _Deflated:
     """The arrowhead after deflation: secular poles and what folds into them.
 
-    ``poles`` are frequencies and ascend: 0 (weight alpha0, when positive)
-    then one pole per cluster of coupled oscillators.  A lone oscillator's
-    pole is its own frequency; a merged cluster's is the square root of
-    its d averaged with weights z^2.  Member i of a cluster enters each
-    coupled mode with the cluster's amplitude times ``direction[i]``.
+    ``poles`` are frequencies and ascend: 0 (weight alpha0 plus the free
+    oscillators' c, when positive) then one pole per cluster of coupled
+    oscillators.  A lone oscillator's pole is its own frequency; a merged
+    cluster's is the square root of its d averaged with weights z^2.
+    Member i of a cluster enters each coupled mode with the cluster's
+    amplitude times ``direction[i]``.
     """
 
     poles: np.ndarray
@@ -316,9 +302,12 @@ def _deflate(cm: CouplingMatrix) -> _Deflated:
         poles[merged] = np.sqrt(np.add.reduceat(z2 * ds, starts)[merged] / r2[merged])
         weights = np.add.reduceat(cm.c[members], starts)
         direction = zs / np.sqrt(r2)[cluster]
-    if cm.alpha0 > 0.0:
+    # a deflated oscillator's spring c_n stays in the corner: the particle's
+    # pole at 0 carries it with alpha0
+    pinned = cm.alpha0 + float(np.sum(cm.c[free]))
+    if pinned > 0.0:
         poles = np.r_[0.0, poles]
-        weights = np.r_[cm.alpha0, weights]
+        weights = np.r_[pinned, weights]
     return _Deflated(poles=poles, weights=weights, members=members,
                      cluster=cluster, direction=direction, starts=starts,
                      free=free)

@@ -25,27 +25,27 @@ within that of R(i h w)^period over the bath frequencies w through one
 type-3 transform, the others (two of 401 at 2 x 200) directly.  Folding
 the pairs halves the band the transform grids.
 
-The period map is factored in O(N^2) time and O(N) memory, without
-forming it.  In phase 1's normal modes (diagonalize(a1), bath 2 free) a
-phase-1 step is the diagonal R(+-i h nu_k), and A2 - A1 has rank 2 (the
-particle's momentum row and position column), so the period map is that
-diagonal to the power 2d plus a correction of rank r <= 8d, compressed
-to its numerical rank (4 to 20 in practice).  Its multipliers are the
+The period map is factored in O(N^2) time and O(N r^2) memory, without
+forming it or any other dim x dim matrix.  In phase 1's normal modes
+(diagonalize(a1), bath 2 free) a phase-1 step is the diagonal
+R(+-i h nu_k), and A2 - A1 has rank 2 (the particle's momentum row and
+position column), so the period map is that diagonal to the power 2d
+plus a correction of rank r <= 8d, compressed to its numerical rank (0
+to 20 in practice, whatever the dimension).  Its multipliers are the
 roots of a secular equation, found by Aberth-Ehrlich iteration started
 at the poles (Bini & Robol, J. Comput. Appl. Math. 272, 2014); the
 eigenvectors and v' are closed forms in those roots (_ModalPeriodMap).
-The dense route forms the two step maps and the period map and calls
-eig: for a correction whose rank is not small against the dimension
-(RANK_PER_DIM), a root iteration that fails (as at a real multiplier of
-a resonant schedule), a structured residual above QUALITY_TOL, and a
-system diagonalize rejects (Omega = 0).  It builds the period map by
-binary powering and the rows of its step prefixes as row products, so
-it costs O(log d N^3 + d N^2) whatever the run's length.  Every switched
-run, however short, is sampled through the period map.  A dense
-factorization whose residual looks degraded is a NumericalError.  So
-is a parametrically resonant schedule, one whose period map has a
-multiplier |mu| > 1 that grows by more than e^GROWTH_TOL over the run:
-its samples would be fitted as an enormous temperature.
+Modes that neither contact phase couples (a degenerate or pairwise
+cancelled bath, a bath too light to couple, two equal phases) keep
+their poles and unit vectors.  Every switched run, however short, is
+sampled through the period map, and every schedule's is factored so:
+it costs O(r^2 N^2 + d r N) whatever the run's length.  A factorization
+whose residual exceeds QUALITY_TOL is a NumericalError.  So is a
+parametrically resonant schedule, one whose period map has a multiplier
+|mu| > 1 that grows by more than e^GROWTH_TOL over the run: its samples
+would be fitted as an enormous temperature.  A real pair of multipliers
+within that growth is refused too, naming the pair: the sampler takes
+the multipliers in conjugate pairs.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
@@ -72,10 +72,9 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
-                         EigensolverError, NumericalError, _in_ranges, _view,
-                         _workers, banded_sums, blas_threads,
-                         build_multi_coupling_matrix, check_rk4_stability,
-                         diagonalize, drift_matrix, max_mode_frequency,
+                         NumericalError, _in_ranges, _view, _workers,
+                         banded_sums, blas_threads, build_multi_coupling_matrix,
+                         check_rk4_stability, diagonalize, max_mode_frequency,
                          mode_amplitudes, mode_vector, rk4_factors,
                          rk4_mode_factors)
 
@@ -184,16 +183,6 @@ def build_switched_matrices(tp: TestParticleSpec, real1, real2,
     return TwoBathSystem(tp=tp, realizations=(real1, real2), a1=a1, a2=a2)
 
 
-def rk4_update_matrix(a: np.ndarray, h: float) -> np.ndarray:
-    """The linear map of one classical RK4 step, I + hA + ... + (hA)^4/24."""
-    eye = np.eye(a.shape[0])
-    ha = h * a
-    u = eye + ha / 4.0
-    u = eye + (ha / 3.0) @ u
-    u = eye + (ha / 2.0) @ u
-    return eye + ha @ u
-
-
 def _compress(x, y):
     """Thin factors of x y^H at its numerical rank: a thin QR of each, an SVD of the core.
 
@@ -210,8 +199,8 @@ def _compress(x, y):
 def _with_conjugates(a):
     """Each entry of a's last axis followed by its conjugate.
 
-    That keeps conjugate pairs adjacent, as LAPACK's eig returns them, so
-    _fold pairs the multipliers of both routes of the period map alike.
+    That keeps conjugate pairs adjacent, as LAPACK's dense eigensolver
+    returns them, so _fold pairs the period map's multipliers alike.
     """
     return np.stack([a, a.conj()], axis=-1).reshape(a.shape[:-1] + (-1,))
 
@@ -220,7 +209,7 @@ def _fold(log_mu):
     """(keep, mate): one multiplier per conjugate pair, and its mate's index (-1 for none).
 
     A multiplier in the upper half plane that is directly followed by its
-    exact conjugate, as both routes of the period map order them, is
+    exact conjugate, as the period map (and LAPACK) order them, is
     kept with that mate; every other multiplier is kept on its own.
     """
     paired = np.r_[(log_mu[:-1].imag > 0.0) & (log_mu[1:] == log_mu[:-1].conj()), False]
@@ -230,11 +219,8 @@ def _fold(log_mu):
 
 EPS = np.finfo(float).eps
 RANK_TOL = 4.0 * EPS
-# Aberth sweeps before the structured route gives up
+# Aberth sweeps before the root iteration gives up
 MAX_SWEEPS = 60
-# the structured route runs while the compressed rank r of the period map's
-# correction satisfies RANK_PER_DIM r <= dim (see _ModalPeriodMap.applies)
-RANK_PER_DIM = 8
 # roots of the period map per worker thread in a pass over them (an Aberth
 # sweep, the eigenvectors, the left products).  A root costs O(dim r^2)
 # there, far more than a dlasd4 root, so threads pay from fewer roots than
@@ -243,6 +229,42 @@ RANK_PER_DIM = 8
 # 0.25 ms either way, and at about 64 roots from dim 402 on: 0.49 against
 # 0.33 ms at dim 802, and 3.0 against 1.9 ms for its 401 roots
 PERIOD_ROOTS_PER_WORKER = 48
+
+
+def _decoupled(nu, u0, kappa):
+    """(u0, kappa, turns, fixed): the phase-1 modes that neither contact phase couples.
+
+    A switch moves mode k only through u0_k and kappa_k.  A mode whose
+    u0_k and kappa_k are both at most RANK_TOL of their norms over all
+    modes, the rounding level of the switch itself, is decoupled (fixed).
+    Then within each set of modes of one frequency, such as a degenerate
+    bath's, an orthogonal rotation (turns: each set turned, and its
+    rotation) puts the set's (u0, kappa) onto as few modes as its rank, and
+    the others are decoupled too.  Zeroing mode by mode first keeps the
+    rounding of a large set, which adds up, from passing for a coupling.
+    A decoupled mode keeps its pole and its unit vector through both
+    contact phases.
+    """
+    rows = np.stack([u0, kappa], axis=1)
+    scale = np.linalg.norm(rows, axis=0)
+    rows[np.all(np.abs(rows) <= RANK_TOL * scale, axis=1)] = 0.0
+    order = np.argsort(nu, kind="stable")
+    same = np.r_[False, nu[order][1:] == nu[order][:-1], False]
+    turns = []
+    for lo, hi in zip(np.flatnonzero(~same[:-1] & same[1:]),
+                      np.flatnonzero(same[:-1] & ~same[1:]) + 1):
+        idx = order[lo:hi]
+        if np.any(rows[idx]):
+            u, sv, _ = np.linalg.svd(rows[idx] / np.where(scale > 0.0, scale, 1.0))
+            rows[idx] = u.T @ rows[idx]
+            rows[idx[np.sum(sv > RANK_TOL):]] = 0.0
+            turns.append((idx, u))
+    return rows[:, 0], rows[:, 1], turns, ~np.any(rows, axis=1)
+
+
+def _stops(size, before, scale):
+    """Roots whose Aberth step, of size `size`, reaches the rounding floor of `scale`."""
+    return (size <= 4.0 * EPS * scale) | ((size >= before) & (size <= np.sqrt(EPS) * scale))
 
 
 def _chunks(n, piece):
@@ -286,21 +308,25 @@ class _ModalPeriodMap:
     the diagonal D = Lam^2d plus rank <= 8d.  It is formed as factors by
     binary powering of U2, each product compressed to its numerical rank,
     which grows far slower than 8d (4 at d = 1, 20 at d = 250 with
-    h = 0.02 on 2 x 200 oscillators).  Its multipliers are mu = 1 + sigma,
-    sigma the roots of det(T - sigma + X Y^H), T = D - 1 taken by expm1 of
-    the exact log phases, so every difference t_k - sigma keeps its
-    relative accuracy.  Nothing of size dim^2 is formed: each pass over the
-    roots takes SHAPE_BLOCK of them at a time, through closed forms in the
-    r x r null vectors, and writes a block's rows into the map's two work
-    buffers.  The passes whose roots are independent of each other, the
+    h = 0.02 and 16 at d = 2614 with h = 1e-3 on 2 x 200 oscillators).
+    Its multipliers are mu = 1 + sigma, sigma the roots of det(T - sigma +
+    X Y^H), T = D - 1 taken by expm1 of the exact log phases, so every
+    difference t_k - sigma keeps its relative accuracy.  A mode that
+    neither phase couples (_decoupled) has zero rows in X_E, Y_E, X and Y:
+    its root is its pole, its vectors its unit vector, and it stays in
+    the other roots' sums.  Nothing of size dim^2 is formed: the largest
+    array is W, dim r^2 entries, and each pass over the roots takes
+    SHAPE_BLOCK of them at a time, through closed forms in the r x r null
+    vectors, and writes a block's rows into the map's two work buffers.
+    The passes whose roots are independent of each other, the
     steps of each Aberth sweep, floquet()'s eigenvectors and the left
     products of amplitudes(), run on worker threads where BLAS runs on
     one: each thread takes a range of the roots in smaller pieces and its
     own slice of the buffers, with the bits of one thread (_in_chunks).
     A sweep's checks and moves stay on the calling thread, and _combine
     stays serial, since its sum over the roots fixes the bits of the
-    state.  floquet() finds the roots and vectors; amplitudes() and
-    state() use them.
+    state.  roots() finds the roots, floquet() the vectors; amplitudes()
+    and state() use them.
     """
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -312,7 +338,10 @@ class _ModalPeriodMap:
         kick = np.zeros(system.dim)
         kick[3::2] = np.sqrt(a1.mass[0] * a1.mass[1:]) * (a2.z - a1.z)
         self.modes = diagonalize(a1, kick)
-        nu, u0, kappa = self.modes.nu, self.modes.u0, self.modes.coef_sin
+        nu = self.modes.nu
+        self.u0, kappa, self.turns, self.fixed = _decoupled(nu, self.modes.u0,
+                                                            self.modes.coef_sin)
+        u0 = self.u0
         dk00 = system.tp.mass * (a2.alpha - a1.alpha)
         phi, log_rho = rk4_mode_factors(nu, h)
         self.log_step = np.r_[log_rho + 1j * phi, log_rho - 1j * phi]
@@ -332,6 +361,10 @@ class _ModalPeriodMap:
                        for k in range(j + 1, 5))
             ys.append(coef.conj()[:, None] * y_l)
         self.x_e, self.y_e = _compress(np.hstack(xs), np.hstack(ys))
+        if not self.x_e.shape[1]:      # equal contact phases couple no mode
+            self.fixed[:] = True
+        self.x_e[np.r_[self.fixed, self.fixed]] = 0.0
+        self.y_e[np.r_[self.fixed, self.fixed]] = 0.0
 
     def _times(self, left, right):
         """(Lam^a + A B^H)(Lam^b + C D^H) = Lam^(a+b) + [A, Lam^a C + A B^H C][conj(Lam^b) B, D]^H."""
@@ -343,33 +376,26 @@ class _ModalPeriodMap:
 
     @cached_property
     def _factors(self):
-        """X, Y, W and T of the period map D + X Y^H = U2^d Lam^d, or None.
+        """X, Y, W and T of the period map D + X Y^H = U2^d Lam^d.
 
-        U2^d by binary powering of Lam + X_E Y_E^H, each product compressed;
-        None as soon as a rank fails applies().  W[k] = conj(Y_k) (x) X_k,
+        U2^d by binary powering of Lam + X_E Y_E^H, each product compressed,
+        with the decoupled modes' rows kept at zero.  W[k] = conj(Y_k) (x) X_k,
         so Y^H diag(g) X = (g @ W).reshape(r, r).
         """
         power, base, d = None, (1, self.x_e, self.y_e), self.d
         while True:
             if d & 1:
                 power = base if power is None else self._times(power, base)
-                if not self.applies(power[1].shape[1]):
-                    return None
             d >>= 1
             if not d:
                 break
             base = self._times(base, base)
         x, y = power[1], np.exp(self.d * self.log_step).conj()[:, None] * power[2]
+        x[np.r_[self.fixed, self.fixed]] = 0.0
+        y[np.r_[self.fixed, self.fixed]] = 0.0
         r = x.shape[1]
-        w = (y.conj()[:, :, None] * x[:, None, :]).reshape(-1, r * r)
+        w = (y.conj()[:, :, None] * x[:, None, :]).reshape(len(x), r * r)
         return x, y, w, np.expm1(2 * self.d * self.log_step)
-
-    def applies(self, rank: int) -> bool:
-        """The measured crossover: the structured route runs while RANK_PER_DIM r <= dim.
-
-        Rank 0, two contact phases that are equal, has no secular equation.
-        """
-        return 0 < RANK_PER_DIM * rank <= len(self.step)
 
     def phase2(self, v):
         """One phase-2 RK4 step of the modal vector v."""
@@ -435,76 +461,98 @@ class _ModalPeriodMap:
         _in_ranges(run, len(chunks), workers)
 
     def roots(self):
-        """sigma with Im >= 0 by Aberth-Ehrlich iteration from the poles, or None.
+        """Every root of the secular equation, by Aberth-Ehrlich iteration from the poles.
 
         f(sigma) = det(T - sigma) det S(sigma), f'/f = sum_k 1/(sigma - t_k)
         + tr(S^-1 Y^H (T - sigma)^-2 X), and each root moves by 1 / (f'/f -
         sum_j 1/(sigma - sigma_j)) over the other roots.  One root per
         conjugate pair of poles is iterated, from the pole with Im >= 0
-        plus its first-order shift (X Y^H)_kk; the roots below the real
-        axis are their conjugates, counted in that sum, so conjugate pairs
-        stay exact.  A real multiplier, as of a resonant schedule, is
-        therefore not reached: its root bounces across the axis, while a
-        complex root crosses it at most once, to settle as the conjugate
-        of its start.  A root whose step exceeds its distance to the axis
-        is iterated on its own at once, and the iteration gives up (None)
-        when it crosses the axis a second time, before the other roots
-        have converged.  A root stops once its step is below 4 eps of it,
-        or below sqrt(eps) of it and no smaller than the step before: the
-        iteration has reached its rounding floor.  None also when a root
-        does not stop within MAX_SWEEPS sweeps or an iterate leaves the
-        finite numbers.
+        plus its first-order shift (X Y^H)_kk; a decoupled mode's root is
+        its pole and does not move.  The roots below the real axis are the
+        conjugates, counted in that sum, so conjugate pairs stay exact.  A
+        complex root crosses the real axis at most once, to settle as the
+        conjugate of its start.  A root that crosses it a second time
+        belongs to a real pair of multipliers, as of a resonant schedule:
+        the pair is found on the axis (_real_pair) and held there while the
+        other roots go on.  A root whose step exceeds its distance to the
+        axis is iterated on its own at once.  A root stops once its step is
+        below 4 eps of it, or below sqrt(eps) of it and no smaller than the
+        step before: the iteration has reached its rounding floor.
+        NumericalError when a root does not stop within MAX_SWEEPS sweeps
+        or an iterate leaves the finite numbers.
+
+        Returns the n iterated roots, then their conjugates, or for a real
+        pair its second root.  self.upper holds each mode's pole with Im >=
+        0 (k or k + n), where its root starts.
         """
         x, y, _, t = self._factors
         n = len(t) // 2
-        upper = np.where(t[:n].imag >= 0.0, np.arange(n), np.arange(n, 2 * n))
-        sigma = t[upper] + np.einsum("ij,ij->i", x[upper], y[upper].conj())
+        self.upper = upper = np.where(t[:n].imag >= 0.0, np.arange(n), np.arange(n, 2 * n))
+        every = t[upper] + np.einsum("ij,ij->i", x[upper], y[upper].conj())
+        every = np.r_[every, every.conj()]
         last, crossed = np.full(n, np.inf), np.zeros(n, bool)
+        paired = np.zeros(n, bool)
 
         def sweep(active):
-            """Move the roots `active` once; (still going, near the axis), or None.
+            """Move the roots `active` once; (still going, near the axis).
 
             Every step reads the roots as they were before the sweep, so the
             steps are computed on worker threads (_in_chunks) and then
-            checked and taken on this thread.
+            checked and taken on this thread.  A real pair, once found, is held.
             """
-            every, step = np.r_[sigma, sigma.conj()], np.empty(len(active), complex)
+            active = active[~paired[active]]
+            root, step = every[active], np.empty(len(active), complex)
 
             def steps(part, work):
                 step[part] = self._aberth_steps(every, active[part], work)
 
             self._in_chunks(steps, len(active))
             if not np.all(np.isfinite(step)):
-                return None
-            across = np.sign((sigma[active] - step).imag) != np.sign(sigma[active].imag)
-            if np.any(crossed[active] & across):
-                return None
+                raise NumericalError("period map root iteration left the finite numbers")
+            across = np.sign((root - step).imag) != np.sign(root.imag)
+            bounced = crossed[active] & across
             crossed[active] |= across
-            size, scale = np.abs(step), np.abs(sigma[active])
-            done = (size <= 4.0 * EPS * scale) | (
-                (size >= last[active]) & (size <= np.sqrt(EPS) * scale))
-            near = active[~done & (size > np.abs(sigma[active].imag))]
+            size = np.abs(step)
+            done = _stops(size, last[active], np.abs(root)) | bounced
+            near = active[~done & (size > np.abs(root.imag))]
             last[active] = size
-            sigma[active] -= step
+            every[active] -= step
+            paired[active[bounced]] = True
+            every[n:][~paired] = every[:n][~paired].conj()
+            for i in np.flatnonzero(bounced):
+                self._real_pair(every, active[i], root[i].real, size[i])
             return active[~done], near
 
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            active = np.arange(n)
+            active = np.flatnonzero(~self.fixed)
             for _ in range(MAX_SWEEPS):
-                moved = sweep(active)
-                if moved is None:
-                    return None
-                active, near = moved
+                active, near = sweep(active)
                 for _ in range(MAX_SWEEPS):
                     if not len(near):
                         break
-                    moved = sweep(near)
-                    if moved is None:
-                        return None
-                    near = moved[0]
+                    near = sweep(near)[0]
                 if not len(active):
-                    return sigma
-        return None
+                    return every
+        raise NumericalError(f"period map roots do not converge within {MAX_SWEEPS} sweeps")
+
+    def _real_pair(self, every, j, x, s):
+        """Roots j and j + n as a real pair: from x -/+ s, Aberth steps along the real axis.
+
+        On the axis f is real (the poles come in conjugate pairs, so det(T -
+        sigma) > 0 there), and so is every step once the other roots come in
+        conjugate pairs: the two roots stay real and converge to the pair.
+        A pair that does not, non-finite steps included, is a NumericalError.
+        """
+        pair, before = np.array([j, j + len(every) // 2]), np.inf
+        every[pair] = x - s, x + s
+        for _ in range(MAX_SWEEPS):
+            step = self._aberth_steps(every, pair, self._work).real
+            size = np.abs(step)
+            every[pair] -= step
+            if np.all(_stops(size, before, np.abs(every[pair]))):
+                return
+            before = size
+        raise NumericalError(f"period map's real pair does not converge in {MAX_SWEEPS} steps")
 
     def _aberth_steps(self, every, idx, work):
         """Aberth-Ehrlich steps of the roots every[idx]; every holds all roots, then their conjugates.
@@ -522,26 +570,25 @@ class _ModalPeriodMap:
         g[np.arange(len(idx)), idx] = np.inf
         return 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
 
-    def floquet(self, quality_tol: float):
-        """_build_floquet's dict for this map, or None where the dense route must run.
+    def floquet(self, sigma, quality_tol: float):
+        """_build_floquet's dict for the first half of roots(), sigma.
 
         Root j's right eigenvector is s = (T - sigma)^-1 X c and its left one
         w = (T - sigma)^-H Y c~, with c and c~ the right and left null
         vectors of S(sigma); so w^H s = c~^H S'(sigma) c and Y^H s = (S - I) c.
-        None when the roots fail or the residual ||D s + X (Y^H s) - mu s||
-        = ||X S(sigma) c|| (unit s, both halves of each conjugate pair)
-        exceeds quality_tol of ||D + X Y^H||_F.
+        A decoupled mode's root is its pole and both its vectors are its
+        unit vector.  NumericalError when the residual ||D s + X (Y^H s) -
+        mu s|| = ||X S(sigma) c|| (unit s, both halves of each conjugate
+        pair) exceeds quality_tol of ||D + X Y^H||_F.
         """
-        sigma = self.roots()
-        if sigma is None:
-            return None
         x, y, w, t = self._factors
         n, r = len(sigma), x.shape[1]
-        self.sigma, self.null = sigma, np.empty((2, n, r), complex)
+        live, fixed = np.flatnonzero(~self.fixed), self.upper[self.fixed]
+        self.sigma, self.null = sigma, np.zeros((2, n, r), complex)
         # rows 0 and 1 (Q and P) of the map of the first r steps, r < 2d:
         # Q = sum u0 a_k and P = M sum u0 b_k, with b_k = i nu (z - conj z) / 2.
         # That map is Lam^r up to the switch and U2^(r-d) Lam^d after it
-        nu, u0 = self.modes.nu, self.modes.u0
+        nu, u0 = self.modes.nu, self.u0
         row = np.stack([np.tile(0.5 * u0, 2),
                         self.modes.cm.tp.mass * np.r_[0.5j * nu * u0, -0.5j * nu * u0]])
         rows = [row * np.exp(k * self.log_step) for k in range(self.d + 1)]
@@ -551,25 +598,27 @@ class _ModalPeriodMap:
             rows.append(row * lam_d)
         rows = np.stack(rows)
         rows01 = np.empty(rows.shape[:2] + (n,), complex)
-        self.wsdot, terms = np.empty(n, complex), np.empty(n)
+        rows01[..., self.fixed] = rows[..., fixed]
+        self.wsdot, terms = np.ones(n, complex), np.zeros(n)
         xx = x.conj().T @ x
 
         def vectors(part, work):
-            g = self._resolvent(sigma[part], work[0])
+            at = live[part]
+            g = self._resolvent(sigma[at], work[0])
             sm = np.eye(r) + self._secular(g)
             u, _, vh = np.linalg.svd(sm)
             c, ct = vh[:, -1, :].conj(), u[:, :, -1]
-            self.null[0][part], self.null[1][part] = c, ct
-            self.wsdot[part] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2, work[1]), c)
+            self.null[0][at], self.null[1][at] = c, ct
+            self.wsdot[at] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2, work[1]), c)
             right = np.matmul(x, c.T, out=_view(work[1], (len(t), len(c))))
             right *= g.T
-            rows01[..., part] = rows @ right
+            rows01[..., at] = rows @ right
             kernel = np.einsum("jab,jb->ja", sm, c)
-            terms[part] = (np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
-                           / (np.einsum("ij,ij->j", right.real, right.real)
-                              + np.einsum("ij,ij->j", right.imag, right.imag)))
+            terms[at] = (np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
+                         / (np.einsum("ij,ij->j", right.real, right.real)
+                            + np.einsum("ij,ij->j", right.imag, right.imag)))
 
-        self._in_chunks(vectors, n)
+        self._in_chunks(vectors, len(live))
         d_full = 1.0 + t
         norm2 = (np.sum(np.abs(d_full) ** 2)
                  + 2.0 * np.sum((d_full.conj() * np.einsum("ij,ij->i", x, y.conj())).real)
@@ -578,7 +627,8 @@ class _ModalPeriodMap:
         res2 = sum(float(np.sum(terms[lo:lo + SHAPE_BLOCK])) for lo in range(0, n, SHAPE_BLOCK))
         self.residual_sq = 2.0 * res2 / norm2
         if not self.residual() <= quality_tol:      # NaN fails too
-            return None
+            raise NumericalError(f"period map factorization residual {self.residual():.2e} "
+                                 f"exceeds {quality_tol:g}")
         return {"log_mu": _with_conjugates(self.log_mu(sigma)),
                 "rows01": _with_conjugates(rows01), "period": 2 * self.d,
                 "amplitudes": self.amplitudes, "state": self.state}
@@ -598,35 +648,45 @@ class _ModalPeriodMap:
 
         A lower root's eigenvector is its upper partner's conjugate with the
         halves swapped, so S coef = u + swap(conj u) with u = sum_j s_j coef_j
-        over the upper roots, u = sum_a X_a (g^T (c coef))_a.
+        over the upper roots, u = sum_a X_a (g^T (c coef))_a plus coef_j at
+        the pole of each decoupled mode j.
         """
-        x = self._factors[0]
+        x, live = self._factors[0], np.flatnonzero(~self.fixed)
         u = np.zeros(x.shape, complex)
         part = np.empty_like(u)
-        for lo in range(0, len(self.sigma), SHAPE_BLOCK):
-            at = slice(lo, lo + SHAPE_BLOCK)
+        for lo in range(0, len(live), SHAPE_BLOCK):
+            at = live[lo:lo + SHAPE_BLOCK]
             g = self._resolvent(self.sigma[at], self._work[0])
             u += np.matmul(g.T, self.null[0][at] * coef[at, None], out=part)
         u = np.sum(x * u, axis=1)
+        u[self.upper[self.fixed]] = coef[self.fixed]
         n = len(self.sigma)
         return u + np.r_[u[n:], u[:n]].conj()
 
     def _left_products(self, v):
         """w_j^H v / w_j^H s_j over the upper roots, w_j^H v = c~^H Y^H (T - sigma)^-1 v."""
-        y_conj = self._factors[1].conj()
+        y_conj, live = self._factors[1].conj(), np.flatnonzero(~self.fixed)
         out = np.empty(len(self.sigma), complex)
 
         def products(part, work):
-            g = self._resolvent(self.sigma[part], work[0])
+            at = live[part]
+            g = self._resolvent(self.sigma[at], work[0])
             g *= v
-            out[part] = np.einsum("ja,ja->j", self.null[1][part].conj(), g @ y_conj)
+            out[at] = np.einsum("ja,ja->j", self.null[1][at].conj(), g @ y_conj)
 
-        self._in_chunks(products, len(self.sigma))
+        self._in_chunks(products, len(live))
+        out[self.fixed] = v[self.upper[self.fixed]]
         return out / self.wsdot
+
+    def _turn(self, v, back=False):
+        """v in the modes _decoupled turned (back: in diagonalize's modes again), in place."""
+        for idx, u in self.turns:
+            v[idx] = (u if back else u.T) @ v[idx]
+        return v
 
     def amplitudes(self, v0):
         """v' = S^-1 v0 in modes, from the left vectors and one refinement step."""
-        a, b = mode_amplitudes(self.modes, v0)
+        a, b = (self._turn(ab) for ab in mode_amplitudes(self.modes, v0))
         z0 = a - 1j * b / self.modes.nu
         z0 = np.r_[z0, z0.conj()]
         vp = self._left_products(z0)
@@ -640,7 +700,8 @@ class _ModalPeriodMap:
             z = z * self.step if j < self.d else self.phase2(z)
         n = len(self.sigma)
         z = 0.5 * (z[:n] + z[n:].conj())
-        return mode_vector(self.modes, z.real, -self.modes.nu * z.imag)
+        f, g = (self._turn(v, back=True) for v in (z.real, -self.modes.nu * z.imag))
+        return mode_vector(self.modes, f, g)
 
 
 @dataclass
@@ -670,8 +731,8 @@ class SwitchedPropagator:
     QUALITY_TOL = 1e-7
     # largest log-amplitude growth of a period-map mode over a run.  RK4
     # damps every mode of a stable schedule; rounding leaves at most 2.1e-14
-    # (structured route) and 1.3e-6 (dense eig) over the 5e7 steps of the
-    # study's two-bath points
+    # over the 5e7 steps of the study's two-bath points (a dense
+    # eigensolver of the period map left 1.3e-6)
     GROWTH_TOL = 1e-3
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -693,92 +754,35 @@ class SwitchedPropagator:
 
     # -- period map spectral engine --------------------------------------
 
-    def _modal_map(self):
-        """The structured period map, or None where only the dense route applies.
-
-        None for a rank that _ModalPeriodMap.applies refuses and a system
-        diagonalize rejects (Omega = 0).
-        """
-        try:
-            modal = _ModalPeriodMap(self.system, self.schedule)
-        except EigensolverError:
-            return None
-        return modal if modal._factors is not None else None
-
-    def _check_growth(self, log_mu, last):
-        growth = last / self.schedule.period_steps * float(np.max(log_mu.real))
-        if not growth <= self.GROWTH_TOL:      # NaN fails too
-            raise NumericalError(
-                f"switching schedule is parametrically unstable: a period map "
-                f"mode grows by e^{growth:.3g} over {last} steps, more than "
-                f"e^{self.GROWTH_TOL:g}")
-
     def _build_floquet(self, last):
         """The period map's log multipliers, rows01 and period, and its coordinates.
 
         rows01[r] holds rows 0 and 1 of the first r steps' map times the
         eigenvectors S, so the particle after k periods and r steps is
         Re sum_j rows01[r, :, j] v'_j mu_j^k with v' = amplitudes(v0), and
-        state(mu^k v', r) is the whole state vector.  The structured route
-        (_ModalPeriodMap) runs where it applies and its residual passes;
-        otherwise the period map is formed from the two step maps and
-        factored by dense eig, whose residual must pass QUALITY_TOL.  Either
-        route then checks the multipliers' growth over `last` steps.
+        state(mu^k v', r) is the whole state vector.  The multipliers'
+        growth over `last` steps is checked before the eigenvectors are
+        formed.  A real pair of multipliers within that growth, whose split
+        lies below RK4's damping over the run, is refused too: its
+        eigenvectors are not conjugates of each other, which the sampler
+        assumes.  So is a factorization whose residual exceeds QUALITY_TOL
+        (floquet).
         """
-        modal = self._modal_map()
-        fl = modal.floquet(self.QUALITY_TOL) if modal is not None else None
-        if fl is None:
-            return self._dense_floquet(last)
-        self._check_growth(fl["log_mu"], last)
-        return fl
-
-    def _dense_floquet(self, last):
-        """The dense route: U2^d U1^d by binary powering, factored by eig.
-
-        Rows 0 and 1 of prefix r, the map of steps 0..r-1, are e^T U1^r up
-        to the switch and (e^T U2^(r-d)) U1^d after it: row products of
-        O(dim^2) each, formed only once the multipliers' growth over `last`
-        steps has passed the check.
-        """
-        h, d, dim = self.schedule.step_size, self.schedule.delta_t_steps, self.system.dim
-        u1, u2 = (rk4_update_matrix(drift_matrix(cm), h)
-                  for cm in (self.system.a1, self.system.a2))
-        u1_d = np.linalg.matrix_power(u1, d)
-        u_period = np.linalg.matrix_power(u2, d) @ u1_d
-        # a resonant schedule is refused before eig computes its eigenvectors
-        self._check_growth(np.log(np.linalg.eigvals(u_period)), last)
-        mu, s_mat = np.linalg.eig(u_period)
-        res = np.linalg.norm(u_period @ s_mat - s_mat * mu[None, :])
-        rel = res / max(np.linalg.norm(u_period), 1e-300)
-        if not rel <= self.QUALITY_TOL:      # NaN fails too
+        modal = _ModalPeriodMap(self.system, self.schedule)
+        every = modal.roots()
+        growth = last / self.schedule.period_steps * float(np.max(modal.log_mu(every).real))
+        if not growth <= self.GROWTH_TOL:      # NaN fails too
             raise NumericalError(
-                f"period map factorization residual {rel:.2e} exceeds "
-                f"{self.QUALITY_TOL:g}")
-
-        def row_powers(u, n):
-            """Rows 0 and 1 of u^k for k = 0..n-1."""
-            out = np.empty((n, 2, dim))
-            out[0] = np.eye(2, dim)
-            for k in range(1, n):
-                out[k] = out[k - 1] @ u
-            return out
-
-        after = row_powers(u2, d)[1:].reshape(-1, dim) @ u1_d
-        prefix_rows = np.concatenate([row_powers(u1, d + 1), after.reshape(-1, 2, dim)])
-
-        def state(w, r):
-            v = s_mat @ w
-            scale = np.abs(s_mat) @ np.abs(w)
-            if np.any(np.abs(v.imag) > 1e-7 * np.maximum(scale, 1e-300)):
-                raise NumericalError("imaginary residue in reconstructed state")
-            v = v.real
-            for j in range(r):
-                v = (u1 if j < d else u2) @ v
-            return v
-
-        return {"log_mu": np.log(mu), "rows01": prefix_rows @ s_mat,
-                "period": self.schedule.period_steps, "state": state,
-                "amplitudes": lambda v0: np.linalg.solve(s_mat, v0.astype(complex))}
+                f"switching schedule is parametrically unstable: a period map "
+                f"mode grows by e^{growth:.3g} over {last} steps, more than "
+                f"e^{self.GROWTH_TOL:g}")
+        n = len(every) // 2
+        real = every[n:] != every[:n].conj()
+        if np.any(real):
+            mu = 1.0 + np.sort(np.r_[every[:n][real], every[n:][real]].real)
+            raise NumericalError(f"switching schedule has real period map multipliers "
+                                 f"{', '.join(f'{m:.6g}' for m in mu)}, a resonant pair")
+        return modal.floquet(every[:n], self.QUALITY_TOL)
 
     def _run_floquet(self, v0, steps_wanted, final_step, last):
         fl = self._build_floquet(last)
@@ -832,8 +836,8 @@ class SwitchedPropagator:
         7.5e-11 and 1.9e-9 of |v| after 2e4, 2e6 and 5e7 steps, and
         literal stepping differs from that reference by 4.1e-13 at 2e4
         steps; the reference carries its own rounding, which grows with
-        the number of periods too.  The dense eig route differs by 7.2e-8,
-        3.0e-6 and 4.0e-5 at the same lengths.  A one-ulp change of an
+        the number of periods too.  A dense eigensolver of the period map
+        gave 7.2e-8, 3.0e-6 and 4.0e-5 instead.  A one-ulp change of an
         entry of either contact phase moves the samples of a 5e7 step
         run by at most 6e-15 of the largest sample.
 

@@ -1,4 +1,10 @@
-"""Shared fixtures and the acceptance criteria report.
+"""Shared fixtures, the dense references and the acceptance criteria report.
+
+The program never forms a dense matrix of a system.  The references
+here do: the drift matrix A of v' = A v, the RK4 update map R(hA), the
+switched period map factored by dense eig (dense_floquet) and literal
+RK4 stepping (the step_literally fixture).  Test modules import them
+from conftest.
 
 Acceptance tests are named test_criterion_NN_*; after the run a summary
 block prints one PASS/FAIL line per criterion so the verdicts can be
@@ -15,10 +21,74 @@ import pytest
 from finitebath import propagator
 from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
 from finitebath.output import CURVE_HEADER
-from finitebath.propagator import drift_matrix
-from finitebath.switched import rk4_update_matrix
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
+
+
+def drift_matrix(cm) -> np.ndarray:
+    """Dense drift matrix A of v' = A v, (2 + 2N) square, of a CouplingMatrix.
+
+    With v = (Q, P, q_1, p_1, ...), A holds 1 / M_i at (2i, 2i + 1) and
+    -K at the (odd, even) entries, K = M^(1/2) H M^(1/2): K_00 = M alpha,
+    K_nn = m_n d_n and K_0n = K_n0 = sqrt(M m_n) z_n.
+    """
+    a = np.zeros((cm.dim, cm.dim))
+    np.fill_diagonal(a[0::2, 1::2], 1.0 / cm.mass)
+    k = a[1::2, 0::2]                 # -K, a view of a
+    np.fill_diagonal(k, np.r_[-(cm.mass[0] * cm.alpha), -(cm.mass[1:] * cm.d)])
+    k[0, 1:] = k[1:, 0] = -(np.sqrt(cm.mass[0] * cm.mass[1:]) * cm.z)
+    return a
+
+
+def rk4_update_matrix(a: np.ndarray, h: float) -> np.ndarray:
+    """The linear map of one classical RK4 step, I + hA + ... + (hA)^4/24."""
+    eye = np.eye(a.shape[0])
+    ha = h * a
+    u = eye + ha / 4.0
+    u = eye + (ha / 3.0) @ u
+    u = eye + (ha / 2.0) @ u
+    return eye + ha @ u
+
+
+def step_maps(system, schedule):
+    """The RK4 update maps of a TwoBathSystem's two contact phases."""
+    return [rk4_update_matrix(drift_matrix(cm), schedule.step_size)
+            for cm in (system.a1, system.a2)]
+
+
+def dense_floquet(system, schedule):
+    """SwitchedPropagator._build_floquet's dict from the dense period map and eig.
+
+    U2^d U1^d by binary powering, factored by eig.  Rows 0 and 1 of
+    prefix r, the map of steps 0..r-1, are e^T U1^r up to the switch and
+    (e^T U2^(r-d)) U1^d after it, as row products.  O(dim^3) time and
+    O(dim^2) memory.
+    """
+    d, dim = schedule.delta_t_steps, system.dim
+    u1, u2 = step_maps(system, schedule)
+    u1_d = np.linalg.matrix_power(u1, d)
+    mu, s_mat = np.linalg.eig(np.linalg.matrix_power(u2, d) @ u1_d)
+
+    def row_powers(u, n):
+        """Rows 0 and 1 of u^k for k = 0..n-1."""
+        out = np.empty((n, 2, dim))
+        out[0] = np.eye(2, dim)
+        for k in range(1, n):
+            out[k] = out[k - 1] @ u
+        return out
+
+    after = row_powers(u2, d)[1:].reshape(-1, dim) @ u1_d
+    prefix_rows = np.concatenate([row_powers(u1, d + 1), after.reshape(-1, 2, dim)])
+
+    def state(w, r):
+        v = (s_mat @ w).real
+        for j in range(r):
+            v = (u1 if j < d else u2) @ v
+        return v
+
+    return {"log_mu": np.log(mu), "rows01": prefix_rows @ s_mat,
+            "period": schedule.period_steps, "state": state,
+            "amplitudes": lambda v0: np.linalg.solve(s_mat, v0.astype(complex))}
 
 
 @pytest.fixture
@@ -74,8 +144,8 @@ def step_literally():
     rest.  A continuous system (a2 is a1) steps A1's map throughout.
     """
     def step(system, schedule, v0, steps):
-        h, d = schedule.step_size, schedule.delta_t_steps
-        maps = [rk4_update_matrix(drift_matrix(cm), h) for cm in (system.a1, system.a2)]
+        d = schedule.delta_t_steps
+        maps = step_maps(system, schedule)
         steps = np.asarray(steps)
         out = np.empty((len(steps), system.dim))
         v = np.asarray(v0, dtype=float)

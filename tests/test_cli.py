@@ -460,6 +460,39 @@ def test_a_frequency_whose_square_overflows_exits_2(tmp_path, twobath_config, ca
     assert not out.exists()
 
 
+def test_a_bath_mass_whose_stiffness_underflows_exits_2(tmp_path, capsys):
+    # m omega_ir^2 = 5e-324 * 0.04 is 0: realize_bath would divide by it and
+    # the run would fail for a false reason ("total energy drifted from nan")
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["sweep", "--set", "bath1_size=30", "--set", "bath1_mass=5e-324",
+                     "--set", "omega_grid=[0.5]", "--set", "seeds=[1]",
+                     "--set", "n_samples=200", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "error: bath1_mass: at 5e-324 the squared position amplitude "
+        "2 T / (m omega_ir^2) = 2 * 5.0 / 0.0 overflows")
+    assert not out.exists()
+
+
+def test_a_bath_too_light_to_couple_runs_without_a_false_failure(tmp_path, capsys):
+    # bath 1 at m = 1e-300: its border -sqrt(m/M) w^2 ~ 1e-150 lies below the
+    # deflation tolerance, so its oscillators are decoupled modes of the
+    # period map.  The switched point fits; the run neither reports a
+    # divergence nor warns
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        code = main(["twobath", "--set", "bath1_size=30", "--set", "bath1_mass=1e-300",
+                     "--set", "bath2_size=2", "--set", "omega_grid=[2.9]",
+                     "--set", "seeds=[1]", "--set", "n_samples=200",
+                     "--set", "delta_t_steps=1", "--out", str(out)])
+    assert code == EXIT_OK
+    assert "Warning" not in capsys.readouterr().err
+    assert "diverged" not in (out / "manifest.json").read_text()
+
+
 def test_a_half_period_too_long_for_memory_exits_2(tmp_path, twobath_config, capsys):
     out = tmp_path / "x"
     code = main(["twobath", "--config", str(twobath_config), "--set", "bath1_size=5",

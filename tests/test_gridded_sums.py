@@ -30,6 +30,8 @@ from finitebath.stats import SamplingPlan, make_sampling_times
 from finitebath.switched import (SwitchSchedule, SwitchedPropagator,
                                  build_switched_matrices, default_step_size)
 
+from conftest import dense_floquet
+
 BAND = DensityOfStates("uniform", 0.2, 1.0)
 # the sampling plans of sweep_n400 (X = 2e4), of the twobath-alone curves
 # (X = 2.5e4), and one of twice that span (X = 5e4)
@@ -347,17 +349,22 @@ def _twobath_run(monkeypatch, omega=0.55, seed=2):
 
 @pytest.mark.parametrize("dense", [False, True], ids=["structured", "dense"])
 def test_period_map_sampler_matches_the_direct_sum(monkeypatch, dense):
-    """Both routes of the period map against the direct sum over both halves of each pair."""
+    """The period map sampler against the direct sum over both halves of each pair.
+
+    On the structured factorization, and on the dense reference
+    (conftest.dense_floquet), whose multipliers eig orders differently.
+    """
     outcomes, factor = [], switched._ModalPeriodMap.floquet
 
-    def recording(self, quality_tol):
-        fl = factor(self, quality_tol)
+    def recording(self, sigma, quality_tol):
+        fl = factor(self, sigma, quality_tol)
         outcomes.append(fl is not None)
         return fl
 
     monkeypatch.setattr(switched._ModalPeriodMap, "floquet", recording)
     if dense:
-        monkeypatch.setattr(switched, "RANK_PER_DIM", 10**9)
+        monkeypatch.setattr(SwitchedPropagator, "_build_floquet",
+                            lambda self, last: dense_floquet(self.system, self.schedule))
     res, fl, vprime = _twobath_run(monkeypatch)
     assert outcomes == ([] if dense else [True])
     log_mu = fl["log_mu"]

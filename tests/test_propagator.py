@@ -1,4 +1,4 @@
-"""Coupling description, drift matrix and the normal-mode propagator."""
+"""Coupling description, its dense drift matrix (the test reference) and the normal-mode propagator."""
 
 import ctypes
 import functools
@@ -22,7 +22,6 @@ from finitebath.propagator import (
     build_multi_coupling_matrix,
     factorization_fits,
     diagonalize,
-    drift_matrix,
     flow_factors,
     full_state,
     max_mode_frequency,
@@ -32,6 +31,8 @@ from finitebath.propagator import (
     rk4_mode_factors,
 )
 from finitebath.switched import SwitchSchedule, TwoBathSystem
+
+from conftest import drift_matrix
 
 
 def _initial_vector(tp, real):
@@ -67,6 +68,18 @@ def test_single_oscillator_drift_matrix_by_hand():
     np.testing.assert_allclose(drift_matrix(cm), expected, rtol=1e-15)
     assert cm.bath_sizes == (1,)
     assert cm.dim == 4
+
+
+def test_a_deflated_oscillator_keeps_its_spring_on_the_particle():
+    # an oscillator 1e100 times as heavy as the particle: its border
+    # z = -sqrt(m/M) w^2 = -8.1e49 lies below the deflation tolerance of the
+    # corner alpha = Omega^2 + (m/M) w^2 = 8.1e99, so it is a mode on its own,
+    # while its spring (m/M) w^2 stays in the corner and pins the particle:
+    # the top mode is sqrt(alpha), as the dense stiffness has it
+    cm = _one_bath(TestParticleSpec(mass=1.0, omega=0.5), np.array([0.9]), 1e100)
+    assert propagator._deflate(cm).free.tolist() == [0]
+    top = np.linalg.eigvalsh(np.array([[cm.alpha, cm.z[0]], [cm.z[0], cm.d[0]]]))[-1]
+    assert max_mode_frequency(cm) == pytest.approx(np.sqrt(top), rel=1e-15)
 
 
 def test_partial_coupling_matrices_superpose():

@@ -1,6 +1,7 @@
 """Square wave bath switching: schedule, RK4 maps, the period map and mode engines.
 
-Literal stepping (the step_literally fixture) is the reference throughout.
+Literal stepping (the step_literally fixture) is the reference throughout,
+and the dense period map (conftest.dense_floquet) where a run is long.
 """
 
 import dataclasses
@@ -19,8 +20,7 @@ from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestPartic
                               total_energy)
 from finitebath.propagator import (RK4_STABILITY_LIMIT, EigensolverError,
                                    NumericalError, build_multi_coupling_matrix,
-                                   diagonalize, drift_matrix, max_mode_frequency,
-                                   rk4_mode_factors)
+                                   diagonalize, max_mode_frequency, rk4_mode_factors)
 from finitebath.rng import SAMPLING_TIMES, substream
 from finitebath.stats import SamplingPlan, make_sampling_times
 from finitebath.switched import (
@@ -29,8 +29,9 @@ from finitebath.switched import (
     TwoBathSystem,
     build_switched_matrices,
     default_step_size,
-    rk4_update_matrix,
 )
+
+from conftest import dense_floquet, drift_matrix, rk4_update_matrix, step_maps
 
 SPEC1 = BathSpec(size=4, mass=0.01, temperature=5.0,
                  dos=DensityOfStates("uniform", 0.2, 1.0))
@@ -88,9 +89,10 @@ def _stepped(step_literally, system, sched, res):
     return states[:-1, 0], states[:-1, 1], states[-1]
 
 
-def _step_maps(system, sched):
-    return [rk4_update_matrix(drift_matrix(cm), sched.step_size)
-            for cm in (system.a1, system.a2)]
+def _dense(monkeypatch):
+    """Make every SwitchedPropagator sample the dense period map (conftest.dense_floquet)."""
+    monkeypatch.setattr(SwitchedPropagator, "_build_floquet",
+                        lambda self, last: dense_floquet(self.system, self.schedule))
 
 
 # -- schedule ----------------------------------------------------------
@@ -100,7 +102,7 @@ def test_schedule_alternates_in_blocks_of_delta_t():
     sched = SwitchSchedule(delta_t_steps=2, step_size=0.01)
     assert sched.period_steps == 4
     system = _tiny_system()
-    u1, u2 = _step_maps(system, sched)
+    u1, u2 = step_maps(system, sched)
     prop = SwitchedPropagator(system, sched)
     v = system.initial_vector()
     for s, u in enumerate((u1, u1, u2, u2, u1, u1), start=1):
@@ -192,30 +194,27 @@ def test_rk4_stability_limit_matches_the_update_map():
 
 
 def test_rk4_map_is_built_once_per_distinct_phase(monkeypatch):
-    calls, maps = [], []
+    # no run forms a dense update map: a continuous run steps its phase
+    # through its normal modes, and each switched run factors phase 1's
+    # modes once, phase 2's step being a correction of rank <= 8 to theirs
+    calls = []
 
-    def counting(cm):
+    def counting(cm, *args, **kwargs):
         calls.append(cm)
-        return drift_matrix(cm)
+        return diagonalize(cm, *args, **kwargs)
 
-    def counting_map(a, h):
-        maps.append(h)
-        return rk4_update_matrix(a, h)
-
-    monkeypatch.setattr(switched, "drift_matrix", counting)
-    monkeypatch.setattr(switched, "rk4_update_matrix", counting_map)
+    monkeypatch.setattr(switched, "diagonalize", counting)
     system = _tiny_system()
     continuous = dataclasses.replace(system, a2=system.a1)
     prop = SwitchedPropagator(continuous, SwitchSchedule(step_size=0.02))
     assert prop.run(continuous.initial_vector(), [0.5, 1.0]).engine == "modes"
-    assert calls == [] and maps == []
-    # a switched pair builds neither map up front; each run of the dense
-    # period map route builds each phase's map once
+    assert calls == [system.a1]
     switched_prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.02))
-    assert calls == [] and maps == []
+    assert calls == [system.a1]
     for _ in range(2):
         switched_prop.run(system.initial_vector(), [0.5])
-    assert calls == [system.a1, system.a2] * 2 and len(maps) == 4
+    assert calls == [system.a1] * 3
+    assert not hasattr(switched, "drift_matrix") and not hasattr(switched, "rk4_update_matrix")
 
 
 # -- system construction ----------------------------------------------
@@ -333,11 +332,10 @@ def test_period_map_engine_samples_in_bounded_memory():
 
 
 def test_period_map_engine_drift_stays_at_its_measured_level(step_literally):
-    # 2 x 20 oscillators at 2e4 steps: the eig phase error puts the dense route
-    # of the period map engine 2.2e-9 of |v| away from repeated squaring of the
-    # period map, and literal stepping 4.4e-13 away; each bound is at most 14x
-    # its measurement (the dense route's figure moves by 2x with the rounding
-    # of the drift matrix).  The structured route, which runs here, is 5.1e-13
+    # 2 x 20 oscillators at 2e4 steps: literal stepping is 4.4e-13 of |v| away
+    # from repeated squaring of the period map, the period map engine 5.1e-13.
+    # The first bound is 9x its measurement; the second was set for a dense
+    # eig factorization of the period map, whose phase error put it 2.2e-9
     # away
     spec = BathSpec(size=20, mass=0.01, temperature=7.5,
                     dos=DensityOfStates("uniform", 0.2, 1.0))
@@ -352,7 +350,7 @@ def test_period_map_engine_drift_stays_at_its_measured_level(step_literally):
     floquet = prop.run(v0, [20.0])
     assert floquet.n_steps == n_steps
     stepped = step_literally(system, sched, v0, [n_steps])[0]
-    u1, u2 = _step_maps(system, sched)
+    u1, u2 = step_maps(system, sched)
     u, k, ref = u2 @ u1, n_steps // 2, v0
     while k:
         if k & 1:
@@ -388,8 +386,8 @@ def _structured_outcomes(monkeypatch):
     """Record, per period map factored, whether the structured route delivered it."""
     outcomes, factor = [], switched._ModalPeriodMap.floquet
 
-    def spy(self, quality_tol):
-        fl = factor(self, quality_tol)
+    def spy(self, sigma, quality_tol):
+        fl = factor(self, sigma, quality_tol)
         outcomes.append(fl is not None)
         return fl
 
@@ -409,10 +407,10 @@ def test_structured_period_map_is_at_least_as_accurate_as_dense_eig(monkeypatch)
     outcomes = _structured_outcomes(monkeypatch)
     structured = SwitchedPropagator(system, sched)
     with monkeypatch.context() as m:
-        m.setattr(switched, "RANK_PER_DIM", 10**9)      # the dense route only
+        _dense(m)
         dense = SwitchedPropagator(system, sched)
         dense_runs = {k: dense.run(v0, [2e-3 * k]) for k in (10_000, 25_000_000)}
-    u1, u2 = _step_maps(system, sched)
+    u1, u2 = step_maps(system, sched)
     u = u2 @ u1
     for periods, bound in ((10_000, 5e-12), (25_000_000, 1e-8)):
         k, power, ref = periods, u, v0
@@ -434,8 +432,8 @@ def test_structured_and_dense_routes_agree(monkeypatch, step_literally):
     # 2 x 20 oscillators, three steps per half period: samples at every step of
     # the period and a final state five steps into a period.  Against literal
     # stepping, relative to the largest entry, the structured route's samples
-    # are 2.6e-13 and its final state 9.2e-13 away, the dense route's 3.6e-11
-    # and 3.8e-10.  Each tolerance is about 10x the larger of the two
+    # are 2.6e-13 and its final state 9.2e-13 away, the dense reference's
+    # 3.6e-11 and 3.8e-10.  Each tolerance is about 10x the larger of the two
     system = _study_system(20, 0.01)
     sched = SwitchSchedule(delta_t_steps=3, step_size=1e-2)
     v0 = system.initial_vector()
@@ -448,90 +446,89 @@ def test_structured_and_dense_routes_agree(monkeypatch, step_literally):
     fl = prop._build_floquet(structured.n_steps)
     assert outcomes == [True, True]
     with monkeypatch.context() as m:
-        m.setattr(switched, "RANK_PER_DIM", 10**9)
+        _dense(m)
         dense = SwitchedPropagator(system, sched).run(v0, times, t_final=300.05)
     assert outcomes == [True, True]
     for res, tol in ((structured, 1e-11), (dense, 4e-9)):
         for got, want in zip((res.q, res.p, res.final_state.as_vector()), stepped):
             np.testing.assert_allclose(got, want, rtol=0.0, atol=tol * np.max(np.abs(want)))
     # the structured roots are the period map's multipliers
-    u1, u2 = _step_maps(system, sched)
+    u1, u2 = step_maps(system, sched)
     mu = np.linalg.eigvals(np.linalg.matrix_power(u2, 3) @ np.linalg.matrix_power(u1, 3))
-    roots = switched._ModalPeriodMap(system, sched).roots()
-    log_mu = switched._with_conjugates(switched._ModalPeriodMap.log_mu(roots))
+    log_mu = switched._ModalPeriodMap.log_mu(switched._ModalPeriodMap(system, sched).roots())
     np.testing.assert_allclose(np.sort_complex(np.exp(log_mu)),
                                np.sort_complex(mu), rtol=0.0, atol=1e-13)
     np.testing.assert_allclose(np.sort_complex(np.exp(fl["log_mu"])),
                                np.sort_complex(mu), rtol=0.0, atol=1e-13)
 
 
-def test_failed_structured_residual_takes_the_dense_route(monkeypatch, step_literally):
-    system = _study_system(20, 0.01)
-    sched = SwitchSchedule(delta_t_steps=1, step_size=1e-3)
-    v0 = system.initial_vector()
-    times = np.linspace(0.0, 50.0, 40)
-    outcomes = _structured_outcomes(monkeypatch)
-    with monkeypatch.context() as m:
-        m.setattr(switched, "RANK_PER_DIM", 10**9)
-        dense = SwitchedPropagator(system, sched).run(v0, times)
-    assert outcomes == []
-    monkeypatch.setattr(switched._ModalPeriodMap, "residual", lambda self: 1.0)
-    fallback = SwitchedPropagator(system, sched).run(v0, times)
-    assert outcomes == [False]
-    assert fallback.engine == "floquet"
-    np.testing.assert_array_equal(fallback.q, dense.q)
-    np.testing.assert_array_equal(fallback.final_state.as_vector(),
-                                  dense.final_state.as_vector())
-    # two equal contact phases held as distinct objects: no correction to
-    # factor, so the dense route runs the period map
-    same = dataclasses.replace(system, a2=dataclasses.replace(system.a1))
-    res = SwitchedPropagator(same, sched).run(v0, times)
-    stepped_q = _stepped(step_literally, same, sched, res)[0]
-    assert outcomes == [False]
-    np.testing.assert_allclose(res.q, stepped_q, rtol=0.0, atol=1e-9 * np.max(np.abs(stepped_q)))
-
-
-def test_dense_route_rows_are_row_products_of_the_step_maps(monkeypatch, step_literally):
-    # 2 x 20 oscillators, 100 steps per half period: the dense route's prefix
-    # rows e^T U1^r and (e^T U2^(r-d)) U1^d over five periods, and a final
-    # state 50 steps past the switch.  Against literal stepping, relative to
-    # the largest entry, samples and final state are 2.7e-14 away; the
-    # tolerance is about 40x that
+def test_period_map_rows_are_row_products_of_the_step_maps(step_literally):
+    # 2 x 20 oscillators, 100 steps per half period: the prefix rows, Lam^r up
+    # to the switch and (row U2^(r-d)) Lam^d after it in phase 1's modes,
+    # over five periods, and a final state 50 steps past the switch.  Against
+    # literal stepping, relative to the largest entry, samples and final
+    # state are 2.1e-14 away; the tolerance is about 40x that
     system = _study_system(20, 0.01)
     sched = SwitchSchedule(delta_t_steps=100, step_size=1e-2)
     times = np.linspace(0.0, 10.0, 97) + 0.013
-    outcomes = _structured_outcomes(monkeypatch)
-    monkeypatch.setattr(switched, "RANK_PER_DIM", 10**9)
     res = _run(system, sched, times, t_final=9.5)
-    assert outcomes == [] and res.engine == "floquet"
+    assert res.engine == "floquet"
     assert np.any(res.steps % sched.period_steps > sched.delta_t_steps)
     for got, want in zip((res.q, res.p, res.final_state.as_vector()),
                          _stepped(step_literally, system, sched, res)):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-12 * np.max(np.abs(want)))
 
 
-@pytest.mark.parametrize("cancel", [False, True], ids=["degenerate_bath2", "cancelled_bath1"])
-def test_decoupled_bath_modes_take_the_dense_route(monkeypatch, step_literally, cancel):
-    # a degenerate bath leaves modes that neither contact phase couples,
-    # which the structured root iteration cannot start from: bath 2 in
-    # [0.6, 0.6], or bath 1 there with pairwise cancelled amplitudes.  Both
-    # run on the dense route; against literal stepping over 5000 steps,
-    # relative to the largest entry, they are at most 8.7e-11 away
-    spec = BathSpec(size=20, mass=0.01, temperature=7.5,
+def _decoupled_system(case, size):
+    """2 x size oscillators with modes that no contact phase couples.
+
+    A degenerate bath 2 in [0.6, 0.6], which phase 1 leaves free: only its
+    combination along the coupling moves.  Bath 1 there with pairwise
+    cancelled amplitudes.  Or two equal contact phases held as distinct
+    objects, which couple no mode at all.
+    """
+    spec = BathSpec(size=size, mass=0.2 / size, temperature=7.5,
                     dos=DensityOfStates("uniform", 0.2, 1.0))
     point = dataclasses.replace(spec, dos=DensityOfStates("uniform", 0.6, 0.6))
+    cancel = case == "cancelled_bath1"
     real1 = realize_bath(point if cancel else spec, seed=2, bath_index=0)
-    real2 = realize_bath(spec if cancel else point, seed=2, bath_index=1)
+    real2 = realize_bath(point if case == "degenerate_bath2" else spec, seed=2, bath_index=1)
     system = build_switched_matrices(
         TestParticleSpec(mass=1.0, omega=0.55),
         pairwise_cancelled(real1) if cancel else real1, real2, renormalization="static")
+    if case == "equal_phases":
+        system = dataclasses.replace(system, a2=dataclasses.replace(system.a1))
+    return system
+
+
+@pytest.mark.parametrize("case", ["degenerate_bath2", "cancelled_bath1", "equal_phases"])
+def test_decoupled_modes_keep_their_poles(monkeypatch, step_literally, case):
+    # 2 x 20 oscillators: 19 modes that neither contact phase couples (all
+    # 41 for equal phases) keep their poles and unit vectors, and the other
+    # roots run the Aberth iteration around them.  Against literal stepping
+    # over 5000 steps, relative to the largest entry, samples and final state
+    # are at most 1.8e-13 away.  At 2 x 200 (dim 802) factoring the period
+    # map peaked at 3.5 to 5.4 dim^2 bytes, below one real dim x dim array
     sched = SwitchSchedule(delta_t_steps=3, step_size=1e-2)
+    system = _decoupled_system(case, 20)
     outcomes = _structured_outcomes(monkeypatch)
     res = _run(system, sched, np.linspace(0.0, 50.0, 40))
-    assert outcomes == [False] and res.engine == "floquet"
+    assert outcomes == [True] and res.engine == "floquet"
+    fixed = switched._ModalPeriodMap(system, sched).fixed
+    assert np.sum(fixed) == (41 if case == "equal_phases" else 19)
     for got, want in zip((res.q, res.p, res.final_state.as_vector()),
                          _stepped(step_literally, system, sched, res)):
         np.testing.assert_allclose(got, want, rtol=0.0, atol=1e-9 * np.max(np.abs(want)))
+    large = _decoupled_system(case, 200)
+    prop = SwitchedPropagator(large, sched)
+    tracemalloc.start()
+    try:
+        fl = prop._build_floquet(res.n_steps)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 8 * large.dim**2
+    assert fl["rows01"].shape == (2 * sched.delta_t_steps, 2, large.dim)
 
 
 def test_structured_residual_measures_the_root_error():
@@ -539,20 +536,19 @@ def test_structured_residual_measures_the_root_error():
     # delta |s|: measured 13 delta for delta = 1e-12 and 1e-9, 24 delta at 1e-6
     system = _study_system(20, 0.01)
     modal = switched._ModalPeriodMap(system, SwitchSchedule(delta_t_steps=1, step_size=1e-3))
-    roots = modal.roots()
-    assert modal.floquet(SwitchedPropagator.QUALITY_TOL) is not None
+    roots = modal.roots()[:system.dim // 2]
+    assert modal.floquet(roots, SwitchedPropagator.QUALITY_TOL) is not None
     assert modal.residual() < 1e-16
-    modal.roots = lambda: roots + 1e-9
-    assert modal.floquet(SwitchedPropagator.QUALITY_TOL) is not None
+    assert modal.floquet(roots + 1e-9, SwitchedPropagator.QUALITY_TOL) is not None
     assert 1e-9 < modal.residual() < 1e-7
-    modal.roots = lambda: roots + 1e-6
-    assert modal.floquet(SwitchedPropagator.QUALITY_TOL) is None
+    with pytest.raises(NumericalError, match=r"period map factorization residual \d\.\d\de-0\d exceeds 1e-07"):
+        modal.floquet(roots + 1e-6, SwitchedPropagator.QUALITY_TOL)
 
 
 def test_structured_period_map_factors_in_linear_memory():
-    # 2 x 200 oscillators (dim 802): the dense route's u1 u2 product and its
-    # complex eigenvectors are 5.1 and 10.3 MB, and factoring peaked at 36 MB.
-    # The structured route holds blocks of SHAPE_BLOCK roots by dim and
+    # 2 x 200 oscillators (dim 802): a dense u1 u2 product and its complex
+    # eigenvectors would be 5.1 and 10.3 MB, and factoring them by eig peaked
+    # at 36 MB.  The period map holds blocks of SHAPE_BLOCK roots by dim and
     # peaked at 3.4 MB, below one real dim x dim array
     system = _study_system(200, 1e-3)
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
@@ -598,7 +594,7 @@ def factor(workers):
     switched._workers = lambda n, per_worker: workers
     used.clear()
     modal = switched._ModalPeriodMap(system, SwitchSchedule(delta_t_steps=2, step_size=1e-3))
-    fl = modal.floquet(1e-7)
+    fl = modal.floquet(modal.roots()[:system.dim // 2], 1e-7)
     vp = fl["amplitudes"](v0)
     return max(used), [modal.sigma, modal.null, modal.wsdot, fl["log_mu"], fl["rows01"],
                        np.array(modal.residual_sq), vp,
@@ -626,18 +622,6 @@ print(threading.active_count() == threads)
     assert proc.stdout == "1\n2 True\n3 True\n8 True\n2 True\nTrue\n"
 
 
-def test_dense_engine_rejects_a_parametrically_unstable_schedule(monkeypatch):
-    # the schedule of the test below on the dense route of the period map:
-    # its multipliers grow by e^0.33 per period, e^6.6 over these 20 periods
-    system = _tiny_system()
-    prop = SwitchedPropagator(system, SwitchSchedule(delta_t_steps=50, step_size=0.02))
-    outcomes = _structured_outcomes(monkeypatch)
-    monkeypatch.setattr(switched, "RANK_PER_DIM", 10**9)
-    with pytest.raises(NumericalError, match="parametrically unstable"):
-        prop.run(system.initial_vector(), np.linspace(0.0, 40.0, 30))
-    assert outcomes == []
-
-
 def test_parametrically_unstable_schedule_raises_numerical_error():
     """A resonant half period makes the run a numerical failure, not a temperature.
 
@@ -648,7 +632,7 @@ def test_parametrically_unstable_schedule_raises_numerical_error():
     system = _tiny_system()
     sched = SwitchSchedule(delta_t_steps=50, step_size=0.02)
     prop = SwitchedPropagator(system, sched)
-    u1, u2 = _step_maps(system, sched)
+    u1, u2 = step_maps(system, sched)
     period_map = np.linalg.matrix_power(u2, 50) @ np.linalg.matrix_power(u1, 50)
     assert np.max(np.abs(np.linalg.eigvals(period_map))) > 1.3
     times = np.linspace(0.0, 40.0, 30)
@@ -670,43 +654,62 @@ def _frustration_point(omega, seed, plan, schedule):
     return SwitchedPropagator(system, schedule), system.initial_vector(), times
 
 
-def test_a_real_multiplier_stops_the_structured_roots_at_once(monkeypatch):
-    # the resonant schedule of the study config at h = 0.02 and half periods
-    # of 250 steps (Omega = 0.55, seed 1, 200 samples 1.5 apart) has a real
-    # multiplier near -1.  Its root bounces across the real axis; iterated
-    # on its own from the first sweep, it crosses twice within 10 steps,
-    # before the other 400 roots converge (about 2300 root steps in all),
-    # and the dense route finds the growth
+def test_a_real_multiplier_stops_the_structured_roots_at_once():
+    """A real pair of multipliers is found on the real axis, and the run is refused.
+
+    The resonant schedule of the study config at h = 0.02 and half periods
+    of 250 steps (Omega = 0.55, seed 1, 200 samples 1.5 apart; rank 20,
+    dim 802) has a real pair near -1, -1.00188 and -0.99812 by dense eig.
+    Its root bounces across the real axis; stopped at its second crossing,
+    the pair is found on the axis, where det S(sigma) changes sign across
+    each root, and held while the other roots converge.  The largest
+    multiplier is complex, |mu| = 1.00708, and grows by e^0.206 over the
+    run.  A run too short for that growth to pass e^GROWTH_TOL (50 steps)
+    is refused for the real pair itself, which the sampler cannot take.
+    Factoring peaked at 13.8 dim^2 bytes, 5.1 MB of it the r^2 products W
+    of the period map's rank-20 factors.
+    """
     prop, v0, times = _frustration_point(
         0.55, 1, SamplingPlan(mean_interval=1.5, n_samples=200),
         SwitchSchedule(delta_t_steps=250, step_size=0.02))
-    moved, found, steps = [], [], switched._ModalPeriodMap._aberth_steps
-    roots = switched._ModalPeriodMap.roots
-
-    def counting(self, every, idx, work):
-        moved.append(len(idx))
-        return steps(self, every, idx, work)
-
-    monkeypatch.setattr(switched._ModalPeriodMap, "_aberth_steps", counting)
-    monkeypatch.setattr(switched._ModalPeriodMap, "roots",
-                        lambda self: found.append(roots(self)) or found[-1])
+    modal = switched._ModalPeriodMap(prop.system, prop.schedule)
+    every = modal.roots()
+    n = len(every) // 2
+    real = every[n:] != every[:n].conj()
+    pair = np.sort(np.r_[every[:n][real], every[n:][real]])
+    assert np.sum(real) == 1 and np.all(pair.imag == 0.0)
+    np.testing.assert_allclose(1.0 + pair.real, [-1.00188, -0.99812], rtol=0.0, atol=1e-5)
+    x, _, w, t = modal._factors
+    for root in pair.real:
+        g = 1.0 / (t - np.array([root - 1e-4, root + 1e-4])[:, None])
+        det = np.linalg.det(np.eye(x.shape[1]) + (g @ w).reshape(2, *x.shape[1:] * 2))
+        assert np.max(np.abs(det.imag)) <= 1e-12 * np.max(np.abs(det))
+        assert det[0].real * det[1].real < 0.0
+    mu = np.exp(modal.log_mu(every))
+    assert np.abs(mu[np.argmax(np.abs(mu))]) == pytest.approx(1.00708, abs=1e-5)
+    assert np.abs(mu[np.argmax(np.abs(mu))].imag) > 0.05
     with pytest.raises(NumericalError, match=r"grows by e\^0.206 over"):
         prop.run(v0, times)
-    assert found == [None] and sum(moved) < 2 * (prop.system.dim // 2)
+    with pytest.raises(NumericalError, match=r"real period map multipliers -1.00188, -0.998119"):
+        prop.run(v0, [1.0])
+    tracemalloc.start()
+    try:
+        with pytest.raises(NumericalError, match="parametrically unstable"):
+            prop._build_floquet(int(np.rint(times.max() / 0.02)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 16 * prop.system.dim**2
 
 
-def test_twobath_benchmark_points_stay_on_the_structured_route(monkeypatch):
+def test_twobath_benchmark_points_stay_on_the_structured_route():
     # the twobath_floquet points of workload seeds 0 and 5 (physics seeds 1, 2
     # and 11, 12), 2000 samples 25 apart after a warmup of 1000
-    dense = []
-    monkeypatch.setattr(SwitchedPropagator, "_dense_floquet",
-                        lambda self, last: dense.append(self) or pytest.fail("dense route"))
     plan = SamplingPlan(mean_interval=25.0, n_samples=2000, warmup=1000.0)
     for seed in (1, 2, 11, 12):
         for omega in (0.35, 0.55, 0.75):
             prop, v0, times = _frustration_point(omega, seed, plan, SwitchSchedule(step_size=1e-3))
             assert prop.run(v0, times).engine == "floquet"
-    assert dense == []
 
 
 def test_sample_times_snap_to_the_nearest_step():
