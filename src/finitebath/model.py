@@ -130,8 +130,10 @@ class BathSpec:
             raise ValueError(f"bath size must be >= 1, got {self.size}")
         if self.mass <= 0.0:
             raise ValueError(f"bath oscillator mass must be positive, got {self.mass}")
-        if self.temperature <= 0.0:
-            raise ValueError(f"bath temperature must be positive, got {self.temperature}")
+        # a subnormal temperature leaves energies too small to bin
+        if not self.temperature >= np.finfo(float).tiny:      # NaN fails too
+            raise ValueError(f"bath temperature must be positive and a normal float, "
+                             f"at least {np.finfo(float).tiny!r}, got {self.temperature}")
 
 
 @dataclass(frozen=True)

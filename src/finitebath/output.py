@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ThermalizationCurve
+from .propagator import blas_threads, usable_cpus
 from .stats import EnergyHistogram, TemperatureFit
 
 CURVE_HEADER = "omega,T_tp,T_tp_err,goodness,overflow_frac,T_bath_init,T_bath_final"
@@ -100,6 +101,17 @@ def read_histogram(path) -> EnergyHistogram:
                            total_samples=int(counts.sum()))
 
 
+def run_environment() -> dict:
+    """numpy's version, its BLAS's thread count (None where no getter is found), the usable CPUs.
+
+    A multithreaded BLAS rounds the period map's products by how it
+    splits them among its threads, so a replay needs the same count.
+    """
+    return {"numpy": np.__version__,
+            "blas_threads": None if blas_threads is None else blas_threads(),
+            "cpus": usable_cpus()}
+
+
 @dataclass
 class RunManifest:
     """Everything needed to reproduce and audit a run."""
@@ -119,6 +131,7 @@ class RunManifest:
     failures: list = field(default_factory=list)
     outputs: list = field(default_factory=list)
     peaks: dict = field(default_factory=dict)   # curve CSV -> peak omega or None
+    environment: dict = field(default_factory=run_environment)
 
     def __post_init__(self):
         if not self.started:

@@ -330,15 +330,15 @@ SHAPE_BLOCK = 64
 ROOTS_PER_WORKER = 300
 
 
-def _workers(n, per_worker=ROOTS_PER_WORKER):
-    """Worker threads for n independent roots: one per per_worker roots, at most one per CPU.
-
-    The CPUs are those the process may run on, where the platform says
-    (sched_getaffinity), else all of them.
-    """
-    cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+def usable_cpus() -> int:
+    """The CPUs the process may run on, where the platform says (sched_getaffinity), else all."""
+    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
-    return max(1, min(cpus, n // per_worker))
+
+
+def _workers(n, per_worker=ROOTS_PER_WORKER):
+    """Worker threads for n independent roots: one per per_worker roots, at most one per CPU."""
+    return max(1, min(usable_cpus(), n // per_worker))
 
 
 def _in_ranges(task, n, workers):
@@ -699,19 +699,17 @@ class EigenPropagator:
 SAMPLE_CHUNK = 250_000
 
 
-def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
+def mode_sums(x, theta, log_decay, rows) -> np.ndarray:
     """Direct sums over the modes k at each x, one per coefficient row.
 
     Row j of the result is sum_k e^{x d_k} (A_jk cos(x theta_k) +
     B_jk sin(x theta_k)) for the j-th pair (A_j, B_j) of rows, with
-    d = log_decay (no decay when None); the rows of decay_rows D_j, which
-    need log_decay, follow as sum_k e^{x d_k} D_jk.  Every sampler sends
-    its modes outside the bath band here, and all of its modes where
-    banded_sums cannot grid them; the tests check the transform against
-    it.
+    d = log_decay (no decay when None).  Every sampler sends its modes
+    outside the bath band here, and all of its modes where banded_sums
+    cannot grid them; the tests check the transform against it.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((len(rows) + len(decay_rows), len(x)))
+    out = np.empty((len(rows), len(x)))
     # chunked so the (samples x modes) tables stay cache friendly
     step = max(1, SAMPLE_CHUNK // max(len(theta), 1))
     tables = np.empty((3, min(step, len(x)), len(theta)))
@@ -728,8 +726,6 @@ def mode_sums(x, theta, log_decay, rows, decay_rows=()) -> np.ndarray:
             s *= decay
         for j, (a, b) in enumerate(rows):
             out[j, lo:lo + step] = c @ a + s @ b
-        for j, d in enumerate(decay_rows, len(rows)):
-            out[j, lo:lo + step] = ph @ d
     return out
 
 
@@ -962,8 +958,8 @@ def _decay_order(y_max):
     return order
 
 
-def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
-    """mode_sums(x, theta, log_decay, rows, decay_rows), the in-band modes gridded.
+def banded_sums(x, theta, log_decay, rows, band) -> np.ndarray:
+    """mode_sums(x, theta, log_decay, rows), the in-band modes gridded.
 
     The modes whose theta lies within [min band, max band] go through
     gridded_sums, the others through mode_sums, so the grid does not
@@ -972,11 +968,10 @@ def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
     as the series e^{x d_k} = sum_{j<=J} (x d_k)^j / j!, J from
     _decay_order at the largest |x d| in the band: gridded_sums on the
     rows (A d^j, B d^j) for every j, recombined with the weights x^j /
-    j!, and for each decay row D the moments sum_k D_k d_k^j, O(N + M)
-    in all.  Without decay J = 0 and the gridded rows are the rows
-    themselves.  Every mode is summed directly where the series does not
-    apply, grid_fits refuses the grid, or the grid would hold more points
-    than the direct sum has terms.
+    j!, O(N + M) in all.  Without decay J = 0 and the gridded rows are
+    the rows themselves.  Every mode is summed directly where the series
+    does not apply, grid_fits refuses the grid, or the grid would hold
+    more points than the direct sum has terms.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     inside = (theta >= np.min(band)) & (theta <= np.max(band))
@@ -993,8 +988,7 @@ def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
             and ffts * _grid(x, theta[inside]).n_fft <= len(x) * np.count_nonzero(inside)):
         inside[:] = False
     out = mode_sums(x, theta[~inside], None if log_decay is None else log_decay[~inside],
-                    [(a[~inside], b[~inside]) for a, b in rows],
-                    [d[~inside] for d in decay_rows])
+                    [(a[~inside], b[~inside]) for a, b in rows])
     if not np.any(inside):
         return out
     powers = [1.0]                   # d^j for j <= J
@@ -1002,10 +996,7 @@ def banded_sums(x, theta, log_decay, rows, band, decay_rows=()) -> np.ndarray:
         powers.append(powers[-1] * log_decay[inside])
     terms = gridded_sums(x, theta[inside],
                          [(a[inside] * dj, b[inside] * dj) for dj in powers for a, b in rows])
-    out[:len(rows)] += _series(terms.reshape(order + 1, len(rows), len(x)), x)
-    if len(decay_rows):
-        moments = [[np.sum(r[inside] * dj) for r in decay_rows] for dj in powers]
-        out[len(rows):] += _series(np.asarray(moments)[:, :, None], x)
+    out += _series(terms.reshape(order + 1, len(rows), len(x)), x)
     return out
 
 

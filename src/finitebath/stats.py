@@ -115,7 +115,11 @@ def fit_temperature(hist: EnergyHistogram) -> TemperatureFit:
     n_used = int(np.sum(mask))
     if n_used < 3:
         raise FitError(f"only {n_used} nonempty bins; need at least 3 to fit a slope")
-    x = hist.bin_centers[mask]
+    # energies in units of a power of two near the largest centre: scaling by
+    # it is exact, so no bit of the fit moves, and (x - xbar)^2 does not
+    # overflow for energies near the largest float
+    unit = 2.0 ** int(np.frexp(np.max(hist.bin_centers[mask]))[1])
+    x = hist.bin_centers[mask] / unit
     w = hist.counts[mask].astype(float)
     y = np.log(w)
     wsum = w.sum()
@@ -123,16 +127,15 @@ def fit_temperature(hist: EnergyHistogram) -> TemperatureFit:
     sxx = np.sum(w * (x - xbar) ** 2)
     if sxx <= 0.0:
         raise FitError("degenerate histogram: all counts in one energy column")
-    slope = np.sum(w * (x - xbar) * y) / sxx
+    slope = np.sum(w * (x - xbar) * y) / sxx       # per unit
     intercept = np.sum(w * y) / wsum - slope * xbar
     if slope >= 0.0:
-        raise NonThermalDistributionError(slope=float(slope))
-    var_slope = 1.0 / sxx
-    temperature = -1.0 / slope
-    sigma = np.sqrt(var_slope) / slope**2
+        raise NonThermalDistributionError(slope=float(slope / unit))
+    temperature = -unit / slope
+    sigma = unit * (np.sqrt(1.0 / sxx) / slope**2)
     goodness = float(np.sum(w * (y - (intercept + slope * x)) ** 2))
     return TemperatureFit(temperature=float(temperature), sigma=float(sigma),
-                          slope=float(slope), intercept=float(intercept),
+                          slope=float(slope / unit), intercept=float(intercept),
                           n_bins_used=n_used, goodness=goodness)
 
 
@@ -159,5 +162,8 @@ def aggregate_seeds(fits) -> tuple[float, float]:
     s = np.array([f.sigma for f in fits])
     if np.any(s <= 0.0):
         raise ValueError("every fit needs a positive standard error")
-    w = 1.0 / s**2
-    return float(np.sum(w * t) / np.sum(w)), float(1.0 / np.sqrt(np.sum(w)))
+    # weights in units of a power of two near the smallest error: exact, so
+    # no bit moves, and 1 / s^2 does not overflow for errors near the largest float
+    unit = 2.0 ** int(np.frexp(np.min(s))[1])
+    w = 1.0 / (s / unit) ** 2
+    return float(np.sum(w * t) / np.sum(w)), float(unit / np.sqrt(np.sum(w)))

@@ -15,15 +15,16 @@ factors the map over one full switching period once, after which no
 sample needs stepping.  With the period map S diag(mu) S^-1 and
 v' = S^-1 v0, the particle after k periods and r more steps is
 Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r steps' map) S
-times v'.  The multipliers come in conjugate pairs mu, conj(mu) with
-coefficients c, c', so each pair is summed once, as Re (c + conj c')
-mu^k; the imaginary parts, Im (c - conj c') mu^k, must cancel to 1e-9
-of sum_j |c_j| |mu_j|^k.  propagator.banded_sums evaluates the sums of
-each residue class r, as it samples the normal modes, with theta = arg
-mu in the upper half plane and d = log |mu|: the pairs whose arg lies
-within that of R(i h w)^period over the bath frequencies w through one
-type-3 transform, the others (two of 401 at 2 x 200) directly.  Folding
-the pairs halves the band the transform grids.
+times v'.  The multipliers come in conjugate pairs mu, conj(mu), whose
+eigenvectors, amplitudes and so coefficients are conjugates too, so
+the period map keeps one root of each pair, n in all, and the sum is
+2 Re sum_j c_j mu_j^k over them.  propagator.banded_sums evaluates the
+sums of each residue class r, as it samples the normal modes, with
+theta = arg mu and d = log |mu|: the roots whose arg lies within that
+of R(i h w)^period over the bath frequencies w (in the upper half
+plane) through one type-3 transform, the others (two of 401 at 2 x
+200, and any root that settled below the real axis) directly.  One
+root per pair halves the band the transform grids.
 
 The period map is factored in O(N^2) time and O(N r^2) memory, without
 forming it or any other dim x dim matrix.  In phase 1's normal modes
@@ -44,8 +45,8 @@ whose residual exceeds QUALITY_TOL is a NumericalError.  So is a
 parametrically resonant schedule, one whose period map has a multiplier
 |mu| > 1 that grows by more than e^GROWTH_TOL over the run: its samples
 would be fitted as an enormous temperature.  A real pair of multipliers
-within that growth is refused too, naming the pair: the sampler takes
-the multipliers in conjugate pairs.
+within that growth is refused too, naming the pair: the sampler keeps
+one root of each conjugate pair, which a real pair is not.
 
 Continuous contact (both phases the same matrix) needs no period map.
 R(hA) has the normal modes of the exact flow, and one step multiplies
@@ -81,9 +82,11 @@ from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
 
 # The period map keeps rows 0 and 1 of each of its period's step prefixes,
 # 2 period dim complex entries, 32 bytes per period step and coordinate,
-# and forms them in a loop over the period's steps.  A schedule beyond this
-# cap (128 MB of rows; at 2 x 200 oscillators a half period of 2614 steps)
-# is refused before anything sized by the period is allocated.
+# formed in place in a loop over the period's steps, and their products
+# with the n = dim / 2 eigenvectors, half as much.  A schedule beyond this
+# cap (128 MB of rows and 64 MB of products; at 2 x 200 oscillators a half
+# period of 2614 steps, whose factoring peaked at 208 MB) is refused
+# before anything sized by the period is allocated.
 MAX_PERIOD_ENTRIES = 1 << 22
 # step indices are exact integers in float64 up to 2^53
 MAX_STEP_INDEX = 2.0**53
@@ -194,27 +197,6 @@ def _compress(x, y):
     u, sv, vh = np.linalg.svd(rx @ ry.conj().T)
     k = int(np.sum(sv > RANK_TOL * np.max(sv, initial=0.0)))
     return qx @ (u[:, :k] * sv[:k]), qy @ vh[:k].conj().T
-
-
-def _with_conjugates(a):
-    """Each entry of a's last axis followed by its conjugate.
-
-    That keeps conjugate pairs adjacent, as LAPACK's dense eigensolver
-    returns them, so _fold pairs the period map's multipliers alike.
-    """
-    return np.stack([a, a.conj()], axis=-1).reshape(a.shape[:-1] + (-1,))
-
-
-def _fold(log_mu):
-    """(keep, mate): one multiplier per conjugate pair, and its mate's index (-1 for none).
-
-    A multiplier in the upper half plane that is directly followed by its
-    exact conjugate, as the period map (and LAPACK) order them, is
-    kept with that mate; every other multiplier is kept on its own.
-    """
-    paired = np.r_[(log_mu[:-1].imag > 0.0) & (log_mu[1:] == log_mu[:-1].conj()), False]
-    keep = np.flatnonzero(~np.r_[False, paired[:-1]])
-    return keep, np.where(paired[keep], keep + 1, -1)
 
 
 EPS = np.finfo(float).eps
@@ -571,15 +553,17 @@ class _ModalPeriodMap:
         return 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
 
     def floquet(self, sigma, quality_tol: float):
-        """_build_floquet's dict for the first half of roots(), sigma.
+        """_build_floquet's dict over sigma, roots()'s first half: one root per conjugate pair.
 
         Root j's right eigenvector is s = (T - sigma)^-1 X c and its left one
         w = (T - sigma)^-H Y c~, with c and c~ the right and left null
         vectors of S(sigma); so w^H s = c~^H S'(sigma) c and Y^H s = (S - I) c.
         A decoupled mode's root is its pole and both its vectors are its
-        unit vector.  NumericalError when the residual ||D s + X (Y^H s) -
-        mu s|| = ||X S(sigma) c|| (unit s, both halves of each conjugate
-        pair) exceeds quality_tol of ||D + X Y^H||_F.
+        unit vector.  The step-prefix rows are written in place into one
+        (2d, 2, dim) array, and rows01 holds their products with the n
+        right eigenvectors.  NumericalError when the residual ||D s + X
+        (Y^H s) - mu s|| = ||X S(sigma) c|| (unit s, both halves of each
+        conjugate pair) exceeds quality_tol of ||D + X Y^H||_F.
         """
         x, y, w, t = self._factors
         n, r = len(sigma), x.shape[1]
@@ -591,12 +575,13 @@ class _ModalPeriodMap:
         nu, u0 = self.modes.nu, self.u0
         row = np.stack([np.tile(0.5 * u0, 2),
                         self.modes.cm.tp.mass * np.r_[0.5j * nu * u0, -0.5j * nu * u0]])
-        rows = [row * np.exp(k * self.log_step) for k in range(self.d + 1)]
+        rows = np.empty((2 * self.d,) + row.shape, complex)
+        for k in range(self.d + 1):
+            np.multiply(row, np.exp(k * self.log_step), out=rows[k])
         lam_d = np.exp(self.d * self.log_step)
-        for _ in range(self.d - 1):
+        for k in range(self.d + 1, 2 * self.d):
             row = row * self.step + (row @ self.x_e) @ self.y_e.conj().T
-            rows.append(row * lam_d)
-        rows = np.stack(rows)
+            np.multiply(row, lam_d, out=rows[k])
         rows01 = np.empty(rows.shape[:2] + (n,), complex)
         rows01[..., self.fixed] = rows[..., fixed]
         self.wsdot, terms = np.ones(n, complex), np.zeros(n)
@@ -629,8 +614,7 @@ class _ModalPeriodMap:
         if not self.residual() <= quality_tol:      # NaN fails too
             raise NumericalError(f"period map factorization residual {self.residual():.2e} "
                                  f"exceeds {quality_tol:g}")
-        return {"log_mu": _with_conjugates(self.log_mu(sigma)),
-                "rows01": _with_conjugates(rows01), "period": 2 * self.d,
+        return {"log_mu": self.log_mu(sigma), "rows01": rows01, "period": 2 * self.d,
                 "amplitudes": self.amplitudes, "state": self.state}
 
     def residual(self) -> float:
@@ -691,11 +675,11 @@ class _ModalPeriodMap:
         z0 = np.r_[z0, z0.conj()]
         vp = self._left_products(z0)
         vp += self._left_products(z0 - self._combine(vp))
-        return _with_conjugates(vp)
+        return vp
 
     def state(self, w, r):
-        """The state vector S w, then r more steps of the period, applied in modes."""
-        z = self._combine(w[0::2])
+        """The state vector S w, w over one root per pair, then r more steps of the period."""
+        z = self._combine(w)
         for j in range(r):
             z = z * self.step if j < self.d else self.phase2(z)
         n = len(self.sigma)
@@ -757,16 +741,17 @@ class SwitchedPropagator:
     def _build_floquet(self, last):
         """The period map's log multipliers, rows01 and period, and its coordinates.
 
-        rows01[r] holds rows 0 and 1 of the first r steps' map times the
-        eigenvectors S, so the particle after k periods and r steps is
-        Re sum_j rows01[r, :, j] v'_j mu_j^k with v' = amplitudes(v0), and
-        state(mu^k v', r) is the whole state vector.  The multipliers'
-        growth over `last` steps is checked before the eigenvectors are
-        formed.  A real pair of multipliers within that growth, whose split
-        lies below RK4's damping over the run, is refused too: its
-        eigenvectors are not conjugates of each other, which the sampler
-        assumes.  So is a factorization whose residual exceeds QUALITY_TOL
-        (floquet).
+        Every entry is over the n roots of roots(), one per conjugate pair
+        of multipliers.  rows01[r] holds rows 0 and 1 of the first r steps'
+        map times those eigenvectors, so the particle after k periods and r
+        steps is 2 Re sum_j rows01[r, :, j] v'_j mu_j^k with v' =
+        amplitudes(v0), and state(mu^k v', r) is the whole state vector.
+        The multipliers' growth over `last` steps is checked before the
+        eigenvectors are formed.  A real pair of multipliers within that
+        growth, whose split lies below RK4's damping over the run, is
+        refused too: it is no conjugate pair, and one root of it cannot
+        stand for both.  So is a factorization whose residual exceeds
+        QUALITY_TOL (floquet).
         """
         modal = _ModalPeriodMap(self.system, self.schedule)
         every = modal.roots()
@@ -788,9 +773,8 @@ class SwitchedPropagator:
         fl = self._build_floquet(last)
         vprime0 = fl["amplitudes"](v0)
         log_mu, period = fl["log_mu"], fl["period"]
-        keep, mates = _fold(log_mu)
         # the band: the phases of the period map's diagonal R(i h w)^period
-        # over the bath frequencies, on the upper half plane as the kept modes
+        # over the bath frequencies, on the upper half plane as the roots
         phi_w = rk4_mode_factors(self.system.a1.w, self.schedule.step_size)[0]
         band = np.abs(np.angle(np.exp(1j * period * phi_w)))
         q, p = np.empty((2, len(steps_wanted)))
@@ -799,23 +783,12 @@ class SwitchedPropagator:
         # numpy.ma inside the run
         for r in np.flatnonzero(np.bincount(rs)):
             at = rs == r
-            # (Q, P) after k periods and r steps are Re sum_j c_j mu_j^k with
-            # c = rows01[r] v'.  A pair mu, conj(mu) with coefficients c, c'
-            # gives Re (c + conj c') mu^k, and the imaginary parts Im (c -
-            # conj c') mu^k must cancel to rounding against their scale
-            # sum_j |c_j| |mu_j|^k
+            # (Q, P) after k periods and r steps are 2 Re sum_j c_j mu_j^k
+            # over one root per conjugate pair, c = rows01[r] v'
             c = fl["rows01"][r] * vprime0
-            mate = np.where(mates >= 0, c[:, mates], 0.0).conj()
-            both, diff = c[:, keep] + mate, c[:, keep] - mate
-            sums = banded_sums(ks[at], log_mu[keep].imag, log_mu[keep].real,
-                               [(both.real[i], -both.imag[i]) for i in (0, 1)]
-                               + [(diff.imag[i], diff.real[i]) for i in (0, 1)],
-                               band, decay_rows=list(np.abs(c[:, keep]) + np.abs(mate)))
-            if np.any(np.abs(sums[2:4]) > 1e-9 * np.maximum(sums[4:], 1e-300)):
-                raise NumericalError(
-                    "imaginary residue in period map observation exceeds "
-                    "1e-9 of the modal amplitude")
-            q[at], p[at] = sums[0], sums[1]
+            q[at], p[at] = banded_sums(ks[at], log_mu.imag, log_mu.real,
+                                       [(2.0 * c.real[i], -2.0 * c.imag[i]) for i in (0, 1)],
+                                       band)
         if not (np.all(np.isfinite(q)) and np.all(np.isfinite(p))):
             raise NumericalError("switched run diverged")
         k, r = divmod(final_step, period)
@@ -847,11 +820,12 @@ class SwitchedPropagator:
         period map that factorizes with a residual above QUALITY_TOL, or
         whose fastest growing mode grows by more than e^GROWTH_TOL over
         the run (a parametrically resonant schedule), is a NumericalError.
-        The period map is sampled through propagator.banded_sums, whose
-        transform holds a grid sized by the run's span times the bath
-        band and whose direct sum holds one set of SAMPLE_CHUNK tables,
-        so beyond its factorization a run's memory does not grow with
-        the number of samples.  t_final defaults to the last (snapped)
+        The period map is sampled through propagator.banded_sums, as 2 Re
+        of the sum over one root of each conjugate pair, whose transform
+        holds a grid sized by the run's span times the bath band and whose
+        direct sum holds one set of SAMPLE_CHUNK tables, so beyond its
+        factorization a run's memory does not grow with the number of
+        samples.  t_final defaults to the last (snapped)
         sample time.
         """
         v0 = np.asarray(v0, dtype=float)

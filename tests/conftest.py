@@ -61,13 +61,18 @@ def dense_floquet(system, schedule):
 
     U2^d U1^d by binary powering, factored by eig.  Rows 0 and 1 of
     prefix r, the map of steps 0..r-1, are e^T U1^r up to the switch and
-    (e^T U2^(r-d)) U1^d after it, as row products.  O(dim^3) time and
-    O(dim^2) memory.
+    (e^T U2^(r-d)) U1^d after it, as row products.  Like the period map,
+    it keeps one multiplier per conjugate pair, eig's with Im > 0, since
+    the sampler and state() take 2 Re of their sums over them; a real
+    multiplier has no partner, so its amplitude gets half weight.
+    O(dim^3) time and O(dim^2) memory.
     """
     d, dim = schedule.delta_t_steps, system.dim
     u1, u2 = step_maps(system, schedule)
     u1_d = np.linalg.matrix_power(u1, d)
     mu, s_mat = np.linalg.eig(np.linalg.matrix_power(u2, d) @ u1_d)
+    keep = mu.imag >= 0.0
+    weight = np.where(mu.imag > 0.0, 1.0, 0.5)[keep]
 
     def row_powers(u, n):
         """Rows 0 and 1 of u^k for k = 0..n-1."""
@@ -81,14 +86,14 @@ def dense_floquet(system, schedule):
     prefix_rows = np.concatenate([row_powers(u1, d + 1), after.reshape(-1, 2, dim)])
 
     def state(w, r):
-        v = (s_mat @ w).real
+        v = 2.0 * (s_mat[:, keep] @ w).real
         for j in range(r):
             v = (u1 if j < d else u2) @ v
         return v
 
-    return {"log_mu": np.log(mu), "rows01": prefix_rows @ s_mat,
+    return {"log_mu": np.log(mu[keep]), "rows01": prefix_rows @ s_mat[:, keep],
             "period": schedule.period_steps, "state": state,
-            "amplitudes": lambda v0: np.linalg.solve(s_mat, v0.astype(complex))}
+            "amplitudes": lambda v0: weight * np.linalg.solve(s_mat, v0.astype(complex))[keep]}
 
 
 @pytest.fixture

@@ -560,9 +560,12 @@ def test_oracle_mixture_profile(tmp_path):
     assert e0_row[2] == pytest.approx(7.5, rel=1e-9)
 
 
-def _fresh_python(code: str) -> str:
-    """What code prints in a fresh interpreter that imports finitebath from this tree."""
-    env = {**os.environ, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
+def _fresh_python(code: str, **env) -> str:
+    """What code prints in a fresh interpreter that imports finitebath from this tree.
+
+    env adds to or replaces the caller's environment variables.
+    """
+    env = {**os.environ, **env, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -641,6 +644,42 @@ print(codes, sorted(m for m in set(sys.modules) - loaded
                     if m.partition(".")[0] in ("numpy", "scipy")))
 """
     assert _fresh_python(code).splitlines()[-1] == "[0, 0, 0, 0] []"
+
+
+def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
+    """The manifest's environment object, from runs under one and two OpenBLAS threads.
+
+    A multithreaded BLAS rounds the period map's products by how it
+    splits them among its threads, so the count a run had is recorded:
+    the count the getter reports (null where none is found), numpy's
+    version and the CPUs of the affinity mask.  OpenBLAS caps its
+    threads at the CPUs, so the two counts differ where there are two.
+    """
+    script = """
+import json, os, tempfile
+import numpy as np
+from finitebath import propagator
+from finitebath.cli import main
+with tempfile.TemporaryDirectory() as out:
+    code = main(["single", "--omega", "0.5", "--set", "bath1_size=20", "--set", "n_samples=200",
+                 "--seed-list", "1", "--out", out])
+    with open(os.path.join(out, "manifest.json")) as f:
+        env = json.load(f)["environment"]
+getter = propagator.blas_threads
+print(json.dumps([code, env, None if getter is None else getter(), np.__version__,
+                  len(os.sched_getaffinity(0))]))
+"""
+    counts = []
+    for threads in ("1", "2"):
+        code, env, got, version, cpus = json.loads(_fresh_python(
+            script, OPENBLAS_NUM_THREADS=threads).splitlines()[-1])
+        assert code == EXIT_OK
+        assert env == {"numpy": version, "blas_threads": got, "cpus": cpus}
+        counts.append(got)
+    if counts[0] is not None:
+        assert counts[0] == 1
+        if cpus >= 2:
+            assert counts[1] == 2
 
 
 def test_oracle_kernel_starts_at_the_spring_sum(tmp_path):

@@ -2,8 +2,9 @@
 
 The oracle is propagator.mode_sums over every mode: for the exact and
 the RK4 sampler with the coefficient rows (u0 a, u0 b / nu) for Q and
-(u0 b, -u0 a nu) for P / M, for the period map with the rows of c =
-rows01[r] v' over both members of each conjugate pair.  The transform's
+(u0 b, -u0 a nu) for P / M, for the period map, which keeps one root of
+each conjugate pair, with the rows of c = rows01[r] v' and of conj c
+over both members of each pair.  The transform's
 gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|; both sums also
 carry the rounding of the phases x theta, eps max|x theta| of the same
 sum at most, and a decay e^{x d} is gridded as a series whose remainder
@@ -367,11 +368,13 @@ def test_period_map_sampler_matches_the_direct_sum(monkeypatch, dense):
                             lambda self, last: dense_floquet(self.system, self.schedule))
     res, fl, vprime = _twobath_run(monkeypatch)
     assert outcomes == ([] if dense else [True])
-    log_mu = fl["log_mu"]
+    # fl holds one root per conjugate pair: the oracle takes both halves
+    log_mu = np.r_[fl["log_mu"], fl["log_mu"].conj()]
     ks, rs = np.divmod(res.steps, fl["period"])
     for r in np.unique(rs):
         at = rs == r
         c = fl["rows01"][r] * vprime
+        c = np.c_[c, c.conj()]
         rows = [(c.real[i], -c.imag[i]) for i in (0, 1)]
         want = mode_sums(ks[at], log_mu.imag, log_mu.real, rows)
         rest = _remainder(np.max(ks[at]) * np.max(np.abs(log_mu.real)))

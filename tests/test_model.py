@@ -177,6 +177,11 @@ def test_bath_spec_validation():
         BathSpec(mass=-0.01)
     with pytest.raises(ValueError, match="temperature"):
         BathSpec(temperature=0.0)
+    # a subnormal temperature's energies are too small to bin
+    for t in (5e-324, np.finfo(float).tiny / 2, np.nan):
+        with pytest.raises(ValueError, match="temperature must be positive and a normal float"):
+            BathSpec(temperature=t)
+    BathSpec(temperature=np.finfo(float).tiny)
 
 
 def test_oscillator_energies_vectorized():

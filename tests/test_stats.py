@@ -139,6 +139,26 @@ def test_fit_scales_with_the_energy_unit(scale):
     assert scaled.temperature == pytest.approx(scale * base.temperature, rel=1e-9)
 
 
+def test_fit_and_aggregate_scale_by_powers_of_two_to_the_largest_floats():
+    """A power-of-two unit moves no bit, and near 1e300 nothing overflows.
+
+    Squared energies and squared errors there exceed the largest float;
+    they once overflowed with a RuntimeWarning, and twobath runs with a
+    bath at T = 1e300 wrote it to stderr.
+    """
+    energies = np.random.default_rng(17).exponential(2.0, size=2000)
+    base, _ = fit_energy_samples(energies)
+    with np.errstate(all="raise"):
+        big, _ = fit_energy_samples(2.0**996 * energies)
+        t, s = aggregate_seeds([big, big])
+    assert big.temperature == 2.0**996 * base.temperature
+    assert big.sigma == 2.0**996 * base.sigma
+    assert big.slope == base.slope / 2.0**996
+    assert (big.intercept, big.goodness) == (base.intercept, base.goodness)
+    want = aggregate_seeds([base, base])
+    assert (t, s) == (2.0**996 * want[0], 2.0**996 * want[1])
+
+
 def test_fit_empty_sample_is_rejected():
     with pytest.raises(ValueError, match="empty"):
         fit_energy_samples([])
