@@ -54,7 +54,7 @@ from .oracles import (
 )
 from .output import (RunManifest, emit_curve, emit_histogram, fmt, read_histogram,
                      write_csv)
-from .propagator import NumericalError
+from .propagator import NumericalError, blas_on_one_thread
 from .rng import LANGEVIN, substream
 from .stats import FitError, fit_temperature
 
@@ -153,14 +153,16 @@ def _manifest(command: str, cfg: dict, spec) -> RunManifest:
 
 
 def _record(manifest: RunManifest, curve, label: str = "") -> None:
-    """Add a curve's failures, bath fits, RK4 steps and largest snap distance.
+    """Add a curve's failures, bath fits, RK4 steps, largest snap distance and point threads.
 
     Failures are [omega, seed, message] entries and steps [omega, seed,
     h] entries, one per RK4 point that stepped to its end, whether its
     step was configured or derived: the fitted points, then those whose
     fit failed.  The bath fits are the curve's, so the curve recorded
-    last supplies them.
+    last supplies them.  The environment's point_workers lists the
+    threads each recorded curve ran its points on.
     """
+    manifest.environment["point_workers"].append(curve.workers)
     manifest.failures.extend([f.omega, f.seed, f"{label}{f}"] for f in curve.failures)
     steps = [[pt.omega, pt.seed, pt.step_size]
              for pt in (*curve.points, *curve.failures) if pt.step_size is not None]
@@ -467,19 +469,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    """Run one command with numpy's BLAS on one thread (blas_on_one_thread).
+
+    The program threads its own work, and the bits of a run then do not
+    depend on the BLAS thread count it found, which its manifest
+    records next to the count it used.
+    """
     parser = build_parser()
     args = parser.parse_args(argv)
-    try:
-        return args.func(args)
-    except ConfigError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_CONFIG
-    except NumericalError as err:
-        print(f"numerical failure: {err}", file=sys.stderr)
-        return EXIT_NUMERICAL
-    except FitError as err:
-        print(f"fit failure: {err}", file=sys.stderr)
-        return EXIT_FIT
+    with blas_on_one_thread():
+        try:
+            return args.func(args)
+        except ConfigError as err:
+            print(f"error: {err}", file=sys.stderr)
+            return EXIT_CONFIG
+        except NumericalError as err:
+            print(f"numerical failure: {err}", file=sys.stderr)
+            return EXIT_NUMERICAL
+        except FitError as err:
+            print(f"fit failure: {err}", file=sys.stderr)
+            return EXIT_FIT
 
 
 if __name__ == "__main__":

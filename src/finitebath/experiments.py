@@ -8,10 +8,24 @@ sweep continues; a grid point with no surviving seed reports NaN.
 _sweep is the one loop over (omega, seed) points: the single-bath and
 switched curves, each bath alone, and the CLI's one-frequency run all
 go through it.
+
+The points are independent, and a point's bits do not depend on what
+ran before it.  So a normal-mode sweep (one bath, propagator "eigen",
+as each bath alone of a two-bath sweep is) runs its points on up to one
+thread per CPU, which take them in turn (_in_turns); the results are
+collected in grid order, so every curve, failure and file keeps its
+bytes.  A point thread does not thread inside its point
+(propagator.point_thread), and the samplers share the one FFT buffer
+under its lock.  The switched layer's points, two-bath and RK4, run in
+order on the calling thread: their period map threads its own passes,
+and two switched points in flight raised the twobath benchmark's peak
+memory by 9.8 %, RK4 points by 4.2 % for no gain in time.
 """
 
 from __future__ import annotations
 
+import contextvars
+import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -21,12 +35,13 @@ from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
 from .propagator import (NumericalError, build_multi_coupling_matrix,
-                         diagonalize, factorization_fits, flow_factors)
+                         diagonalize, factorization_fits, flow_factors,
+                         point_thread, usable_cpus)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
-                    build_histogram, check_bin_count, fit_energy_samples,
-                    fit_temperature, make_sampling_times)
+                    check_bin_count, fit_energy_samples, fit_temperature,
+                    make_sampling_times, span_histogram)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
 
@@ -135,8 +150,7 @@ def _fit_bath_block(energies) -> TemperatureFit | None:
 def _reduce_samples(spec, omega, seed, q, p, reals, final_state,
                     max_snap=0.0, n_steps=0, step_size=None) -> PointResult:
     energies = bare_energy(q, p, spec.test_particle(omega))
-    hist = build_histogram(energies, spec.n_bins,
-                           spec.span_factor * float(np.mean(energies)))
+    hist = span_histogram(energies, spec.n_bins, spec.span_factor)
     try:
         fit, fit_error = fit_temperature(hist), None
     except FitError as err:
@@ -247,33 +261,91 @@ class ThermalizationCurve:
     failures: tuple         # PointFailure per failed (omega, seed)
     points: tuple           # fitted PointResults, grid order then seed order
     spec: SweepSpec
+    workers: int = 1        # threads that ran the points
+
+
+def _attempt(runner, spec: SweepSpec, omega: float, seed: int):
+    """One point: its PointResult if it fitted a temperature, else its PointFailure."""
+    try:
+        point = runner(omega, spec, seed)
+    except (FitError, NumericalError) as err:
+        return PointFailure(omega, seed, err)
+    if point.fit is None:
+        return PointFailure(omega, seed, point.fit_error, point.step_size)
+    return point
+
+
+def _in_turns(task, n, workers) -> list:
+    """[task(i) for i in range(n)], on `workers` threads that take the i in turn.
+
+    The calling thread is one of them.  Each runs in a copy of the
+    caller's context, with point_thread set when there are several, so
+    that a task does not thread inside itself.  A thread that cannot
+    start (RuntimeError) leaves its share to the others.  Once a task
+    raises, no thread takes another i; all threads are joined before
+    this returns, also when the calling thread is interrupted, and the
+    exception of the lowest i is raised, the one a loop in order would
+    have raised.
+    """
+    results, errors = [None] * n, {}
+    order, lock, stop = iter(range(n)), threading.Lock(), threading.Event()
+
+    def take():
+        with lock:
+            return None if stop.is_set() else next(order, None)
+
+    def run():
+        point_thread.set(workers > 1)
+        for i in iter(take, None):
+            try:
+                results[i] = task(i)
+            except BaseException as exc:    # raised below, on the calling thread
+                errors[i] = exc
+                stop.set()
+
+    threads = []
+    try:
+        for _ in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
+            try:
+                thread.start()
+            except RuntimeError:
+                break
+            threads.append(thread)
+        contextvars.copy_context().run(run)
+    finally:
+        stop.set()
+        for thread in threads:
+            thread.join()
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
-    """Run every (omega, seed) point of the spec in grid order and aggregate.
+    """Run every (omega, seed) point of the spec and aggregate in grid order.
 
     runner(omega, spec, seed) returns a PointResult.  baths holds one
     (BathSpec, bath_index) pair per bath the runner draws; their initial
-    fits are made on the same per-seed draws.
+    fits are made on the same per-seed draws.  The points of a
+    normal-mode sweep run on up to one thread per CPU (_in_turns); those
+    of the switched layer, two-bath and RK4, run in order on the calling
+    thread.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
-    nw = len(omegas)
+    nw, ns = len(omegas), len(spec.seeds)
     temperature, sigma, goodness, overflow = (np.full(nw, np.nan) for _ in range(4))
     final = [(np.full(nw, np.nan), np.full(nw, np.nan)) for _ in baths]
+    grid = [(float(w), seed) for w in spec.omega_grid for seed in spec.seeds]
+    workers = 1
+    if spec.bath2 is None and spec.propagator == "eigen":
+        workers = min(usable_cpus(), len(grid))
+    outcomes = _in_turns(lambda i: _attempt(runner, spec, *grid[i]), len(grid), workers)
     points, failures = [], []
-    for i, w in enumerate(spec.omega_grid):
-        w = float(w)
-        fitted = []
-        for seed in spec.seeds:
-            try:
-                point = runner(w, spec, seed)
-            except (FitError, NumericalError) as err:
-                failures.append(PointFailure(w, seed, err))
-                continue
-            if point.fit is None:
-                failures.append(PointFailure(w, seed, point.fit_error, point.step_size))
-            else:
-                fitted.append(point)
+    for i in range(nw):
+        row = outcomes[i * ns:(i + 1) * ns]
+        failures += [pt for pt in row if isinstance(pt, PointFailure)]
+        fitted = [pt for pt in row if isinstance(pt, PointResult)]
         points.extend(fitted)
         if not fitted:
             continue
@@ -297,7 +369,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
         omegas=omegas, temperature=temperature, sigma=sigma, goodness=goodness,
         overflow_fraction=overflow, bath_initial=tuple(bath_initial),
         bath_final=tuple(final), failures=tuple(failures), points=tuple(points),
-        spec=spec)
+        spec=spec, workers=workers)
 
 
 def run_sweep(spec: SweepSpec) -> ThermalizationCurve:

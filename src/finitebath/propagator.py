@@ -97,8 +97,11 @@ in-place ufuncs): an array allocated afresh per block or per call is
 often handed back to the kernel by malloc when it is freed, and the
 next one is page-faulted in and zeroed again.  The FFT rows persist from
 call to call in one module buffer that only grows, to at most two rows
-of _MAX_FFT points (4 MB).  A buffer backs at most one live array at a
-time, and no array a function returns shares memory with one.
+of _MAX_FFT points (4 MB) for the whole process: a transform holds a
+module lock from taking its rows until it has gathered from them, so
+concurrent samplers take the buffer in turn.  A buffer backs at most
+one live array at a time, and no array a function returns shares
+memory with one.
 
 Start-up and threads.  dlasd4 is bound through ctypes from the library
 behind scipy's compiled LAPACK wrapper, the file of
@@ -119,15 +122,28 @@ map runs its passes over its roots (the Aberth sweeps' steps, the
 eigenvectors, the left products) on the same threads, but only while
 numpy's BLAS runs on one thread (blas_threads reads OpenBLAS's count
 through ctypes): those passes call BLAS in every block, and next to
-BLAS's own threads they ran three times slower.  The pass over the
-shapes (_sweep) and the period map's sum over its roots stay serial:
-their accumulation order fixes the bits of the final state.
+BLAS's own threads they ran three times slower.  The command line runs
+with BLAS on one thread and restores the count it found
+(blas_on_one_thread).  The pass over the shapes (_sweep) and the period
+map's sum over its roots stay serial: their accumulation order fixes
+the bits of the final state.
+
+A sweep of normal-mode points (experiments._sweep) runs its points on
+one thread per CPU instead; on those point threads _workers gives every
+call one thread (point_thread), so the CPUs are shared out once per
+run, and only a run of a single point threads inside it.  The points'
+sampler transforms share the one FFT buffer under its lock.  Points of
+the switched layer, two-bath and RK4, stay on the calling thread: two
+switched points in flight held two sets of the period map's work
+buffers (1.6 MB each at 2 x 200) and a second malloc arena, and raised
+the peak memory of the twobath benchmark by 9.8 %.
 numpy.fft, which numpy loads lazily, is imported here so that a run
 does not import it inside its first transform.
 """
 
 from __future__ import annotations
 
+import contextlib
 import contextvars
 import ctypes
 import importlib.machinery
@@ -169,26 +185,71 @@ dlasd4 = _load_dlasd4()
 
 
 def _load_blas_threads():
-    """The thread count getter of the BLAS numpy calls, through ctypes, or None.
+    """The thread count getter and setter of the BLAS numpy calls, through ctypes.
 
-    OpenBLAS's openblas_get_num_threads, under the names numpy's builds
-    give it, or MKL's MKL_Get_Max_Threads, looked up through numpy's
-    core extension, which links the BLAS.  None where neither is found.
+    OpenBLAS's openblas_get_num_threads and openblas_set_num_threads,
+    under the names numpy's builds give them, or MKL's
+    MKL_Get_Max_Threads and MKL_Set_Num_Threads, looked up through
+    numpy's core extension, which links the BLAS.  None for each one
+    that is not found.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except OSError:
-        return None
-    for name in ("scipy_openblas_get_num_threads64_", "openblas_get_num_threads64_",
-                 "openblas_get_num_threads", "MKL_Get_Max_Threads"):
-        getter = getattr(lib, name, None)
+        return None, None
+    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
+                     ("openblas_get_num_threads", "openblas_set_num_threads"),
+                     ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads")):
+        getter = getattr(lib, get, None)
         if getter is not None:
             getter.argtypes, getter.restype = [], ctypes.c_int
-            return getter
-    return None
+            setter = getattr(lib, put, None)
+            if setter is not None:
+                setter.argtypes, setter.restype = [ctypes.c_int], None
+            return getter, setter
+    return None, None
 
 
-blas_threads = _load_blas_threads()
+blas_threads, _set_blas_threads = _load_blas_threads()
+
+# (count found, count used) of numpy's BLAS threads inside blas_on_one_thread
+_blas_counts = contextvars.ContextVar("blas_counts", default=None)
+
+
+@contextlib.contextmanager
+def blas_on_one_thread():
+    """Run the block with numpy's BLAS on one thread, then restore the count found.
+
+    A multithreaded BLAS rounds a product by how it splits it among its
+    threads, and its threads compete with the program's own (the point
+    threads of a sweep, the period map's passes).  Where no setter is
+    found the count stays as it is (blas_counts).
+    """
+    found = None if blas_threads is None else blas_threads()
+    used = None if _set_blas_threads is None or found is None else 1
+    if used is not None:
+        _set_blas_threads(used)
+    token = _blas_counts.set((found, used))
+    try:
+        yield
+    finally:
+        _blas_counts.reset(token)
+        if used is not None:
+            _set_blas_threads(found)
+
+
+def blas_counts():
+    """(found, used): numpy's BLAS threads before blas_on_one_thread and inside it.
+
+    used is None where no setter is found, found where no getter is.
+    Outside blas_on_one_thread both are the count in effect.
+    """
+    counts = _blas_counts.get()
+    if counts is None:
+        now = None if blas_threads is None else blas_threads()
+        counts = (now, now)
+    return counts
 
 
 class NumericalError(RuntimeError):
@@ -336,8 +397,20 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
+# True on a point thread of a sweep (experiments._sweep), whose points
+# already take every CPU: a call there keeps its work on its own thread.
+# Worker threads run in a copy of the caller's context, so it reaches
+# every nested call
+point_thread = contextvars.ContextVar("point_thread", default=False)
+
+
 def _workers(n, per_worker=ROOTS_PER_WORKER):
-    """Worker threads for n independent roots: one per per_worker roots, at most one per CPU."""
+    """Worker threads for n independent roots: one per per_worker roots, at most one per CPU.
+
+    One on a point thread (point_thread).
+    """
+    if point_thread.get():
+        return 1
     return max(1, min(usable_cpus(), n // per_worker))
 
 
@@ -822,8 +895,9 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
 
     The rows go through steps 2 and 3 two at a time, in the module's FFT
     buffer (_fft_rows), which grid_fits caps at two rows of _MAX_FFT
-    points.  Spreading and gathering go through buffers of GRID_CHUNK
-    entries each, reused chunk after chunk.
+    points and which the call holds under _fft_lock meanwhile.
+    Spreading and gathering go through buffers of GRID_CHUNK entries
+    each, reused chunk after chunk.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
     nu = np.asarray(nu, dtype=float)
@@ -851,25 +925,31 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
     # 2.-4. for each pair of rows
     for lo in range(0, len(rows), 2):
         pair = rows[lo:lo + 2]
-        grid = _fft_rows(len(pair), n_fft)
-        _spread(u, [(a - 1j * b) * spin for a, b in pair], grid)
-        grid[:, :g.half + 1] *= deconv
-        grid[:, n_fft - g.half:] *= deconv[:0:-1]
-        np.fft.ifft(grid, axis=1, out=grid)
-        re_im = _gather(grid, xi, rate)
+        coef = [(a - 1j * b) * spin for a, b in pair]
+        with _fft_lock:
+            grid = _fft_rows(len(pair), n_fft)
+            _spread(u, coef, grid)
+            grid[:, :g.half + 1] *= deconv
+            grid[:, n_fft - g.half:] *= deconv[:0:-1]
+            np.fft.ifft(grid, axis=1, out=grid)
+            re_im = _gather(grid, xi, rate)
         out[lo:lo + 2] = re_im[:, 0] * cos - re_im[:, 1] * sin
     return out
 
 
 # The transform's FFT rows persist from call to call in one buffer that
-# only grows: at most two rows of _MAX_FFT points, 4 MB
+# only grows: at most two rows of _MAX_FFT points, 4 MB.  A caller holds
+# the lock from taking its rows until it has gathered from them, so that
+# concurrent transforms (the point threads of a sweep) share the one
+# buffer in turn
 _fft_buffer = np.empty(0, complex)
+_fft_lock = threading.Lock()
 
 
 def _fft_rows(n_rows, n_fft):
     """n_rows zeroed FFT rows of n_fft points, a view of the module's FFT buffer.
 
-    The view is valid until the next call.
+    The view is valid until the next call; the caller holds _fft_lock.
     """
     global _fft_buffer
     if len(_fft_buffer) < n_rows * n_fft:

@@ -45,6 +45,11 @@ class SamplingPlan:
             raise ValueError(f"need at least 100 samples for a fit, got {self.n_samples}")
         if self.warmup < 0.0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
+        # the gaps are drawn on (0, 2 tau), so the last time is below this bound
+        if not np.isfinite(self.warmup + 2.0 * self.mean_interval * self.n_samples):
+            raise ValueError(f"warmup {self.warmup:g} plus {self.n_samples} gaps of up to "
+                             f"2 x mean_interval {self.mean_interval:g} overflow the "
+                             "sample times")
 
 
 def make_sampling_times(plan: SamplingPlan, rng: np.random.Generator) -> np.ndarray:
@@ -95,6 +100,23 @@ def build_histogram(energies, n_bins: int, e_max: float) -> EnergyHistogram:
     overflow = int(energies.size - counts.sum())
     return EnergyHistogram(bin_edges=edges, counts=counts, overflow=overflow,
                            total_samples=int(energies.size))
+
+
+def span_histogram(energies, n_bins: int, span_factor: float) -> EnergyHistogram:
+    """build_histogram on [0, span_factor x the mean energy].
+
+    FitError where the energies are positive but that span holds no
+    n_bins bins of positive width: a span_factor near 0 or near the
+    largest floats underflows or overflows it.
+    """
+    energies = np.asarray(energies, dtype=float)
+    e_max = span_factor * float(np.mean(energies))
+    if np.any(energies > 0.0) and not (     # all zero: build_histogram's FitError
+            e_max < np.inf and np.all(np.diff(np.linspace(0.0, e_max, n_bins + 1)) > 0.0)):
+        raise FitError(f"span_factor {span_factor:g} times the mean energy "
+                       f"{float(np.mean(energies)):g} gives no {n_bins} bins of "
+                       "positive width")
+    return build_histogram(energies, n_bins, e_max)
 
 
 @dataclass(frozen=True)
@@ -149,7 +171,7 @@ def fit_energy_samples(energies, n_bins: int = DEFAULT_N_BINS,
     energies = np.asarray(energies, dtype=float)
     if energies.size == 0:
         raise ValueError("cannot fit an empty energy sample")
-    hist = build_histogram(energies, n_bins, span_factor * float(np.mean(energies)))
+    hist = span_histogram(energies, n_bins, span_factor)
     return fit_temperature(hist), hist
 
 

@@ -563,9 +563,11 @@ def test_oracle_mixture_profile(tmp_path):
 def _fresh_python(code: str, **env) -> str:
     """What code prints in a fresh interpreter that imports finitebath from this tree.
 
-    env adds to or replaces the caller's environment variables.
+    env adds to or replaces the caller's environment variables; a value
+    of None removes one.
     """
-    env = {**os.environ, **env, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
+    env = {key: value for key, value in {**os.environ, **env}.items() if value is not None}
+    env["PYTHONPATH"] = str(Path(finitebath.__file__).parents[1])
     proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
@@ -650,10 +652,12 @@ def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
     """The manifest's environment object, from runs under one and two OpenBLAS threads.
 
     A multithreaded BLAS rounds the period map's products by how it
-    splits them among its threads, so the count a run had is recorded:
-    the count the getter reports (null where none is found), numpy's
-    version and the CPUs of the affinity mask.  OpenBLAS caps its
-    threads at the CPUs, so the two counts differ where there are two.
+    splits them among its threads, so the count a run found is recorded:
+    the count the getter reports (null where none is found), next to the
+    one thread the run used (null where no setter is found), numpy's
+    version, the CPUs of the affinity mask and the threads of the run's
+    one point.  OpenBLAS caps its threads at the CPUs, so the two counts
+    found differ where there are two, and the call restores each.
     """
     script = """
 import json, os, tempfile
@@ -666,20 +670,53 @@ with tempfile.TemporaryDirectory() as out:
     with open(os.path.join(out, "manifest.json")) as f:
         env = json.load(f)["environment"]
 getter = propagator.blas_threads
-print(json.dumps([code, env, None if getter is None else getter(), np.__version__,
+used = None if getter is None or propagator._set_blas_threads is None else 1
+print(json.dumps([code, env, None if getter is None else getter(), used, np.__version__,
                   len(os.sched_getaffinity(0))]))
 """
     counts = []
     for threads in ("1", "2"):
-        code, env, got, version, cpus = json.loads(_fresh_python(
+        code, env, got, used, version, cpus = json.loads(_fresh_python(
             script, OPENBLAS_NUM_THREADS=threads).splitlines()[-1])
         assert code == EXIT_OK
-        assert env == {"numpy": version, "blas_threads": got, "cpus": cpus}
+        assert env == {"numpy": version, "blas_threads": got, "blas_threads_used": used,
+                       "cpus": cpus, "point_workers": [1]}
         counts.append(got)
     if counts[0] is not None:
         assert counts[0] == 1
         if cpus >= 2:
             assert counts[1] == 2
+
+
+def test_a_run_gives_the_same_bytes_under_any_openblas_thread_count(tmp_path):
+    """main runs numpy's BLAS on one thread, so a run's files do not depend on the count found.
+
+    With OPENBLAS_NUM_THREADS unset, 1 and 2, in fresh interpreters: a
+    multithreaded BLAS rounds the period map's products by how it splits
+    them, which moved the combined curve of this 2 x 50 twobath run in
+    its last digits.  The manifests differ only in their timestamps and
+    the count found.
+    """
+    sets = {"bath1_size": 50, "bath2_size": 50, "bath1_mass": 0.004, "bath2_mass": 0.004,
+            "renormalization": "static", "step_size": 1e-3, "mean_interval": 25.0,
+            "n_samples": 200, "warmup": 100.0, "omega_grid": [0.55], "seeds": [1, 2]}
+    argv = ["twobath"] + [arg for key, value in sets.items()
+                          for arg in ("--set", f"{key}={json.dumps(value)}")]
+    runs = []
+    for threads in (None, "1", "2"):
+        out = tmp_path / str(threads)
+        _fresh_python("from finitebath.cli import main\n"
+                      f"raise SystemExit(main({argv + ['--out', str(out)]!r}))",
+                      OPENBLAS_NUM_THREADS=threads)
+        files = {path.name: path.read_bytes() for path in out.iterdir()}
+        manifest = json.loads(files.pop("manifest.json"))
+        for key in ("started", "finished"):
+            del manifest[key]
+        del manifest["environment"]["blas_threads"]
+        runs.append((files, manifest))
+    assert sorted(runs[0][0]) == ["curve_bath1_alone.csv", "curve_bath2_alone.csv",
+                                  "curve_combined.csv"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
 
 
 def test_oracle_kernel_starts_at_the_spring_sum(tmp_path):

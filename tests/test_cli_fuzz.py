@@ -1,4 +1,4 @@
-"""Bad input as a property: CLI runs at boundary bath masses, sizes and schedules.
+"""Bad input as a property: CLI runs at boundary bath masses, sizes, schedules and sampling keys.
 
 Every run must end in a documented exit code (0 success, 2 configuration
 error, 3 numerical failure, 4 fit failure), raise nothing and emit no
@@ -25,8 +25,13 @@ DELTA_T_STEPS = [1, 2, 7, 100, 2000]
 STEP_SIZES = [1e-4, 1e-3, 0.02, 0.5, 5.0]
 TEMPERATURES = [0.0, 5e-324, 1e-6, 7.5, 1e6, 1e300]
 OMEGAS = [1e-3, 0.55, 1.0, 50.0]
-# the label of each twobath curve's failures in the manifest
-CURVES = {"curve_combined.csv": "", "curve_bath1_alone.csv": "bath1 alone: ",
+# the sampling keys of a sweep, each left unset or drawn from its boundary set
+BOUNDARY = [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1e6, 1e154, 1e300]
+SAMPLING = {"n_samples": [-1, 0, 99, 100, 2000], "mean_interval": BOUNDARY + [1e308],
+            "warmup": BOUNDARY, "n_bins": [-1, 4, 5, 40, 10**6],
+            "span_factor": BOUNDARY + [1e308]}
+# the label of each curve's failures in the manifest
+CURVES = {"curve.csv": "", "curve_combined.csv": "", "curve_bath1_alone.csv": "bath1 alone: ",
           "curve_bath2_alone.csv": "bath2 alone: "}
 
 
@@ -35,7 +40,7 @@ def _run_cli(argv):
 
     Asserts that the run ends in a documented exit code, warns nothing
     and writes no warning to stderr.  A failed point is (curve CSV,
-    omega) for each row of a twobath curve without a finite temperature.
+    omega) for each row of a curve without a finite temperature.
     """
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
@@ -90,12 +95,8 @@ def schedules(draw):
     return keys
 
 
-@given(keys=schedules())
-@settings(max_examples=60, derandomize=True, deadline=None)
-def test_boundary_schedules_end_in_a_documented_exit_code(keys):
-    sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
-    sets += ["seeds=[1]", "n_samples=200"]
-    code, manifest, failed = _run_cli(["twobath"] + [arg for s in sets for arg in ("--set", s)])
+def _assert_failures_named(keys, code, manifest, failed):
+    """A run that exits 3 or 4 names each failed point of each curve (seed 1) in its manifest."""
     if code in (3, 4):
         assert manifest is not None and failed, (keys, code)
         for name, omega in failed:
@@ -104,3 +105,35 @@ def test_boundary_schedules_end_in_a_documented_exit_code(keys):
                        and (entry[2].startswith(label) if label
                             else not entry[2].startswith("bath"))
                        for entry in manifest["failures"]), (keys, name, manifest["failures"])
+
+
+@given(keys=schedules())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_boundary_schedules_end_in_a_documented_exit_code(keys):
+    sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
+    sets += ["seeds=[1]", "n_samples=200"]
+    code, manifest, failed = _run_cli(["twobath"] + [arg for s in sets for arg in ("--set", s)])
+    _assert_failures_named(keys, code, manifest, failed)
+
+
+@st.composite
+def samplings(draw):
+    """sweep config overrides: a bath size, the sampling keys and a grid of 2 or 3 frequencies.
+
+    The grid's points run on the sweep's point threads.
+    """
+    keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30))}
+    for key, values in SAMPLING.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            keys[key] = value
+    keys["omega_grid"] = draw(st.lists(st.sampled_from(OMEGAS), min_size=2, max_size=3))
+    return keys
+
+
+@given(keys=samplings())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_boundary_sampling_keys_end_in_a_documented_exit_code(keys):
+    sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()] + ["seeds=[1]"]
+    code, manifest, failed = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
+    _assert_failures_named(keys, code, manifest, failed)

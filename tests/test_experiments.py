@@ -1,6 +1,13 @@
 """Sweep drivers, curve reduction and the degenerate exchange experiment."""
 
+import contextlib
 import dataclasses
+import io
+import json
+import pickle
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
@@ -16,7 +23,7 @@ from finitebath.experiments import (
     run_two_bath_sweep,
     smoothed_curve,
 )
-from finitebath import propagator, switched
+from finitebath import cli, experiments, propagator, switched
 from finitebath.model import BathSpec, DensityOfStates, bare_energy
 from finitebath.stats import SamplingPlan
 
@@ -199,6 +206,127 @@ def test_two_bath_sweep_produces_alone_curves():
         assert curve.omegas.shape == (1,)
     with pytest.raises(ValueError, match="bath2"):
         run_two_bath_sweep(_quick_spec())
+
+
+# -- points on threads -------------------------------------------------
+
+# a kicked particle at omega = 5 keeps a narrow energy: all three seeds fail their fit
+THREADED = ["sweep", "--set", "bath1_size=40", "--set", "bath1_mass=0.01",
+            "--set", "omega_grid=[0.3,0.5,5.0]", "--set", "initial_energy=10",
+            "--set", "n_samples=400", "--set", "seeds=[1,2,3]"]
+
+
+def _runner(fail):
+    """run_single_bath_point, except at the (omega, seed) points of fail: (kind, message)."""
+    def run(omega, spec, seed, **kwargs):
+        if (omega, seed) in fail:
+            kind, message = fail[omega, seed]
+            raise kind(message)
+        return run_single_bath_point(omega, spec, seed, **kwargs)
+    return run
+
+
+def _threaded_sweep(tmp_path, monkeypatch, cpus, fail):
+    """THREADED on `cpus` point threads: (pickled curve, curve CSV, manifest)."""
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "run_single_bath_point", _runner(fail))
+    curves, run_sweep = [], cli.run_sweep
+    monkeypatch.setattr(cli, "run_sweep", lambda spec: curves.append(run_sweep(spec)) or curves[-1])
+    out = tmp_path / str(cpus)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(THREADED + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key in ("started", "finished", "environment"):
+        del manifest[key]
+    [curve] = curves
+    assert curve.workers == min(cpus, 9)
+    return (pickle.dumps(dataclasses.replace(curve, workers=1)),
+            (out / "curve.csv").read_bytes(), manifest)
+
+
+def test_threaded_points_give_the_serial_curve_failures_and_files(tmp_path, monkeypatch):
+    """On 1, 2 and 3 point threads a sweep keeps every byte, failures in grid order.
+
+    Omega = 5 fails its fits; the point (0.5, 2) raises NumericalError.
+    The interpreter switches threads every microsecond, and no thread
+    outlives the sweep.
+    """
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    fail = {(0.5, 2): (propagator.NumericalError, "forced")}
+    try:
+        sys.setswitchinterval(1e-6)
+        runs = [_threaded_sweep(tmp_path, monkeypatch, cpus, fail) for cpus in (1, 2, 3)]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    assert [entry[:2] for entry in runs[0][2]["failures"]] == [[0.5, 2], [5.0, 1], [5.0, 2],
+                                                               [5.0, 3]]
+    assert runs[0][2]["failures"][0][2] == "NumericalError: forced"
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_any_other_exception_ends_the_sweep_with_the_first_in_grid_order(tmp_path, monkeypatch,
+                                                                          cpus):
+    threads = threading.active_count()
+    fail = {(0.5, 2): (propagator.NumericalError, "recorded"),
+            (0.5, 3): (ValueError, "first"), (5.0, 1): (ValueError, "second")}
+    with pytest.raises(ValueError, match="first"):
+        _threaded_sweep(tmp_path, monkeypatch, cpus, fail)
+    assert threading.active_count() == threads
+
+
+def _grid_of_nine():
+    return _quick_spec(omega_grid=(0.3, 0.5, 0.7), seeds=(1, 2, 3),
+                       bath1=BathSpec(size=20, mass=0.02, temperature=5.0, dos=BAND),
+                       plan=SamplingPlan(mean_interval=1.0, n_samples=100))
+
+
+def test_no_point_starts_after_a_failure_or_an_interrupt(monkeypatch):
+    """After a raising point, or KeyboardInterrupt on the calling thread, no thread takes another.
+
+    Every other point waits until the failing one has raised, and 50 ms
+    more, so the failure is recorded while the one point in flight
+    beside it runs.
+    """
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    threads = threading.active_count()
+    for error, fails_on in ((ValueError, lambda omega, seed: (omega, seed) == (0.3, 1)),
+                            (KeyboardInterrupt,
+                             lambda omega, seed: threading.current_thread() is threading.main_thread())):
+        started, raised = [], threading.Event()
+
+        def runner(omega, spec, seed):
+            started.append((omega, seed))
+            if fails_on(omega, seed):
+                raised.set()
+                raise error("stop")
+            assert raised.wait(timeout=10.0)
+            time.sleep(0.05)
+            return run_single_bath_point(omega, spec, seed)
+
+        with pytest.raises(error, match="stop"):
+            experiments._sweep(_grid_of_nine(), runner, [])
+        assert 1 <= len(started) <= 2, (error, started)
+        assert threading.active_count() == threads
+
+
+def test_a_one_point_run_threads_inside_its_point(monkeypatch):
+    """Only a run with one point gives its factorization worker threads; on point threads it has one."""
+    for module in (experiments, propagator):
+        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    budgets = []
+
+    def runner(omega, spec, seed):
+        budgets.append(propagator._workers(600))
+        return run_single_bath_point(omega, spec, seed)
+
+    one = dataclasses.replace(_grid_of_nine(), omega_grid=(0.5,), seeds=(1,))
+    assert experiments._sweep(one, runner, []).workers == 1
+    assert budgets == [2]
+    budgets.clear()
+    assert experiments._sweep(_grid_of_nine(), runner, []).workers == 2
+    assert budgets == [1] * 9
 
 
 # -- initial energy ----------------------------------------------------

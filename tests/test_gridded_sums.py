@@ -13,6 +13,8 @@ against the oracle.
 """
 
 import math
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
@@ -445,3 +447,38 @@ def test_period_map_sampler_memory_stays_below_the_direct_sum(monkeypatch):
     monkeypatch.setattr(propagator, "grid_fits", lambda *args: False)
     direct = _peak(lambda: prop.run(v0, t))
     assert fast <= direct
+
+
+def test_concurrent_samplers_give_their_one_thread_bytes():
+    """Two threads sample two systems at once, each with the (Q, P) bytes it gets alone.
+
+    Both transforms use the module's FFT buffer, which its lock lends to
+    one at a time.  The systems' grids differ in length (N = 400 over
+    the sweep's span, N = 100 over the two-bath alone curves'), so rows
+    that one thread overwrote in the other's would show.  Each thread
+    samples ten times, with the interpreter switching threads every
+    microsecond.
+    """
+    props = [_prop(400, 0.5), _prop(100, 0.7, seed=2)]
+    times = [_times(SWEEP), _times(ALONE, seed=2)]
+    want = [[a.tobytes() for a in prop.sample_test_particle(t)]
+            for prop, t in zip(props, times)]
+    got = [[], []]
+    start = threading.Barrier(2)
+
+    def sample(j):
+        start.wait()
+        for _ in range(10):
+            got[j].append([a.tobytes() for a in props[j].sample_test_particle(times[j])])
+
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=sample, args=(j,)) for j in range(2)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join()
+    finally:
+        sys.setswitchinterval(interval)
+    assert got == [[want[0]] * 10, [want[1]] * 10]

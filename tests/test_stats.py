@@ -19,6 +19,7 @@ from finitebath.stats import (
     fit_energy_samples,
     fit_temperature,
     make_sampling_times,
+    span_histogram,
 )
 
 
@@ -40,6 +41,15 @@ def test_sampling_plan_validation():
         SamplingPlan(n_samples=50)
     with pytest.raises(ValueError, match="warmup"):
         SamplingPlan(warmup=-1.0)
+
+
+def test_sample_times_that_would_overflow_are_refused():
+    """The gaps are drawn on (0, 2 tau): 2 tau, and the last time, must be finite."""
+    SamplingPlan(mean_interval=1e300, n_samples=4000, warmup=1e300)
+    with pytest.raises(ValueError, match="overflow the sample times"):
+        SamplingPlan(mean_interval=1e308)
+    with pytest.raises(ValueError, match="overflow the sample times"):
+        SamplingPlan(mean_interval=1e305, n_samples=4000)
 
 
 def test_sampling_times_are_increasing_with_the_right_density():
@@ -84,6 +94,18 @@ def test_histogram_validation():
         build_histogram([0.5], n_bins=4, e_max=1.0)
     with pytest.raises(ValueError, match="e_max"):
         build_histogram([0.5], n_bins=5, e_max=0.0)
+
+
+def test_a_span_without_room_for_the_bins_is_a_fit_failure():
+    """span_factor x the mean energy must hold n_bins bins of positive width."""
+    energies = [1.0, 2.0, 3.0]
+    hist = span_histogram(energies, 5, 4.0)
+    assert hist.e_max == 8.0 and len(hist.counts) == 5
+    for span, n_bins in ((1e308, 5), (5e-324, 5), (2e-323, 40)):
+        with pytest.raises(FitError, match="bins of positive width"):
+            span_histogram(energies, n_bins, span)
+    with pytest.raises(FitError, match="zero"):
+        span_histogram([0.0, 0.0], 5, 1e308)
 
 
 # -- the fit -----------------------------------------------------------
