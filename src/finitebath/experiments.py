@@ -10,16 +10,15 @@ switched curves, each bath alone, and the CLI's one-frequency run all
 go through it.
 
 The points are independent, and a point's bits do not depend on what
-ran before it.  So a normal-mode sweep (one bath, propagator "eigen",
-as each bath alone of a two-bath sweep is) runs its points on up to one
-thread per CPU, which take them in turn (_in_turns); the results are
-collected in grid order, so every curve, failure and file keeps its
-bytes.  A point thread does not thread inside its point
-(propagator.point_thread), and the samplers share the one FFT buffer
-under its lock.  The switched layer's points, two-bath and RK4, run in
-order on the calling thread: their period map threads its own passes,
-and two switched points in flight raised the twobath benchmark's peak
-memory by 9.8 %, RK4 points by 4.2 % for no gain in time.
+ran before it.  So a sweep runs its points on up to one thread per CPU,
+which take them in turn (_in_turns); the results are collected in grid
+order, so every curve, failure and file keeps its bytes.  A point
+thread does not thread inside its point (propagator.point_thread): there
+a switched point's period map holds the work buffers of one thread, one
+piece of 32 roots, and the samplers share the one FFT buffer under its
+lock.  Only a single-bath RK4 sweep runs its points in order on the
+calling thread: on two threads its points of a few ms gained nothing
+and raised the rk4_dense benchmark's peak memory by 4.2 %.
 """
 
 from __future__ import annotations
@@ -327,10 +326,9 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
 
     runner(omega, spec, seed) returns a PointResult.  baths holds one
     (BathSpec, bath_index) pair per bath the runner draws; their initial
-    fits are made on the same per-seed draws.  The points of a
-    normal-mode sweep run on up to one thread per CPU (_in_turns); those
-    of the switched layer, two-bath and RK4, run in order on the calling
-    thread.
+    fits are made on the same per-seed draws.  The points run on up to
+    one thread per CPU (_in_turns), except those of a single-bath RK4
+    sweep, which run in order on the calling thread.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw, ns = len(omegas), len(spec.seeds)
@@ -338,7 +336,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     final = [(np.full(nw, np.nan), np.full(nw, np.nan)) for _ in baths]
     grid = [(float(w), seed) for w in spec.omega_grid for seed in spec.seeds]
     workers = 1
-    if spec.bath2 is None and spec.propagator == "eigen":
+    if spec.bath2 is not None or spec.propagator == "eigen":
         workers = min(usable_cpus(), len(grid))
     outcomes = _in_turns(lambda i: _attempt(runner, spec, *grid[i]), len(grid), workers)
     points, failures = [], []
@@ -415,9 +413,14 @@ def smoothed_curve(values) -> np.ndarray:
 
 
 def peak_location(omegas, temperatures) -> float:
-    """Frequency of the curve maximum after 3-point smoothing."""
+    """Frequency of the curve maximum after 3-point smoothing, among the rows with a temperature.
+
+    A row without one gets a smoothed value from its neighbours, but no
+    peak: the peak names a frequency the curve has measured.
+    """
     omegas = np.asarray(omegas, dtype=float)
-    sm = smoothed_curve(temperatures)
+    temperatures = np.asarray(temperatures, dtype=float)
+    sm = np.where(np.isfinite(temperatures), smoothed_curve(temperatures), np.nan)
     if not np.any(np.isfinite(sm)):
         raise ValueError("curve has no finite values; cannot locate a peak")
     return float(omegas[np.nanargmax(sm)])

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ThermalizationCurve
-from .propagator import blas_counts, usable_cpus
+from .propagator import blas_config, blas_counts, usable_cpus
 from .stats import EnergyHistogram, TemperatureFit
 
 CURVE_HEADER = "omega,T_tp,T_tp_err,goodness,overflow_frac,T_bath_init,T_bath_final"
@@ -102,16 +102,20 @@ def read_histogram(path) -> EnergyHistogram:
 
 
 def run_environment() -> dict:
-    """numpy's version, its BLAS threads, the usable CPUs and the point threads.
+    """numpy's version, its BLAS and its threads, the usable CPUs and the point threads.
 
-    blas_threads is the count the run found and blas_threads_used the
-    count it ran on (blas_counts; None where no getter, or no setter, is
-    found): a multithreaded BLAS rounds the period map's products by how
-    it splits them among its threads.  point_workers starts empty and
-    gets the threads of each sweep the run records.
+    blas_config is the build and core the BLAS reports (None where it
+    reports none), blas_threads the count the run found and
+    blas_threads_used the count it ran on (blas_counts; None where no
+    getter, or no setter, is found): a multithreaded BLAS rounds the
+    period map's products by how it splits them among its threads, and
+    a BLAS's kernels, picked by its core, round them their own way.
+    point_workers starts empty and gets the threads of each sweep the
+    run records.
     """
     found, used = blas_counts()
-    return {"numpy": np.__version__, "blas_threads": found, "blas_threads_used": used,
+    return {"numpy": np.__version__, "blas_config": blas_config(),
+            "blas_threads": found, "blas_threads_used": used,
             "cpus": usable_cpus(), "point_workers": []}
 
 

@@ -121,22 +121,20 @@ cannot start runs on the calling thread.  The switched module's period
 map runs its passes over its roots (the Aberth sweeps' steps, the
 eigenvectors, the left products) on the same threads, but only while
 numpy's BLAS runs on one thread (blas_threads reads OpenBLAS's count
-through ctypes): those passes call BLAS in every block, and next to
+through ctypes): those passes call BLAS in every piece, and next to
 BLAS's own threads they ran three times slower.  The command line runs
 with BLAS on one thread and restores the count it found
 (blas_on_one_thread).  The pass over the shapes (_sweep) and the period
 map's sum over its roots stay serial: their accumulation order fixes
 the bits of the final state.
 
-A sweep of normal-mode points (experiments._sweep) runs its points on
-one thread per CPU instead; on those point threads _workers gives every
-call one thread (point_thread), so the CPUs are shared out once per
-run, and only a run of a single point threads inside it.  The points'
-sampler transforms share the one FFT buffer under its lock.  Points of
-the switched layer, two-bath and RK4, stay on the calling thread: two
-switched points in flight held two sets of the period map's work
-buffers (1.6 MB each at 2 x 200) and a second malloc arena, and raised
-the peak memory of the twobath benchmark by 9.8 %.
+A sweep (experiments._sweep) runs its points on one thread per CPU
+instead, all but single-bath RK4 sweeps; on those point threads
+_workers gives every call one thread (point_thread), so the CPUs are
+shared out once per run, and only a run of a single point threads
+inside it.  The points' sampler transforms share the one FFT buffer
+under its lock, and a switched point's period map holds the work
+buffers of one thread.
 numpy.fft, which numpy loads lazily, is imported here so that a run
 does not import it inside its first transform.
 """
@@ -184,34 +182,46 @@ def _load_dlasd4():
 dlasd4 = _load_dlasd4()
 
 
-def _load_blas_threads():
-    """The thread count getter and setter of the BLAS numpy calls, through ctypes.
+def _load_blas():
+    """The thread count getter and setter and the config string of numpy's BLAS, through ctypes.
 
-    OpenBLAS's openblas_get_num_threads and openblas_set_num_threads,
-    under the names numpy's builds give them, or MKL's
-    MKL_Get_Max_Threads and MKL_Set_Num_Threads, looked up through
+    OpenBLAS's openblas_get_num_threads, openblas_set_num_threads and
+    openblas_get_config, under the names numpy's builds give them, or
+    MKL's MKL_Get_Max_Threads and MKL_Set_Num_Threads, looked up through
     numpy's core extension, which links the BLAS.  None for each one
     that is not found.
     """
     try:
         lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
     except OSError:
-        return None, None
-    for get, put in (("scipy_openblas_get_num_threads64_", "scipy_openblas_set_num_threads64_"),
-                     ("openblas_get_num_threads64_", "openblas_set_num_threads64_"),
-                     ("openblas_get_num_threads", "openblas_set_num_threads"),
-                     ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads")):
+        return None, None, None
+    for get, put, config in (("scipy_openblas_get_num_threads64_",
+                              "scipy_openblas_set_num_threads64_", "scipy_openblas_get_config64_"),
+                             ("openblas_get_num_threads64_", "openblas_set_num_threads64_",
+                              "openblas_get_config64_"),
+                             ("openblas_get_num_threads", "openblas_set_num_threads",
+                              "openblas_get_config"),
+                             ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads", None)):
         getter = getattr(lib, get, None)
         if getter is not None:
             getter.argtypes, getter.restype = [], ctypes.c_int
             setter = getattr(lib, put, None)
             if setter is not None:
                 setter.argtypes, setter.restype = [ctypes.c_int], None
-            return getter, setter
-    return None, None
+            describe = config and getattr(lib, config, None)
+            if describe is not None:
+                describe.argtypes, describe.restype = [], ctypes.c_char_p
+            return getter, setter, describe
+    return None, None, None
 
 
-blas_threads, _set_blas_threads = _load_blas_threads()
+blas_threads, _set_blas_threads, _blas_config = _load_blas()
+
+
+def blas_config() -> str | None:
+    """The build and core numpy's BLAS reports (OpenBLAS's get_config), None where not found."""
+    return None if _blas_config is None else _blas_config().decode(errors="replace")
+
 
 # (count found, count used) of numpy's BLAS threads inside blas_on_one_thread
 _blas_counts = contextvars.ContextVar("blas_counts", default=None)

@@ -72,7 +72,7 @@ from functools import cached_property, partial
 import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
-from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
+from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix,
                          NumericalError, _in_ranges, _view, _workers,
                          banded_sums, blas_threads, build_multi_coupling_matrix,
                          check_rk4_stability, diagonalize, max_mode_frequency,
@@ -85,7 +85,7 @@ from .propagator import (RK4_STABILITY_LIMIT, SHAPE_BLOCK, CouplingMatrix,
 # formed in place in a loop over the period's steps, and their products
 # with the n = dim / 2 eigenvectors, half as much.  A schedule beyond this
 # cap (128 MB of rows and 64 MB of products; at 2 x 200 oscillators a half
-# period of 2614 steps, whose factoring peaked at 208 MB) is refused
+# period of 2614 steps, whose factoring peaked at 199 MB) is refused
 # before anything sized by the period is allocated.
 MAX_PERIOD_ENTRIES = 1 << 22
 # step indices are exact integers in float64 up to 2^53
@@ -203,10 +203,15 @@ EPS = np.finfo(float).eps
 RANK_TOL = 4.0 * EPS
 # Aberth sweeps before the root iteration gives up
 MAX_SWEEPS = 60
-# roots of the period map per worker thread in a pass over them (an Aberth
-# sweep, the eigenvectors, the left products).  A root costs O(dim r^2)
-# there, far more than a dlasd4 root, so threads pay from fewer roots than
-# ROOTS_PER_WORKER.  On 2 CPUs with BLAS on one thread (in-process medians
+# roots of the period map per piece of a pass over them (an Aberth sweep,
+# the eigenvectors, the left products, the sum of a state): every pass
+# cuts its roots into the same pieces on any number of threads, so every
+# BLAS product, and so every bit, is the same.  A worker thread holds one
+# piece's rows, 32 dim entries in each of the map's two work buffers
+PERIOD_PIECE = 32
+# roots of the period map per worker thread in a pass over them.  A root
+# costs O(dim r^2) there, far more than a dlasd4 root, so threads pay from
+# fewer roots than ROOTS_PER_WORKER.  On 2 CPUs with BLAS on one thread (in-process medians
 # of one Aberth sweep), two threads broke even at 96 roots for dim 202,
 # 0.25 ms either way, and at about 64 roots from dim 402 on: 0.49 against
 # 0.33 ms at dim 802, and 3.0 against 1.9 ms for its 401 roots
@@ -249,27 +254,6 @@ def _stops(size, before, scale):
     return (size <= 4.0 * EPS * scale) | ((size >= before) & (size <= np.sqrt(EPS) * scale))
 
 
-def _chunks(n, piece):
-    """(lo, hi) of the chunks of range(n): blocks of SHAPE_BLOCK, each cut into pieces.
-
-    piece is SHAPE_BLOCK, or a multiple of four of at least eight, and a
-    lone root left at the end of a block takes four roots from the piece
-    before it.  Every root's row or column of a BLAS product then rounds
-    as it does in its block: with OpenBLAS 0.3.31 on one thread, rows
-    alike in any product of two or more, columns alike within the leading
-    multiple of four and beyond it by the count left over, while a product
-    of one root takes the matrix-vector route.
-    """
-    chunks = []
-    for lo in range(0, n, SHAPE_BLOCK):
-        hi = min(lo + SHAPE_BLOCK, n)
-        cuts = list(range(lo, hi, piece)) + [hi]
-        if len(cuts) > 2 and hi - cuts[-2] == 1:
-            cuts[-2] -= 4
-        chunks += zip(cuts[:-1], cuts[1:])
-    return chunks
-
-
 class _ModalPeriodMap:
     """The period map in phase 1's normal modes, D + X Y^H, never formed densely.
 
@@ -298,17 +282,18 @@ class _ModalPeriodMap:
     its root is its pole, its vectors its unit vector, and it stays in
     the other roots' sums.  Nothing of size dim^2 is formed: the largest
     array is W, dim r^2 entries, and each pass over the roots takes
-    SHAPE_BLOCK of them at a time, through closed forms in the r x r null
-    vectors, and writes a block's rows into the map's two work buffers.
-    The passes whose roots are independent of each other, the
+    PERIOD_PIECE of them at a time, through closed forms in the r x r null
+    vectors, and writes a piece's rows into the map's two work buffers.
+    The pieces are the same however many threads run a pass, so the bits
+    are too.  The passes whose roots are independent of each other, the
     steps of each Aberth sweep, floquet()'s eigenvectors and the left
     products of amplitudes(), run on worker threads where BLAS runs on
-    one: each thread takes a range of the roots in smaller pieces and its
-    own slice of the buffers, with the bits of one thread (_in_chunks).
-    A sweep's checks and moves stay on the calling thread, and _combine
-    stays serial, since its sum over the roots fixes the bits of the
-    state.  roots() finds the roots, floquet() the vectors; amplitudes()
-    and state() use them.
+    one (_in_chunks): each thread takes a range of the pieces and its own
+    piece of the buffers, so a map on one thread, such as on a sweep's
+    point thread, holds the rows of one piece.  A sweep's checks and
+    moves stay on the calling thread, and _combine stays serial, since
+    its sum over the pieces fixes the bits of the state.  roots() finds
+    the roots, floquet() the vectors; amplitudes() and state() use them.
     """
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -384,14 +369,32 @@ class _ModalPeriodMap:
         return self.step * v + self.x_e @ (self.y_e.conj().T @ v)
 
     @cached_property
-    def _work(self):
-        """Two flat buffers of SHAPE_BLOCK roots by dim, reused by every block.
+    def _threads(self):
+        """Worker threads of a pass over every live root: one unless numpy's BLAS runs on one.
 
-        The first holds a block's resolvent rows (or the Aberth step's root
-        differences), the second their squares or the block's right vectors.
+        Each pass calls BLAS in every piece, and beside OpenBLAS's own
+        threads the passes made the six switched points of the twobath
+        benchmark three times slower (0.17 against 0.50 s in-process on 2
+        CPUs), while such a BLAS also rounds a product by how it splits it
+        among its threads (blas_threads).  Otherwise one per
+        PERIOD_ROOTS_PER_WORKER roots, at most one per CPU, and one on a
+        sweep's point thread (_workers).
+        """
+        if blas_threads is None or blas_threads() != 1:
+            return 1
+        return _workers(int(np.count_nonzero(~self.fixed)), PERIOD_ROOTS_PER_WORKER)
+
+    @cached_property
+    def _work(self):
+        """Two flat buffers of one piece of roots by dim per worker thread, reused by every piece.
+
+        The first holds a piece's resolvent rows (or the Aberth step's root
+        differences), the second their squares or the piece's right
+        vectors: 2 PERIOD_PIECE dim entries per thread of _threads, 0.4 MB
+        at 2 x 200 oscillators.
         """
         dim = len(self._factors[3])
-        return np.empty((2, min(SHAPE_BLOCK, dim // 2) * dim), complex)
+        return np.empty((2, self._threads * min(PERIOD_PIECE, dim // 2) * dim), complex)
 
     def _resolvent(self, sigma, buf):
         """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root.
@@ -414,33 +417,23 @@ class _ModalPeriodMap:
         return (g @ w).reshape(-1, r, r)
 
     def _in_chunks(self, task, n):
-        """task(part, work) on the slices `part` of range(n) that _chunks cuts, on worker threads.
+        """task(part, work) on the pieces `part` of range(n), PERIOD_PIECE roots each, on threads.
 
-        No root's result may depend on another's.  Threads run only while
-        numpy's BLAS runs on one thread (blas_threads): each pass calls BLAS
-        in every chunk, and beside OpenBLAS's own threads they made the six
-        switched points of the twobath benchmark three times slower (0.17
-        against 0.50 s in-process on 2 CPUs), while such a BLAS also rounds
-        a product by how it splits it among its threads.  Then each of
-        _workers threads, one per PERIOD_ROOTS_PER_WORKER roots and at most
-        one per eight rows of the work buffers, takes a contiguous range of
-        chunks, and as work its own slice of the two buffers, so that all
-        of them together hold no more than one thread does.
+        No root's result may depend on another's.  Each of up to _threads
+        threads, one per PERIOD_ROOTS_PER_WORKER of the n roots (_workers),
+        takes a contiguous range of the pieces, and as work its own piece of
+        the two buffers.  The pieces do not depend on the thread count.
         """
-        buffers = self._work
-        rows = buffers.shape[1] // len(self._factors[3])
-        workers = 1
-        if blas_threads is not None and blas_threads() == 1:
-            workers = max(1, min(_workers(n, PERIOD_ROOTS_PER_WORKER), rows // 8))
-        share = buffers.shape[1] // workers
-        chunks = _chunks(n, SHAPE_BLOCK if workers == 1 else rows // workers // 4 * 4)
+        workers = min(self._threads, _workers(n, PERIOD_ROOTS_PER_WORKER))
+        share = self._work.shape[1] // self._threads
+        starts = range(0, n, PERIOD_PIECE)
 
         def run(lo, hi, j):
-            work = buffers[:, j * share:(j + 1) * share]
-            for first, last in chunks[lo:hi]:
-                task(slice(first, last), work)
+            work = self._work[:, j * share:(j + 1) * share]
+            for first in starts[lo:hi]:
+                task(slice(first, min(first + PERIOD_PIECE, n)), work)
 
-        _in_ranges(run, len(chunks), workers)
+        _in_ranges(run, len(starts), workers)
 
     def roots(self):
         """Every root of the secular equation, by Aberth-Ehrlich iteration from the poles.
@@ -597,7 +590,13 @@ class _ModalPeriodMap:
             self.wsdot[at] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2, work[1]), c)
             right = np.matmul(x, c.T, out=_view(work[1], (len(t), len(c))))
             right *= g.T
-            rows01[..., at] = rows @ right
+            # slab by slab over the period's steps, in g's buffer, which is
+            # free now: one product per step, as over the whole period
+            steps = len(work[0]) // (2 * len(at))
+            for k in range(0, len(rows), steps):
+                slab = rows[k:k + steps]
+                rows01[k:k + steps, :, at] = np.matmul(
+                    slab, right, out=_view(work[0], (len(slab), 2, len(at))))
             kernel = np.einsum("jab,jb->ja", sm, c)
             terms[at] = (np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
                          / (np.einsum("ij,ij->j", right.real, right.real)
@@ -608,9 +607,7 @@ class _ModalPeriodMap:
         norm2 = (np.sum(np.abs(d_full) ** 2)
                  + 2.0 * np.sum((d_full.conj() * np.einsum("ij,ij->i", x, y.conj())).real)
                  + np.sum(xx * (y.conj().T @ y).T).real)
-        # each root's share, summed block by block in the one-thread order
-        res2 = sum(float(np.sum(terms[lo:lo + SHAPE_BLOCK])) for lo in range(0, n, SHAPE_BLOCK))
-        self.residual_sq = 2.0 * res2 / norm2
+        self.residual_sq = 2.0 * float(np.sum(terms)) / norm2
         if not self.residual() <= quality_tol:      # NaN fails too
             raise NumericalError(f"period map factorization residual {self.residual():.2e} "
                                  f"exceeds {quality_tol:g}")
@@ -638,8 +635,8 @@ class _ModalPeriodMap:
         x, live = self._factors[0], np.flatnonzero(~self.fixed)
         u = np.zeros(x.shape, complex)
         part = np.empty_like(u)
-        for lo in range(0, len(live), SHAPE_BLOCK):
-            at = live[lo:lo + SHAPE_BLOCK]
+        for lo in range(0, len(live), PERIOD_PIECE):
+            at = live[lo:lo + PERIOD_PIECE]
             g = self._resolvent(self.sigma[at], self._work[0])
             u += np.matmul(g.T, self.null[0][at] * coef[at, None], out=part)
         u = np.sum(x * u, axis=1)

@@ -9,6 +9,7 @@ bound is on the third call in one process; the values quoted were
 measured on a 2-core AMD EPYC with BLAS on one thread.
 """
 
+import contextvars
 import resource
 
 import numpy as np
@@ -97,6 +98,30 @@ def test_repeated_two_bath_point_takes_few_page_faults():
     """
     spec = build_sweep_spec(check_config(TWOBATH))
     assert _faults_of_third_call(lambda: run_two_bath_point(0.55, spec, 2)) < 1_500
+
+
+def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
+    """The period map's two work buffers hold PERIOD_PIECE = 32 roots by dim per worker thread.
+
+    At 2 x 100 oscillators (dim 202, 101 roots) with BLAS on one thread
+    and two CPUs the map's passes take two threads, and a piece each; on
+    a sweep's point thread they take one, and the map holds one piece.
+    """
+    monkeypatch.setattr(switched, "blas_threads", lambda: 1)
+    monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
+    system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=0.55),
+                                     _bath(100, 1e-2, 2, 0), _bath(100, 1e-2, 2, 1),
+                                     renormalization="static")
+
+    def buffers(point_thread):
+        propagator.point_thread.set(point_thread)
+        modal = switched._ModalPeriodMap(system, SwitchSchedule(step_size=1e-2))
+        modal.roots()
+        return modal._work.shape
+
+    assert switched.PERIOD_PIECE == 32
+    assert contextvars.copy_context().run(buffers, True) == (2, 32 * system.dim)
+    assert contextvars.copy_context().run(buffers, False) == (2, 2 * 32 * system.dim)
 
 
 # -- reuse changes no result ------------------------------------------------

@@ -655,8 +655,8 @@ def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
     splits them among its threads, so the count a run found is recorded:
     the count the getter reports (null where none is found), next to the
     one thread the run used (null where no setter is found), numpy's
-    version, the CPUs of the affinity mask and the threads of the run's
-    one point.  OpenBLAS caps its threads at the CPUs, so the two counts
+    version, the BLAS's config string, the CPUs of the affinity mask and
+    the threads of the run's one point.  OpenBLAS caps its threads at the CPUs, so the two counts
     found differ where there are two, and the call restores each.
     """
     script = """
@@ -672,15 +672,15 @@ with tempfile.TemporaryDirectory() as out:
 getter = propagator.blas_threads
 used = None if getter is None or propagator._set_blas_threads is None else 1
 print(json.dumps([code, env, None if getter is None else getter(), used, np.__version__,
-                  len(os.sched_getaffinity(0))]))
+                  len(os.sched_getaffinity(0)), propagator.blas_config()]))
 """
     counts = []
     for threads in ("1", "2"):
-        code, env, got, used, version, cpus = json.loads(_fresh_python(
+        code, env, got, used, version, cpus, config = json.loads(_fresh_python(
             script, OPENBLAS_NUM_THREADS=threads).splitlines()[-1])
         assert code == EXIT_OK
-        assert env == {"numpy": version, "blas_threads": got, "blas_threads_used": used,
-                       "cpus": cpus, "point_workers": [1]}
+        assert env == {"numpy": version, "blas_config": config, "blas_threads": got,
+                       "blas_threads_used": used, "cpus": cpus, "point_workers": [1]}
         counts.append(got)
     if counts[0] is not None:
         assert counts[0] == 1

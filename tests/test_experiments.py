@@ -61,6 +61,8 @@ def test_peak_location_uses_the_smoothed_curve():
     assert peak_location(omegas, [1.0, 4.0, 2.0, 8.0]) == pytest.approx(0.4)
     # the raw argmax (index 1) loses to the smoothed shoulder around it
     assert peak_location(omegas, [1.0, 5.0, 4.5, 4.4]) == pytest.approx(0.3)
+    # a row without a temperature is no peak, though its neighbour smooths it to 4
+    assert peak_location(omegas, [1.0, 2.0, 4.0, np.nan]) == pytest.approx(0.3)
     with pytest.raises(ValueError, match="no finite values"):
         peak_location(omegas, [np.nan] * 4)
 
@@ -216,32 +218,44 @@ THREADED = ["sweep", "--set", "bath1_size=40", "--set", "bath1_mass=0.01",
             "--set", "n_samples=400", "--set", "seeds=[1,2,3]"]
 
 
-def _runner(fail):
-    """run_single_bath_point, except at the (omega, seed) points of fail: (kind, message)."""
-    def run(omega, spec, seed, **kwargs):
+# 2 x 30 oscillators in switched contact; omega = 5 fails its fits
+TWOBATH = ["twobath", "--set", "bath1_size=30", "--set", "bath2_size=30",
+           "--set", "bath1_mass=0.01", "--set", "bath2_mass=0.01",
+           "--set", "omega_grid=[0.4,0.55,5.0]", "--set", "initial_energy=10",
+           "--set", "n_samples=200", "--set", "seeds=[1,2,3]"]
+
+
+def _runner(fail, run=run_single_bath_point):
+    """run, except at the (omega, seed) points of fail: (kind, message)."""
+    def runner(omega, spec, seed, **kwargs):
         if (omega, seed) in fail:
             kind, message = fail[omega, seed]
             raise kind(message)
-        return run_single_bath_point(omega, spec, seed, **kwargs)
-    return run
+        return run(omega, spec, seed, **kwargs)
+    return runner
+
+
+def _threaded_run(tmp_path, monkeypatch, cpus, argv, sweep, csv):
+    """argv on `cpus` point threads: (what cli's `sweep` returned, csv's bytes, manifest)."""
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    results, run = [], getattr(cli, sweep)
+    monkeypatch.setattr(cli, sweep, lambda spec: results.append(run(spec)) or results[-1])
+    out = tmp_path / str(cpus)
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(argv + ["--out", str(out)]) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    for key in ("started", "finished", "environment"):
+        del manifest[key]
+    [result] = results
+    return result, (out / csv).read_bytes(), manifest
 
 
 def _threaded_sweep(tmp_path, monkeypatch, cpus, fail):
     """THREADED on `cpus` point threads: (pickled curve, curve CSV, manifest)."""
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     monkeypatch.setattr(experiments, "run_single_bath_point", _runner(fail))
-    curves, run_sweep = [], cli.run_sweep
-    monkeypatch.setattr(cli, "run_sweep", lambda spec: curves.append(run_sweep(spec)) or curves[-1])
-    out = tmp_path / str(cpus)
-    with contextlib.redirect_stdout(io.StringIO()):
-        assert cli.main(THREADED + ["--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
-    for key in ("started", "finished", "environment"):
-        del manifest[key]
-    [curve] = curves
+    curve, *files = _threaded_run(tmp_path, monkeypatch, cpus, THREADED, "run_sweep", "curve.csv")
     assert curve.workers == min(cpus, 9)
-    return (pickle.dumps(dataclasses.replace(curve, workers=1)),
-            (out / "curve.csv").read_bytes(), manifest)
+    return (pickle.dumps(dataclasses.replace(curve, workers=1)), *files)
 
 
 def test_threaded_points_give_the_serial_curve_failures_and_files(tmp_path, monkeypatch):
@@ -263,6 +277,50 @@ def test_threaded_points_give_the_serial_curve_failures_and_files(tmp_path, monk
     assert [entry[:2] for entry in runs[0][2]["failures"]] == [[0.5, 2], [5.0, 1], [5.0, 2],
                                                                [5.0, 3]]
     assert runs[0][2]["failures"][0][2] == "NumericalError: forced"
+
+
+def test_a_sweep_prints_and_records_a_peak_its_curve_measured(tmp_path):
+    """THREADED: all three seeds fail their fits at omega = 5, so the peak is at 0.3 or 0.5."""
+    out = tmp_path / "run"
+    printed = io.StringIO()
+    with contextlib.redirect_stdout(printed):
+        assert cli.main(THREADED + ["--out", str(out)]) == 0
+    peak = json.loads((out / "manifest.json").read_text())["peaks"]["curve.csv"]
+    rows = (out / "curve.csv").read_text().splitlines()[1:]
+    temperature = {float(row.split(",")[0]): float(row.split(",")[1]) for row in rows}
+    assert np.isnan(temperature[5.0]) and np.isfinite(temperature[peak])
+    assert f"curve.csv: peak at omega = {peak:g}" in printed.getvalue()
+
+
+def test_threaded_switched_points_give_the_serial_curve_failures_and_files(tmp_path,
+                                                                          monkeypatch):
+    """On 1, 2 and 3 point threads a two-bath sweep's combined curve keeps every byte.
+
+    The switched points run beside each other, each period map in one
+    piece of buffers.  Omega = 5 fails its fits and the switched point
+    (0.55, 2) raises NumericalError: both are recorded in grid order.
+    The interpreter switches threads every microsecond, and no thread
+    outlives the sweep.
+    """
+    threads, interval = threading.active_count(), sys.getswitchinterval()
+    monkeypatch.setattr(experiments, "run_two_bath_point",
+                        _runner({(0.55, 2): (propagator.NumericalError, "forced")},
+                                run_two_bath_point))
+    runs = []
+    try:
+        sys.setswitchinterval(1e-6)
+        for cpus in (1, 2, 3):
+            result, *files = _threaded_run(tmp_path, monkeypatch, cpus, TWOBATH,
+                                           "run_two_bath_sweep", "curve_combined.csv")
+            assert result.combined.workers == min(cpus, 9)
+            runs.append((pickle.dumps(dataclasses.replace(result.combined, workers=1)), *files))
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+    combined = [entry for entry in runs[0][2]["failures"] if "alone" not in entry[2]]
+    assert [entry[:2] for entry in combined] == [[0.55, 2], [5.0, 1], [5.0, 2], [5.0, 3]]
+    assert combined[0][2] == "NumericalError: forced"
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])

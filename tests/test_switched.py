@@ -533,8 +533,8 @@ def test_structured_residual_measures_the_root_error():
 def test_structured_period_map_factors_in_linear_memory():
     # 2 x 200 oscillators (dim 802): a dense u1 u2 product and its complex
     # eigenvectors would be 5.1 and 10.3 MB, and factoring them by eig peaked
-    # at 36 MB.  The period map holds blocks of SHAPE_BLOCK roots by dim and
-    # peaked at 3.4 MB, below one real dim x dim array
+    # at 36 MB.  The period map holds pieces of PERIOD_PIECE roots by dim
+    # and peaked at 3.4 MB, below one real dim x dim array
     system = _study_system(200, 1e-3)
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
     tracemalloc.start()
@@ -567,15 +567,34 @@ def test_period_tables_are_built_in_place():
     assert fl["rows01"].shape == (sched.period_steps, 2, system.dim // 2)
 
 
+def test_eigenvector_products_form_no_period_sized_temporary():
+    # 2 x 20 oscillators (dim 82, 41 roots, one piece), a half period of
+    # 3000 steps: the products of the step-prefix rows with the right
+    # eigenvectors are written into rows01 slab by slab.  Formed over the
+    # whole period at once, their temporary was as large as rows01 itself,
+    # and factoring peaked at 2.07 times the rows; slab by slab, 1.58 times
+    system = _study_system(20, 0.01)
+    sched = SwitchSchedule(delta_t_steps=3000, step_size=1e-3)
+    prop = SwitchedPropagator(system, sched)
+    tracemalloc.start()
+    try:
+        fl = prop._build_floquet(0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 1.75 * 32 * sched.period_steps * system.dim
+    assert fl["rows01"].shape == (sched.period_steps, 2, system.dim // 2)
+
+
 def test_worker_threads_give_the_one_worker_period_map_bit_for_bit():
     """At 2 x 200 oscillators the period map's passes on worker threads change no bit.
 
     The passes take threads only beside a BLAS on one thread, so the
-    comparison runs in a fresh interpreter with BLAS pinned so.  Each
-    count cuts the roots differently: 2 as on two CPUs, 3 into uneven
-    ranges and pieces of 20 roots, and 8 threads, more than the cores,
-    with the interpreter switching threads every microsecond; then 2
-    whose threads cannot start.  The roots, null vectors, w^H s, log
+    comparison runs in a fresh interpreter with BLAS pinned so.  Every
+    count cuts the roots into the same pieces of 32 and splits the pieces
+    differently: 2 as on two CPUs, 3 into uneven ranges, and 8 threads,
+    more than the pieces and the cores, with the interpreter switching
+    threads every microsecond; then 2 whose threads cannot start.  The roots, null vectors, w^H s, log
     multipliers, rows01, residual, amplitudes and a state all keep their
     bytes, and no thread outlives the call.
     """
