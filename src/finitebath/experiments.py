@@ -11,20 +11,19 @@ go through it.
 
 The points are independent, and a point's bits do not depend on what
 ran before it.  So a sweep runs its points on up to one thread per CPU,
-which take them in turn (_in_turns); the results are collected in grid
-order, so every curve, failure and file keeps its bytes.  A point
-thread does not thread inside its point (propagator.point_thread): there
-a switched point's period map holds the work buffers of one thread, one
-piece of 32 roots, and the samplers share the one FFT buffer under its
-lock.  Only a single-bath RK4 sweep runs its points in order on the
-calling thread: on two threads its points of a few ms gained nothing
-and raised the rk4_dense benchmark's peak memory by 4.2 %.
+which take them in turn (propagator._in_turns); the results are
+collected in grid order, so every curve, failure and file keeps its
+bytes.  A point thread does not thread inside its point
+(propagator.point_thread), and the samplers share the one FFT buffer
+under its lock; a switched point's period map never threads, and its
+work buffers hold one piece of 32 roots.  Only a single-bath RK4 sweep
+runs its points in order on the calling thread: on two threads its
+points of a few ms gained nothing and raised the rk4_dense benchmark's
+peak memory by 4.2 %.
 """
 
 from __future__ import annotations
 
-import contextvars
-import threading
 from dataclasses import dataclass, field, replace
 from functools import partial
 
@@ -33,9 +32,9 @@ import numpy as np
 from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
-from .propagator import (NumericalError, build_multi_coupling_matrix,
+from .propagator import (NumericalError, _in_turns, build_multi_coupling_matrix,
                          diagonalize, factorization_fits, flow_factors,
-                         point_thread, usable_cpus)
+                         usable_cpus)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
@@ -274,53 +273,6 @@ def _attempt(runner, spec: SweepSpec, omega: float, seed: int):
     return point
 
 
-def _in_turns(task, n, workers) -> list:
-    """[task(i) for i in range(n)], on `workers` threads that take the i in turn.
-
-    The calling thread is one of them.  Each runs in a copy of the
-    caller's context, with point_thread set when there are several, so
-    that a task does not thread inside itself.  A thread that cannot
-    start (RuntimeError) leaves its share to the others.  Once a task
-    raises, no thread takes another i; all threads are joined before
-    this returns, also when the calling thread is interrupted, and the
-    exception of the lowest i is raised, the one a loop in order would
-    have raised.
-    """
-    results, errors = [None] * n, {}
-    order, lock, stop = iter(range(n)), threading.Lock(), threading.Event()
-
-    def take():
-        with lock:
-            return None if stop.is_set() else next(order, None)
-
-    def run():
-        point_thread.set(workers > 1)
-        for i in iter(take, None):
-            try:
-                results[i] = task(i)
-            except BaseException as exc:    # raised below, on the calling thread
-                errors[i] = exc
-                stop.set()
-
-    threads = []
-    try:
-        for _ in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
-            try:
-                thread.start()
-            except RuntimeError:
-                break
-            threads.append(thread)
-        contextvars.copy_context().run(run)
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     """Run every (omega, seed) point of the spec and aggregate in grid order.
 
@@ -466,9 +418,10 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     coordinate at rest whatever the temperature, so the trace does not
     depend on the seed (to rounding).  The seed picks the bath draw and
     the randomly timed samples of the arcsine test.  Out-of-range
-    inputs, an omega_r whose normal modes would overflow, and a xi so
-    small that the splitting is below 1e4 eps of omega_r, are a
-    ValueError before the bath is built.
+    inputs, an e0 below eps of the bath's temperature or so large that
+    the trace's sums overflow, an omega_r whose normal modes would
+    overflow or underflow, and a xi so small that the splitting is below
+    1e4 eps of omega_r, are a ValueError before the bath is built.
     """
     from .bath import pairwise_cancelled
 
@@ -478,10 +431,21 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     if not (0.0 < e0 < np.inf and 0.0 < omega_r < np.inf):
         raise ValueError(f"e0 and omega_r must be finite and positive, got "
                          f"e0={e0}, omega_r={omega_r}")
+    # the bath, at temperature 1, reaches the particle's energy at rounding
+    # level, which lifted the samples of kicks from 1e-32 to 1e-20 (by size
+    # and xi) to e0 or above; and the trace sums n_grid energies up to e0
+    lo, hi = np.finfo(float).eps, np.finfo(float).max / n_grid
+    if not lo <= e0 <= hi:
+        raise ValueError(f"e0={e0:g} lies outside [{lo:.3g}, {hi:.3g}]: below, the bath's "
+                         "temperature 1 swamps the particle's energy at rounding level; "
+                         "above, the trace's sums overflow")
     dnu = exchange_splitting(omega_r, xi)
     if not factorization_fits(xi, omega_r):
         raise ValueError(f"omega_r={omega_r:g} overflows the normal modes of the degenerate "
                          "bath, which form up to xi omega_r^6")
+    if not np.log(xi) + 6.0 * np.log(omega_r) >= np.log(np.finfo(float).tiny):
+        raise ValueError(f"omega_r={omega_r:g} underflows the normal modes of the degenerate "
+                         "bath, which form xi omega_r^6")
     # sqrt(1 +- sqrt(xi)) each round to about eps, so the predicted splitting
     # carries an error near eps omega_r: at 1e4 eps omega_r that is 1e-4 of
     # it, the accuracy to which the trace's FFT line finds it

@@ -112,29 +112,23 @@ numpy.ma and numpy.random: 116 of the 160 ms and 19 MB of the peak
 memory of importing the command line module.  Unlike the f2py wrapper,
 a ctypes call releases the GIL, so the secular roots, and Loewner's
 products, whose numpy operations release it too, run on worker
-threads: plain threads started per call, one per ROOTS_PER_WORKER
-roots and at most one per CPU the process may run on, all joined
-before the call returns (_workers, _in_ranges).  Smaller systems stay
-on the calling thread.  A thread runs in a copy of the caller's
-context, so np.errstate holds there too, and a range whose thread
-cannot start runs on the calling thread.  The switched module's period
-map runs its passes over its roots (the Aberth sweeps' steps, the
-eigenvectors, the left products) on the same threads, but only while
-numpy's BLAS runs on one thread (blas_threads reads OpenBLAS's count
-through ctypes): those passes call BLAS in every piece, and next to
-BLAS's own threads they ran three times slower.  The command line runs
-with BLAS on one thread and restores the count it found
-(blas_on_one_thread).  The pass over the shapes (_sweep) and the period
-map's sum over its roots stay serial: their accumulation order fixes
-the bits of the final state.
+threads: one per ROOTS_PER_WORKER roots and at most one per CPU the
+process may run on (_workers), each taking a contiguous range of them
+(_in_ranges).  Smaller systems stay on the calling thread.  The pass
+over the shapes (_sweep) stays serial: its accumulation order fixes
+the bits of the final state.  The command line runs with numpy's BLAS
+on one thread and restores the count it found (blas_on_one_thread),
+since a multithreaded BLAS rounds a product by how it splits it.
 
-A sweep (experiments._sweep) runs its points on one thread per CPU
-instead, all but single-bath RK4 sweeps; on those point threads
-_workers gives every call one thread (point_thread), so the CPUs are
-shared out once per run, and only a run of a single point threads
-inside it.  The points' sampler transforms share the one FFT buffer
-under its lock, and a switched point's period map holds the work
-buffers of one thread.
+_in_turns is the one place the program starts threads: plain threads
+started per call, the calling thread one of them, each in a copy of
+the caller's context (so np.errstate holds there too), all joined
+before the call returns.  A sweep (experiments._sweep) runs its points
+on it, one thread per CPU, all but single-bath RK4 sweeps; on those
+point threads, as on a range's thread, _workers gives every call one
+thread (point_thread), so the CPUs are shared out once per run, and
+only a run of a single point threads inside it.  The points' sampler
+transforms share the one FFT buffer under its lock.
 numpy.fft, which numpy loads lazily, is imported here so that a run
 does not import it inside its first transform.
 """
@@ -233,7 +227,7 @@ def blas_on_one_thread():
 
     A multithreaded BLAS rounds a product by how it splits it among its
     threads, and its threads compete with the program's own (the point
-    threads of a sweep, the period map's passes).  Where no setter is
+    threads of a sweep, the secular roots' ranges).  Where no setter is
     found the count stays as it is (blas_counts).
     """
     found = None if blas_threads is None else blas_threads()
@@ -407,63 +401,76 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-# True on a point thread of a sweep (experiments._sweep), whose points
-# already take every CPU: a call there keeps its work on its own thread.
-# Worker threads run in a copy of the caller's context, so it reaches
-# every nested call
+# True on the threads of an _in_turns call with several, such as a sweep's
+# point threads (experiments._sweep), which already take every CPU: a call
+# there keeps its work on its own thread.  Threads run in a copy of the
+# caller's context, so it reaches every nested call
 point_thread = contextvars.ContextVar("point_thread", default=False)
 
 
-def _workers(n, per_worker=ROOTS_PER_WORKER):
-    """Worker threads for n independent roots: one per per_worker roots, at most one per CPU.
+def _workers(n):
+    """Worker threads for n independent roots: one per ROOTS_PER_WORKER roots, at most one per CPU.
 
     One on a point thread (point_thread).
     """
     if point_thread.get():
         return 1
-    return max(1, min(usable_cpus(), n // per_worker))
+    return max(1, min(usable_cpus(), n // ROOTS_PER_WORKER))
 
 
-def _in_ranges(task, n, workers):
-    """task(lo, hi, j) on each of `workers` contiguous ranges j that split range(n).
+def _in_turns(task, n, workers) -> list:
+    """[task(i) for i in range(n)], on `workers` threads that take the i in turn.
 
-    The calling thread takes the first range and a new thread each other
-    one; j lets a task take its own slice of a shared buffer.  A thread
-    runs its range in a copy of the caller's context, so the caller's
-    numpy error state (np.errstate, a context variable) holds there too.
-    A range whose thread cannot start (RuntimeError, as at a limit on
-    threads or processes) runs on the calling thread after the first.
-    All threads are joined before this returns.  An exception in a range
-    is raised after the joins, the lowest range's first.
+    The calling thread is one of them.  Each runs in a copy of the
+    caller's context, so the caller's numpy error state (np.errstate, a
+    context variable) holds there too; when there are several, each sets
+    point_thread, so that a task does not thread inside itself.  A
+    thread that cannot start (RuntimeError, as at a limit on threads or
+    processes) leaves its share to the others.  Once a task raises, no
+    thread takes another i; all threads are joined before this returns,
+    also when the calling thread is interrupted, and the exception of
+    the lowest i is raised, the one a loop in order would have raised.
     """
-    bounds = [n * j // workers for j in range(workers + 1)]
-    errors = [None] * workers
+    results, errors = [None] * n, {}
+    order, lock, stop = iter(range(n)), threading.Lock(), threading.Event()
 
-    def run(j):
-        try:
-            task(bounds[j], bounds[j + 1], j)
-        except Exception as exc:    # raised below, on the calling thread
-            errors[j] = exc
+    def take():
+        with lock:
+            return None if stop.is_set() else next(order, None)
 
-    threads, unstarted = [], []
+    def run():
+        if workers > 1:
+            point_thread.set(True)
+        for i in iter(take, None):
+            try:
+                results[i] = task(i)
+            except BaseException as exc:    # raised below, on the calling thread
+                errors[i] = exc
+                stop.set()
+
+    threads = []
     try:
-        for j in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, j))
+        for _ in range(1, workers):
+            thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
             try:
                 thread.start()
             except RuntimeError:
-                unstarted.append(j)
-            else:
-                threads.append(thread)
-        run(0)
-        for j in unstarted:
-            run(j)
+                break
+            threads.append(thread)
+        contextvars.copy_context().run(run)
     finally:
+        stop.set()
         for thread in threads:
             thread.join()
-    for exc in errors:
-        if exc is not None:
-            raise exc
+    if errors:
+        raise errors[min(errors)]
+    return results
+
+
+def _in_ranges(task, n, workers):
+    """task(lo, hi) on each of `workers` contiguous ranges that split range(n), through _in_turns."""
+    bounds = [n * j // workers for j in range(workers + 1)]
+    _in_turns(lambda j: task(bounds[j], bounds[j + 1]), workers, workers)
 
 
 def _secular_roots(poles, weights, which):
@@ -505,7 +512,7 @@ def _secular_roots(poles, weights, which):
     origin = np.minimum(which + 1, n - 1).tolist()
     tau = [0.0] * len(ks)
 
-    def roots(lo, hi, _):
+    def roots(lo, hi):
         # delta as a ctypes array: reading one entry is a plain float
         delta, work = (ctypes.c_double * n)(), (ctypes.c_double * n)()
         size, i, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
@@ -615,7 +622,7 @@ def _loewner_z(bath, nu0, tau):
     workers = _workers(n_s)
     step = max(1, SHAPE_BLOCK // workers)
 
-    def arms_in(lo, hi, _):
+    def arms_in(lo, hi):
         # every block's ratios, their denominators and the second factor
         # of each difference of squares
         ratios, dens, factors = np.empty((3, min(step, hi - lo), n_s))

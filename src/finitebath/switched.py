@@ -36,6 +36,8 @@ to 20 in practice, whatever the dimension).  Its multipliers are the
 roots of a secular equation, found by Aberth-Ehrlich iteration started
 at the poles (Bini & Robol, J. Comput. Appl. Math. 272, 2014); the
 eigenvectors and v' are closed forms in those roots (_ModalPeriodMap).
+Each pass over the roots takes them in fixed pieces, in order on the
+calling thread; a sweep runs its switched points on threads instead.
 Modes that neither contact phase couples (a degenerate or pairwise
 cancelled bath, a bath too light to couple, two equal phases) keep
 their poles and unit vectors.  Every switched run, however short, is
@@ -73,8 +75,7 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix,
-                         NumericalError, _in_ranges, _view, _workers,
-                         banded_sums, blas_threads, build_multi_coupling_matrix,
+                         NumericalError, _view, banded_sums, build_multi_coupling_matrix,
                          check_rk4_stability, diagonalize, max_mode_frequency,
                          mode_amplitudes, mode_vector, rk4_factors,
                          rk4_mode_factors)
@@ -205,17 +206,10 @@ RANK_TOL = 4.0 * EPS
 MAX_SWEEPS = 60
 # roots of the period map per piece of a pass over them (an Aberth sweep,
 # the eigenvectors, the left products, the sum of a state): every pass
-# cuts its roots into the same pieces on any number of threads, so every
-# BLAS product, and so every bit, is the same.  A worker thread holds one
-# piece's rows, 32 dim entries in each of the map's two work buffers
+# cuts its roots into the same pieces, so every BLAS product, and so every
+# bit, is the same.  A piece's rows take 32 dim entries in each of the
+# map's two work buffers
 PERIOD_PIECE = 32
-# roots of the period map per worker thread in a pass over them.  A root
-# costs O(dim r^2) there, far more than a dlasd4 root, so threads pay from
-# fewer roots than ROOTS_PER_WORKER.  On 2 CPUs with BLAS on one thread (in-process medians
-# of one Aberth sweep), two threads broke even at 96 roots for dim 202,
-# 0.25 ms either way, and at about 64 roots from dim 402 on: 0.49 against
-# 0.33 ms at dim 802, and 3.0 against 1.9 ms for its 401 roots
-PERIOD_ROOTS_PER_WORKER = 48
 
 
 def _decoupled(nu, u0, kappa):
@@ -282,18 +276,12 @@ class _ModalPeriodMap:
     its root is its pole, its vectors its unit vector, and it stays in
     the other roots' sums.  Nothing of size dim^2 is formed: the largest
     array is W, dim r^2 entries, and each pass over the roots takes
-    PERIOD_PIECE of them at a time, through closed forms in the r x r null
-    vectors, and writes a piece's rows into the map's two work buffers.
-    The pieces are the same however many threads run a pass, so the bits
-    are too.  The passes whose roots are independent of each other, the
-    steps of each Aberth sweep, floquet()'s eigenvectors and the left
-    products of amplitudes(), run on worker threads where BLAS runs on
-    one (_in_chunks): each thread takes a range of the pieces and its own
-    piece of the buffers, so a map on one thread, such as on a sweep's
-    point thread, holds the rows of one piece.  A sweep's checks and
-    moves stay on the calling thread, and _combine stays serial, since
-    its sum over the pieces fixes the bits of the state.  roots() finds
-    the roots, floquet() the vectors; amplitudes() and state() use them.
+    PERIOD_PIECE of them at a time, in order on the calling thread,
+    through closed forms in the r x r null vectors, and writes a piece's
+    rows into the map's two work buffers, which hold one piece.  The map
+    starts no thread: a sweep runs its switched points beside each other
+    instead (experiments._sweep).  roots() finds the roots, floquet() the
+    vectors; amplitudes() and state() use them.
     """
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -369,32 +357,15 @@ class _ModalPeriodMap:
         return self.step * v + self.x_e @ (self.y_e.conj().T @ v)
 
     @cached_property
-    def _threads(self):
-        """Worker threads of a pass over every live root: one unless numpy's BLAS runs on one.
-
-        Each pass calls BLAS in every piece, and beside OpenBLAS's own
-        threads the passes made the six switched points of the twobath
-        benchmark three times slower (0.17 against 0.50 s in-process on 2
-        CPUs), while such a BLAS also rounds a product by how it splits it
-        among its threads (blas_threads).  Otherwise one per
-        PERIOD_ROOTS_PER_WORKER roots, at most one per CPU, and one on a
-        sweep's point thread (_workers).
-        """
-        if blas_threads is None or blas_threads() != 1:
-            return 1
-        return _workers(int(np.count_nonzero(~self.fixed)), PERIOD_ROOTS_PER_WORKER)
-
-    @cached_property
     def _work(self):
-        """Two flat buffers of one piece of roots by dim per worker thread, reused by every piece.
+        """Two flat buffers of one piece of roots by dim, reused by every piece.
 
         The first holds a piece's resolvent rows (or the Aberth step's root
         differences), the second their squares or the piece's right
-        vectors: 2 PERIOD_PIECE dim entries per thread of _threads, 0.4 MB
-        at 2 x 200 oscillators.
+        vectors: 2 PERIOD_PIECE dim entries, 0.4 MB at 2 x 200 oscillators.
         """
         dim = len(self._factors[3])
-        return np.empty((2, self._threads * min(PERIOD_PIECE, dim // 2) * dim), complex)
+        return np.empty((2, min(PERIOD_PIECE, dim // 2) * dim), complex)
 
     def _resolvent(self, sigma, buf):
         """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root.
@@ -415,25 +386,6 @@ class _ModalPeriodMap:
         if power == 2:
             g = np.multiply(g, g, out=_view(buf, g.shape))
         return (g @ w).reshape(-1, r, r)
-
-    def _in_chunks(self, task, n):
-        """task(part, work) on the pieces `part` of range(n), PERIOD_PIECE roots each, on threads.
-
-        No root's result may depend on another's.  Each of up to _threads
-        threads, one per PERIOD_ROOTS_PER_WORKER of the n roots (_workers),
-        takes a contiguous range of the pieces, and as work its own piece of
-        the two buffers.  The pieces do not depend on the thread count.
-        """
-        workers = min(self._threads, _workers(n, PERIOD_ROOTS_PER_WORKER))
-        share = self._work.shape[1] // self._threads
-        starts = range(0, n, PERIOD_PIECE)
-
-        def run(lo, hi, j):
-            work = self._work[:, j * share:(j + 1) * share]
-            for first in starts[lo:hi]:
-                task(slice(first, min(first + PERIOD_PIECE, n)), work)
-
-        _in_ranges(run, len(starts), workers)
 
     def roots(self):
         """Every root of the secular equation, by Aberth-Ehrlich iteration from the poles.
@@ -472,16 +424,14 @@ class _ModalPeriodMap:
             """Move the roots `active` once; (still going, near the axis).
 
             Every step reads the roots as they were before the sweep, so the
-            steps are computed on worker threads (_in_chunks) and then
-            checked and taken on this thread.  A real pair, once found, is held.
+            steps are computed piece by piece and then checked and taken
+            together.  A real pair, once found, is held.
             """
             active = active[~paired[active]]
             root, step = every[active], np.empty(len(active), complex)
-
-            def steps(part, work):
-                step[part] = self._aberth_steps(every, active[part], work)
-
-            self._in_chunks(steps, len(active))
+            for lo in range(0, len(active), PERIOD_PIECE):
+                part = slice(lo, lo + PERIOD_PIECE)
+                step[part] = self._aberth_steps(every, active[part], self._work)
             if not np.all(np.isfinite(step)):
                 raise NumericalError("period map root iteration left the finite numbers")
             across = np.sign((root - step).imag) != np.sign(root.imag)
@@ -580,8 +530,9 @@ class _ModalPeriodMap:
         self.wsdot, terms = np.ones(n, complex), np.zeros(n)
         xx = x.conj().T @ x
 
-        def vectors(part, work):
-            at = live[part]
+        work = self._work
+        for lo in range(0, len(live), PERIOD_PIECE):
+            at = live[lo:lo + PERIOD_PIECE]
             g = self._resolvent(sigma[at], work[0])
             sm = np.eye(r) + self._secular(g)
             u, _, vh = np.linalg.svd(sm)
@@ -601,8 +552,6 @@ class _ModalPeriodMap:
             terms[at] = (np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
                          / (np.einsum("ij,ij->j", right.real, right.real)
                             + np.einsum("ij,ij->j", right.imag, right.imag)))
-
-        self._in_chunks(vectors, len(live))
         d_full = 1.0 + t
         norm2 = (np.sum(np.abs(d_full) ** 2)
                  + 2.0 * np.sum((d_full.conj() * np.einsum("ij,ij->i", x, y.conj())).real)
@@ -649,13 +598,11 @@ class _ModalPeriodMap:
         y_conj, live = self._factors[1].conj(), np.flatnonzero(~self.fixed)
         out = np.empty(len(self.sigma), complex)
 
-        def products(part, work):
-            at = live[part]
-            g = self._resolvent(self.sigma[at], work[0])
+        for lo in range(0, len(live), PERIOD_PIECE):
+            at = live[lo:lo + PERIOD_PIECE]
+            g = self._resolvent(self.sigma[at], self._work[0])
             g *= v
             out[at] = np.einsum("ja,ja->j", self.null[1][at].conj(), g @ y_conj)
-
-        self._in_chunks(products, len(live))
         out[self.fixed] = v[self.upper[self.fixed]]
         return out / self.wsdot
 

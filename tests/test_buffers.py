@@ -11,6 +11,7 @@ measured on a 2-core AMD EPYC with BLAS on one thread.
 
 import contextvars
 import resource
+import threading
 
 import numpy as np
 
@@ -101,27 +102,31 @@ def test_repeated_two_bath_point_takes_few_page_faults():
 
 
 def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
-    """The period map's two work buffers hold PERIOD_PIECE = 32 roots by dim per worker thread.
+    """The period map's two work buffers hold PERIOD_PIECE = 32 roots by dim, and it starts no thread.
 
     At 2 x 100 oscillators (dim 202, 101 roots) with BLAS on one thread
-    and two CPUs the map's passes take two threads, and a piece each; on
-    a sweep's point thread they take one, and the map holds one piece.
+    and two CPUs, the map holds one piece on a sweep's point thread and
+    off one alike.
     """
-    monkeypatch.setattr(switched, "blas_threads", lambda: 1)
     monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
     system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=0.55),
                                      _bath(100, 1e-2, 2, 0), _bath(100, 1e-2, 2, 1),
                                      renormalization="static")
 
+    def refuse(self):
+        raise AssertionError("the period map started a thread")
+
     def buffers(point_thread):
         propagator.point_thread.set(point_thread)
         modal = switched._ModalPeriodMap(system, SwitchSchedule(step_size=1e-2))
-        modal.roots()
+        modal.floquet(modal.roots()[:system.dim // 2], 1e-7)["amplitudes"](system.initial_vector())
         return modal._work.shape
 
+    monkeypatch.setattr(threading.Thread, "start", refuse)
     assert switched.PERIOD_PIECE == 32
-    assert contextvars.copy_context().run(buffers, True) == (2, 32 * system.dim)
-    assert contextvars.copy_context().run(buffers, False) == (2, 2 * 32 * system.dim)
+    with propagator.blas_on_one_thread():
+        assert contextvars.copy_context().run(buffers, True) == (2, 32 * system.dim)
+        assert contextvars.copy_context().run(buffers, False) == (2, 32 * system.dim)
 
 
 # -- reuse changes no result ------------------------------------------------

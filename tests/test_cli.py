@@ -850,6 +850,22 @@ def test_frequencies_whose_higher_powers_overflow_exit_2(tmp_path, capsys, argv)
     assert not list(out.glob("*"))
 
 
+@pytest.mark.parametrize("argv", [
+    pytest.param(["exchange", "--e0", "5e-324"], id="e0-below-the-bath-rounding"),
+    pytest.param(["exchange", "--e0", "1e307"], id="e0-overflowing-the-trace-sums"),
+    pytest.param(["exchange", "--omega-r", "1e-300"], id="omega-r-underflowing-the-modes"),
+])
+def test_exchange_energies_and_frequencies_beyond_double_range_exit_2(tmp_path, capsys, argv):
+    """Once a ValueError traceback from the arcsine check, a RuntimeWarning and exit 3."""
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
 def test_exchange_refuses_a_splitting_below_double_precision(tmp_path, capsys):
     # at xi = 1e-30 the splitting is 1e-15 of omega_r: the trace would sit at
     # e0 and the arcsine check would end in a ValueError traceback

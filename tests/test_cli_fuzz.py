@@ -137,3 +137,34 @@ def test_boundary_sampling_keys_end_in_a_documented_exit_code(keys):
     sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()] + ["seeds=[1]"]
     code, manifest, failed = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
     _assert_failures_named(keys, code, manifest, failed)
+
+
+# the exchange's flags, each left at its default or drawn from its boundary set
+EXCHANGE = {"--xi": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.5, 0.999, 1.0, 1e6],
+            "--omega-r": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100, 1e154],
+            "--e0": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e154, 1e300, 1e308],
+            "--n-periods": [-1, 0, 1, 16, 10**6]}
+
+
+@st.composite
+def exchanges(draw):
+    """exchange flags: a bath size of 1 to 30 and the others unset or from EXCHANGE."""
+    argv = ["--size", str(draw(st.integers(min_value=1, max_value=30)))]
+    for flag, values in EXCHANGE.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            argv += [flag, repr(value)]
+    return argv
+
+
+@given(argv=exchanges())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_boundary_exchange_flags_end_in_a_documented_exit_code(argv):
+    """A flag argparse refuses exits 2 there (SystemExit); any other run goes through main."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.build_parser().parse_args(["exchange"] + argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, exc.code)
+        return
+    _run_cli(["exchange"] + argv)

@@ -380,21 +380,30 @@ def test_worker_threads_give_the_one_worker_factorization_bit_for_bit(monkeypatc
 
 
 def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
-    """Roots 2500 and 3500 fail, both in the second of two workers' ranges."""
+    """Two roots fail: 2500 and 3500, both in the second of two workers' ranges, then 1500 and 3500."""
     cm, v0 = _large_bath()
     real_dlasd4 = propagator.dlasd4
-
-    def failing_above_2000(n, i, d, z, delta, rho, sigma, work, info):
-        real_dlasd4(n, i, d, z, delta, rho, sigma, work, info)
-        if ctypes.c_int.from_address(i).value - 1 in (2500, 3500):
-            ctypes.c_int.from_address(info).value = 2
-
-    monkeypatch.setattr(propagator, "dlasd4", failing_above_2000)
     monkeypatch.setattr(propagator, "_workers", lambda n: 2)
     threads = threading.active_count()
-    with pytest.raises(EigensolverError, match=r"secular root 2500 \(info = 2\)"):
-        diagonalize(cm, v0)
+    for failing in ((2500, 3500), (1500, 3500)):
+        def failing_at(n, i, d, z, delta, rho, sigma, work, info):
+            real_dlasd4(n, i, d, z, delta, rho, sigma, work, info)
+            if ctypes.c_int.from_address(i).value - 1 in failing:
+                ctypes.c_int.from_address(info).value = 2
+
+        monkeypatch.setattr(propagator, "dlasd4", failing_at)
+        with pytest.raises(EigensolverError, match=rf"secular root {failing[0]} \(info = 2\)"):
+            diagonalize(cm, v0)
     assert threading.active_count() == threads
+
+
+def test_a_range_on_worker_threads_keeps_its_work_on_its_own_thread(monkeypatch):
+    """Each of two ranges runs as a point thread: _workers gives a call inside it one thread."""
+    monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
+    budgets = []
+    propagator._in_ranges(lambda lo, hi, *_: budgets.append(propagator._workers(10**6)), 10, 2)
+    assert propagator._workers(10**6) == 2
+    assert budgets == [1, 1]
 
 
 def test_worker_threads_keep_the_callers_numpy_error_state():

@@ -5,11 +5,7 @@ and the dense period map (conftest.dense_floquet) where a run is long.
 """
 
 import dataclasses
-import os
-import subprocess
-import sys
 import tracemalloc
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -584,66 +580,6 @@ def test_eigenvector_products_form_no_period_sized_temporary():
         tracemalloc.stop()
     assert peak <= 1.75 * 32 * sched.period_steps * system.dim
     assert fl["rows01"].shape == (sched.period_steps, 2, system.dim // 2)
-
-
-def test_worker_threads_give_the_one_worker_period_map_bit_for_bit():
-    """At 2 x 200 oscillators the period map's passes on worker threads change no bit.
-
-    The passes take threads only beside a BLAS on one thread, so the
-    comparison runs in a fresh interpreter with BLAS pinned so.  Every
-    count cuts the roots into the same pieces of 32 and splits the pieces
-    differently: 2 as on two CPUs, 3 into uneven ranges, and 8 threads,
-    more than the pieces and the cores, with the interpreter switching
-    threads every microsecond; then 2 whose threads cannot start.  The roots, null vectors, w^H s, log
-    multipliers, rows01, residual, amplitudes and a state all keep their
-    bytes, and no thread outlives the call.
-    """
-    code = """
-import sys, threading
-import numpy as np
-from finitebath import propagator, switched
-from finitebath.bath import realize_bath
-from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
-from finitebath.switched import SwitchSchedule, build_switched_matrices
-
-spec = BathSpec(size=200, mass=1e-3, temperature=7.5, dos=DensityOfStates("uniform", 0.2, 1.0))
-system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=0.55),
-                                 realize_bath(spec, 1, 0), realize_bath(spec, 1, 1),
-                                 renormalization="static")
-v0 = system.initial_vector()
-used, in_ranges = [], switched._in_ranges
-switched._in_ranges = lambda task, n, workers: used.append(workers) or in_ranges(task, n, workers)
-
-def factor(workers):
-    switched._workers = lambda n, per_worker: workers
-    used.clear()
-    modal = switched._ModalPeriodMap(system, SwitchSchedule(delta_t_steps=2, step_size=1e-3))
-    fl = modal.floquet(modal.roots()[:system.dim // 2], 1e-7)
-    vp = fl["amplitudes"](v0)
-    return max(used), [modal.sigma, modal.null, modal.wsdot, fl["log_mu"], fl["rows01"],
-                       np.array(modal.residual_sq), vp,
-                       fl["state"](np.exp(5 * fl["log_mu"]) * vp, 3)]
-
-def refuse(self):
-    raise RuntimeError("can't start new thread")
-
-print(propagator.blas_threads())
-_, want = factor(1)
-threads = threading.active_count()
-sys.setswitchinterval(1e-6)
-for workers in (2, 3, 8, "unstarted"):
-    if workers == "unstarted":
-        threading.Thread.start, workers = refuse, 2
-    most, got = factor(workers)
-    print(most, all(a.tobytes() == b.tobytes() for a, b in zip(got, want)))
-print(threading.active_count() == threads)
-"""
-    pinned = {name: "1" for name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    env = {**os.environ, **pinned, "PYTHONPATH": str(Path(switched.__file__).parents[1])}
-    proc = subprocess.run([sys.executable, "-c", code], env=env, timeout=120,
-                          capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout == "1\n2 True\n3 True\n8 True\n2 True\nTrue\n"
 
 
 def test_parametrically_unstable_schedule_raises_numerical_error():
