@@ -85,6 +85,23 @@ _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
 _frequency = _checked(float, lambda v: v >= 0.0 and math.isfinite(v * v),
                       "a finite number >= 0 whose square is finite")
 
+# An oracle run beyond any of these caps is refused.  oracle langevin steps
+# all its paths at once in a Python loop, about 5 us a step at 64 paths
+# and 10 ns a draw beyond that (2 CPUs): its default run, 2e5 steps of 64
+# paths, takes about 1 s.  MAX_ORACLE_ENTRIES (80 MB of doubles) bounds
+# its sampled energies (samples times paths) and oracle kernel's cosine
+# table (points times oscillators); MAX_ORACLE_POINTS bounds the rows of
+# the kernel and mixture CSVs (a mixture row takes about 11 us)
+MAX_LANGEVIN_STEPS = 10**6
+MAX_LANGEVIN_DRAWS = 10**8
+MAX_ORACLE_ENTRIES = 10**7
+MAX_ORACLE_POINTS = 10**6
+# a Boltzmann density has the scale 1/T
+_temperature = _checked(float, lambda v: 0.0 < v < math.inf and math.isfinite(1.0 / v),
+                        "a finite positive number with a finite reciprocal")
+_points = _checked(int, lambda v: 1 <= v <= MAX_ORACLE_POINTS,
+                   f"an integer from 1 to {MAX_ORACLE_POINTS}")
+
 
 def _add_out(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", type=Path, default=Path("."),
@@ -311,10 +328,22 @@ def cmd_exchange(args: argparse.Namespace) -> int:
 
 
 def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
-    n_steps = int(round(args.t_final / args.dt))
+    steps = args.t_final / args.dt
+    if steps > MAX_LANGEVIN_STEPS:
+        raise ConfigError(f"--t-final {args.t_final:g} / --dt {args.dt:g} is {steps:.3g} "
+                          f"steps, more than the {MAX_LANGEVIN_STEPS:g} this oracle takes")
+    n_steps = int(round(steps))
     if args.stride > n_steps:
         raise ConfigError(f"--stride {args.stride} exceeds the run's {n_steps} "
                           "steps; no energy would be sampled")
+    if args.n_paths * n_steps > MAX_LANGEVIN_DRAWS:
+        raise ConfigError(f"--n-paths {args.n_paths} over {n_steps} steps is "
+                          f"{args.n_paths * n_steps:.3g} normal draws, more than the "
+                          f"{MAX_LANGEVIN_DRAWS:g} this oracle takes")
+    if args.n_paths * (n_steps // args.stride) > MAX_ORACLE_ENTRIES:
+        raise ConfigError(f"--n-paths {args.n_paths} sampled every --stride {args.stride} of "
+                          f"{n_steps} steps is {args.n_paths * (n_steps // args.stride):.3g} "
+                          f"energies, more than the {MAX_ORACLE_ENTRIES:g} this oracle keeps")
     tp = TestParticleSpec(mass=args.mass, omega=args.omega)
     rng = substream(args.seed, LANGEVIN).generator()
     try:
@@ -340,7 +369,12 @@ def _kernel_bath(args: argparse.Namespace):
     other = [key for key in cfg if not key.startswith("bath1_")]
     if other:
         raise ConfigError(f"oracle kernel reads only bath1_* keys, got {other[0]!r}")
-    return cfg, build_bath(cfg, "bath1", required=True)
+    bath = build_bath(cfg, "bath1", required=True)
+    if args.n_points * bath.size > MAX_ORACLE_ENTRIES:
+        raise ConfigError(f"--n-points {args.n_points} times bath1_size {bath.size} is a "
+                          f"{args.n_points * bath.size:.3g} entry cosine table, more than "
+                          f"the {MAX_ORACLE_ENTRIES:g} this oracle forms")
+    return cfg, bath
 
 
 def _oracle_kernel(args: argparse.Namespace, out: Path, bath) -> list:
@@ -449,15 +483,15 @@ def build_parser() -> argparse.ArgumentParser:
     _add_config(o_ker)
     o_ker.add_argument("--seed", type=_seed, default=0)
     o_ker.add_argument("--t-final", type=_positive, default=50.0)
-    o_ker.add_argument("--n-points", type=_count, default=1000)
+    o_ker.add_argument("--n-points", type=_points, default=1000)
     o_ker.set_defaults(func=cmd_oracle)
 
     o_mix = o_sub.add_parser("mixture", help="two-temperature mixture profile")
     _add_out(o_mix)
-    o_mix.add_argument("--t1", type=_positive, required=True)
-    o_mix.add_argument("--t2", type=_positive, required=True)
+    o_mix.add_argument("--t1", type=_temperature, required=True)
+    o_mix.add_argument("--t2", type=_temperature, required=True)
     o_mix.add_argument("--e-max", type=_non_negative, default=20.0)
-    o_mix.add_argument("--n-points", type=_count, default=500)
+    o_mix.add_argument("--n-points", type=_points, default=500)
     o_mix.set_defaults(func=cmd_oracle)
 
     p_fit = sub.add_parser("fit", help="re-fit a stored histogram")

@@ -9,6 +9,8 @@ effective temperature.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from .model import BathSpec, TestParticleSpec, bare_energy
@@ -28,6 +30,12 @@ def langevin_friction(tp: TestParticleSpec, bath: BathSpec, omega: float) -> flo
     return np.pi * bath.mass * omega**2 / (2.0 * tp.mass) * dn_domega
 
 
+# the squares of a run's steps reach a few times their equipartition
+# scale, in Gaussian tails that the largest runs (1e8 draws) take to about
+# 6 sigma
+EQUIPARTITION_HEADROOM = 1e3
+
+
 def langevin_reference(tp: TestParticleSpec, gamma: float, temperature: float,
                        t_final: float, dt: float, rng: np.random.Generator,
                        n_paths: int = 1, sample_stride: int = 1):
@@ -44,7 +52,11 @@ def langevin_reference(tp: TestParticleSpec, gamma: float, temperature: float,
     gamma dt >= 1 or Omega^2 dt >= gamma is a ValueError: in the latter
     the bias reaches 1/2 and one step multiplies the phase-space area by
     1 - gamma dt + Omega^2 dt^2 >= 1, so the scheme no longer damps and
-    the energy can grow until it overflows.
+    the energy can grow until it overflows.  So is a temperature whose
+    noise term 2 M gamma T dt overflows or, at T > 0, underflows to a
+    subnormal, and one whose equipartition scales overflow with
+    EQUIPARTITION_HEADROOM: P^2 ~ M T, (P/M)^2 ~ T/M and Q^2 ~ T/(M
+    Omega^2), or T t_final/(M gamma) while Q diffuses.
     """
     if dt <= 0.0 or t_final <= 0.0:
         raise ValueError("dt and t_final must be positive")
@@ -53,22 +65,31 @@ def langevin_reference(tp: TestParticleSpec, gamma: float, temperature: float,
                          f"gamma={gamma:g}, Omega={tp.omega:g}: it needs gamma*dt < 1 "
                          f"and Omega^2*dt < gamma")
     m = tp.mass
+    noise = 2.0 * m * gamma * temperature * dt
+    # Q^2 / (P/M)^2 ~ 1 / Omega^2, or t_final / gamma while Q diffuses
+    spread = max(1.0, min(1.0 / tp.omega**2 if tp.omega**2 > 0.0 else math.inf, t_final / gamma))
+    scales = (temperature * m, temperature / m * spread)
+    if not (math.isfinite(noise) and (noise >= np.finfo(float).tiny or temperature == 0.0)
+            and all(math.isfinite(EQUIPARTITION_HEADROOM * x) for x in scales)):
+        raise ValueError(f"temperature={temperature:g} takes the noise term 2 M gamma T dt "
+                         f"= {noise:g} or the squares M T, T/M and T/(M Omega^2) of the "
+                         f"steps beyond the normal doubles at M={m:g}, gamma={gamma:g}, "
+                         f"Omega={tp.omega:g}, dt={dt:g}")
     n_steps = int(round(t_final / dt))
     q = np.full(n_paths, tp.q0, dtype=float)
     p = np.full(n_paths, tp.p0, dtype=float)
-    noise_amp = np.sqrt(2.0 * m * gamma * temperature * dt)
+    noise_amp = np.sqrt(noise)
     k = m * tp.omega**2
-    times = []
-    energies = []
+    steps = np.arange(sample_stride, n_steps + 1, sample_stride)
+    energies = np.empty((len(steps), n_paths))
     for step in range(1, n_steps + 1):
         dq = (p / m) * dt
         dp = -(gamma * p + k * q) * dt + noise_amp * rng.standard_normal(n_paths)
         q = q + dq
         p = p + dp
         if step % sample_stride == 0:
-            times.append(step * dt)
-            energies.append(bare_energy(q, p, tp))
-    return np.array(times), np.array(energies).T
+            energies[step // sample_stride - 1] = bare_energy(q, p, tp)
+    return steps * dt, energies.T
 
 
 def arcsine_cdf(e, e0: float) -> np.ndarray:
@@ -97,12 +118,19 @@ def arcsine_distribution_check(samples, e0: float) -> tuple[float, float]:
     return float(result.statistic), float(result.pvalue)
 
 
+def _check_temperatures(t1: float, t2: float) -> None:
+    """ValueError unless both temperatures are positive with a finite density scale 1/T."""
+    if not (t1 > 0.0 and t2 > 0.0 and math.isfinite(1.0 / t1) and math.isfinite(1.0 / t2)):
+        raise ValueError("temperatures must be positive with a finite 1/T")
+
+
 def mixture_distribution(e, t1: float, t2: float) -> np.ndarray:
     """Equal weight mixture of two Boltzmann densities, normalized."""
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise ValueError("mixture temperatures must be positive")
+    _check_temperatures(t1, t2)
     e = np.asarray(e, dtype=float)
-    return 0.5 * (np.exp(-e / t1) / t1 + np.exp(-e / t2) / t2)
+    # an E / T beyond the doubles is a Boltzmann factor of exactly 0
+    with np.errstate(over="ignore"):
+        return 0.5 * (np.exp(-e / t1) / t1 + np.exp(-e / t2) / t2)
 
 
 def effective_temperature(e: float, t1: float, t2: float,
@@ -111,29 +139,31 @@ def effective_temperature(e: float, t1: float, t2: float,
 
     The left side is strictly increasing in T, so the root is unique and
     bisection on [min(T1,T2)/2, 2 max(T1,T2)] always converges.  At
-    E = 0 the answer is exactly the arithmetic mean.
+    E = 0 the answer is exactly the arithmetic mean.  Every half is
+    taken before its sum, which rounds alike and cannot overflow.
     """
-    if t1 <= 0.0 or t2 <= 0.0:
-        raise ValueError("temperatures must be positive")
+    _check_temperatures(t1, t2)
     if e < 0.0:
         raise ValueError(f"energy must be >= 0, got {e}")
     if e == 0.0:
-        return 0.5 * (t1 + t2)
-    target = 0.5 * (t1 * np.exp(-e / t1) + t2 * np.exp(-e / t2))
+        return 0.5 * t1 + 0.5 * t2
     lo = 0.5 * min(t1, t2)
-    hi = 2.0 * max(t1, t2)
+    hi = min(2.0 * max(t1, t2), np.finfo(float).max)
+    # an E / T beyond the doubles is a Boltzmann factor of exactly 0
+    with np.errstate(over="ignore"):
+        target = 0.5 * t1 * np.exp(-e / t1) + 0.5 * t2 * np.exp(-e / t2)
 
-    def f(t):
-        return t * np.exp(-e / t) - target
+        def f(t):
+            return t * np.exp(-e / t) - target
 
-    flo, fhi = f(lo), f(hi)
-    if flo > 0.0 or fhi < 0.0:
-        raise RuntimeError("bisection bracket does not contain the root; "
-                           "this contradicts monotonicity and should not occur")
-    while (hi - lo) > rel_tol * hi:
-        mid = 0.5 * (lo + hi)
-        if f(mid) <= 0.0:
-            lo = mid
-        else:
-            hi = mid
-    return 0.5 * (lo + hi)
+        flo, fhi = f(lo), f(hi)
+        if flo > 0.0 or fhi < 0.0:
+            raise RuntimeError("bisection bracket does not contain the root; "
+                               "this contradicts monotonicity and should not occur")
+        while (hi - lo) > rel_tol * hi:
+            mid = 0.5 * lo + 0.5 * hi
+            if f(mid) <= 0.0:
+                lo = mid
+            else:
+                hi = mid
+    return 0.5 * lo + 0.5 * hi

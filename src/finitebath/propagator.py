@@ -351,12 +351,16 @@ class _Deflated:
 
 
 def _deflate(cm: CouplingMatrix) -> _Deflated:
-    tol = 8.0 * np.finfo(float).eps * max(cm.alpha, float(np.max(cm.d, initial=0.0)))
+    eps = np.finfo(float).eps
+    tol = 8.0 * eps * max(cm.alpha, float(np.max(cm.d, initial=0.0)))
     free = np.flatnonzero(np.abs(cm.z) <= tol)
     members = np.flatnonzero(np.abs(cm.z) > tol)
     members = members[np.argsort(cm.d[members], kind="stable")]
     ds, zs = cm.d[members], cm.z[members]
-    starts = np.flatnonzero(np.r_[len(ds) > 0, np.diff(ds) > tol])
+    # poles merge only within the rounding of the larger one: in a heavy
+    # bath alpha exceeds the band by orders, and tol would merge distinct
+    # oscillators, whose modes then miss by far more than the rounding
+    starts = np.flatnonzero(np.r_[len(ds) > 0, np.diff(ds) > 8.0 * eps * ds[1:]])
     cluster = np.repeat(np.arange(len(starts)), np.diff(np.r_[starts, len(members)]))
     poles, weights, direction = np.empty(0), np.empty(0), np.empty(0)
     if len(members):

@@ -206,9 +206,9 @@ RANK_TOL = 4.0 * EPS
 MAX_SWEEPS = 60
 # roots of the period map per piece of a pass over them (an Aberth sweep,
 # the eigenvectors, the left products, the sum of a state): every pass
-# cuts its roots into the same pieces, so every BLAS product, and so every
-# bit, is the same.  A piece's rows take 32 dim entries in each of the
-# map's two work buffers
+# takes its pieces from _ModalPeriodMap._pieces, so every BLAS product, and
+# so every bit, is the same.  A piece's rows take 32 dim entries in each of
+# the map's two work buffers
 PERIOD_PIECE = 32
 
 
@@ -275,13 +275,15 @@ class _ModalPeriodMap:
     neither phase couples (_decoupled) has zero rows in X_E, Y_E, X and Y:
     its root is its pole, its vectors its unit vector, and it stays in
     the other roots' sums.  Nothing of size dim^2 is formed: the largest
-    array is W, dim r^2 entries, and each pass over the roots takes
-    PERIOD_PIECE of them at a time, in order on the calling thread,
-    through closed forms in the r x r null vectors, and writes a piece's
-    rows into the map's two work buffers, which hold one piece.  The map
-    starts no thread: a sweep runs its switched points beside each other
-    instead (experiments._sweep).  roots() finds the roots, floquet() the
-    vectors; amplitudes() and state() use them.
+    array is W, dim r^2 entries.  Every pass over the roots (the Aberth
+    sweeps, floquet(), amplitudes() and state()) runs one loop, _pieces:
+    PERIOD_PIECE roots at a time, in order on the calling thread, each
+    piece's resolvent rows in the map's first work buffer and their
+    squares in its second (_secular), both sized for one piece, and closed
+    forms in the r x r null vectors.  The map starts no thread: a sweep
+    runs its switched points beside each other instead
+    (experiments._sweep).  roots() finds the roots, floquet() the vectors;
+    amplitudes() and state() use them.
     """
 
     def __init__(self, system: TwoBathSystem, schedule: SwitchSchedule):
@@ -367,24 +369,31 @@ class _ModalPeriodMap:
         dim = len(self._factors[3])
         return np.empty((2, min(PERIOD_PIECE, dim // 2) * dim), complex)
 
-    def _resolvent(self, sigma, buf):
-        """Rows g_jk = 1 / (t_k - sigma_j): the diagonal of (T - sigma_j)^-1 per root.
+    def _pieces(self, roots, idx):
+        """(at, g) for each piece of PERIOD_PIECE indices of idx, in order.
 
-        A view of the flat buffer buf, valid until buf is written again.
+        g_jk = 1 / (t_k - roots[at][j]), the diagonal of (T - sigma_j)^-1
+        per root, is a view of the map's first work buffer, which the next
+        piece writes again.  Every pass over the roots takes them from
+        here, so every pass cuts them into the same pieces.  A caller done
+        with g may write the buffer itself: the Aberth step forms the root
+        differences there, and floquet() the products of the step rows.
         """
-        t = self._factors[3]
-        g = np.subtract(t, sigma[:, None], out=_view(buf, (len(sigma), len(t))))
-        return np.reciprocal(g, out=g)
+        t, buf = self._factors[3], self._work[0]
+        for lo in range(0, len(idx), PERIOD_PIECE):
+            at = idx[lo:lo + PERIOD_PIECE]
+            g = np.subtract(t, roots[at][:, None], out=_view(buf, (len(at), len(t))))
+            yield at, np.reciprocal(g, out=g)
 
-    def _secular(self, g, power=1, buf=None):
+    def _secular(self, g, power=1):
         """Y^H (T - sigma)^-power X per root (power 1 and 2: S(sigma) - I and S'(sigma)).
 
-        Power 2 squares g into the flat buffer buf.
+        Power 2 squares g into the map's second work buffer.
         """
         x, _, w, _ = self._factors
         r = x.shape[1]
         if power == 2:
-            g = np.multiply(g, g, out=_view(buf, g.shape))
+            g = np.multiply(g, g, out=_view(self._work[1], g.shape))
         return (g @ w).reshape(-1, r, r)
 
     def roots(self):
@@ -428,10 +437,10 @@ class _ModalPeriodMap:
             together.  A real pair, once found, is held.
             """
             active = active[~paired[active]]
-            root, step = every[active], np.empty(len(active), complex)
-            for lo in range(0, len(active), PERIOD_PIECE):
-                part = slice(lo, lo + PERIOD_PIECE)
-                step[part] = self._aberth_steps(every, active[part], self._work)
+            root, step = every[active], np.empty_like(every)
+            for at, g in self._pieces(every, active):
+                step[at] = self._aberth_steps(every, at, g)
+            step = step[active]
             if not np.all(np.isfinite(step)):
                 raise NumericalError("period map root iteration left the finite numbers")
             across = np.sign((root - step).imag) != np.sign(root.imag)
@@ -471,7 +480,8 @@ class _ModalPeriodMap:
         pair, before = np.array([j, j + len(every) // 2]), np.inf
         every[pair] = x - s, x + s
         for _ in range(MAX_SWEEPS):
-            step = self._aberth_steps(every, pair, self._work).real
+            (at, g), = self._pieces(every, pair)
+            step = self._aberth_steps(every, at, g).real
             size = np.abs(step)
             every[pair] -= step
             if np.all(_stops(size, before, np.abs(every[pair]))):
@@ -479,20 +489,18 @@ class _ModalPeriodMap:
             before = size
         raise NumericalError(f"period map's real pair does not converge in {MAX_SWEEPS} steps")
 
-    def _aberth_steps(self, every, idx, work):
-        """Aberth-Ehrlich steps of the roots every[idx]; every holds all roots, then their conjugates.
+    def _aberth_steps(self, every, at, g):
+        """Aberth-Ehrlich steps of the roots every[at], g their piece from _pieces.
 
-        work holds the two flat buffers the steps are formed in.
+        every holds all roots, then their conjugates.
         """
-        roots = every[idx]
-        g = self._resolvent(roots, work[0])
         eye = np.eye(self._factors[0].shape[1])
-        trace = np.trace(np.linalg.solve(eye + self._secular(g), self._secular(g, 2, work[1])),
+        trace = np.trace(np.linalg.solve(eye + self._secular(g), self._secular(g, 2)),
                          axis1=1, axis2=2)
         pull = g.sum(axis=1)
         # g's buffer now holds 1 / (sigma_i - sigma_j) over every root j != i
-        g = np.subtract.outer(roots, every, out=g)
-        g[np.arange(len(idx)), idx] = np.inf
+        g = np.subtract.outer(every[at], every, out=g)
+        g[np.arange(len(at)), at] = np.inf
         return 1.0 / (trace - pull - np.reciprocal(g, out=g).sum(axis=1))
 
     def floquet(self, sigma, quality_tol: float):
@@ -531,14 +539,12 @@ class _ModalPeriodMap:
         xx = x.conj().T @ x
 
         work = self._work
-        for lo in range(0, len(live), PERIOD_PIECE):
-            at = live[lo:lo + PERIOD_PIECE]
-            g = self._resolvent(sigma[at], work[0])
+        for at, g in self._pieces(sigma, live):
             sm = np.eye(r) + self._secular(g)
             u, _, vh = np.linalg.svd(sm)
             c, ct = vh[:, -1, :].conj(), u[:, :, -1]
             self.null[0][at], self.null[1][at] = c, ct
-            self.wsdot[at] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2, work[1]), c)
+            self.wsdot[at] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2), c)
             right = np.matmul(x, c.T, out=_view(work[1], (len(t), len(c))))
             right *= g.T
             # slab by slab over the period's steps, in g's buffer, which is
@@ -584,9 +590,7 @@ class _ModalPeriodMap:
         x, live = self._factors[0], np.flatnonzero(~self.fixed)
         u = np.zeros(x.shape, complex)
         part = np.empty_like(u)
-        for lo in range(0, len(live), PERIOD_PIECE):
-            at = live[lo:lo + PERIOD_PIECE]
-            g = self._resolvent(self.sigma[at], self._work[0])
+        for at, g in self._pieces(self.sigma, live):
             u += np.matmul(g.T, self.null[0][at] * coef[at, None], out=part)
         u = np.sum(x * u, axis=1)
         u[self.upper[self.fixed]] = coef[self.fixed]
@@ -597,10 +601,7 @@ class _ModalPeriodMap:
         """w_j^H v / w_j^H s_j over the upper roots, w_j^H v = c~^H Y^H (T - sigma)^-1 v."""
         y_conj, live = self._factors[1].conj(), np.flatnonzero(~self.fixed)
         out = np.empty(len(self.sigma), complex)
-
-        for lo in range(0, len(live), PERIOD_PIECE):
-            at = live[lo:lo + PERIOD_PIECE]
-            g = self._resolvent(self.sigma[at], self._work[0])
+        for at, g in self._pieces(self.sigma, live):
             g *= v
             out[at] = np.einsum("ja,ja->j", self.null[1][at].conj(), g @ y_conj)
         out[self.fixed] = v[self.upper[self.fixed]]

@@ -1,4 +1,5 @@
-"""Bad input as a property: CLI runs at boundary bath masses, sizes, schedules and sampling keys.
+"""Bad input as a property: CLI runs at boundary bath masses, bands, sizes, schedules,
+sampling keys and exchange and oracle flags.
 
 Every run must end in a documented exit code (0 success, 2 configuration
 error, 3 numerical failure, 4 fit failure), raise nothing and emit no
@@ -21,6 +22,8 @@ from hypothesis import strategies as st
 from finitebath import cli
 
 MASSES = [5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100]
+BAND_EDGES = [5e-324, 1e-300, 1e-6, 0.01, 0.2, 1.0, 10.0, 1e6, 1e154]
+DOS_FAMILIES = ["uniform", "inverse_square", "square"]
 DELTA_T_STEPS = [1, 2, 7, 100, 2000]
 STEP_SIZES = [1e-4, 1e-3, 0.02, 0.5, 5.0]
 TEMPERATURES = [0.0, 5e-324, 1e-6, 7.5, 1e6, 1e300]
@@ -35,12 +38,13 @@ CURVES = {"curve.csv": "", "curve_combined.csv": "", "curve_bath1_alone.csv": "b
           "curve_bath2_alone.csv": "bath2 alone: "}
 
 
-def _run_cli(argv):
+def _run_cli(argv, finite=False):
     """Run argv into a fresh directory: (exit code, manifest or None, failed points).
 
     Asserts that the run ends in a documented exit code, warns nothing
-    and writes no warning to stderr.  A failed point is (curve CSV,
-    omega) for each row of a curve without a finite temperature.
+    and writes no warning to stderr; with finite, that every number in
+    the CSVs it writes is finite.  A failed point is (curve CSV, omega)
+    for each row of a curve without a finite temperature.
     """
     stderr = io.StringIO()
     with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
@@ -55,6 +59,10 @@ def _run_cli(argv):
                 rows = (Path(out) / name).read_text().splitlines()[1:]
                 failed += [(name, float(row.split(",")[0])) for row in rows
                            if not math.isfinite(float(row.split(",")[1]))]
+        for path in Path(out).glob("*.csv") if finite else ():
+            rows = path.read_text().splitlines()[1:]
+            assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")), \
+                (argv, path.name)
     assert code in (0, 2, 3, 4), (argv, code)
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Warning" not in stderr.getvalue(), (argv, stderr.getvalue())
@@ -63,23 +71,34 @@ def _run_cli(argv):
 
 @st.composite
 def runs(draw):
-    """(subcommand, config overrides): bath 1, and bath 2 for twobath or a switched sweep."""
+    """(subcommand, config overrides): bath 1, and bath 2 for twobath or a switched sweep.
+
+    Each bath's mass comes with its band: the default, or two edges and
+    a family.
+    """
     command = draw(st.sampled_from(["sweep", "twobath"]))
     baths = (1, 2) if command == "twobath" or draw(st.booleans()) else (1,)
     keys = {}
     for b in baths:
         keys[f"bath{b}_size"] = draw(st.integers(min_value=1, max_value=30))
         keys[f"bath{b}_mass"] = draw(st.sampled_from(MASSES))
+        if draw(st.booleans()):
+            edges = draw(st.lists(st.sampled_from(BAND_EDGES), min_size=2, max_size=2))
+            keys[f"bath{b}_omega_ir"], keys[f"bath{b}_omega_uv"] = sorted(edges)
+            keys[f"bath{b}_dos"] = draw(st.sampled_from(DOS_FAMILIES))
     return command, keys
 
 
 @given(run=runs())
 @settings(max_examples=150, derandomize=True, deadline=None)
 def test_boundary_bath_masses_end_in_a_documented_exit_code(run):
+    """The exact flow conserves H, so no normal-mode point fails its energy check."""
     command, keys = run
-    sets = [f"{key}={value!r}" for key, value in keys.items()]
+    sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
     sets += ["omega_grid=[0.5]", "seeds=[1]", "n_samples=200"]
-    _run_cli([command] + [arg for s in sets for arg in ("--set", s)])
+    _, manifest, _ = _run_cli([command] + [arg for s in sets for arg in ("--set", s)])
+    failures = manifest["failures"] if manifest else []
+    assert not any("total energy drifted" in entry[2] for entry in failures), (keys, failures)
 
 
 @st.composite
@@ -157,14 +176,64 @@ def exchanges(draw):
     return argv
 
 
-@given(argv=exchanges())
-@settings(max_examples=60, derandomize=True, deadline=None)
-def test_boundary_exchange_flags_end_in_a_documented_exit_code(argv):
+def _run_flags(argv, finite=False):
     """A flag argparse refuses exits 2 there (SystemExit); any other run goes through main."""
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            cli.build_parser().parse_args(["exchange"] + argv)
+            cli.build_parser().parse_args(argv)
     except SystemExit as exc:
         assert exc.code == 2, (argv, exc.code)
         return
-    _run_cli(["exchange"] + argv)
+    _run_cli(argv, finite)
+
+
+@given(argv=exchanges())
+@settings(max_examples=60, derandomize=True, deadline=None)
+def test_boundary_exchange_flags_end_in_a_documented_exit_code(argv):
+    _run_flags(["exchange"] + argv)
+
+
+NUMBERS = [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1.0, 1e6, 1e300, 1e308]
+# each oracle: a run that works, and the boundary values of its flags (a
+# `--set` value is one config key of oracle kernel's bath).  The largest
+# point counts lie beyond their caps
+ORACLES = {
+    "langevin": ({"--gamma": 1.0, "--temperature": 2.0, "--t-final": 5.0, "--dt": 0.01,
+                  "--stride": 10},
+                 {"--gamma": NUMBERS, "--temperature": NUMBERS,
+                  "--omega": [-1.0, 0.0, 5e-324, 1e-6, 1.0, 1e6, 1e154],
+                  "--mass": NUMBERS,
+                  "--t-final": [-1.0, 0.0, 5e-324, 1e-6, 0.5, 50.0, 1e6, 1e308],
+                  "--dt": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1e-3, 0.1, 1.0, 1e308],
+                  "--seed": [-1, 0, 7, 2**64],
+                  "--n-paths": [-1, 0, 1, 64, 10**9],
+                  "--stride": [-1, 0, 1, 100, 10**9]}),
+    "kernel": ({}, {"--seed": [-1, 0, 7, 2**64],
+                    "--t-final": [-1.0, 0.0, 5e-324, 1e-300, 1.0, 50.0, 1e300, 1e308],
+                    "--n-points": [-1, 0, 1, 2, 1000, 10**6 + 1],
+                    "--set": ["bath1_size=1", "bath1_size=100000", "bath1_mass=1e300",
+                              "bath1_omega_uv=1e154", "bath1_temperature=1e308"]}),
+    "mixture": ({"--t1": 5.0, "--t2": 10.0},
+                {"--t1": NUMBERS, "--t2": NUMBERS,
+                 "--e-max": [-1.0, 0.0, 5e-324, 1e-300, 1.0, 20.0, 1e300, 1e308],
+                 "--n-points": [-1, 0, 1, 2, 500, 10**6 + 1]}),
+}
+
+
+@st.composite
+def oracles(draw):
+    """An oracle's working run with one to three of its flags at a boundary value."""
+    which = draw(st.sampled_from(sorted(ORACLES)))
+    base, boundary = ORACLES[which]
+    flags = draw(st.lists(st.sampled_from(sorted(boundary)), min_size=1, max_size=3,
+                          unique=True))
+    values = {**base, **{flag: draw(st.sampled_from(boundary[flag])) for flag in flags}}
+    return ["oracle", which] + [arg for flag, value in values.items()
+                                for arg in (flag, value if flag == "--set" else repr(value))]
+
+
+@given(argv=oracles())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_boundary_oracle_flags_end_in_a_documented_exit_code(argv):
+    """Every number an oracle writes is finite, or the run is refused."""
+    _run_flags(argv, finite=True)
