@@ -177,9 +177,11 @@ def _record(manifest: RunManifest, curve, label: str = "") -> None:
     step was configured or derived: the fitted points, then those whose
     fit failed.  The bath fits are the curve's, so the curve recorded
     last supplies them.  The environment's point_workers lists the
-    threads each recorded curve ran its points on.
+    threads each recorded curve ran its points on, and factor_workers
+    the threads one point's factorization ran on.
     """
     manifest.environment["point_workers"].append(curve.workers)
+    manifest.environment["factor_workers"].append(curve.factor_workers)
     manifest.failures.extend([f.omega, f.seed, f"{label}{f}"] for f in curve.failures)
     steps = [[pt.omega, pt.seed, pt.step_size]
              for pt in (*curve.points, *curve.failures) if pt.step_size is not None]

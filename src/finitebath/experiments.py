@@ -32,7 +32,7 @@ import numpy as np
 from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
-from .propagator import (NumericalError, _in_turns, build_multi_coupling_matrix,
+from .propagator import (NumericalError, _in_turns, _workers, build_multi_coupling_matrix,
                          diagonalize, factorization_fits, flow_factors,
                          usable_cpus)
 from .rng import SAMPLING_TIMES, substream
@@ -77,6 +77,9 @@ class SweepSpec:
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.initial_energy < 0.0:
             raise ValueError(f"initial_energy must be >= 0, got {self.initial_energy}")
+        if not np.isfinite(2.0 * self.tp_mass * self.initial_energy):
+            raise ValueError(f"initial_energy={self.initial_energy!r} with mass={self.tp_mass!r} "
+                             "overflows the particle's squared momentum 2 M E")
         if self.propagator not in ("eigen", "rk4"):
             raise ValueError(f"unknown propagator {self.propagator!r}")
         if self.renormalization not in ("switched", "static"):
@@ -260,6 +263,7 @@ class ThermalizationCurve:
     points: tuple           # fitted PointResults, grid order then seed order
     spec: SweepSpec
     workers: int = 1        # threads that ran the points
+    factor_workers: int = 1  # most threads one point's factorization ran on
 
 
 def _attempt(runner, spec: SweepSpec, omega: float, seed: int):
@@ -280,7 +284,8 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     (BathSpec, bath_index) pair per bath the runner draws; their initial
     fits are made on the same per-seed draws.  The points run on up to
     one thread per CPU (_in_turns), except those of a single-bath RK4
-    sweep, which run in order on the calling thread.
+    sweep, which run in order on the calling thread.  The curve records
+    the threads of the points and of one point's factorization.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw, ns = len(omegas), len(spec.seeds)
@@ -291,6 +296,10 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     if spec.bath2 is not None or spec.propagator == "eigen":
         workers = min(usable_cpus(), len(grid))
     outcomes = _in_turns(lambda i: _attempt(runner, spec, *grid[i]), len(grid), workers)
+    # a point's factorization threads its roots, Loewner's z and its shape
+    # pass (propagator._workers) only off the point threads
+    modes = 1 + sum(bath.size for bath, _ in baths)
+    factor_workers = 1 if workers > 1 else _workers(modes)
     points, failures = [], []
     for i in range(nw):
         row = outcomes[i * ns:(i + 1) * ns]
@@ -319,7 +328,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
         omegas=omegas, temperature=temperature, sigma=sigma, goodness=goodness,
         overflow_fraction=overflow, bath_initial=tuple(bath_initial),
         bath_final=tuple(final), failures=tuple(failures), points=tuple(points),
-        spec=spec, workers=workers)
+        spec=spec, workers=workers, factor_workers=factor_workers)
 
 
 def run_sweep(spec: SweepSpec) -> ThermalizationCurve:

@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ThermalizationCurve
-from .propagator import blas_config, blas_counts, usable_cpus
+from .propagator import blas_config, blas_counts, scipy_version, usable_cpus
 from .stats import EnergyHistogram, TemperatureFit
 
 CURVE_HEADER = "omega,T_tp,T_tp_err,goodness,overflow_frac,T_bath_init,T_bath_final"
@@ -102,7 +102,7 @@ def read_histogram(path) -> EnergyHistogram:
 
 
 def run_environment() -> dict:
-    """numpy's version, its BLAS and its threads, the usable CPUs and the point threads.
+    """numpy's and scipy's versions, the BLAS and its threads, the CPUs and the run's threads.
 
     blas_config is the build and core the BLAS reports (None where it
     reports none), blas_threads the count the run found and
@@ -110,13 +110,15 @@ def run_environment() -> dict:
     getter, or no setter, is found): a multithreaded BLAS rounds the
     period map's products by how it splits them among its threads, and
     a BLAS's kernels, picked by its core, round them their own way.
-    point_workers starts empty and gets the threads of each sweep the
-    run records.
+    scipy's version names the LAPACK behind the secular roots.
+    point_workers and factor_workers start empty and get, for each curve
+    the run records, the threads that ran its points and the threads
+    that one point's factorization ran on.
     """
     found, used = blas_counts()
-    return {"numpy": np.__version__, "blas_config": blas_config(),
+    return {"numpy": np.__version__, "scipy": scipy_version(), "blas_config": blas_config(),
             "blas_threads": found, "blas_threads_used": used,
-            "cpus": usable_cpus(), "point_workers": []}
+            "cpus": usable_cpus(), "point_workers": [], "factor_workers": []}
 
 
 @dataclass

@@ -90,12 +90,13 @@ cap (grid_fits), or hold more points than the direct sum has terms, are
 summed directly too.
 
 Buffers.  Beyond its O(N) data a pass over the modes holds a few buffers
-of SHAPE_BLOCK by N + 1 entries, and the transform chunk buffers of
-GRID_CHUNK entries plus its FFT rows.  Each pass allocates its buffers
-once per call and writes every block's temporaries into them (out= and
-in-place ufuncs): an array allocated afresh per block or per call is
-often handed back to the kernel by malloc when it is freed, and the
-next one is page-faulted in and zeroed again.  The FFT rows persist from
+of SHAPE_BLOCK by N + 1 entries per thread, and the transform chunk
+buffers of GRID_CHUNK entries plus its FFT rows.  Each pass allocates
+its buffers once per call, on the calling thread, and writes every
+block's temporaries into them (out= and in-place ufuncs): an array
+allocated afresh per block or per call is often handed back to the
+kernel by malloc when it is freed, and the next one is page-faulted in
+and zeroed again.  The FFT rows persist from
 call to call in one module buffer that only grows, to at most two rows
 of _MAX_FFT points (4 MB) for the whole process: a transform holds a
 module lock from taking its rows until it has gathered from them, so
@@ -115,10 +116,13 @@ products, whose numpy operations release it too, run on worker
 threads: one per ROOTS_PER_WORKER roots and at most one per CPU the
 process may run on (_workers), each taking a contiguous range of them
 (_in_ranges).  Smaller systems stay on the calling thread.  The pass
-over the shapes (_sweep) stays serial: its accumulation order fixes
-the bits of the final state.  The command line runs with numpy's BLAS
-on one thread and restores the count it found (blas_on_one_thread),
-since a multithreaded BLAS rounds a product by how it splits it.
+over the shapes (_sweep) threads the same way, over SWEEP_GROUPS fixed
+groups of mode blocks: each group sums its blocks' share of a state in
+order and the groups' sums are added in group order, so the bits
+depend on N alone, not on the threads.  The command line runs with
+numpy's BLAS on one thread and restores the count it found
+(blas_on_one_thread), since a multithreaded BLAS rounds a product by
+how it splits it.
 
 _in_turns is the one place the program starts threads: plain threads
 started per call, the calling thread one of them, each in a copy of
@@ -174,6 +178,21 @@ def _load_dlasd4():
 
 
 dlasd4 = _load_dlasd4()
+
+
+def scipy_version() -> str:
+    """scipy's version, from its version.py, without running the scipy package __init__.
+
+    The file is found as _load_dlasd4 finds _flapack and run as a module
+    of its own, which sys.modules does not keep.
+    """
+    locations = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.version", locations)
+    if spec is None:
+        raise ImportError(f"scipy's version.py is not in {locations}")
+    version = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(version)
+    return version.version
 
 
 def _load_blas():
@@ -689,52 +708,76 @@ def _mode_shapes(cm: CouplingMatrix, df: _Deflated, origin, tau):
     return nu[order], shapes
 
 
-def _mode_blocks(sh: _ModeShapes):
-    """Yield (cols, block): the shapes of a block of modes, one column each.
+def _blocks(sh: _ModeShapes) -> list:
+    """Every block of modes, in the order of a pass: (kind, lo, hi, at) each.
 
-    block[:, j] is the mass-weighted shape of mode cols[j] over sh.coord.
-    Every block is a view of one buffer of SHAPE_BLOCK columns, valid
-    until the next block is drawn, so no n x n array is ever formed.
+    kind is "secular", "free" or the index of a merged cluster in
+    sh.clusters; the block holds that kind's modes lo to hi, which are
+    modes at + lo to at + hi of sh.cols.  Each block has SHAPE_BLOCK
+    modes but the last of its kind.
     """
-    n, n_r, n_c = len(sh.coord), len(sh.nu0), len(sh.pole)
-    n_free = n - 1 - n_c
-    step = SHAPE_BLOCK
-    # the blocks, and the second factor of each lam_k - d_a
-    flat, factor = np.empty(n * min(step, n)), np.empty(n * min(step, n))
+    step, n_r = SHAPE_BLOCK, len(sh.nu0)
+    n_free = len(sh.coord) - 1 - len(sh.pole)
+    blocks = [("secular", lo, min(lo + step, n_r), 0) for lo in range(0, n_r, step)]
+    blocks += [("free", lo, min(lo + step, n_free), n_r) for lo in range(0, n_free, step)]
+    at = n_r + n_free
+    for c, (_, zc) in enumerate(sh.clusters):
+        n_t = len(zc) - 1
+        blocks += [(c, lo, min(lo + step, n_t), at) for lo in range(0, n_t, step)]
+        at += n_t
+    return blocks
 
-    def block_of(k):
-        # contiguous for any k, so row-wise operations stream
-        return _view(flat, (n, k))
 
-    # secular modes (1, zhat_a direction_i / (lam_k - d_a)), normalized
+# rows of the scratch that takes the second factor of each lam_k - d_a in
+# a block of secular modes, which is formed in row slices of this many
+# poles: a fixed 256 KB per block buffer, where a full-height one grew
+# with N.  The product is elementwise, so the slices change no bit
+FACTOR_ROWS = 512
+
+
+def _block_buffers(n):
+    """The buffers of _mode_blocks over n coordinates: (block, factor scratch), flat."""
+    step = min(SHAPE_BLOCK, n)
+    return np.empty(n * step), np.empty(min(FACTOR_ROWS, n) * step)
+
+
+def _mode_blocks(sh: _ModeShapes, blocks=None, buffers=None):
+    """Yield (cols, block): the shapes of each block of modes, one column each.
+
+    blocks is a range of _blocks(sh), all of them when None, and buffers
+    those of _block_buffers, fresh when None.  block[:, j] is the
+    mass-weighted shape of mode cols[j] over sh.coord.  Every block is a
+    view of the one block buffer, valid until the next block is drawn,
+    so no n x n array is ever formed.
+    """
+    n, n_c = len(sh.coord), len(sh.pole)
+    flat, factor = _block_buffers(n) if buffers is None else buffers
     minus_coef = -sh.coef[:, None]
-    for lo in range(0, n_r, step):
-        hi = min(lo + step, n_r)
-        block = block_of(hi - lo)
-        amp = _d_minus_lam(sh.pole, sh.nu0[lo:hi], sh.tau[lo:hi], out=block[1:1 + n_c],
-                           scratch=_view(factor, (n_c, hi - lo)))
-        np.divide(minus_coef, amp, out=amp)
-        block[0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->j", amp, amp))
-        amp *= block[0]
-        block[1 + n_c:] = 0.0
-        yield sh.cols[lo:hi], block
-    # modes without particle motion: free oscillators, then Helmert vectors
-    at = n_r
-    for lo in range(0, n_free, step):
-        block = block_of(min(step, n_free - lo))
-        block[:] = 0.0
-        k = np.arange(block.shape[1])
-        block[1 + n_c + lo + k, k] = 1.0
-        yield sh.cols[at + lo:at + lo + len(k)], block
-    at += n_free
-    for first, zc in sh.clusters:
-        for lo in range(0, len(zc) - 1, step):
-            t = np.arange(lo, min(lo + step, len(zc) - 1))
-            block = block_of(len(t))
+    for kind, lo, hi, at in _blocks(sh) if blocks is None else blocks:
+        # contiguous for any width, so row-wise operations stream
+        block = _view(flat, (n, hi - lo))
+        if kind == "secular":
+            # (1, zhat_a direction_i / (lam_k - d_a)), normalized
+            amp = block[1:1 + n_c]
+            for r in range(0, n_c, FACTOR_ROWS):
+                rows = amp[r:r + FACTOR_ROWS]
+                _d_minus_lam(sh.pole[r:r + FACTOR_ROWS], sh.nu0[lo:hi], sh.tau[lo:hi],
+                             out=rows, scratch=_view(factor, rows.shape))
+            np.divide(minus_coef, amp, out=amp)
+            block[0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->j", amp, amp))
+            amp *= block[0]
+            block[1 + n_c:] = 0.0
+        elif kind == "free":
+            # modes without particle motion: unit vectors
             block[:] = 0.0
-            _helmert_columns(zc, t, block[1 + first:1 + first + len(zc)])
-            yield sh.cols[at + t], block
-        at += len(zc) - 1
+            k = np.arange(hi - lo)
+            block[1 + n_c + lo + k, k] = 1.0
+        else:
+            # a merged cluster's Helmert vectors, also without particle motion
+            first, zc = sh.clusters[kind]
+            block[:] = 0.0
+            _helmert_columns(zc, np.arange(lo, hi), block[1 + first:1 + first + len(zc)])
+        yield sh.cols[at + lo:at + hi], block
 
 
 @dataclass
@@ -1216,6 +1259,13 @@ def _state_rows(a, b, nu, c, s):
     return np.stack([a * c + b * s / nu, b * c - a * nu * s], axis=1)
 
 
+# groups of mode blocks in a pass over the shapes, and so the most
+# threads it runs on.  The groups depend on the block count alone.  On 2
+# CPUs at N = 4000 (in-process medians) two threads took the pass from
+# 34 to 19 ms
+SWEEP_GROUPS = 8
+
+
 def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     """One pass over the mode shapes: projections of y, and a state built from rows.
 
@@ -1224,23 +1274,46 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     adds U (f, g) over its modes with (f, g) = rows(cols, ab), which may
     read the projections the block has just made.  Returns ab (None
     without y), U's particle row u_k[0] and the state vector with x = U f
-    and p = M U g (None without rows), accumulated block by block in the
-    order _mode_blocks yields them.
+    and p = M U g (None without rows).
+
+    The blocks (_blocks) are cut into SWEEP_GROUPS contiguous groups by
+    their count alone.  Each group adds its blocks' share of U (f, g), in
+    order, into its own partial sum, and the partials are added in group
+    order, so the state's bits do not depend on the threads.  The groups
+    run in contiguous ranges on up to SWEEP_GROUPS worker threads
+    (_workers, one on a point thread); ab and u_k[0] are written column
+    by column.  Each range's block buffers are allocated here, on the
+    calling thread: a buffer allocated and freed on a worker thread goes
+    back to that thread's malloc arena, and the calling thread's next
+    arrays take fresh pages instead.
     """
     n = len(shapes.cols)
     ab = None if y is None else np.empty((len(y), n))
     u0 = np.empty(n)
-    acc = np.zeros((n, 2))
-    part = np.empty_like(acc)
-    for cols, block in _mode_blocks(shapes):
-        if y is not None:
-            ab[:, cols] = y @ block
-        u0[cols] = block[0]
-        if rows is not None:
-            acc += np.matmul(block, rows(cols, ab), out=part)
+    blocks = _blocks(shapes)
+    bounds = [len(blocks) * g // SWEEP_GROUPS for g in range(SWEEP_GROUPS + 1)]
+    partials = None if rows is None else np.zeros((SWEEP_GROUPS, n, 2))
+    workers = min(_workers(n), SWEEP_GROUPS)
+    # one (block buffers, product) set per range, each taken by one range
+    spare = [(_block_buffers(n), np.empty((n, 2))) for _ in range(workers)]
+
+    def groups(lo, hi):
+        buffers, part = spare.pop()
+        for g in range(lo, hi):
+            for cols, block in _mode_blocks(shapes, blocks[bounds[g]:bounds[g + 1]], buffers):
+                if y is not None:
+                    ab[:, cols] = y @ block
+                u0[cols] = block[0]
+                if rows is not None:
+                    partials[g] += np.matmul(block, rows(cols, ab), out=part)
+
+    _in_ranges(groups, SWEEP_GROUPS, workers)
     root_m = np.sqrt(cm.mass)
     vec = None
     if rows is not None:
+        acc = partials[0]
+        for partial in partials[1:]:
+            acc += partial
         vec = np.empty(2 * n)
         vec[0::2][shapes.coord] = acc[:, 0]
         vec[1::2][shapes.coord] = acc[:, 1]

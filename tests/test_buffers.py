@@ -12,6 +12,8 @@ measured on a 2-core AMD EPYC with BLAS on one thread.
 import contextvars
 import resource
 import threading
+import tracemalloc
+from functools import partial
 
 import numpy as np
 
@@ -20,7 +22,8 @@ from finitebath.bath import realize_bath
 from finitebath.config import build_sweep_spec, check_config
 from finitebath.experiments import run_two_bath_point
 from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec, initial_state
-from finitebath.propagator import build_multi_coupling_matrix, diagonalize, full_state
+from finitebath.propagator import (build_multi_coupling_matrix, diagonalize, flow_factors,
+                                   full_state)
 from finitebath.rng import SAMPLING_TIMES, substream
 from finitebath.stats import SamplingPlan, make_sampling_times
 from finitebath.switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
@@ -66,14 +69,41 @@ def _times(plan, seed=1):
 # -- minor faults of a repeated call ----------------------------------------
 
 
-def test_repeated_factorization_takes_few_page_faults():
-    """diagonalize at N = 4000 (point_n4000's bath): under 2,000 faults.
+def test_repeated_factorization_takes_few_page_faults(monkeypatch):
+    """diagonalize at N = 4000 (point_n4000's bath) on two CPUs: under 2,000 faults.
 
     Measured 41,890-41,922 when Loewner's z and the shape blocks allocated
-    their (64 x N) temporaries per block, 0 with the buffers reused.
+    their (64 x N) temporaries per block, 0 with the buffers reused.  The
+    roots, z and the shape pass run on two threads.
     """
+    monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
     cm, v0 = _phase(4000, 1e-4)
     assert _faults_of_third_call(lambda: diagonalize(cm, v0)) < 2_000
+
+
+def test_a_factorization_on_two_cpus_holds_one_cpus_peak(monkeypatch):
+    """diagonalize at N = 4000 with a final state: two CPUs add at most the group sums to the peak.
+
+    The tracemalloc peak on two CPUs may exceed that on one by at most
+    the SWEEP_GROUPS partial sums of the shape pass plus 10 % of them.
+    Loewner's z sets both peaks, 6.54 and 6.61 MB: each of the shape
+    pass's two ranges holds a block of 64 modes and a factor scratch of
+    FACTOR_ROWS rows, 2.3 MB.  A full-height scratch per range took the
+    two-CPU peak to 9.9 MB.
+    """
+    cm, v0 = _phase(4000, 1e-4)
+    final = partial(flow_factors, t=4.5e4)
+    peaks = []
+    for cpus in (1, 2):
+        monkeypatch.setattr(propagator, "usable_cpus", lambda: cpus)
+        tracemalloc.start()
+        try:
+            diagonalize(cm, v0, final=final)
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+    partials = propagator.SWEEP_GROUPS * (cm.dim // 2) * 2 * 8
+    assert peaks[1] - peaks[0] <= 1.1 * partials
 
 
 def test_repeated_exact_sampling_takes_few_page_faults():

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import finitebath
-from finitebath import experiments
+from finitebath import experiments, propagator
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
 from finitebath.propagator import NumericalError
 from finitebath.output import read_histogram
@@ -419,7 +419,8 @@ def test_non_finite_numbers_are_config_errors(tmp_path, quick_config, capsys,
 
 
 @pytest.mark.parametrize("override", [
-    "step_size=-1", "delta_t_steps=0", "n_bins=0", "span_factor=-1", "mass=0"])
+    "step_size=-1", "delta_t_steps=0", "n_bins=0", "span_factor=-1", "mass=0",
+    "initial_energy=1e308"])
 def test_bad_run_parameters_fail_before_running(tmp_path, twobath_config,
                                                 capsys, override):
     out = tmp_path / "x"
@@ -670,10 +671,11 @@ def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
     A multithreaded BLAS rounds the period map's products by how it
     splits them among its threads, so the count a run found is recorded:
     the count the getter reports (null where none is found), next to the
-    one thread the run used (null where no setter is found), numpy's
-    version, the BLAS's config string, the CPUs of the affinity mask and
-    the threads of the run's one point.  OpenBLAS caps its threads at the CPUs, so the two counts
-    found differ where there are two, and the call restores each.
+    one thread the run used (null where no setter is found), numpy's and
+    scipy's versions, the BLAS's config string, the CPUs of the affinity
+    mask and the threads of the run's one point and of its factorization.
+    OpenBLAS caps its threads at the CPUs, so the two counts found differ
+    where there are two, and the call restores each.
     """
     script = """
 import json, os, tempfile
@@ -687,16 +689,18 @@ with tempfile.TemporaryDirectory() as out:
         env = json.load(f)["environment"]
 getter = propagator.blas_threads
 used = None if getter is None or propagator._set_blas_threads is None else 1
+import scipy
 print(json.dumps([code, env, None if getter is None else getter(), used, np.__version__,
-                  len(os.sched_getaffinity(0)), propagator.blas_config()]))
+                  scipy.__version__, len(os.sched_getaffinity(0)), propagator.blas_config()]))
 """
     counts = []
     for threads in ("1", "2"):
-        code, env, got, used, version, cpus, config = json.loads(_fresh_python(
+        code, env, got, used, version, scipy, cpus, config = json.loads(_fresh_python(
             script, OPENBLAS_NUM_THREADS=threads).splitlines()[-1])
         assert code == EXIT_OK
-        assert env == {"numpy": version, "blas_config": config, "blas_threads": got,
-                       "blas_threads_used": used, "cpus": cpus, "point_workers": [1]}
+        assert env == {"numpy": version, "scipy": scipy, "blas_config": config,
+                       "blas_threads": got, "blas_threads_used": used, "cpus": cpus,
+                       "point_workers": [1], "factor_workers": [1]}
         counts.append(got)
     if counts[0] is not None:
         assert counts[0] == 1
@@ -732,6 +736,46 @@ def test_a_run_gives_the_same_bytes_under_any_openblas_thread_count(tmp_path):
         runs.append((files, manifest))
     assert sorted(runs[0][0]) == ["curve_bath1_alone.csv", "curve_bath2_alone.csv",
                                   "curve_combined.csv"]
+    assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def _run_on_cpus(monkeypatch, out, cpus, argv):
+    """main(argv) into out as if the process had `cpus` CPUs: its files, the manifest parsed."""
+    monkeypatch.setattr(propagator, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    assert main(argv + ["--out", str(out)]) == EXIT_OK
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    return files, json.loads(files.pop("manifest.json"))
+
+
+def test_the_manifest_records_the_threads_of_one_points_factorization(tmp_path, monkeypatch):
+    """A one-point run at N = 600 on two CPUs factors on 2 threads; a sweep's points on 1 each."""
+    sets = ["--set", "bath1_size=600", "--set", "n_samples=200", "--set", "seeds=[1]"]
+    _, single = _run_on_cpus(monkeypatch, tmp_path / "single", 2,
+                             ["single", "--omega", "0.5"] + sets)
+    assert single["environment"]["point_workers"] == [1]
+    assert single["environment"]["factor_workers"] == [2]
+    _, sweep = _run_on_cpus(monkeypatch, tmp_path / "sweep", 2,
+                            ["sweep", "--set", "omega_grid=[0.5, 0.7]"] + sets)
+    assert sweep["environment"]["point_workers"] == [2]
+    assert sweep["environment"]["factor_workers"] == [1]
+
+
+def test_a_single_run_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch):
+    """At N = 900 one point factors on 1, 2 and 3 threads, and every file keeps its bytes.
+
+    The manifests differ only in their timestamps and the threads they record.
+    """
+    argv = ["single", "--omega", "0.5", "--set", "bath1_size=900", "--set", "n_samples=200",
+            "--set", "seeds=[1]"]
+    runs = []
+    for cpus in (1, 2, 3):
+        files, manifest = _run_on_cpus(monkeypatch, tmp_path / str(cpus), cpus, argv)
+        assert manifest["environment"].pop("factor_workers") == [cpus]
+        for key in ("started", "finished"):
+            del manifest[key]
+        runs.append((files, manifest))
+    assert runs[0][0]
     assert runs[1] == runs[0] and runs[2] == runs[0]
 
 

@@ -1,5 +1,5 @@
 """Bad input as a property: CLI runs at boundary bath masses, bands, sizes, schedules,
-sampling keys and exchange and oracle flags.
+sampling keys, single-bath keys and exchange and oracle flags.
 
 Every run must end in a documented exit code (0 success, 2 configuration
 error, 3 numerical failure, 4 fit failure), raise nothing and emit no
@@ -154,6 +154,33 @@ def samplings(draw):
 @settings(max_examples=80, derandomize=True, deadline=None)
 def test_boundary_sampling_keys_end_in_a_documented_exit_code(keys):
     sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()] + ["seeds=[1]"]
+    code, manifest, failed = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
+    _assert_failures_named(keys, code, manifest, failed)
+
+
+# the single-bath keys of a sweep, each left unset or drawn from its boundary set
+SINGLE_BATH = {"initial_energy": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1.0, 1e6, 1e154, 1e300, 1e308],
+               "propagator": ["eigen", "rk4"],
+               "step_size": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1e-3, 0.5, 2.0, 10.0, 1e300]}
+
+
+@st.composite
+def single_baths(draw):
+    """sweep config overrides: a bath size, one frequency and the single-bath keys."""
+    keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30))}
+    for key, values in SINGLE_BATH.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            keys[key] = value
+    keys["omega_grid"] = [draw(st.sampled_from(OMEGAS))]
+    return keys
+
+
+@given(keys=single_baths())
+@settings(max_examples=80, derandomize=True, deadline=None)
+def test_boundary_single_bath_keys_end_in_a_documented_exit_code(keys):
+    sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
+    sets += ["seeds=[1]", "n_samples=200"]
     code, manifest, failed = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
     _assert_failures_named(keys, code, manifest, failed)
 

@@ -140,20 +140,21 @@ def test_energy_drift_on_the_eigen_path_is_a_numerical_error(monkeypatch):
 
 @pytest.mark.parametrize("kind", ["eigen", "rk4"])
 def test_a_single_bath_point_sweeps_the_mode_shapes_once(monkeypatch, kind):
-    """The projection sweep builds the final state: one pass over the shapes per point."""
-    sweeps = []
+    """The projection sweep builds the final state: each mode's shape is built once per point."""
+    built = []
     blocks = propagator._mode_blocks
 
-    def spy(shapes):
-        sweeps.append(len(shapes.cols))
-        return blocks(shapes)
+    def spy(shapes, *args):
+        for cols, block in blocks(shapes, *args):
+            built.extend(cols.tolist())
+            yield cols, block
 
     monkeypatch.setattr(propagator, "_mode_blocks", spy)
     spec = _quick_spec(bath1=BathSpec(size=40, mass=0.01, temperature=5.0, dos=BAND),
                        plan=SamplingPlan(mean_interval=1.0, n_samples=150, warmup=20.0),
                        propagator=kind)
     run_single_bath_point(0.5, spec, seed=2)
-    assert len(sweeps) == 1
+    assert sorted(built) == list(range(41))
 
 
 # -- two bath points ---------------------------------------------------

@@ -381,6 +381,56 @@ def test_worker_threads_give_the_one_worker_factorization_bit_for_bit(monkeypatc
     assert threading.active_count() == threads
 
 
+def test_the_shape_pass_gives_the_same_bits_on_any_number_of_cpus(monkeypatch):
+    """diagonalize's one pass over the shapes has bits that depend on N alone.
+
+    The bath (N = 960: 760 lone oscillators, 20 clusters of 5 equal
+    frequencies and a free bath of 100) has 35 blocks of every kind, so
+    the SWEEP_GROUPS groups cut across secular, free and Helmert blocks.
+    On 1, 2 and 3 CPUs the pass runs on as many threads, with the
+    interpreter switching threads every microsecond; the projections,
+    u_k[0] and the final state keep their bytes, no thread outlives the
+    calls, and the state lies within 8 eps of its largest entry of a
+    plain serial sum over the blocks.
+    """
+    tp = TestParticleSpec(mass=1.0, omega=0.5)
+    rng = np.random.default_rng(11)
+    coupled = np.r_[rng.uniform(0.2, 1.0, 760), np.repeat(rng.uniform(0.3, 0.9, 20), 5)]
+    cm = build_multi_coupling_matrix(tp, [(1e-3, coupled, True),
+                                          (2e-3, rng.uniform(0.2, 1.0, 100), False)])
+    v0 = rng.normal(size=cm.dim)
+    final = functools.partial(flow_factors, t=123.4)
+
+    def factor(cpus):
+        monkeypatch.setattr(propagator, "usable_cpus", lambda: cpus)
+        assert propagator._workers(cm.dim // 2) == cpus
+        prop = diagonalize(cm, v0, final=final)
+        return prop, [prop.coef_cos, prop.coef_sin, prop.u0, prop.final_state.as_vector()]
+
+    threads = threading.active_count()
+    interval = sys.getswitchinterval()
+    try:
+        sys.setswitchinterval(1e-6)
+        prop, want = factor(1)
+        for cpus in (2, 3):
+            assert [a.tobytes() for a in factor(cpus)[1]] == [a.tobytes() for a in want]
+    finally:
+        sys.setswitchinterval(interval)
+    assert threading.active_count() == threads
+    kinds = {kind if isinstance(kind, str) else "helmert"
+             for kind, *_ in propagator._blocks(prop.shapes)}
+    assert kinds == {"secular", "free", "helmert"}
+    c, s, _ = final(prop.nu)
+    serial = np.zeros((len(prop.nu), 2))
+    for cols, block in propagator._mode_blocks(prop.shapes):
+        serial += block @ propagator._state_rows(prop.coef_cos[cols], prop.coef_sin[cols],
+                                                 prop.nu[cols], c[cols], s[cols])
+    root_m = np.sqrt(cm.mass)[prop.shapes.coord]
+    state = want[3].reshape(-1, 2)[prop.shapes.coord]
+    reference = np.stack([serial[:, 0] / root_m, serial[:, 1] * root_m], axis=1)
+    assert np.max(np.abs(state - reference)) <= 8 * np.finfo(float).eps * np.max(np.abs(reference))
+
+
 def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
     """Two roots fail: 2500 and 3500, both in the second of two workers' ranges, then 1500 and 3500."""
     cm, v0 = _large_bath()
