@@ -425,8 +425,11 @@ def cmd_fit(args: argparse.Namespace) -> int:
     print(f"T = {fmt(fit.temperature)} +- {fmt(fit.sigma)} "
           f"({fit.n_bins_used} bins)")
     if args.json_out is not None:
-        args.json_out.parent.mkdir(parents=True, exist_ok=True)
-        args.json_out.write_text(json.dumps(asdict(fit), indent=2) + "\n")
+        try:
+            args.json_out.parent.mkdir(parents=True, exist_ok=True)
+            args.json_out.write_text(json.dumps(asdict(fit), indent=2) + "\n")
+        except OSError as err:
+            raise ConfigError(f"cannot write --json-out {args.json_out}: {err}") from err
     return EXIT_OK
 
 

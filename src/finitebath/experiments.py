@@ -3,11 +3,14 @@
 A sweep point is one (particle frequency, seed) pair: draw the baths,
 propagate, sample the particle energy at random times, fit a
 temperature.  Curves aggregate the per-seed fits by inverse variance.
-A failing point (non-thermal fit, diverged run) is recorded and the
-sweep continues; a grid point with no surviving seed reports NaN.
-_sweep is the one loop over (omega, seed) points: the single-bath and
-switched curves, each bath alone, and the CLI's one-frequency run all
-go through it.
+Every point ends in one PointResult: a failing point (non-thermal fit,
+diverged run) holds its error and the sweep continues; a grid point
+with no surviving seed reports NaN.  A curve keeps its points' results
+in grid order, then seed order.  _sweep is the one loop over (omega,
+seed) points: the single-bath and switched curves, each bath alone,
+and the CLI's one-frequency run all go through it.  Both RK4 point
+kinds, single-bath continuous contact and switched contact, run
+through _run_rk4.
 
 The points are independent, and a point's bits do not depend on what
 ran before it.  So a sweep runs its points on up to one thread per CPU,
@@ -42,6 +45,13 @@ from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     make_sampling_times, span_histogram)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
+
+# switching does work on the particle: over 768 switched runs (2 x 5 and
+# 2 x 30 oscillators, Omega 1e-3 to 50, delta_t_steps 1 to 2000, h 1e-3
+# to 0.5, both renormalizations) its largest sampled energy reached 3.0
+# times the initial total energy, and a bath's free energies 1.3 times
+ENERGY_HEADROOM = 64.0
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -101,6 +111,22 @@ class SweepSpec:
             raise ValueError(f"omega_uv={w_max:g} with N m / M = {coupling:g} over the baths "
                              "overflows the normal modes, which form up to "
                              "(N m / M) omega_uv^6")
+        # a Boltzmann draw -T ln(1 - u), u < 1 a double, stays below 37 T, so
+        # no draw's total energy H exceeds initial_energy + 37 N T over the
+        # baths.  A run sums n_samples bare particle energies, each below H.
+        # A bath fit sums a bath's free energies: below 2 H from its springs,
+        # plus what the particle carries when the baths move with it in the
+        # collective mode, held by the particle's spring M Omega^2 alone,
+        # 2 H (N m / (M + sum N m)) (omega_uv / Omega)^2
+        energy = self.initial_energy + 37.0 * sum(b.size * b.temperature for b in baths)
+        w = min(self.omega_grid)
+        sums = max([self.plan.n_samples] + [
+            2.0 + 2.0 * b.size * b.mass / self.tp_mass / (1.0 + coupling)
+            * (b.dos.omega_uv / w) * (b.dos.omega_uv / w) for b in baths])
+        if not np.isfinite(ENERGY_HEADROOM * energy * sums):
+            raise ValueError(f"initial_energy={self.initial_energy!r} with the baths' 37 N T "
+                             f"overflows the sums over {sums:g} sampled or oscillator "
+                             f"energies at omega={w:g}, with a headroom of {ENERGY_HEADROOM:g}")
 
     def test_particle(self, omega: float) -> TestParticleSpec:
         """Initial energy is placed entirely in the momentum."""
@@ -110,24 +136,32 @@ class SweepSpec:
 
 @dataclass(frozen=True)
 class PointResult:
-    """One (omega, seed) simulation reduced to its statistics.
+    """One (omega, seed) simulation: its statistics, or why it has none.
 
-    The energies are bare particle energies.  ``fit`` is None when their
-    distribution is not Boltzmann-like (e.g. the decoupled high-frequency
-    regime, where it is a narrow Gaussian); the histogram and mean are
-    still recorded so the regime remains identifiable.
+    The energies are bare particle energies.  ``fit`` is None when the
+    point has no temperature, and ``error`` says why.  It is the fit's
+    FitError when their distribution is not Boltzmann-like (e.g. the
+    decoupled high-frequency regime, where it is a narrow Gaussian); the
+    histogram and mean are still recorded so the regime remains
+    identifiable.  Or it is the FitError or NumericalError the run
+    raised, and the statistics keep their defaults: no histogram, a NaN
+    mean, no bath fits, no steps.  ``step_size`` is the RK4 step of a
+    run that stepped to its end (None for normal modes).
     """
 
     omega: float
     seed: int
-    fit: TemperatureFit | None
-    hist: EnergyHistogram
-    mean_energy: float
-    bath_final: tuple        # per bath TemperatureFit or None (too small to fit)
-    max_snap_distance: float
-    n_steps: int
-    fit_error: FitError | None = None
-    step_size: float | None = None     # the RK4 step; None for normal modes
+    fit: TemperatureFit | None = None
+    hist: EnergyHistogram | None = None
+    mean_energy: float = np.nan
+    bath_final: tuple = ()   # per bath TemperatureFit or None (too small to fit)
+    max_snap_distance: float = 0.0
+    n_steps: int = 0
+    error: Exception | None = None
+    step_size: float | None = None
+
+    def __str__(self) -> str:
+        return f"{type(self.error).__name__}: {self.error}"
 
 
 # Bath blocks hold only N ~ 200 energies.  The log-count fit drops empty
@@ -148,21 +182,20 @@ def _fit_bath_block(energies) -> TemperatureFit | None:
         return None
 
 
-def _reduce_samples(spec, omega, seed, q, p, reals, final_state,
-                    max_snap=0.0, n_steps=0, step_size=None) -> PointResult:
+def _reduce_samples(spec, omega, seed, q, p, reals, final_state, **run) -> PointResult:
+    """A run reduced to its PointResult; run is an RK4 run's snap distance, steps and step."""
     energies = bare_energy(q, p, spec.test_particle(omega))
     hist = span_histogram(energies, spec.n_bins, spec.span_factor)
     try:
-        fit, fit_error = fit_temperature(hist), None
+        fit, error = fit_temperature(hist), None
     except FitError as err:
-        fit, fit_error = None, err
+        fit, error = None, err
     bath_final = tuple(
         _fit_bath_block(oscillator_energies(bq, bp, real.frequencies, real.m))
         for real, bq, bp in zip(reals, final_state.bath_q, final_state.bath_p))
     return PointResult(omega=omega, seed=seed, fit=fit, hist=hist,
-                       mean_energy=float(np.mean(energies)),
-                       bath_final=bath_final, max_snap_distance=max_snap,
-                       n_steps=n_steps, fit_error=fit_error, step_size=step_size)
+                       mean_energy=float(np.mean(energies)), bath_final=bath_final,
+                       error=error, **run)
 
 
 # The normal-mode flow conserves the Hamiltonian exactly; what remains
@@ -181,6 +214,26 @@ def _check_energy_drift(initial: SystemState, final: SystemState,
             f"more than {ENERGY_DRIFT_TOL:g} relative")
 
 
+def _sample_times(spec: SweepSpec, seed: int) -> np.ndarray:
+    return make_sampling_times(spec.plan, substream(seed, SAMPLING_TIMES).generator())
+
+
+def _run_rk4(spec: SweepSpec, omega: float, seed: int, system: TwoBathSystem) -> PointResult:
+    """RK4 run of the system's contact schedule from its draws, reduced to a PointResult.
+
+    An unset step is derived from each distinct contact phase once:
+    continuous contact (a2 is a1) has one.
+    """
+    phases = (system.a1,) if system.a2 is system.a1 else (system.a1, system.a2)
+    dt = spec.step_size or default_step_size(*phases)
+    schedule = SwitchSchedule(delta_t_steps=spec.delta_t_steps, step_size=dt)
+    res = SwitchedPropagator(system, schedule).run(system.initial_vector(),
+                                                   _sample_times(spec, seed))
+    return _reduce_samples(spec, omega, seed, res.q, res.p, system.realizations,
+                           res.final_state, max_snap_distance=res.max_snap_distance,
+                           n_steps=res.n_steps, step_size=dt)
+
+
 def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
                           bath_index: int = 0) -> PointResult:
     """One continuous contact run with spec.bath1: exact normal modes (or RK4).
@@ -192,23 +245,17 @@ def run_single_bath_point(omega: float, spec: SweepSpec, seed: int,
     """
     tp = spec.test_particle(omega)
     real = realize_bath(spec.bath1, seed, bath_index)
-    times = make_sampling_times(
-        spec.plan, substream(seed, SAMPLING_TIMES).generator())
-    state0 = initial_state(tp, (real,))
-    v0 = state0.as_vector()
     cm = build_multi_coupling_matrix(tp, [(real.m, real.frequencies, True)])
-    if spec.propagator == "eigen":
-        prop = diagonalize(cm, v0, final=partial(flow_factors, t=float(times[-1])))
-        q, p = prop.sample_test_particle(times)
-        _check_energy_drift(state0, prop.final_state, tp, real)
-        return _reduce_samples(spec, omega, seed, q, p, (real,), prop.final_state)
-    # continuous RK4: both switch phases use the engaged bath
-    system = TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm)
-    dt = spec.step_size or default_step_size(cm)
-    res = SwitchedPropagator(system, SwitchSchedule(step_size=dt)).run(v0, times)
-    return _reduce_samples(spec, omega, seed, res.q, res.p, (real,), res.final_state,
-                           max_snap=res.max_snap_distance, n_steps=res.n_steps,
-                           step_size=dt)
+    if spec.propagator == "rk4":
+        # continuous RK4: both switch phases use the engaged bath
+        return _run_rk4(spec, omega, seed,
+                        TwoBathSystem(tp=tp, realizations=(real,), a1=cm, a2=cm))
+    times = _sample_times(spec, seed)
+    state0 = initial_state(tp, (real,))
+    prop = diagonalize(cm, state0.as_vector(), final=partial(flow_factors, t=float(times[-1])))
+    q, p = prop.sample_test_particle(times)
+    _check_energy_drift(state0, prop.final_state, tp, real)
+    return _reduce_samples(spec, omega, seed, q, p, (real,), prop.final_state)
 
 
 def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
@@ -218,34 +265,8 @@ def run_two_bath_point(omega: float, spec: SweepSpec, seed: int) -> PointResult:
     tp = spec.test_particle(omega)
     r1 = realize_bath(spec.bath1, seed, 0)
     r2 = realize_bath(spec.bath2, seed, 1)
-    system = build_switched_matrices(tp, r1, r2, renormalization=spec.renormalization)
-    dt = spec.step_size or default_step_size(system.a1, system.a2)
-    schedule = SwitchSchedule(delta_t_steps=spec.delta_t_steps, step_size=dt)
-    times = make_sampling_times(
-        spec.plan, substream(seed, SAMPLING_TIMES).generator())
-    res = SwitchedPropagator(system, schedule).run(system.initial_vector(), times)
-    return _reduce_samples(spec, omega, seed, res.q, res.p, (r1, r2), res.final_state,
-                           max_snap=res.max_snap_distance, n_steps=res.n_steps,
-                           step_size=dt)
-
-
-@dataclass(frozen=True)
-class PointFailure:
-    """Why one (omega, seed) point produced no temperature.
-
-    ``error`` is the exception the run raised or the fit failure it
-    recorded; its class tells numerical failures from fit failures.
-    ``step_size`` is the RK4 step of a run that stepped to its end and
-    then failed its fit (None otherwise).
-    """
-
-    omega: float
-    seed: int
-    error: Exception
-    step_size: float | None = None
-
-    def __str__(self) -> str:
-        return f"{type(self.error).__name__}: {self.error}"
+    return _run_rk4(spec, omega, seed,
+                    build_switched_matrices(tp, r1, r2, renormalization=spec.renormalization))
 
 
 @dataclass(frozen=True)
@@ -259,22 +280,28 @@ class ThermalizationCurve:
     overflow_fraction: np.ndarray
     bath_initial: tuple     # per bath (temperature, sigma), seed aggregated
     bath_final: tuple       # per bath (temperatures[nw], sigmas[nw])
-    failures: tuple         # PointFailure per failed (omega, seed)
-    points: tuple           # fitted PointResults, grid order then seed order
+    outcomes: tuple         # PointResult per (omega, seed), grid order then seed order
     spec: SweepSpec
     workers: int = 1        # threads that ran the points
     factor_workers: int = 1  # most threads one point's factorization ran on
 
+    @property
+    def points(self) -> tuple:
+        """The points that fitted a temperature, in grid order."""
+        return tuple(pt for pt in self.outcomes if pt.fit is not None)
 
-def _attempt(runner, spec: SweepSpec, omega: float, seed: int):
-    """One point: its PointResult if it fitted a temperature, else its PointFailure."""
+    @property
+    def failures(self) -> tuple:
+        """The points without a temperature, in grid order."""
+        return tuple(pt for pt in self.outcomes if pt.fit is None)
+
+
+def _attempt(runner, spec: SweepSpec, omega: float, seed: int) -> PointResult:
+    """One point's PointResult; a run that raises a FitError or NumericalError holds it."""
     try:
-        point = runner(omega, spec, seed)
+        return runner(omega, spec, seed)
     except (FitError, NumericalError) as err:
-        return PointFailure(omega, seed, err)
-    if point.fit is None:
-        return PointFailure(omega, seed, point.fit_error, point.step_size)
-    return point
+        return PointResult(omega, seed, error=err)
 
 
 def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
@@ -300,12 +327,8 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     # pass (propagator._workers) only off the point threads
     modes = 1 + sum(bath.size for bath, _ in baths)
     factor_workers = 1 if workers > 1 else _workers(modes)
-    points, failures = [], []
     for i in range(nw):
-        row = outcomes[i * ns:(i + 1) * ns]
-        failures += [pt for pt in row if isinstance(pt, PointFailure)]
-        fitted = [pt for pt in row if isinstance(pt, PointResult)]
-        points.extend(fitted)
+        fitted = [pt for pt in outcomes[i * ns:(i + 1) * ns] if pt.fit is not None]
         if not fitted:
             continue
         fits = [pt.fit for pt in fitted]
@@ -327,7 +350,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     return ThermalizationCurve(
         omegas=omegas, temperature=temperature, sigma=sigma, goodness=goodness,
         overflow_fraction=overflow, bath_initial=tuple(bath_initial),
-        bath_final=tuple(final), failures=tuple(failures), points=tuple(points),
+        bath_final=tuple(final), outcomes=tuple(outcomes),
         spec=spec, workers=workers, factor_workers=factor_workers)
 
 

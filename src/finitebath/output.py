@@ -73,8 +73,9 @@ def read_histogram(path) -> EnergyHistogram:
     """Read back an emitted histogram CSV.
 
     ValueError unless the edges are finite, strictly increasing and
-    contiguous (each bin_lo is the previous bin_hi) and no count is
-    negative.
+    contiguous (each bin_lo is the previous bin_hi), no count is
+    negative and the counts total at most 2^63 - 1, so that they and
+    their total are int64.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != "bin_lo,bin_hi,count":
@@ -87,15 +88,18 @@ def read_histogram(path) -> EnergyHistogram:
         lo.append(float(a))
         hi.append(float(b))
         counts.append(int(c))
-    lo, hi, counts = np.array(lo), np.array(hi), np.array(counts)
+    if min(counts) < 0:
+        raise ValueError(f"{path}: histogram counts must be non-negative")
+    if sum(counts) > np.iinfo(np.int64).max:
+        raise ValueError(f"{path}: histogram counts total more than the 2^63 - 1 "
+                         "samples a histogram holds")
+    lo, hi, counts = np.array(lo), np.array(hi), np.array(counts, dtype=np.int64)
     if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
         raise ValueError(f"{path}: histogram edges must be finite")
     if not np.all(hi > lo):
         raise ValueError(f"{path}: histogram edges must strictly increase")
     if not np.array_equal(lo[1:], hi[:-1]):
         raise ValueError(f"{path}: each bin_lo must equal the previous bin_hi")
-    if np.any(counts < 0):
-        raise ValueError(f"{path}: histogram counts must be non-negative")
     edges = np.append(lo, hi[-1])
     return EnergyHistogram(bin_edges=edges, counts=counts, overflow=0,
                            total_samples=int(counts.sum()))

@@ -51,8 +51,8 @@ Matrix Anal. Appl. 16, 172 (1995)):
    giving the amplitudes a_k, b_k and the particle's entries u_k[0]
    that the samplers read, and, given a final time, adds the same
    block's share of the state there, which needs only a_k, b_k and
-   that time.  full_state and mode_vector (the switched period map's
-   state) make a pass of their own, and so does mode_residual.  The
+   that time.  mode_vector (the switched period map's state) makes a
+   pass of its own, and so does mode_residual.  The
    samplers need no shapes after that: Q and P are two coefficient
    rows (A, B) of the mode sums below, built from u_k[0], a_k and b_k.
 
@@ -1221,8 +1221,9 @@ def diagonalize(cm: CouplingMatrix, v0, final=None) -> EigenPropagator:
     of one later time, flow_factors or rk4_factors with that time bound
     (functools.partial): the pass that projects v0 onto the modes then
     builds the state there as well, prop.final_state, without a second
-    pass over the mode shapes.  It is full_state(prop, t) for
-    flow_factors, to the last bit.
+    pass over the mode shapes.  For flow_factors it is, to the last bit,
+    the state that mode_vector builds from the flowed amplitudes in a
+    pass of its own (the tests' full_state).
 
     Raises EigensolverError if dlasd4 fails on a secular root or the
     system has a zero frequency mode (Omega = 0).
@@ -1326,13 +1327,6 @@ def mode_amplitudes(prop: EigenPropagator, v) -> np.ndarray:
     """(2, n): the amplitudes a_k = u_k . M x and b_k = u_k . p of a state vector v."""
     v = _as_vector(v, prop.cm.dim)
     return _sweep(prop.cm, prop.shapes, _weighted(prop.cm, prop.shapes, v), None)[0]
-
-
-def full_state(prop: EigenPropagator, t: float) -> SystemState:
-    """Reconstruct every coordinate at time t (O(N^2))."""
-    c, s, t = flow_factors(prop.nu, t)
-    f, g = _state_rows(prop.coef_cos, prop.coef_sin, prop.nu, c, s).T
-    return SystemState.from_vector(mode_vector(prop, f, g), prop.cm.bath_sizes, time=t)
 
 
 def mode_vector(prop: EigenPropagator, f, g) -> np.ndarray:

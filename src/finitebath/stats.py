@@ -132,16 +132,22 @@ class TemperatureFit:
 
 
 def fit_temperature(hist: EnergyHistogram) -> TemperatureFit:
-    """T = -1/slope of ln N_i versus bin center, weights w_i = N_i."""
+    """T = -1/slope of ln N_i versus bin center, weights w_i = N_i.
+
+    FitError where the slope -1/T, T or its error is no finite double,
+    or the error is zero: a histogram whose energies lie near the
+    smallest doubles gives a T whose slope overflows.
+    """
     mask = hist.counts > 0
     n_used = int(np.sum(mask))
     if n_used < 3:
         raise FitError(f"only {n_used} nonempty bins; need at least 3 to fit a slope")
-    # energies in units of a power of two near the largest centre: scaling by
-    # it is exact, so no bit of the fit moves, and (x - xbar)^2 does not
-    # overflow for energies near the largest float
-    unit = 2.0 ** int(np.frexp(np.max(hist.bin_centers[mask]))[1])
-    x = hist.bin_centers[mask] / unit
+    # energies in units of 2^scale, a power of two near the largest edge:
+    # scaling by it is exact, so no bit of the fit moves, and neither the
+    # bin centres nor (x - xbar)^2 overflow for edges near the largest float
+    scale = int(np.frexp(np.max(np.abs(hist.bin_edges)))[1])
+    edges = np.ldexp(hist.bin_edges, -scale)
+    x = 0.5 * (edges[:-1] + edges[1:])[mask]
     w = hist.counts[mask].astype(float)
     y = np.log(w)
     wsum = w.sum()
@@ -151,14 +157,18 @@ def fit_temperature(hist: EnergyHistogram) -> TemperatureFit:
         raise FitError("degenerate histogram: all counts in one energy column")
     slope = np.sum(w * (x - xbar) * y) / sxx       # per unit
     intercept = np.sum(w * y) / wsum - slope * xbar
-    if slope >= 0.0:
-        raise NonThermalDistributionError(slope=float(slope / unit))
-    temperature = -unit / slope
-    sigma = unit * (np.sqrt(1.0 / sxx) / slope**2)
+    with np.errstate(over="ignore"):       # checked below
+        per_energy = float(np.ldexp(slope, -scale))
+        if slope >= 0.0:
+            raise NonThermalDistributionError(slope=per_energy)
+        temperature = float(np.ldexp(-1.0 / slope, scale))
+        sigma = float(np.ldexp(np.sqrt(1.0 / sxx) / slope**2, scale))
+    if not (np.isfinite(per_energy) and np.isfinite(temperature) and 0.0 < sigma < np.inf):
+        raise FitError(f"the fitted temperature {temperature:g} +- {sigma:g}, with slope "
+                       f"{per_energy:g}, lies beyond the finite doubles")
     goodness = float(np.sum(w * (y - (intercept + slope * x)) ** 2))
-    return TemperatureFit(temperature=float(temperature), sigma=float(sigma),
-                          slope=float(slope / unit), intercept=float(intercept),
-                          n_bins_used=n_used, goodness=goodness)
+    return TemperatureFit(temperature=temperature, sigma=sigma, slope=per_energy,
+                          intercept=float(intercept), n_bins_used=n_used, goodness=goodness)
 
 
 DEFAULT_N_BINS = 40

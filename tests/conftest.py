@@ -3,8 +3,10 @@
 The program never forms a dense matrix of a system.  The references
 here do: the drift matrix A of v' = A v, the RK4 update map R(hA), the
 switched period map factored by dense eig (dense_floquet) and literal
-RK4 stepping (the step_literally fixture).  Test modules import them
-from conftest.
+RK4 stepping (the step_literally fixture).  full_state rebuilds a
+normal-mode system's state at any time in a pass of its own, the
+reference for the final state diagonalize builds in its projection
+pass.  Test modules import them from conftest.
 
 Acceptance tests are named test_criterion_NN_*; after the run a summary
 block prints one PASS/FAIL line per criterion so the verdicts can be
@@ -19,7 +21,7 @@ import numpy as np
 import pytest
 
 from finitebath import propagator
-from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec
+from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
 from finitebath.output import CURVE_HEADER
 
 _CRITERION = re.compile(r"test_acceptance\.py::test_criterion_(\d+)_(\w+)")
@@ -48,6 +50,14 @@ def rk4_update_matrix(a: np.ndarray, h: float) -> np.ndarray:
     u = eye + (ha / 3.0) @ u
     u = eye + (ha / 2.0) @ u
     return eye + ha @ u
+
+
+def full_state(prop, t: float) -> SystemState:
+    """Every coordinate of an EigenPropagator's system at time t, in one pass of its own."""
+    c, s, t = propagator.flow_factors(prop.nu, t)
+    f, g = propagator._state_rows(prop.coef_cos, prop.coef_sin, prop.nu, c, s).T
+    return SystemState.from_vector(propagator.mode_vector(prop, f, g), prop.cm.bath_sizes,
+                                   time=t)
 
 
 def step_maps(system, schedule):

@@ -22,12 +22,13 @@ from finitebath.bath import realize_bath
 from finitebath.config import build_sweep_spec, check_config
 from finitebath.experiments import run_two_bath_point
 from finitebath.model import BathSpec, DensityOfStates, TestParticleSpec, initial_state
-from finitebath.propagator import (build_multi_coupling_matrix, diagonalize, flow_factors,
-                                   full_state)
+from finitebath.propagator import build_multi_coupling_matrix, diagonalize, flow_factors
 from finitebath.rng import SAMPLING_TIMES, substream
 from finitebath.stats import SamplingPlan, make_sampling_times
 from finitebath.switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                                  build_switched_matrices, default_step_size)
+
+from conftest import full_state
 
 BAND = DensityOfStates("uniform", 0.2, 1.0)
 # the sampling plan of sweep_n400, and a short one

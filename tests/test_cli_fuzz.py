@@ -1,5 +1,6 @@
 """Bad input as a property: CLI runs at boundary bath masses, bands, sizes, schedules,
-sampling keys, single-bath keys and exchange and oracle flags.
+sampling keys, single-bath keys, exchange and oracle flags, and fit's histograms and
+--json-out targets.
 
 Every run must end in a documented exit code (0 success, 2 configuration
 error, 3 numerical failure, 4 fit failure), raise nothing and emit no
@@ -12,10 +13,12 @@ import contextlib
 import io
 import json
 import math
+import re
 import tempfile
 import warnings
 from pathlib import Path
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -185,6 +188,19 @@ def test_boundary_single_bath_keys_end_in_a_documented_exit_code(keys):
     _assert_failures_named(keys, code, manifest, failed)
 
 
+@pytest.mark.parametrize("omega", [0.5, 0.001])
+def test_a_particle_energy_whose_sums_overflow_is_refused(omega):
+    """Just below the bound on 2 M E, 200 sampled energies of 1e307 overflow their sum.
+
+    At omega = 0.001 the bath oscillators that follow the particle hold
+    free energies beyond the largest double too.
+    """
+    sets = ["bath1_size=5", "initial_energy=1e307", f"omega_grid=[{omega}]", "seeds=[1]",
+            "n_samples=200"]
+    code, _, _ = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
+    assert code == 2
+
+
 # the exchange's flags, each left at its default or drawn from its boundary set
 EXCHANGE = {"--xi": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.5, 0.999, 1.0, 1e6],
             "--omega-r": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100, 1e154],
@@ -264,3 +280,81 @@ def oracles(draw):
 def test_boundary_oracle_flags_end_in_a_documented_exit_code(argv):
     """Every number an oracle writes is finite, or the run is refused."""
     _run_flags(argv, finite=True)
+
+
+# a fit's histogram: 1 to 8 bins from 0, from half or from 0.9 of a top edge
+# at a boundary scale, with counts at boundary sizes, drawn one by one or
+# halving from the first; and where --json-out points, in a directory that
+# holds the directory `dir` and the file `file.txt`
+EDGE_TOPS = [5e-324, 1e-320, 1e-300, 1e-6, 1.0, 1e6, 1e300, 1e307, 1.5e308, 1.7976931348623157e308]
+COUNTS = [0, 1, 2, 7, 1000, 2**53, 2**63 - 1, 2**63, 10**400]
+JSON_OUT = [None, "fit.json", "new/fit.json", "dir", "file.txt", "file.txt/fit.json"]
+
+
+def _run_fit(rows, target=None):
+    """`fit` of a CSV with these (bin_lo, bin_hi, count) rows: its exit code.
+
+    Asserts a documented exit code, nothing raised, no warning, and on
+    success a finite printed T and error, also in the --json-out file.
+    """
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        tmp = Path(tmp)
+        (tmp / "dir").mkdir()
+        (tmp / "file.txt").write_text("kept\n")
+        csv = tmp / "hist.csv"
+        csv.write_text("bin_lo,bin_hi,count\n"
+                       + "".join(f"{lo!r},{hi!r},{count}\n" for lo, hi, count in rows))
+        argv = ["fit", str(csv)] + ([] if target is None else ["--json-out", str(tmp / target)])
+        warnings.simplefilter("always")
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = cli.main(argv)
+        assert code in (0, 2, 4), (rows, target, code)
+        assert not caught, (rows, target, [str(w.message) for w in caught])
+        assert "Warning" not in stderr.getvalue(), (rows, target, stderr.getvalue())
+        if code == 0:
+            printed = re.fullmatch(r"T = (\S+) \+- (\S+) \(\d+ bins\)\n", stdout.getvalue())
+            assert printed and all(math.isfinite(float(x)) for x in printed.groups()), \
+                (rows, stdout.getvalue())
+            if target is not None:
+                fit = json.loads((tmp / target).read_text(), parse_constant=float)
+                assert all(math.isfinite(x) for x in fit.values()), (rows, fit)
+    return code
+
+
+@st.composite
+def fit_inputs(draw):
+    """(rows, --json-out target) of one fit run."""
+    n = draw(st.integers(min_value=1, max_value=8))
+    top = draw(st.sampled_from(EDGE_TOPS))
+    start = draw(st.sampled_from([0.0, 0.5, 0.9]))
+    edges = [start * top + (top - start * top) * i / n for i in range(n)] + [top]
+    if draw(st.booleans()):
+        counts = draw(st.lists(st.sampled_from(COUNTS), min_size=n, max_size=n))
+    else:
+        first = draw(st.sampled_from(COUNTS))
+        counts = [first >> i for i in range(n)]
+    return list(zip(edges[:-1], edges[1:], counts)), draw(st.sampled_from(JSON_OUT))
+
+
+@given(run=fit_inputs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_boundary_fit_inputs_end_in_a_documented_exit_code(run):
+    _run_fit(*run)
+
+
+def test_a_fit_near_the_largest_double_has_a_finite_temperature():
+    """Bin centres near 1e308 overflowed when formed, and the fit printed T = nan."""
+    assert _run_fit([(0.0, 5e307, 50), (5e307, 1e308, 20), (1e308, 1.5e308, 5)]) == 0
+
+
+def test_a_fit_whose_slope_overflows_is_a_fit_failure():
+    """On subnormal edges T is about 1e-320, and the slope -1/T is beyond the doubles."""
+    assert _run_fit([(0.0, 1e-320, 50), (1e-320, 2e-320, 20), (2e-320, 3e-320, 5)]) == 4
+
+
+def test_a_json_out_that_cannot_be_written_is_a_configuration_error():
+    rows = [(0.0, 1.0, 50), (1.0, 2.0, 20), (2.0, 3.0, 5)]
+    assert _run_fit(rows, "fit.json") == 0
+    assert _run_fit(rows, "dir") == 2
+    assert _run_fit(rows, "file.txt/fit.json") == 2

@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from finitebath.experiments import (
+    PointResult,
     SweepSpec,
     exchange_splitting,
     peak_location,
@@ -25,7 +26,7 @@ from finitebath.experiments import (
 )
 from finitebath import cli, experiments, propagator, switched
 from finitebath.model import BathSpec, DensityOfStates, bare_energy
-from finitebath.stats import SamplingPlan
+from finitebath.stats import FitError, SamplingPlan
 
 BAND = DensityOfStates("uniform", 0.2, 1.0)
 QUICK_PLAN = SamplingPlan(mean_interval=2.0, n_samples=400, warmup=100.0)
@@ -194,6 +195,51 @@ def test_sweep_covers_the_grid_and_flags_the_decoupled_regime():
     t_init, s_init = curve.bath_initial[0]
     assert 4.0 < t_init < 6.5
     assert s_init > 0.0
+
+
+def test_a_curve_keeps_one_result_per_point_in_grid_order(monkeypatch):
+    """An RK4 sweep whose point (0.5, 2) raises and whose point (0.7, 1) fails its fit.
+
+    Every point ends in one PointResult, in grid order then seed order.
+    A failure holds its error; the point that stepped to its end and then
+    failed its fit keeps its histogram and its RK4 step.  points and
+    failures are the fitted and the failed points, each in that order.
+    """
+    run = experiments.run_single_bath_point
+
+    def unfit(hist):
+        raise FitError("forced fit failure")
+
+    def runner(omega, spec, seed, **kwargs):
+        if (omega, seed) == (0.5, 2):
+            raise propagator.NumericalError("forced")
+        if (omega, seed) != (0.7, 1):
+            return run(omega, spec, seed, **kwargs)
+        # a single-bath RK4 sweep runs its points in order on this thread
+        with monkeypatch.context() as patch:
+            patch.setattr(experiments, "fit_temperature", unfit)
+            return run(omega, spec, seed, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_single_bath_point", runner)
+    curve = run_sweep(_quick_spec(
+        omega_grid=(0.3, 0.5, 0.7), seeds=(1, 2), propagator="rk4",
+        bath1=BathSpec(size=40, mass=0.01, temperature=5.0, dos=BAND),
+        plan=SamplingPlan(mean_interval=1.0, n_samples=150, warmup=20.0)))
+    assert all(isinstance(pt, PointResult) for pt in curve.outcomes)
+    assert [(pt.omega, pt.seed) for pt in curve.outcomes] == [
+        (0.3, 1), (0.3, 2), (0.5, 1), (0.5, 2), (0.7, 1), (0.7, 2)]
+    raised, failed = curve.outcomes[3], curve.outcomes[4]
+    assert isinstance(raised.error, propagator.NumericalError)
+    assert str(raised) == "NumericalError: forced"
+    assert raised.fit is None and raised.hist is None and np.isnan(raised.mean_energy)
+    assert raised.step_size is None and raised.n_steps == 0 and raised.bath_final == ()
+    assert str(failed) == "FitError: forced fit failure"
+    assert failed.fit is None and failed.hist is not None
+    assert failed.step_size > 0.0 and failed.n_steps > 0
+    assert [id(pt) for pt in curve.failures] == [id(raised), id(failed)]
+    assert [id(pt) for pt in curve.points] == [id(curve.outcomes[i]) for i in (0, 1, 2, 5)]
+    assert all(pt.fit is not None and pt.error is None and pt.step_size > 0.0
+               for pt in curve.points)
 
 
 def test_two_bath_sweep_produces_alone_curves():

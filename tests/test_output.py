@@ -31,7 +31,7 @@ def _toy_curve():
         overflow_fraction=np.array([0.0, 0.01, np.nan]),
         bath_initial=((5.02, 0.11),),
         bath_final=((np.array([5.0, 5.1, np.pi]), np.array([0.1] * n)),),
-        failures=(), points=(), spec=spec)
+        outcomes=(), spec=spec)
 
 
 def test_fmt_round_trips_binary_floats():

@@ -25,7 +25,6 @@ from finitebath.propagator import (
     factorization_fits,
     diagonalize,
     flow_factors,
-    full_state,
     max_mode_frequency,
     mode_residual,
     mode_vector,
@@ -34,7 +33,7 @@ from finitebath.propagator import (
 )
 from finitebath.switched import SwitchSchedule, TwoBathSystem
 
-from conftest import drift_matrix
+from conftest import drift_matrix, full_state
 
 
 def _initial_vector(tp, real):
