@@ -42,8 +42,8 @@ import numpy as np
 from . import __version__
 from .bath import realize_bath
 from .config import ConfigError, build_bath, build_sweep_spec, check_config
-from .experiments import (peak_location, run_degenerate_exchange, run_sweep,
-                          run_two_bath_sweep)
+from .experiments import (check_exchange, peak_location, run_degenerate_exchange,
+                          run_sweep, run_two_bath_sweep)
 from .model import TestParticleSpec
 from .oracles import (
     arcsine_distribution_check,
@@ -147,7 +147,11 @@ def _load_config(args: argparse.Namespace) -> dict:
 
 
 def _outdir(args: argparse.Namespace) -> Path:
-    args.out.mkdir(parents=True, exist_ok=True)
+    """The --out directory, created if missing; ConfigError if it cannot be."""
+    try:
+        args.out.mkdir(parents=True, exist_ok=True)
+    except OSError as err:
+        raise ConfigError(f"cannot create --out {args.out}: {err}") from err
     return args.out
 
 
@@ -214,7 +218,6 @@ def cmd_single(args: argparse.Namespace) -> int:
         print(f"seed {point.seed}: T = {fmt(point.fit.temperature)} "
               f"+- {fmt(point.fit.sigma)}")
     if not curve.points:
-        manifest.finish()
         manifest.write(out / "manifest.json")
         raise _worst_failure(curve)
     temperature, sigma = curve.temperature[0], curve.sigma[0]
@@ -224,7 +227,6 @@ def cmd_single(args: argparse.Namespace) -> int:
                "sigma": sigma, "n_seeds": len(curve.points)}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     manifest.outputs.append("summary.json")
-    manifest.finish()
     manifest.write(out / "manifest.json")
     return EXIT_OK
 
@@ -269,7 +271,6 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     curve = run_sweep(spec)
     _write_curve(manifest, curve, out, "curve.csv")
     _record(manifest, curve)
-    manifest.finish()
     manifest.write(out / "manifest.json")
     n_ok = int(np.sum(np.isfinite(curve.temperature)))
     print(f"sweep: {n_ok}/{len(curve.omegas)} grid points fitted, "
@@ -290,7 +291,6 @@ def cmd_twobath(args: argparse.Namespace) -> int:
         _write_curve(manifest, alone, out, f"curve_bath{index + 1}_alone.csv")
         _record(manifest, alone, f"bath{index + 1} alone: ")
     _record(manifest, result.combined)     # last: its bath fits are the run's
-    manifest.finish()
     manifest.write(out / "manifest.json")
     n_ok = int(np.sum(np.isfinite(result.combined.temperature)))
     print(f"twobath: {n_ok}/{len(result.combined.omegas)} combined points fitted")
@@ -302,12 +302,13 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     manifest = RunManifest(command="exchange", config=config, seeds=[],
                            code_version=__version__, propagator="eigen")
     try:
-        ex = run_degenerate_exchange(n=args.size, xi=args.xi, omega_r=args.omega_r,
-                                     e0=args.e0, n_periods=args.n_periods)
+        check_exchange(args.size, args.xi, args.omega_r, args.e0, args.n_periods)
     except ValueError as err:     # out-of-range arguments
         raise ConfigError(str(err)) from err
-    manifest.seeds = [ex.seed]    # the trace does not depend on it
     out = _outdir(args)
+    ex = run_degenerate_exchange(n=args.size, xi=args.xi, omega_r=args.omega_r,
+                                 e0=args.e0, n_periods=args.n_periods)
+    manifest.seeds = [ex.seed]    # the trace does not depend on it
     trace = out / "exchange.csv"
     write_csv(trace, "time,energy", zip(ex.times, ex.energies))
     d, p = arcsine_distribution_check(ex.ks_energies, ex.e0)
@@ -324,7 +325,6 @@ def cmd_exchange(args: argparse.Namespace) -> int:
                "ks_statistic": d, "ks_pvalue": p}
     (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
     manifest.outputs = [trace.name, "summary.json"]
-    manifest.finish()
     manifest.write(out / "manifest.json")
     return EXIT_OK
 
@@ -409,7 +409,6 @@ def cmd_oracle(args: argparse.Namespace) -> int:
         manifest.outputs = _oracle_kernel(args, out, bath)
     else:
         manifest.outputs = _oracle_mixture(args, out)
-    manifest.finish()
     manifest.write(out / "manifest.json")
     return EXIT_OK
 

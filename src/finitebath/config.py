@@ -62,33 +62,47 @@ def _as_choice(choices):
     return cast
 
 
-_BATH_KEYS = ("size", "mass", "temperature", "dos", "omega_ir", "omega_uv")
-
-_CASTERS = {
-    "mass": _as_float,
-    "omega": _as_frequency,
-    "omega_grid": _as_frequency_list,
-    "initial_energy": _as_float,
-    "seeds": _as_int_list,
-    "n_samples": _as_int,
-    "mean_interval": _as_float,
-    "warmup": _as_float,
-    "n_bins": _as_int,
-    "span_factor": _as_float,
-    "propagator": _as_choice({"eigen", "rk4"}),
-    "delta_t_steps": _as_int,
-    "step_size": _as_float,
-    "renormalization": _as_choice({"switched", "static"}),
+# One table per object a config builds: key -> (caster, the field the key
+# sets).  The object is built from the fields its keys set, so every other
+# field keeps its dataclass default.  A bath's keys carry its prefix.
+_SWEEP = {
+    "omega_grid": (_as_frequency_list, "omega_grid"),
+    "mass": (_as_float, "tp_mass"),
+    "initial_energy": (_as_float, "initial_energy"),
+    "seeds": (_as_int_list, "seeds"),
+    "n_bins": (_as_int, "n_bins"),
+    "span_factor": (_as_float, "span_factor"),
+    "propagator": (_as_choice({"eigen", "rk4"}), "propagator"),
+    "delta_t_steps": (_as_int, "delta_t_steps"),
+    "step_size": (_as_float, "step_size"),
+    "renormalization": (_as_choice({"switched", "static"}), "renormalization"),
 }
-for _prefix in ("bath1", "bath2"):
-    _CASTERS.update({
-        f"{_prefix}_size": _as_int,
-        f"{_prefix}_mass": _as_float,
-        f"{_prefix}_temperature": _as_float,
-        f"{_prefix}_dos": _as_choice({UNIFORM, INVERSE_SQUARE, SQUARE}),
-        f"{_prefix}_omega_ir": _as_frequency,
-        f"{_prefix}_omega_uv": _as_frequency,
-    })
+_PLAN = {
+    "mean_interval": (_as_float, "mean_interval"),
+    "n_samples": (_as_int, "n_samples"),
+    "warmup": (_as_float, "warmup"),
+}
+_BATH = {
+    "size": (_as_int, "size"),
+    "mass": (_as_float, "mass"),
+    "temperature": (_as_float, "temperature"),
+}
+_DOS = {
+    "dos": (_as_choice({UNIFORM, INVERSE_SQUARE, SQUARE}), "family"),
+    "omega_ir": (_as_frequency, "omega_ir"),
+    "omega_uv": (_as_frequency, "omega_uv"),
+}
+
+# omega is the one-point omega_grid
+_CASTERS = {"omega": _as_frequency,
+            **{key: cast for key, (cast, _) in (_SWEEP | _PLAN).items()},
+            **{f"{prefix}_{key}": cast for prefix in ("bath1", "bath2")
+               for key, (cast, _) in (_BATH | _DOS).items()}}
+
+
+def _fields(cfg: dict, table: dict, prefix: str = "") -> dict:
+    """field -> value for each key of the table that cfg sets."""
+    return {name: cfg[prefix + key] for key, (_, name) in table.items() if prefix + key in cfg}
 
 
 def check_config(raw: dict) -> dict:
@@ -105,28 +119,19 @@ def check_config(raw: dict) -> dict:
 
 def build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:
     """The bath that the prefix_* keys describe, None if absent and not required."""
-    keys = {k: cfg[f"{prefix}_{k}"] for k in _BATH_KEYS if f"{prefix}_{k}" in cfg}
-    if not keys and not required:
+    fields = _fields(cfg, _BATH, f"{prefix}_")
+    dos = _fields(cfg, _DOS, f"{prefix}_")
+    if not fields and not dos and not required:
         return None
-    defaults = BathSpec()
-    dos_kwargs = {}
-    if "dos" in keys:
-        dos_kwargs["family"] = keys["dos"]
-    if "omega_ir" in keys:
-        dos_kwargs["omega_ir"] = keys["omega_ir"]
-    if "omega_uv" in keys:
-        dos_kwargs["omega_uv"] = keys["omega_uv"]
     try:
-        dos = DensityOfStates(**dos_kwargs) if dos_kwargs else defaults.dos
-        bath = BathSpec(size=keys.get("size", defaults.size),
-                        mass=keys.get("mass", defaults.mass),
-                        temperature=keys.get("temperature", defaults.temperature),
-                        dos=dos)
+        if dos:
+            fields["dos"] = DensityOfStates(**dos)
+        bath = BathSpec(**fields)
     except ValueError as err:
         raise ConfigError(f"{prefix}: {err}") from err
     # an oscillator's stiffness m w^2 divides its energy into the squared
     # position amplitude 2 E / (m w^2), largest at omega_ir
-    stiffness = bath.mass * dos.omega_ir**2
+    stiffness = bath.mass * bath.dos.omega_ir**2
     if stiffness == 0.0 or not math.isfinite(2.0 * bath.temperature / stiffness):
         raise ConfigError(f"{prefix}_mass: at {bath.mass!r} the squared position amplitude "
                           f"2 T / (m omega_ir^2) = 2 * {bath.temperature!r} / {stiffness!r} overflows")
@@ -144,7 +149,7 @@ def _refuse_unread(cfg: dict, two_bath: bool) -> None:
         unread = {"propagator": "a run with bath2"}
     else:
         unread = dict.fromkeys(("delta_t_steps", "renormalization"), "a run without bath2")
-        if cfg.get("propagator", "eigen") == "eigen":
+        if cfg.get("propagator", SweepSpec.propagator) == "eigen":
             unread["step_size"] = "the eigen propagator"
     for key, run in unread.items():
         if key in cfg:
@@ -173,26 +178,8 @@ def build_sweep_spec(cfg: dict, omega_override=None,
     bath2 = build_bath(cfg, "bath2", required=False)
     _refuse_unread(cfg, bath2 is not None)
 
-    plan_kwargs = {}
-    for key, name in (("mean_interval", "mean_interval"),
-                      ("n_samples", "n_samples"), ("warmup", "warmup")):
-        if key in cfg:
-            plan_kwargs[name] = cfg[key]
     try:
-        plan = SamplingPlan(**plan_kwargs)
-    except ValueError as err:
-        raise ConfigError(str(err)) from err
-
-    kwargs = dict(omega_grid=tuple(cfg["omega_grid"]), bath1=bath1, bath2=bath2,
-                  plan=plan)
-    for key, name in (("mass", "tp_mass"), ("initial_energy", "initial_energy"),
-                      ("seeds", "seeds"), ("n_bins", "n_bins"),
-                      ("span_factor", "span_factor"), ("propagator", "propagator"),
-                      ("delta_t_steps", "delta_t_steps"), ("step_size", "step_size"),
-                      ("renormalization", "renormalization")):
-        if key in cfg:
-            kwargs[name] = cfg[key]
-    try:
-        return SweepSpec(**kwargs)
+        plan = SamplingPlan(**_fields(cfg, _PLAN))
+        return SweepSpec(bath1=bath1, bath2=bath2, plan=plan, **_fields(cfg, _SWEEP))
     except ValueError as err:
         raise ConfigError(str(err)) from err

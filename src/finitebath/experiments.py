@@ -87,6 +87,11 @@ class SweepSpec:
             raise ValueError(f"seeds must be distinct, got {list(self.seeds)}")
         if self.initial_energy < 0.0:
             raise ValueError(f"initial_energy must be >= 0, got {self.initial_energy}")
+        # the particle's energy P^2 / 2M + M Omega^2 Q^2 / 2 forms 2M and M Omega^2
+        top = max(self.omega_grid)
+        if not (np.isfinite(2.0 * self.tp_mass) and np.isfinite(self.tp_mass * top * top)):
+            raise ValueError(f"mass={self.tp_mass!r} overflows the particle's 2 M or its "
+                             f"stiffness M omega^2 at omega={top:g}")
         if not np.isfinite(2.0 * self.tp_mass * self.initial_energy):
             raise ValueError(f"initial_energy={self.initial_energy!r} with mass={self.tp_mass!r} "
                              "overflows the particle's squared momentum 2 M E")
@@ -281,7 +286,6 @@ class ThermalizationCurve:
     bath_initial: tuple     # per bath (temperature, sigma), seed aggregated
     bath_final: tuple       # per bath (temperatures[nw], sigmas[nw])
     outcomes: tuple         # PointResult per (omega, seed), grid order then seed order
-    spec: SweepSpec
     workers: int = 1        # threads that ran the points
     factor_workers: int = 1  # most threads one point's factorization ran on
 
@@ -319,6 +323,8 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     temperature, sigma, goodness, overflow = (np.full(nw, np.nan) for _ in range(4))
     final = [(np.full(nw, np.nan), np.full(nw, np.nan)) for _ in baths]
     grid = [(float(w), seed) for w in spec.omega_grid for seed in spec.seeds]
+    # a single-bath RK4 sweep stays serial: on point threads its peak
+    # memory rose by 4.5 % and its wall time did not fall (rk4_dense)
     workers = 1
     if spec.bath2 is not None or spec.propagator == "eigen":
         workers = min(usable_cpus(), len(grid))
@@ -351,7 +357,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
         omegas=omegas, temperature=temperature, sigma=sigma, goodness=goodness,
         overflow_fraction=overflow, bath_initial=tuple(bath_initial),
         bath_final=tuple(final), outcomes=tuple(outcomes),
-        spec=spec, workers=workers, factor_workers=factor_workers)
+        workers=workers, factor_workers=factor_workers)
 
 
 def run_sweep(spec: SweepSpec) -> ThermalizationCurve:
@@ -438,28 +444,24 @@ def exchange_splitting(omega_r: float, xi: float) -> float:
     return float(omega_r * (np.sqrt(1.0 + s) - np.sqrt(1.0 - s)))
 
 
-def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
-                            omega_r: float = 1.0, e0: float = 10.0, seed: int = 3,
-                            n_periods: int = 16, n_grid: int = 8192,
-                            n_ks_samples: int = 4000) -> DegenerateExchange:
-    """Kick the particle with e0 against a degenerate bath at resonance.
+EXCHANGE_GRID = 8192     # points of run_degenerate_exchange's energy trace
 
-    The particle frequency is set to omega_r sqrt(1 - xi) so that its
-    renormalized frequency matches the bath line exactly.  The bath is
-    drawn at temperature 1; pairwise cancellation leaves its collective
-    coordinate at rest whatever the temperature, so the trace does not
-    depend on the seed (to rounding).  The seed picks the bath draw and
-    the randomly timed samples of the arcsine test.  Out-of-range
-    inputs, an e0 below eps of the bath's temperature or so large that
-    the trace's sums overflow, an omega_r whose normal modes would
-    overflow or underflow, and a xi so small that the splitting is below
-    1e4 eps of omega_r, are a ValueError before the bath is built.
+
+def check_exchange(n: int, xi: float, omega_r: float, e0: float, n_periods: int,
+                   n_grid: int = EXCHANGE_GRID) -> float:
+    """The splitting of run_degenerate_exchange's inputs, ValueError if out of range.
+
+    Out of range are an odd bath size (pairwise cancellation), an e0
+    below eps of the bath's temperature or so large that the trace's
+    sums overflow, an omega_r whose normal modes would overflow or
+    underflow, and a xi so small that the splitting is below 1e4 eps of
+    omega_r.
     """
-    from .bath import pairwise_cancelled
-
     if n < 1 or n_periods < 1:
         raise ValueError(f"need n >= 1 and n_periods >= 1, got n={n}, "
                          f"n_periods={n_periods}")
+    if n % 2 != 0:
+        raise ValueError(f"pairwise cancellation needs an even bath size, got {n}")
     if not (0.0 < e0 < np.inf and 0.0 < omega_r < np.inf):
         raise ValueError(f"e0 and omega_r must be finite and positive, got "
                          f"e0={e0}, omega_r={omega_r}")
@@ -484,6 +486,26 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     if not dnu >= 1e4 * np.finfo(float).eps * omega_r:
         raise ValueError(f"xi={xi:g} splits the resonance by {dnu / omega_r:.3g} "
                          "of omega_r, below the 1e4 eps double precision resolves")
+    return dnu
+
+
+def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
+                            omega_r: float = 1.0, e0: float = 10.0, seed: int = 3,
+                            n_periods: int = 16, n_grid: int = EXCHANGE_GRID,
+                            n_ks_samples: int = 4000) -> DegenerateExchange:
+    """Kick the particle with e0 against a degenerate bath at resonance.
+
+    The particle frequency is set to omega_r sqrt(1 - xi) so that its
+    renormalized frequency matches the bath line exactly.  The bath is
+    drawn at temperature 1; pairwise cancellation leaves its collective
+    coordinate at rest whatever the temperature, so the trace does not
+    depend on the seed (to rounding).  The seed picks the bath draw and
+    the randomly timed samples of the arcsine test.  Inputs that
+    check_exchange refuses are a ValueError before the bath is built.
+    """
+    from .bath import pairwise_cancelled
+
+    dnu = check_exchange(n, xi, omega_r, e0, n_periods, n_grid)
     m = xi / float(n)                       # test particle mass is 1
     omega = omega_r * np.sqrt(1.0 - xi)
     dos = DensityOfStates("uniform", omega_r, omega_r)

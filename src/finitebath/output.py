@@ -154,10 +154,9 @@ class RunManifest:
     def now() -> str:
         return datetime.now(timezone.utc).isoformat()
 
-    def finish(self) -> None:
-        self.finished = self.now()
-
     def write(self, path) -> None:
+        """Stamp the time as finished and write the manifest as JSON."""
+        self.finished = self.now()
         payload = {k: _jsonable(v) for k, v in self.__dict__.items()}
         Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
 

@@ -2,8 +2,9 @@
 
 The coupling is switched as a square wave: bath 1 is engaged during
 step blocks [2k dT, (2k+1) dT) and bath 2 during the complementary
-blocks.  Two drift matrices A1 and A2 of the same dimension describe
-the two contact phases; during its off phase a bath evolves freely and
+blocks.  Two coupling matrices a1 and a2 (propagator.CouplingMatrix,
+mass-weighted stiffness arrowheads of the same dimension) describe the
+two contact phases; during its off phase a bath evolves freely and
 exerts no force on the particle.
 
 Switching happens only on step boundaries, and observations are snapped
@@ -575,9 +576,18 @@ class _ModalPeriodMap:
 
     @staticmethod
     def log_mu(sigma):
-        """log(1 + sigma) without cancellation in log |mu|."""
-        return (0.5 * np.log1p(2.0 * sigma.real + np.abs(sigma) ** 2)
-                + 1j * np.arctan2(sigma.imag, 1.0 + sigma.real))
+        """log(1 + sigma) without cancellation in log |mu|.
+
+        log |mu| is half of log1p(2 Re sigma + |sigma|^2) where |mu|^2 > 1/2,
+        and log |1 + sigma| below: there log1p's argument loses |mu|^2 to
+        rounding, all of it below sqrt(eps).  A multiplier of 0 counts as
+        the smallest normal double.
+        """
+        x = 2.0 * sigma.real + np.abs(sigma) ** 2
+        small = x <= -0.5
+        log_abs = 0.5 * np.log1p(np.where(small, 0.0, x))
+        log_abs[small] = np.log(np.maximum(np.abs(1.0 + sigma[small]), np.finfo(float).tiny))
+        return log_abs + 1j * np.arctan2(sigma.imag, 1.0 + sigma.real)
 
     def _combine(self, coef):
         """S coef for coefficients coef of the upper roots and conj(coef) of the lower.

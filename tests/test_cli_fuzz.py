@@ -1,6 +1,6 @@
 """Bad input as a property: CLI runs at boundary bath masses, bands, sizes, schedules,
-sampling keys, single-bath keys, exchange and oracle flags, and fit's histograms and
---json-out targets.
+sampling keys, single-bath keys, particle masses, seeds, frequencies and --out targets,
+exchange and oracle flags, and fit's histograms and --json-out targets.
 
 Every run must end in a documented exit code (0 success, 2 configuration
 error, 3 numerical failure, 4 fit failure), raise nothing and emit no
@@ -22,7 +22,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitebath import cli
+from finitebath import cli, config
 
 MASSES = [5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100]
 BAND_EDGES = [5e-324, 1e-300, 1e-6, 0.01, 0.2, 1.0, 10.0, 1e6, 1e154]
@@ -41,35 +41,49 @@ CURVES = {"curve.csv": "", "curve_combined.csv": "", "curve_bath1_alone.csv": "b
           "curve_bath2_alone.csv": "bath2 alone: "}
 
 
-def _run_cli(argv, finite=False):
+def _run_cli(argv, finite=False, target=None):
     """Run argv into a fresh directory: (exit code, manifest or None, failed points).
 
     Asserts that the run ends in a documented exit code, warns nothing
     and writes no warning to stderr; with finite, that every number in
     the CSVs it writes is finite.  A failed point is (curve CSV, omega)
-    for each row of a curve without a finite temperature.
+    for each row of a curve without a finite temperature.  With target,
+    --out is that path in a directory that holds the directory `dir` and
+    the file `file.txt`, which the run must leave as it was.
     """
     stderr = io.StringIO()
-    with tempfile.TemporaryDirectory() as out, warnings.catch_warnings(record=True) as caught:
+    with tempfile.TemporaryDirectory() as tmp, warnings.catch_warnings(record=True) as caught:
+        out = Path(tmp)
+        if target is not None:
+            (out / "dir").mkdir()
+            (out / "file.txt").write_text("kept\n")
+            out = out / target
         warnings.simplefilter("always")
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(stderr):
-            code = cli.main(argv + ["--out", out])
-        path = Path(out) / "manifest.json"
+            code = cli.main(argv + ["--out", str(out)])
+        path = out / "manifest.json"
         manifest = json.loads(path.read_text()) if path.exists() else None
         failed = []
         for name in CURVES:
-            if (Path(out) / name).exists():
-                rows = (Path(out) / name).read_text().splitlines()[1:]
+            if (out / name).exists():
+                rows = (out / name).read_text().splitlines()[1:]
                 failed += [(name, float(row.split(",")[0])) for row in rows
                            if not math.isfinite(float(row.split(",")[1]))]
-        for path in Path(out).glob("*.csv") if finite else ():
+        for path in out.glob("*.csv") if finite else ():
             rows = path.read_text().splitlines()[1:]
             assert all(math.isfinite(float(x)) for row in rows for x in row.split(",")), \
                 (argv, path.name)
+        if target is not None:
+            assert (Path(tmp) / "file.txt").read_text() == "kept\n", (argv, target)
     assert code in (0, 2, 3, 4), (argv, code)
     assert not caught, (argv, [str(w.message) for w in caught])
     assert "Warning" not in stderr.getvalue(), (argv, stderr.getvalue())
     return code, manifest, failed
+
+
+def _argv(*sets):
+    """--set arguments for KEY=VALUE texts."""
+    return [arg for s in sets for arg in ("--set", s)]
 
 
 @st.composite
@@ -138,6 +152,20 @@ def test_boundary_schedules_end_in_a_documented_exit_code(keys):
     _assert_failures_named(keys, code, manifest, failed)
 
 
+def test_a_period_map_multiplier_below_sqrt_eps_is_no_divergence():
+    """At omega = 50 and h = 0.02 RK4 damps the particle's mode by about e^-24 a period.
+
+    Its log |mu| was -inf: the run warned and recorded "switched run
+    diverged".
+    """
+    sets = ["bath1_size=30", "bath2_size=30", "delta_t_steps=2000", "step_size=0.02",
+            "omega_grid=[50.0]", "seeds=[1]", "n_samples=200"]
+    code, manifest, failed = _run_cli(["twobath"] + _argv(*sets))
+    assert code in (0, 3, 4)
+    assert not any("diverged" in entry[2] for entry in manifest["failures"])
+    _assert_failures_named(sets, code, manifest, failed)
+
+
 @st.composite
 def samplings(draw):
     """sweep config overrides: a bath size, the sampling keys and a grid of 2 or 3 frequencies.
@@ -199,6 +227,87 @@ def test_a_particle_energy_whose_sums_overflow_is_refused(omega):
             "n_samples=200"]
     code, _, _ = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
     assert code == 2
+
+
+# the remaining single-bath keys, each left unset or drawn from its boundary set;
+# the frequency as omega, a one-point omega_grid or single's --omega; single's
+# --seed-list; and where --out points, as in _run_cli
+REMAINING = {"mass": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1.0, 1e6, 1e154, 1e300, 1e307, 1e308],
+             "seeds": [[0], [1, 2], [1, 1], [-1], [], [2**31, 7], [2**63], [2**64]],
+             "bath1_temperature": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 7.5, 1e6, 1e300, 1e308]}
+FREQUENCIES = [-1.0, 0.0, 5e-324, 1e-300, 1e-3, 0.55, 50.0, 1e154, 1e300]
+SEED_LISTS = [["0"], ["1", "2"], ["1", "1"], ["-1"], [str(2**64)]]
+OUT_TARGETS = ["new/out", "dir", "file.txt", "file.txt/out"]
+
+
+@st.composite
+def single_runs(draw):
+    """(argv, --out target) of a single or sweep run on one frequency and a bath of 1 to 30."""
+    command = draw(st.sampled_from(["single", "sweep"]))
+    keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30)), "n_samples": 200}
+    for key, values in REMAINING.items():
+        value = draw(st.none() | st.sampled_from(values))
+        if value is not None:
+            keys[key] = value
+    argv = [command]
+    omega = draw(st.sampled_from(FREQUENCIES))
+    where = draw(st.sampled_from(["omega", "omega_grid"] + ["--omega"] * (command == "single")))
+    if where == "--omega":
+        argv += ["--omega", repr(omega)]
+    else:
+        keys[where] = omega if where == "omega" else [omega]
+    if command == "single" and draw(st.booleans()):
+        argv += ["--seed-list"] + draw(st.sampled_from(SEED_LISTS))
+    argv += [arg for key, value in keys.items() for arg in ("--set", f"{key}={json.dumps(value)}")]
+    # one run in four writes to a drawn target, the others to a new directory
+    return argv, draw(st.sampled_from(OUT_TARGETS)) if draw(st.integers(0, 3)) == 0 else "new/out"
+
+
+@given(run=single_runs())
+@settings(max_examples=200, derandomize=True, deadline=None)
+def test_boundary_single_runs_end_in_a_documented_exit_code(run):
+    """A flag argparse refuses exits 2 there; an --out at or under a file is refused (2)."""
+    argv, target = run
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        assert exc.code == 2, (argv, exc.code)
+        return
+    code, manifest, _ = _run_cli(argv, target=target)
+    if target.startswith("file.txt"):
+        assert code == 2, (argv, target, code)
+    if code in (3, 4):
+        assert manifest is not None and manifest["failures"], (argv, code)
+
+
+@pytest.mark.parametrize("mass,omega", [(1e308, 0.5), (1e307, 50.0)])
+def test_a_mass_whose_2m_or_stiffness_overflows_is_refused(mass, omega):
+    """2M overflowed before it met E = 0, and M omega^2 in the particle's energy warned."""
+    sets = ["bath1_size=5", f"mass={mass!r}", f"omega_grid=[{omega}]", "seeds=[1]",
+            "n_samples=200"]
+    assert _run_cli(["sweep"] + _argv(*sets))[0] == 2
+
+
+# one quick run of each subcommand that writes to --out
+WRITERS = {
+    "single": ["single", "--omega", "0.5"] + _argv("bath1_size=3", "seeds=[1]", "n_samples=200"),
+    "sweep": ["sweep"] + _argv("omega_grid=[0.5]", "bath1_size=3", "seeds=[1]", "n_samples=200"),
+    "twobath": ["twobath"] + _argv("omega_grid=[0.5]", "bath1_size=3", "bath2_size=3",
+                                   "seeds=[1]", "n_samples=200"),
+    "exchange": ["exchange", "--size", "4"],
+    "oracle langevin": ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
+                        "--t-final", "5", "--dt", "0.01", "--stride", "10"],
+    "oracle kernel": ["oracle", "kernel", "--set", "bath1_size=3", "--n-points", "10"],
+    "oracle mixture": ["oracle", "mixture", "--t1", "5", "--t2", "10"],
+}
+
+
+@pytest.mark.parametrize("target", ["file.txt", "file.txt/out"])
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_an_out_at_or_under_a_file_is_a_configuration_error(command, target):
+    assert _run_cli(WRITERS[command], target=target)[0] == 2
+    assert _run_cli(WRITERS[command], target="new/out")[0] == 0
 
 
 # the exchange's flags, each left at its default or drawn from its boundary set
@@ -358,3 +467,26 @@ def test_a_json_out_that_cannot_be_written_is_a_configuration_error():
     assert _run_fit(rows, "fit.json") == 0
     assert _run_fit(rows, "dir") == 2
     assert _run_fit(rows, "file.txt/fit.json") == 2
+
+
+def _config_keys(example):
+    """The config keys a drawn example sets: a dict's keys, or an argv's --set keys."""
+    if isinstance(example, tuple):      # (command, keys) or (argv, --out target)
+        example = example[1] if isinstance(example[1], dict) else example[0]
+    if isinstance(example, dict):
+        return set(example)
+    return {arg.partition("=")[0] for flag, arg in zip(example, example[1:]) if flag == "--set"}
+
+
+def test_the_properties_draw_every_config_key():
+    """A config key added without a draw in one of these properties fails here."""
+    drawn = set()
+
+    @given(example=st.one_of(runs(), schedules(), samplings(), single_baths(), single_runs(),
+                             oracles()))
+    @settings(max_examples=500, derandomize=True, deadline=None, database=None)
+    def collect(example):
+        drawn.update(_config_keys(example))
+
+    collect()
+    assert sorted(set(config._CASTERS) - drawn) == []

@@ -1,7 +1,11 @@
 """Flat JSON run configs and their translation to sweep specs."""
 
+import re
+from pathlib import Path
+
 import pytest
 
+from finitebath import config
 from finitebath.config import ConfigError, build_sweep_spec, check_config
 
 GOOD = {
@@ -126,3 +130,24 @@ def test_bad_plan_and_spec_values_become_config_errors():
         build_sweep_spec({"omega": 0.5, "n_samples": 10})
     with pytest.raises(ConfigError, match="initial_energy"):
         build_sweep_spec({"omega": 0.5, "initial_energy": -2.0})
+
+
+def test_a_mass_that_overflows_is_refused_in_its_own_words():
+    with pytest.raises(ConfigError, match=r"mass=1e\+308 overflows the particle's 2 M"):
+        build_sweep_spec({"omega": 0.5, "mass": 1e308})
+    with pytest.raises(ConfigError, match=r"stiffness M omega\^2 at omega=50"):
+        build_sweep_spec({"omega_grid": (0.5, 50.0), "mass": 1e307})
+
+
+def test_the_readme_names_every_config_key():
+    """The rows of README's "Config keys" table name each key once; `bath2_*` the second bath's."""
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    table = readme.split("### Config keys")[1].split("\n## ")[0]
+    named = []
+    for row in table.splitlines():
+        if row.startswith("| `"):
+            named += re.findall(r"`([a-z0-9_*]+)`", row.split("|")[1])
+    bath = [key[len("bath1_"):] for key in config._CASTERS if key.startswith("bath1_")]
+    assert "bath2_*" in named
+    named = [key for key in named if key != "bath2_*"] + [f"bath2_{key}" for key in bath]
+    assert sorted(named) == sorted(config._CASTERS)

@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from finitebath import output, propagator
-from finitebath.experiments import SweepSpec, ThermalizationCurve
-from finitebath.model import BathSpec
+from finitebath.experiments import ThermalizationCurve
 from finitebath.output import (
     CURVE_HEADER,
     RunManifest,
@@ -22,7 +21,6 @@ from finitebath.stats import EnergyHistogram, TemperatureFit
 def _toy_curve():
     omegas = np.array([0.3, 0.5, 1.0 / 3.0])
     n = len(omegas)
-    spec = SweepSpec(omega_grid=tuple(omegas), bath1=BathSpec(), seeds=(1,))
     return ThermalizationCurve(
         omegas=omegas,
         temperature=np.array([4.9, 5.1, np.nan]),
@@ -31,7 +29,7 @@ def _toy_curve():
         overflow_fraction=np.array([0.0, 0.01, np.nan]),
         bath_initial=((5.02, 0.11),),
         bath_final=((np.array([5.0, 5.1, np.pi]), np.array([0.1] * n)),),
-        outcomes=(), spec=spec)
+        outcomes=())
 
 
 def test_fmt_round_trips_binary_floats():
@@ -106,7 +104,6 @@ def test_manifest_records_the_run(tmp_path):
                       code_version="0.1.0", propagator="eigen",
                       step_size=np.float64(0.02))
     man.outputs.append("curve.csv")
-    man.finish()
     path = tmp_path / "manifest.json"
     man.write(path)
     back = json.loads(path.read_text())

@@ -793,3 +793,22 @@ def test_continuous_zero_mode_is_rejected():
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=0.05))
     with pytest.raises(EigensolverError, match="zero frequency mode"):
         prop.run(system.initial_vector(), [1.0, 2.0])
+
+
+def test_log_mu_of_a_multiplier_below_sqrt_eps_is_finite():
+    """RK4 damps a mode with h nu = 1 by about e^-24 a period.
+
+    Its root sigma = -1 + 1.2e-11 i rounded log1p's argument
+    2 Re sigma + |sigma|^2 to -1, and log |mu| to -inf; a multiplier that
+    rounds to 0 takes the smallest normal double.  A root near the unit
+    circle keeps the log1p form.
+    """
+    sigma = np.array([-1.0 + 1.2e-11j, -1.0 + 0.0j, 0.01 + 0.2j])
+    log_mu = switched._ModalPeriodMap.log_mu(sigma)
+    assert np.all(np.isfinite(log_mu))
+    assert log_mu[0].real == pytest.approx(np.log(abs(1.0 + sigma[0])), rel=1e-15)
+    assert log_mu[0].imag == pytest.approx(np.pi / 2, rel=1e-15)
+    assert log_mu[1].real == np.log(np.finfo(float).tiny)
+    near = sigma[2:]
+    assert log_mu[2] == (0.5 * np.log1p(2.0 * near.real + np.abs(near) ** 2)
+                         + 1j * np.arctan2(near.imag, 1.0 + near.real))
