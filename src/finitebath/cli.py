@@ -174,14 +174,14 @@ def _manifest(command: str, cfg: dict, spec) -> RunManifest:
 
 
 def _record(manifest: RunManifest, curve, label: str = "") -> None:
-    """Add a curve's failures, bath fits, RK4 steps, largest snap distance and point threads.
+    """Add a curve's failures, bath fits, RK4 steps, largest snap distance and point workers.
 
     Failures are [omega, seed, message] entries and steps [omega, seed,
     h] entries, one per RK4 point that stepped to its end, whether its
     step was configured or derived: the fitted points, then those whose
     fit failed.  The bath fits are the curve's, so the curve recorded
     last supplies them.  The environment's point_workers lists the
-    threads each recorded curve ran its points on, and factor_workers
+    processes each recorded curve ran its points on, and factor_workers
     the threads one point's factorization ran on.
     """
     manifest.environment["point_workers"].append(curve.workers)

@@ -13,16 +13,19 @@ kinds, single-bath continuous contact and switched contact, run
 through _run_rk4.
 
 The points are independent, and a point's bits do not depend on what
-ran before it.  So a sweep runs its points on up to one thread per CPU,
-which take them in turn (propagator._in_turns); the results are
-collected in grid order, so every curve, failure and file keeps its
-bytes.  A point thread does not thread inside its point
-(propagator.point_thread), and the samplers share the one FFT buffer
-under its lock; a switched point's period map never threads, and its
-work buffers hold one piece of 32 roots.  Only a single-bath RK4 sweep
-runs its points in order on the calling thread: on two threads its
-points of a few ms gained nothing and raised the rk4_dense benchmark's
-peak memory by 4.2 %.
+ran before it.  So a sweep runs its points on up to one process per
+CPU, the calling process and children forked for the sweep, which take
+them in turn (propagator._in_processes); the results come back pickled
+and are collected in grid order, so every curve, failure, warning and
+file keeps its bytes.  Processes, not threads: the GIL held two point
+threads to 1.2-1.35 times one on two CPUs.  A worker does not thread
+inside its point (propagator.point_thread); a switched point's period
+map never threads, and its work buffers hold one piece of 32 roots.
+Where the process may not fork (propagator.may_fork: not Linux, or
+another Python thread alive), and in a single-bath RK4 sweep, the
+points run in order on the calling thread: on two threads an RK4
+sweep's points of a few ms gained nothing and raised the rk4_dense
+benchmark's peak memory by 4.2 %.
 """
 
 from __future__ import annotations
@@ -35,9 +38,9 @@ import numpy as np
 from .bath import realize_bath
 from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
-from .propagator import (NumericalError, _in_turns, _workers, build_multi_coupling_matrix,
-                         diagonalize, factorization_fits, flow_factors,
-                         usable_cpus)
+from .propagator import (NumericalError, _in_processes, _workers,
+                         build_multi_coupling_matrix, diagonalize, factorization_fits,
+                         flow_factors, may_fork, usable_cpus)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
@@ -126,12 +129,19 @@ class SweepSpec:
         energy = self.initial_energy + 37.0 * sum(b.size * b.temperature for b in baths)
         w = min(self.omega_grid)
         sums = max([self.plan.n_samples] + [
-            2.0 + 2.0 * b.size * b.mass / self.tp_mass / (1.0 + coupling)
+            2.0 + 2.0 * (b.size * b.mass / self.tp_mass / (1.0 + coupling))
             * (b.dos.omega_uv / w) * (b.dos.omega_uv / w) for b in baths])
+        if not np.isfinite(ENERGY_HEADROOM * energy):
+            raise ValueError(f"the energy bound initial_energy + 37 N T over the baths, "
+                             f"{energy:g}, overflows with a headroom of {ENERGY_HEADROOM:g}")
+        if not np.isfinite(sums):
+            raise ValueError(f"omega={w:g} lies so far below omega_uv that a bath fit's "
+                             "factor (omega_uv / omega)^2 overflows")
         if not np.isfinite(ENERGY_HEADROOM * energy * sums):
-            raise ValueError(f"initial_energy={self.initial_energy!r} with the baths' 37 N T "
-                             f"overflows the sums over {sums:g} sampled or oscillator "
-                             f"energies at omega={w:g}, with a headroom of {ENERGY_HEADROOM:g}")
+            raise ValueError(f"the energy bound initial_energy + 37 N T over the baths, "
+                             f"{energy:g}, times the sums over {sums:g} sampled or oscillator "
+                             f"energies at omega={w:g} overflows with a headroom of "
+                             f"{ENERGY_HEADROOM:g}")
 
     def test_particle(self, omega: float) -> TestParticleSpec:
         """Initial energy is placed entirely in the momentum."""
@@ -286,7 +296,7 @@ class ThermalizationCurve:
     bath_initial: tuple     # per bath (temperature, sigma), seed aggregated
     bath_final: tuple       # per bath (temperatures[nw], sigmas[nw])
     outcomes: tuple         # PointResult per (omega, seed), grid order then seed order
-    workers: int = 1        # threads that ran the points
+    workers: int = 1        # processes that ran the points
     factor_workers: int = 1  # most threads one point's factorization ran on
 
     @property
@@ -314,9 +324,10 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     runner(omega, spec, seed) returns a PointResult.  baths holds one
     (BathSpec, bath_index) pair per bath the runner draws; their initial
     fits are made on the same per-seed draws.  The points run on up to
-    one thread per CPU (_in_turns), except those of a single-bath RK4
-    sweep, which run in order on the calling thread.  The curve records
-    the threads of the points and of one point's factorization.
+    one process per CPU (_in_processes), except where the process may not
+    fork and in a single-bath RK4 sweep, which run them in order on the
+    calling thread.  The curve records the processes of the points and
+    the threads of one point's factorization.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw, ns = len(omegas), len(spec.seeds)
@@ -326,11 +337,11 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     # a single-bath RK4 sweep stays serial: on point threads its peak
     # memory rose by 4.5 % and its wall time did not fall (rk4_dense)
     workers = 1
-    if spec.bath2 is not None or spec.propagator == "eigen":
+    if (spec.bath2 is not None or spec.propagator == "eigen") and may_fork():
         workers = min(usable_cpus(), len(grid))
-    outcomes = _in_turns(lambda i: _attempt(runner, spec, *grid[i]), len(grid), workers)
+    outcomes = _in_processes(lambda point: _attempt(runner, spec, *point), grid, workers)
     # a point's factorization threads its roots, Loewner's z and its shape
-    # pass (propagator._workers) only off the point threads
+    # pass (propagator._workers) only outside the point workers
     modes = 1 + sum(bath.size for bath, _ in baths)
     factor_workers = 1 if workers > 1 else _workers(modes)
     for i in range(nw):

@@ -116,7 +116,7 @@ def run_environment() -> dict:
     a BLAS's kernels, picked by its core, round them their own way.
     scipy's version names the LAPACK behind the secular roots.
     point_workers and factor_workers start empty and get, for each curve
-    the run records, the threads that ran its points and the threads
+    the run records, the processes that ran its points and the threads
     that one point's factorization ran on.
     """
     found, used = blas_counts()

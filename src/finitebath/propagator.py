@@ -127,14 +127,19 @@ how it splits it.
 _in_turns is the one place the program starts threads: plain threads
 started per call, the calling thread one of them, each in a copy of
 the caller's context (so np.errstate holds there too), all joined
-before the call returns.  A sweep (experiments._sweep) runs its points
-on it, one thread per CPU, all but single-bath RK4 sweeps; on those
-point threads, as on a range's thread, _workers gives every call one
-thread (point_thread), so the CPUs are shared out once per run, and
-only a run of a single point threads inside it.  The points' sampler
-transforms share the one FFT buffer under its lock.
-numpy.fft, which numpy loads lazily, is imported here so that a run
-does not import it inside its first transform.
+before the call returns.  It runs the ranges inside one point (the
+roots, Loewner's z, the shape groups).  _in_processes is the one place
+the program starts processes: children forked per call, on Linux and
+while no other Python thread is alive (may_fork), the calling process
+one of the workers, all reaped before the call returns.  A sweep
+(experiments._sweep) runs its points on it, one process per CPU, all
+but single-bath RK4 sweeps: on threads the GIL held two points to
+1.2-1.35 times one.  In every worker, as on a range's thread, _workers
+gives every call one thread (point_thread), so the CPUs are shared out
+once per run, and only a run of a single point threads inside it.
+Threaded callers of gridded_sums share its one FFT buffer under its
+lock.  numpy.fft, which numpy loads lazily, is imported here so that a
+run does not import it inside its first transform.
 """
 
 from __future__ import annotations
@@ -146,8 +151,12 @@ import importlib.machinery
 import importlib.util
 import math
 import os
+import pickle
+import sys
 import threading
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 import numpy.fft
@@ -314,6 +323,11 @@ class CouplingMatrix:
     def dim(self) -> int:
         return 2 * len(self.mass)
 
+    @cached_property
+    def nu_max(self) -> float:
+        """max_mode_frequency of this phase, computed once: the step rule and the RK4 check read it."""
+        return max_mode_frequency(self)
+
 
 def build_multi_coupling_matrix(tp: TestParticleSpec, baths,
                                 static_renorm: bool = False) -> CouplingMatrix:
@@ -424,17 +438,18 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-# True on the threads of an _in_turns call with several, such as a sweep's
-# point threads (experiments._sweep), which already take every CPU: a call
-# there keeps its work on its own thread.  Threads run in a copy of the
-# caller's context, so it reaches every nested call
+# True on the threads of an _in_turns call with several, and in every
+# worker of an _in_processes call with several (a sweep's points, which
+# already take every CPU): a call there keeps its work on its own thread.
+# Threads run in a copy of the caller's context, and a forked child
+# inherits it, so it reaches every nested call
 point_thread = contextvars.ContextVar("point_thread", default=False)
 
 
 def _workers(n):
     """Worker threads for n independent roots: one per ROOTS_PER_WORKER roots, at most one per CPU.
 
-    One on a point thread (point_thread).
+    One inside a worker (point_thread).
     """
     if point_thread.get():
         return 1
@@ -494,6 +509,201 @@ def _in_ranges(task, n, workers):
     """task(lo, hi) on each of `workers` contiguous ranges that split range(n), through _in_turns."""
     bounds = [n * j // workers for j in range(workers + 1)]
     _in_turns(lambda j: task(bounds[j], bounds[j + 1]), workers, workers)
+
+
+def may_fork() -> bool:
+    """Whether _in_processes may fork: on Linux, outside a worker, with no other Python thread alive.
+
+    A forked child holds only the thread that forked, so a lock another
+    Python thread held at the fork stays locked in the child for good.
+    """
+    return (sys.platform.startswith("linux") and not point_thread.get()
+            and threading.active_count() == 1)
+
+
+def _traceback(exc) -> str:
+    """exc's traceback as the interpreter prints it, to cross a process boundary as text."""
+    import traceback
+
+    return "".join(traceback.format_exception(exc))
+
+
+def _send(fd, message):
+    """Write one message to the pipe fd: its pickle's length in 8 bytes, then the pickle."""
+    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
+    view = memoryview(len(data).to_bytes(8, "little") + data)
+    while view:
+        view = view[os.write(fd, view):]
+
+
+def _in_processes(task, items, workers) -> list:
+    """[task(item) for item in items], on `workers` processes that take the items in turn.
+
+    The calling process is one of them, and workers - 1 children forked
+    for the call (only where may_fork) are the others; one worker runs
+    the items in order on the calling thread.  The next index travels
+    between the workers through a pipe that holds it alone: a worker
+    reads it, writes back the one after it and runs that item, so no
+    split is fixed in advance and any number of items fits the pipe.  A
+    fork that fails leaves its share to the others.  Every worker sets
+    point_thread, so that an item does not thread inside itself, and
+    records the warnings each item raises; a child sends its results,
+    warnings and exceptions back pickled, with the indices it took, and
+    ends through os._exit (no atexit handler, no flush of the stdio
+    buffers it inherited).  The warnings are issued again on the caller,
+    in item order, with their category, message, file and line.  Once an
+    item raises, no worker takes another, and the exception of the lowest
+    index is raised when all have stopped, the one a loop in order would
+    have raised: on a child any exception, KeyboardInterrupt and
+    MemoryError included, with the child's traceback as its cause; on the
+    caller any Exception, while an interrupt there ends the call at once.
+    A child that ends without reporting (a signal, the OOM killer) is a
+    ChildProcessError naming the signal and the items it lost.  Every
+    child is reaped before this returns or raises, and killed first if
+    the call raises.
+    """
+    if workers <= 1:
+        return [task(item) for item in items]
+    import select
+    import signal
+
+    n = len(items)
+    results, errors, records = [None] * n, {}, {}
+    children = {}       # result pipe -> (pid, indices taken and not returned, unread bytes)
+    baton_r, baton_w = os.pipe()
+    os.set_blocking(baton_r, False)     # a worker that finds it taken waits in poll
+    os.write(baton_w, bytes(8))         # index 0
+    poller = select.poll()
+
+    def receive(fd):
+        """Take in what the child on pipe fd sent; at its end, reap it and check how it ended."""
+        pid, taken, unread = children[fd]
+        chunk = os.read(fd, 1 << 16)
+        if chunk:
+            unread += chunk
+            while len(unread) >= 8:
+                size = 8 + int.from_bytes(unread[:8], "little")
+                if len(unread) < size:
+                    break
+                i, outcome = pickle.loads(unread[8:size])
+                del unread[:size]
+                if outcome is None:
+                    taken.add(i)
+                    continue
+                taken.discard(i)
+                results[i], error, records[i] = outcome
+                if error is not None:
+                    errors[i], text = error
+                    errors[i].__cause__ = ChildProcessError(text)
+            return
+        poller.unregister(fd)
+        os.close(fd)
+        del children[fd]
+        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+        if code:
+            how = (f"exited with status {code}" if code > 0 else
+                   f"was killed by signal {-code} ({signal.strsignal(-code)})")
+            raise ChildProcessError(f"a worker process {how} before it returned "
+                                    f"{[items[i] for i in sorted(taken)]}")
+
+    def wait():
+        """Block until the index or a child's pipe is ready, and take in what the children sent."""
+        for fd, _ in poller.poll():
+            if fd in children:
+                receive(fd)
+
+    def take(stop=False):
+        """The next index, None once every one is taken; stop takes none and ends the taking."""
+        while True:
+            try:
+                i = int.from_bytes(os.read(baton_r, 8), "little")
+            except BlockingIOError:
+                wait()
+                continue
+            os.write(baton_w, (n if stop else min(i + 1, n)).to_bytes(8, "little"))
+            return None if stop or i >= n else i
+
+    def run(i, catch):
+        """task(items[i]) and its warnings: (result, exception or None, warnings)."""
+        with warnings.catch_warnings(record=True) as caught:
+            try:
+                result, error = task(items[i]), None
+            except catch as exc:
+                result, error = None, exc
+        return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
+
+    def child(fd):
+        """Run items until none is left, each one's outcome sent back on fd; never returns."""
+        code = 1
+        try:
+            for other in children:          # the earlier children's pipes
+                os.close(other)
+                poller.unregister(other)
+            children.clear()
+            for i in iter(take, None):
+                _send(fd, (i, None))
+                result, error, caught = run(i, BaseException)
+                if error is not None:
+                    take(stop=True)
+                    error = (error, _traceback(error))
+                try:
+                    _send(fd, (i, (result, error, caught)))
+                except Exception as exc:    # an outcome that does not pickle
+                    take(stop=True)
+                    _send(fd, (i, (None, (exc, _traceback(exc)), [])))
+            code = 0
+        finally:
+            os._exit(code)
+
+    token = point_thread.set(True)
+    try:
+        poller.register(baton_r, select.POLLIN)
+        for _ in range(1, workers):
+            fd, child_fd = os.pipe()
+            try:
+                with warnings.catch_warnings():
+                    # Python 3.12+ warns that forking a process with other OS
+                    # threads may deadlock the child.  Here those are OpenBLAS's
+                    # pool, which stops its threads around a fork (pthread_atfork)
+                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
+                                            DeprecationWarning)
+                    pid = os.fork()
+            except OSError:
+                os.close(fd)
+                os.close(child_fd)
+                break
+            if pid == 0:
+                os.close(fd)
+                child(child_fd)
+            os.close(child_fd)
+            children[fd] = (pid, set(), bytearray())
+            poller.register(fd, select.POLLIN)
+        for i in iter(take, None):
+            results[i], error, records[i] = run(i, Exception)
+            if error is not None:
+                errors[i] = error
+                take(stop=True)
+        poller.unregister(baton_r)      # it holds n from here on: always readable
+        while children:
+            wait()
+    except BaseException:
+        for pid, _, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        point_thread.reset(token)
+        for fd, (pid, _, _) in children.items():
+            os.close(fd)
+            os.waitpid(pid, 0)
+        os.close(baton_r)
+        os.close(baton_w)
+    registry = {}       # a "default" warning is shown once per call, as in one process
+    for i in sorted(records):
+        for message, category, filename, lineno in records[i]:
+            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
+    if errors:
+        raise errors[min(errors)]
+    return results
 
 
 def _secular_roots(poles, weights, which):
@@ -1004,8 +1214,7 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
 # The transform's FFT rows persist from call to call in one buffer that
 # only grows: at most two rows of _MAX_FFT points, 4 MB.  A caller holds
 # the lock from taking its rows until it has gathered from them, so that
-# concurrent transforms (the point threads of a sweep) share the one
-# buffer in turn
+# concurrent transforms on threads share the one buffer in turn
 _fft_buffer = np.empty(0, complex)
 _fft_lock = threading.Lock()
 
@@ -1282,7 +1491,7 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     order, into its own partial sum, and the partials are added in group
     order, so the state's bits do not depend on the threads.  The groups
     run in contiguous ranges on up to SWEEP_GROUPS worker threads
-    (_workers, one on a point thread); ab and u_k[0] are written column
+    (_workers, one inside a point worker); ab and u_k[0] are written column
     by column.  Each range's block buffers are allocated here, on the
     calling thread: a buffer allocated and freed on a worker thread goes
     back to that thread's malloc arena, and the calling thread's next

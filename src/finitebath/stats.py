@@ -29,6 +29,10 @@ class NonThermalDistributionError(FitError):
             "distribution is not thermal"
         )
 
+    def __reduce__(self):
+        # pickle and copy rebuild it from its slope, not from its message
+        return type(self), (self.slope,)
+
 
 @dataclass(frozen=True)
 class SamplingPlan:

@@ -38,7 +38,7 @@ roots of a secular equation, found by Aberth-Ehrlich iteration started
 at the poles (Bini & Robol, J. Comput. Appl. Math. 272, 2014); the
 eigenvectors and v' are closed forms in those roots (_ModalPeriodMap).
 Each pass over the roots takes them in fixed pieces, in order on the
-calling thread; a sweep runs its switched points on threads instead.
+calling thread; a sweep runs its switched points on processes instead.
 Modes that neither contact phase couples (a degenerate or pairwise
 cancelled bath, a bath too light to couple, two equal phases) keep
 their poles and unit vectors.  Every switched run, however short, is
@@ -77,9 +77,8 @@ import numpy as np
 from .model import SystemState, TestParticleSpec, initial_state
 from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix,
                          NumericalError, _view, banded_sums, build_multi_coupling_matrix,
-                         check_rk4_stability, diagonalize, max_mode_frequency,
-                         mode_amplitudes, mode_vector, rk4_factors,
-                         rk4_mode_factors)
+                         check_rk4_stability, diagonalize, mode_amplitudes,
+                         mode_vector, rk4_factors, rk4_mode_factors)
 
 
 # The period map keeps rows 0 and 1 of each of its period's step prefixes,
@@ -139,7 +138,7 @@ def default_step_size(*phases: CouplingMatrix) -> float:
     under the bare rule is kept.
     """
     w = max(float(np.max(phases[0].w)), phases[0].tp.omega)
-    nu_max = max(max_mode_frequency(cm) for cm in phases)
+    nu_max = max(cm.nu_max for cm in phases)
     if 2.0 * np.pi / w / STEPS_PER_PERIOD * nu_max > RK4_STABILITY_LIMIT:
         w = nu_max
     return 2.0 * np.pi / w / STEPS_PER_PERIOD
@@ -681,7 +680,7 @@ class SwitchedPropagator:
         if not self.continuous:
             schedule.check_period_fits(system.dim)
         for cm in (system.a1,) if self.continuous else (system.a1, system.a2):
-            check_rk4_stability(schedule.step_size, max_mode_frequency(cm))
+            check_rk4_stability(schedule.step_size, cm.nu_max)
 
     # -- normal modes of a continuous system -----------------------------
 

@@ -136,8 +136,8 @@ def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
     """The period map's two work buffers hold PERIOD_PIECE = 32 roots by dim, and it starts no thread.
 
     At 2 x 100 oscillators (dim 202, 101 roots) with BLAS on one thread
-    and two CPUs, the map holds one piece on a sweep's point thread and
-    off one alike.
+    and two CPUs, the map holds one piece in a sweep's point worker
+    (point_thread set) and outside one alike.
     """
     monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
     system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=0.55),

@@ -390,7 +390,11 @@ def test_manifest_records_the_steps_of_points_that_failed_their_fit(
 
 
 def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):
-    """Omega = 3e-5 still pins the particle, so every mode frequency is positive."""
+    """Omega = 3e-5 still pins the particle, so every mode frequency is positive.
+
+    The run is pinned to one CPU, so that every point's energy check
+    runs in this process, where the spy counts it.
+    """
     checked = []
     check = experiments._check_energy_drift
 
@@ -398,6 +402,7 @@ def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):
         check(*args)
         checked.append(args)
 
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
     monkeypatch.setattr(experiments, "_check_energy_drift", spy)
     out = tmp_path / "run"
     code = main(["single", "--omega", "3e-5", "--set", "bath1_size=150",
@@ -490,6 +495,22 @@ def test_a_bath_mass_whose_stiffness_underflows_exits_2(tmp_path, capsys):
     assert capsys.readouterr().err.startswith(
         "error: bath1_mass: at 5e-324 the squared position amplitude "
         "2 T / (m omega_ir^2) = 2 * 5.0 / 0.0 overflows")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("sets, text", [
+    (["omega_grid=[1e-300]"], "omega=1e-300 lies so far below omega_uv that a bath fit's "
+                              "factor (omega_uv / omega)^2 overflows"),
+    (["bath1_size=1e308", "omega_grid=[0.5]"], "the energy bound initial_energy + 37 N T "
+                                               "over the baths, inf, overflows"),
+], ids=["slow-particle", "huge-bath"])
+def test_the_energy_headroom_refusal_names_the_term_that_overflows(tmp_path, capsys, sets, text):
+    """Neither run's initial_energy, 0, is at fault, and neither refusal names it."""
+    out = tmp_path / "x"
+    argv = ["sweep", *(arg for key in sets + ["seeds=[1]"] for arg in ("--set", key))]
+    assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {text}") and "initial_energy=" not in err
     assert not out.exists()
 
 
@@ -601,6 +622,21 @@ def test_cli_import_leaves_scipy_stats_unloaded():
             "print(sorted({'scipy', 'scipy.linalg', 'scipy.stats', 'concurrent.futures',"
             " 'logging'} & set(sys.modules)))")
     assert _fresh_python(code) == "[]\n"
+
+
+def test_worker_processes_end_without_atexit_handlers_or_a_second_flush():
+    """Children end through os._exit: text buffered before the fork and an atexit handler show once.
+
+    Under -W error no warning reaches the parent, and the modules that
+    forking workers imports are loaded only by a call that forks.
+    """
+    code = ("import atexit, sys\n"
+            "from finitebath import cli, propagator\n"
+            "loaded = sorted({'multiprocessing', 'select', 'signal', 'traceback'} & set(sys.modules))\n"
+            "atexit.register(print, 'atexit')\n"
+            "sys.stdout.write(f'{loaded} ')\n"
+            "print(propagator._in_processes(abs, range(-3, 3), 3))\n")
+    assert _fresh_python(code, PYTHONWARNINGS="error") == "[] [3, 2, 1, 0, 1, 2]\natexit\n"
 
 
 def test_dlasd4_is_scipys_lapack_routine():
@@ -777,6 +813,29 @@ def test_a_single_run_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monk
         runs.append((files, manifest))
     assert runs[0][0]
     assert runs[1] == runs[0] and runs[2] == runs[0]
+
+
+def test_a_sweeps_files_keep_their_bytes_on_any_number_of_cpus(tmp_path, monkeypatch, capsys):
+    """A three-seed `single` run and a two-frequency sweep on 1, 2 and 3 CPUs, as many point workers.
+
+    Every file keeps its bytes, histograms and summary included; the
+    manifests differ only in their timestamps and the point workers
+    they record.
+    """
+    sets = ["--set", "bath1_size=60", "--set", "n_samples=200", "--set", "seeds=[1,2,3]"]
+    for argv in (["single", "--omega", "0.5"], ["sweep", "--set", "omega_grid=[0.5, 0.7]"]):
+        runs = []
+        for cpus in (1, 2, 3):
+            files, manifest = _run_on_cpus(monkeypatch, tmp_path / f"{argv[0]}{cpus}", cpus,
+                                           argv + sets)
+            assert manifest["environment"].pop("point_workers") == [cpus]
+            for key in ("started", "finished"):
+                del manifest[key]
+            runs.append((files, manifest))
+        assert len(runs[0][0]) == (7 if argv[0] == "single" else 1)
+        assert runs[1] == runs[0] and runs[2] == runs[0]
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
 
 
 def test_oracle_kernel_starts_at_the_spring_sum(tmp_path):

@@ -170,7 +170,7 @@ def test_a_period_map_multiplier_below_sqrt_eps_is_no_divergence():
 def samplings(draw):
     """sweep config overrides: a bath size, the sampling keys and a grid of 2 or 3 frequencies.
 
-    The grid's points run on the sweep's point threads.
+    The grid's points run on the sweep's point worker processes.
     """
     keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30))}
     for key, values in SAMPLING.items():

@@ -4,10 +4,12 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
 import pickle
-import sys
+import signal
 import threading
 import time
+import warnings
 
 import numpy as np
 import pytest
@@ -181,6 +183,20 @@ def test_two_bath_point_runs_and_reports_both_baths():
     assert static.mean_energy != point.mean_energy
 
 
+def test_each_contact_phase_finds_its_fastest_mode_once(monkeypatch):
+    """The derived step and the RK4 stability check share one top secular root per phase."""
+    found = []
+    top = propagator.max_mode_frequency
+    monkeypatch.setattr(propagator, "max_mode_frequency", lambda cm: found.append(cm) or top(cm))
+    small = BathSpec(size=60, mass=0.01, temperature=5.0, dos=BAND)
+    plan = SamplingPlan(mean_interval=1.5, n_samples=200, warmup=50.0)
+    point = run_single_bath_point(0.4, _quick_spec(bath1=small, plan=plan, propagator="rk4"), 1)
+    assert point.n_steps > 0 and len(found) == 1
+    found.clear()
+    point = run_two_bath_point(0.4, _quick_spec(bath1=small, bath2=small, plan=plan), 1)
+    assert point.n_steps > 0 and len(found) == 2 and found[0] is not found[1]
+
+
 # -- sweeps ------------------------------------------------------------
 
 
@@ -257,12 +273,12 @@ def test_two_bath_sweep_produces_alone_curves():
         run_two_bath_sweep(_quick_spec())
 
 
-# -- points on threads -------------------------------------------------
+# -- points on worker processes ----------------------------------------
 
 # a kicked particle at omega = 5 keeps a narrow energy: all three seeds fail their fit
-THREADED = ["sweep", "--set", "bath1_size=40", "--set", "bath1_mass=0.01",
-            "--set", "omega_grid=[0.3,0.5,5.0]", "--set", "initial_energy=10",
-            "--set", "n_samples=400", "--set", "seeds=[1,2,3]"]
+SWEEP = ["sweep", "--set", "bath1_size=40", "--set", "bath1_mass=0.01",
+         "--set", "omega_grid=[0.3,0.5,5.0]", "--set", "initial_energy=10",
+         "--set", "n_samples=400", "--set", "seeds=[1,2,3]"]
 
 
 # 2 x 30 oscillators in switched contact; omega = 5 fails its fits
@@ -282,44 +298,61 @@ def _runner(fail, run=run_single_bath_point):
     return runner
 
 
-def _threaded_run(tmp_path, monkeypatch, cpus, argv, sweep, csv):
-    """argv on `cpus` point threads: (what cli's `sweep` returned, csv's bytes, manifest)."""
+def _no_child_remains():
+    """This process has no child left, running or unreaped."""
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _curve_bytes(curve):
+    """A curve's fields but its workers, each pickled on its own and its points one by one.
+
+    A pickle of the whole curve also records which objects its points
+    share, such as one dtype, and points sent back by a worker process
+    share none.
+    """
+    return [[pickle.dumps(pt) for pt in curve.outcomes] if f.name == "outcomes"
+            else pickle.dumps(getattr(curve, f.name))
+            for f in dataclasses.fields(curve) if f.name != "workers"]
+
+
+def _run_on_cpus(tmp_path, monkeypatch, cpus, argv, sweep):
+    """argv as if on `cpus` CPUs: (what cli's `sweep` returned, its files, manifest)."""
     monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
     results, run = [], getattr(cli, sweep)
     monkeypatch.setattr(cli, sweep, lambda spec: results.append(run(spec)) or results[-1])
     out = tmp_path / str(cpus)
     with contextlib.redirect_stdout(io.StringIO()):
         assert cli.main(argv + ["--out", str(out)]) == 0
-    manifest = json.loads((out / "manifest.json").read_text())
+    files = {path.name: path.read_bytes() for path in out.iterdir()}
+    manifest = json.loads(files.pop("manifest.json"))
     for key in ("started", "finished", "environment"):
         del manifest[key]
     [result] = results
-    return result, (out / csv).read_bytes(), manifest
+    return result, files, manifest
 
 
-def _threaded_sweep(tmp_path, monkeypatch, cpus, fail):
-    """THREADED on `cpus` point threads: (pickled curve, curve CSV, manifest)."""
+def _sweep_on_cpus(tmp_path, monkeypatch, cpus, fail):
+    """SWEEP as if on `cpus` CPUs: (the curve's bytes, its files, manifest)."""
     monkeypatch.setattr(experiments, "run_single_bath_point", _runner(fail))
-    curve, *files = _threaded_run(tmp_path, monkeypatch, cpus, THREADED, "run_sweep", "curve.csv")
+    curve, *files = _run_on_cpus(tmp_path, monkeypatch, cpus, SWEEP, "run_sweep")
     assert curve.workers == min(cpus, 9)
-    return (pickle.dumps(dataclasses.replace(curve, workers=1)), *files)
+    return (_curve_bytes(curve), *files)
 
 
 def test_threaded_points_give_the_serial_curve_failures_and_files(tmp_path, monkeypatch):
-    """On 1, 2 and 3 point threads a sweep keeps every byte, failures in grid order.
+    """On 1, 2 and 3 point workers a sweep keeps every byte, failures in grid order.
 
     Omega = 5 fails its fits; the point (0.5, 2) raises NumericalError.
-    The interpreter switches threads every microsecond, and no thread
-    outlives the sweep.
+    The points come back from the worker processes, and no thread or
+    process outlives the sweep.
     """
-    threads, interval = threading.active_count(), sys.getswitchinterval()
+    threads = threading.active_count()
     fail = {(0.5, 2): (propagator.NumericalError, "forced")}
-    try:
-        sys.setswitchinterval(1e-6)
-        runs = [_threaded_sweep(tmp_path, monkeypatch, cpus, fail) for cpus in (1, 2, 3)]
-    finally:
-        sys.setswitchinterval(interval)
+    runs = [_sweep_on_cpus(tmp_path, monkeypatch, cpus, fail) for cpus in (1, 2, 3)]
     assert threading.active_count() == threads
+    _no_child_remains()
+    assert sorted(runs[0][1]) == ["curve.csv"]
     assert runs[1] == runs[0] and runs[2] == runs[0]
     assert [entry[:2] for entry in runs[0][2]["failures"]] == [[0.5, 2], [5.0, 1], [5.0, 2],
                                                                [5.0, 3]]
@@ -327,11 +360,11 @@ def test_threaded_points_give_the_serial_curve_failures_and_files(tmp_path, monk
 
 
 def test_a_sweep_prints_and_records_a_peak_its_curve_measured(tmp_path):
-    """THREADED: all three seeds fail their fits at omega = 5, so the peak is at 0.3 or 0.5."""
+    """SWEEP: all three seeds fail their fits at omega = 5, so the peak is at 0.3 or 0.5."""
     out = tmp_path / "run"
     printed = io.StringIO()
     with contextlib.redirect_stdout(printed):
-        assert cli.main(THREADED + ["--out", str(out)]) == 0
+        assert cli.main(SWEEP + ["--out", str(out)]) == 0
     peak = json.loads((out / "manifest.json").read_text())["peaks"]["curve.csv"]
     rows = (out / "curve.csv").read_text().splitlines()[1:]
     temperature = {float(row.split(",")[0]): float(row.split(",")[1]) for row in rows}
@@ -341,29 +374,28 @@ def test_a_sweep_prints_and_records_a_peak_its_curve_measured(tmp_path):
 
 def test_threaded_switched_points_give_the_serial_curve_failures_and_files(tmp_path,
                                                                           monkeypatch):
-    """On 1, 2 and 3 point threads a two-bath sweep's combined curve keeps every byte.
+    """On 1, 2 and 3 point workers a two-bath sweep keeps every byte.
 
     The switched points run beside each other, each period map in one
     piece of buffers.  Omega = 5 fails its fits and the switched point
     (0.55, 2) raises NumericalError: both are recorded in grid order.
-    The interpreter switches threads every microsecond, and no thread
-    outlives the sweep.
+    The three curves' files keep their bytes too, and no thread or
+    process outlives the sweep.
     """
-    threads, interval = threading.active_count(), sys.getswitchinterval()
+    threads = threading.active_count()
     monkeypatch.setattr(experiments, "run_two_bath_point",
                         _runner({(0.55, 2): (propagator.NumericalError, "forced")},
                                 run_two_bath_point))
     runs = []
-    try:
-        sys.setswitchinterval(1e-6)
-        for cpus in (1, 2, 3):
-            result, *files = _threaded_run(tmp_path, monkeypatch, cpus, TWOBATH,
-                                           "run_two_bath_sweep", "curve_combined.csv")
-            assert result.combined.workers == min(cpus, 9)
-            runs.append((pickle.dumps(dataclasses.replace(result.combined, workers=1)), *files))
-    finally:
-        sys.setswitchinterval(interval)
+    for cpus in (1, 2, 3):
+        result, *files = _run_on_cpus(tmp_path, monkeypatch, cpus, TWOBATH,
+                                      "run_two_bath_sweep")
+        assert [curve.workers for curve in (result.combined, *result.alone)] == [min(cpus, 9)] * 3
+        runs.append((_curve_bytes(result.combined), *files))
     assert threading.active_count() == threads
+    _no_child_remains()
+    assert sorted(runs[0][1]) == ["curve_bath1_alone.csv", "curve_bath2_alone.csv",
+                                  "curve_combined.csv"]
     assert runs[1] == runs[0] and runs[2] == runs[0]
     combined = [entry for entry in runs[0][2]["failures"] if "alone" not in entry[2]]
     assert [entry[:2] for entry in combined] == [[0.55, 2], [5.0, 1], [5.0, 2], [5.0, 3]]
@@ -377,8 +409,9 @@ def test_any_other_exception_ends_the_sweep_with_the_first_in_grid_order(tmp_pat
     fail = {(0.5, 2): (propagator.NumericalError, "recorded"),
             (0.5, 3): (ValueError, "first"), (5.0, 1): (ValueError, "second")}
     with pytest.raises(ValueError, match="first"):
-        _threaded_sweep(tmp_path, monkeypatch, cpus, fail)
+        _sweep_on_cpus(tmp_path, monkeypatch, cpus, fail)
     assert threading.active_count() == threads
+    _no_child_remains()
 
 
 def _grid_of_nine():
@@ -387,51 +420,106 @@ def _grid_of_nine():
                        plan=SamplingPlan(mean_interval=1.0, n_samples=100))
 
 
-def test_no_point_starts_after_a_failure_or_an_interrupt(monkeypatch):
-    """After a raising point, or KeyboardInterrupt on the calling thread, no thread takes another.
+def test_no_point_starts_after_a_failure_or_an_interrupt(tmp_path, monkeypatch):
+    """After a raising point, or KeyboardInterrupt in the calling process, no worker takes another.
 
     Every other point waits until the failing one has raised, and 50 ms
     more, so the failure is recorded while the one point in flight
-    beside it runs.
+    beside it runs.  The workers are processes, so each point notes its
+    start, and the failing one its raise, in a file.  No child process
+    is left after either.
     """
     monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
-    threads = threading.active_count()
+    threads, caller = threading.active_count(), os.getpid()
     for error, fails_on in ((ValueError, lambda omega, seed: (omega, seed) == (0.3, 1)),
-                            (KeyboardInterrupt,
-                             lambda omega, seed: threading.current_thread() is threading.main_thread())):
-        started, raised = [], threading.Event()
+                            (KeyboardInterrupt, lambda omega, seed: os.getpid() == caller)):
+        started = tmp_path / f"{error.__name__}.started"
+        raised = tmp_path / f"{error.__name__}.raised"
 
         def runner(omega, spec, seed):
-            started.append((omega, seed))
+            with open(started, "a") as fh:
+                fh.write(f"{omega} {seed}\n")
             if fails_on(omega, seed):
-                raised.set()
+                raised.touch()
                 raise error("stop")
-            assert raised.wait(timeout=10.0)
+            deadline = time.monotonic() + 10.0
+            while not raised.exists():
+                assert time.monotonic() < deadline
+                time.sleep(1e-3)
             time.sleep(0.05)
             return run_single_bath_point(omega, spec, seed)
 
         with pytest.raises(error, match="stop"):
             experiments._sweep(_grid_of_nine(), runner, [])
-        assert 1 <= len(started) <= 2, (error, started)
+        points = started.read_text().splitlines()
+        assert 1 <= len(points) <= 2, (error, points)
         assert threading.active_count() == threads
+        _no_child_remains()
 
 
 def test_a_one_point_run_threads_inside_its_point(monkeypatch):
-    """Only a run with one point gives its factorization worker threads; on point threads it has one."""
+    """Only a run with one point gives its factorization worker threads; in point workers it has one.
+
+    Each point returns, as its n_steps, the threads that a factorization
+    of 600 roots would get there.
+    """
     for module in (experiments, propagator):
         monkeypatch.setattr(module, "usable_cpus", lambda: 2)
-    budgets = []
 
     def runner(omega, spec, seed):
-        budgets.append(propagator._workers(600))
-        return run_single_bath_point(omega, spec, seed)
+        return dataclasses.replace(run_single_bath_point(omega, spec, seed),
+                                   n_steps=propagator._workers(600))
 
     one = dataclasses.replace(_grid_of_nine(), omega_grid=(0.5,), seeds=(1,))
-    assert experiments._sweep(one, runner, []).workers == 1
-    assert budgets == [2]
-    budgets.clear()
-    assert experiments._sweep(_grid_of_nine(), runner, []).workers == 2
-    assert budgets == [1] * 9
+    curve = experiments._sweep(one, runner, [])
+    assert curve.workers == 1
+    assert [pt.n_steps for pt in curve.outcomes] == [2]
+    curve = experiments._sweep(_grid_of_nine(), runner, [])
+    assert curve.workers == 2
+    assert [pt.n_steps for pt in curve.outcomes] == [1] * 9
+
+
+def test_a_points_warnings_reach_the_caller_in_grid_order(monkeypatch):
+    """Each point warns; on 3 workers the caller records every warning, in grid order.
+
+    Category, message, file and line are those of the warning the point
+    raised, whichever process ran it.
+    """
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+
+    def runner(omega, spec, seed):
+        warnings.warn(f"point {omega} {seed}", UserWarning)
+        return run_single_bath_point(omega, spec, seed)
+
+    line = runner.__code__.co_firstlineno + 1
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert experiments._sweep(_grid_of_nine(), runner, []).workers == 3
+    assert [str(w.message) for w in caught] == [f"point {omega} {seed}"
+                                               for omega in (0.3, 0.5, 0.7)
+                                               for seed in (1, 2, 3)]
+    assert {(w.category, w.filename, w.lineno) for w in caught} == {(UserWarning, __file__, line)}
+    _no_child_remains()
+
+
+def test_a_worker_killed_by_a_signal_ends_the_sweep_naming_its_points(monkeypatch):
+    """A child that dies in its point is a ChildProcessError naming the signal and the point.
+
+    The calling process runs its points slowly, so the child takes one.
+    """
+    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    caller = os.getpid()
+
+    def runner(omega, spec, seed):
+        if os.getpid() != caller:
+            os.kill(os.getpid(), signal.SIGKILL)
+        time.sleep(0.02)
+        return run_single_bath_point(omega, spec, seed)
+
+    with pytest.raises(ChildProcessError,
+                       match=r"killed by signal 9 \(Killed\) before it returned \[\(0\.\d, \d\)\]"):
+        experiments._sweep(_grid_of_nine(), runner, [])
+    _no_child_remains()
 
 
 # -- initial energy ----------------------------------------------------

@@ -4,6 +4,7 @@ import ctypes
 import functools
 import itertools
 import math
+import os
 import sys
 import threading
 import tracemalloc
@@ -489,6 +490,47 @@ def test_worker_threads_that_cannot_start_leave_their_ranges_to_the_caller(monke
     for got, ref in zip(factor(3), want):
         assert got.tobytes() == ref.tobytes()
     assert threading.active_count() == threads
+
+
+def _no_child_remains():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_processes_take_twenty_thousand_items_in_turn():
+    """More items than a pipe holds indices: every result comes back in order, from several workers."""
+    got = propagator._in_processes(lambda i: (i, os.getpid()), range(20_000), 3)
+    assert [i for i, _ in got] == list(range(20_000))
+    assert len({pid for _, pid in got}) > 1
+    _no_child_remains()
+
+
+def test_a_fork_that_fails_leaves_its_share_to_the_others(monkeypatch):
+    def refuse():
+        raise BlockingIOError("fork: resource temporarily unavailable")
+
+    monkeypatch.setattr(os, "fork", refuse)
+    assert propagator._in_processes(lambda i: (i, os.getpid()), range(5), 3) == [
+        (i, os.getpid()) for i in range(5)]
+
+
+def test_only_a_lone_thread_on_linux_outside_a_worker_may_fork(monkeypatch):
+    """fork copies only its own thread, so another Python thread keeps the points in order."""
+    assert propagator.may_fork() == sys.platform.startswith("linux")
+    monkeypatch.setattr(sys, "platform", "linux")
+    assert propagator.may_fork()
+    assert propagator._in_processes(lambda i: propagator.may_fork(), range(4), 2) == [False] * 4
+    release = threading.Event()
+    other = threading.Thread(target=release.wait, args=(10.0,))
+    other.start()
+    try:
+        assert not propagator.may_fork()
+    finally:
+        release.set()
+        other.join(timeout=10.0)
+    assert not other.is_alive()
+    monkeypatch.setattr(sys, "platform", "darwin")
+    assert not propagator.may_fork()
 
 
 def test_the_secular_roots_do_not_depend_on_the_frequency_scale():

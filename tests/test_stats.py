@@ -1,13 +1,18 @@
 """Sampling plans, histogram construction and the temperature fit."""
 
+import copy
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitebath.bath import realize_bath
+from finitebath.config import ConfigError
 from finitebath.experiments import BATH_FIT_BINS, BATH_FIT_SPAN, _fit_bath_block
 from finitebath.model import BathSpec
+from finitebath.propagator import EigensolverError, NumericalError
 from finitebath.stats import (
     EnergyHistogram,
     FitError,
@@ -141,6 +146,19 @@ def test_fit_needs_three_nonempty_bins():
 def test_fit_error_hierarchy():
     assert issubclass(NonThermalDistributionError, FitError)
     assert issubclass(FitError, RuntimeError)
+
+
+@pytest.mark.parametrize("error", [
+    FitError("only 1 nonempty bins"), NonThermalDistributionError(1.2),
+    NumericalError("total energy drifted"), EigensolverError("no roots"),
+    ConfigError("seeds: expected a list")], ids=lambda error: type(error).__name__)
+def test_every_error_survives_pickle_and_copy(error):
+    """A point's error crosses from a worker process pickled: same type, text and slope."""
+    for copied in (pickle.loads(pickle.dumps(error)), copy.deepcopy(error)):
+        assert type(copied) is type(error)
+        assert str(copied) == str(error)
+        assert vars(copied) == vars(error)
+    assert vars(NonThermalDistributionError(1.2)) == {"slope": 1.2}
 
 
 def test_fit_on_iid_exponential_samples():
