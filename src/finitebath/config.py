@@ -126,9 +126,12 @@ def build_bath(cfg: dict, prefix: str, required: bool) -> BathSpec | None:
     try:
         if dos:
             fields["dos"] = DensityOfStates(**dos)
-        bath = BathSpec(**fields)
     except ValueError as err:
         raise ConfigError(f"{prefix}: {err}") from err
+    try:
+        bath = BathSpec(**fields)
+    except ValueError as err:     # the message begins with the field, so this names the key
+        raise ConfigError(f"{prefix}_{err}") from err
     # an oscillator's stiffness m w^2 divides its energy into the squared
     # position amplitude 2 E / (m w^2), largest at omega_ir
     stiffness = bath.mass * bath.dos.omega_ir**2

@@ -22,10 +22,8 @@ threads to 1.2-1.35 times one on two CPUs.  A worker does not thread
 inside its point (propagator.point_thread); a switched point's period
 map never threads, and its work buffers hold one piece of 32 roots.
 Where the process may not fork (propagator.may_fork: not Linux, or
-another Python thread alive), and in a single-bath RK4 sweep, the
-points run in order on the calling thread: on two threads an RK4
-sweep's points of a few ms gained nothing and raised the rk4_dense
-benchmark's peak memory by 4.2 %.
+another Python thread alive), the points run in order on the calling
+thread.
 """
 
 from __future__ import annotations
@@ -36,7 +34,7 @@ from functools import partial
 import numpy as np
 
 from .bath import realize_bath
-from .model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
+from .model import (MAX_BATH_SIZE, BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
 from .propagator import (NumericalError, _in_processes, _workers,
                          build_multi_coupling_matrix, diagonalize, factorization_fits,
@@ -325,20 +323,16 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     (BathSpec, bath_index) pair per bath the runner draws; their initial
     fits are made on the same per-seed draws.  The points run on up to
     one process per CPU (_in_processes), except where the process may not
-    fork and in a single-bath RK4 sweep, which run them in order on the
-    calling thread.  The curve records the processes of the points and
-    the threads of one point's factorization.
+    fork, which runs them in order on the calling thread.  The curve
+    records the processes of the points and the threads of one point's
+    factorization.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw, ns = len(omegas), len(spec.seeds)
     temperature, sigma, goodness, overflow = (np.full(nw, np.nan) for _ in range(4))
     final = [(np.full(nw, np.nan), np.full(nw, np.nan)) for _ in baths]
     grid = [(float(w), seed) for w in spec.omega_grid for seed in spec.seeds]
-    # a single-bath RK4 sweep stays serial: on point threads its peak
-    # memory rose by 4.5 % and its wall time did not fall (rk4_dense)
-    workers = 1
-    if (spec.bath2 is not None or spec.propagator == "eigen") and may_fork():
-        workers = min(usable_cpus(), len(grid))
+    workers = min(usable_cpus(), len(grid)) if may_fork() else 1
     outcomes = _in_processes(lambda point: _attempt(runner, spec, *point), grid, workers)
     # a point's factorization threads its roots, Loewner's z and its shape
     # pass (propagator._workers) only outside the point workers
@@ -462,15 +456,15 @@ def check_exchange(n: int, xi: float, omega_r: float, e0: float, n_periods: int,
                    n_grid: int = EXCHANGE_GRID) -> float:
     """The splitting of run_degenerate_exchange's inputs, ValueError if out of range.
 
-    Out of range are an odd bath size (pairwise cancellation), an e0
-    below eps of the bath's temperature or so large that the trace's
-    sums overflow, an omega_r whose normal modes would overflow or
-    underflow, and a xi so small that the splitting is below 1e4 eps of
-    omega_r.
+    Out of range are a bath size beyond MAX_BATH_SIZE or an odd one
+    (pairwise cancellation), an e0 below eps of the bath's temperature
+    or so large that the trace's sums overflow, an omega_r whose normal
+    modes would overflow or underflow, and a xi so small that the
+    splitting is below 1e4 eps of omega_r.
     """
-    if n < 1 or n_periods < 1:
-        raise ValueError(f"need n >= 1 and n_periods >= 1, got n={n}, "
-                         f"n_periods={n_periods}")
+    if not (1 <= n <= MAX_BATH_SIZE and n_periods >= 1):
+        raise ValueError(f"need 1 <= n <= MAX_BATH_SIZE = {MAX_BATH_SIZE} and n_periods >= 1, "
+                         f"got n={n}, n_periods={n_periods}")
     if n % 2 != 0:
         raise ValueError(f"pairwise cancellation needs an even bath size, got {n}")
     if not (0.0 < e0 < np.inf and 0.0 < omega_r < np.inf):

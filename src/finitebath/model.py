@@ -116,9 +116,21 @@ class TestParticleSpec:
             raise ValueError(f"test particle frequency must be >= 0, got {self.omega}")
 
 
+# the most oscillators one bath may hold.  A point holds about 1.8 KB per
+# oscillator on the normal-mode path (a single point at N = 16000 and
+# 32000 peaked 28 and 56 MB above the import) and 7.5 KB per oscillator of
+# a switched pair (58 MB at 2 x 4000), so a bath at this bound stands for
+# about 240 MB per exact point and, paired with another as large, 2 GB per
+# switched point; a larger size is refused before any table is allocated
+MAX_BATH_SIZE = 1 << 17
+
+
 @dataclass(frozen=True)
 class BathSpec:
-    """Statistical description of one bath before any draw is made."""
+    """Statistical description of one bath before any draw is made.
+
+    Each error message begins with the name of the field it refuses.
+    """
 
     size: int = 400
     mass: float = 0.01
@@ -126,13 +138,14 @@ class BathSpec:
     dos: DensityOfStates = field(default_factory=DensityOfStates)
 
     def __post_init__(self):
-        if self.size < 1:
-            raise ValueError(f"bath size must be >= 1, got {self.size}")
+        if not 1 <= self.size <= MAX_BATH_SIZE:
+            raise ValueError(f"size must be between 1 and MAX_BATH_SIZE = {MAX_BATH_SIZE} "
+                             f"oscillators, got {self.size}")
         if self.mass <= 0.0:
-            raise ValueError(f"bath oscillator mass must be positive, got {self.mass}")
+            raise ValueError(f"mass must be positive, got {self.mass}")
         # a subnormal temperature leaves energies too small to bin
         if not self.temperature >= np.finfo(float).tiny:      # NaN fails too
-            raise ValueError(f"bath temperature must be positive and a normal float, "
+            raise ValueError(f"temperature must be positive and a normal float, "
                              f"at least {np.finfo(float).tiny!r}, got {self.temperature}")
 
 

@@ -108,13 +108,15 @@ def read_histogram(path) -> EnergyHistogram:
 def run_environment() -> dict:
     """numpy's and scipy's versions, the BLAS and its threads, the CPUs and the run's threads.
 
-    blas_config is the build and core the BLAS reports (None where it
-    reports none), blas_threads the count the run found and
-    blas_threads_used the count it ran on (blas_counts; None where no
+    blas_config is the build and core that numpy's BLAS reports (None
+    where it reports none), the library behind both the BLAS products
+    and the secular roots' dlasd4, blas_threads the count the run found
+    and blas_threads_used the count it ran on (blas_counts; None where no
     getter, or no setter, is found): a multithreaded BLAS rounds the
     period map's products by how it splits them among its threads, and
     a BLAS's kernels, picked by its core, round them their own way.
-    scipy's version names the LAPACK behind the secular roots.
+    A run uses no scipy; its version is recorded because the exchange
+    imports scipy.stats.
     point_workers and factor_workers start empty and get, for each curve
     the run records, the processes that ran its points and the threads
     that one point's factorization ran on.

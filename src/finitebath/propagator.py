@@ -100,22 +100,24 @@ and zeroed again.  The FFT rows persist from
 call to call in one module buffer that only grows, to at most two rows
 of _MAX_FFT points (4 MB) for the whole process: a transform holds a
 module lock from taking its rows until it has gathered from them, so
-concurrent samplers take the buffer in turn.  A buffer backs at most
-one live array at a time, and no array a function returns shares
-memory with one.
+concurrent samplers take the buffer in turn.  Each row is transformed
+in place on its own: a 2-D np.fft call allocates pocketfft's scratch
+for the whole array (1 MB at 2^15 points), one row needs almost none,
+and the bytes are the same.  A buffer backs at most one live array at
+a time, and no array a function returns shares memory with one.
 
-Start-up and threads.  dlasd4 is bound through ctypes from the library
-behind scipy's compiled LAPACK wrapper, the file of
-scipy.linalg._flapack, without running the scipy or scipy.linalg
-package __init__: importing scipy.linalg star-imports numpy through
-scipy's array-API layer, which loads numpy.f2py, numpy.testing,
-numpy.ma and numpy.random: 116 of the 160 ms and 19 MB of the peak
-memory of importing the command line module.  Unlike the f2py wrapper,
-a ctypes call releases the GIL, so the secular roots, and Loewner's
-products, whose numpy operations release it too, run on worker
-threads: one per ROOTS_PER_WORKER roots and at most one per CPU the
-process may run on (_workers), each taking a contiguous range of them
-(_in_ranges).  Smaller systems stay on the calling thread.  The pass
+Start-up and threads.  dlasd4 is bound through ctypes from numpy's own
+BLAS library, which exports LAPACK too, so a run loads one OpenBLAS and
+no scipy: importing scipy.linalg star-imports numpy through scipy's
+array-API layer, which loads numpy.f2py, numpy.testing, numpy.ma and
+numpy.random (116 of the 160 ms and 19 MB of the peak memory of
+importing the command line module), and even scipy's compiled LAPACK
+wrapper alone maps a second OpenBLAS (2.2 MB).  Unlike scipy's f2py
+wrapper, a ctypes call releases the GIL, so the secular roots, and
+Loewner's products, whose numpy operations release it too, run on
+worker threads: one per ROOTS_PER_WORKER roots and at most one per
+CPU the process may run on (_workers), each taking a contiguous range
+of them (_in_ranges).  Smaller systems stay on the calling thread.  The pass
 over the shapes (_sweep) threads the same way, over SWEEP_GROUPS fixed
 groups of mode blocks: each group sums its blocks' share of a state in
 order and the groups' sums are added in group order, so the bits
@@ -132,11 +134,11 @@ roots, Loewner's z, the shape groups).  _in_processes is the one place
 the program starts processes: children forked per call, on Linux and
 while no other Python thread is alive (may_fork), the calling process
 one of the workers, all reaped before the call returns.  A sweep
-(experiments._sweep) runs its points on it, one process per CPU, all
-but single-bath RK4 sweeps: on threads the GIL held two points to
-1.2-1.35 times one.  In every worker, as on a range's thread, _workers
-gives every call one thread (point_thread), so the CPUs are shared out
-once per run, and only a run of a single point threads inside it.
+(experiments._sweep) runs its points on it, one process per CPU: on
+threads the GIL held two points to 1.2-1.35 times one.  In every
+worker, as on a range's thread, _workers gives every call one thread
+(point_thread), so the CPUs are shared out once per run, and only a
+run of a single point threads inside it.
 Threaded callers of gridded_sums share its one FFT buffer under its
 lock.  numpy.fft, which numpy loads lazily, is imported here so that a
 run does not import it inside its first transform.
@@ -165,35 +167,38 @@ from .model import SystemState, TestParticleSpec
 
 
 def _load_dlasd4():
-    """LAPACK's dlasd4 from the library behind scipy's compiled _flapack, through ctypes.
+    """LAPACK's dlasd4 from numpy's BLAS library, through ctypes, and its integer type.
 
-    The symbol is scipy_dlasd4_ in the scipy-openblas wheels and dlasd4_
-    elsewhere.  Every argument is passed by address, as Fortran takes it.
+    The routine is looked up through numpy's core extension, which links
+    the library, as _load_blas looks up the thread getter: scipy_dlasd4_64_
+    in numpy's scipy-openblas wheels and dlasd4_64_ elsewhere take 64-bit
+    integers, scipy_dlasd4_ and dlasd4_ 32-bit ones.  Every argument is
+    passed by address, as Fortran takes it.
     """
-    linalg = [os.path.join(d, "linalg")
-              for d in importlib.util.find_spec("scipy").submodule_search_locations]
-    spec = importlib.machinery.PathFinder.find_spec("scipy.linalg._flapack", linalg)
-    if spec is None:
-        raise ImportError(f"scipy's compiled LAPACK wrapper _flapack is not in {linalg}")
-    lib = ctypes.CDLL(spec.origin)
-    for name in ("scipy_dlasd4_", "dlasd4_"):
+    path = np._core._multiarray_umath.__file__
+    lib = ctypes.CDLL(path)
+    for name, integer in (("scipy_dlasd4_64_", ctypes.c_int64), ("dlasd4_64_", ctypes.c_int64),
+                          ("scipy_dlasd4_", ctypes.c_int32), ("dlasd4_", ctypes.c_int32)):
         routine = getattr(lib, name, None)
         if routine is not None:
             # n, i, d, z, delta, rho, sigma, work, info
             routine.argtypes = [ctypes.c_void_p] * 9
             routine.restype = None
-            return routine
-    raise ImportError(f"{spec.origin} exports neither scipy_dlasd4_ nor dlasd4_")
+            return routine, integer
+    raise ImportError(f"{path} exports none of scipy_dlasd4_64_, dlasd4_64_, "
+                      "scipy_dlasd4_ and dlasd4_")
 
 
-dlasd4 = _load_dlasd4()
+# the integer type of n, i and info travels with the routine
+dlasd4, dlasd4_int = _load_dlasd4()
 
 
 def scipy_version() -> str:
     """scipy's version, from its version.py, without running the scipy package __init__.
 
-    The file is found as _load_dlasd4 finds _flapack and run as a module
-    of its own, which sys.modules does not keep.
+    The file is found in scipy's directory and run as a module of its
+    own, which sys.modules does not keep.  A run uses no scipy; the
+    manifest records its version because the exchange imports scipy.stats.
     """
     locations = importlib.util.find_spec("scipy").submodule_search_locations
     spec = importlib.machinery.PathFinder.find_spec("scipy.version", locations)
@@ -241,7 +246,10 @@ blas_threads, _set_blas_threads, _blas_config = _load_blas()
 
 
 def blas_config() -> str | None:
-    """The build and core numpy's BLAS reports (OpenBLAS's get_config), None where not found."""
+    """The build and core numpy's BLAS reports (OpenBLAS's get_config), None where not found.
+
+    That library does the BLAS products and supplies dlasd4 as well.
+    """
     return None if _blas_config is None else _blas_config().decode(errors="replace")
 
 
@@ -748,7 +756,7 @@ def _secular_roots(poles, weights, which):
     def roots(lo, hi):
         # delta as a ctypes array: reading one entry is a plain float
         delta, work = (ctypes.c_double * n)(), (ctypes.c_double * n)()
-        size, i, info = ctypes.c_int(n), ctypes.c_int(), ctypes.c_int()
+        size, i, info = dlasd4_int(n), dlasd4_int(), dlasd4_int()
         rho, sigma = ctypes.c_double(1.0), ctypes.c_double()
         args = [ctypes.addressof(size), ctypes.addressof(i), d.ctypes.data, z.ctypes.data,
                 ctypes.addressof(delta), ctypes.addressof(rho), ctypes.addressof(sigma),
@@ -1205,7 +1213,8 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
             _spread(u, coef, grid)
             grid[:, :g.half + 1] *= deconv
             grid[:, n_fft - g.half:] *= deconv[:0:-1]
-            np.fft.ifft(grid, axis=1, out=grid)
+            for row in grid:
+                np.fft.ifft(row, out=row)
             re_im = _gather(grid, xi, rate)
         out[lo:lo + 2] = re_im[:, 0] * cos - re_im[:, 1] * sin
     return out

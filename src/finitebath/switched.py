@@ -116,8 +116,8 @@ class SwitchSchedule:
             raise ValueError(
                 f"delta_t_steps = {self.delta_t_steps}: a period of "
                 f"{self.period_steps} steps over {dim} coordinates needs "
-                f"{self.period_steps * dim:.3g} period map entries, more than "
-                f"{MAX_PERIOD_ENTRIES:.3g}")
+                f"{self.period_steps * dim} period map entries, more than "
+                f"{MAX_PERIOD_ENTRIES}")
 
 
 STEPS_PER_PERIOD = 50

@@ -13,7 +13,6 @@ block prints one PASS/FAIL line per criterion so the verdicts can be
 read without scanning the full pytest output.
 """
 
-import ctypes
 import re
 from pathlib import Path
 
@@ -127,10 +126,11 @@ def failing_dlasd4(monkeypatch):
     """Replace propagator's dlasd4 binding by a stub that reports info = 1 on every root.
 
     The binding takes the addresses of Fortran's arguments (n, i, d, z,
-    delta, rho, sigma, work, info); the stub writes only info.
+    delta, rho, sigma, work, info), n, i and info of its integer type
+    dlasd4_int; the stub writes only info.
     """
     def stub(n, i, d, z, delta, rho, sigma, work, info):
-        ctypes.c_int.from_address(info).value = 1
+        propagator.dlasd4_int.from_address(info).value = 1
 
     monkeypatch.setattr(propagator, "dlasd4", stub)
 

@@ -13,6 +13,7 @@ import pytest
 import finitebath
 from finitebath import experiments, propagator
 from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
+from finitebath.model import MAX_BATH_SIZE
 from finitebath.propagator import NumericalError
 from finitebath.output import read_histogram
 from finitebath.stats import FitError
@@ -501,11 +502,15 @@ def test_a_bath_mass_whose_stiffness_underflows_exits_2(tmp_path, capsys):
 @pytest.mark.parametrize("sets, text", [
     (["omega_grid=[1e-300]"], "omega=1e-300 lies so far below omega_uv that a bath fit's "
                               "factor (omega_uv / omega)^2 overflows"),
-    (["bath1_size=1e308", "omega_grid=[0.5]"], "the energy bound initial_energy + 37 N T "
-                                               "over the baths, inf, overflows"),
+    ([f"bath1_size={MAX_BATH_SIZE}", "bath1_temperature=1e303", "omega_grid=[0.5]"],
+     "the energy bound initial_energy + 37 N T over the baths, inf, overflows"),
 ], ids=["slow-particle", "huge-bath"])
 def test_the_energy_headroom_refusal_names_the_term_that_overflows(tmp_path, capsys, sets, text):
-    """Neither run's initial_energy, 0, is at fault, and neither refusal names it."""
+    """Neither run's initial_energy, 0, is at fault, and neither refusal names it.
+
+    The huge bath is the largest one allowed, MAX_BATH_SIZE oscillators,
+    at a temperature whose 2 T / (m omega_ir^2) is finite.
+    """
     out = tmp_path / "x"
     argv = ["sweep", *(arg for key in sets + ["seeds=[1]"] for arg in ("--set", key))]
     assert main(argv + ["--out", str(out)]) == EXIT_CONFIG
@@ -539,6 +544,29 @@ def test_a_half_period_too_long_for_memory_exits_2(tmp_path, twobath_config, cap
     assert code == EXIT_CONFIG
     assert capsys.readouterr().err.startswith(
         "error: delta_t_steps = 100000000000: a period of 200000000000 steps over 22 ")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("argv,key", [
+    (["twobath", "--set", "bath2_size=1e308"], "bath2_size"),
+    (["sweep", "--set", "bath1_size=1e30"], "bath1_size"),
+    (["sweep", "--set", f"bath1_size={MAX_BATH_SIZE + 1}"], "bath1_size"),
+    (["twobath", "--set", "bath2_size=5", "--set", "delta_t_steps=1e308"], "delta_t_steps"),
+])
+def test_a_bath_size_beyond_memory_exits_2(tmp_path, argv, key):
+    """A size above MAX_BATH_SIZE, or a period whose table overflows a float, is refused.
+
+    Sizes of 1e308 and 1e30 ended in an OverflowError (formatting the
+    period map's entries through float) and a numpy ValueError (a draw
+    beyond numpy's largest array), both tracebacks with exit 1.
+    """
+    out = tmp_path / "x"
+    env = {**os.environ, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
+    proc = subprocess.run([sys.executable, "-m", "finitebath.cli", *argv, "--set",
+                           "omega_grid=[0.5]", "--set", "seeds=[1]", "--out", str(out)],
+                          env=env, timeout=120, capture_output=True, text=True)
+    assert proc.returncode == EXIT_CONFIG, proc.stderr
+    assert proc.stderr.startswith(f"error: {key}") and "Traceback" not in proc.stderr
     assert not out.exists()
 
 
@@ -613,15 +641,34 @@ def _fresh_python(code: str, **env) -> str:
 
 
 def test_cli_import_leaves_scipy_stats_unloaded():
-    """dlasd4 comes from scipy's compiled LAPACK wrapper alone; only `exchange` needs scipy.stats.
+    """dlasd4 comes from numpy's own BLAS library; only `exchange` needs scipy.stats.
 
     The worker threads of the secular roots are plain threads: neither
-    concurrent.futures nor logging, which it imports, is loaded.
+    concurrent.futures nor logging, which it imports, is loaded.  After
+    a sweep no scipy module is loaded either, and the process maps one
+    OpenBLAS library, numpy's (where /proc/self/maps exists).
     """
-    code = ("import sys, finitebath.cli\n"
-            "print(sorted({'scipy', 'scipy.linalg', 'scipy.stats', 'concurrent.futures',"
-            " 'logging'} & set(sys.modules)))")
-    assert _fresh_python(code) == "[]\n"
+    code = """
+import json, os, sys, tempfile
+import finitebath.cli
+loaded = sorted({'scipy', 'scipy.linalg', 'scipy.stats', 'concurrent.futures',
+                 'logging'} & set(sys.modules))
+with tempfile.TemporaryDirectory() as out:
+    code = finitebath.cli.main(["sweep", "--set", "bath1_size=40", "--set", "omega_grid=[0.5]",
+                                "--set", "n_samples=200", "--set", "seeds=[1]", "--out", out])
+maps = None
+if os.path.exists("/proc/self/maps"):
+    with open("/proc/self/maps") as f:
+        maps = sorted({line.split()[-1] for line in f
+                       if "openblas" in os.path.basename(line.split()[-1]).lower()})
+print(json.dumps([loaded, code, sorted(m for m in sys.modules if m.partition(".")[0] == "scipy"),
+                  maps]))
+"""
+    loaded, code, scipy_modules, maps = json.loads(_fresh_python(code).splitlines()[-1])
+    assert (loaded, code, scipy_modules) == ([], EXIT_OK, [])
+    if maps is None:
+        pytest.skip("no /proc/self/maps")
+    assert len(maps) == 1, maps
 
 
 def test_worker_processes_end_without_atexit_handlers_or_a_second_flush():
@@ -816,14 +863,15 @@ def test_a_single_run_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monk
 
 
 def test_a_sweeps_files_keep_their_bytes_on_any_number_of_cpus(tmp_path, monkeypatch, capsys):
-    """A three-seed `single` run and a two-frequency sweep on 1, 2 and 3 CPUs, as many point workers.
+    """A three-seed `single` run and two-frequency sweeps on 1, 2 and 3 CPUs, as many point workers.
 
-    Every file keeps its bytes, histograms and summary included; the
-    manifests differ only in their timestamps and the point workers
-    they record.
+    The sweeps run the exact modes and RK4.  Every file keeps its bytes,
+    histograms and summary included; the manifests differ only in their
+    timestamps and the point workers they record.
     """
     sets = ["--set", "bath1_size=60", "--set", "n_samples=200", "--set", "seeds=[1,2,3]"]
-    for argv in (["single", "--omega", "0.5"], ["sweep", "--set", "omega_grid=[0.5, 0.7]"]):
+    sweep = ["sweep", "--set", "omega_grid=[0.5, 0.7]"]
+    for argv in (["single", "--omega", "0.5"], sweep, sweep + ["--set", "propagator=rk4"]):
         runs = []
         for cpus in (1, 2, 3):
             files, manifest = _run_on_cpus(monkeypatch, tmp_path / f"{argv[0]}{cpus}", cpus,

@@ -23,6 +23,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitebath import cli, config
+from finitebath.model import MAX_BATH_SIZE
 
 MASSES = [5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100]
 BAND_EDGES = [5e-324, 1e-300, 1e-6, 0.01, 0.2, 1.0, 10.0, 1e6, 1e154]
@@ -36,6 +37,10 @@ BOUNDARY = [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1e6, 1e154, 1e300]
 SAMPLING = {"n_samples": [-1, 0, 99, 100, 2000], "mean_interval": BOUNDARY + [1e308],
             "warmup": BOUNDARY, "n_bins": [-1, 4, 5, 40, 10**6],
             "span_factor": BOUNDARY + [1e308]}
+# bath sizes: small enough to run, or above MAX_BATH_SIZE up to the int64
+# range, which a run refuses (exit 2) before it allocates anything
+SIZES = st.integers(min_value=1, max_value=30) | st.integers(min_value=MAX_BATH_SIZE + 1,
+                                                             max_value=2**63 - 1)
 # the label of each curve's failures in the manifest
 CURVES = {"curve.csv": "", "curve_combined.csv": "", "curve_bath1_alone.csv": "bath1 alone: ",
           "curve_bath2_alone.csv": "bath2 alone: "}
@@ -81,6 +86,12 @@ def _run_cli(argv, finite=False, target=None):
     return code, manifest, failed
 
 
+def _assert_too_large_refused(keys, code):
+    """A run with a bath above MAX_BATH_SIZE is refused with exit 2."""
+    if any(keys.get(f"bath{b}_size", 1) > MAX_BATH_SIZE for b in (1, 2)):
+        assert code == 2, (keys, code)
+
+
 def _argv(*sets):
     """--set arguments for KEY=VALUE texts."""
     return [arg for s in sets for arg in ("--set", s)]
@@ -97,7 +108,7 @@ def runs(draw):
     baths = (1, 2) if command == "twobath" or draw(st.booleans()) else (1,)
     keys = {}
     for b in baths:
-        keys[f"bath{b}_size"] = draw(st.integers(min_value=1, max_value=30))
+        keys[f"bath{b}_size"] = draw(SIZES)
         keys[f"bath{b}_mass"] = draw(st.sampled_from(MASSES))
         if draw(st.booleans()):
             edges = draw(st.lists(st.sampled_from(BAND_EDGES), min_size=2, max_size=2))
@@ -113,7 +124,8 @@ def test_boundary_bath_masses_end_in_a_documented_exit_code(run):
     command, keys = run
     sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
     sets += ["omega_grid=[0.5]", "seeds=[1]", "n_samples=200"]
-    _, manifest, _ = _run_cli([command] + [arg for s in sets for arg in ("--set", s)])
+    code, manifest, _ = _run_cli([command] + [arg for s in sets for arg in ("--set", s)])
+    _assert_too_large_refused(keys, code)
     failures = manifest["failures"] if manifest else []
     assert not any("total energy drifted" in entry[2] for entry in failures), (keys, failures)
 
@@ -121,7 +133,7 @@ def test_boundary_bath_masses_end_in_a_documented_exit_code(run):
 @st.composite
 def schedules(draw):
     """twobath config overrides: bath sizes, the switching schedule, temperatures, one omega."""
-    keys = {f"bath{b}_size": draw(st.integers(min_value=1, max_value=30)) for b in (1, 2)}
+    keys = {f"bath{b}_size": draw(SIZES) for b in (1, 2)}
     keys["delta_t_steps"] = draw(st.sampled_from(DELTA_T_STEPS))
     keys["step_size"] = draw(st.sampled_from(STEP_SIZES))
     keys["renormalization"] = draw(st.sampled_from(["switched", "static"]))
@@ -149,6 +161,7 @@ def test_boundary_schedules_end_in_a_documented_exit_code(keys):
     sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
     sets += ["seeds=[1]", "n_samples=200"]
     code, manifest, failed = _run_cli(["twobath"] + [arg for s in sets for arg in ("--set", s)])
+    _assert_too_large_refused(keys, code)
     _assert_failures_named(keys, code, manifest, failed)
 
 
@@ -172,7 +185,7 @@ def samplings(draw):
 
     The grid's points run on the sweep's point worker processes.
     """
-    keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30))}
+    keys = {"bath1_size": draw(SIZES)}
     for key, values in SAMPLING.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
@@ -186,6 +199,7 @@ def samplings(draw):
 def test_boundary_sampling_keys_end_in_a_documented_exit_code(keys):
     sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()] + ["seeds=[1]"]
     code, manifest, failed = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
+    _assert_too_large_refused(keys, code)
     _assert_failures_named(keys, code, manifest, failed)
 
 
@@ -198,7 +212,7 @@ SINGLE_BATH = {"initial_energy": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1.0, 1e6, 1e1
 @st.composite
 def single_baths(draw):
     """sweep config overrides: a bath size, one frequency and the single-bath keys."""
-    keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30))}
+    keys = {"bath1_size": draw(SIZES)}
     for key, values in SINGLE_BATH.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
@@ -213,6 +227,7 @@ def test_boundary_single_bath_keys_end_in_a_documented_exit_code(keys):
     sets = [f"{key}={json.dumps(value)}" for key, value in keys.items()]
     sets += ["seeds=[1]", "n_samples=200"]
     code, manifest, failed = _run_cli(["sweep"] + [arg for s in sets for arg in ("--set", s)])
+    _assert_too_large_refused(keys, code)
     _assert_failures_named(keys, code, manifest, failed)
 
 
@@ -242,9 +257,9 @@ OUT_TARGETS = ["new/out", "dir", "file.txt", "file.txt/out"]
 
 @st.composite
 def single_runs(draw):
-    """(argv, --out target) of a single or sweep run on one frequency and a bath of 1 to 30."""
+    """(argv, --out target) of a single or sweep run on one frequency and a bath from SIZES."""
     command = draw(st.sampled_from(["single", "sweep"]))
-    keys = {"bath1_size": draw(st.integers(min_value=1, max_value=30)), "n_samples": 200}
+    keys = {"bath1_size": draw(SIZES), "n_samples": 200}
     for key, values in REMAINING.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
@@ -277,6 +292,8 @@ def test_boundary_single_runs_end_in_a_documented_exit_code(run):
     code, manifest, _ = _run_cli(argv, target=target)
     if target.startswith("file.txt"):
         assert code == 2, (argv, target, code)
+    size = next(int(arg.partition("=")[2]) for arg in argv if arg.startswith("bath1_size="))
+    _assert_too_large_refused({"bath1_size": size}, code)
     if code in (3, 4):
         assert manifest is not None and manifest["failures"], (argv, code)
 

@@ -231,7 +231,7 @@ def test_a_curve_keeps_one_result_per_point_in_grid_order(monkeypatch):
             raise propagator.NumericalError("forced")
         if (omega, seed) != (0.7, 1):
             return run(omega, spec, seed, **kwargs)
-        # a single-bath RK4 sweep runs its points in order on this thread
+        # the patch holds for this point alone, in whichever worker process runs it
         with monkeypatch.context() as patch:
             patch.setattr(experiments, "fit_temperature", unfit)
             return run(omega, spec, seed, **kwargs)

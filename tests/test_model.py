@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitebath.model import (
+    MAX_BATH_SIZE,
     BathRealization,
     BathSpec,
     DensityOfStates,
@@ -173,6 +174,10 @@ def test_particle_initial_energy():
 def test_bath_spec_validation():
     with pytest.raises(ValueError, match="size"):
         BathSpec(size=0)
+    BathSpec(size=MAX_BATH_SIZE)
+    for size in (MAX_BATH_SIZE + 1, 10**308):
+        with pytest.raises(ValueError, match="^size must be between 1 and MAX_BATH_SIZE"):
+            BathSpec(size=size)
     with pytest.raises(ValueError, match="mass"):
         BathSpec(mass=-0.01)
     with pytest.raises(ValueError, match="temperature"):

@@ -1,6 +1,5 @@
 """Coupling description, its dense drift matrix (the test reference) and the normal-mode propagator."""
 
-import ctypes
 import functools
 import itertools
 import math
@@ -440,8 +439,8 @@ def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
     for failing in ((2500, 3500), (1500, 3500)):
         def failing_at(n, i, d, z, delta, rho, sigma, work, info):
             real_dlasd4(n, i, d, z, delta, rho, sigma, work, info)
-            if ctypes.c_int.from_address(i).value - 1 in failing:
-                ctypes.c_int.from_address(info).value = 2
+            if propagator.dlasd4_int.from_address(i).value - 1 in failing:
+                propagator.dlasd4_int.from_address(info).value = 2
 
         monkeypatch.setattr(propagator, "dlasd4", failing_at)
         with pytest.raises(EigensolverError, match=rf"secular root {failing[0]} \(info = 2\)"):

@@ -95,6 +95,7 @@ def test_script_runs_and_writes_its_output(tmp_path, capsys, name, args, outputs
                               "--out", "{tmp}"]),
     ("degenerate_exchange", ["--size", "3", "--out", "{tmp}"]),
     ("degenerate_exchange", ["--size", "0", "--out", "{tmp}"]),
+    ("degenerate_exchange", ["--size", str(10**20), "--out", "{tmp}"]),
     ("degenerate_exchange", ["--xi", "2", "--out", "{tmp}"]),
     ("degenerate_exchange", ["--n-periods", "0", "--out", "{tmp}"]),
     ("degenerate_exchange", ["--e0", "-5", "--out", "{tmp}"]),
