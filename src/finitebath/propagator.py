@@ -78,16 +78,19 @@ periods and d + i theta = log of its multipliers.  All three go through
 banded_sums: a type-3 nonuniform FFT, gridded_sums, for the modes whose
 theta lies within that of the bath band, O(N + M + grid) for M samples
 and within NUFFT_TOL of sum_k |A_k - i B_k| at every sample.  A decay
-is small over a run (|n log rho| <= 5e-4 for RK4 at 50 steps per
-period), so it enters the grid as a short series in x d whose order
-follows from NUFFT_TOL (_decay_order): a few more gridded rows, none for
-the exact form.  The secular roots interlace the bath poles, so at most
-two modes lie outside the band (the particle-like mode at an out-of-band
-Omega, and one above the band); those go through the direct sum
-mode_sums, chunked real tables of O(N) work per sample, which keeps the
-grid independent of Omega.  Inputs whose grid would outgrow its memory
-cap (grid_fits), or hold more points than the direct sum has terms, are
-summed directly too.
+is the imaginary part of each frequency, theta_k - i d_k, so that one
+transform per pair of rows sums e^{x d_k} e^{i x theta_k} directly; it
+widens the error bound by e^{DECAY_GROWTH y}, y = X max|d_k| over the
+half span X, and beyond y = MAX_GRID_DECAY (an error of 2 NUFFT_TOL) the
+modes are summed directly.  Over a run a decay is small (y = 2e-4 for
+RK4 at 50 steps per period on rk4_dense), and the exact form has none:
+its frequencies stay real.  The secular roots interlace the bath poles,
+so at most two modes lie outside the band (the particle-like mode at an
+out-of-band Omega, and one above the band); those go through the direct
+sum mode_sums, chunked real tables of O(N) work per sample, which keeps
+the grid independent of Omega.  Inputs whose grid would outgrow its
+memory cap (grid_fits), or hold more points than the direct sum has
+terms, are summed directly too.
 
 Buffers.  Beyond its O(N) data a pass over the modes holds a few buffers
 of SHAPE_BLOCK by N + 1 entries per thread, and the transform chunk
@@ -1031,9 +1034,9 @@ class EigenPropagator:
         One step multiplies mode k by R(i h nu_k) = rho_k e^{i phi_k}, so
         the mode form holds with nu_k t replaced by n phi_k and scaled by
         rho_k^n; no stepping.  Like sample_test_particle it grids the
-        modes whose phase lies within those of the bath frequencies, the
-        decay rho_k^n as a short series (banded_sums): O(N + M + grid)
-        for M samples.
+        modes whose phase lies within those of the bath frequencies, in
+        one transform of the (Q, P) pair whose frequencies phi_k - i log
+        rho_k carry the decay (banded_sums): O(N + M + grid) for M samples.
         """
         phi, log_rho = rk4_mode_factors(self.nu, h)
         live, rows = self._rows()
@@ -1136,6 +1139,21 @@ def _grid(t, nu) -> _Grid:
                  n_fft=1 << (_OVERSAMPLE * (2 * half + 1) - 1).bit_length())
 
 
+# A decay d_k rides on the imaginary part of its frequency (gridded_sums).
+# The nearest aliased image of each kernel lies _KERNEL_CUT / _KERNEL_A
+# half spans X beyond the span, where its decay has grown by up to
+# e^{y _KERNEL_CUT / _KERNEL_A} against the centre, y = X max|d_k|, and
+# the Gaussian's cut tails grow by up to e^{y^2 / 2 _KERNEL_A^2} <= e^y
+# (y <= 2 _KERNEL_A^2 = 12): the gridding error grows by at most
+# e^{DECAY_GROWTH y}.  Both kernel parameters follow from NUFFT_TOL, and
+# their ratio is sqrt(10) at any tolerance.  banded_sums grids a decay
+# while that factor stays within 2, an error of at most 2 NUFFT_TOL:
+# y <= MAX_GRID_DECAY = log 2 / DECAY_GROWTH = 0.167.  The benchmark's
+# RK4 runs reach y = 2e-4 (rk4_dense) and the period map's about 3e-13
+DECAY_GROWTH = 1.0 + _KERNEL_CUT / _KERNEL_A
+MAX_GRID_DECAY = float(np.log(2.0) / DECAY_GROWTH)
+
+
 # FFT points of gridded_sums.  Its FFT buffer holds two rows, 32 bytes
 # per point, and is transformed in place: 4 MB at the cap, kept from call
 # to call, next to the direct sum's 6 MB of tables.  The benchmark sweeps
@@ -1155,39 +1173,48 @@ def grid_fits(t, nu) -> bool:
 
 
 def gridded_sums(t, nu, rows) -> np.ndarray:
-    """mode_sums(t, nu, None, rows) by a type-3 nonuniform FFT.
+    """mode_sums(t, nu.real, -nu.imag, rows) by a type-3 nonuniform FFT.
 
-    Row j of the result is Re sum_k c_jk e^{i nu_k t}, c_jk = A_jk - i B_jk,
-    within NUFFT_TOL sum_k |c_jk| at each time.  Gaussian gridding (Lee &
-    Greengard, J. Comput. Phys. 206, 1 (2005)):
+    Row j of the result is Re sum_k c_jk e^{i nu_k t}, c_jk = A_jk - i B_jk.
+    A mode's decay d_k is the imaginary part of its frequency, nu_k =
+    theta_k - i d_k, so that e^{i nu_k t} = e^{t d_k} e^{i theta_k t}; real
+    frequencies have none.  Gaussian gridding holds for a complex frequency
+    (Lee & Greengard, J. Comput. Phys. 206, 1 (2005)):
 
     1. Centre: nu = nu_c + v and t = t_c + t', |t'| <= X, so the sum is
        e^{i nu_c t} g(t') with g(t') = sum_k c'_k e^{i v_k t'} and
-       c'_k = c_k e^{i v_k t_c}.  N + M trig evaluations.
+       c'_k = c_k e^{i v_k t_c}, which holds e^{d_k t_c}.  N + M trig
+       evaluations.
     2. Spread each c'_k onto the grid v = g h with the Gaussian
-       exp(-(v - v_k)^2 / 2 s^2), s = a / X, cut at _KERNEL_CUT s: grid
-       coefficients F_g, accumulated in order by np.add.at (real,
-       imaginary) straight into the FFT row, F_g at index g mod its length.
+       exp(-(v - v_k)^2 / 2 s^2), s = a / X, cut at _KERNEL_CUT s about
+       Re v_k (_spread; complex weights only where v_k is complex): grid
+       coefficients F_g, accumulated in order by np.add.at straight into
+       the FFT row, F_g at index g mod its length.
     3. h sum_g F_g e^{i g h t'} = g(t') phi(t') up to truncation and
-       aliasing, phi(t') = s sqrt(2 pi) e^{-s^2 t'^2 / 2} the kernel's
-       transform.  Evaluate it at the t' by the Gaussian type-2 step:
-       deconvolve, zero-padded np.fft in place, gather 2 _M_SP grid
-       points per time.
+       aliasing, phi(t') = s sqrt(2 pi) e^{-s^2 t'^2 / 2}: the kernel's
+       transform s sqrt(2 pi) e^{-s^2 t'^2 / 2} e^{i v_k t'} is a contour
+       shift away from that of a real v_k.  Evaluate it at the t' by the
+       Gaussian type-2 step: deconvolve, zero-padded np.fft in place,
+       gather 2 _M_SP grid points per time.
     4. Divide by phi(t') and restore e^{i nu_c t}.
 
-    The rows go through steps 2 and 3 two at a time, in the module's FFT
-    buffer (_fft_rows), which grid_fits caps at two rows of _MAX_FFT
-    points and which the call holds under _fft_lock meanwhile.
-    Spreading and gathering go through buffers of GRID_CHUNK entries
-    each, reused chunk after chunk.
+    The error is within NUFFT_TOL e^{(1 + _KERNEL_CUT / _KERNEL_A) y}
+    sum_k |c_jk| e^{d_k t_c} at each time, y = X max|d_k| (DECAY_GROWTH),
+    so NUFFT_TOL sum_k |c_jk| without decay.  The rows go through steps
+    2 and 3 two at a time, in the module's FFT buffer (_fft_rows), which
+    grid_fits caps at two rows of _MAX_FFT points and which the call
+    holds under _fft_lock meanwhile.  Spreading and gathering go through
+    buffers of GRID_CHUNK entries each, reused chunk after chunk.
     """
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    nu = np.asarray(nu, dtype=float)
-    # 1. centre; the c'_k are spread in grid units u_k = v_k / h
-    g = _grid(t, nu)
+    nu = np.asarray(nu)
+    nu = nu.astype(complex if np.iscomplexobj(nu) else float, copy=False)
+    # 1. centre; the c'_k are spread in grid units u_k + i beta_k = v_k / h
+    g = _grid(t, nu.real)
     v = nu - g.nu_c
     spin = np.exp(1j * (v * g.t_c))
-    u = v / g.h
+    u = v.real / g.h
+    beta = v.imag / g.h if np.iscomplexobj(v) else None
     # 3. type-2 step: sum_|m|<=K F_m e^{i m x} at x = h t' in (-pi, pi).
     # The deconvolution is even in m: deconv[m] for m >= 0
     size, n_fft = 2 * g.half + 1, g.n_fft
@@ -1210,7 +1237,7 @@ def gridded_sums(t, nu, rows) -> np.ndarray:
         coef = [(a - 1j * b) * spin for a, b in pair]
         with _fft_lock:
             grid = _fft_rows(len(pair), n_fft)
-            _spread(u, coef, grid)
+            _spread(u, beta, coef, grid)
             grid[:, :g.half + 1] *= deconv
             grid[:, n_fft - g.half:] *= deconv[:0:-1]
             for row in grid:
@@ -1248,31 +1275,49 @@ def _fft_rows(n_rows, n_fft):
 GRID_CHUNK = 32_768
 
 
-def _spread(u, coef, rows):
-    """Add to each row Gaussians at grid positions u: F_m at rows[j, m], m mod the length.
+def _spread(u, beta, coef, rows):
+    """Add to each row Gaussians at grid positions u + i beta: F_m at rows[j, m], m mod the length.
 
-    Row j gains sum_k coef[j][k] exp(-(m - u_k)^2 / 2 _SIGMA^2) over the
-    _WIDTH grid points m around each u_k.  np.add.at adds the terms in
-    order of k, whatever the chunk size.
+    Row j gains sum_k coef[j][k] exp(-(m - u_k - i beta_k)^2 / 2 _SIGMA^2)
+    over the _WIDTH grid points m around each u_k.  With x = m - u_k that
+    weight is exp(-(x^2 - beta_k^2) / 2 _SIGMA^2) e^{i beta_k x / _SIGMA^2};
+    it is real where beta is None, and the rows' real and imaginary parts
+    are spread apart.  np.add.at adds the terms in order of k, whatever
+    the chunk size.
     """
     cut = _KERNEL_CUT * _SIGMA
     step = max(1, GRID_CHUNK // _WIDTH)
     shape = (min(step, len(u)), _WIDTH)
-    index, weight, part = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
+    # the weights and terms are complex where there is a decay
+    dtype = float if beta is None else complex
+    index, weight, part = np.empty(shape, np.intp), np.empty(shape, dtype), np.empty(shape, dtype)
     points = np.arange(_WIDTH)
     for lo in range(0, len(u), step):
         uu = u[lo:lo + step]
         first = np.ceil(uu - cut)
         ix, w, pt = index[:len(uu)], weight[:len(uu)], part[:len(uu)]
         np.add.outer(first.astype(np.intp), points, out=ix)
-        np.add.outer(first - uu, points, out=w)
-        w *= w
-        w *= -0.5 / _SIGMA**2
-        np.exp(w, out=w)
-        for row, c in zip(rows, coef):
-            for out, values in ((row.real, c.real), (row.imag, c.imag)):
-                np.multiply(w, values[lo:lo + step, None], out=pt)
-                np.add.at(out, ix.ravel(), pt.ravel())
+        if beta is None:
+            np.add.outer(first - uu, points, out=w)
+            w *= w
+            w *= -0.5 / _SIGMA**2
+            np.exp(w, out=w)
+            for row, c in zip(rows, coef):
+                for out, values in ((row.real, c.real), (row.imag, c.imag)):
+                    np.multiply(w, values[lo:lo + step, None], out=pt)
+                    np.add.at(out, ix.ravel(), pt.ravel())
+        else:
+            # the exponent -(x^2 - beta^2) / 2 _SIGMA^2 + i beta x / _SIGMA^2
+            bb, x = beta[lo:lo + step, None], w.real
+            np.add.outer(first - uu, points, out=x)
+            np.multiply(x, bb / _SIGMA**2, out=w.imag)
+            x *= x
+            x -= bb * bb
+            x *= -0.5 / _SIGMA**2
+            np.exp(w, out=w)
+            for row, c in zip(rows, coef):
+                np.multiply(w, c[lo:lo + step, None], out=pt)
+                np.add.at(row, ix.ravel(), pt.ravel())
 
 
 def _gather(smooth, xi, rate) -> np.ndarray:
@@ -1302,72 +1347,40 @@ def _gather(smooth, xi, rate) -> np.ndarray:
     return acc
 
 
-def _decay_order(y_max):
-    """The order J of the series of e^y that banded_sums grids, or None.
-
-    J is the smallest order whose remainder |y|^(J+1) e^|y| / (J+1)! is
-    within NUFFT_TOL for every |y| <= y_max.  None where e^y_max > 2:
-    the transform's error on the series' terms, NUFFT_TOL e^y_max sum_k
-    |A_k - i B_k|, and their rounding would exceed twice that of a sum
-    without decay.
-    """
-    if not y_max <= np.log(2.0):      # NaN fails too
-        return None
-    order, rest = 0, y_max * np.exp(y_max)
-    while rest > NUFFT_TOL:
-        order += 1
-        rest *= y_max / (order + 1)
-    return order
-
-
 def banded_sums(x, theta, log_decay, rows, band) -> np.ndarray:
     """mode_sums(x, theta, log_decay, rows), the in-band modes gridded.
 
     The modes whose theta lies within [min band, max band] go through
-    gridded_sums, the others through mode_sums, so the grid does not
-    grow with modes far outside the band; every sampler passes the
-    theta of the bath frequencies as its band.  A decay enters the grid
-    as the series e^{x d_k} = sum_{j<=J} (x d_k)^j / j!, J from
-    _decay_order at the largest |x d| in the band: gridded_sums on the
-    rows (A d^j, B d^j) for every j, recombined with the weights x^j /
-    j!, O(N + M) in all.  Without decay J = 0 and the gridded rows are
-    the rows themselves.  Every mode is summed directly where the series
-    does not apply, grid_fits refuses the grid, or the grid would hold
-    more points than the direct sum has terms.
+    gridded_sums in one call, with the rows themselves and the
+    frequencies theta_k - i d_k that carry each decay d = log_decay (real
+    frequencies where log_decay is None); the others go through
+    mode_sums, so the grid does not grow with modes far outside the band.
+    Every sampler passes the theta of the bath frequencies as its band.
+    Every mode is summed directly where a decay exceeds MAX_GRID_DECAY
+    over the grid's half span, grid_fits refuses the grid, or the grid
+    would hold more points than the direct sum has terms.
     """
     x = np.atleast_1d(np.asarray(x, dtype=float))
     inside = (theta >= np.min(band)) & (theta <= np.max(band))
-    order = 0
-    if log_decay is not None and np.any(inside):
-        order = _decay_order(np.max(np.abs(x), initial=0.0)
-                             * np.max(np.abs(log_decay[inside])))
-    # the grid must also be smaller than the direct sum it replaces: the
-    # FFTs of gridded_sums, one per pair of rows, hold no more points than
-    # the direct sum has terms.  A few times, as in each residue class of a
+    nu = theta[inside] if log_decay is None else theta[inside] - 1j * log_decay[inside]
+    # a decay must stay within MAX_GRID_DECAY over the half span, and the
+    # grid must also be smaller than the direct sum it replaces: the FFTs
+    # of gridded_sums, one per pair of rows, hold no more points than the
+    # direct sum has terms.  A few times, as in each residue class of a
     # long switching period, are summed directly, which is exact to rounding
-    ffts = 0 if order is None else (order + 1) * ((len(rows) + 1) // 2)
-    if not (ffts and grid_fits(x, theta[inside])
-            and ffts * _grid(x, theta[inside]).n_fft <= len(x) * np.count_nonzero(inside)):
+    gridded = grid_fits(x, nu.real)
+    if gridded:
+        g = _grid(x, nu.real)
+        y = g.half_span * np.max(np.abs(nu.imag))
+        gridded = (y <= MAX_GRID_DECAY       # NaN fails too
+                   and (len(rows) + 1) // 2 * g.n_fft <= len(x) * len(nu))
+    if not gridded:
         inside[:] = False
     out = mode_sums(x, theta[~inside], None if log_decay is None else log_decay[~inside],
                     [(a[~inside], b[~inside]) for a, b in rows])
-    if not np.any(inside):
-        return out
-    powers = [1.0]                   # d^j for j <= J
-    for _ in range(order):
-        powers.append(powers[-1] * log_decay[inside])
-    terms = gridded_sums(x, theta[inside],
-                         [(a[inside] * dj, b[inside] * dj) for dj in powers for a, b in rows])
-    out += _series(terms.reshape(order + 1, len(rows), len(x)), x)
+    if np.any(inside):
+        out += gridded_sums(x, nu, [(a[inside], b[inside]) for a, b in rows])
     return out
-
-
-def _series(terms, x):
-    """sum_j terms[j] x^j / j! by Horner's rule."""
-    acc = terms[-1]
-    for j in range(len(terms) - 2, -1, -1):
-        acc = terms[j] + acc * (x / (j + 1))
-    return acc
 
 
 # RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)

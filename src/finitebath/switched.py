@@ -23,9 +23,10 @@ the period map keeps one root of each pair, n in all, and the sum is
 sums of each residue class r, as it samples the normal modes, with
 theta = arg mu and d = log |mu|: the roots whose arg lies within that
 of R(i h w)^period over the bath frequencies w (in the upper half
-plane) through one type-3 transform, the others (two of 401 at 2 x
-200, and any root that settled below the real axis) directly.  One
-root per pair halves the band the transform grids.
+plane) through one type-3 transform of the (Q, P) pair, whose
+frequencies theta - i d carry each multiplier's |mu|^k exactly, the
+others (two of 401 at 2 x 200, and any root that settled below the real
+axis) directly.  One root per pair halves the band the transform grids.
 
 The period map is factored in O(N^2) time and O(N r^2) memory, without
 forming it or any other dim x dim matrix.  In phase 1's normal modes
@@ -776,7 +777,9 @@ class SwitchedPropagator:
         the run (a parametrically resonant schedule), is a NumericalError.
         The period map is sampled through propagator.banded_sums, as 2 Re
         of the sum over one root of each conjugate pair, whose transform
-        holds a grid sized by the run's span times the bath band and whose
+        takes log |mu| as the imaginary part of each frequency arg mu -
+        i log |mu|, holds a grid sized by the run's span times the bath
+        band, and whose
         direct sum holds one set of SAMPLE_CHUNK tables, so beyond its
         factorization a run's memory does not grow with the number of
         samples.  t_final defaults to the last (snapped)

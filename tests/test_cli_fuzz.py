@@ -411,9 +411,15 @@ def test_boundary_oracle_flags_end_in_a_documented_exit_code(argv):
 # a fit's histogram: 1 to 8 bins from 0, from half or from 0.9 of a top edge
 # at a boundary scale, with counts at boundary sizes, drawn one by one or
 # halving from the first; and where --json-out points, in a directory that
-# holds the directory `dir` and the file `file.txt`
+# holds the directory `dir` and the file `file.txt`.  No count exceeds
+# INT64_MAX / 8, so the counts of up to 8 bins total within int64; TOTALS
+# then keeps that total, raises one bin so that it is exactly INT64_MAX, or
+# raises it beyond INT64_MAX by one of OVER, which must be refused
 EDGE_TOPS = [5e-324, 1e-320, 1e-300, 1e-6, 1.0, 1e6, 1e300, 1e307, 1.5e308, 1.7976931348623157e308]
-COUNTS = [0, 1, 2, 7, 1000, 2**53, 2**63 - 1, 2**63, 10**400]
+INT64_MAX = 2**63 - 1
+COUNTS = [0, 1, 2, 7, 1000, 2**53, INT64_MAX // 8]
+TOTALS = ["kept", "kept", "at the bound", "beyond"]
+OVER = [1, 2, 2**63, 10**400]
 JSON_OUT = [None, "fit.json", "new/fit.json", "dir", "file.txt", "file.txt/fit.json"]
 
 
@@ -454,19 +460,29 @@ def fit_inputs(draw):
     n = draw(st.integers(min_value=1, max_value=8))
     top = draw(st.sampled_from(EDGE_TOPS))
     start = draw(st.sampled_from([0.0, 0.5, 0.9]))
-    edges = [start * top + (top - start * top) * i / n for i in range(n)] + [top]
+    # i / n <= 1, so no edge overflows on its way to the top
+    edges = [start * top + (top - start * top) * (i / n) for i in range(n)] + [top]
     if draw(st.booleans()):
         counts = draw(st.lists(st.sampled_from(COUNTS), min_size=n, max_size=n))
     else:
         first = draw(st.sampled_from(COUNTS))
         counts = [first >> i for i in range(n)]
+    total = draw(st.sampled_from(TOTALS))
+    if total != "kept":
+        raised = draw(st.integers(min_value=0, max_value=n - 1))
+        counts[raised] += INT64_MAX - sum(counts)
+        if total == "beyond":
+            counts[raised] += draw(st.sampled_from(OVER))
     return list(zip(edges[:-1], edges[1:], counts)), draw(st.sampled_from(JSON_OUT))
 
 
 @given(run=fit_inputs())
 @settings(max_examples=200, derandomize=True, deadline=None)
 def test_boundary_fit_inputs_end_in_a_documented_exit_code(run):
-    _run_fit(*run)
+    rows, target = run
+    code = _run_fit(rows, target)
+    if sum(count for _, _, count in rows) > INT64_MAX:
+        assert code == 2, rows
 
 
 def test_a_fit_near_the_largest_double_has_a_finite_temperature():

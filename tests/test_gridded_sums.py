@@ -5,14 +5,15 @@ the RK4 sampler with the coefficient rows (u0 a, u0 b / nu) for Q and
 (u0 b, -u0 a nu) for P / M, for the period map, which keeps one root of
 each conjugate pair, with the rows of c = rows01[r] v' and of conj c
 over both members of each pair.  The transform's
-gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|; both sums also
-carry the rounding of the phases x theta, eps max|x theta| of the same
-sum at most, and a decay e^{x d} is gridded as a series whose remainder
-is at most |x d|^(J+1) e^|x d| / (J+1)!; both are added to every bound
-against the oracle.
+gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|, and a decay
+e^{x d}, gridded as the imaginary part -d of each frequency, raises it
+by at most e^{DECAY_GROWTH y} with y = X max|d| on the grid's half span
+X, against sum_k |A_k - i B_k| e^{d_k x_c} at the span's centre x_c.
+Both sums also carry the rounding of the phases x theta, eps max|x
+theta| of the same sum at most, which is added to every bound against
+the oracle.
 """
 
-import math
 import sys
 import threading
 import tracemalloc
@@ -25,7 +26,8 @@ from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.experiments import exchange_splitting
 from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                               initial_state)
-from finitebath.propagator import (NUFFT_TOL, build_multi_coupling_matrix,
+from finitebath.propagator import (DECAY_GROWTH, MAX_GRID_DECAY, NUFFT_TOL,
+                                   banded_sums, build_multi_coupling_matrix,
                                    diagonalize, gridded_sums, mode_sums,
                                    rk4_mode_factors)
 from finitebath.rng import SAMPLING_TIMES, substream
@@ -63,10 +65,10 @@ def _rows(prop):
     return [(u0 * a, u0 * b / nu), (u0 * b, -(u0 * a * nu))]
 
 
-def _bounds(rows, nu, t, tol=NUFFT_TOL):
-    """Per row: (tol + eps max|nu t|) sum_k |A_k - i B_k|."""
+def _bounds(rows, nu, t):
+    """Per row: (NUFFT_TOL + eps max|nu t|) sum_k |A_k - i B_k|."""
     floor = np.finfo(float).eps * np.max(np.abs(nu), initial=0.0) * np.max(np.abs(t))
-    return [(tol + floor) * np.sum(np.hypot(a, b)) for a, b in rows]
+    return [(NUFFT_TOL + floor) * np.sum(np.hypot(a, b)) for a, b in rows]
 
 
 def _check_sampler(prop, t):
@@ -277,9 +279,10 @@ def test_transform_memory_just_below_the_grid_cap():
 
 # -- the RK4 and the period-map samplers ----------------------------------
 #
-# Their decays e^{x d} are gridded as the series sum_{j<=J} (x d)^j / j!.
-# The inputs are those of two benchmark workloads: rk4_dense (one bath
-# of 400 at m = 1e-3, 4000 samples 0.5 apart, the default RK4 step) and
+# Their decays e^{x d} are gridded as the imaginary parts of the
+# frequencies, theta - i d, in one transform per pair of rows.  The
+# inputs are those of two benchmark workloads: rk4_dense (one bath of
+# 400 at m = 1e-3, 4000 samples 0.5 apart, the default RK4 step) and
 # twobath_floquet (2 x 200 at m = 1e-3, static renormalization, h = 1e-3,
 # 2000 samples 25 apart after a warmup of 1000).
 
@@ -287,10 +290,18 @@ RK4_PLAN = SamplingPlan(mean_interval=0.5, n_samples=4000)
 TWOBATH_PLAN = SamplingPlan(mean_interval=25.0, n_samples=2000, warmup=1000.0)
 
 
-def _remainder(y_max):
-    """The series' remainder bound at its derived order."""
-    order = propagator._decay_order(y_max)
-    return y_max ** (order + 1) * np.exp(y_max) / math.factorial(order + 1)
+def _decay_bounds(rows, theta, log_decay, x):
+    """Per row: the transform's bound with decay, plus the phases' rounding.
+
+    (NUFFT_TOL e^{DECAY_GROWTH y} + eps max|theta x|) sum_k |A_k - i B_k|
+    e^{d_k x_c}, with y = X max|d| and x_c, X the centre and half span of
+    the grid over x.
+    """
+    grid = propagator._grid(x, theta)
+    growth = np.exp(DECAY_GROWTH * grid.half_span * np.max(np.abs(log_decay)))
+    floor = np.finfo(float).eps * np.max(np.abs(theta)) * np.max(np.abs(x))
+    weight = np.exp(log_decay * grid.t_c)
+    return [(NUFFT_TOL * growth + floor) * np.sum(np.hypot(a, b) * weight) for a, b in rows]
 
 
 def _rk4_inputs(omega, seed=1):
@@ -304,14 +315,6 @@ def _rk4_inputs(omega, seed=1):
     return diagonalize(cm, initial_state(tp, (real,)).as_vector()), steps, h
 
 
-def _rk4_decay(prop, steps, h):
-    """The largest |n log rho| over the modes inside the band."""
-    phi, log_rho = rk4_mode_factors(prop.nu, h)
-    band = rk4_mode_factors(prop.cm.w, h)[0]
-    inside = (phi >= band.min()) & (phi <= band.max())
-    return np.max(steps) * np.max(np.abs(log_rho[inside]))
-
-
 @pytest.mark.parametrize("omega", [0.01, 0.5, 10.0])
 def test_rk4_sampler_matches_the_direct_sum(omega):
     prop, steps, h = _rk4_inputs(omega)
@@ -319,9 +322,8 @@ def test_rk4_sampler_matches_the_direct_sum(omega):
     rows = _rows(prop)
     want = mode_sums(steps, phi, log_rho, rows)
     q, p = prop.sample_rk4(steps, h)
-    rest = _remainder(_rk4_decay(prop, steps, h))
     for got, ref, bound in zip((q, p / prop.cm.tp.mass), want,
-                               _bounds(rows, phi, steps, NUFFT_TOL + rest)):
+                               _decay_bounds(rows, phi, log_rho, steps)):
         assert np.max(np.abs(got - ref)) <= bound
 
 
@@ -379,26 +381,9 @@ def test_period_map_sampler_matches_the_direct_sum(monkeypatch, dense):
         c = np.c_[c, c.conj()]
         rows = [(c.real[i], -c.imag[i]) for i in (0, 1)]
         want = mode_sums(ks[at], log_mu.imag, log_mu.real, rows)
-        rest = _remainder(np.max(ks[at]) * np.max(np.abs(log_mu.real)))
         for got, ref, bound in zip((res.q[at], res.p[at]), want,
-                                   _bounds(rows, log_mu.imag, ks[at], NUFFT_TOL + rest)):
+                                   _decay_bounds(rows, log_mu.imag, log_mu.real, ks[at])):
             assert np.max(np.abs(got - ref)) <= bound
-
-
-def test_decay_order_is_derived_from_the_tolerance(monkeypatch):
-    """J = 3 on the rk4_dense inputs, J = 0 on the twobath_floquet inputs."""
-    for omega in (0.3, 0.5, 0.7):
-        assert propagator._decay_order(_rk4_decay(*_rk4_inputs(omega))) == 3
-    res, fl, _ = _twobath_run(monkeypatch)
-    y_max = np.max(res.steps // fl["period"]) * np.max(np.abs(fl["log_mu"].real))
-    assert y_max <= 1e-12 and propagator._decay_order(y_max) == 0
-    assert propagator._decay_order(0.0) == 0
-    for y in (1e-6, 1e-3, 0.1, 0.6):
-        order = propagator._decay_order(y)
-        assert _remainder(y) <= NUFFT_TOL < y**order * np.exp(y) / math.factorial(order)
-    # beyond e^y = 2 the series is not used
-    assert propagator._decay_order(0.7) is None
-    assert propagator._decay_order(np.nan) is None
 
 
 def _recording_mode_sums(monkeypatch):
@@ -427,6 +412,78 @@ def test_rk4_and_period_map_sum_only_out_of_band_modes_directly(monkeypatch):
             system.initial_vector(), _times(TWOBATH_PLAN, seed))
         # one call per residue class of the period (2 steps)
         assert len(seen) == 2 and max(seen) <= 2
+
+
+def _recording_gridded_sums(monkeypatch):
+    """Record (rows, complex frequencies) of each gridded_sums call."""
+    seen = []
+
+    def recording(x, nu, rows):
+        seen.append((len(rows), np.iscomplexobj(nu)))
+        return gridded_sums(x, nu, rows)
+
+    monkeypatch.setattr(propagator, "gridded_sums", recording)
+    return seen
+
+
+def test_every_sampler_grids_one_pair_of_rows_per_call(monkeypatch):
+    """One transform of the (Q, P / M) pair: per RK4 call and per residue class of the period map.
+
+    The RK4 and the period-map samplers grid their decays as complex
+    frequencies, the exact sampler real ones.
+    """
+    inputs = [_rk4_inputs(omega) for omega in (0.3, 0.5, 0.7)]
+    for prop, steps, h in inputs:
+        seen = _recording_gridded_sums(monkeypatch)
+        prop.sample_rk4(steps, h)
+        assert seen == [(2, True)]
+    seen = _recording_gridded_sums(monkeypatch)
+    _prop(400, 0.5).sample_test_particle(_times(SWEEP))
+    assert seen == [(2, False)]
+    system = _twobath_system(0.55, 2)
+    seen = _recording_gridded_sums(monkeypatch)
+    SwitchedPropagator(system, SwitchSchedule(step_size=1e-3)).run(
+        system.initial_vector(), _times(TWOBATH_PLAN, 2))
+    # one call per residue class of the period (2 steps)
+    assert seen == [(2, True)] * 2
+
+
+def test_the_admissible_decay_follows_from_the_tolerance(monkeypatch):
+    """A decay is gridded up to y = X max|d| = log 2 / (1 + cut / a), summed directly beyond.
+
+    The kernel's a and cut follow from NUFFT_TOL, and at that y the
+    gridding error may at most double.  A scan of 400 modes, 4000 times
+    and decays of either sign up to that y stays within the stated
+    bound of mode_sums; banded_sums grids every mode just below it and
+    none just beyond it.
+    """
+    digits = np.log(1.0 / NUFFT_TOL)
+    a = np.sqrt(2.0 * digits / 9.0)
+    cut = np.sqrt(2.0 * digits + a * a)
+    assert DECAY_GROWTH == pytest.approx(1.0 + cut / a, rel=1e-14)
+    assert MAX_GRID_DECAY == pytest.approx(np.log(2.0) / DECAY_GROWTH, rel=1e-14)
+    assert np.exp(DECAY_GROWTH * MAX_GRID_DECAY) == pytest.approx(2.0, rel=1e-14)
+    rng = np.random.default_rng(5)
+    theta = rng.uniform(0.2, 1.0, 400)
+    x = np.sort(rng.uniform(1000.0, 9000.0, 4000))
+    rows = [(rng.standard_normal(400), rng.standard_normal(400)) for _ in range(2)]
+    half_span = propagator._grid(x, theta).half_span
+    shape = rng.uniform(-1.0, 1.0, 400)
+    shape /= np.max(np.abs(shape))
+    for y in (1e-6, 1e-3, 0.05, 0.1, MAX_GRID_DECAY):
+        d = y / half_span * shape
+        got = gridded_sums(x, theta - 1j * d, rows)
+        for row, ref, bound in zip(got, mode_sums(x, theta, d, rows),
+                                   _decay_bounds(rows, theta, d, x)):
+            assert np.max(np.abs(row - ref)) <= bound
+    for y, direct in ((MAX_GRID_DECAY * (1.0 - 1e-9), 0), (MAX_GRID_DECAY * (1.0 + 1e-9), 400)):
+        d = y / half_span * shape
+        seen = _recording_mode_sums(monkeypatch)
+        got = banded_sums(x, theta, d, rows, theta)
+        assert seen == [direct]
+        for row, ref, bound in zip(got, mode_sums(x, theta, d, rows),
+                                   _decay_bounds(rows, theta, d, x)):
+            assert np.max(np.abs(row - ref)) <= bound
 
 
 def test_rk4_sampler_memory_stays_below_the_direct_sum():
