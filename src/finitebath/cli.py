@@ -16,8 +16,8 @@ Subcommands
     the energy trace, its spectral lines and arcsine check, and a
     manifest.
 ``oracle``
-    Stand-alone reference computations (Langevin ensemble, memory
-    kernel, two-temperature mixture).
+    Stand-alone reference computations (exact Langevin mean energy,
+    memory kernel, two-temperature mixture).
 ``fit``
     Re-fit a histogram CSV produced by an earlier run.
 
@@ -44,18 +44,16 @@ from .bath import realize_bath
 from .config import ConfigError, build_bath, build_sweep_spec, check_config
 from .experiments import (check_exchange, peak_location, run_degenerate_exchange,
                           run_sweep, run_two_bath_sweep)
-from .model import TestParticleSpec
 from .oracles import (
     arcsine_distribution_check,
     effective_temperature,
-    langevin_reference,
+    langevin_energy,
     memory_kernel,
     mixture_distribution,
 )
 from .output import (RunManifest, emit_curve, emit_histogram, fmt, read_histogram,
                      write_csv)
 from .propagator import NumericalError, blas_on_one_thread
-from .rng import LANGEVIN, substream
 from .stats import FitError, fit_temperature
 
 EXIT_OK = 0
@@ -85,17 +83,14 @@ _non_negative = _checked(float, lambda v: math.isfinite(v) and v >= 0.0,
 _frequency = _checked(float, lambda v: v >= 0.0 and math.isfinite(v * v),
                       "a finite number >= 0 whose square is finite")
 
-# An oracle run beyond any of these caps is refused.  oracle langevin steps
-# all its paths at once in a Python loop, about 5 us a step at 64 paths
-# and 10 ns a draw beyond that (2 CPUs): its default run, 2e5 steps of 64
-# paths, takes about 1 s.  MAX_ORACLE_ENTRIES (80 MB of doubles) bounds
-# its sampled energies (samples times paths) and oracle kernel's cosine
-# table (points times oscillators); MAX_ORACLE_POINTS bounds the rows of
-# the kernel and mixture CSVs (a mixture row takes about 11 us)
-MAX_LANGEVIN_STEPS = 10**6
-MAX_LANGEVIN_DRAWS = 10**8
+# An oracle run beyond either cap is refused.  MAX_ORACLE_ENTRIES (80 MB
+# of doubles) bounds oracle kernel's cosine table (points times
+# oscillators); MAX_ORACLE_POINTS bounds the rows of the kernel and
+# mixture CSVs (a mixture row takes about 11 us)
 MAX_ORACLE_ENTRIES = 10**7
 MAX_ORACLE_POINTS = 10**6
+# oracle langevin's rows: equally spaced times from 0 to --t-final
+LANGEVIN_POINTS = 2001
 # a Boltzmann density has the scale 1/T
 _temperature = _checked(float, lambda v: 0.0 < v < math.inf and math.isfinite(1.0 / v),
                         "a finite positive number with a finite reciprocal")
@@ -330,36 +325,16 @@ def cmd_exchange(args: argparse.Namespace) -> int:
 
 
 def _oracle_langevin(args: argparse.Namespace, out: Path) -> list:
-    steps = args.t_final / args.dt
-    if steps > MAX_LANGEVIN_STEPS:
-        raise ConfigError(f"--t-final {args.t_final:g} / --dt {args.dt:g} is {steps:.3g} "
-                          f"steps, more than the {MAX_LANGEVIN_STEPS:g} this oracle takes")
-    n_steps = int(round(steps))
-    if args.stride > n_steps:
-        raise ConfigError(f"--stride {args.stride} exceeds the run's {n_steps} "
-                          "steps; no energy would be sampled")
-    if args.n_paths * n_steps > MAX_LANGEVIN_DRAWS:
-        raise ConfigError(f"--n-paths {args.n_paths} over {n_steps} steps is "
-                          f"{args.n_paths * n_steps:.3g} normal draws, more than the "
-                          f"{MAX_LANGEVIN_DRAWS:g} this oracle takes")
-    if args.n_paths * (n_steps // args.stride) > MAX_ORACLE_ENTRIES:
-        raise ConfigError(f"--n-paths {args.n_paths} sampled every --stride {args.stride} of "
-                          f"{n_steps} steps is {args.n_paths * (n_steps // args.stride):.3g} "
-                          f"energies, more than the {MAX_ORACLE_ENTRIES:g} this oracle keeps")
-    tp = TestParticleSpec(mass=args.mass, omega=args.omega)
-    rng = substream(args.seed, LANGEVIN).generator()
+    times = np.linspace(0.0, args.t_final, LANGEVIN_POINTS)
     try:
-        times, energies = langevin_reference(
-            tp, gamma=args.gamma, temperature=args.temperature,
-            t_final=args.t_final, dt=args.dt, rng=rng,
-            n_paths=args.n_paths, sample_stride=args.stride)
-    except ValueError as err:     # a step the scheme cannot take
-        raise ConfigError(str(err)) from err
+        energies = langevin_energy(args.gamma, args.omega, args.temperature, times)
+    except ValueError as err:     # a phase or decay beyond the doubles
+        raise ConfigError(f"--t-final {args.t_final:g}: {err}") from err
     path = out / "langevin.csv"
-    write_csv(path, "path,t,energy", ((p, t, e) for p in range(energies.shape[0])
-                                      for t, e in zip(times, energies[p])))
-    keep = times >= 0.5 * times[-1]
-    mean_late = float(np.mean(energies[:, keep]))
+    write_csv(path, "t,energy", zip(times, energies))
+    late = energies[times >= 0.5 * args.t_final]
+    # each term is at most T / n, so the sum cannot overflow
+    mean_late = float(np.sum(late / late.size))
     print(f"late-time mean energy: {fmt(mean_late)} "
           f"(target {fmt(args.temperature)})")
     return [path.name]
@@ -400,7 +375,10 @@ def _oracle_mixture(args: argparse.Namespace, out: Path) -> list:
 def cmd_oracle(args: argparse.Namespace) -> int:
     cfg, bath = _kernel_bath(args) if args.which == "kernel" else ({}, None)
     out = _outdir(args)
-    manifest = RunManifest(command=f"oracle {args.which}", config=cfg,
+    # the config replays the run: oracle kernel's bath keys and every flag but --out
+    flags = {key: value for key, value in vars(args).items()
+             if key not in ("command", "which", "func", "out", "config", "overrides")}
+    manifest = RunManifest(command=f"oracle {args.which}", config={**cfg, **flags},
                            seeds=[args.seed] if hasattr(args, "seed") else [],
                            code_version=__version__, propagator="closed-form")
     if args.which == "langevin":
@@ -470,17 +448,12 @@ def build_parser() -> argparse.ArgumentParser:
     p_oracle = sub.add_parser("oracle", help="reference computations")
     o_sub = p_oracle.add_subparsers(dest="which", required=True)
 
-    o_lang = o_sub.add_parser("langevin", help="Langevin ensemble mean energy")
+    o_lang = o_sub.add_parser("langevin", help="exact Langevin mean energy from rest")
     _add_out(o_lang)
     o_lang.add_argument("--gamma", type=_non_negative, required=True)
     o_lang.add_argument("--temperature", type=_non_negative, required=True)
     o_lang.add_argument("--omega", type=_frequency, default=1.0)
-    o_lang.add_argument("--mass", type=_positive, default=1.0)
     o_lang.add_argument("--t-final", type=_positive, default=200.0)
-    o_lang.add_argument("--dt", type=_positive, default=1e-3)
-    o_lang.add_argument("--seed", type=_seed, default=0)
-    o_lang.add_argument("--n-paths", type=_count, default=64)
-    o_lang.add_argument("--stride", type=_count, default=100)
     o_lang.set_defaults(func=cmd_oracle)
 
     o_ker = o_sub.add_parser("kernel", help="bath memory kernel")

@@ -1,10 +1,10 @@
 """Closed-form references the microscopic simulation is checked against.
 
 These are small, independent implementations of the analytic limits of
-the model: the memory kernel of the generalized Langevin form, the
-Markovian Langevin reference, the arcsine law of energies sampled from
-the zero bandwidth exchange, and the two temperature mixture with its
-effective temperature.
+the model: the memory kernel of the generalized Langevin form, the exact
+mean energy of the Markovian Langevin limit, the arcsine law of energies
+sampled from the zero bandwidth exchange, and the two temperature
+mixture with its effective temperature.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import math
 
 import numpy as np
 
-from .model import BathSpec, TestParticleSpec, bare_energy
+from .model import BathSpec, TestParticleSpec
 
 
 def memory_kernel(frequencies, m: float, tau) -> np.ndarray:
@@ -30,66 +30,40 @@ def langevin_friction(tp: TestParticleSpec, bath: BathSpec, omega: float) -> flo
     return np.pi * bath.mass * omega**2 / (2.0 * tp.mass) * dn_domega
 
 
-# the squares of a run's steps reach a few times their equipartition
-# scale, in Gaussian tails that the largest runs (1e8 draws) take to about
-# 6 sigma
-EQUIPARTITION_HEADROOM = 1e3
-
-
-def langevin_reference(tp: TestParticleSpec, gamma: float, temperature: float,
-                       t_final: float, dt: float, rng: np.random.Generator,
-                       n_paths: int = 1, sample_stride: int = 1):
-    """Euler-Maruyama integration of the Markovian limit.
+def langevin_energy(gamma: float, omega: float, temperature: float, t) -> np.ndarray:
+    """Exact mean energy <E(t)> of the Markovian limit, from rest at t = 0.
 
         dQ = P/M dt
         dP = -(gamma P + M Omega^2 Q) dt + sqrt(2 M gamma T) dW
 
-    The noise amplitude uses the particle mass M, which is what makes
-    the stationary state satisfy <P^2> = M T (equipartition at T).
-    Returns (times, energies) with energies of shape (n_paths, n_times).
-    dt must be well below both 1/gamma and 1/Omega; Euler-Maruyama's
-    energy bias scales like Omega^2 dt / (2 gamma).  A step with
-    gamma dt >= 1 or Omega^2 dt >= gamma is a ValueError: in the latter
-    the bias reaches 1/2 and one step multiplies the phase-space area by
-    1 - gamma dt + Omega^2 dt^2 >= 1, so the scheme no longer damps and
-    the energy can grow until it overflows.  So is a temperature whose
-    noise term 2 M gamma T dt overflows or, at T > 0, underflows to a
-    subnormal, and one whose equipartition scales overflow with
-    EQUIPARTITION_HEADROOM: P^2 ~ M T, (P/M)^2 ~ T/M and Q^2 ~ T/(M
-    Omega^2), or T t_final/(M gamma) while Q diffuses.
+    In x = sqrt(M) Omega Q and y = P / sqrt(M) the equation holds no M,
+    and the Gibbs covariance T I solves its Lyapunov equation, so
+    <E(t)> = T (1 - |e^{At}|_F^2 / 2) with A = [[0, Omega], [-Omega,
+    -gamma]].  With kappa^2 = gamma^2/4 - Omega^2 and s = sinh(kappa t)
+    / kappa (sin over an imaginary kappa, t at kappa = 0) that is
+    T (1 - e^{-gamma t} - (gamma s e^{-gamma t/2})^2 / 2).  Overdamped,
+    e^{-gamma t/2} is folded into the exponentials of the slow rate
+    Omega^2 / (gamma/2 + kappa) and of 2 kappa, so no factor overflows.
+    Since A + A^T <= 0 the energy lies in [0, T].  A phase Omega t or a
+    decay gamma t beyond the doubles is a ValueError.
     """
-    if dt <= 0.0 or t_final <= 0.0:
-        raise ValueError("dt and t_final must be positive")
-    if not (gamma * dt < 1.0 and tp.omega**2 * dt < gamma):
-        raise ValueError(f"dt={dt:g} is too long for the Euler-Maruyama step at "
-                         f"gamma={gamma:g}, Omega={tp.omega:g}: it needs gamma*dt < 1 "
-                         f"and Omega^2*dt < gamma")
-    m = tp.mass
-    noise = 2.0 * m * gamma * temperature * dt
-    # Q^2 / (P/M)^2 ~ 1 / Omega^2, or t_final / gamma while Q diffuses
-    spread = max(1.0, min(1.0 / tp.omega**2 if tp.omega**2 > 0.0 else math.inf, t_final / gamma))
-    scales = (temperature * m, temperature / m * spread)
-    if not (math.isfinite(noise) and (noise >= np.finfo(float).tiny or temperature == 0.0)
-            and all(math.isfinite(EQUIPARTITION_HEADROOM * x) for x in scales)):
-        raise ValueError(f"temperature={temperature:g} takes the noise term 2 M gamma T dt "
-                         f"= {noise:g} or the squares M T, T/M and T/(M Omega^2) of the "
-                         f"steps beyond the normal doubles at M={m:g}, gamma={gamma:g}, "
-                         f"Omega={tp.omega:g}, dt={dt:g}")
-    n_steps = int(round(t_final / dt))
-    q = np.full(n_paths, tp.q0, dtype=float)
-    p = np.full(n_paths, tp.p0, dtype=float)
-    noise_amp = np.sqrt(noise)
-    k = m * tp.omega**2
-    steps = np.arange(sample_stride, n_steps + 1, sample_stride)
-    energies = np.empty((len(steps), n_paths))
-    for step in range(1, n_steps + 1):
-        dq = (p / m) * dt
-        dp = -(gamma * p + k * q) * dt + noise_amp * rng.standard_normal(n_paths)
-        q = q + dq
-        p = p + dp
-        if step % sample_stride == 0:
-            energies[step // sample_stride - 1] = bare_energy(q, p, tp)
-    return steps * dt, energies.T
+    t = np.asarray(t, dtype=float)
+    t_max = float(np.max(t, initial=0.0))
+    for name, rate in (("omega", omega), ("gamma", gamma)):
+        if not math.isfinite(rate * t_max):
+            raise ValueError(f"{name} * t = {rate:g} * {t_max:g} is not a finite double")
+    half = 0.5 * gamma
+    if half > omega:
+        # sqrt of each factor: their product can overflow or underflow
+        kappa = math.sqrt(half - omega) * math.sqrt(half + omega)
+        slow = omega**2 / (half + kappa)
+        u = half / kappa * np.exp(-slow * t) * -np.expm1(-2.0 * (kappa * t))
+    elif half < omega:
+        w = math.sqrt(omega - half) * math.sqrt(omega + half)
+        u = gamma * np.exp(-half * t) * np.sin(w * t) / w
+    else:
+        u = gamma * t * np.exp(-half * t)
+    return temperature * (-np.expm1(-gamma * t) - 0.5 * u**2)
 
 
 def arcsine_cdf(e, e0: float) -> np.ndarray:

@@ -1,10 +1,10 @@
 """Deterministic, named random streams.
 
 Every random quantity in a run (bath frequencies, bath energies, phase
-angles, sampling times, Langevin noise) is drawn from its own stream so
-that changing one parameter never shifts the draws of another.  Streams
-are keyed by (seed, stream_id) through numpy's SeedSequence, which is
-stable across platforms and numpy versions for a given bit generator.
+angles, sampling times) is drawn from its own stream so that changing
+one parameter never shifts the draws of another.  Streams are keyed by
+(seed, stream_id) through numpy's SeedSequence, which is stable across
+platforms and numpy versions for a given bit generator.
 """
 
 from __future__ import annotations
@@ -20,7 +20,6 @@ FREQUENCIES = 0
 ENERGIES = 1
 PHASES = 2
 SAMPLING_TIMES = 3
-LANGEVIN = 4
 
 STREAM_STRIDE = 16
 

@@ -12,7 +12,8 @@ import pytest
 
 import finitebath
 from finitebath import experiments, propagator
-from finitebath.cli import EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, main
+from finitebath.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, LANGEVIN_POINTS,
+                            main)
 from finitebath.model import MAX_BATH_SIZE
 from finitebath.propagator import NumericalError
 from finitebath.output import read_histogram
@@ -914,12 +915,37 @@ def test_oracle_kernel_refuses_keys_it_does_not_read(tmp_path, capsys, key):
 def test_oracle_langevin_runs_quickly(tmp_path):
     out = tmp_path / "run"
     code = main(["oracle", "langevin", "--gamma", "1", "--temperature", "2",
-                 "--t-final", "5", "--dt", "0.01", "--n-paths", "4",
-                 "--out", str(out)])
+                 "--t-final", "5", "--out", str(out)])
     assert code == EXIT_OK
     lines = (out / "langevin.csv").read_text().strip().splitlines()
-    assert lines[0] == "path,t,energy"
-    assert len(lines) > 4
+    assert lines[0] == "t,energy"
+    rows = np.array([line.split(",") for line in lines[1:]], float)
+    assert rows.shape == (LANGEVIN_POINTS, 2)
+    assert rows[0, 0] == 0.0 and rows[-1, 0] == 5.0
+    assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= 2.0))
+
+
+@pytest.mark.parametrize("argv, csv", [
+    pytest.param(["langevin", "--gamma", "0.3", "--temperature", "2", "--omega", "0.7",
+                  "--t-final", "30"], "langevin.csv", id="langevin"),
+    pytest.param(["kernel", "--set", "bath1_size=20", "--set", "bath1_mass=0.02", "--seed", "3",
+                  "--t-final", "7", "--n-points", "40"], "kernel.csv", id="kernel"),
+    pytest.param(["mixture", "--t1", "2", "--t2", "7", "--e-max", "9", "--n-points", "30"],
+                 "mixture.csv", id="mixture"),
+])
+def test_an_oracle_replays_from_its_manifest(tmp_path, argv, csv):
+    """Each oracle records its flags (and kernel its bath keys) in config; rerun from them alone."""
+    assert main(["oracle"] + argv + ["--out", str(tmp_path / "a")]) == EXIT_OK
+    config = json.loads((tmp_path / "a" / "manifest.json").read_text())["config"]
+    assert {flag[2:].replace("-", "_") for flag in argv if flag.startswith("--")} - {"set"} \
+        <= set(config)
+    replay = ["oracle", argv[0]]
+    for key, value in config.items():
+        replay += (["--set", f"{key}={json.dumps(value)}"] if key.startswith("bath1_")
+                   else [f"--{key.replace('_', '-')}", repr(value)])
+    assert main(replay + ["--out", str(tmp_path / "b")]) == EXIT_OK
+    assert (tmp_path / "b" / csv).read_bytes() == (tmp_path / "a" / csv).read_bytes()
+    assert json.loads((tmp_path / "b" / "manifest.json").read_text())["config"] == config
 
 
 def _exit_code(argv) -> int:
@@ -930,8 +956,7 @@ def _exit_code(argv) -> int:
         return exc.code
 
 
-LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
-            "--t-final", "5", "--dt", "0.01"]
+LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2", "--t-final", "5"]
 
 
 @pytest.mark.parametrize("argv", [
@@ -953,6 +978,7 @@ LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
     pytest.param(["twobath", "--set", "omega_grid=[0.5]", "--set", "bath2_size=10",
                   "--seed-list", "1", "1"], id="twobath-seed-list-repeated"),
     pytest.param(["oracle", "kernel", "--seed", "-1"], id="kernel-seed"),
+    # flags that oracle langevin does not have: argparse refuses each
     pytest.param(LANGEVIN + ["--seed", "-1"], id="langevin-seed"),
     pytest.param(LANGEVIN + ["--dt", "0"], id="langevin-dt"),
     pytest.param(LANGEVIN + ["--stride", "0"], id="langevin-stride-0"),
@@ -960,6 +986,7 @@ LANGEVIN = ["oracle", "langevin", "--gamma", "1", "--temperature", "2",
                  id="langevin-stride-beyond-the-run"),
     pytest.param(LANGEVIN + ["--n-paths", "-3"], id="langevin-n-paths-negative"),
     pytest.param(LANGEVIN + ["--n-paths", "0"], id="langevin-n-paths-0"),
+    pytest.param(LANGEVIN + ["--mass", "2"], id="langevin-mass"),
     pytest.param(LANGEVIN + ["--gamma", "-1"], id="langevin-gamma"),
     pytest.param(LANGEVIN + ["--temperature", "-1"], id="langevin-temperature"),
     pytest.param(["oracle", "mixture", "--t1", "0", "--t2", "10"], id="mixture-t1"),
@@ -980,17 +1007,11 @@ def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
 
 
 @pytest.mark.parametrize("argv, named", [
-    pytest.param(["oracle", "langevin", "--gamma", "1", "--temperature", "1e308"], "temperature",
-                 id="langevin-noise-overflows"),
-    pytest.param(LANGEVIN + ["--mass", "5e-324"], "temperature", id="langevin-noise-underflows"),
-    pytest.param(LANGEVIN + ["--mass", "5e-324", "--temperature", "1e300"], "temperature",
-                 id="langevin-velocity-scale-overflows"),
-    pytest.param(LANGEVIN + ["--t-final", "1", "--dt", "1e-7"], "--dt", id="langevin-steps"),
-    pytest.param(LANGEVIN + ["--t-final", "1e308", "--dt", "5e-324"], "--dt",
+    # the phase Omega t or the decay gamma t at --t-final leaves the doubles
+    pytest.param(LANGEVIN + ["--omega", "1e154", "--t-final", "1e155"], "omega",
+                 id="langevin-steps"),
+    pytest.param(LANGEVIN + ["--gamma", "10", "--omega", "0", "--t-final", "1e308"], "gamma",
                  id="langevin-steps-overflow"),
-    pytest.param(LANGEVIN + ["--n-paths", "1000000"], "--n-paths", id="langevin-draws"),
-    pytest.param(LANGEVIN + ["--t-final", "1000", "--n-paths", "200", "--stride", "1"],
-                 "--stride", id="langevin-samples"),
     pytest.param(["oracle", "kernel", "--n-points", "100000"], "--n-points",
                  id="kernel-table"),
     pytest.param(["oracle", "kernel", "--n-points", "1000001"], "--n-points",
@@ -999,7 +1020,7 @@ def test_bad_seeds_and_oracle_flags_exit_2(tmp_path, capsys, argv):
                  id="mixture-density-overflows"),
 ])
 def test_oracle_runs_beyond_the_doubles_or_their_caps_exit_2(tmp_path, capsys, argv, named):
-    """A Langevin run that would write NaN energies, or run for hours, is refused up front."""
+    """An oracle run that would write non-finite numbers, or run for hours, is refused up front."""
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1007,6 +1028,28 @@ def test_oracle_runs_beyond_the_doubles_or_their_caps_exit_2(tmp_path, capsys, a
     err = capsys.readouterr().err
     assert named in err and "Traceback" not in err
     assert not list(out.glob("*.csv"))
+
+
+@pytest.mark.parametrize("argv", [
+    pytest.param(["--gamma", "1", "--temperature", "1e308"], id="temperature-1e308"),
+    pytest.param(["--gamma", "1", "--temperature", "2", "--t-final", "1e300"], id="long-run"),
+    pytest.param(["--gamma", "1e300", "--temperature", "2", "--t-final", "1"], id="gamma-1e300"),
+    pytest.param(["--gamma", "0.1", "--temperature", "1", "--omega", "1e150"], id="omega-1e150"),
+    pytest.param(["--gamma", "0", "--temperature", "3"], id="gamma-0"),
+    pytest.param(["--gamma", "2", "--temperature", "3", "--omega", "0"], id="omega-0"),
+])
+def test_oracle_langevin_far_out_writes_energies_in_0_t(tmp_path, argv):
+    """Far-out temperatures, run lengths and rates give finite energies in [0, T]."""
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert main(["oracle", "langevin"] + argv + ["--out", str(out)]) == EXIT_OK
+    temperature = float(argv[argv.index("--temperature") + 1])
+    rows = np.array([line.split(",") for line in
+                     (out / "langevin.csv").read_text().splitlines()[1:]], float)
+    assert len(rows) == LANGEVIN_POINTS
+    assert np.all(np.isfinite(rows))
+    assert np.all((rows[:, 1] >= 0.0) & (rows[:, 1] <= temperature))
 
 
 def test_oracle_mixture_far_beyond_its_temperatures_is_finite(tmp_path):
@@ -1024,7 +1067,6 @@ def test_oracle_mixture_far_beyond_its_temperatures_is_finite(tmp_path):
 
 
 @pytest.mark.parametrize("argv", [
-    LANGEVIN + ["--mass", "0"],
     LANGEVIN + ["--omega", "-1"],
     LANGEVIN + ["--gamma", "nan"],
     ["oracle", "mixture", "--t1", "5", "--t2", "10", "--e-max", "-1"],
@@ -1033,7 +1075,7 @@ def test_oracle_mixture_far_beyond_its_temperatures_is_finite(tmp_path):
     ["exchange", "--omega-r", "nan"],
     LANGEVIN + ["--omega", "1e200"],
     ["exchange", "--omega-r", "1e200"],
-], ids=["langevin-mass", "langevin-omega", "langevin-gamma-nan", "mixture-e-max",
+], ids=["langevin-omega", "langevin-gamma-nan", "mixture-e-max",
         "degenerate-e0-negative", "degenerate-e0-inf", "degenerate-omega-r-nan",
         "langevin-omega-square-overflows", "degenerate-omega-r-square-overflows"])
 def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
@@ -1048,10 +1090,10 @@ def test_oracle_physical_flags_are_range_checked(tmp_path, capsys, argv):
                   "--set", "omega_grid=[0.5]", "--set", "seeds=[1]"], id="sweep-omega-uv"),
     pytest.param(["exchange", "--omega-r", "1e150"], id="exchange-omega-r"),
     pytest.param(["oracle", "langevin", "--omega", "1e150", "--gamma", "0.1",
-                  "--temperature", "1"], id="langevin-omega"),
+                  "--temperature", "1", "--t-final", "1e160"], id="langevin-omega"),
 ])
 def test_frequencies_whose_higher_powers_overflow_exit_2(tmp_path, capsys, argv):
-    """Squares are finite, but the normal modes form omega^6 and Euler-Maruyama diverges."""
+    """Squares are finite, but the normal modes form omega^6 and the phase omega t overflows."""
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)

@@ -3,6 +3,7 @@ arcsine law, and the two temperature mixture."""
 
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
 from finitebath.bath import realize_bath
 from finitebath.experiments import exchange_splitting
@@ -12,7 +13,7 @@ from finitebath.oracles import (
     arcsine_distribution_check,
     effective_temperature,
     langevin_friction,
-    langevin_reference,
+    langevin_energy,
     memory_kernel,
     mixture_distribution,
 )
@@ -50,29 +51,59 @@ def test_friction_rate_from_the_density_of_states():
     assert langevin_friction(tp, bath, 2.0) == 0.0
 
 
+def _second_moments_energy(gamma, omega, temperature, t):
+    """<E(t)> from rest by expm of the moment system on (<x^2>, <xy>, <y^2>, 1).
+
+    dx = Omega y dt and dy = -(gamma y + Omega x) dt + sqrt(2 gamma T) dW
+    in x = sqrt(M) Omega Q and y = P / sqrt(M); E = (x^2 + y^2) / 2.
+    """
+    a = np.array([[0.0, 2.0 * omega, 0.0, 0.0],
+                  [-omega, -gamma, omega, 0.0],
+                  [0.0, -2.0 * omega, -2.0 * gamma, 2.0 * gamma * temperature],
+                  [0.0, 0.0, 0.0, 0.0]])
+    moments = np.array([expm(a * x)[:, 3] for x in t])
+    return 0.5 * (moments[:, 0] + moments[:, 2])
+
+
 def test_langevin_reference_equilibrates_to_the_bath_temperature():
-    tp = TestParticleSpec(mass=1.0, omega=1.0)
-    times, energies = langevin_reference(
-        tp, gamma=1.0, temperature=2.0, t_final=60.0, dt=1e-3,
-        rng=np.random.default_rng(21), n_paths=16, sample_stride=100)
-    late = energies[:, times > 20.0]
-    assert np.mean(late) == pytest.approx(2.0, rel=0.15)
+    t = np.linspace(0.0, 60.0, 601)
+    energies = langevin_energy(1.0, 1.0, 2.0, t)
+    assert energies[0] == 0.0
+    assert np.all((energies >= 0.0) & (energies <= 2.0))
+    assert np.max(np.abs(energies[t >= 40.0] - 2.0)) <= 1e-12 * 2.0
 
 
 def test_langevin_reference_decays_without_noise():
-    tp = TestParticleSpec(mass=1.0, omega=1.0, q0=1.0, p0=0.0)
-    times, energies = langevin_reference(
-        tp, gamma=2.0, temperature=0.0, t_final=10.0, dt=1e-3,
-        rng=np.random.default_rng(0), sample_stride=1000)
-    assert energies.shape == (1, 10)
-    assert energies[0, -1] < 1e-6
+    """At Omega = 0 only the momentum is damped: its deficit from T/2 decays as e^{-2 gamma t}."""
+    t = np.linspace(0.0, 20.0, 201)
+    for gamma in (0.05, 1.0, 7.0):
+        np.testing.assert_allclose(langevin_energy(gamma, 0.0, 3.0, t),
+                                   1.5 * -np.expm1(-2.0 * gamma * t), rtol=1e-14, atol=0.0)
+
+
+@pytest.mark.parametrize("omega", [0.0, 1e-300, 0.5, 3.0])
+def test_langevin_energy_without_friction_stays_zero(omega):
+    """gamma = 0 takes the noise away, so a particle at rest stays at rest."""
+    energies = langevin_energy(0.0, omega, 4.0, np.linspace(0.0, 100.0, 101))
+    assert np.all(energies == 0.0)
+
+
+@pytest.mark.parametrize("gamma, omega", [(2.0, 1.0), (0.3, 1.7), (6.0, 0.8)],
+                         ids=["critical", "under-damped", "over-damped"])
+def test_langevin_energy_matches_the_second_moment_system(gamma, omega):
+    t = np.linspace(0.0, 50.0, 101)
+    temperature = 3.0
+    np.testing.assert_allclose(langevin_energy(gamma, omega, temperature, t),
+                               _second_moments_energy(gamma, omega, temperature, t),
+                               rtol=0.0, atol=1e-13 * temperature)
 
 
 def test_langevin_reference_validation():
-    tp = TestParticleSpec()
-    with pytest.raises(ValueError, match="positive"):
-        langevin_reference(tp, 1.0, 1.0, t_final=1.0, dt=0.0,
-                           rng=np.random.default_rng(0))
+    """A phase Omega t or a decay gamma t beyond the doubles is refused."""
+    with pytest.raises(ValueError, match="omega"):
+        langevin_energy(1.0, 10.0, 1.0, [0.0, 1e308])
+    with pytest.raises(ValueError, match="gamma"):
+        langevin_energy(1e10, 0.0, 1.0, [0.0, 1e300])
 
 
 # -- zero bandwidth exchange --------------------------------------------

@@ -18,7 +18,7 @@ def test_purposes_are_independent_streams():
     draws = {
         purpose: rng.substream(1, purpose).generator().random(8).tolist()
         for purpose in (rng.FREQUENCIES, rng.ENERGIES, rng.PHASES,
-                        rng.SAMPLING_TIMES, rng.LANGEVIN)
+                        rng.SAMPLING_TIMES)
     }
     values = list(draws.values())
     for i in range(len(values)):
