@@ -53,8 +53,9 @@ from .oracles import (
 )
 from .output import (RunManifest, emit_curve, emit_histogram, fmt, read_histogram,
                      write_csv)
-from .propagator import NumericalError, blas_on_one_thread
+from .propagator import NumericalError
 from .stats import FitError, fit_temperature
+from .workers import blas_on_one_thread
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -15,13 +15,13 @@ through _run_rk4.
 The points are independent, and a point's bits do not depend on what
 ran before it.  So a sweep runs its points on up to one process per
 CPU, the calling process and children forked for the sweep, which take
-them in turn (propagator._in_processes); the results come back pickled
+them in turn (workers.in_processes); the results come back pickled
 and are collected in grid order, so every curve, failure, warning and
 file keeps its bytes.  Processes, not threads: the GIL held two point
 threads to 1.2-1.35 times one on two CPUs.  A worker does not thread
-inside its point (propagator.point_thread); a switched point's period
+inside its point (workers.point_thread); a switched point's period
 map never threads, and its work buffers hold one piece of 32 roots.
-Where the process may not fork (propagator.may_fork: not Linux, or
+Where the process may not fork (workers.may_fork: not Linux, or
 another Python thread alive), the points run in order on the calling
 thread.
 """
@@ -36,9 +36,8 @@ import numpy as np
 from .bath import realize_bath
 from .model import (MAX_BATH_SIZE, BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
-from .propagator import (NumericalError, _in_processes, _workers,
-                         build_multi_coupling_matrix, diagonalize, factorization_fits,
-                         flow_factors, may_fork, usable_cpus)
+from .propagator import (NumericalError, build_multi_coupling_matrix, diagonalize,
+                         factorization_fits, flow_factors)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
@@ -46,6 +45,7 @@ from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     make_sampling_times, span_histogram)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
+from .workers import in_processes, processes_for, threads_for
 
 # switching does work on the particle: over 768 switched runs (2 x 5 and
 # 2 x 30 oscillators, Omega 1e-3 to 50, delta_t_steps 1 to 2000, h 1e-3
@@ -322,22 +322,22 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     runner(omega, spec, seed) returns a PointResult.  baths holds one
     (BathSpec, bath_index) pair per bath the runner draws; their initial
     fits are made on the same per-seed draws.  The points run on up to
-    one process per CPU (_in_processes), except where the process may not
-    fork, which runs them in order on the calling thread.  The curve
-    records the processes of the points and the threads of one point's
-    factorization.
+    one process per CPU (in_processes, processes_for), except where the
+    process may not fork, which runs them in order on the calling thread.
+    The curve records the processes of the points and the threads of one
+    point's factorization.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw, ns = len(omegas), len(spec.seeds)
     temperature, sigma, goodness, overflow = (np.full(nw, np.nan) for _ in range(4))
     final = [(np.full(nw, np.nan), np.full(nw, np.nan)) for _ in baths]
     grid = [(float(w), seed) for w in spec.omega_grid for seed in spec.seeds]
-    workers = min(usable_cpus(), len(grid)) if may_fork() else 1
-    outcomes = _in_processes(lambda point: _attempt(runner, spec, *point), grid, workers)
+    workers = processes_for(len(grid))
+    outcomes = in_processes(lambda point: _attempt(runner, spec, *point), grid, workers)
     # a point's factorization threads its roots, Loewner's z and its shape
-    # pass (propagator._workers) only outside the point workers
+    # pass (threads_for) only outside the point workers
     modes = 1 + sum(bath.size for bath, _ in baths)
-    factor_workers = 1 if workers > 1 else _workers(modes)
+    factor_workers = 1 if workers > 1 else threads_for(modes)
     for i in range(nw):
         fitted = [pt for pt in outcomes[i * ns:(i + 1) * ns] if pt.fit is not None]
         if not fitted:

@@ -6,6 +6,8 @@ the exact binary values and identical runs produce identical bytes.
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -14,8 +16,8 @@ from pathlib import Path
 import numpy as np
 
 from .experiments import ThermalizationCurve
-from .propagator import blas_config, blas_counts, scipy_version, usable_cpus
 from .stats import EnergyHistogram, TemperatureFit
+from .workers import blas_config, blas_counts, usable_cpus
 
 CURVE_HEADER = "omega,T_tp,T_tp_err,goodness,overflow_frac,T_bath_init,T_bath_final"
 
@@ -103,6 +105,22 @@ def read_histogram(path) -> EnergyHistogram:
     edges = np.append(lo, hi[-1])
     return EnergyHistogram(bin_edges=edges, counts=counts, overflow=0,
                            total_samples=int(counts.sum()))
+
+
+def scipy_version() -> str:
+    """scipy's version, from its version.py, without running the scipy package __init__.
+
+    The file is found in scipy's directory and run as a module of its
+    own, which sys.modules does not keep.  A run uses no scipy; the
+    manifest records its version because the exchange imports scipy.stats.
+    """
+    locations = importlib.util.find_spec("scipy").submodule_search_locations
+    spec = importlib.machinery.PathFinder.find_spec("scipy.version", locations)
+    if spec is None:
+        raise ImportError(f"scipy's version.py is not in {locations}")
+    version = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(version)
+    return version.version
 
 
 def run_environment() -> dict:

@@ -72,227 +72,42 @@ stability rule, h nu_max <= 2 sqrt(2), holds for these and for the
 switched module's period map (check_rk4_stability).
 
 Every sampler evaluates sum_k e^{x d_k} (A_k cos x theta_k + B_k sin x
-theta_k).  The exact form has x = t, theta = nu and no decay, RK4 x = n,
-theta = phi and d = log rho, and the switched module's period map x =
-periods and d + i theta = log of its multipliers.  All three go through
-banded_sums: a type-3 nonuniform FFT, gridded_sums, for the modes whose
-theta lies within that of the bath band, O(N + M + grid) for M samples
-and within NUFFT_TOL of sum_k |A_k - i B_k| at every sample.  A decay
-is the imaginary part of each frequency, theta_k - i d_k, so that one
-transform per pair of rows sums e^{x d_k} e^{i x theta_k} directly; it
-widens the error bound by e^{DECAY_GROWTH y}, y = X max|d_k| over the
-half span X, and beyond y = MAX_GRID_DECAY (an error of 2 NUFFT_TOL) the
-modes are summed directly.  Over a run a decay is small (y = 2e-4 for
-RK4 at 50 steps per period on rk4_dense), and the exact form has none:
-its frequencies stay real.  The secular roots interlace the bath poles,
-so at most two modes lie outside the band (the particle-like mode at an
-out-of-band Omega, and one above the band); those go through the direct
-sum mode_sums, chunked real tables of O(N) work per sample, which keeps
-the grid independent of Omega.  Inputs whose grid would outgrow its
-memory cap (grid_fits), or hold more points than the direct sum has
-terms, are summed directly too.
+theta_k) through the transform module's banded_sums: the exact form with
+x = t, theta = nu and no decay, RK4 with x = n, theta = phi and d = log
+rho.
 
 Buffers.  Beyond its O(N) data a pass over the modes holds a few buffers
-of SHAPE_BLOCK by N + 1 entries per thread, and the transform chunk
-buffers of GRID_CHUNK entries plus its FFT rows.  Each pass allocates
-its buffers once per call, on the calling thread, and writes every
-block's temporaries into them (out= and in-place ufuncs): an array
-allocated afresh per block or per call is often handed back to the
-kernel by malloc when it is freed, and the next one is page-faulted in
-and zeroed again.  The FFT rows persist from
-call to call in one module buffer that only grows, to at most two rows
-of _MAX_FFT points (4 MB) for the whole process: a transform holds a
-module lock from taking its rows until it has gathered from them, so
-concurrent samplers take the buffer in turn.  Each row is transformed
-in place on its own: a 2-D np.fft call allocates pocketfft's scratch
-for the whole array (1 MB at 2^15 points), one row needs almost none,
-and the bytes are the same.  A buffer backs at most one live array at
-a time, and no array a function returns shares memory with one.
+of SHAPE_BLOCK by N + 1 entries per thread.  Each pass allocates its
+buffers once per call, on the calling thread, and writes every block's
+temporaries into them (out= and in-place ufuncs): an array allocated
+afresh per block or per call is often handed back to the kernel by
+malloc when it is freed, and the next one is page-faulted in and zeroed
+again.  A buffer backs at most one live array at a time, and no array a
+function returns shares memory with one.
 
-Start-up and threads.  dlasd4 is bound through ctypes from numpy's own
-BLAS library, which exports LAPACK too, so a run loads one OpenBLAS and
-no scipy: importing scipy.linalg star-imports numpy through scipy's
-array-API layer, which loads numpy.f2py, numpy.testing, numpy.ma and
-numpy.random (116 of the 160 ms and 19 MB of the peak memory of
-importing the command line module), and even scipy's compiled LAPACK
-wrapper alone maps a second OpenBLAS (2.2 MB).  Unlike scipy's f2py
-wrapper, a ctypes call releases the GIL, so the secular roots, and
-Loewner's products, whose numpy operations release it too, run on
-worker threads: one per ROOTS_PER_WORKER roots and at most one per
-CPU the process may run on (_workers), each taking a contiguous range
-of them (_in_ranges).  Smaller systems stay on the calling thread.  The pass
-over the shapes (_sweep) threads the same way, over SWEEP_GROUPS fixed
-groups of mode blocks: each group sums its blocks' share of a state in
-order and the groups' sums are added in group order, so the bits
-depend on N alone, not on the threads.  The command line runs with
-numpy's BLAS on one thread and restores the count it found
-(blas_on_one_thread), since a multithreaded BLAS rounds a product by
-how it splits it.
-
-_in_turns is the one place the program starts threads: plain threads
-started per call, the calling thread one of them, each in a copy of
-the caller's context (so np.errstate holds there too), all joined
-before the call returns.  It runs the ranges inside one point (the
-roots, Loewner's z, the shape groups).  _in_processes is the one place
-the program starts processes: children forked per call, on Linux and
-while no other Python thread is alive (may_fork), the calling process
-one of the workers, all reaped before the call returns.  A sweep
-(experiments._sweep) runs its points on it, one process per CPU: on
-threads the GIL held two points to 1.2-1.35 times one.  In every
-worker, as on a range's thread, _workers gives every call one thread
-(point_thread), so the CPUs are shared out once per run, and only a
-run of a single point threads inside it.
-Threaded callers of gridded_sums share its one FFT buffer under its
-lock.  numpy.fft, which numpy loads lazily, is imported here so that a
-run does not import it inside its first transform.
+Threads.  dlasd4 is LAPACK's, bound from numpy's own BLAS library (the
+workers module).  A ctypes call releases the GIL, so the secular roots,
+and Loewner's products, whose numpy operations release it too, run in
+contiguous ranges on worker threads (workers.in_ranges), one per
+ROOTS_PER_WORKER roots (threads_for).  The pass over the shapes (_sweep)
+threads the same way, over SWEEP_GROUPS fixed groups of mode blocks:
+each group sums its blocks' share of a state in order and the groups'
+sums are added in group order, so the bits depend on N alone, not on
+the threads.
 """
 
 from __future__ import annotations
 
-import contextlib
-import contextvars
 import ctypes
-import importlib.machinery
-import importlib.util
 import math
-import os
-import pickle
-import sys
-import threading
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-import numpy.fft
 
 from .model import SystemState, TestParticleSpec
-
-
-def _load_dlasd4():
-    """LAPACK's dlasd4 from numpy's BLAS library, through ctypes, and its integer type.
-
-    The routine is looked up through numpy's core extension, which links
-    the library, as _load_blas looks up the thread getter: scipy_dlasd4_64_
-    in numpy's scipy-openblas wheels and dlasd4_64_ elsewhere take 64-bit
-    integers, scipy_dlasd4_ and dlasd4_ 32-bit ones.  Every argument is
-    passed by address, as Fortran takes it.
-    """
-    path = np._core._multiarray_umath.__file__
-    lib = ctypes.CDLL(path)
-    for name, integer in (("scipy_dlasd4_64_", ctypes.c_int64), ("dlasd4_64_", ctypes.c_int64),
-                          ("scipy_dlasd4_", ctypes.c_int32), ("dlasd4_", ctypes.c_int32)):
-        routine = getattr(lib, name, None)
-        if routine is not None:
-            # n, i, d, z, delta, rho, sigma, work, info
-            routine.argtypes = [ctypes.c_void_p] * 9
-            routine.restype = None
-            return routine, integer
-    raise ImportError(f"{path} exports none of scipy_dlasd4_64_, dlasd4_64_, "
-                      "scipy_dlasd4_ and dlasd4_")
-
-
-# the integer type of n, i and info travels with the routine
-dlasd4, dlasd4_int = _load_dlasd4()
-
-
-def scipy_version() -> str:
-    """scipy's version, from its version.py, without running the scipy package __init__.
-
-    The file is found in scipy's directory and run as a module of its
-    own, which sys.modules does not keep.  A run uses no scipy; the
-    manifest records its version because the exchange imports scipy.stats.
-    """
-    locations = importlib.util.find_spec("scipy").submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("scipy.version", locations)
-    if spec is None:
-        raise ImportError(f"scipy's version.py is not in {locations}")
-    version = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(version)
-    return version.version
-
-
-def _load_blas():
-    """The thread count getter and setter and the config string of numpy's BLAS, through ctypes.
-
-    OpenBLAS's openblas_get_num_threads, openblas_set_num_threads and
-    openblas_get_config, under the names numpy's builds give them, or
-    MKL's MKL_Get_Max_Threads and MKL_Set_Num_Threads, looked up through
-    numpy's core extension, which links the BLAS.  None for each one
-    that is not found.
-    """
-    try:
-        lib = ctypes.CDLL(np._core._multiarray_umath.__file__)
-    except OSError:
-        return None, None, None
-    for get, put, config in (("scipy_openblas_get_num_threads64_",
-                              "scipy_openblas_set_num_threads64_", "scipy_openblas_get_config64_"),
-                             ("openblas_get_num_threads64_", "openblas_set_num_threads64_",
-                              "openblas_get_config64_"),
-                             ("openblas_get_num_threads", "openblas_set_num_threads",
-                              "openblas_get_config"),
-                             ("MKL_Get_Max_Threads", "MKL_Set_Num_Threads", None)):
-        getter = getattr(lib, get, None)
-        if getter is not None:
-            getter.argtypes, getter.restype = [], ctypes.c_int
-            setter = getattr(lib, put, None)
-            if setter is not None:
-                setter.argtypes, setter.restype = [ctypes.c_int], None
-            describe = config and getattr(lib, config, None)
-            if describe is not None:
-                describe.argtypes, describe.restype = [], ctypes.c_char_p
-            return getter, setter, describe
-    return None, None, None
-
-
-blas_threads, _set_blas_threads, _blas_config = _load_blas()
-
-
-def blas_config() -> str | None:
-    """The build and core numpy's BLAS reports (OpenBLAS's get_config), None where not found.
-
-    That library does the BLAS products and supplies dlasd4 as well.
-    """
-    return None if _blas_config is None else _blas_config().decode(errors="replace")
-
-
-# (count found, count used) of numpy's BLAS threads inside blas_on_one_thread
-_blas_counts = contextvars.ContextVar("blas_counts", default=None)
-
-
-@contextlib.contextmanager
-def blas_on_one_thread():
-    """Run the block with numpy's BLAS on one thread, then restore the count found.
-
-    A multithreaded BLAS rounds a product by how it splits it among its
-    threads, and its threads compete with the program's own (the point
-    threads of a sweep, the secular roots' ranges).  Where no setter is
-    found the count stays as it is (blas_counts).
-    """
-    found = None if blas_threads is None else blas_threads()
-    used = None if _set_blas_threads is None or found is None else 1
-    if used is not None:
-        _set_blas_threads(used)
-    token = _blas_counts.set((found, used))
-    try:
-        yield
-    finally:
-        _blas_counts.reset(token)
-        if used is not None:
-            _set_blas_threads(found)
-
-
-def blas_counts():
-    """(found, used): numpy's BLAS threads before blas_on_one_thread and inside it.
-
-    used is None where no setter is found, found where no getter is.
-    Outside blas_on_one_thread both are the count in effect.
-    """
-    counts = _blas_counts.get()
-    if counts is None:
-        now = None if blas_threads is None else blas_threads()
-        counts = (now, now)
-    return counts
+from .transform import banded_sums, view
+from .workers import dlasd4, dlasd4_int, in_ranges, threads_for
 
 
 class NumericalError(RuntimeError):
@@ -434,289 +249,6 @@ def _deflate(cm: CouplingMatrix) -> _Deflated:
 SHAPE_BLOCK = 64
 
 
-# secular roots (or Loewner arms) per worker thread.  A worker pays a
-# thread start and GIL hand-offs of a few microseconds per root, which the
-# root work it takes over must outweigh.  On 2 CPUs (in-process medians,
-# roots plus arms) two threads broke even at N = 400, 2.0 ms either way,
-# and won from N = 600 on: 4.1 against 2.7 ms, and 0.135 against 0.071 s
-# at N = 4000.  So N = 400 stays on the calling thread and N = 600 splits
-ROOTS_PER_WORKER = 300
-
-
-def usable_cpus() -> int:
-    """The CPUs the process may run on, where the platform says (sched_getaffinity), else all."""
-    return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
-            else os.cpu_count() or 1)
-
-
-# True on the threads of an _in_turns call with several, and in every
-# worker of an _in_processes call with several (a sweep's points, which
-# already take every CPU): a call there keeps its work on its own thread.
-# Threads run in a copy of the caller's context, and a forked child
-# inherits it, so it reaches every nested call
-point_thread = contextvars.ContextVar("point_thread", default=False)
-
-
-def _workers(n):
-    """Worker threads for n independent roots: one per ROOTS_PER_WORKER roots, at most one per CPU.
-
-    One inside a worker (point_thread).
-    """
-    if point_thread.get():
-        return 1
-    return max(1, min(usable_cpus(), n // ROOTS_PER_WORKER))
-
-
-def _in_turns(task, n, workers) -> list:
-    """[task(i) for i in range(n)], on `workers` threads that take the i in turn.
-
-    The calling thread is one of them.  Each runs in a copy of the
-    caller's context, so the caller's numpy error state (np.errstate, a
-    context variable) holds there too; when there are several, each sets
-    point_thread, so that a task does not thread inside itself.  A
-    thread that cannot start (RuntimeError, as at a limit on threads or
-    processes) leaves its share to the others.  Once a task raises, no
-    thread takes another i; all threads are joined before this returns,
-    also when the calling thread is interrupted, and the exception of
-    the lowest i is raised, the one a loop in order would have raised.
-    """
-    results, errors = [None] * n, {}
-    order, lock, stop = iter(range(n)), threading.Lock(), threading.Event()
-
-    def take():
-        with lock:
-            return None if stop.is_set() else next(order, None)
-
-    def run():
-        if workers > 1:
-            point_thread.set(True)
-        for i in iter(take, None):
-            try:
-                results[i] = task(i)
-            except BaseException as exc:    # raised below, on the calling thread
-                errors[i] = exc
-                stop.set()
-
-    threads = []
-    try:
-        for _ in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run,))
-            try:
-                thread.start()
-            except RuntimeError:
-                break
-            threads.append(thread)
-        contextvars.copy_context().run(run)
-    finally:
-        stop.set()
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
-def _in_ranges(task, n, workers):
-    """task(lo, hi) on each of `workers` contiguous ranges that split range(n), through _in_turns."""
-    bounds = [n * j // workers for j in range(workers + 1)]
-    _in_turns(lambda j: task(bounds[j], bounds[j + 1]), workers, workers)
-
-
-def may_fork() -> bool:
-    """Whether _in_processes may fork: on Linux, outside a worker, with no other Python thread alive.
-
-    A forked child holds only the thread that forked, so a lock another
-    Python thread held at the fork stays locked in the child for good.
-    """
-    return (sys.platform.startswith("linux") and not point_thread.get()
-            and threading.active_count() == 1)
-
-
-def _traceback(exc) -> str:
-    """exc's traceback as the interpreter prints it, to cross a process boundary as text."""
-    import traceback
-
-    return "".join(traceback.format_exception(exc))
-
-
-def _send(fd, message):
-    """Write one message to the pipe fd: its pickle's length in 8 bytes, then the pickle."""
-    data = pickle.dumps(message, pickle.HIGHEST_PROTOCOL)
-    view = memoryview(len(data).to_bytes(8, "little") + data)
-    while view:
-        view = view[os.write(fd, view):]
-
-
-def _in_processes(task, items, workers) -> list:
-    """[task(item) for item in items], on `workers` processes that take the items in turn.
-
-    The calling process is one of them, and workers - 1 children forked
-    for the call (only where may_fork) are the others; one worker runs
-    the items in order on the calling thread.  The next index travels
-    between the workers through a pipe that holds it alone: a worker
-    reads it, writes back the one after it and runs that item, so no
-    split is fixed in advance and any number of items fits the pipe.  A
-    fork that fails leaves its share to the others.  Every worker sets
-    point_thread, so that an item does not thread inside itself, and
-    records the warnings each item raises; a child sends its results,
-    warnings and exceptions back pickled, with the indices it took, and
-    ends through os._exit (no atexit handler, no flush of the stdio
-    buffers it inherited).  The warnings are issued again on the caller,
-    in item order, with their category, message, file and line.  Once an
-    item raises, no worker takes another, and the exception of the lowest
-    index is raised when all have stopped, the one a loop in order would
-    have raised: on a child any exception, KeyboardInterrupt and
-    MemoryError included, with the child's traceback as its cause; on the
-    caller any Exception, while an interrupt there ends the call at once.
-    A child that ends without reporting (a signal, the OOM killer) is a
-    ChildProcessError naming the signal and the items it lost.  Every
-    child is reaped before this returns or raises, and killed first if
-    the call raises.
-    """
-    if workers <= 1:
-        return [task(item) for item in items]
-    import select
-    import signal
-
-    n = len(items)
-    results, errors, records = [None] * n, {}, {}
-    children = {}       # result pipe -> (pid, indices taken and not returned, unread bytes)
-    baton_r, baton_w = os.pipe()
-    os.set_blocking(baton_r, False)     # a worker that finds it taken waits in poll
-    os.write(baton_w, bytes(8))         # index 0
-    poller = select.poll()
-
-    def receive(fd):
-        """Take in what the child on pipe fd sent; at its end, reap it and check how it ended."""
-        pid, taken, unread = children[fd]
-        chunk = os.read(fd, 1 << 16)
-        if chunk:
-            unread += chunk
-            while len(unread) >= 8:
-                size = 8 + int.from_bytes(unread[:8], "little")
-                if len(unread) < size:
-                    break
-                i, outcome = pickle.loads(unread[8:size])
-                del unread[:size]
-                if outcome is None:
-                    taken.add(i)
-                    continue
-                taken.discard(i)
-                results[i], error, records[i] = outcome
-                if error is not None:
-                    errors[i], text = error
-                    errors[i].__cause__ = ChildProcessError(text)
-            return
-        poller.unregister(fd)
-        os.close(fd)
-        del children[fd]
-        code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
-        if code:
-            how = (f"exited with status {code}" if code > 0 else
-                   f"was killed by signal {-code} ({signal.strsignal(-code)})")
-            raise ChildProcessError(f"a worker process {how} before it returned "
-                                    f"{[items[i] for i in sorted(taken)]}")
-
-    def wait():
-        """Block until the index or a child's pipe is ready, and take in what the children sent."""
-        for fd, _ in poller.poll():
-            if fd in children:
-                receive(fd)
-
-    def take(stop=False):
-        """The next index, None once every one is taken; stop takes none and ends the taking."""
-        while True:
-            try:
-                i = int.from_bytes(os.read(baton_r, 8), "little")
-            except BlockingIOError:
-                wait()
-                continue
-            os.write(baton_w, (n if stop else min(i + 1, n)).to_bytes(8, "little"))
-            return None if stop or i >= n else i
-
-    def run(i, catch):
-        """task(items[i]) and its warnings: (result, exception or None, warnings)."""
-        with warnings.catch_warnings(record=True) as caught:
-            try:
-                result, error = task(items[i]), None
-            except catch as exc:
-                result, error = None, exc
-        return result, error, [(w.message, w.category, w.filename, w.lineno) for w in caught]
-
-    def child(fd):
-        """Run items until none is left, each one's outcome sent back on fd; never returns."""
-        code = 1
-        try:
-            for other in children:          # the earlier children's pipes
-                os.close(other)
-                poller.unregister(other)
-            children.clear()
-            for i in iter(take, None):
-                _send(fd, (i, None))
-                result, error, caught = run(i, BaseException)
-                if error is not None:
-                    take(stop=True)
-                    error = (error, _traceback(error))
-                try:
-                    _send(fd, (i, (result, error, caught)))
-                except Exception as exc:    # an outcome that does not pickle
-                    take(stop=True)
-                    _send(fd, (i, (None, (exc, _traceback(exc)), [])))
-            code = 0
-        finally:
-            os._exit(code)
-
-    token = point_thread.set(True)
-    try:
-        poller.register(baton_r, select.POLLIN)
-        for _ in range(1, workers):
-            fd, child_fd = os.pipe()
-            try:
-                with warnings.catch_warnings():
-                    # Python 3.12+ warns that forking a process with other OS
-                    # threads may deadlock the child.  Here those are OpenBLAS's
-                    # pool, which stops its threads around a fork (pthread_atfork)
-                    warnings.filterwarnings("ignore", r"This process .* is multi-threaded",
-                                            DeprecationWarning)
-                    pid = os.fork()
-            except OSError:
-                os.close(fd)
-                os.close(child_fd)
-                break
-            if pid == 0:
-                os.close(fd)
-                child(child_fd)
-            os.close(child_fd)
-            children[fd] = (pid, set(), bytearray())
-            poller.register(fd, select.POLLIN)
-        for i in iter(take, None):
-            results[i], error, records[i] = run(i, Exception)
-            if error is not None:
-                errors[i] = error
-                take(stop=True)
-        poller.unregister(baton_r)      # it holds n from here on: always readable
-        while children:
-            wait()
-    except BaseException:
-        for pid, _, _ in children.values():
-            os.kill(pid, signal.SIGKILL)
-        raise
-    finally:
-        point_thread.reset(token)
-        for fd, (pid, _, _) in children.items():
-            os.close(fd)
-            os.waitpid(pid, 0)
-        os.close(baton_r)
-        os.close(baton_w)
-    registry = {}       # a "default" warning is shown once per call, as in one process
-    for i in sorted(records):
-        for message, category, filename, lineno in records[i]:
-            warnings.warn_explicit(message, category, filename, lineno, registry=registry)
-    if errors:
-        raise errors[min(errors)]
-    return results
-
-
 def _secular_roots(poles, weights, which):
     """Roots nu of 1 + sum_j weights_j / (poles_j^2 - nu^2) = 0, as (origin, tau).
 
@@ -726,7 +258,7 @@ def _secular_roots(poles, weights, which):
     its nearer pole.  One call of LAPACK's dlasd4 per root (R.-C. Li's
     middle way, LAPACK Working Note 89) returns every poles_j - nu_k
     relative to that pole.  The roots are split into contiguous ranges,
-    one per worker thread (_workers), each with its own output buffers:
+    one per worker thread (threads_for), each with its own output buffers:
     a ctypes call releases the GIL, so the ranges run side by side.  A
     failed call raises EigensolverError for the lowest failing root.
     """
@@ -776,7 +308,7 @@ def _secular_roots(poles, weights, which):
                 origin[j] = o = k
             tau[j] = -delta[o]
 
-    _in_ranges(roots, len(ks), _workers(len(ks)))
+    in_ranges(roots, len(ks), threads_for(len(ks)))
     return np.array(origin, dtype=np.intp), np.array(tau) / scale
 
 
@@ -832,11 +364,6 @@ def max_mode_frequency(cm: CouplingMatrix) -> float:
     return top
 
 
-def _view(buf, shape):
-    """The leading entries of the flat buffer buf as a contiguous array of this shape."""
-    return buf[:math.prod(shape)].reshape(shape)
-
-
 def _d_minus_lam(w, nu0, tau, out=None, scratch=None):
     """w_a^2 - lam_k for poles w_a (rows) and roots nu_k = nu0_k + tau_k.
 
@@ -856,14 +383,14 @@ def _loewner_z(bath, nu0, tau):
     bath are the coupled poles above the particle's pole at 0, and the
     roots (nu0 + tau) interlace them.  Arm a is a product over every
     root and pole, O(N) each.  As for the roots, the arms are split into
-    contiguous ranges, one per worker thread (_workers): numpy releases
+    contiguous ranges, one per worker thread (threads_for): numpy releases
     the GIL inside each block's operations.  Each range works in blocks
     of SHAPE_BLOCK // workers arms, so all ranges together hold the
     buffers of one SHAPE_BLOCK block.
     """
     n_s = len(bath)
     zhat = np.empty(n_s)
-    workers = _workers(n_s)
+    workers = threads_for(n_s)
     step = max(1, SHAPE_BLOCK // workers)
 
     def arms_in(lo, hi):
@@ -881,7 +408,7 @@ def _loewner_z(bath, nu0, tau):
             ratio /= den
             zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
 
-    _in_ranges(arms_in, n_s, workers)
+    in_ranges(arms_in, n_s, workers)
     if not np.all(zhat > 0.0):
         raise EigensolverError("secular roots do not interlace the bath poles")
     return np.sqrt(zhat)
@@ -976,14 +503,14 @@ def _mode_blocks(sh: _ModeShapes, blocks=None, buffers=None):
     minus_coef = -sh.coef[:, None]
     for kind, lo, hi, at in _blocks(sh) if blocks is None else blocks:
         # contiguous for any width, so row-wise operations stream
-        block = _view(flat, (n, hi - lo))
+        block = view(flat, (n, hi - lo))
         if kind == "secular":
             # (1, zhat_a direction_i / (lam_k - d_a)), normalized
             amp = block[1:1 + n_c]
             for r in range(0, n_c, FACTOR_ROWS):
                 rows = amp[r:r + FACTOR_ROWS]
                 _d_minus_lam(sh.pole[r:r + FACTOR_ROWS], sh.nu0[lo:hi], sh.tau[lo:hi],
-                             out=rows, scratch=_view(factor, rows.shape))
+                             out=rows, scratch=view(factor, rows.shape))
             np.divide(minus_coef, amp, out=amp)
             block[0] = 1.0 / np.sqrt(1.0 + np.einsum("ij,ij->j", amp, amp))
             amp *= block[0]
@@ -1050,337 +577,6 @@ class EigenPropagator:
         u0, a, b, nu = self.u0[live], self.coef_cos[live], self.coef_sin[live], self.nu[live]
         return live, [(u0 * a, u0 * b / nu), (u0 * b, -(u0 * a * nu))]
 
-
-# entries of one table of mode_sums, 2 MB: the direct sum holds three
-# (samples x modes) tables, allocated once per call.  Larger tables raise
-# the peak memory of a run more than they save time
-SAMPLE_CHUNK = 250_000
-
-
-def mode_sums(x, theta, log_decay, rows) -> np.ndarray:
-    """Direct sums over the modes k at each x, one per coefficient row.
-
-    Row j of the result is sum_k e^{x d_k} (A_jk cos(x theta_k) +
-    B_jk sin(x theta_k)) for the j-th pair (A_j, B_j) of rows, with
-    d = log_decay (no decay when None).  Every sampler sends its modes
-    outside the bath band here, and all of its modes where banded_sums
-    cannot grid them; the tests check the transform against it.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    out = np.empty((len(rows), len(x)))
-    # chunked so the (samples x modes) tables stay cache friendly
-    step = max(1, SAMPLE_CHUNK // max(len(theta), 1))
-    tables = np.empty((3, min(step, len(x)), len(theta)))
-    for lo in range(0, len(x), step):
-        xx = x[lo:lo + step]
-        ph, c, s = tables[:, :len(xx)]
-        np.outer(xx, theta, out=ph)
-        np.cos(ph, out=c)
-        np.sin(ph, out=s)
-        if log_decay is not None:
-            decay = np.outer(xx, log_decay, out=ph)
-            np.exp(decay, out=decay)
-            c *= decay
-            s *= decay
-        for j, (a, b) in enumerate(rows):
-            out[j, lo:lo + step] = c @ a + s @ b
-    return out
-
-
-# Accuracy of the type-3 transform gridded_sums: at each time its
-# gridding error is at most NUFFT_TOL sum_k |A_k - i B_k|.  Like the
-# direct sum it also carries the rounding of the phases nu t, up to
-# about eps max|nu t| of the same sum.
-NUFFT_TOL = 1e-12
-
-# Every kernel parameter follows from the tolerance, L = log(1 / NUFFT_TOL).
-# The frequency kernel is a Gaussian of standard deviation s = a / X for
-# times within X of the centre; dividing by its transform there raises
-# errors by up to e^(a^2 / 2), which is given a ninth of the digits
-# (a = 2.48).  Truncating it at _KERNEL_CUT s, and aliasing the times
-# from a grid that places their images _KERNEL_CUT / s beyond the span,
-# each leave e^(-_KERNEL_CUT^2 / 2) = NUFFT_TOL e^(-a^2 / 2) (cut 7.84).
-_DIGITS = float(np.log(1.0 / NUFFT_TOL))
-_KERNEL_A = float(np.sqrt(2.0 * _DIGITS / 9.0))
-_KERNEL_CUT = float(np.sqrt(2.0 * _DIGITS + _KERNEL_A**2))
-# the type-2 step of Greengard & Lee (SIAM Rev. 46, 443 (2004)) oversamples
-# its FFT R >= _OVERSAMPLE times (the length is the next power of two) and
-# gathers 2 _M_SP points per time, with error e^(-pi _M_SP (R - 1/2) / R)
-# below the same e^(-_KERNEL_CUT^2 / 2) (_M_SP = 14)
-_OVERSAMPLE = 2
-_M_SP = int(np.ceil(_KERNEL_CUT**2 / 2.0 / (np.pi * (1.0 - 0.5 / _OVERSAMPLE))))
-# grid spacings per kernel standard deviation, and grid points per mode
-_SIGMA = (_KERNEL_A + _KERNEL_CUT) / (2.0 * np.pi)
-_WIDTH = int(2.0 * _KERNEL_CUT * _SIGMA) + 2
-
-
-@dataclass(frozen=True)
-class _Grid:
-    """Where gridded_sums centres its inputs, and its grid's sizes."""
-
-    t_c: float           # centre of the times
-    half_span: float     # X: every time lies within it of t_c (X > 0)
-    nu_c: float          # centre of the frequencies
-    h: float             # frequency grid spacing
-    half: int            # K: the grid is g h for |g| <= K
-    n_fft: int           # length of the type-2 step's FFT
-
-
-def _grid(t, nu) -> _Grid:
-    t_lo, t_hi, nu_lo, nu_hi = np.min(t), np.max(t), np.min(nu), np.max(nu)
-    # a zero span (one time, or repeated ones) still needs X > 0; any X
-    # that covers the times is as accurate, and X = 1 / nu_hi keeps the
-    # grid as small as the kernel allows
-    half_span = max(0.5 * (t_hi - t_lo), 1.0 / nu_hi)
-    h = 2.0 * np.pi / (half_span * (1.0 + _KERNEL_CUT / _KERNEL_A))
-    half = int(np.ceil(0.5 * (nu_hi - nu_lo) / h + _KERNEL_CUT * _SIGMA)) + 2
-    return _Grid(t_c=0.5 * (t_lo + t_hi), half_span=half_span,
-                 nu_c=0.5 * (nu_lo + nu_hi), h=h, half=half,
-                 n_fft=1 << (_OVERSAMPLE * (2 * half + 1) - 1).bit_length())
-
-
-# A decay d_k rides on the imaginary part of its frequency (gridded_sums).
-# The nearest aliased image of each kernel lies _KERNEL_CUT / _KERNEL_A
-# half spans X beyond the span, where its decay has grown by up to
-# e^{y _KERNEL_CUT / _KERNEL_A} against the centre, y = X max|d_k|, and
-# the Gaussian's cut tails grow by up to e^{y^2 / 2 _KERNEL_A^2} <= e^y
-# (y <= 2 _KERNEL_A^2 = 12): the gridding error grows by at most
-# e^{DECAY_GROWTH y}.  Both kernel parameters follow from NUFFT_TOL, and
-# their ratio is sqrt(10) at any tolerance.  banded_sums grids a decay
-# while that factor stays within 2, an error of at most 2 NUFFT_TOL:
-# y <= MAX_GRID_DECAY = log 2 / DECAY_GROWTH = 0.167.  The benchmark's
-# RK4 runs reach y = 2e-4 (rk4_dense) and the period map's about 3e-13
-DECAY_GROWTH = 1.0 + _KERNEL_CUT / _KERNEL_A
-MAX_GRID_DECAY = float(np.log(2.0) / DECAY_GROWTH)
-
-
-# FFT points of gridded_sums.  Its FFT buffer holds two rows, 32 bytes
-# per point, and is transformed in place: 4 MB at the cap, kept from call
-# to call, next to the direct sum's 6 MB of tables.  The benchmark sweeps
-# need 2^15 points (band 0.8 wide, times 4e4 to 5e4 long); a band of that
-# width fits times up to about 2.4e5 long
-_MAX_FFT = 1 << 17
-
-
-def grid_fits(t, nu) -> bool:
-    """True when gridded_sums takes these inputs.
-
-    It needs a time and a mode, and a grid whose FFT has at most
-    _MAX_FFT points; a longer span or a wider band is summed directly,
-    as the direct sum's memory does not grow with either.
-    """
-    return len(t) > 0 and len(nu) > 0 and _grid(t, nu).n_fft <= _MAX_FFT
-
-
-def gridded_sums(t, nu, rows) -> np.ndarray:
-    """mode_sums(t, nu.real, -nu.imag, rows) by a type-3 nonuniform FFT.
-
-    Row j of the result is Re sum_k c_jk e^{i nu_k t}, c_jk = A_jk - i B_jk.
-    A mode's decay d_k is the imaginary part of its frequency, nu_k =
-    theta_k - i d_k, so that e^{i nu_k t} = e^{t d_k} e^{i theta_k t}; real
-    frequencies have none.  Gaussian gridding holds for a complex frequency
-    (Lee & Greengard, J. Comput. Phys. 206, 1 (2005)):
-
-    1. Centre: nu = nu_c + v and t = t_c + t', |t'| <= X, so the sum is
-       e^{i nu_c t} g(t') with g(t') = sum_k c'_k e^{i v_k t'} and
-       c'_k = c_k e^{i v_k t_c}, which holds e^{d_k t_c}.  N + M trig
-       evaluations.
-    2. Spread each c'_k onto the grid v = g h with the Gaussian
-       exp(-(v - v_k)^2 / 2 s^2), s = a / X, cut at _KERNEL_CUT s about
-       Re v_k (_spread; complex weights only where v_k is complex): grid
-       coefficients F_g, accumulated in order by np.add.at straight into
-       the FFT row, F_g at index g mod its length.
-    3. h sum_g F_g e^{i g h t'} = g(t') phi(t') up to truncation and
-       aliasing, phi(t') = s sqrt(2 pi) e^{-s^2 t'^2 / 2}: the kernel's
-       transform s sqrt(2 pi) e^{-s^2 t'^2 / 2} e^{i v_k t'} is a contour
-       shift away from that of a real v_k.  Evaluate it at the t' by the
-       Gaussian type-2 step: deconvolve, zero-padded np.fft in place,
-       gather 2 _M_SP grid points per time.
-    4. Divide by phi(t') and restore e^{i nu_c t}.
-
-    The error is within NUFFT_TOL e^{(1 + _KERNEL_CUT / _KERNEL_A) y}
-    sum_k |c_jk| e^{d_k t_c} at each time, y = X max|d_k| (DECAY_GROWTH),
-    so NUFFT_TOL sum_k |c_jk| without decay.  The rows go through steps
-    2 and 3 two at a time, in the module's FFT buffer (_fft_rows), which
-    grid_fits caps at two rows of _MAX_FFT points and which the call
-    holds under _fft_lock meanwhile.  Spreading and gathering go through
-    buffers of GRID_CHUNK entries each, reused chunk after chunk.
-    """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
-    nu = np.asarray(nu)
-    nu = nu.astype(complex if np.iscomplexobj(nu) else float, copy=False)
-    # 1. centre; the c'_k are spread in grid units u_k + i beta_k = v_k / h
-    g = _grid(t, nu.real)
-    v = nu - g.nu_c
-    spin = np.exp(1j * (v * g.t_c))
-    u = v.real / g.h
-    beta = v.imag / g.h if np.iscomplexobj(v) else None
-    # 3. type-2 step: sum_|m|<=K F_m e^{i m x} at x = h t' in (-pi, pi).
-    # The deconvolution is even in m: deconv[m] for m >= 0
-    size, n_fft = 2 * g.half + 1, g.n_fft
-    r = n_fft / size
-    tau = np.pi * _M_SP / (size * size * r * (r - 0.5))
-    m = np.arange(g.half + 1)
-    deconv = np.sqrt(np.pi / tau) * np.exp(tau * m * m)
-    tp = t - g.t_c
-    xi = tp * (g.h * n_fft / (2.0 * np.pi))
-    rate = -(2.0 * np.pi / n_fft) ** 2 / (4.0 * tau)
-    # 4. Re e^{i nu_c t} (re + i im) h / phi(t')
-    s = _KERNEL_A / g.half_span
-    scale = (g.h / (s * np.sqrt(2.0 * np.pi))) * np.exp(0.5 * (s * tp) ** 2)
-    phase = g.nu_c * t
-    cos, sin = np.cos(phase) * scale, np.sin(phase) * scale
-    out = np.empty((len(rows), len(t)))
-    # 2.-4. for each pair of rows
-    for lo in range(0, len(rows), 2):
-        pair = rows[lo:lo + 2]
-        coef = [(a - 1j * b) * spin for a, b in pair]
-        with _fft_lock:
-            grid = _fft_rows(len(pair), n_fft)
-            _spread(u, beta, coef, grid)
-            grid[:, :g.half + 1] *= deconv
-            grid[:, n_fft - g.half:] *= deconv[:0:-1]
-            for row in grid:
-                np.fft.ifft(row, out=row)
-            re_im = _gather(grid, xi, rate)
-        out[lo:lo + 2] = re_im[:, 0] * cos - re_im[:, 1] * sin
-    return out
-
-
-# The transform's FFT rows persist from call to call in one buffer that
-# only grows: at most two rows of _MAX_FFT points, 4 MB.  A caller holds
-# the lock from taking its rows until it has gathered from them, so that
-# concurrent transforms on threads share the one buffer in turn
-_fft_buffer = np.empty(0, complex)
-_fft_lock = threading.Lock()
-
-
-def _fft_rows(n_rows, n_fft):
-    """n_rows zeroed FFT rows of n_fft points, a view of the module's FFT buffer.
-
-    The view is valid until the next call; the caller holds _fft_lock.
-    """
-    global _fft_buffer
-    if len(_fft_buffer) < n_rows * n_fft:
-        _fft_buffer = np.empty(n_rows * n_fft, complex)
-    rows = _view(_fft_buffer, (n_rows, n_fft))
-    rows[...] = 0.0
-    return rows
-
-
-# entries of one spreading or gathering buffer of gridded_sums, 256 KB, so
-# that a chunk's three tables stay in a 1 MB L2 cache.  At N = 400 and 4000
-# times, a quarter of that ran about 20 % slower, and four times that took
-# its tables afresh from the kernel on every call
-GRID_CHUNK = 32_768
-
-
-def _spread(u, beta, coef, rows):
-    """Add to each row Gaussians at grid positions u + i beta: F_m at rows[j, m], m mod the length.
-
-    Row j gains sum_k coef[j][k] exp(-(m - u_k - i beta_k)^2 / 2 _SIGMA^2)
-    over the _WIDTH grid points m around each u_k.  With x = m - u_k that
-    weight is exp(-(x^2 - beta_k^2) / 2 _SIGMA^2) e^{i beta_k x / _SIGMA^2};
-    it is real where beta is None, and the rows' real and imaginary parts
-    are spread apart.  np.add.at adds the terms in order of k, whatever
-    the chunk size.
-    """
-    cut = _KERNEL_CUT * _SIGMA
-    step = max(1, GRID_CHUNK // _WIDTH)
-    shape = (min(step, len(u)), _WIDTH)
-    # the weights and terms are complex where there is a decay
-    dtype = float if beta is None else complex
-    index, weight, part = np.empty(shape, np.intp), np.empty(shape, dtype), np.empty(shape, dtype)
-    points = np.arange(_WIDTH)
-    for lo in range(0, len(u), step):
-        uu = u[lo:lo + step]
-        first = np.ceil(uu - cut)
-        ix, w, pt = index[:len(uu)], weight[:len(uu)], part[:len(uu)]
-        np.add.outer(first.astype(np.intp), points, out=ix)
-        if beta is None:
-            np.add.outer(first - uu, points, out=w)
-            w *= w
-            w *= -0.5 / _SIGMA**2
-            np.exp(w, out=w)
-            for row, c in zip(rows, coef):
-                for out, values in ((row.real, c.real), (row.imag, c.imag)):
-                    np.multiply(w, values[lo:lo + step, None], out=pt)
-                    np.add.at(out, ix.ravel(), pt.ravel())
-        else:
-            # the exponent -(x^2 - beta^2) / 2 _SIGMA^2 + i beta x / _SIGMA^2
-            bb, x = beta[lo:lo + step, None], w.real
-            np.add.outer(first - uu, points, out=x)
-            np.multiply(x, bb / _SIGMA**2, out=w.imag)
-            x *= x
-            x -= bb * bb
-            x *= -0.5 / _SIGMA**2
-            np.exp(w, out=w)
-            for row, c in zip(rows, coef):
-                np.multiply(w, c[lo:lo + step, None], out=pt)
-                np.add.at(row, ix.ravel(), pt.ravel())
-
-
-def _gather(smooth, xi, rate) -> np.ndarray:
-    """(rows, 2, times): real and imaginary Gaussian sums of each smooth row.
-
-    Entry [j, :, i] is sum_l smooth[j, l] exp(rate (xi_i - l)^2) over the
-    2 _M_SP points l nearest xi_i, indices taken modulo the row length.
-    """
-    step = max(1, GRID_CHUNK // (2 * _M_SP))
-    shape = (min(step, len(xi)), 2 * _M_SP)
-    index, weight, taken = np.empty(shape, np.intp), np.empty(shape), np.empty(shape)
-    points = np.arange(1 - _M_SP, _M_SP + 1)
-    acc = np.empty((len(smooth), 2, len(xi)))
-    for lo in range(0, len(xi), step):
-        xx = xi[lo:lo + step]
-        first = np.floor(xx)
-        ix, w, tk = index[:len(xx)], weight[:len(xx)], taken[:len(xx)]
-        np.add.outer(first.astype(np.intp), points, out=ix)
-        np.subtract.outer(xx - first, points, out=w)
-        w *= w
-        w *= rate
-        np.exp(w, out=w)
-        for row, out in zip(smooth, acc):
-            for part, values in enumerate((row.real, row.imag)):
-                np.take(values, ix, out=tk, mode="wrap")
-                np.einsum("ij,ij->i", tk, w, out=out[part, lo:lo + step])
-    return acc
-
-
-def banded_sums(x, theta, log_decay, rows, band) -> np.ndarray:
-    """mode_sums(x, theta, log_decay, rows), the in-band modes gridded.
-
-    The modes whose theta lies within [min band, max band] go through
-    gridded_sums in one call, with the rows themselves and the
-    frequencies theta_k - i d_k that carry each decay d = log_decay (real
-    frequencies where log_decay is None); the others go through
-    mode_sums, so the grid does not grow with modes far outside the band.
-    Every sampler passes the theta of the bath frequencies as its band.
-    Every mode is summed directly where a decay exceeds MAX_GRID_DECAY
-    over the grid's half span, grid_fits refuses the grid, or the grid
-    would hold more points than the direct sum has terms.
-    """
-    x = np.atleast_1d(np.asarray(x, dtype=float))
-    inside = (theta >= np.min(band)) & (theta <= np.max(band))
-    nu = theta[inside] if log_decay is None else theta[inside] - 1j * log_decay[inside]
-    # a decay must stay within MAX_GRID_DECAY over the half span, and the
-    # grid must also be smaller than the direct sum it replaces: the FFTs
-    # of gridded_sums, one per pair of rows, hold no more points than the
-    # direct sum has terms.  A few times, as in each residue class of a
-    # long switching period, are summed directly, which is exact to rounding
-    gridded = grid_fits(x, nu.real)
-    if gridded:
-        g = _grid(x, nu.real)
-        y = g.half_span * np.max(np.abs(nu.imag))
-        gridded = (y <= MAX_GRID_DECAY       # NaN fails too
-                   and (len(rows) + 1) // 2 * g.n_fft <= len(x) * len(nu))
-    if not gridded:
-        inside[:] = False
-    out = mode_sums(x, theta[~inside], None if log_decay is None else log_decay[~inside],
-                    [(a[~inside], b[~inside]) for a, b in rows])
-    if np.any(inside):
-        out += gridded_sums(x, nu, [(a[inside], b[inside]) for a, b in rows])
-    return out
 
 
 # RK4's stability interval on the imaginary axis: |h nu| <= 2 sqrt(2)
@@ -1513,7 +709,7 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     order, into its own partial sum, and the partials are added in group
     order, so the state's bits do not depend on the threads.  The groups
     run in contiguous ranges on up to SWEEP_GROUPS worker threads
-    (_workers, one inside a point worker); ab and u_k[0] are written column
+    (threads_for, one inside a point worker); ab and u_k[0] are written column
     by column.  Each range's block buffers are allocated here, on the
     calling thread: a buffer allocated and freed on a worker thread goes
     back to that thread's malloc arena, and the calling thread's next
@@ -1525,7 +721,7 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     blocks = _blocks(shapes)
     bounds = [len(blocks) * g // SWEEP_GROUPS for g in range(SWEEP_GROUPS + 1)]
     partials = None if rows is None else np.zeros((SWEEP_GROUPS, n, 2))
-    workers = min(_workers(n), SWEEP_GROUPS)
+    workers = min(threads_for(n), SWEEP_GROUPS)
     # one (block buffers, product) set per range, each taken by one range
     spare = [(_block_buffers(n), np.empty((n, 2))) for _ in range(workers)]
 
@@ -1539,7 +735,7 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
                 if rows is not None:
                     partials[g] += np.matmul(block, rows(cols, ab), out=part)
 
-    _in_ranges(groups, SWEEP_GROUPS, workers)
+    in_ranges(groups, SWEEP_GROUPS, workers)
     root_m = np.sqrt(cm.mass)
     vec = None
     if rows is not None:
@@ -1585,10 +781,10 @@ def mode_residual(prop: EigenPropagator) -> float:
     size = len(prop.nu) * min(SHAPE_BLOCK, len(prop.nu))
     res_buf, d_buf, z_buf = np.empty((3, size))
     for cols, v in _mode_blocks(prop.shapes):
-        res = np.multiply(v, -prop.nu[cols] ** 2, out=_view(res_buf, v.shape))
+        res = np.multiply(v, -prop.nu[cols] ** 2, out=view(res_buf, v.shape))
         res[0] += cm.alpha * v[0] + z @ v[1:]
-        dv = np.multiply(d[:, None], v[1:], out=_view(d_buf, v[1:].shape))
-        dv += np.multiply(z[:, None], v[0], out=_view(z_buf, v[1:].shape))
+        dv = np.multiply(d[:, None], v[1:], out=view(d_buf, v[1:].shape))
+        dv += np.multiply(z[:, None], v[0], out=view(z_buf, v[1:].shape))
         res[1:] += dv
         sq += float(np.einsum("ij,ij->", res, res))
     hnorm = np.sqrt(cm.alpha**2 + np.sum(cm.d**2) + 2.0 * np.sum(cm.z**2))

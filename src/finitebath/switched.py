@@ -19,7 +19,7 @@ Re sum_j c_j mu_j^k, c = (rows 0 and 1 of the first r steps' map) S
 times v'.  The multipliers come in conjugate pairs mu, conj(mu), whose
 eigenvectors, amplitudes and so coefficients are conjugates too, so
 the period map keeps one root of each pair, n in all, and the sum is
-2 Re sum_j c_j mu_j^k over them.  propagator.banded_sums evaluates the
+2 Re sum_j c_j mu_j^k over them.  transform.banded_sums evaluates the
 sums of each residue class r, as it samples the normal modes, with
 theta = arg mu and d = log |mu|: the roots whose arg lies within that
 of R(i h w)^period over the bath frequencies w (in the upper half
@@ -76,10 +76,10 @@ from functools import cached_property, partial
 import numpy as np
 
 from .model import SystemState, TestParticleSpec, initial_state
-from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix,
-                         NumericalError, _view, banded_sums, build_multi_coupling_matrix,
-                         check_rk4_stability, diagonalize, mode_amplitudes,
-                         mode_vector, rk4_factors, rk4_mode_factors)
+from .propagator import (RK4_STABILITY_LIMIT, CouplingMatrix, NumericalError,
+                         build_multi_coupling_matrix, check_rk4_stability, diagonalize,
+                         mode_amplitudes, mode_vector, rk4_factors, rk4_mode_factors)
+from .transform import banded_sums, view
 
 
 # The period map keeps rows 0 and 1 of each of its period's step prefixes,
@@ -383,7 +383,7 @@ class _ModalPeriodMap:
         t, buf = self._factors[3], self._work[0]
         for lo in range(0, len(idx), PERIOD_PIECE):
             at = idx[lo:lo + PERIOD_PIECE]
-            g = np.subtract(t, roots[at][:, None], out=_view(buf, (len(at), len(t))))
+            g = np.subtract(t, roots[at][:, None], out=view(buf, (len(at), len(t))))
             yield at, np.reciprocal(g, out=g)
 
     def _secular(self, g, power=1):
@@ -394,7 +394,7 @@ class _ModalPeriodMap:
         x, _, w, _ = self._factors
         r = x.shape[1]
         if power == 2:
-            g = np.multiply(g, g, out=_view(self._work[1], g.shape))
+            g = np.multiply(g, g, out=view(self._work[1], g.shape))
         return (g @ w).reshape(-1, r, r)
 
     def roots(self):
@@ -546,7 +546,7 @@ class _ModalPeriodMap:
             c, ct = vh[:, -1, :].conj(), u[:, :, -1]
             self.null[0][at], self.null[1][at] = c, ct
             self.wsdot[at] = np.einsum("ja,jab,jb->j", ct.conj(), self._secular(g, 2), c)
-            right = np.matmul(x, c.T, out=_view(work[1], (len(t), len(c))))
+            right = np.matmul(x, c.T, out=view(work[1], (len(t), len(c))))
             right *= g.T
             # slab by slab over the period's steps, in g's buffer, which is
             # free now: one product per step, as over the whole period
@@ -554,7 +554,7 @@ class _ModalPeriodMap:
             for k in range(0, len(rows), steps):
                 slab = rows[k:k + steps]
                 rows01[k:k + steps, :, at] = np.matmul(
-                    slab, right, out=_view(work[0], (len(slab), 2, len(at))))
+                    slab, right, out=view(work[0], (len(slab), 2, len(at))))
             kernel = np.einsum("jab,jb->ja", sm, c)
             terms[at] = (np.einsum("ja,ab,jb->j", kernel.conj(), xx, kernel).real
                          / (np.einsum("ij,ij->j", right.real, right.real)
@@ -775,7 +775,7 @@ class SwitchedPropagator:
         period map that factorizes with a residual above QUALITY_TOL, or
         whose fastest growing mode grows by more than e^GROWTH_TOL over
         the run (a parametrically resonant schedule), is a NumericalError.
-        The period map is sampled through propagator.banded_sums, as 2 Re
+        The period map is sampled through transform.banded_sums, as 2 Re
         of the sum over one root of each conjugate pair, whose transform
         takes log |mu| as the imaginary part of each frequency arg mu -
         i log |mu|, holds a grid sized by the run's span times the bath

@@ -19,7 +19,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from finitebath import propagator
+from finitebath import propagator, workers
 from finitebath.model import BathSpec, DensityOfStates, SystemState, TestParticleSpec
 from finitebath.output import CURVE_HEADER
 
@@ -130,7 +130,7 @@ def failing_dlasd4(monkeypatch):
     dlasd4_int; the stub writes only info.
     """
     def stub(n, i, d, z, delta, rho, sigma, work, info):
-        propagator.dlasd4_int.from_address(info).value = 1
+        workers.dlasd4_int.from_address(info).value = 1
 
     monkeypatch.setattr(propagator, "dlasd4", stub)
 

@@ -17,7 +17,7 @@ from functools import partial
 
 import numpy as np
 
-from finitebath import propagator, switched
+from finitebath import propagator, switched, transform, workers
 from finitebath.bath import realize_bath
 from finitebath.config import build_sweep_spec, check_config
 from finitebath.experiments import run_two_bath_point
@@ -77,7 +77,7 @@ def test_repeated_factorization_takes_few_page_faults(monkeypatch):
     their (64 x N) temporaries per block, 0 with the buffers reused.  The
     roots, z and the shape pass run on two threads.
     """
-    monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     cm, v0 = _phase(4000, 1e-4)
     assert _faults_of_third_call(lambda: diagonalize(cm, v0)) < 2_000
 
@@ -96,7 +96,7 @@ def test_a_factorization_on_two_cpus_holds_one_cpus_peak(monkeypatch):
     final = partial(flow_factors, t=4.5e4)
     peaks = []
     for cpus in (1, 2):
-        monkeypatch.setattr(propagator, "usable_cpus", lambda: cpus)
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
         tracemalloc.start()
         try:
             diagonalize(cm, v0, final=final)
@@ -139,7 +139,7 @@ def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
     and two CPUs, the map holds one piece in a sweep's point worker
     (point_thread set) and outside one alike.
     """
-    monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=0.55),
                                      _bath(100, 1e-2, 2, 0), _bath(100, 1e-2, 2, 1),
                                      renormalization="static")
@@ -148,14 +148,14 @@ def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
         raise AssertionError("the period map started a thread")
 
     def buffers(point_thread):
-        propagator.point_thread.set(point_thread)
+        workers.point_thread.set(point_thread)
         modal = switched._ModalPeriodMap(system, SwitchSchedule(step_size=1e-2))
         modal.floquet(modal.roots()[:system.dim // 2], 1e-7)["amplitudes"](system.initial_vector())
         return modal._work.shape
 
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert switched.PERIOD_PIECE == 32
-    with propagator.blas_on_one_thread():
+    with workers.blas_on_one_thread():
         assert contextvars.copy_context().run(buffers, True) == (2, 32 * system.dim)
         assert contextvars.copy_context().run(buffers, False) == (2, 32 * system.dim)
 
@@ -208,23 +208,23 @@ def test_interleaved_points_reproduce_their_first_results(monkeypatch):
     maps, floquet = [], switched._ModalPeriodMap.floquet
     monkeypatch.setattr(switched._ModalPeriodMap, "floquet",
                         lambda self, *args: maps.append(self) or floquet(self, *args))
-    transforms, gridded_sums = [], propagator.gridded_sums
+    transforms, gridded_sums = [], transform.gridded_sums
 
     def checked(*args):
         out = gridded_sums(*args)
-        transforms.append(np.shares_memory(out, propagator._fft_buffer))
+        transforms.append(np.shares_memory(out, transform._fft_buffer))
         return out
 
-    monkeypatch.setattr(propagator, "gridded_sums", checked)
+    monkeypatch.setattr(transform, "gridded_sums", checked)
     first, again = {}, {}
     for results in (first, again):
         for name, point in POINTS.items():
             maps.clear()
             results[name] = point()
-            buffers = [propagator._fft_buffer] + [m._work for m in maps if "_work" in vars(m)]
+            buffers = [transform._fft_buffer] + [m._work for m in maps if "_work" in vars(m)]
             assert not any(np.shares_memory(a, b) for a in results[name] for b in buffers)
         if results is first:
-            assert len(propagator._fft_buffer) and maps
+            assert len(transform._fft_buffer) and maps
     assert transforms and not any(transforms)
     for name in POINTS:
         assert [a.tobytes() for a in again[name]] == [a.tobytes() for a in first[name]], name

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import finitebath
-from finitebath import experiments, propagator
+from finitebath import experiments, workers
 from finitebath.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, LANGEVIN_POINTS,
                             main)
 from finitebath.model import MAX_BATH_SIZE
@@ -404,7 +404,7 @@ def test_slow_particle_is_not_a_zero_mode(tmp_path, monkeypatch, capsys):
         check(*args)
         checked.append(args)
 
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 1)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 1)
     monkeypatch.setattr(experiments, "_check_energy_drift", spy)
     out = tmp_path / "run"
     code = main(["single", "--omega", "3e-5", "--set", "bath1_size=150",
@@ -679,11 +679,11 @@ def test_worker_processes_end_without_atexit_handlers_or_a_second_flush():
     forking workers imports are loaded only by a call that forks.
     """
     code = ("import atexit, sys\n"
-            "from finitebath import cli, propagator\n"
+            "from finitebath import cli, workers\n"
             "loaded = sorted({'multiprocessing', 'select', 'signal', 'traceback'} & set(sys.modules))\n"
             "atexit.register(print, 'atexit')\n"
             "sys.stdout.write(f'{loaded} ')\n"
-            "print(propagator._in_processes(abs, range(-3, 3), 3))\n")
+            "print(workers.in_processes(abs, range(-3, 3), 3))\n")
     assert _fresh_python(code, PYTHONWARNINGS="error") == "[] [3, 2, 1, 0, 1, 2]\natexit\n"
 
 
@@ -702,7 +702,7 @@ from finitebath.model import BathSpec, TestParticleSpec
 from scipy.linalg.lapack import dlasd4
 
 for size, workers in ((400, 1), (4000, 2)):
-    propagator._workers = lambda n: workers
+    propagator.threads_for = lambda n: workers
     real = realize_bath(BathSpec(size=size, mass=0.4 / size), seed=3)
     cm = propagator.build_multi_coupling_matrix(TestParticleSpec(omega=0.5),
                                                 [(real.m, real.frequencies, True)])
@@ -764,18 +764,18 @@ def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
     script = """
 import json, os, tempfile
 import numpy as np
-from finitebath import propagator
+from finitebath import workers
 from finitebath.cli import main
 with tempfile.TemporaryDirectory() as out:
     code = main(["single", "--omega", "0.5", "--set", "bath1_size=20", "--set", "n_samples=200",
                  "--seed-list", "1", "--out", out])
     with open(os.path.join(out, "manifest.json")) as f:
         env = json.load(f)["environment"]
-getter = propagator.blas_threads
-used = None if getter is None or propagator._set_blas_threads is None else 1
+getter = workers.blas_threads
+used = None if getter is None or workers._set_blas_threads is None else 1
 import scipy
 print(json.dumps([code, env, None if getter is None else getter(), used, np.__version__,
-                  scipy.__version__, len(os.sched_getaffinity(0)), propagator.blas_config()]))
+                  scipy.__version__, len(os.sched_getaffinity(0)), workers.blas_config()]))
 """
     counts = []
     for threads in ("1", "2"):
@@ -825,8 +825,7 @@ def test_a_run_gives_the_same_bytes_under_any_openblas_thread_count(tmp_path):
 
 def _run_on_cpus(monkeypatch, out, cpus, argv):
     """main(argv) into out as if the process had `cpus` CPUs: its files, the manifest parsed."""
-    monkeypatch.setattr(propagator, "usable_cpus", lambda: cpus)
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     assert main(argv + ["--out", str(out)]) == EXIT_OK
     files = {path.name: path.read_bytes() for path in out.iterdir()}
     return files, json.loads(files.pop("manifest.json"))

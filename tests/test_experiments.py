@@ -26,7 +26,7 @@ from finitebath.experiments import (
     run_two_bath_sweep,
     smoothed_curve,
 )
-from finitebath import cli, experiments, propagator, switched
+from finitebath import cli, experiments, propagator, switched, workers
 from finitebath.model import BathSpec, DensityOfStates, bare_energy
 from finitebath.stats import FitError, SamplingPlan
 
@@ -318,7 +318,7 @@ def _curve_bytes(curve):
 
 def _run_on_cpus(tmp_path, monkeypatch, cpus, argv, sweep):
     """argv as if on `cpus` CPUs: (what cli's `sweep` returned, its files, manifest)."""
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: cpus)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
     results, run = [], getattr(cli, sweep)
     monkeypatch.setattr(cli, sweep, lambda spec: results.append(run(spec)) or results[-1])
     out = tmp_path / str(cpus)
@@ -429,7 +429,7 @@ def test_no_point_starts_after_a_failure_or_an_interrupt(tmp_path, monkeypatch):
     start, and the failing one its raise, in a file.  No child process
     is left after either.
     """
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     threads, caller = threading.active_count(), os.getpid()
     for error, fails_on in ((ValueError, lambda omega, seed: (omega, seed) == (0.3, 1)),
                             (KeyboardInterrupt, lambda omega, seed: os.getpid() == caller)):
@@ -463,12 +463,11 @@ def test_a_one_point_run_threads_inside_its_point(monkeypatch):
     Each point returns, as its n_steps, the threads that a factorization
     of 600 roots would get there.
     """
-    for module in (experiments, propagator):
-        monkeypatch.setattr(module, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
 
     def runner(omega, spec, seed):
         return dataclasses.replace(run_single_bath_point(omega, spec, seed),
-                                   n_steps=propagator._workers(600))
+                                   n_steps=workers.threads_for(600))
 
     one = dataclasses.replace(_grid_of_nine(), omega_grid=(0.5,), seeds=(1,))
     curve = experiments._sweep(one, runner, [])
@@ -485,7 +484,7 @@ def test_a_points_warnings_reach_the_caller_in_grid_order(monkeypatch):
     Category, message, file and line are those of the warning the point
     raised, whichever process ran it.
     """
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 3)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 3)
 
     def runner(omega, spec, seed):
         warnings.warn(f"point {omega} {seed}", UserWarning)
@@ -507,7 +506,7 @@ def test_a_worker_killed_by_a_signal_ends_the_sweep_naming_its_points(monkeypatc
 
     The calling process runs its points slowly, so the child takes one.
     """
-    monkeypatch.setattr(experiments, "usable_cpus", lambda: 2)
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     caller = os.getpid()
 
     def runner(omega, spec, seed):

@@ -1,6 +1,6 @@
 """Every sampler's type-3 transform against the direct mode sum.
 
-The oracle is propagator.mode_sums over every mode: for the exact and
+The oracle is transform.mode_sums over every mode: for the exact and
 the RK4 sampler with the coefficient rows (u0 a, u0 b / nu) for Q and
 (u0 b, -u0 a nu) for P / M, for the period map, which keeps one root of
 each conjugate pair, with the rows of c = rows01[r] v' and of conj c
@@ -21,19 +21,18 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finitebath import propagator, switched
+from finitebath import switched, transform
 from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.experiments import exchange_splitting
 from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                               initial_state)
-from finitebath.propagator import (DECAY_GROWTH, MAX_GRID_DECAY, NUFFT_TOL,
-                                   banded_sums, build_multi_coupling_matrix,
-                                   diagonalize, gridded_sums, mode_sums,
-                                   rk4_mode_factors)
+from finitebath.propagator import build_multi_coupling_matrix, diagonalize, rk4_mode_factors
 from finitebath.rng import SAMPLING_TIMES, substream
 from finitebath.stats import SamplingPlan, make_sampling_times
 from finitebath.switched import (SwitchSchedule, SwitchedPropagator,
                                  build_switched_matrices, default_step_size)
+from finitebath.transform import (DECAY_GROWTH, MAX_GRID_DECAY, NUFFT_TOL, banded_sums,
+                                  gridded_sums, mode_sums)
 
 from conftest import dense_floquet
 
@@ -117,7 +116,7 @@ def test_only_the_out_of_band_modes_are_summed_directly(monkeypatch):
 
     t = _times(SWEEP)
     props = [_prop(400, omega, m=1e-3) for omega in (0.01, 0.5, 2.0, 10.0)]
-    monkeypatch.setattr(propagator, "mode_sums", recording)
+    monkeypatch.setattr(transform, "mode_sums", recording)
     samples = [prop.sample_test_particle(t) for prop in props]
     monkeypatch.undo()
     assert len(seen) == len(props) and max(seen) <= 2
@@ -220,13 +219,13 @@ def test_sampler_takes_a_scalar_or_a_list():
 def test_only_an_oversized_grid_is_summed_directly():
     rng = np.random.default_rng(3)
     nu = rng.uniform(0.2, 1.0, 400)
-    assert propagator.grid_fits(np.array([5.0]), nu)
-    assert propagator.grid_fits(np.arange(64.0), nu[:5])
-    assert propagator.grid_fits(_times(SWEEP), nu)
-    assert not propagator.grid_fits(np.array([]), nu)
-    assert not propagator.grid_fits(np.array([5.0]), nu[:0])
+    assert transform.grid_fits(np.array([5.0]), nu)
+    assert transform.grid_fits(np.arange(64.0), nu[:5])
+    assert transform.grid_fits(_times(SWEEP), nu)
+    assert not transform.grid_fits(np.array([]), nu)
+    assert not transform.grid_fits(np.array([5.0]), nu[:0])
     # a span whose FFT would hold 5e8 points
-    assert not propagator.grid_fits(np.linspace(0.0, 1e9, 4000), nu)
+    assert not transform.grid_fits(np.linspace(0.0, 1e9, 4000), nu)
 
 
 # -- bounded memory -----------------------------------------------------------
@@ -242,7 +241,7 @@ def test_transform_buffers_do_not_depend_on_the_chunk_size(monkeypatch):
     rows = _rows(prop)
     t = _times(SWEEP)
     whole = gridded_sums(t, prop.nu, rows)
-    monkeypatch.setattr(propagator, "GRID_CHUNK", 7 * propagator._WIDTH)
+    monkeypatch.setattr(transform, "GRID_CHUNK", 7 * transform._WIDTH)
     np.testing.assert_array_equal(gridded_sums(t, prop.nu, rows), whole)
     _check_sampler(prop, t)
 
@@ -271,8 +270,8 @@ def test_transform_memory_just_below_the_grid_cap():
     """The longest span that is still gridded: FFT rows of 8.4 MB at most."""
     prop = _prop(400, 0.5)
     t = np.linspace(0.0, 2.4e5, 4000)
-    assert propagator._grid(t, prop.nu).n_fft == propagator._MAX_FFT
-    assert not propagator.grid_fits(np.linspace(0.0, 2.5e5, 4000), prop.nu)
+    assert transform._grid(t, prop.nu).n_fft == transform._MAX_FFT
+    assert not transform.grid_fits(np.linspace(0.0, 2.5e5, 4000), prop.nu)
     assert _peak(lambda: prop.sample_test_particle(t)) < 1e7
     _check_sampler(prop, t)
 
@@ -297,7 +296,7 @@ def _decay_bounds(rows, theta, log_decay, x):
     e^{d_k x_c}, with y = X max|d| and x_c, X the centre and half span of
     the grid over x.
     """
-    grid = propagator._grid(x, theta)
+    grid = transform._grid(x, theta)
     growth = np.exp(DECAY_GROWTH * grid.half_span * np.max(np.abs(log_decay)))
     floor = np.finfo(float).eps * np.max(np.abs(theta)) * np.max(np.abs(x))
     weight = np.exp(log_decay * grid.t_c)
@@ -394,7 +393,7 @@ def _recording_mode_sums(monkeypatch):
         seen.append(len(theta))
         return mode_sums(x, theta, *args, **kwargs)
 
-    monkeypatch.setattr(propagator, "mode_sums", recording)
+    monkeypatch.setattr(transform, "mode_sums", recording)
     return seen
 
 
@@ -422,7 +421,7 @@ def _recording_gridded_sums(monkeypatch):
         seen.append((len(rows), np.iscomplexobj(nu)))
         return gridded_sums(x, nu, rows)
 
-    monkeypatch.setattr(propagator, "gridded_sums", recording)
+    monkeypatch.setattr(transform, "gridded_sums", recording)
     return seen
 
 
@@ -467,7 +466,7 @@ def test_the_admissible_decay_follows_from_the_tolerance(monkeypatch):
     theta = rng.uniform(0.2, 1.0, 400)
     x = np.sort(rng.uniform(1000.0, 9000.0, 4000))
     rows = [(rng.standard_normal(400), rng.standard_normal(400)) for _ in range(2)]
-    half_span = propagator._grid(x, theta).half_span
+    half_span = transform._grid(x, theta).half_span
     shape = rng.uniform(-1.0, 1.0, 400)
     shape /= np.max(np.abs(shape))
     for y in (1e-6, 1e-3, 0.05, 0.1, MAX_GRID_DECAY):
@@ -501,7 +500,7 @@ def test_period_map_sampler_memory_stays_below_the_direct_sum(monkeypatch):
     prop = SwitchedPropagator(system, SwitchSchedule(step_size=1e-3))
     v0, t = system.initial_vector(), _times(TWOBATH_PLAN, 2)
     fast = _peak(lambda: prop.run(v0, t))
-    monkeypatch.setattr(propagator, "grid_fits", lambda *args: False)
+    monkeypatch.setattr(transform, "grid_fits", lambda *args: False)
     direct = _peak(lambda: prop.run(v0, t))
     assert fast <= direct
 

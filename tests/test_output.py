@@ -5,7 +5,7 @@ import json
 import numpy as np
 import pytest
 
-from finitebath import output, propagator
+from finitebath import output, workers
 from finitebath.experiments import ThermalizationCurve
 from finitebath.output import (
     CURVE_HEADER,
@@ -117,11 +117,11 @@ def test_manifest_records_the_run(tmp_path):
 def test_environment_names_the_blas_build_where_the_blas_reports_one(monkeypatch):
     """blas_config is OpenBLAS's get_config string, found beside its thread getter, else null."""
     config = output.run_environment()["blas_config"]
-    if propagator._blas_config is None:
+    if workers._blas_config is None:
         assert config is None
     else:
         assert config.startswith("OpenBLAS")
-    monkeypatch.setattr(propagator, "_blas_config", None)
+    monkeypatch.setattr(workers, "_blas_config", None)
     assert output.run_environment()["blas_config"] is None
-    monkeypatch.setattr(propagator, "_blas_config", lambda: b"OpenBLAS 0.3.31 SkylakeX")
+    monkeypatch.setattr(workers, "_blas_config", lambda: b"OpenBLAS 0.3.31 SkylakeX")
     assert output.run_environment()["blas_config"] == "OpenBLAS 0.3.31 SkylakeX"

@@ -14,7 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from finitebath import propagator
+from finitebath import propagator, transform, workers
 from finitebath.bath import realize_bath
 from finitebath.experiments import ENERGY_DRIFT_TOL
 from finitebath.model import (BathRealization, BathSpec, DensityOfStates, SystemState,
@@ -167,7 +167,7 @@ def test_vectorized_sampling_matches_pointwise(small_bath, particle, monkeypatch
     times = np.array([0.0, 0.7, 3.1, 12.9, 55.0])
     whole = prop.sample_test_particle(times)
     # two samples per table: every chunk boundary and a short last chunk
-    monkeypatch.setattr(propagator, "SAMPLE_CHUNK", 2 * len(prop.nu))
+    monkeypatch.setattr(transform, "SAMPLE_CHUNK", 2 * len(prop.nu))
     chunked = prop.sample_test_particle(times)
     for q, p in (whole, chunked):
         for i, t in enumerate(times):
@@ -363,7 +363,7 @@ def test_worker_threads_give_the_one_worker_factorization_bit_for_bit(monkeypatc
     final = functools.partial(flow_factors, t=123.4)
 
     def factor(workers):
-        monkeypatch.setattr(propagator, "_workers", lambda n: workers)
+        monkeypatch.setattr(propagator, "threads_for", lambda n: workers)
         prop = diagonalize(cm, v0, final=final)
         return [prop.nu, prop.u0, prop.coef_cos, prop.coef_sin, prop.final_state.as_vector()]
 
@@ -401,8 +401,8 @@ def test_the_shape_pass_gives_the_same_bits_on_any_number_of_cpus(monkeypatch):
     final = functools.partial(flow_factors, t=123.4)
 
     def factor(cpus):
-        monkeypatch.setattr(propagator, "usable_cpus", lambda: cpus)
-        assert propagator._workers(cm.dim // 2) == cpus
+        monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
+        assert workers.threads_for(cm.dim // 2) == cpus
         prop = diagonalize(cm, v0, final=final)
         return prop, [prop.coef_cos, prop.coef_sin, prop.u0, prop.final_state.as_vector()]
 
@@ -434,13 +434,13 @@ def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
     """Two roots fail: 2500 and 3500, both in the second of two workers' ranges, then 1500 and 3500."""
     cm, v0 = _large_bath()
     real_dlasd4 = propagator.dlasd4
-    monkeypatch.setattr(propagator, "_workers", lambda n: 2)
+    monkeypatch.setattr(propagator, "threads_for", lambda n: 2)
     threads = threading.active_count()
     for failing in ((2500, 3500), (1500, 3500)):
         def failing_at(n, i, d, z, delta, rho, sigma, work, info):
             real_dlasd4(n, i, d, z, delta, rho, sigma, work, info)
-            if propagator.dlasd4_int.from_address(i).value - 1 in failing:
-                propagator.dlasd4_int.from_address(info).value = 2
+            if workers.dlasd4_int.from_address(i).value - 1 in failing:
+                workers.dlasd4_int.from_address(info).value = 2
 
         monkeypatch.setattr(propagator, "dlasd4", failing_at)
         with pytest.raises(EigensolverError, match=rf"secular root {failing[0]} \(info = 2\)"):
@@ -449,11 +449,11 @@ def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
 
 
 def test_a_range_on_worker_threads_keeps_its_work_on_its_own_thread(monkeypatch):
-    """Each of two ranges runs as a point thread: _workers gives a call inside it one thread."""
-    monkeypatch.setattr(propagator, "usable_cpus", lambda: 2)
+    """Each of two ranges runs as a point thread: threads_for gives a call inside it one thread."""
+    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     budgets = []
-    propagator._in_ranges(lambda lo, hi, *_: budgets.append(propagator._workers(10**6)), 10, 2)
-    assert propagator._workers(10**6) == 2
+    workers.in_ranges(lambda lo, hi, *_: budgets.append(workers.threads_for(10**6)), 10, 2)
+    assert workers.threads_for(10**6) == 2
     assert budgets == [1, 1]
 
 
@@ -467,7 +467,7 @@ def test_worker_threads_keep_the_callers_numpy_error_state():
     with warnings.catch_warnings():
         warnings.simplefilter("error", RuntimeWarning)
         with np.errstate(divide="ignore"):
-            propagator._in_ranges(divide, len(out), 2)
+            workers.in_ranges(divide, len(out), 2)
     assert np.all(np.isinf(out))
 
 
@@ -476,7 +476,7 @@ def test_worker_threads_that_cannot_start_leave_their_ranges_to_the_caller(monke
     cm, v0 = _large_bath()
 
     def factor(workers):
-        monkeypatch.setattr(propagator, "_workers", lambda n: workers)
+        monkeypatch.setattr(propagator, "threads_for", lambda n: workers)
         prop = diagonalize(cm, v0)
         return [prop.nu, prop.u0, prop.coef_cos, prop.coef_sin]
 
@@ -498,7 +498,7 @@ def _no_child_remains():
 
 def test_worker_processes_take_twenty_thousand_items_in_turn():
     """More items than a pipe holds indices: every result comes back in order, from several workers."""
-    got = propagator._in_processes(lambda i: (i, os.getpid()), range(20_000), 3)
+    got = workers.in_processes(lambda i: (i, os.getpid()), range(20_000), 3)
     assert [i for i, _ in got] == list(range(20_000))
     assert len({pid for _, pid in got}) > 1
     _no_child_remains()
@@ -509,27 +509,27 @@ def test_a_fork_that_fails_leaves_its_share_to_the_others(monkeypatch):
         raise BlockingIOError("fork: resource temporarily unavailable")
 
     monkeypatch.setattr(os, "fork", refuse)
-    assert propagator._in_processes(lambda i: (i, os.getpid()), range(5), 3) == [
+    assert workers.in_processes(lambda i: (i, os.getpid()), range(5), 3) == [
         (i, os.getpid()) for i in range(5)]
 
 
 def test_only_a_lone_thread_on_linux_outside_a_worker_may_fork(monkeypatch):
     """fork copies only its own thread, so another Python thread keeps the points in order."""
-    assert propagator.may_fork() == sys.platform.startswith("linux")
+    assert workers.may_fork() == sys.platform.startswith("linux")
     monkeypatch.setattr(sys, "platform", "linux")
-    assert propagator.may_fork()
-    assert propagator._in_processes(lambda i: propagator.may_fork(), range(4), 2) == [False] * 4
+    assert workers.may_fork()
+    assert workers.in_processes(lambda i: workers.may_fork(), range(4), 2) == [False] * 4
     release = threading.Event()
     other = threading.Thread(target=release.wait, args=(10.0,))
     other.start()
     try:
-        assert not propagator.may_fork()
+        assert not workers.may_fork()
     finally:
         release.set()
         other.join(timeout=10.0)
     assert not other.is_alive()
     monkeypatch.setattr(sys, "platform", "darwin")
-    assert not propagator.may_fork()
+    assert not workers.may_fork()
 
 
 def test_the_secular_roots_do_not_depend_on_the_frequency_scale():

@@ -10,7 +10,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from finitebath import propagator, switched
+from finitebath import switched, transform
 from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.model import (BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                               total_energy)
@@ -275,7 +275,7 @@ def test_period_map_engine_matches_literal_stepping(monkeypatch, step_literally)
     assert floq.n_steps == 1500
     q, p, final = _stepped(step_literally, system, sched, floq)
     # two samples per table: every chunk boundary and a short last chunk
-    monkeypatch.setattr(propagator, "SAMPLE_CHUNK", 2 * system.dim)
+    monkeypatch.setattr(transform, "SAMPLE_CHUNK", 2 * system.dim)
     chunked = _run(system, sched, times, t_final=30.0)
     for res in (floq, chunked):
         assert res.engine == "floquet"
