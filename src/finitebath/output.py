@@ -107,14 +107,18 @@ def read_histogram(path) -> EnergyHistogram:
                            total_samples=int(counts.sum()))
 
 
-def scipy_version() -> str:
+def scipy_version() -> str | None:
     """scipy's version, from its version.py, without running the scipy package __init__.
 
     The file is found in scipy's directory and run as a module of its
     own, which sys.modules does not keep.  A run uses no scipy; the
-    manifest records its version because the exchange imports scipy.stats.
+    manifest records its version because the exchange imports scipy.stats,
+    and None where scipy is not installed.
     """
-    locations = importlib.util.find_spec("scipy").submodule_search_locations
+    found = importlib.util.find_spec("scipy")
+    if found is None:
+        return None
+    locations = found.submodule_search_locations
     spec = importlib.machinery.PathFinder.find_spec("scipy.version", locations)
     if spec is None:
         raise ImportError(f"scipy's version.py is not in {locations}")

@@ -18,9 +18,10 @@ holds for each contact phase: the diagonal d_n = w_n^2, the border
 z_n = -sqrt(m/M) w_n^2 (0 for a free bath), and the corner
 alpha = alpha0 + sum_n c_n with c_n = z_n^2 / d_n and alpha0 = Omega^2
 (plus the spring sums of free baths under static renormalization).
-Its modes cost O(N^2) time and O(N) memory, since
-the (N+1)^2 mode matrix is never stored (Gu & Eisenstat, SIAM J.
-Matrix Anal. Appl. 16, 172 (1995)):
+Its modes cost O(N) memory, since the (N+1)^2 mode matrix is never
+stored (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), and
+O(N^2) time for the roots; the vectors take O(N^2) time below
+FAR_FIELD_ROOTS roots and O(N log N) from there on:
 
 1. Deflation.  Free oscillators (z_n = 0, or negligible against the
    corner) are modes on their own; the particle keeps their springs.
@@ -55,6 +56,14 @@ Matrix Anal. Appl. 16, 172 (1995)):
    pass of its own, and so does mode_residual.  The
    samplers need no shapes after that: Q and P are two coefficient
    rows (A, B) of the mode sums below, built from u_k[0], a_k and b_k.
+   From FAR_FIELD_ROOTS roots on, the O(N^2) sums over poles and roots
+   go through transform.far_field_sums, a fast multipole method that
+   keeps the terms near each pole exact: Loewner's z as a sum of
+   logarithms (_far_loewner_z), and in a pass the secular modes between
+   the lowest and the highest pole, whose norms, projections and share
+   of a state are Cauchy sums (_far_secular).  The free oscillators,
+   the Helmert vectors, the two secular modes outside the band and the
+   particle's entry stay in blocks, and mode_residual keeps its blocks.
 
 A zero frequency mode (Omega = 0, a free translation) has no such form,
 so diagonalize rejects it for the exact and the RK4 sampler alike.  It
@@ -93,7 +102,8 @@ ROOTS_PER_WORKER roots (threads_for).  The pass over the shapes (_sweep)
 threads the same way, over SWEEP_GROUPS fixed groups of mode blocks:
 each group sums its blocks' share of a state in order and the groups'
 sums are added in group order, so the bits depend on N alone, not on
-the threads.
+the threads.  The far-field sums run on the calling thread; a pass then
+threads only its remaining blocks, by the modes they hold.
 """
 
 from __future__ import annotations
@@ -106,7 +116,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import SystemState, TestParticleSpec
-from .transform import banded_sums, view
+from .transform import banded_sums, far_field_sums, view
 from .workers import dlasd4, dlasd4_int, in_ranges, threads_for
 
 
@@ -377,6 +387,19 @@ def _d_minus_lam(w, nu0, tau, out=None, scratch=None):
     return out
 
 
+# secular roots from which Loewner's z and the pass over the secular
+# shapes sum over the poles and roots by transform.far_field_sums, O(N log N)
+# on one thread, rather than term by term, O(N^2) on the worker threads.
+# On 2 CPUs (in-process medians of z plus a pass with a final state, BLAS
+# on one thread, 11 alternating runs) the two broke even about N = 1000,
+# 11.0 against 11.5 ms (the far field faster in 8 runs, in none on a busier
+# machine), and the far field won every run from N = 1200 on: 12.3 against
+# 19.2 ms, 16.8 against 35.3 ms at N = 2000 and 0.12 against 3.1 s at 2e4
+FAR_FIELD_ROOTS = 1200
+
+INTERLACE = "secular roots do not interlace the bath poles"
+
+
 def _loewner_z(bath, nu0, tau):
     """Loewner's z: the border for which the computed roots are exact eigenvalues.
 
@@ -386,9 +409,12 @@ def _loewner_z(bath, nu0, tau):
     contiguous ranges, one per worker thread (threads_for): numpy releases
     the GIL inside each block's operations.  Each range works in blocks
     of SHAPE_BLOCK // workers arms, so all ranges together hold the
-    buffers of one SHAPE_BLOCK block.
+    buffers of one SHAPE_BLOCK block.  From FAR_FIELD_ROOTS roots on,
+    _far_loewner_z sums their logarithms instead.
     """
     n_s = len(bath)
+    if n_s + 1 >= FAR_FIELD_ROOTS:
+        return _far_loewner_z(bath, nu0, tau)
     zhat = np.empty(n_s)
     workers = threads_for(n_s)
     step = max(1, SHAPE_BLOCK // workers)
@@ -410,8 +436,28 @@ def _loewner_z(bath, nu0, tau):
 
     in_ranges(arms_in, n_s, workers)
     if not np.all(zhat > 0.0):
-        raise EigensolverError("secular roots do not interlace the bath poles")
+        raise EigensolverError(INTERLACE)
     return np.sqrt(zhat)
+
+
+def _far_loewner_z(bath, nu0, tau):
+    """_loewner_z as a sum of logarithms, by far_field_sums.
+
+    log z_a^2 = sum_k log|d_a - lam_k| - sum_(j != a) log|d_a - d_j|.  The
+    roots between the lowest and the highest pole (all but the first and
+    the last) and the poles are its sources, with charges +1 and -1; the
+    first and the last root are added directly.  The logarithms lose the
+    products' sign, so the interlacing that the sign checks is checked on
+    the exact differences of each pole to the roots either side of it.
+    """
+    if not (np.all((bath - nu0[:-1]) - tau[:-1] > 0.0)
+            and np.all((bath - nu0[1:]) - tau[1:] < 0.0)):
+        raise EigensolverError(INTERLACE)
+    n_s, poles = len(bath), (bath, np.zeros(len(bath)))
+    sources = (np.r_[nu0[1:-1], bath], np.r_[tau[1:-1], np.zeros(n_s)])
+    log_z2 = far_field_sums(poles, sources, np.r_[np.ones(n_s - 1), -np.ones(n_s)], ["log"])[0]
+    log_z2 += np.sum(np.log(np.abs(_d_minus_lam(bath, nu0[[0, -1]], tau[[0, -1]]))), axis=1)
+    return np.exp(0.5 * log_z2)
 
 
 @dataclass(frozen=True)
@@ -483,9 +529,9 @@ def _blocks(sh: _ModeShapes) -> list:
 FACTOR_ROWS = 512
 
 
-def _block_buffers(n):
-    """The buffers of _mode_blocks over n coordinates: (block, factor scratch), flat."""
-    step = min(SHAPE_BLOCK, n)
+def _block_buffers(n, width=SHAPE_BLOCK):
+    """The buffers of _mode_blocks over n coordinates and width modes: (block, scratch), flat."""
+    step = min(width, n)
     return np.empty(n * step), np.empty(min(FACTOR_ROWS, n) * step)
 
 
@@ -714,16 +760,29 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     calling thread: a buffer allocated and freed on a worker thread goes
     back to that thread's malloc arena, and the calling thread's next
     arrays take fresh pages instead.
+
+    From FAR_FIELD_ROOTS roots on, _far_secular first takes the secular
+    modes between the lowest and the highest pole on the calling thread,
+    and its share of the state is added after the groups'.
     """
-    n = len(shapes.cols)
+    n, n_r = len(shapes.cols), len(shapes.nu0)
     ab = None if y is None else np.empty((len(y), n))
     u0 = np.empty(n)
     blocks = _blocks(shapes)
+    far = None
+    if n_r >= FAR_FIELD_ROOTS:
+        # the first and the last root stay in blocks of their own
+        far = _far_secular(shapes, y, rows, ab, u0)
+        blocks = ([("secular", 0, 1, 0), ("secular", n_r - 1, n_r, 0)]
+                  + [block for block in blocks if block[0] != "secular"])
     bounds = [len(blocks) * g // SWEEP_GROUPS for g in range(SWEEP_GROUPS + 1)]
     partials = None if rows is None else np.zeros((SWEEP_GROUPS, n, 2))
-    workers = min(threads_for(n), SWEEP_GROUPS)
-    # one (block buffers, product) set per range, each taken by one range
-    spare = [(_block_buffers(n), np.empty((n, 2))) for _ in range(workers)]
+    # threads by the modes the blocks hold, n unless the far field takes the secular ones
+    workers = min(threads_for(sum(hi - lo for _, lo, hi, _ in blocks)), SWEEP_GROUPS)
+    # one (block buffers, product) set per range, each taken by one range,
+    # as wide as the widest block
+    width = max((hi - lo for _, lo, hi, _ in blocks), default=1)
+    spare = [(_block_buffers(n, width), np.empty((n, 2))) for _ in range(workers)]
 
     def groups(lo, hi):
         buffers, part = spare.pop()
@@ -742,12 +801,44 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
         acc = partials[0]
         for partial in partials[1:]:
             acc += partial
+        if far is not None:
+            acc += far
         vec = np.empty(2 * n)
         vec[0::2][shapes.coord] = acc[:, 0]
         vec[1::2][shapes.coord] = acc[:, 1]
         vec[0::2] /= root_m
         vec[1::2] *= root_m
     return ab, u0 / root_m[0], vec
+
+
+def _far_secular(sh: _ModeShapes, y, rows, ab, u0):
+    """_sweep's share of secular modes 1 to n_r - 2, those between the lowest and highest pole.
+
+    Mode k's shape is n_k (1, coef_a / (lam_k - d_a)) with n_k^-2 = 1 +
+    sum_a coef_a^2 / (lam_k - d_a)^2, so its projection of y is n_k (y_0
+    + sum_a coef_a y_a / (lam_k - d_a)): one far_field_sums call with the
+    roots as targets gives both.  The state U (f, g) over these modes has
+    the particle entry sum_k n_k (f, g)_k and at oscillator a coef_a sum_k
+    n_k (f, g)_k / (lam_k - d_a): a second call, the poles as targets.
+    Writes ab and u0 of these modes and returns their state over
+    sh.coord (None without rows).
+    """
+    n_c, k = len(sh.pole), np.arange(1, len(sh.nu0) - 1)
+    roots, poles = (sh.nu0[k], sh.tau[k]), (sh.pole, np.zeros(n_c))
+    cols = sh.cols[k]
+    ys = [] if y is None else list(y[:, 1:1 + n_c] * sh.coef)
+    sums = far_field_sums(roots, poles, [sh.coef**2] + ys, ["cauchy2"] + ["cauchy"] * len(ys))
+    norm = 1.0 / np.sqrt(1.0 + sums[0])
+    u0[cols] = norm
+    if y is not None:
+        ab[:, cols] = norm * (y[:, :1] + sums[1:])
+    if rows is None:
+        return None
+    charges = norm * rows(cols, ab).T
+    state = np.zeros((len(sh.coord), 2))
+    state[0] = np.sum(charges, axis=1)
+    state[1:1 + n_c] = -(sh.coef * far_field_sums(poles, roots, charges, ["cauchy"] * 2)).T
+    return state
 
 
 def mode_amplitudes(prop: EigenPropagator, v) -> np.ndarray:

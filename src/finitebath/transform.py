@@ -1,4 +1,4 @@
-"""Sums over normal modes at many sample points: direct, or by a type-3 nonuniform FFT.
+"""Fast sums over normal modes: at many sample points, and over poles and roots.
 
 Every sampler evaluates sum_k e^{x d_k} (A_k cos x theta_k + B_k sin x
 theta_k).  The exact form has x = t, theta = nu and no decay, RK4 x = n,
@@ -21,11 +21,20 @@ the grid independent of Omega.  Inputs whose grid would outgrow its
 memory cap (grid_fits), or hold more points than the direct sum has
 terms, are summed directly too.
 
-Buffers.  The direct sum allocates its tables once per call, and the
-transform its chunk buffers of GRID_CHUNK entries; each writes every
-chunk's temporaries into them (out= and in-place ufuncs), since an array
-allocated afresh per chunk is often handed back to the kernel by malloc
-when it is freed, and the next one is page-faulted in and zeroed again.
+The factorization's own sums run over the poles and roots of the
+secular equation: Loewner's z is a sum of log |d - lam| and the mode
+shapes' norms, projections and states are sums of 1 / (lam - d) and its
+square.  far_field_sums evaluates them by a one-dimensional fast
+multipole method, O(N) for points spread over a band rather than O(N^2),
+with the terms near each target exact; propagator uses it from
+propagator.FAR_FIELD_ROOTS roots on.
+
+Buffers.  The direct sum allocates its tables once per call, the
+transform its chunk buffers of GRID_CHUNK entries and far_field_sums
+seven of FAR_CHUNK entries; each writes every chunk's temporaries into
+them (out= and in-place ufuncs), since an array allocated afresh per
+chunk is often handed back to the kernel by malloc when it is freed,
+and the next one is page-faulted in and zeroed again.
 The FFT rows persist from call to call in one module buffer that only
 grows, to at most two rows of _MAX_FFT points (4 MB) for the whole
 process: a transform holds a module lock from taking its rows until it
@@ -347,6 +356,277 @@ def _gather(smooth, xi, rate) -> np.ndarray:
                 np.take(values, ix, out=tk, mode="wrap")
                 np.einsum("ij,ij->i", tk, w, out=out[part, lo:lo + step])
     return acc
+
+
+# Chebyshev nodes per box of far_field_sums.  Its far field pairs boxes at
+# least one box apart, where interpolating a Cauchy kernel on either box
+# converges as (3 + sqrt 8)^-nodes: 4e-16 at 20 nodes
+FAR_NODES = 20
+# points per leaf of far_field_sums' tree, at least half this on average:
+# the depth follows from the count.  A target's near field is its own leaf
+# and the two beside it
+FAR_LEAF = 32
+# entries of each of far_field_sums' buffers, 256 KB: (target, source)
+# pairs of the near field, or points times FAR_NODES of the tree's weights.
+# At N = 4000 twice this ran no faster and raised diagonalize's traced peak
+# from 4.0 to 6.0 MB
+FAR_CHUNK = 32_768
+
+
+def _log_abs(u, out, where):
+    np.abs(u, out=out, where=where)
+    return np.log(out, out=out, where=where)
+
+
+def _reciprocal(u, out, where):
+    return np.divide(1.0, u, out=out, where=where)
+
+
+def _reciprocal_square(u, out, where):
+    np.multiply(u, u, out=out, where=where)
+    return np.divide(1.0, out, out=out, where=where)
+
+
+# each kernel writes K(u) into out where the mask holds, and leaves out alone elsewhere
+_KERNELS = {"log": _log_abs, "cauchy": _reciprocal, "cauchy2": _reciprocal_square}
+# K(h u) = h^-power K(u) for the Cauchy kernels; log |h u| = log h + log |u|
+_POWERS = {"cauchy": 1, "cauchy2": 2}
+
+# Chebyshev nodes of the first kind on [-1, 1], and the map from a point's
+# Chebyshev polynomials T_0..T_n-1 to its Lagrange weights on those nodes
+_NODES = np.cos((np.arange(FAR_NODES) + 0.5) * (np.pi / FAR_NODES))
+_TO_WEIGHTS = (np.where(np.arange(FAR_NODES) == 0, 1.0, 2.0)[None, :] / FAR_NODES
+               * np.cos(np.outer((np.arange(FAR_NODES) + 0.5) * (np.pi / FAR_NODES),
+                                 np.arange(FAR_NODES))))
+
+
+def far_field_sums(targets, sources, charges, kernels) -> np.ndarray:
+    """(rows, targets): row r at target i sums charges[r, j] K_r(x_i - y_j) over the sources j.
+
+    Targets and sources are frequencies given as (base, offset) pairs of
+    arrays, each point on the real line at the square of base + offset:
+    x_i = (tb_i + to_i)^2 and y_j = (sb_j + so_j)^2.  K_r = kernels[r] is
+    "log" (log |u|), "cauchy" (1 / u) or "cauchy2" (1 / u^2); a zero
+    difference, a point's own term, adds nothing.
+
+    A one-dimensional fast multipole method by Chebyshev interpolation
+    (Greengard & Rokhlin, J. Comput. Phys. 73, 325 (1987); Fong & Darve,
+    J. Comput. Phys. 228, 8712 (2009)) on a binary tree of equal
+    intervals over the points, with FAR_NODES nodes per box and leaves of
+    FAR_LEAF points or fewer on average.  A target's own leaf and the two
+    beside it are summed directly, each difference formed as the two
+    factors ((tb - sb) + (to - so)) ((tb + to) + (sb + so)): a root held
+    as its nearer pole plus an offset keeps its exact distance to the
+    poles around it.  The rest goes through the tree (_far_locals):
+    charges interpolated onto each leaf's nodes, moved up to the parents,
+    passed between boxes a box or more apart at each level, moved down,
+    and interpolated at the targets.  Each sum is within 32 eps of the
+    sum of its terms' magnitudes (tests/test_far_field.py).  O((N + M)
+    (FAR_LEAF + FAR_NODES)) time for N sources and M targets spread over
+    their span; a leaf that holds many times FAR_LEAF points costs the
+    square of its count in the near field.  The near field goes in
+    chunks of FAR_CHUNK pairs and the tree's weights in chunks of
+    FAR_CHUNK / FAR_NODES points, through seven buffers of FAR_CHUNK
+    entries allocated once per call, 1.8 MB.
+    """
+    tb, to = (np.asarray(a, dtype=float) for a in targets)
+    sb, so = (np.asarray(a, dtype=float) for a in sources)
+    charges = np.asarray(charges, dtype=float).reshape(len(kernels), len(sb))
+    xt, xs = (tb + to) ** 2, (sb + so) ** 2
+    lo = min(np.min(xt), np.min(xs))
+    span = max(np.max(xt), np.max(xs)) - lo
+    depth = 0
+    if span > 0.0:
+        depth = max(0, math.ceil(math.log2((len(xt) + len(xs)) / FAR_LEAF)))
+    leaves = 1 << depth
+    width = span / leaves if span > 0.0 else 1.0
+    leaf_t = np.minimum(((xt - lo) / width).astype(np.intp), leaves - 1)
+    leaf_s = np.minimum(((xs - lo) / width).astype(np.intp), leaves - 1)
+    # sources in leaf order, so that each leaf's are a contiguous range
+    order = np.argsort(leaf_s, kind="stable")
+    sb, so, leaf_s, charges = sb[order], so[order], leaf_s[order], charges[:, order]
+    first = np.searchsorted(leaf_s, np.arange(leaves + 1))
+    start, stop = first[np.maximum(leaf_t - 1, 0)], first[np.minimum(leaf_t + 2, leaves)]
+    work = np.empty((7, max(FAR_CHUNK, int(np.max(stop - start, initial=1)))))
+    out = _near_sums((tb, to), (sb, so), charges, kernels, start, stop, work)
+    if depth < 2:
+        return out
+    centre, half = lo + (np.arange(leaves) + 0.5) * width, 0.5 * width
+    # the charges' moments on each leaf's nodes, and each leaf's total charge,
+    # padded by three empty boxes at either end
+    rows = len(kernels)
+    moments, total = np.zeros((rows, leaves + 6, FAR_NODES)), np.zeros((rows, leaves + 6))
+    for j0, j1, weights in _weights(sb, so, centre[leaf_s], half, work):
+        # the chunk's leaves: each a run of its sources
+        runs = np.flatnonzero(np.r_[True, np.diff(leaf_s[j0:j1]) != 0])
+        boxes = 3 + leaf_s[j0:j1][runs]
+        for r, charge in enumerate(charges[:, j0:j1]):
+            product = np.multiply(weights, charge, out=view(work[2], weights.shape))
+            moments[r, boxes] += np.add.reduceat(product, runs, axis=1).T
+            total[r, boxes] += np.add.reduceat(charge, runs)
+    local = _far_locals(moments, total, kernels, depth, span)
+    for i0, i1, weights in _weights(tb, to, centre[leaf_t], half, work):
+        for r in range(rows):
+            field = view(work[2], (i1 - i0, FAR_NODES))
+            np.take(local[r], leaf_t[i0:i1], axis=0, out=field)
+            out[r, i0:i1] += np.einsum("mi,im->i", weights, field)
+    return out
+
+
+def _from(base, offset, centre):
+    """(base + offset)^2 - centre, to a few eps of |centre - base^2| + |offset (2 base + offset)|.
+
+    base^2 is split exactly into its rounding and the error of that
+    (Dekker's product), so a point's place in its box does not carry the
+    rounding of its square, eps (base + offset)^2.  Against a long double
+    reference at N = 4000 (m N = 0.4), Loewner's z by the far field was
+    within 7.4e-14 with it and 1.9e-13 without; the dense product, 8.2e-14.
+    """
+    split = base * 134217729.0       # 2^27 + 1
+    high = split - (split - base)
+    low = base - high
+    square = base * base
+    error = ((high * high - square) + 2.0 * high * low) + low * low
+    return (square - centre) + (error + offset * (2.0 * base + offset))
+
+
+def _near_sums(targets, sources, charges, kernels, start, stop, work):
+    """(rows, targets): the terms of sources start[i] to stop[i] at each target i, exactly.
+
+    The targets go in chunks of at most FAR_CHUNK (target, source) pairs
+    (or one target), each target's sources one row of the chunk's widest
+    window; the entries beyond a target's own window add nothing.  Every
+    chunk writes its temporaries into the rows of work.
+    """
+    tb, to = targets
+    sb, so = sources
+    counts = stop - start
+    widest = max(1, int(np.max(counts, initial=0)))
+    # every window fits in the sources padded by the widest; the padding is never summed
+    padded = [np.r_[a, np.zeros(widest)] for a in (sb, sb + so, so, *charges)]
+    # points without offsets (poles) skip their share of the first factor
+    offset_t, offset_s = np.any(to), np.any(so)
+    u, other, value, indices, flags = work[0], work[1], work[2], work[3].view(np.intp), work[4]
+    live, nonzero = np.split(flags.view(bool)[:2 * len(u)], 2)
+    out = np.empty((len(kernels), len(tb)))
+    i0 = 0
+    while i0 < len(tb):
+        # the most targets from i0 on whose count times their widest window fits a chunk
+        head = counts[i0:i0 + max(1, FAR_CHUNK // max(1, counts[i0]))]
+        fits = np.arange(1, len(head) + 1) * np.maximum.accumulate(head) <= FAR_CHUNK
+        i1 = i0 + max(1, int(np.count_nonzero(fits)))
+        m = max(1, int(np.max(counts[i0:i1])))
+        shape = (i1 - i0, m)
+        # each target's m sources from its start on
+        index = np.add(start[i0:i1, None], np.arange(m), out=view(indices, shape))
+        du = np.subtract(tb[i0:i1, None], np.take(padded[0], index, out=view(other, shape)),
+                         out=view(u, shape))
+        if offset_s:
+            shift = np.take(padded[2], index, out=view(other, shape))
+            du += np.subtract(to[i0:i1, None], shift, out=shift)
+        elif offset_t:
+            du += to[i0:i1, None]
+        factor = np.take(padded[1], index, out=view(other, shape))
+        factor += (tb + to)[i0:i1, None]
+        du *= factor
+        mask = np.less(np.arange(m), counts[i0:i1, None], out=view(live, shape))
+        mask &= np.not_equal(du, 0.0, out=view(nonzero, shape))
+        terms = view(value, shape)
+        terms[...] = 0.0
+        for name in dict.fromkeys(kernels):
+            _KERNELS[name](du, terms, mask)
+            for r in (r for r, k in enumerate(kernels) if k == name):
+                charge = np.take(padded[3 + r], index, out=view(other, shape))
+                np.einsum("ij,ij->i", terms, charge, out=out[r, i0:i1])
+        i0 = i1
+    return out
+
+
+def _weights(base, offset, centre, half, work):
+    """Yield (lo, hi, weights): points lo to hi and their Lagrange weights on their box's nodes.
+
+    The points are (base + offset)^2 in boxes of half width half about
+    centre; weights[m, i] = L_m(xi_i) = (1 + 2 sum_k>=1 T_k(xi_m) T_k(xi_i))
+    / FAR_NODES at xi_i = ((base + offset)^2 - centre) / half, with T_k by
+    its recurrence in work[5] and the weights in work[6], valid until the
+    next chunk.
+    """
+    step = len(work[5]) // FAR_NODES
+    for lo in range(0, len(base), step):
+        hi = min(lo + step, len(base))
+        xi = np.clip(_from(base[lo:hi], offset[lo:hi], centre[lo:hi]) / half, -1.0, 1.0)
+        yield lo, hi, _interpolation(xi, view(work[5], (FAR_NODES, hi - lo)),
+                                     view(work[6], (FAR_NODES, hi - lo)))
+
+
+def _interpolation(xi, chebyshev, out):
+    """(FAR_NODES, len(xi)) into out: the Lagrange weight of each xi in [-1, 1] on each node.
+
+    chebyshev, of out's shape, takes T_0..T_n-1 at xi.
+    """
+    chebyshev[0] = 1.0
+    chebyshev[1] = xi
+    for k in range(2, FAR_NODES):
+        np.multiply(xi, chebyshev[k - 1], out=chebyshev[k])
+        chebyshev[k] *= 2.0
+        chebyshev[k] -= chebyshev[k - 2]
+    return np.matmul(_TO_WEIGHTS, chebyshev, out=out)
+
+
+def _far_locals(moments, total, kernels, depth, span):
+    """(rows, leaves, FAR_NODES): the far field of every leaf at its Chebyshev nodes.
+
+    moments are the charges interpolated onto each leaf's nodes and total
+    each leaf's charge, both padded by three empty boxes at either end.
+    Each box at level l >= 2 takes the field of the boxes a box or more
+    away whose parents neighbour its own (offsets -2, 2 and 3 from a left
+    child, -3, -2 and 2 from a right one) and passes what it has on to
+    its children.  Both children of a parent take theirs from the eight
+    boxes from three before the pair to three after it, through one
+    matrix per kernel: the kernels at box width h are those at width 1
+    scaled, or for log shifted by log h times each box's charge.  That
+    charge is summed exactly rather than read from the moments, whose
+    rounding log h would scale: with charges of either sign that cancel,
+    as in Loewner's z, it ran to 3e-13 of log z^2 at N = 4000.
+    """
+    rows, p = len(kernels), FAR_NODES
+    # from a parent's nodes to those of its children, on [-1, 0] and [0, 1]
+    down = np.concatenate([_interpolation(0.5 * (_NODES + side), np.empty((p, p)),
+                                          np.empty((p, p))) for side in (-1.0, 1.0)], axis=1)
+    levels = [(moments, total)]
+    for level in range(depth - 1, 1, -1):
+        child, child_total = levels[-1]
+        parent = np.zeros((rows, (1 << level) + 6, p))
+        parent[:, 3:-3] = child[:, 3:-3].reshape(rows, 1 << level, 2 * p) @ down.T
+        parent_total = np.zeros((rows, (1 << level) + 6))
+        parent_total[:, 3:-3] = child_total[:, 3:-3:2] + child_total[:, 4:-3:2]
+        levels.append((parent, parent_total))
+    # box w of the window (2a - 3 + w) against child t of the pair (2a + t):
+    # their offset, and whether it is far while their parents neighbour
+    window = np.arange(8)[:, None]
+    offset = window - 3 - np.arange(2)[None, :]
+    far = (window >= 1) & (window <= 6) & (np.abs(offset) >= 2)
+    # node i of the child minus node j of the window's box, in box widths
+    diff = (0.5 * np.subtract.outer(np.tile(-_NODES, 8), np.tile(-_NODES, 2))
+            - np.kron(offset, np.ones((p, p))))
+    unit = {name: _KERNELS[name](diff, np.zeros(diff.shape), np.kron(far, np.ones((p, p), bool)))
+            for name in dict.fromkeys(kernels)}
+    local = np.zeros((rows, 2, p))
+    for level in range(2, depth + 1):
+        boxes, h = 1 << level, span / (1 << level)
+        here = (local @ down).reshape(rows, boxes, p)
+        moments, total = levels[depth - level]
+        for r, name in enumerate(kernels):
+            windows = np.lib.stride_tricks.sliding_window_view(moments[r].ravel(), 8 * p)[::2 * p]
+            field = (windows @ unit[name]).reshape(boxes, p)
+            if name == "log":
+                far_total = np.lib.stride_tricks.sliding_window_view(total[r], 8)[::2] @ far
+                field += math.log(h) * far_total.reshape(boxes, 1)
+            else:
+                field *= h ** -_POWERS[name]
+            here[r] += field
+        local = here
+    return local
 
 
 def banded_sums(x, theta, log_decay, rows, band) -> np.ndarray:

@@ -14,7 +14,8 @@ multithreaded BLAS rounds a product by how it splits it.
 
 Threads.  Unlike scipy's f2py wrapper, a ctypes call releases the GIL,
 so the secular roots, and Loewner's products and the pass over the mode
-shapes, whose numpy operations release it too, run on worker threads:
+shapes below propagator.FAR_FIELD_ROOTS roots, whose numpy operations
+release it too, run on worker threads:
 one per ROOTS_PER_WORKER roots and at most one per CPU the process may
 run on (threads_for), each taking a contiguous range of the work
 (in_ranges).  Smaller systems stay on the calling thread.  in_ranges is

@@ -24,6 +24,7 @@ from hypothesis import strategies as st
 
 from finitebath import cli, config
 from finitebath.model import MAX_BATH_SIZE
+from finitebath.propagator import FAR_FIELD_ROOTS
 
 MASSES = [5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100]
 BAND_EDGES = [5e-324, 1e-300, 1e-6, 0.01, 0.2, 1.0, 10.0, 1e6, 1e154]
@@ -41,6 +42,11 @@ SAMPLING = {"n_samples": [-1, 0, 99, 100, 2000], "mean_interval": BOUNDARY + [1e
 # range, which a run refuses (exit 2) before it allocates anything
 SIZES = st.integers(min_value=1, max_value=30) | st.integers(min_value=MAX_BATH_SIZE + 1,
                                                              max_value=2**63 - 1)
+# the single-bath properties' sizes: SIZES, or in about one draw of eight a
+# bath from FAR_FIELD_ROOTS to 4096 oscillators, whose factorization sums
+# over its poles and roots by the far field
+SINGLE_SIZES = st.integers(0, 7).flatmap(
+    lambda k: st.integers(min_value=FAR_FIELD_ROOTS, max_value=4096) if k == 0 else SIZES)
 # the label of each curve's failures in the manifest
 CURVES = {"curve.csv": "", "curve_combined.csv": "", "curve_bath1_alone.csv": "bath1 alone: ",
           "curve_bath2_alone.csv": "bath2 alone: "}
@@ -187,7 +193,7 @@ def samplings(draw):
 
     The grid's points run on the sweep's point worker processes.
     """
-    keys = {"bath1_size": draw(SIZES)}
+    keys = {"bath1_size": draw(SINGLE_SIZES)}
     for key, values in SAMPLING.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
@@ -214,7 +220,7 @@ SINGLE_BATH = {"initial_energy": [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1.0, 1e6, 1e1
 @st.composite
 def single_baths(draw):
     """sweep config overrides: a bath size, one frequency and the single-bath keys."""
-    keys = {"bath1_size": draw(SIZES)}
+    keys = {"bath1_size": draw(SINGLE_SIZES)}
     for key, values in SINGLE_BATH.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:
@@ -259,9 +265,9 @@ OUT_TARGETS = ["new/out", "dir", "file.txt", "file.txt/out"]
 
 @st.composite
 def single_runs(draw):
-    """(argv, --out target) of a single or sweep run on one frequency and a bath from SIZES."""
+    """(argv, --out target) of a single or sweep run on one frequency and a bath from SINGLE_SIZES."""
     command = draw(st.sampled_from(["single", "sweep"]))
-    keys = {"bath1_size": draw(SIZES), "n_samples": 200}
+    keys = {"bath1_size": draw(SINGLE_SIZES), "n_samples": 200}
     for key, values in REMAINING.items():
         value = draw(st.none() | st.sampled_from(values))
         if value is not None:

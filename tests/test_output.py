@@ -125,3 +125,17 @@ def test_environment_names_the_blas_build_where_the_blas_reports_one(monkeypatch
     assert output.run_environment()["blas_config"] is None
     monkeypatch.setattr(workers, "_blas_config", lambda: b"OpenBLAS 0.3.31 SkylakeX")
     assert output.run_environment()["blas_config"] == "OpenBLAS 0.3.31 SkylakeX"
+
+
+def test_a_manifest_without_scipy_records_a_null_version(tmp_path, monkeypatch):
+    """A run uses no scipy: where it is not installed, environment.scipy is null."""
+    find_spec = output.importlib.util.find_spec
+    monkeypatch.setattr(output.importlib.util, "find_spec",
+                        lambda name, *args: None if name == "scipy" else find_spec(name, *args))
+    assert output.scipy_version() is None
+    man = RunManifest(command="single", config={}, seeds=(1,), code_version="0.1.0",
+                      propagator="eigen")
+    man.write(tmp_path / "manifest.json")
+    back = json.loads((tmp_path / "manifest.json").read_text())
+    assert back["environment"]["scipy"] is None
+    assert back["environment"]["numpy"] == np.__version__
