@@ -19,9 +19,9 @@ z_n = -sqrt(m/M) w_n^2 (0 for a free bath), and the corner
 alpha = alpha0 + sum_n c_n with c_n = z_n^2 / d_n and alpha0 = Omega^2
 (plus the spring sums of free baths under static renormalization).
 Its modes cost O(N) memory, since the (N+1)^2 mode matrix is never
-stored (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)), and
-O(N^2) time for the roots; the vectors take O(N^2) time below
-FAR_FIELD_ROOTS roots and O(N log N) from there on:
+stored (Gu & Eisenstat, SIAM J. Matrix Anal. Appl. 16, 172 (1995)); the
+roots and the vectors take O(N^2) time below FAR_FIELD_ROOTS roots and
+O(N log N) from there on:
 
 1. Deflation.  Free oscillators (z_n = 0, or negligible against the
    corner) are modes on their own; the particle keeps their springs.
@@ -37,9 +37,15 @@ FAR_FIELD_ROOTS roots and O(N log N) from there on:
    and one above the last.  Unlike det(H - lam) it has no cancellation
    between alpha and the c_n, so slow modes keep full relative accuracy.
    It is solved in frequencies: the poles are the bath frequencies w_n
-   plus 0 for the term alpha0 / lam, and LAPACK's dlasd4 finds each
-   root nu_k.  A root is stored as its nearer pole w_o plus the offset
-   nu_k - w_o, which keeps every difference nu_k - w_n exact.
+   plus 0 for the term alpha0 / lam.  Below FAR_FIELD_ROOTS roots
+   LAPACK's dlasd4 finds each root nu_k; from there on it finds the
+   first and the last, and the roots between the lowest and the highest
+   bath pole go through one vectorised iteration of dlasd4's method,
+   R.-C. Li's middle way, whose sums over the poles come from a
+   transform.far_field tree built once (_far_roots, after Livne &
+   Brandt, SIAM J. Matrix Anal. Appl. 24 (2002)).  A root is stored as
+   its nearer pole w_o plus the offset nu_k - w_o, which keeps every
+   difference nu_k - w_n exact.
 3. Vectors.  Each lam_k - d_n is formed as the two factors
    (nu_k - w_n)(nu_k + w_n); the second has no cancellation.  Loewner's
    formula recomputes z so that the computed roots are the exact
@@ -95,15 +101,15 @@ again.  A buffer backs at most one live array at a time, and no array a
 function returns shares memory with one.
 
 Threads.  dlasd4 is LAPACK's, bound from numpy's own BLAS library (the
-workers module).  A ctypes call releases the GIL, so the secular roots,
-and Loewner's products, whose numpy operations release it too, run in
+workers module).  A ctypes call releases the GIL, so dlasd4's roots, and
+Loewner's products, whose numpy operations release it too, run in
 contiguous ranges on worker threads (workers.in_ranges), one per
 ROOTS_PER_WORKER roots (threads_for).  The pass over the shapes (_sweep)
 threads the same way, over SWEEP_GROUPS fixed groups of mode blocks:
 each group sums its blocks' share of a state in order and the groups'
 sums are added in group order, so the bits depend on N alone, not on
-the threads.  The far-field sums run on the calling thread; a pass then
-threads only its remaining blocks, by the modes they hold.
+the threads.  The far-field roots and sums run on the calling thread; a
+pass then threads only its remaining blocks, by the modes they hold.
 """
 
 from __future__ import annotations
@@ -116,7 +122,7 @@ from functools import cached_property
 import numpy as np
 
 from .model import SystemState, TestParticleSpec
-from .transform import banded_sums, far_field_sums, view
+from .transform import banded_sums, far_field, far_field_sums, view
 from .workers import dlasd4, dlasd4_int, in_ranges, threads_for
 
 
@@ -265,12 +271,11 @@ def _secular_roots(poles, weights, which):
     poles are frequencies that ascend from 0 or above, and weights are
     positive, so root k lies in (poles[k], poles[k+1]) and the last one
     above poles[-1].  Root k is poles[origin] + tau with poles[origin]
-    its nearer pole.  One call of LAPACK's dlasd4 per root (R.-C. Li's
-    middle way, LAPACK Working Note 89) returns every poles_j - nu_k
-    relative to that pole.  The roots are split into contiguous ranges,
-    one per worker thread (threads_for), each with its own output buffers:
-    a ctypes call releases the GIL, so the ranges run side by side.  A
-    failed call raises EigensolverError for the lowest failing root.
+    its nearer pole.  Below FAR_FIELD_ROOTS roots LAPACK's dlasd4 finds
+    every root (_dlasd4_roots); from there on it finds the first and the
+    last, and _far_roots the in-band roots 1 to n - 2 in one vectorised
+    iteration.  The roots are solved in that order, so a failure raises
+    EigensolverError for the lowest failing root.
     """
     which = np.asarray(which, dtype=np.intp)
     if len(poles) == 1:
@@ -278,10 +283,36 @@ def _secular_roots(poles, weights, which):
         p, c = float(poles[0]), float(weights[0])
         return (np.zeros(len(which), np.intp),
                 np.full(len(which), c / (p + np.sqrt(p * p + c))))
-    # dlasd4 reads n entries behind each address, for root i in 1..n
     n = len(poles)
     if len(weights) != n or np.any((which < 0) | (which >= n)):
         raise ValueError(f"{n} poles need {n} weights and roots 0 to {n - 1}")
+    parts = [np.ones(len(which), bool)]
+    if n >= FAR_FIELD_ROOTS:
+        parts = [which == 0, (which > 0) & (which < n - 1), which == n - 1]
+    origin, tau = np.empty(len(which), np.intp), np.empty(len(which))
+    for part, solve in zip(parts, (_dlasd4_roots, _far_roots, _dlasd4_roots)):
+        if np.any(part):
+            origin[part], tau[part] = solve(poles, weights, which[part])
+    return origin, tau
+
+
+def _scale(poles):
+    """The power of two that brings the top pole into [1/2, 1)."""
+    return math.ldexp(1.0, -math.frexp(float(poles[-1]))[1])
+
+
+def _dlasd4_roots(poles, weights, which):
+    """_secular_roots by one call of LAPACK's dlasd4 per root.
+
+    dlasd4 (R.-C. Li's middle way, LAPACK Working Note 89) returns every
+    poles_j - nu_k relative to the pole it starts from.  The roots are
+    split into contiguous ranges, one per worker thread (threads_for),
+    each with its own output buffers: a ctypes call releases the GIL, so
+    the ranges run side by side.  A failed call raises EigensolverError
+    for the lowest failing root.
+    """
+    # dlasd4 reads n entries behind each address, for root i in 1..n
+    n = len(poles)
     # rho = 1 and z = sqrt(weights), although LAPACK documents |z| = 1:
     # scaled that way (rho = sum(weights)), the top root of a heavy bath
     # (m/M ~ 700) came out 1.5e-12 off a 50-digit reference, unscaled 2e-16.
@@ -289,7 +320,7 @@ def _secular_roots(poles, weights, which):
     # 1e8 or above it failed (info = 1) on half of a scan of small baths.
     # So poles and z are multiplied by the power of two that brings the
     # top pole into [1/2, 1), which is exact, and the offsets divided by it
-    scale = math.ldexp(1.0, -math.frexp(float(poles[-1]))[1])
+    scale = _scale(poles)
     d = np.asarray(poles, dtype=float) * scale
     z = np.sqrt(np.asarray(weights, dtype=float)) * scale
     # Python lists, cheaper than arrays to write one entry at a time; each
@@ -320,6 +351,135 @@ def _secular_roots(poles, weights, which):
 
     in_ranges(roots, len(ks), threads_for(len(ks)))
     return np.array(origin, dtype=np.intp), np.array(tau) / scale
+
+
+# model steps of _far_roots before a root that has not met its stop rule
+# is an EigensolverError.  Over 216 baths of 1200 and 4000 oscillators
+# (four densities, clusters and poles 1e-13 apart, m N from 1e-6 to 700,
+# Omega from 0.01 to 5) the roots took 3 to 9 steps, most of them 5
+ROOT_STEPS = 60
+# the stop rule, after dlasd4's own: |f| within ROOT_TOL eps of the sum
+# of the magnitudes of its terms, 1 + phi - psi
+ROOT_TOL = 8.0
+# poles per leaf of the roots' tree, at least half this on average: its
+# windows are what each step pays for.  At N = 4000 (2 CPUs, in-process
+# medians) the roots took 44 ms on leaves of far_field_sums' FAR_LEAF =
+# 32, 33 ms on 16 and 29 ms on 8.  But on 8 the tree and its buffers
+# peaked at 4.0-4.6 MB traced, above the 4.0 MB of the rest of
+# diagonalize, and raised the benchmark's peak RSS by 0.27 MB; on 16 they
+# peak at 3.7 MB and it stayed as it was.  At N = 2e4 leaves of 8 and 16
+# both took 0.13-0.14 s
+ROOT_LEAF = 16
+
+
+def _far_roots(poles, weights, which):
+    """The in-band roots (0 < k < n - 1) of _secular_roots by one iteration over all of them.
+
+    R.-C. Li's middle way, as in dlasd4, on the offset tau of each root
+    from its nearer pole, with lam = nu^2: psi sums the terms of poles 0
+    to k, phi those of poles k + 1 on, f = 1 + psi + phi, and each step
+    solves the model c + s / (d_k - lam) + S / (d_k+1 - lam) = 0 that
+    matches f and the derivatives of psi and phi.  Every difference
+    d_j - lam is formed as the two factors (poles_j - nu)(poles_j + nu).
+    The sums come from one FarField on poles 1 to n - 1 with charges
+    weights (transform.far_field): its left and right far fields plus
+    its exact near terms, split at pole k; pole 0's term is added
+    directly, so that a band far above 0 still spreads over the leaves.
+
+    The sign of f at the middle of (d_k, d_k+1) picks the pole a root is
+    iterated from, and the first step is taken from there.  Each step
+    evaluates only the roots that have not yet met the stop rule, |f| <=
+    ROOT_TOL eps (1 + phi - psi), and bisects the root's bracket, which
+    every evaluation narrows, where the model's step leaves it.  A root
+    still short of the rule after ROOT_STEPS steps raises
+    EigensolverError for the lowest such root.  Everything runs on the
+    calling thread, in buffers allocated once per call, so the bits do
+    not depend on the threads.
+    """
+    # poles and weights scaled as for dlasd4, exactly, so that the squares
+    # neither overflow nor underflow and the roots scale bit for bit
+    scale = _scale(poles)
+    poles, weights, k = poles * scale, weights * (scale * scale), which
+    lower, upper = poles[k], poles[k + 1]
+    gap = upper - lower
+    # d_k+1 - d_k and the middle of the two, as lower + tau_mid
+    delta = gap * (upper + lower)
+    tau_mid = 0.5 * delta / (lower + np.sqrt(lower * lower + 0.5 * delta))
+    tree = far_field((poles[1:], np.zeros(len(poles) - 1)), np.tile(weights[1:], (2, 1)),
+                     ["cauchy", "cauchy2"], (lower + tau_mid) ** 2, ROOT_LEAF, split=True)
+    work = tree.buffers()
+    p0, w0 = poles[0], weights[0]
+    tol = ROOT_TOL * np.finfo(float).eps
+
+    def sums(i, base, tau):
+        """psi, psi', phi and phi' (in lam) at roots k[i], each poles[origin] + tau."""
+        near = tree.at((base, tau), split=k[i], work=work)
+        d0 = ((p0 - base) - tau) * (p0 + (base + tau))
+        t0 = w0 / d0
+        return t0 - near[0, 0], t0 / d0 + near[0, 1], -near[1, 0], near[1, 1]
+
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        live = np.arange(len(k))
+        values = sums(live, lower, tau_mid)
+        # f ascends through the root: at or below the middle, iterate
+        # from the lower pole, else from the upper
+        below = 1.0 + values[0] + values[2] >= 0.0
+        base = np.where(below, lower, upper)
+        tau = np.where(below, tau_mid, tau_mid - gap)
+        lo, hi = np.where(below, 0.0, -gap), np.where(below, gap, 0.0)
+        for step in range(ROOT_STEPS + 1):
+            f = 1.0 + values[0] + values[2]
+            going = ~(np.abs(f) <= tol * (1.0 + values[2] - values[0]))
+            live = live[going]
+            if not len(live):
+                break
+            if step == ROOT_STEPS:
+                raise EigensolverError(f"secular root {int(np.min(k[live]))} did not converge "
+                                       f"(ROOT_STEPS = {ROOT_STEPS})")
+            b, t = base[live], tau[live]
+            hi[live] = np.where(f[going] > 0.0, t, hi[live])
+            lo[live] = np.where(f[going] < 0.0, t, lo[live])
+            tau[live] = _bracketed(t + _middle_way(lower[live], upper[live], b, t, f[going],
+                                                   *(v[going] for v in values[1::2])),
+                                   lo[live], hi[live])
+            # the last evaluation's sums go before the next is made
+            values = f = going = b = t = None
+            values = sums(live, base[live], tau[live])
+    # the nearer pole, the lower one on a tie, as _dlasd4_roots picks it
+    from_lower = (lower - base) - tau
+    from_upper = (upper - base) - tau
+    nearer = np.abs(from_lower) <= np.abs(from_upper)
+    return np.where(nearer, k, k + 1), -np.where(nearer, from_lower, from_upper) / scale
+
+
+def _middle_way(lower, upper, base, tau, f, dpsi, dphi):
+    """The step in tau of the middle way from roots base + tau, where f, psi' and phi' are given.
+
+    lam + eta solves c + s / (d_k - lam - eta) + S / (d_k+1 - lam - eta)
+    = 0, with s and S matching psi' and phi' and c then f; d_k - lam and
+    d_k+1 - lam are formed from the stored roots.
+    """
+    a_k = ((lower - base) - tau) * (lower + (base + tau))
+    a_k1 = ((upper - base) - tau) * (upper + (base + tau))
+    eta = _model_root((a_k + a_k1) * f - a_k * a_k1 * (dpsi + dphi), a_k * a_k1 * f,
+                      f - a_k * dpsi - a_k1 * dphi)
+    nu = base + tau
+    return eta / (nu + np.sqrt(nu * nu + eta))
+
+
+def _model_root(a, b, c):
+    """The root of c x^2 - a x + b = 0 between the model's two poles, (a - sqrt(a^2 - 4bc)) / 2c.
+
+    For a > 0 it is formed as 2b / (a + sqrt(a^2 - 4bc)), which does not
+    cancel; with c = 0 that is b / a.
+    """
+    root = np.sqrt(np.abs(a * a - 4.0 * b * c))
+    return np.where(a > 0.0, 2.0 * b / (a + root), (a - root) / (2.0 * c))
+
+
+def _bracketed(tau, lo, hi):
+    """tau where it lies strictly inside (lo, hi), else the middle of the bracket."""
+    return np.where((tau > lo) & (tau < hi), tau, 0.5 * (lo + hi))
 
 
 def _helmert_columns(zc, t, out):
@@ -698,8 +858,9 @@ def diagonalize(cm: CouplingMatrix, v0, final=None) -> EigenPropagator:
     the state that mode_vector builds from the flowed amplitudes in a
     pass of its own (the tests' full_state).
 
-    Raises EigensolverError if dlasd4 fails on a secular root or the
-    system has a zero frequency mode (Omega = 0).
+    Raises EigensolverError if a secular root fails (dlasd4, or the
+    far-field iteration within ROOT_STEPS) or the system has a zero
+    frequency mode (Omega = 0).
     """
     v0 = _as_vector(v0, cm.dim)
     if cm.alpha0 <= 0.0:

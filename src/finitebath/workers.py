@@ -13,7 +13,7 @@ thread and restores the count it found (blas_on_one_thread), since a
 multithreaded BLAS rounds a product by how it splits it.
 
 Threads.  Unlike scipy's f2py wrapper, a ctypes call releases the GIL,
-so the secular roots, and Loewner's products and the pass over the mode
+so the secular roots, Loewner's products and the pass over the mode
 shapes below propagator.FAR_FIELD_ROOTS roots, whose numpy operations
 release it too, run on worker threads:
 one per ROOTS_PER_WORKER roots and at most one per CPU the process may

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import finitebath
-from finitebath import experiments, workers
+from finitebath import experiments, propagator, workers
 from finitebath.cli import (EXIT_CONFIG, EXIT_FIT, EXIT_NUMERICAL, EXIT_OK, LANGEVIN_POINTS,
                             main)
 from finitebath.model import MAX_BATH_SIZE
@@ -226,6 +226,18 @@ def test_secular_solver_failure_exits_3(tmp_path, quick_config, failing_dlasd4, 
     assert len(failures) == 1
     assert failures[0][:2] == [0.5, 1]
     assert failures[0][2].startswith("EigensolverError: dlasd4 failed")
+
+
+def test_a_far_field_root_that_does_not_converge_exits_3(tmp_path, quick_config, monkeypatch):
+    """1200 oscillators and one model step: the manifest names the lowest root still iterating."""
+    monkeypatch.setattr(propagator, "ROOT_STEPS", 1)
+    out = tmp_path / "run"
+    code = main(["single", "--config", str(quick_config), "--set", "bath1_size=1200",
+                 "--omega", "0.5", "--seed-list", "1", "--out", str(out)])
+    assert code == EXIT_NUMERICAL
+    failures = json.loads((out / "manifest.json").read_text())["failures"]
+    assert failures == [[0.5, 1, "EigensolverError: secular root 1 did not converge "
+                                 "(ROOT_STEPS = 1)"]]
 
 
 def test_a_bath_at_a_large_frequency_scale_factors(tmp_path):
@@ -691,8 +703,9 @@ def test_dlasd4_is_scipys_lapack_routine():
     """_secular_roots is bit-identical to a loop over scipy.linalg.lapack.dlasd4.
 
     At N = 400 the roots run on the calling thread, at N = 4000 on two
-    worker threads.  Both baths' top poles lie in [1/2, 1), where the
-    roots take the poles unscaled.
+    worker threads, with FAR_FIELD_ROOTS pinned out of reach so that
+    dlasd4 takes every root there too.  Both baths' top poles lie in
+    [1/2, 1), where the roots take the poles unscaled.
     """
     code = """
 import numpy as np
@@ -701,6 +714,7 @@ from finitebath.bath import realize_bath
 from finitebath.model import BathSpec, TestParticleSpec
 from scipy.linalg.lapack import dlasd4
 
+propagator.FAR_FIELD_ROOTS = np.iinfo(np.int64).max
 for size, workers in ((400, 1), (4000, 2)):
     propagator.threads_for = lambda n: workers
     real = realize_bath(BathSpec(size=size, mass=0.4 / size), seed=3)

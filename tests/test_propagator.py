@@ -431,9 +431,14 @@ def test_the_shape_pass_gives_the_same_bits_on_any_number_of_cpus(monkeypatch):
 
 
 def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
-    """Two roots fail: 2500 and 3500, both in the second of two workers' ranges, then 1500 and 3500."""
+    """Two roots fail: 2500 and 3500, both in the second of two workers' ranges, then 1500 and 3500.
+
+    FAR_FIELD_ROOTS is pinned out of reach, so that dlasd4 takes every
+    root of the 4001 in its threaded ranges.
+    """
     cm, v0 = _large_bath()
     real_dlasd4 = propagator.dlasd4
+    monkeypatch.setattr(propagator, "FAR_FIELD_ROOTS", np.iinfo(np.int64).max)
     monkeypatch.setattr(propagator, "threads_for", lambda n: 2)
     threads = threading.active_count()
     for failing in ((2500, 3500), (1500, 3500)):
@@ -550,6 +555,27 @@ def test_the_secular_roots_do_not_depend_on_the_frequency_scale():
             prop = diagonalize(cm, np.ones(cm.dim))
             np.testing.assert_allclose(prop.nu / w_max, unit.nu, rtol=1e-13, atol=0.0)
             assert mode_residual(prop) < 1e-13
+
+
+def test_the_far_field_roots_scale_with_a_power_of_two_bit_for_bit():
+    """Frequencies times 2^40 and 2^-40 give the roots and modes times 2^40 and 2^-40, to the bit.
+
+    1500 oscillators, so that the in-band roots go through the far field;
+    Omega scales with them and sum N m / M = 0.4.
+    """
+    shape = np.random.default_rng(12).uniform(0.2, 1.0, 1500)
+    unit = _one_bath(TestParticleSpec(omega=0.5), shape, 0.4 / 1500)
+    df = propagator._deflate(unit)
+    assert len(df.poles) >= propagator.FAR_FIELD_ROOTS
+    origin, tau = propagator._secular_roots(df.poles, df.weights, np.arange(len(df.poles)))
+    nu = diagonalize(unit, np.ones(unit.dim)).nu
+    for scale in (2.0**40, 2.0**-40):
+        cm = _one_bath(TestParticleSpec(omega=0.5 * scale), scale * shape, 0.4 / 1500)
+        df = propagator._deflate(cm)
+        got = propagator._secular_roots(df.poles, df.weights, np.arange(len(df.poles)))
+        np.testing.assert_array_equal(got[0], origin)
+        np.testing.assert_array_equal(got[1], scale * tau)
+        np.testing.assert_array_equal(diagonalize(cm, np.ones(cm.dim)).nu, scale * nu)
 
 
 def test_loewner_vectors_stay_orthogonal_when_the_roots_carry_error():
