@@ -177,11 +177,9 @@ def _record(manifest: RunManifest, curve, label: str = "") -> None:
     step was configured or derived: the fitted points, then those whose
     fit failed.  The bath fits are the curve's, so the curve recorded
     last supplies them.  The environment's point_workers lists the
-    processes each recorded curve ran its points on, and factor_workers
-    the threads one point's factorization ran on.
+    processes each recorded curve ran its points on.
     """
     manifest.environment["point_workers"].append(curve.workers)
-    manifest.environment["factor_workers"].append(curve.factor_workers)
     manifest.failures.extend([f.omega, f.seed, f"{label}{f}"] for f in curve.failures)
     steps = [[pt.omega, pt.seed, pt.step_size]
              for pt in (*curve.points, *curve.failures) if pt.step_size is not None]
@@ -483,9 +481,9 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     """Run one command with numpy's BLAS on one thread (blas_on_one_thread).
 
-    The program threads its own work, and the bits of a run then do not
-    depend on the BLAS thread count it found, which its manifest
-    records next to the count it used.
+    A sweep shares the CPUs out to its point processes, and the bits of a
+    run then do not depend on the BLAS thread count it found, which its
+    manifest records next to the count it used.
     """
     parser = build_parser()
     args = parser.parse_args(argv)

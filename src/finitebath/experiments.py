@@ -18,9 +18,9 @@ CPU, the calling process and children forked for the sweep, which take
 them in turn (workers.in_processes); the results come back pickled
 and are collected in grid order, so every curve, failure, warning and
 file keeps its bytes.  Processes, not threads: the GIL held two point
-threads to 1.2-1.35 times one on two CPUs.  A worker does not thread
-inside its point (workers.point_thread); a switched point's period
-map never threads, and its work buffers hold one piece of 32 roots.
+threads to 1.2-1.35 times one on two CPUs.  Each point runs on one
+thread of its worker: its factorization, and a switched point's period
+map, whose work buffers hold one piece of 32 roots.
 Where the process may not fork (workers.may_fork: not Linux, or
 another Python thread alive), the points run in order on the calling
 thread.
@@ -37,7 +37,7 @@ from .bath import realize_bath
 from .model import (MAX_BATH_SIZE, BathSpec, DensityOfStates, SystemState, TestParticleSpec,
                     bare_energy, initial_state, oscillator_energies, total_energy)
 from .propagator import (NumericalError, build_multi_coupling_matrix, diagonalize,
-                         factorization_fits, flow_factors)
+                         factorization_fits, factorization_resolves, flow_factors)
 from .rng import SAMPLING_TIMES, substream
 from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
@@ -45,7 +45,7 @@ from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
                     make_sampling_times, span_histogram)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
-from .workers import in_processes, processes_for, threads_for
+from .workers import in_processes, processes_for
 
 # switching does work on the particle: over 768 switched runs (2 x 5 and
 # 2 x 30 oscillators, Omega 1e-3 to 50, delta_t_steps 1 to 2000, h 1e-3
@@ -117,6 +117,11 @@ class SweepSpec:
             raise ValueError(f"omega_uv={w_max:g} with N m / M = {coupling:g} over the baths "
                              "overflows the normal modes, which form up to "
                              "(N m / M) omega_uv^6")
+        for i, b in enumerate(baths, 1):
+            if not factorization_resolves(b.mass / self.tp_mass, b.dos.omega_ir):
+                raise ValueError(f"bath{i}_omega_ir={b.dos.omega_ir:g} with m / M = "
+                                 f"{b.mass / self.tp_mass:g} underflows the normal modes, "
+                                 "which form (m / M) omega_ir^6 for each oscillator")
         # a Boltzmann draw -T ln(1 - u), u < 1 a double, stays below 37 T, so
         # no draw's total energy H exceeds initial_energy + 37 N T over the
         # baths.  A run sums n_samples bare particle energies, each below H.
@@ -295,7 +300,6 @@ class ThermalizationCurve:
     bath_final: tuple       # per bath (temperatures[nw], sigmas[nw])
     outcomes: tuple         # PointResult per (omega, seed), grid order then seed order
     workers: int = 1        # processes that ran the points
-    factor_workers: int = 1  # most threads one point's factorization ran on
 
     @property
     def points(self) -> tuple:
@@ -324,8 +328,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     fits are made on the same per-seed draws.  The points run on up to
     one process per CPU (in_processes, processes_for), except where the
     process may not fork, which runs them in order on the calling thread.
-    The curve records the processes of the points and the threads of one
-    point's factorization.
+    The curve records the processes of the points.
     """
     omegas = np.asarray(spec.omega_grid, dtype=float)
     nw, ns = len(omegas), len(spec.seeds)
@@ -334,10 +337,6 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
     grid = [(float(w), seed) for w in spec.omega_grid for seed in spec.seeds]
     workers = processes_for(len(grid))
     outcomes = in_processes(lambda point: _attempt(runner, spec, *point), grid, workers)
-    # a point's factorization threads its roots, Loewner's z and its shape
-    # pass (threads_for) only outside the point workers
-    modes = 1 + sum(bath.size for bath, _ in baths)
-    factor_workers = 1 if workers > 1 else threads_for(modes)
     for i in range(nw):
         fitted = [pt for pt in outcomes[i * ns:(i + 1) * ns] if pt.fit is not None]
         if not fitted:
@@ -362,7 +361,7 @@ def _sweep(spec: SweepSpec, runner, baths) -> ThermalizationCurve:
         omegas=omegas, temperature=temperature, sigma=sigma, goodness=goodness,
         overflow_fraction=overflow, bath_initial=tuple(bath_initial),
         bath_final=tuple(final), outcomes=tuple(outcomes),
-        workers=workers, factor_workers=factor_workers)
+        workers=workers)
 
 
 def run_sweep(spec: SweepSpec) -> ThermalizationCurve:
@@ -482,9 +481,9 @@ def check_exchange(n: int, xi: float, omega_r: float, e0: float, n_periods: int,
     if not factorization_fits(xi, omega_r):
         raise ValueError(f"omega_r={omega_r:g} overflows the normal modes of the degenerate "
                          "bath, which form up to xi omega_r^6")
-    if not np.log(xi) + 6.0 * np.log(omega_r) >= np.log(np.finfo(float).tiny):
+    if not factorization_resolves(xi / n, omega_r):
         raise ValueError(f"omega_r={omega_r:g} underflows the normal modes of the degenerate "
-                         "bath, which form xi omega_r^6")
+                         "bath, which form (xi / n) omega_r^6 for each oscillator")
     # sqrt(1 +- sqrt(xi)) each round to about eps, so the predicted splitting
     # carries an error near eps omega_r: at 1e4 eps omega_r that is 1e-4 of
     # it, the accuracy to which the trace's FFT line finds it

@@ -128,7 +128,7 @@ def scipy_version() -> str | None:
 
 
 def run_environment() -> dict:
-    """numpy's and scipy's versions, the BLAS and its threads, the CPUs and the run's threads.
+    """numpy's and scipy's versions, the BLAS and its threads, the CPUs and the run's processes.
 
     blas_config is the build and core that numpy's BLAS reports (None
     where it reports none), the library behind both the BLAS products
@@ -139,14 +139,13 @@ def run_environment() -> dict:
     a BLAS's kernels, picked by its core, round them their own way.
     A run uses no scipy; its version is recorded because the exchange
     imports scipy.stats.
-    point_workers and factor_workers start empty and get, for each curve
-    the run records, the processes that ran its points and the threads
-    that one point's factorization ran on.
+    point_workers starts empty and gets, for each curve the run records,
+    the processes that ran its points.
     """
     found, used = blas_counts()
     return {"numpy": np.__version__, "scipy": scipy_version(), "blas_config": blas_config(),
             "blas_threads": found, "blas_threads_used": used,
-            "cpus": usable_cpus(), "point_workers": [], "factor_workers": []}
+            "cpus": usable_cpus(), "point_workers": []}
 
 
 @dataclass

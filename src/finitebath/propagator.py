@@ -92,24 +92,20 @@ x = t, theta = nu and no decay, RK4 with x = n, theta = phi and d = log
 rho.
 
 Buffers.  Beyond its O(N) data a pass over the modes holds a few buffers
-of SHAPE_BLOCK by N + 1 entries per thread.  Each pass allocates its
-buffers once per call, on the calling thread, and writes every block's
-temporaries into them (out= and in-place ufuncs): an array allocated
-afresh per block or per call is often handed back to the kernel by
-malloc when it is freed, and the next one is page-faulted in and zeroed
-again.  A buffer backs at most one live array at a time, and no array a
-function returns shares memory with one.
+of SHAPE_BLOCK by N + 1 entries.  Each pass allocates its buffers once
+per call and writes every block's temporaries into them (out= and
+in-place ufuncs): an array allocated afresh per block or per call is
+often handed back to the kernel by malloc when it is freed, and the next
+one is page-faulted in and zeroed again.  A buffer backs at most one
+live array at a time, and no array a function returns shares memory
+with one.
 
 Threads.  dlasd4 is LAPACK's, bound from numpy's own BLAS library (the
-workers module).  A ctypes call releases the GIL, so dlasd4's roots, and
-Loewner's products, whose numpy operations release it too, run in
-contiguous ranges on worker threads (workers.in_ranges), one per
-ROOTS_PER_WORKER roots (threads_for).  The pass over the shapes (_sweep)
-threads the same way, over SWEEP_GROUPS fixed groups of mode blocks:
-each group sums its blocks' share of a state in order and the groups'
-sums are added in group order, so the bits depend on N alone, not on
-the threads.  The far-field roots and sums run on the calling thread; a
-pass then threads only its remaining blocks, by the modes they hold.
+workers module).  The whole factorization runs on the calling thread: a
+sweep runs its points on worker processes instead (workers.in_processes).
+The pass over the shapes (_sweep) sums its blocks' share of a state in
+SWEEP_GROUPS fixed groups, added in group order, so the bits depend on N
+alone.
 """
 
 from __future__ import annotations
@@ -123,7 +119,7 @@ import numpy as np
 
 from .model import SystemState, TestParticleSpec
 from .transform import banded_sums, far_field, far_field_sums, view
-from .workers import dlasd4, dlasd4_int, in_ranges, threads_for
+from .workers import dlasd4, dlasd4_int
 
 
 class NumericalError(RuntimeError):
@@ -306,10 +302,8 @@ def _dlasd4_roots(poles, weights, which):
 
     dlasd4 (R.-C. Li's middle way, LAPACK Working Note 89) returns every
     poles_j - nu_k relative to the pole it starts from.  The roots are
-    split into contiguous ranges, one per worker thread (threads_for),
-    each with its own output buffers: a ctypes call releases the GIL, so
-    the ranges run side by side.  A failed call raises EigensolverError
-    for the lowest failing root.
+    solved in order, so a failed call raises EigensolverError for the
+    lowest failing root.
     """
     # dlasd4 reads n entries behind each address, for root i in 1..n
     n = len(poles)
@@ -323,33 +317,26 @@ def _dlasd4_roots(poles, weights, which):
     scale = _scale(poles)
     d = np.asarray(poles, dtype=float) * scale
     z = np.sqrt(np.asarray(weights, dtype=float)) * scale
-    # Python lists, cheaper than arrays to write one entry at a time; each
-    # thread writes only its own range
+    # Python lists, cheaper than arrays to write one entry at a time
     ks = which.tolist()
     origin = np.minimum(which + 1, n - 1).tolist()
     tau = [0.0] * len(ks)
-
-    def roots(lo, hi):
-        # delta as a ctypes array: reading one entry is a plain float
-        delta, work = (ctypes.c_double * n)(), (ctypes.c_double * n)()
-        size, i, info = dlasd4_int(n), dlasd4_int(), dlasd4_int()
-        rho, sigma = ctypes.c_double(1.0), ctypes.c_double()
-        args = [ctypes.addressof(size), ctypes.addressof(i), d.ctypes.data, z.ctypes.data,
-                ctypes.addressof(delta), ctypes.addressof(rho), ctypes.addressof(sigma),
-                ctypes.addressof(work), ctypes.addressof(info)]
-        for j in range(lo, hi):
-            k = ks[j]
-            i.value = k + 1
-            dlasd4(*args)
-            if info.value != 0:
-                raise EigensolverError(
-                    f"dlasd4 failed on secular root {k} (info = {info.value})")
-            o = origin[j]
-            if abs(delta[k]) <= abs(delta[o]):
-                origin[j] = o = k
-            tau[j] = -delta[o]
-
-    in_ranges(roots, len(ks), threads_for(len(ks)))
+    # delta as a ctypes array: reading one entry is a plain float
+    delta, work = (ctypes.c_double * n)(), (ctypes.c_double * n)()
+    size, i, info = dlasd4_int(n), dlasd4_int(), dlasd4_int()
+    rho, sigma = ctypes.c_double(1.0), ctypes.c_double()
+    args = [ctypes.addressof(size), ctypes.addressof(i), d.ctypes.data, z.ctypes.data,
+            ctypes.addressof(delta), ctypes.addressof(rho), ctypes.addressof(sigma),
+            ctypes.addressof(work), ctypes.addressof(info)]
+    for j, k in enumerate(ks):
+        i.value = k + 1
+        dlasd4(*args)
+        if info.value != 0:
+            raise EigensolverError(f"dlasd4 failed on secular root {k} (info = {info.value})")
+        o = origin[j]
+        if abs(delta[k]) <= abs(delta[o]):
+            origin[j] = o = k
+        tau[j] = -delta[o]
     return np.array(origin, dtype=np.intp), np.array(tau) / scale
 
 
@@ -392,9 +379,8 @@ def _far_roots(poles, weights, which):
     ROOT_TOL eps (1 + phi - psi), and bisects the root's bracket, which
     every evaluation narrows, where the model's step leaves it.  A root
     still short of the rule after ROOT_STEPS steps raises
-    EigensolverError for the lowest such root.  Everything runs on the
-    calling thread, in buffers allocated once per call, so the bits do
-    not depend on the threads.
+    EigensolverError for the lowest such root.  Everything runs in
+    buffers allocated once per call.
     """
     # poles and weights scaled as for dlasd4, exactly, so that the squares
     # neither overflow nor underflow and the roots scale bit for bit
@@ -524,6 +510,23 @@ def factorization_fits(coupling: float, w_max: float) -> bool:
             < math.log(np.finfo(float).max))
 
 
+def factorization_resolves(ratio: float, w_min: float) -> bool:
+    """True when no product the factorization forms for baths from frequency w_min on underflows.
+
+    ratio is one oscillator's m / M.  The smallest products it forms are
+    per oscillator: c = (m / M) w^2, z^2 = (m / M) w^4 in deflation and
+    z^2 d = (m / M) w^6 for a merged cluster.  Each is at least ratio
+    min(1, w_min)^6, which must reach the smallest normal double: a z^2
+    that underflowed to 0 left deflation dividing by it.  A bath with
+    ratio <= 16 eps^2 resolves at any frequency: each |z| = sqrt(m / M)
+    w^2 lies within half deflation's tolerance of 8 eps max d, so every
+    oscillator is a mode on its own and its products go unused.
+    """
+    eps, tiny = np.finfo(float).eps, np.finfo(float).tiny
+    return ratio <= 16.0 * eps * eps or (
+        math.log(ratio) + 6.0 * math.log(min(1.0, w_min)) >= math.log(tiny))
+
+
 def max_mode_frequency(cm: CouplingMatrix) -> float:
     """Largest normal mode frequency: the top secular root or a free oscillator."""
     df = _deflate(cm)
@@ -548,13 +551,15 @@ def _d_minus_lam(w, nu0, tau, out=None, scratch=None):
 
 
 # secular roots from which Loewner's z and the pass over the secular
-# shapes sum over the poles and roots by transform.far_field_sums, O(N log N)
-# on one thread, rather than term by term, O(N^2) on the worker threads.
-# On 2 CPUs (in-process medians of z plus a pass with a final state, BLAS
-# on one thread, 11 alternating runs) the two broke even about N = 1000,
-# 11.0 against 11.5 ms (the far field faster in 8 runs, in none on a busier
-# machine), and the far field won every run from N = 1200 on: 12.3 against
-# 19.2 ms, 16.8 against 35.3 ms at N = 2000 and 0.12 against 3.1 s at 2e4
+# shapes sum over the poles and roots by transform.far_field_sums, O(N log N),
+# rather than term by term, O(N^2).  On 2 CPUs (in-process medians of z
+# plus a pass with a final state, BLAS on one thread, 11 alternating runs,
+# the term-by-term sums then on two threads) the two broke even about
+# N = 1000, 11.0 against 11.5 ms (the far field faster in 8 runs, in none
+# on a busier machine), and the far field won every run from N = 1200 on:
+# 12.3 against 19.2 ms, 16.8 against 35.3 ms at N = 2000 and 0.12 against
+# 3.1 s at 2e4.  The bound stays where it was set: moving it changes the
+# rounding of every bath size it passes
 FAR_FIELD_ROOTS = 1200
 
 INTERLACE = "secular roots do not interlace the bath poles"
@@ -565,36 +570,27 @@ def _loewner_z(bath, nu0, tau):
 
     bath are the coupled poles above the particle's pole at 0, and the
     roots (nu0 + tau) interlace them.  Arm a is a product over every
-    root and pole, O(N) each.  As for the roots, the arms are split into
-    contiguous ranges, one per worker thread (threads_for): numpy releases
-    the GIL inside each block's operations.  Each range works in blocks
-    of SHAPE_BLOCK // workers arms, so all ranges together hold the
-    buffers of one SHAPE_BLOCK block.  From FAR_FIELD_ROOTS roots on,
-    _far_loewner_z sums their logarithms instead.
+    root and pole, O(N) each, and the arms go in blocks of SHAPE_BLOCK.
+    From FAR_FIELD_ROOTS roots on, _far_loewner_z sums their logarithms
+    instead.
     """
     n_s = len(bath)
     if n_s + 1 >= FAR_FIELD_ROOTS:
         return _far_loewner_z(bath, nu0, tau)
     zhat = np.empty(n_s)
-    workers = threads_for(n_s)
-    step = max(1, SHAPE_BLOCK // workers)
-
-    def arms_in(lo, hi):
-        # every block's ratios, their denominators and the second factor
-        # of each difference of squares
-        ratios, dens, factors = np.empty((3, min(step, hi - lo), n_s))
-        for first in range(lo, hi, step):
-            arms = np.arange(first, min(first + step, hi))
-            k, w = len(arms), bath[arms]
-            # (d_a - lam_j+1) / (d_a - d_j), and -(d_a - lam_a+1) for j = a
-            ratio = _d_minus_lam(w, nu0[1:], tau[1:], out=ratios[:k], scratch=factors[:k])
-            den = np.subtract.outer(w, bath, out=dens[:k])
-            den *= np.add.outer(w, bath, out=factors[:k])
-            den[np.arange(k), arms] = -1.0
-            ratio /= den
-            zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
-
-    in_ranges(arms_in, n_s, workers)
+    # every block's ratios, their denominators and the second factor of
+    # each difference of squares
+    ratios, dens, factors = np.empty((3, min(SHAPE_BLOCK, n_s), n_s))
+    for first in range(0, n_s, SHAPE_BLOCK):
+        arms = np.arange(first, min(first + SHAPE_BLOCK, n_s))
+        k, w = len(arms), bath[arms]
+        # (d_a - lam_j+1) / (d_a - d_j), and -(d_a - lam_a+1) for j = a
+        ratio = _d_minus_lam(w, nu0[1:], tau[1:], out=ratios[:k], scratch=factors[:k])
+        den = np.subtract.outer(w, bath, out=dens[:k])
+        den *= np.add.outer(w, bath, out=factors[:k])
+        den[np.arange(k), arms] = -1.0
+        ratio /= den
+        zhat[arms] = _d_minus_lam(w, nu0[:1], tau[:1])[:, 0] * np.prod(ratio, axis=1)
     if not np.all(zhat > 0.0):
         raise EigensolverError(INTERLACE)
     return np.sqrt(zhat)
@@ -894,10 +890,10 @@ def _state_rows(a, b, nu, c, s):
     return np.stack([a * c + b * s / nu, b * c - a * nu * s], axis=1)
 
 
-# groups of mode blocks in a pass over the shapes, and so the most
-# threads it runs on.  The groups depend on the block count alone.  On 2
-# CPUs at N = 4000 (in-process medians) two threads took the pass from
-# 34 to 19 ms
+# groups of mode blocks in a pass over the shapes.  Each group sums its
+# blocks' share of a state on its own and the groups' sums are added in
+# group order, the order that fixes the bits of every state and file.  The
+# groups depend on the block count alone
 SWEEP_GROUPS = 8
 
 
@@ -913,18 +909,13 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
 
     The blocks (_blocks) are cut into SWEEP_GROUPS contiguous groups by
     their count alone.  Each group adds its blocks' share of U (f, g), in
-    order, into its own partial sum, and the partials are added in group
-    order, so the state's bits do not depend on the threads.  The groups
-    run in contiguous ranges on up to SWEEP_GROUPS worker threads
-    (threads_for, one inside a point worker); ab and u_k[0] are written column
-    by column.  Each range's block buffers are allocated here, on the
-    calling thread: a buffer allocated and freed on a worker thread goes
-    back to that thread's malloc arena, and the calling thread's next
-    arrays take fresh pages instead.
+    order, into a partial sum from zero, which is added to the state in
+    group order; ab and u_k[0] are written column by column.  One set of
+    block buffers, as wide as the widest block, serves every block.
 
     From FAR_FIELD_ROOTS roots on, _far_secular first takes the secular
-    modes between the lowest and the highest pole on the calling thread,
-    and its share of the state is added after the groups'.
+    modes between the lowest and the highest pole, and its share of the
+    state is added after the groups'.
     """
     n, n_r = len(shapes.cols), len(shapes.nu0)
     ab = None if y is None else np.empty((len(y), n))
@@ -937,31 +928,23 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
         blocks = ([("secular", 0, 1, 0), ("secular", n_r - 1, n_r, 0)]
                   + [block for block in blocks if block[0] != "secular"])
     bounds = [len(blocks) * g // SWEEP_GROUPS for g in range(SWEEP_GROUPS + 1)]
-    partials = None if rows is None else np.zeros((SWEEP_GROUPS, n, 2))
-    # threads by the modes the blocks hold, n unless the far field takes the secular ones
-    workers = min(threads_for(sum(hi - lo for _, lo, hi, _ in blocks)), SWEEP_GROUPS)
-    # one (block buffers, product) set per range, each taken by one range,
-    # as wide as the widest block
-    width = max((hi - lo for _, lo, hi, _ in blocks), default=1)
-    spare = [(_block_buffers(n, width), np.empty((n, 2))) for _ in range(workers)]
-
-    def groups(lo, hi):
-        buffers, part = spare.pop()
-        for g in range(lo, hi):
-            for cols, block in _mode_blocks(shapes, blocks[bounds[g]:bounds[g + 1]], buffers):
-                if y is not None:
-                    ab[:, cols] = y @ block
-                u0[cols] = block[0]
-                if rows is not None:
-                    partials[g] += np.matmul(block, rows(cols, ab), out=part)
-
-    in_ranges(groups, SWEEP_GROUPS, workers)
+    buffers = _block_buffers(n, max((hi - lo for _, lo, hi, _ in blocks), default=1))
+    if rows is not None:
+        # the state, the group's partial sum and one block's product
+        acc, partial, product = np.zeros((3, n, 2))
+    for g in range(SWEEP_GROUPS):
+        for cols, block in _mode_blocks(shapes, blocks[bounds[g]:bounds[g + 1]], buffers):
+            if y is not None:
+                ab[:, cols] = y @ block
+            u0[cols] = block[0]
+            if rows is not None:
+                partial += np.matmul(block, rows(cols, ab), out=product)
+        if rows is not None:
+            acc += partial
+            partial[...] = 0.0
     root_m = np.sqrt(cm.mass)
     vec = None
     if rows is not None:
-        acc = partials[0]
-        for partial in partials[1:]:
-            acc += partial
         if far is not None:
             acc += far
         vec = np.empty(2 * n)

@@ -456,18 +456,17 @@ class FarField:
     centre: np.ndarray         # (leaves,) of each leaf
     low: np.ndarray            # (leaves,) its rounding error: centre + low is exact
     first: np.ndarray          # (leaves + 1,) first source of each leaf
-    sources: tuple             # (base, offset), in leaf order
-    charges: np.ndarray        # (rows, sources), in leaf order
+    widest: int                # sources in the widest near field, a leaf and the two beside it
+    # (3 + rows, sources + widest): the sources' base, base + offset and
+    # offset, then each row's charges, in leaf order and padded by widest
+    # zeros, so that every near field's window of widest entries fits
+    padded: np.ndarray
     kernels: tuple
     local: np.ndarray | None   # (fields, rows, leaves, FAR_NODES); None below 4 leaves
 
     def buffers(self, widest=None):
         """The seven buffers of at(), for windows of up to widest sources (any leaf's if None)."""
-        if widest is None:
-            leaves = np.arange(len(self.centre))
-            widest = int(np.max(self.first[np.minimum(leaves + 2, len(leaves))]
-                                - self.first[np.maximum(leaves - 1, 0)]))
-        return np.empty((7, max(FAR_CHUNK, widest)))
+        return np.empty((7, max(FAR_CHUNK, self.widest if widest is None else widest)))
 
     def at(self, targets, split=None, work=None) -> np.ndarray:
         """(rows, targets): the sums at targets (base, offset) within the span.
@@ -485,8 +484,7 @@ class FarField:
         start, stop = self.first[np.maximum(leaf - 1, 0)], self.first[np.minimum(leaf + 2, leaves)]
         if work is None:
             work = self.buffers(int(np.max(stop - start, initial=1)))
-        out = _near_sums((tb, to), self.sources, self.charges, self.kernels, start, stop, work,
-                         split)
+        out = _near_sums((tb, to), self.padded, self.kernels, start, stop, work, split)
         if self.local is None:
             return out
         centre = (self.centre[leaf], self.low[leaf])
@@ -533,6 +531,12 @@ def far_field(sources, charges, kernels, targets=(), leaf=FAR_LEAF, split=False)
     centre = lo + offset
     rest = centre - lo
     low = ((lo - (centre - rest)) + (offset - rest)) + product_error
+    first = np.searchsorted(leaf_s, np.arange(leaves + 1))
+    at = np.arange(leaves)
+    widest = max(1, int(np.max(first[np.minimum(at + 2, leaves)] - first[np.maximum(at - 1, 0)])))
+    padded = np.zeros((3 + len(kernels), len(sb) + widest))
+    padded[:3, :len(sb)] = sb, sb + so, so
+    padded[3:, :len(sb)] = charges
     local = None
     if depth >= 2:
         # the charges' moments on each leaf's nodes, and each leaf's total
@@ -550,9 +554,8 @@ def far_field(sources, charges, kernels, targets=(), leaf=FAR_LEAF, split=False)
                 moments[r, boxes] += np.add.reduceat(terms, runs, axis=1).T
                 total[r, boxes] += np.add.reduceat(charge, runs)
         local = _far_locals(moments, total, kernels, depth, span, split)
-    return FarField(lo=lo, width=width, centre=centre, low=low,
-                    first=np.searchsorted(leaf_s, np.arange(leaves + 1)), sources=(sb, so),
-                    charges=charges, kernels=tuple(kernels), local=local)
+    return FarField(lo=lo, width=width, centre=centre, low=low, first=first, widest=widest,
+                    padded=padded, kernels=tuple(kernels), local=local)
 
 
 def _from(base, offset, centre, low):
@@ -588,24 +591,21 @@ def _halves(x):
     return high, x - high
 
 
-def _near_sums(targets, sources, charges, kernels, start, stop, work, split=None):
+def _near_sums(targets, padded, kernels, start, stop, work, split=None):
     """(rows, targets): the terms of sources start[i] to stop[i] at each target i, exactly.
 
-    With split, (2, rows, targets): those before split[i] and those from
-    it on.  The targets go in chunks of
-    at most FAR_CHUNK (target, source) pairs (or one target), each
-    target's sources one row of the chunk's widest window; the entries
-    beyond a target's own window add nothing.  Every chunk writes its
-    temporaries into the rows of work.
+    padded is FarField.padded, whose padding holds every window and is
+    never summed.  With split, (2, rows, targets): those before split[i]
+    and those from it on.  The targets go in chunks of at most FAR_CHUNK
+    (target, source) pairs (or one target), each target's sources one row
+    of the chunk's widest window; the entries beyond a target's own
+    window add nothing.  Every chunk writes its temporaries into the rows
+    of work.
     """
     tb, to = targets
-    sb, so = sources
     counts = stop - start
-    widest = max(1, int(np.max(counts, initial=0)))
-    # every window fits in the sources padded by the widest; the padding is never summed
-    padded = [np.r_[a, np.zeros(widest)] for a in (sb, sb + so, so, *charges)]
     # points without offsets (poles) skip their share of the first factor
-    offset_t, offset_s = np.any(to), np.any(so)
+    offset_t, offset_s = np.any(to), np.any(padded[2])
     u, other, value, indices, flags = work[0], work[1], work[2], work[3].view(np.intp), work[4]
     live, nonzero, before, after = np.split(flags.view(bool)[:4 * len(u)], 4)
     sides = 1 if split is None else 2

@@ -1,4 +1,4 @@
-"""numpy's BLAS and LAPACK through ctypes, and the program's worker threads and processes.
+"""numpy's BLAS and LAPACK through ctypes, and the program's worker processes.
 
 Start-up.  dlasd4 is bound through ctypes from numpy's own BLAS library,
 which exports LAPACK too, so a run loads one OpenBLAS and no scipy:
@@ -12,27 +12,20 @@ looked up there too.  The command line runs with numpy's BLAS on one
 thread and restores the count it found (blas_on_one_thread), since a
 multithreaded BLAS rounds a product by how it splits it.
 
-Threads.  Unlike scipy's f2py wrapper, a ctypes call releases the GIL,
-so the secular roots, Loewner's products and the pass over the mode
-shapes below propagator.FAR_FIELD_ROOTS roots, whose numpy operations
-release it too, run on worker threads:
-one per ROOTS_PER_WORKER roots and at most one per CPU the process may
-run on (threads_for), each taking a contiguous range of the work
-(in_ranges).  Smaller systems stay on the calling thread.  in_ranges is
-the one place the program starts threads: plain threads started per
-call, one per range, the calling thread running the first, each in a
-copy of the caller's context (so np.errstate holds there too), all
-joined before the call returns.
+Threads.  The program starts none: a point's factorization runs on the
+calling thread.  From propagator.FAR_FIELD_ROOTS roots on its sums go
+through the far field in O(N log N).  Below that, two threads inside a
+point saved 2-11 ms of a 24-38 ms factorization at N = 900 on 2 CPUs,
+within the spread of a whole run (0.21-0.26 s), and no sweep has a CPU
+to spare for them.
 
 Processes.  in_processes is the one place the program starts processes:
 children forked per call, on Linux and while no other Python thread is
 alive (may_fork), the calling process one of the workers, all reaped
 before the call returns.  A sweep (experiments._sweep) runs its points
 on it, one process per CPU (processes_for): on threads the GIL held two
-points to 1.2-1.35 times one.  In every worker, as on a range's thread,
-threads_for gives every call one thread (point_thread), so the CPUs are
-shared out once per run, and only a run of a single point threads
-inside it.
+points to 1.2-1.35 times one.  Every worker sets point_thread, so that
+an item forks no workers of its own.
 """
 
 from __future__ import annotations
@@ -124,9 +117,9 @@ def blas_on_one_thread():
     """Run the block with numpy's BLAS on one thread, then restore the count found.
 
     A multithreaded BLAS rounds a product by how it splits it among its
-    threads, and its threads compete with the program's own (the point
-    workers of a sweep, the secular roots' ranges).  Where no setter is
-    found the count stays as it is (blas_counts).
+    threads, and its threads compete with a sweep's point workers for
+    the CPUs.  Where no setter is found the count stays as it is
+    (blas_counts).
     """
     found = None if blas_threads is None else blas_threads()
     used = None if _set_blas_threads is None or found is None else 1
@@ -154,78 +147,16 @@ def blas_counts():
     return counts
 
 
-# secular roots (or Loewner arms) per worker thread.  A worker pays a
-# thread start and GIL hand-offs of a few microseconds per root, which the
-# root work it takes over must outweigh.  On 2 CPUs (in-process medians,
-# roots plus arms) two threads broke even at N = 400, 2.0 ms either way,
-# and won from N = 600 on: 4.1 against 2.7 ms, and 0.135 against 0.071 s
-# at N = 4000.  So N = 400 stays on the calling thread and N = 600 splits
-ROOTS_PER_WORKER = 300
-
-
 def usable_cpus() -> int:
     """The CPUs the process may run on, where the platform says (sched_getaffinity), else all."""
     return (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
             else os.cpu_count() or 1)
 
 
-# True on the threads of an in_ranges call with several, and in every
-# worker of an in_processes call with several (a sweep's points, which
-# already take every CPU): a call there keeps its work on its own thread.
-# Threads run in a copy of the caller's context, and a forked child
-# inherits it, so it reaches every nested call
+# True in every worker of an in_processes call with several (a sweep's
+# points, which already take every CPU), so that a nested call forks no
+# workers.  A forked child inherits it
 point_thread = contextvars.ContextVar("point_thread", default=False)
-
-
-def threads_for(n) -> int:
-    """Worker threads for n independent roots: one per ROOTS_PER_WORKER roots, at most one per CPU.
-
-    One inside a worker (point_thread).
-    """
-    if point_thread.get():
-        return 1
-    return max(1, min(usable_cpus(), n // ROOTS_PER_WORKER))
-
-
-def in_ranges(task, n, workers) -> None:
-    """task(lo, hi) on each of `workers` contiguous ranges that split range(n), one thread each.
-
-    The calling thread runs range 0, and every range whose thread cannot
-    start (RuntimeError, as at a limit on threads or processes).  Each
-    range runs in a copy of the caller's context, so the caller's numpy
-    error state (np.errstate, a context variable) holds there too; when
-    there are several, each sets point_thread, so that a task does not
-    thread inside itself.  All threads are joined before this returns,
-    also when the calling thread is interrupted, and the exception of
-    the lowest range is raised, the one a loop in order would have raised.
-    """
-    bounds = [n * j // workers for j in range(workers + 1)]
-    errors = {}
-
-    def run(j):
-        if workers > 1:
-            point_thread.set(True)
-        try:
-            task(bounds[j], bounds[j + 1])
-        except BaseException as exc:    # raised below, on the calling thread
-            errors[j] = exc
-
-    threads, mine = [], [0]
-    try:
-        for j in range(1, workers):
-            thread = threading.Thread(target=contextvars.copy_context().run, args=(run, j))
-            try:
-                thread.start()
-                threads.append(thread)
-            except RuntimeError:
-                mine.append(j)
-        for j in mine:
-            contextvars.copy_context().run(run, j)
-    finally:
-        for thread in threads:
-            thread.join()
-    if errors:
-        raise errors[min(errors)]
 
 
 def may_fork() -> bool:
@@ -268,7 +199,7 @@ def in_processes(task, items, workers) -> list:
     reads it, writes back the one after it and runs that item, so no
     split is fixed in advance and any number of items fits the pipe.  A
     fork that fails leaves its share to the others.  Every worker sets
-    point_thread, so that an item does not thread inside itself, and
+    point_thread, so that an item forks no workers of its own, and
     records the warnings each item raises; a child sends its results,
     warnings and exceptions back pickled, with the indices it took, and
     ends through os._exit (no atexit handler, no flush of the stdio

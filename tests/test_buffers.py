@@ -76,25 +76,22 @@ def _dense(monkeypatch):
 
 
 def test_repeated_factorization_takes_few_page_faults(monkeypatch):
-    """diagonalize at N = 4000 (point_n4000's bath) on two CPUs, dense path: under 2,000 faults.
+    """diagonalize at N = 4000 (point_n4000's bath), dense path: under 2,000 faults.
 
     Measured 41,890-41,922 when Loewner's z and the shape blocks allocated
-    their (64 x N) temporaries per block, 0 with the buffers reused.  The
-    roots, z and the shape pass run on two threads.
+    their (64 x N) temporaries per block, 0 with the buffers reused.
     """
     _dense(monkeypatch)
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     cm, v0 = _phase(4000, 1e-4)
     assert _faults_of_third_call(lambda: diagonalize(cm, v0)) < 2_000
 
 
 def test_repeated_far_field_factorization_takes_few_page_faults(monkeypatch):
-    """diagonalize at N = 4000 on two CPUs, by the far-field sums: under 2,000 faults.
+    """diagonalize at N = 4000, by the far-field sums: under 2,000 faults.
 
     Measured 2,045 when the near field allocated its temporaries per
     chunk, and 5 with seven buffers allocated once per call.
     """
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     cm, v0 = _phase(4000, 1e-4)
     assert len(cm.w) + 1 >= propagator.FAR_FIELD_ROOTS
     assert _faults_of_third_call(lambda: diagonalize(cm, v0)) < 2_000
@@ -116,32 +113,30 @@ def _peaks_on_one_and_two_cpus(monkeypatch, cm, v0):
 
 
 def test_a_factorization_on_two_cpus_holds_one_cpus_peak(monkeypatch):
-    """diagonalize at N = 4000, a final state, dense path: two CPUs add at most the group sums.
+    """diagonalize at N = 4000, a final state, dense path: two CPUs add at most one partial sum.
 
     The tracemalloc peak on two CPUs may exceed that on one by at most
-    the SWEEP_GROUPS partial sums of the shape pass plus 10 % of them.
-    Loewner's z sets both peaks, 6.54 and 6.61 MB: each of the shape
-    pass's two ranges holds a block of 64 modes and a factor scratch of
-    FACTOR_ROWS rows, 2.3 MB.  A full-height scratch per range took the
-    two-CPU peak to 9.9 MB.
+    one (N + 1, 2) partial sum of the shape pass.  Both peaks are 6.54 MB.
+    When the pass ran its SWEEP_GROUPS groups on two threads, each
+    holding a block of 64 modes and a factor scratch of FACTOR_ROWS rows,
+    the two-CPU peak was 6.61 MB, and with a full-height scratch per
+    thread 9.9 MB.
     """
     _dense(monkeypatch)
     cm, v0 = _phase(4000, 1e-4)
     peaks = _peaks_on_one_and_two_cpus(monkeypatch, cm, v0)
-    partials = propagator.SWEEP_GROUPS * (cm.dim // 2) * 2 * 8
-    assert peaks[1] - peaks[0] <= 1.1 * partials
+    assert peaks[1] - peaks[0] <= (cm.dim // 2) * 2 * 8
 
 
 def test_a_far_field_factorization_on_two_cpus_holds_one_cpus_peak(monkeypatch):
     """The same at N = 4000 by the far-field sums, below the dense path's one-CPU peak.
 
-    Both peaks were 4.0 MB.  With the pass's block buffers 64 modes wide
+    Both peaks are 3.9 MB.  With the pass's block buffers 64 modes wide
     for its two blocks of one mode, the two-CPU peak was 1.9 MB higher.
     """
     cm, v0 = _phase(4000, 1e-4)
     peaks = _peaks_on_one_and_two_cpus(monkeypatch, cm, v0)
-    partials = propagator.SWEEP_GROUPS * (cm.dim // 2) * 2 * 8
-    assert peaks[1] - peaks[0] <= 1.1 * partials
+    assert peaks[1] - peaks[0] <= (cm.dim // 2) * 2 * 8
     _dense(monkeypatch)
     assert max(peaks) < _peaks_on_one_and_two_cpus(monkeypatch, cm, v0)[0]
 

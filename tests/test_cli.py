@@ -532,6 +532,23 @@ def test_the_energy_headroom_refusal_names_the_term_that_overflows(tmp_path, cap
     assert not out.exists()
 
 
+def test_a_bath_whose_coupling_underflows_exits_2(tmp_path, capsys):
+    # z_n^2 = (m / M) w_n^4 ~ 1e-606 is 0 in doubles: deflation divided by
+    # it ("divide by zero"), and the roots then failed to interlace (exit 3)
+    out = tmp_path / "x"
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code = main(["single", "--omega", "5.5e-150", "--set", "bath1_size=40",
+                     "--set", "bath1_mass=1e-6", "--set", "bath1_omega_ir=1e-150",
+                     "--set", "bath1_omega_uv=1e-149", "--set", "n_samples=200",
+                     "--seed-list", "1", "--out", str(out)])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith(
+        "error: bath1_omega_ir=1e-150 with m / M = 1e-06 underflows the normal modes, "
+        "which form (m / M) omega_ir^6")
+    assert not out.exists()
+
+
 def test_a_bath_too_light_to_couple_runs_without_a_false_failure(tmp_path, capsys):
     # bath 1 at m = 1e-300: its border -sqrt(m/M) w^2 ~ 1e-150 lies below the
     # deflation tolerance, so its oscillators are decoupled modes of the
@@ -656,10 +673,10 @@ def _fresh_python(code: str, **env) -> str:
 def test_cli_import_leaves_scipy_stats_unloaded():
     """dlasd4 comes from numpy's own BLAS library; only `exchange` needs scipy.stats.
 
-    The worker threads of the secular roots are plain threads: neither
-    concurrent.futures nor logging, which it imports, is loaded.  After
-    a sweep no scipy module is loaded either, and the process maps one
-    OpenBLAS library, numpy's (where /proc/self/maps exists).
+    Neither concurrent.futures nor logging, which it imports, is
+    loaded.  After a sweep no scipy module is loaded either, and the
+    process maps one OpenBLAS library, numpy's (where /proc/self/maps
+    exists).
     """
     code = """
 import json, os, sys, tempfile
@@ -702,10 +719,9 @@ def test_worker_processes_end_without_atexit_handlers_or_a_second_flush():
 def test_dlasd4_is_scipys_lapack_routine():
     """_secular_roots is bit-identical to a loop over scipy.linalg.lapack.dlasd4.
 
-    At N = 400 the roots run on the calling thread, at N = 4000 on two
-    worker threads, with FAR_FIELD_ROOTS pinned out of reach so that
-    dlasd4 takes every root there too.  Both baths' top poles lie in
-    [1/2, 1), where the roots take the poles unscaled.
+    At N = 400 and at N = 4000, with FAR_FIELD_ROOTS pinned out of reach
+    so that dlasd4 takes every root there too.  Both baths' top poles lie
+    in [1/2, 1), where the roots take the poles unscaled.
     """
     code = """
 import numpy as np
@@ -715,8 +731,7 @@ from finitebath.model import BathSpec, TestParticleSpec
 from scipy.linalg.lapack import dlasd4
 
 propagator.FAR_FIELD_ROOTS = np.iinfo(np.int64).max
-for size, workers in ((400, 1), (4000, 2)):
-    propagator.threads_for = lambda n: workers
+for size in (400, 4000):
     real = realize_bath(BathSpec(size=size, mass=0.4 / size), seed=3)
     cm = propagator.build_multi_coupling_matrix(TestParticleSpec(omega=0.5),
                                                 [(real.m, real.frequencies, True)])
@@ -771,9 +786,9 @@ def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
     the count the getter reports (null where none is found), next to the
     one thread the run used (null where no setter is found), numpy's and
     scipy's versions, the BLAS's config string, the CPUs of the affinity
-    mask and the threads of the run's one point and of its factorization.
-    OpenBLAS caps its threads at the CPUs, so the two counts found differ
-    where there are two, and the call restores each.
+    mask and the processes of the run's one point.  OpenBLAS caps its
+    threads at the CPUs, so the two counts found differ where there are
+    two, and the call restores each.
     """
     script = """
 import json, os, tempfile
@@ -798,7 +813,7 @@ print(json.dumps([code, env, None if getter is None else getter(), used, np.__ve
         assert code == EXIT_OK
         assert env == {"numpy": version, "scipy": scipy, "blas_config": config,
                        "blas_threads": got, "blas_threads_used": used, "cpus": cpus,
-                       "point_workers": [1], "factor_workers": [1]}
+                       "point_workers": [1]}
         counts.append(got)
     if counts[0] is not None:
         assert counts[0] == 1
@@ -845,30 +860,16 @@ def _run_on_cpus(monkeypatch, out, cpus, argv):
     return files, json.loads(files.pop("manifest.json"))
 
 
-def test_the_manifest_records_the_threads_of_one_points_factorization(tmp_path, monkeypatch):
-    """A one-point run at N = 600 on two CPUs factors on 2 threads; a sweep's points on 1 each."""
-    sets = ["--set", "bath1_size=600", "--set", "n_samples=200", "--set", "seeds=[1]"]
-    _, single = _run_on_cpus(monkeypatch, tmp_path / "single", 2,
-                             ["single", "--omega", "0.5"] + sets)
-    assert single["environment"]["point_workers"] == [1]
-    assert single["environment"]["factor_workers"] == [2]
-    _, sweep = _run_on_cpus(monkeypatch, tmp_path / "sweep", 2,
-                            ["sweep", "--set", "omega_grid=[0.5, 0.7]"] + sets)
-    assert sweep["environment"]["point_workers"] == [2]
-    assert sweep["environment"]["factor_workers"] == [1]
-
-
 def test_a_single_run_writes_the_same_bytes_on_any_number_of_cpus(tmp_path, monkeypatch):
-    """At N = 900 one point factors on 1, 2 and 3 threads, and every file keeps its bytes.
+    """At N = 900 one point on 1, 2 and 3 CPUs: every file keeps its bytes.
 
-    The manifests differ only in their timestamps and the threads they record.
+    The manifests differ only in their timestamps.
     """
     argv = ["single", "--omega", "0.5", "--set", "bath1_size=900", "--set", "n_samples=200",
             "--set", "seeds=[1]"]
     runs = []
     for cpus in (1, 2, 3):
         files, manifest = _run_on_cpus(monkeypatch, tmp_path / str(cpus), cpus, argv)
-        assert manifest["environment"].pop("factor_workers") == [cpus]
         for key in ("started", "finished"):
             del manifest[key]
         runs.append((files, manifest))

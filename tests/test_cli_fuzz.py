@@ -42,14 +42,17 @@ SAMPLING = {"n_samples": [-1, 0, 99, 100, 2000], "mean_interval": BOUNDARY + [1e
 # range, which a run refuses (exit 2) before it allocates anything
 SIZES = st.integers(min_value=1, max_value=30) | st.integers(min_value=MAX_BATH_SIZE + 1,
                                                              max_value=2**63 - 1)
-# the single-bath properties' sizes: SIZES, or in about one draw of eight a
+# the single-bath properties' sizes: SIZES; in about one draw of eight a
 # bath from FAR_FIELD_ROOTS to 4096 oscillators, whose factorization solves
-# its roots and sums over its poles and roots by the far field.  Those are
-# eight sizes spaced evenly in log N: a draw of an integer in that range
-# lands mostly on its lower end
+# its roots and sums over its poles and roots by the far field; and in
+# about one of eight a bath from 31 to FAR_FIELD_ROOTS - 1, the dense
+# path's largest sizes.  Each range gives eight sizes spaced evenly in
+# log N: a draw of an integer in it lands mostly on its lower end
 FAR_SIZES = [round(FAR_FIELD_ROOTS * (4096 / FAR_FIELD_ROOTS) ** (i / 7)) for i in range(8)]
+DENSE_SIZES = [round(31 * ((FAR_FIELD_ROOTS - 1) / 31) ** (i / 7)) for i in range(8)]
 SINGLE_SIZES = st.integers(0, 7).flatmap(
-    lambda k: st.sampled_from(FAR_SIZES) if k == 0 else SIZES)
+    lambda k: st.sampled_from(FAR_SIZES) if k == 0
+    else st.sampled_from(DENSE_SIZES) if k == 1 else SIZES)
 # the label of each curve's failures in the manifest
 CURVES = {"curve.csv": "", "curve_combined.csv": "", "curve_bath1_alone.csv": "bath1 alone: ",
           "curve_bath2_alone.csv": "bath2 alone: "}

@@ -457,27 +457,6 @@ def test_no_point_starts_after_a_failure_or_an_interrupt(tmp_path, monkeypatch):
         _no_child_remains()
 
 
-def test_a_one_point_run_threads_inside_its_point(monkeypatch):
-    """Only a run with one point gives its factorization worker threads; in point workers it has one.
-
-    Each point returns, as its n_steps, the threads that a factorization
-    of 600 roots would get there.
-    """
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-
-    def runner(omega, spec, seed):
-        return dataclasses.replace(run_single_bath_point(omega, spec, seed),
-                                   n_steps=workers.threads_for(600))
-
-    one = dataclasses.replace(_grid_of_nine(), omega_grid=(0.5,), seeds=(1,))
-    curve = experiments._sweep(one, runner, [])
-    assert curve.workers == 1
-    assert [pt.n_steps for pt in curve.outcomes] == [2]
-    curve = experiments._sweep(_grid_of_nine(), runner, [])
-    assert curve.workers == 2
-    assert [pt.n_steps for pt in curve.outcomes] == [1] * 9
-
-
 def test_a_points_warnings_reach_the_caller_in_grid_order(monkeypatch):
     """Each point warns; on 3 workers the caller records every warning, in grid order.
 

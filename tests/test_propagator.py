@@ -23,6 +23,7 @@ from finitebath.propagator import (
     EigensolverError,
     build_multi_coupling_matrix,
     factorization_fits,
+    factorization_resolves,
     diagonalize,
     flow_factors,
     max_mode_frequency,
@@ -351,46 +352,15 @@ def _large_bath(size=4000):
     return _one_bath(tp, real.frequencies, real.m), _initial_vector(tp, real)
 
 
-def test_worker_threads_give_the_one_worker_factorization_bit_for_bit(monkeypatch):
-    """At N = 4000 the roots and Loewner's z on worker threads change no bit.
-
-    Each count splits the roots and arms differently: 2 as on two CPUs, 3
-    into uneven ranges and blocks of 21 arms, and 8 threads, more than
-    the cores, with the interpreter switching threads every microsecond.
-    No thread outlives the call.
-    """
-    cm, v0 = _large_bath()
-    final = functools.partial(flow_factors, t=123.4)
-
-    def factor(workers):
-        monkeypatch.setattr(propagator, "threads_for", lambda n: workers)
-        prop = diagonalize(cm, v0, final=final)
-        return [prop.nu, prop.u0, prop.coef_cos, prop.coef_sin, prop.final_state.as_vector()]
-
-    want = factor(1)
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        for workers in (2, 3, 8):
-            for got, ref in zip(factor(workers), want):
-                assert got.tobytes() == ref.tobytes()
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
-
-
 def test_the_shape_pass_gives_the_same_bits_on_any_number_of_cpus(monkeypatch):
     """diagonalize's one pass over the shapes has bits that depend on N alone.
 
     The bath (N = 960: 760 lone oscillators, 20 clusters of 5 equal
     frequencies and a free bath of 100) has 35 blocks of every kind, so
     the SWEEP_GROUPS groups cut across secular, free and Helmert blocks.
-    On 1, 2 and 3 CPUs the pass runs on as many threads, with the
-    interpreter switching threads every microsecond; the projections,
-    u_k[0] and the final state keep their bytes, no thread outlives the
-    calls, and the state lies within 8 eps of its largest entry of a
-    plain serial sum over the blocks.
+    On 1, 2 and 3 CPUs the projections, u_k[0] and the final state keep
+    their bytes, and the state lies within 8 eps of its largest entry of
+    a plain serial sum over the blocks.
     """
     tp = TestParticleSpec(mass=1.0, omega=0.5)
     rng = np.random.default_rng(11)
@@ -402,20 +372,12 @@ def test_the_shape_pass_gives_the_same_bits_on_any_number_of_cpus(monkeypatch):
 
     def factor(cpus):
         monkeypatch.setattr(workers, "usable_cpus", lambda: cpus)
-        assert workers.threads_for(cm.dim // 2) == cpus
         prop = diagonalize(cm, v0, final=final)
         return prop, [prop.coef_cos, prop.coef_sin, prop.u0, prop.final_state.as_vector()]
 
-    threads = threading.active_count()
-    interval = sys.getswitchinterval()
-    try:
-        sys.setswitchinterval(1e-6)
-        prop, want = factor(1)
-        for cpus in (2, 3):
-            assert [a.tobytes() for a in factor(cpus)[1]] == [a.tobytes() for a in want]
-    finally:
-        sys.setswitchinterval(interval)
-    assert threading.active_count() == threads
+    prop, want = factor(1)
+    for cpus in (2, 3):
+        assert [a.tobytes() for a in factor(cpus)[1]] == [a.tobytes() for a in want]
     kinds = {kind if isinstance(kind, str) else "helmert"
              for kind, *_ in propagator._blocks(prop.shapes)}
     assert kinds == {"secular", "free", "helmert"}
@@ -431,16 +393,14 @@ def test_the_shape_pass_gives_the_same_bits_on_any_number_of_cpus(monkeypatch):
 
 
 def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
-    """Two roots fail: 2500 and 3500, both in the second of two workers' ranges, then 1500 and 3500.
+    """Two roots fail, 2500 and 3500, then 1500 and 3500: the error names the lower one.
 
     FAR_FIELD_ROOTS is pinned out of reach, so that dlasd4 takes every
-    root of the 4001 in its threaded ranges.
+    root of the 4001, in order.
     """
     cm, v0 = _large_bath()
     real_dlasd4 = propagator.dlasd4
     monkeypatch.setattr(propagator, "FAR_FIELD_ROOTS", np.iinfo(np.int64).max)
-    monkeypatch.setattr(propagator, "threads_for", lambda n: 2)
-    threads = threading.active_count()
     for failing in ((2500, 3500), (1500, 3500)):
         def failing_at(n, i, d, z, delta, rho, sigma, work, info):
             real_dlasd4(n, i, d, z, delta, rho, sigma, work, info)
@@ -450,50 +410,6 @@ def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
         monkeypatch.setattr(propagator, "dlasd4", failing_at)
         with pytest.raises(EigensolverError, match=rf"secular root {failing[0]} \(info = 2\)"):
             diagonalize(cm, v0)
-    assert threading.active_count() == threads
-
-
-def test_a_range_on_worker_threads_keeps_its_work_on_its_own_thread(monkeypatch):
-    """Each of two ranges runs as a point thread: threads_for gives a call inside it one thread."""
-    monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
-    budgets = []
-    workers.in_ranges(lambda lo, hi, *_: budgets.append(workers.threads_for(10**6)), 10, 2)
-    assert workers.threads_for(10**6) == 2
-    assert budgets == [1, 1]
-
-
-def test_worker_threads_keep_the_callers_numpy_error_state():
-    """A range on a worker thread runs under the caller's np.errstate, a context variable."""
-    out = np.ones(4)
-
-    def divide(lo, hi, *_):
-        out[lo:hi] /= 0.0
-
-    with warnings.catch_warnings():
-        warnings.simplefilter("error", RuntimeWarning)
-        with np.errstate(divide="ignore"):
-            workers.in_ranges(divide, len(out), 2)
-    assert np.all(np.isinf(out))
-
-
-def test_worker_threads_that_cannot_start_leave_their_ranges_to_the_caller(monkeypatch):
-    """At a limit on threads the calling thread takes every range, with the bits of one worker."""
-    cm, v0 = _large_bath()
-
-    def factor(workers):
-        monkeypatch.setattr(propagator, "threads_for", lambda n: workers)
-        prop = diagonalize(cm, v0)
-        return [prop.nu, prop.u0, prop.coef_cos, prop.coef_sin]
-
-    def refuse(self):
-        raise RuntimeError("can't start new thread")
-
-    want = factor(1)
-    threads = threading.active_count()
-    monkeypatch.setattr(threading.Thread, "start", refuse)
-    for got, ref in zip(factor(3), want):
-        assert got.tobytes() == ref.tobytes()
-    assert threading.active_count() == threads
 
 
 def _no_child_remains():
@@ -669,6 +585,35 @@ def test_a_merged_cluster_at_the_largest_admitted_frequency_stays_finite(couplin
         warnings.simplefilter("error", RuntimeWarning)
         prop = diagonalize(cm, v0, final=lambda nu: flow_factors(nu, 1.0 / w))
     assert np.all(np.isfinite(prop.nu)) and np.all(np.isfinite(prop.final_state.as_vector()))
+
+
+@pytest.mark.parametrize("ratio", [1e-6, 0.3])
+def test_a_bath_at_the_smallest_admitted_frequency_stays_exact(ratio):
+    """factorization_resolves admits w and refuses 1 % less; baths from w on solve their arrowhead.
+
+    The smallest products are per oscillator, (m / M) w^6 for a merged
+    cluster: a degenerate bath at w and a spread one from w to 3 w keep
+    a residual at rounding, with no warning.  A bath too light to couple
+    is admitted at any frequency: its oscillators are modes on their own.
+    """
+    edge = (math.log(np.finfo(float).tiny) - math.log(ratio)) / 6.0
+    w = 1.001 * math.exp(edge)
+    assert factorization_resolves(ratio, w) and not factorization_resolves(ratio, 0.99 * w)
+    light = 16.0 * np.finfo(float).eps ** 2
+    assert factorization_resolves(light, 1e-150) and not factorization_resolves(1.01 * light, 1e-150)
+    for m, freqs in ((ratio, np.full(12, w)), (ratio, w * np.linspace(1.0, 3.0, 12)),
+                     (light, 1e-150 * np.linspace(1.0, 3.0, 12))):
+        tp = TestParticleSpec(mass=1.0, omega=2.0 * freqs[0])
+        cm = build_multi_coupling_matrix(tp, [(m, freqs, True)])
+        v0 = np.random.default_rng(3).normal(size=cm.dim)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            prop = diagonalize(cm, v0, final=lambda nu: flow_factors(nu, 1.0 / freqs[0]))
+        assert np.all(np.isfinite(prop.final_state.as_vector()))
+        if m == light:
+            assert len(propagator._deflate(cm).members) == 0
+        else:
+            assert mode_residual(prop) <= 1e-14
 
 
 @pytest.mark.parametrize("mass", [1e-6, 1e-3, 1.0, 1e6, 1e9, 1e12, 1e14])
