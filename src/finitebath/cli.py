@@ -306,6 +306,10 @@ def cmd_exchange(args: argparse.Namespace) -> int:
     trace = out / "exchange.csv"
     write_csv(trace, "time,energy", zip(ex.times, ex.energies))
     d, p = arcsine_distribution_check(ex.ks_energies, ex.e0)
+    # loaded by the check above; importing it at the top would load scipy
+    # with the command line for every run
+    import scipy
+    manifest.environment["scipy"] = scipy.__version__
     print(f"predicted exchange frequency {ex.exchange_frequency:.6f}")
     print(f"dominant spectral line at    {ex.dominant_frequency:.6f}"
           f"  (relative error "

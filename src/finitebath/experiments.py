@@ -20,10 +20,10 @@ and are collected in grid order, so every curve, failure, warning and
 file keeps its bytes.  Processes, not threads: the GIL held two point
 threads to 1.2-1.35 times one on two CPUs.  Each point runs on one
 thread of its worker: its factorization, and a switched point's period
-map, whose work buffers hold one piece of 32 roots.
-Where the process may not fork (workers.may_fork: not Linux, or
-another Python thread alive), the points run in order on the calling
-thread.
+map, whose work buffers hold one piece of 32 roots.  A point starts no
+workers of its own.  Where the process may not fork (workers.may_fork:
+not Linux, or another Python thread alive), the points run in order on
+the calling thread.
 """
 
 from __future__ import annotations

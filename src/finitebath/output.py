@@ -6,8 +6,6 @@ the exact binary values and identical runs produce identical bytes.
 
 from __future__ import annotations
 
-import importlib.machinery
-import importlib.util
 import json
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
@@ -107,28 +105,8 @@ def read_histogram(path) -> EnergyHistogram:
                            total_samples=int(counts.sum()))
 
 
-def scipy_version() -> str | None:
-    """scipy's version, from its version.py, without running the scipy package __init__.
-
-    The file is found in scipy's directory and run as a module of its
-    own, which sys.modules does not keep.  A run uses no scipy; the
-    manifest records its version because the exchange imports scipy.stats,
-    and None where scipy is not installed.
-    """
-    found = importlib.util.find_spec("scipy")
-    if found is None:
-        return None
-    locations = found.submodule_search_locations
-    spec = importlib.machinery.PathFinder.find_spec("scipy.version", locations)
-    if spec is None:
-        raise ImportError(f"scipy's version.py is not in {locations}")
-    version = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(version)
-    return version.version
-
-
 def run_environment() -> dict:
-    """numpy's and scipy's versions, the BLAS and its threads, the CPUs and the run's processes.
+    """numpy's version, the BLAS and its threads, the CPUs and the run's processes.
 
     blas_config is the build and core that numpy's BLAS reports (None
     where it reports none), the library behind both the BLAS products
@@ -137,13 +115,13 @@ def run_environment() -> dict:
     getter, or no setter, is found): a multithreaded BLAS rounds the
     period map's products by how it splits them among its threads, and
     a BLAS's kernels, picked by its core, round them their own way.
-    A run uses no scipy; its version is recorded because the exchange
-    imports scipy.stats.
+    A run loads no scipy, so scipy's version is not recorded here: the
+    exchange, which loads scipy.stats, adds it itself (cli.cmd_exchange).
     point_workers starts empty and gets, for each curve the run records,
     the processes that ran its points.
     """
     found, used = blas_counts()
-    return {"numpy": np.__version__, "scipy": scipy_version(), "blas_config": blas_config(),
+    return {"numpy": np.__version__, "blas_config": blas_config(),
             "blas_threads": found, "blas_threads_used": used,
             "cpus": usable_cpus(), "point_workers": []}
 

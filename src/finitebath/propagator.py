@@ -103,9 +103,8 @@ with one.
 Threads.  dlasd4 is LAPACK's, bound from numpy's own BLAS library (the
 workers module).  The whole factorization runs on the calling thread: a
 sweep runs its points on worker processes instead (workers.in_processes).
-The pass over the shapes (_sweep) sums its blocks' share of a state in
-SWEEP_GROUPS fixed groups, added in group order, so the bits depend on N
-alone.
+The pass over the shapes (_sweep) adds its blocks' share of a state in
+block order, so the bits depend on N alone.
 """
 
 from __future__ import annotations
@@ -694,11 +693,11 @@ def _block_buffers(n, width=SHAPE_BLOCK):
 def _mode_blocks(sh: _ModeShapes, blocks=None, buffers=None):
     """Yield (cols, block): the shapes of each block of modes, one column each.
 
-    blocks is a range of _blocks(sh), all of them when None, and buffers
-    those of _block_buffers, fresh when None.  block[:, j] is the
-    mass-weighted shape of mode cols[j] over sh.coord.  Every block is a
-    view of the one block buffer, valid until the next block is drawn,
-    so no n x n array is ever formed.
+    blocks lists blocks in _blocks(sh)'s form, all of _blocks(sh) when
+    None, and buffers those of _block_buffers, fresh when None.
+    block[:, j] is the mass-weighted shape of mode cols[j] over sh.coord.
+    Every block is a view of the one block buffer, valid until the next
+    block is drawn, so no n x n array is ever formed.
     """
     n, n_c = len(sh.coord), len(sh.pole)
     flat, factor = _block_buffers(n) if buffers is None else buffers
@@ -890,13 +889,6 @@ def _state_rows(a, b, nu, c, s):
     return np.stack([a * c + b * s / nu, b * c - a * nu * s], axis=1)
 
 
-# groups of mode blocks in a pass over the shapes.  Each group sums its
-# blocks' share of a state on its own and the groups' sums are added in
-# group order, the order that fixes the bits of every state and file.  The
-# groups depend on the block count alone
-SWEEP_GROUPS = 8
-
-
 def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     """One pass over the mode shapes: projections of y, and a state built from rows.
 
@@ -907,15 +899,14 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
     without y), U's particle row u_k[0] and the state vector with x = U f
     and p = M U g (None without rows).
 
-    The blocks (_blocks) are cut into SWEEP_GROUPS contiguous groups by
-    their count alone.  Each group adds its blocks' share of U (f, g), in
-    order, into a partial sum from zero, which is added to the state in
-    group order; ab and u_k[0] are written column by column.  One set of
-    block buffers, as wide as the widest block, serves every block.
+    Each block (_blocks) adds its share of U (f, g) straight into the
+    state, in block order, an order that depends on N alone; ab and u_k[0]
+    are written column by column.  One set of block buffers, as wide as
+    the widest block, serves every block.
 
     From FAR_FIELD_ROOTS roots on, _far_secular first takes the secular
     modes between the lowest and the highest pole, and its share of the
-    state is added after the groups'.
+    state is added after the blocks'.
     """
     n, n_r = len(shapes.cols), len(shapes.nu0)
     ab = None if y is None else np.empty((len(y), n))
@@ -927,21 +918,16 @@ def _sweep(cm: CouplingMatrix, shapes: _ModeShapes, y, rows):
         far = _far_secular(shapes, y, rows, ab, u0)
         blocks = ([("secular", 0, 1, 0), ("secular", n_r - 1, n_r, 0)]
                   + [block for block in blocks if block[0] != "secular"])
-    bounds = [len(blocks) * g // SWEEP_GROUPS for g in range(SWEEP_GROUPS + 1)]
     buffers = _block_buffers(n, max((hi - lo for _, lo, hi, _ in blocks), default=1))
     if rows is not None:
-        # the state, the group's partial sum and one block's product
-        acc, partial, product = np.zeros((3, n, 2))
-    for g in range(SWEEP_GROUPS):
-        for cols, block in _mode_blocks(shapes, blocks[bounds[g]:bounds[g + 1]], buffers):
-            if y is not None:
-                ab[:, cols] = y @ block
-            u0[cols] = block[0]
-            if rows is not None:
-                partial += np.matmul(block, rows(cols, ab), out=product)
+        # the state and one block's product
+        acc, product = np.zeros((2, n, 2))
+    for cols, block in _mode_blocks(shapes, blocks, buffers):
+        if y is not None:
+            ab[:, cols] = y @ block
+        u0[cols] = block[0]
         if rows is not None:
-            acc += partial
-            partial[...] = 0.0
+            acc += np.matmul(block, rows(cols, ab), out=product)
     root_m = np.sqrt(cm.mass)
     vec = None
     if rows is not None:
@@ -1007,20 +993,25 @@ def mode_residual(prop: EigenPropagator) -> float:
     the orthonormal mass-weighted modes.  In this form the residual does not
     depend on the bath-to-particle mass ratio, as it would for K U - M U
     diag(nu^2) measured against || K ||.  H acts on each block of modes
-    through alpha, z and d alone.
+    through alpha, z and d alone.  alpha, d, z and nu^2 are scaled by the
+    power of two that brings H's largest entry into [1/2, 1), so that the
+    squares do not underflow where H is tiny; the scaling is exact, so a
+    residual whose terms stay in the normal range keeps its bits.
     """
     cm = prop.cm
     bath = prop.shapes.coord[1:] - 1
-    z, d = cm.z[bath], cm.d[bath]
+    scale = _scale([np.max(np.abs(np.r_[cm.alpha, cm.d, cm.z]))])
+    alpha, all_d, all_z, nu2 = scale * cm.alpha, scale * cm.d, scale * cm.z, scale * prop.nu**2
+    z, d = all_z[bath], all_d[bath]
     sq = 0.0
     size = len(prop.nu) * min(SHAPE_BLOCK, len(prop.nu))
     res_buf, d_buf, z_buf = np.empty((3, size))
     for cols, v in _mode_blocks(prop.shapes):
-        res = np.multiply(v, -prop.nu[cols] ** 2, out=view(res_buf, v.shape))
-        res[0] += cm.alpha * v[0] + z @ v[1:]
+        res = np.multiply(v, -nu2[cols], out=view(res_buf, v.shape))
+        res[0] += alpha * v[0] + z @ v[1:]
         dv = np.multiply(d[:, None], v[1:], out=view(d_buf, v[1:].shape))
         dv += np.multiply(z[:, None], v[0], out=view(z_buf, v[1:].shape))
         res[1:] += dv
         sq += float(np.einsum("ij,ij->", res, res))
-    hnorm = np.sqrt(cm.alpha**2 + np.sum(cm.d**2) + 2.0 * np.sum(cm.z**2))
+    hnorm = np.sqrt(alpha**2 + np.sum(all_d**2) + 2.0 * np.sum(all_z**2))
     return float(np.sqrt(sq) / hnorm)

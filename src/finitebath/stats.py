@@ -72,10 +72,6 @@ class EnergyHistogram:
     total_samples: int
 
     @property
-    def bin_centers(self) -> np.ndarray:
-        return 0.5 * (self.bin_edges[:-1] + self.bin_edges[1:])
-
-    @property
     def e_max(self) -> float:
         return float(self.bin_edges[-1])
 

@@ -24,8 +24,8 @@ children forked per call, on Linux and while no other Python thread is
 alive (may_fork), the calling process one of the workers, all reaped
 before the call returns.  A sweep (experiments._sweep) runs its points
 on it, one process per CPU (processes_for): on threads the GIL held two
-points to 1.2-1.35 times one.  Every worker sets point_thread, so that
-an item forks no workers of its own.
+points to 1.2-1.35 times one.  A point makes no in_processes call of its
+own, so no worker forks workers.
 """
 
 from __future__ import annotations
@@ -153,20 +153,13 @@ def usable_cpus() -> int:
             else os.cpu_count() or 1)
 
 
-# True in every worker of an in_processes call with several (a sweep's
-# points, which already take every CPU), so that a nested call forks no
-# workers.  A forked child inherits it
-point_thread = contextvars.ContextVar("point_thread", default=False)
-
-
 def may_fork() -> bool:
-    """Whether in_processes may fork: on Linux, outside a worker, with no other Python thread alive.
+    """Whether in_processes may fork: on Linux, with no other Python thread alive.
 
     A forked child holds only the thread that forked, so a lock another
     Python thread held at the fork stays locked in the child for good.
     """
-    return (sys.platform.startswith("linux") and not point_thread.get()
-            and threading.active_count() == 1)
+    return sys.platform.startswith("linux") and threading.active_count() == 1
 
 
 def processes_for(n) -> int:
@@ -198,8 +191,7 @@ def in_processes(task, items, workers) -> list:
     between the workers through a pipe that holds it alone: a worker
     reads it, writes back the one after it and runs that item, so no
     split is fixed in advance and any number of items fits the pipe.  A
-    fork that fails leaves its share to the others.  Every worker sets
-    point_thread, so that an item forks no workers of its own, and
+    fork that fails leaves its share to the others.  Every worker
     records the warnings each item raises; a child sends its results,
     warnings and exceptions back pickled, with the indices it took, and
     ends through os._exit (no atexit handler, no flush of the stdio
@@ -308,7 +300,6 @@ def in_processes(task, items, workers) -> list:
         finally:
             os._exit(code)
 
-    token = point_thread.set(True)
     try:
         poller.register(baton_r, select.POLLIN)
         for _ in range(1, workers):
@@ -344,7 +335,6 @@ def in_processes(task, items, workers) -> list:
             os.kill(pid, signal.SIGKILL)
         raise
     finally:
-        point_thread.reset(token)
         for fd, (pid, _, _) in children.items():
             os.close(fd)
             os.waitpid(pid, 0)

@@ -174,7 +174,7 @@ def step_literally():
 def pytest_terminal_summary(terminalreporter, exitstatus, config):
     verdicts = {}
     for outcome, label in (("passed", "PASS"), ("failed", "FAIL"),
-                           ("error", "ERROR")):
+                           ("error", "ERROR"), ("xfailed", "XFAIL")):
         for report in terminalreporter.stats.get(outcome, []):
             if getattr(report, "when", "call") != "call" and outcome == "passed":
                 continue

@@ -9,7 +9,6 @@ bound is on the third call in one process; the values quoted were
 measured on a 2-core AMD EPYC with BLAS on one thread.
 """
 
-import contextvars
 import resource
 import threading
 import tracemalloc
@@ -117,7 +116,7 @@ def test_a_factorization_on_two_cpus_holds_one_cpus_peak(monkeypatch):
 
     The tracemalloc peak on two CPUs may exceed that on one by at most
     one (N + 1, 2) partial sum of the shape pass.  Both peaks are 6.54 MB.
-    When the pass ran its SWEEP_GROUPS groups on two threads, each
+    When the pass ran its eight groups of blocks on two threads, each
     holding a block of 64 modes and a factor scratch of FACTOR_ROWS rows,
     the two-CPU peak was 6.61 MB, and with a full-height scratch per
     thread 9.9 MB.
@@ -166,12 +165,11 @@ def test_repeated_two_bath_point_takes_few_page_faults():
     assert _faults_of_third_call(lambda: run_two_bath_point(0.55, spec, 2)) < 1_500
 
 
-def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
+def test_a_period_map_holds_one_piece_of_buffers(monkeypatch):
     """The period map's two work buffers hold PERIOD_PIECE = 32 roots by dim, and it starts no thread.
 
     At 2 x 100 oscillators (dim 202, 101 roots) with BLAS on one thread
-    and two CPUs, the map holds one piece in a sweep's point worker
-    (point_thread set) and outside one alike.
+    and two CPUs.
     """
     monkeypatch.setattr(workers, "usable_cpus", lambda: 2)
     system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=0.55),
@@ -181,17 +179,12 @@ def test_a_period_map_on_a_point_thread_holds_one_piece_of_buffers(monkeypatch):
     def refuse(self):
         raise AssertionError("the period map started a thread")
 
-    def buffers(point_thread):
-        workers.point_thread.set(point_thread)
-        modal = switched._ModalPeriodMap(system, SwitchSchedule(step_size=1e-2))
-        modal.floquet(modal.roots()[:system.dim // 2], 1e-7)["amplitudes"](system.initial_vector())
-        return modal._work.shape
-
     monkeypatch.setattr(threading.Thread, "start", refuse)
     assert switched.PERIOD_PIECE == 32
     with workers.blas_on_one_thread():
-        assert contextvars.copy_context().run(buffers, True) == (2, 32 * system.dim)
-        assert contextvars.copy_context().run(buffers, False) == (2, 32 * system.dim)
+        modal = switched._ModalPeriodMap(system, SwitchSchedule(step_size=1e-2))
+        modal.floquet(modal.roots()[:system.dim // 2], 1e-7)["amplitudes"](system.initial_vector())
+    assert modal._work.shape == (2, 32 * system.dim)
 
 
 # -- reuse changes no result ------------------------------------------------

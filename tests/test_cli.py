@@ -784,9 +784,9 @@ def test_manifest_records_numpy_its_blas_threads_and_the_cpus():
     A multithreaded BLAS rounds the period map's products by how it
     splits them among its threads, so the count a run found is recorded:
     the count the getter reports (null where none is found), next to the
-    one thread the run used (null where no setter is found), numpy's and
-    scipy's versions, the BLAS's config string, the CPUs of the affinity
-    mask and the processes of the run's one point.  OpenBLAS caps its
+    one thread the run used (null where no setter is found), numpy's
+    version, the BLAS's config string, the CPUs of the affinity mask and
+    the processes of the run's one point.  OpenBLAS caps its
     threads at the CPUs, so the two counts found differ where there are
     two, and the call restores each.
     """
@@ -802,16 +802,15 @@ with tempfile.TemporaryDirectory() as out:
         env = json.load(f)["environment"]
 getter = workers.blas_threads
 used = None if getter is None or workers._set_blas_threads is None else 1
-import scipy
 print(json.dumps([code, env, None if getter is None else getter(), used, np.__version__,
-                  scipy.__version__, len(os.sched_getaffinity(0)), workers.blas_config()]))
+                  len(os.sched_getaffinity(0)), workers.blas_config()]))
 """
     counts = []
     for threads in ("1", "2"):
-        code, env, got, used, version, scipy, cpus, config = json.loads(_fresh_python(
+        code, env, got, used, version, cpus, config = json.loads(_fresh_python(
             script, OPENBLAS_NUM_THREADS=threads).splitlines()[-1])
         assert code == EXIT_OK
-        assert env == {"numpy": version, "scipy": scipy, "blas_config": config,
+        assert env == {"numpy": version, "blas_config": config,
                        "blas_threads": got, "blas_threads_used": used, "cpus": cpus,
                        "point_workers": [1]}
         counts.append(got)
@@ -1145,6 +1144,23 @@ def test_exchange_refuses_a_splitting_below_double_precision(tmp_path, capsys):
     assert not out.exists()
     assert main(argv + ["--xi", "1e-12"]) == EXIT_OK
     assert (out / "exchange.csv").exists() and (out / "summary.json").exists()
+
+
+def test_only_the_exchange_records_scipys_version(tmp_path):
+    """The exchange's arcsine check loads scipy.stats, and its manifest records scipy's version.
+
+    A single run loads no scipy, and its manifest has no scipy key.
+    """
+    import scipy
+
+    argv = ["exchange", "--size", "20", "--n-periods", "4", "--out", str(tmp_path / "exchange")]
+    assert main(argv) == EXIT_OK
+    assert main(["single", "--omega", "0.5", "--set", "bath1_size=20", "--set", "n_samples=200",
+                 "--seed-list", "1", "--out", str(tmp_path / "single")]) == EXIT_OK
+    environment = {run: json.loads((tmp_path / run / "manifest.json").read_text())["environment"]
+                   for run in ("exchange", "single")}
+    assert environment["exchange"]["scipy"] == scipy.__version__
+    assert "scipy" not in environment["single"]
 
 
 def test_fit_round_trips_a_stored_histogram(tmp_path, capsys):
