@@ -1,8 +1,9 @@
 """Drawing concrete bath realizations from a statistical description.
 
-Frequencies come from the band distribution by inverse CDF, energies are
-Boltzmann distributed (exponential with mean T), and each oscillator is
-placed uniformly on its energy shell:
+Each draw takes a generator from ``rng.substream``.  Frequencies come
+from the band distribution by inverse CDF, energies are Boltzmann
+distributed by E = -T ln(1 - u) (exponential with mean T), and each
+oscillator is placed uniformly on its energy shell:
 
     q_n = sqrt(2 E_n / (m w_n^2)) cos(phi),  p_n = sqrt(2 m E_n) sin(phi)
 
@@ -19,18 +20,6 @@ from .model import BathRealization, BathSpec
 from .rng import ENERGIES, FREQUENCIES, PHASES, substream
 
 
-def sample_frequencies(bath: BathSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw bath.size oscillator frequencies from the band distribution."""
-    u = rng.random(bath.size)
-    return bath.dos.ppf(u)
-
-
-def sample_energies(bath: BathSpec, rng: np.random.Generator) -> np.ndarray:
-    """Draw bath.size Boltzmann energies, E = -T ln(1 - u)."""
-    u = rng.random(bath.size)
-    return -bath.temperature * np.log1p(-u)
-
-
 def realize_bath(bath: BathSpec, seed: int, bath_index: int = 0) -> BathRealization:
     """Draw one full bath realization from three independent substreams.
 
@@ -38,9 +27,10 @@ def realize_bath(bath: BathSpec, seed: int, bath_index: int = 0) -> BathRealizat
     runs; identical (bath, seed, bath_index) always reproduce the same
     realization bit for bit.
     """
-    freqs = sample_frequencies(bath, substream(seed, FREQUENCIES, bath_index).generator())
-    energies = sample_energies(bath, substream(seed, ENERGIES, bath_index).generator())
-    phases = substream(seed, PHASES, bath_index).generator().uniform(0.0, 2.0 * np.pi, bath.size)
+    freqs = bath.dos.ppf(substream(seed, FREQUENCIES, bath_index).random(bath.size))
+    u = substream(seed, ENERGIES, bath_index).random(bath.size)
+    energies = -bath.temperature * np.log1p(-u)
+    phases = substream(seed, PHASES, bath_index).uniform(0.0, 2.0 * np.pi, bath.size)
 
     amp_q = np.sqrt(2.0 * energies / (bath.mass * freqs**2))
     amp_p = np.sqrt(2.0 * bath.mass * energies)

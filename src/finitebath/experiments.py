@@ -233,7 +233,7 @@ def _check_energy_drift(initial: SystemState, final: SystemState,
 
 
 def _sample_times(spec: SweepSpec, seed: int) -> np.ndarray:
-    return make_sampling_times(spec.plan, substream(seed, SAMPLING_TIMES).generator())
+    return make_sampling_times(spec.plan, substream(seed, SAMPLING_TIMES))
 
 
 def _run_rk4(spec: SweepSpec, omega: float, seed: int, system: TwoBathSystem) -> PointResult:
@@ -534,7 +534,7 @@ def run_degenerate_exchange(n: int = 100, xi: float = 0.01,
     search[max(0, k - 5):k + 6] = 0.0
     k2 = int(np.argmax(search))
 
-    ks_times = np.sort(substream(seed, SAMPLING_TIMES).generator().uniform(
+    ks_times = np.sort(substream(seed, SAMPLING_TIMES).uniform(
         0.0, 200.0 * t_beat, n_ks_samples))
     ks_q, ks_p = prop.sample_test_particle(ks_times)
 

@@ -7,6 +7,7 @@ the exact binary values and identical runs produce identical bytes.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import asdict, dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
@@ -75,7 +76,7 @@ def read_histogram(path) -> EnergyHistogram:
     ValueError unless the edges are finite, strictly increasing and
     contiguous (each bin_lo is the previous bin_hi), no count is
     negative and the counts total at most 2^63 - 1, so that they and
-    their total are int64.
+    their total are int64.  A refused row is named by its line.
     """
     lines = Path(path).read_text().strip().splitlines()
     if not lines or lines[0] != "bin_lo,bin_hi,count":
@@ -83,24 +84,28 @@ def read_histogram(path) -> EnergyHistogram:
     if len(lines) < 2:
         raise ValueError(f"{path}: histogram CSV has no bins")
     lo, hi, counts = [], [], []
-    for ln in lines[1:]:
-        a, b, c = ln.split(",")
-        lo.append(float(a))
-        hi.append(float(b))
-        counts.append(int(c))
-    if min(counts) < 0:
-        raise ValueError(f"{path}: histogram counts must be non-negative")
+    for k, row in enumerate(lines[1:], start=2):
+        try:
+            a, b, c = row.split(",")
+            bin_lo, bin_hi, count = float(a), float(b), int(c)
+        except ValueError as err:
+            raise ValueError(f"{path}: line {k}: {err}") from None
+        if not (math.isfinite(bin_lo) and math.isfinite(bin_hi)):
+            raise ValueError(f"{path}: line {k}: histogram edges must be finite")
+        if not bin_hi > bin_lo:
+            raise ValueError(f"{path}: line {k}: histogram edges must strictly increase")
+        if hi and bin_lo != hi[-1]:
+            raise ValueError(f"{path}: line {k}: each bin_lo must equal the previous bin_hi")
+        if count < 0:
+            raise ValueError(f"{path}: line {k}: histogram counts must be non-negative")
+        lo.append(bin_lo)
+        hi.append(bin_hi)
+        counts.append(count)
     if sum(counts) > np.iinfo(np.int64).max:
         raise ValueError(f"{path}: histogram counts total more than the 2^63 - 1 "
                          "samples a histogram holds")
-    lo, hi, counts = np.array(lo), np.array(hi), np.array(counts, dtype=np.int64)
-    if not (np.all(np.isfinite(lo)) and np.all(np.isfinite(hi))):
-        raise ValueError(f"{path}: histogram edges must be finite")
-    if not np.all(hi > lo):
-        raise ValueError(f"{path}: histogram edges must strictly increase")
-    if not np.array_equal(lo[1:], hi[:-1]):
-        raise ValueError(f"{path}: each bin_lo must equal the previous bin_hi")
-    edges = np.append(lo, hi[-1])
+    counts = np.array(counts, dtype=np.int64)
+    edges = np.array([*lo, hi[-1]])
     return EnergyHistogram(bin_edges=edges, counts=counts, overflow=0,
                            total_samples=int(counts.sum()))
 

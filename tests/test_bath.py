@@ -4,14 +4,8 @@ import numpy as np
 import pytest
 from scipy import stats as sp_stats
 
-from finitebath.bath import (
-    pairwise_cancelled,
-    realize_bath,
-    sample_energies,
-    sample_frequencies,
-)
+from finitebath.bath import pairwise_cancelled, realize_bath
 from finitebath.model import BathSpec, DensityOfStates, oscillator_energies
-from finitebath.rng import RngStream
 
 
 def test_realize_bath_is_deterministic(small_bath):
@@ -64,14 +58,14 @@ def test_doubling_temperature_doubles_energies(band):
 def test_frequency_draws_follow_the_band_distribution(family):
     dos = DensityOfStates(family, 0.2, 1.0)
     bath = BathSpec(size=4000, mass=0.01, temperature=5.0, dos=dos)
-    freqs = sample_frequencies(bath, RngStream(seed=12).generator())
+    freqs = realize_bath(bath, seed=12).frequencies
     stat = sp_stats.kstest(freqs, dos.cdf)
     assert stat.pvalue > 0.01
 
 
 def test_energy_draws_are_boltzmann(small_bath):
     bath = BathSpec(size=4000, mass=0.01, temperature=5.0, dos=small_bath.dos)
-    energies = sample_energies(bath, RngStream(seed=13).generator())
+    energies = realize_bath(bath, seed=13).energies
     stat = sp_stats.kstest(energies, sp_stats.expon(scale=5.0).cdf)
     assert stat.pvalue > 0.01
     assert np.mean(energies) == pytest.approx(5.0, rel=0.05)

@@ -63,7 +63,7 @@ def _phase(n, mass, omega=0.5, seed=1):
 
 
 def _times(plan, seed=1):
-    return make_sampling_times(plan, substream(seed, SAMPLING_TIMES).generator())
+    return make_sampling_times(plan, substream(seed, SAMPLING_TIMES))
 
 
 # -- minor faults of a repeated call ----------------------------------------

@@ -1208,7 +1208,10 @@ def test_fit_header_only_histogram_is_a_config_error(tmp_path, capsys):
     (["0,2,9", "2,1,5"], "strictly increase"),
     (["0,1,9", "1.5,2,5", "2,3,2"], "previous bin_hi"),
     (["0,1,9", "1,2,-5", "2,3,2", "3,4,1"], "non-negative"),
-], ids=["nan-edge", "inf-edge", "empty-bin", "falling-edge", "gap", "negative-count"])
+    (["0,1,9", "1,2"], "bad.csv: line 3: not enough values to unpack"),
+    (["0,1,9", "1,2,5", "2,3,x"], "bad.csv: line 4: invalid literal for int()"),
+], ids=["nan-edge", "inf-edge", "empty-bin", "falling-edge", "gap", "negative-count",
+        "two-fields", "non-integer-count"])
 def test_fit_malformed_histogram_is_a_config_error(tmp_path, capsys, rows, message):
     path = tmp_path / "bad.csv"
     path.write_text("\n".join(["bin_lo,bin_hi,count"] + rows) + "\n")

@@ -56,7 +56,7 @@ def _prop(n, omega, seed=1, m=None):
 
 
 def _times(plan, seed=1):
-    return make_sampling_times(plan, substream(seed, SAMPLING_TIMES).generator())
+    return make_sampling_times(plan, substream(seed, SAMPLING_TIMES))
 
 
 def _rows(prop):
@@ -143,7 +143,7 @@ def test_degenerate_exchange_samples_match_the_direct_sum():
     prop = _exchange_system()
     t_beat = 2.0 * np.pi / exchange_splitting(1.0, 0.01)
     grid = np.linspace(0.0, 16 * t_beat, 8192)
-    ks = np.sort(substream(3, SAMPLING_TIMES).generator().uniform(0.0, 200.0 * t_beat, 4000))
+    ks = np.sort(substream(3, SAMPLING_TIMES).uniform(0.0, 200.0 * t_beat, 4000))
     rows = _rows(prop)
     live = prop.u0 != 0.0
     for t in (grid, ks):

@@ -2,10 +2,8 @@
 
 import functools
 import itertools
+import json
 import math
-import os
-import sys
-import threading
 import tracemalloc
 import warnings
 
@@ -16,6 +14,7 @@ from hypothesis import strategies as st
 
 from finitebath import propagator, transform, workers
 from finitebath.bath import realize_bath
+from finitebath.cli import EXIT_OK, main
 from finitebath.experiments import ENERGY_DRIFT_TOL
 from finitebath.model import (BathRealization, BathSpec, DensityOfStates, SystemState,
                               TestParticleSpec, total_energy)
@@ -412,46 +411,6 @@ def test_a_failure_in_a_later_worker_names_the_lowest_failing_root(monkeypatch):
             diagonalize(cm, v0)
 
 
-def _no_child_remains():
-    with pytest.raises(ChildProcessError):
-        os.waitpid(-1, os.WNOHANG)
-
-
-def test_worker_processes_take_twenty_thousand_items_in_turn():
-    """More items than a pipe holds indices: every result comes back in order, from several workers."""
-    got = workers.in_processes(lambda i: (i, os.getpid()), range(20_000), 3)
-    assert [i for i, _ in got] == list(range(20_000))
-    assert len({pid for _, pid in got}) > 1
-    _no_child_remains()
-
-
-def test_a_fork_that_fails_leaves_its_share_to_the_others(monkeypatch):
-    def refuse():
-        raise BlockingIOError("fork: resource temporarily unavailable")
-
-    monkeypatch.setattr(os, "fork", refuse)
-    assert workers.in_processes(lambda i: (i, os.getpid()), range(5), 3) == [
-        (i, os.getpid()) for i in range(5)]
-
-
-def test_only_a_lone_thread_on_linux_may_fork(monkeypatch):
-    """fork copies only its own thread, so another Python thread keeps the points in order."""
-    assert workers.may_fork() == sys.platform.startswith("linux")
-    monkeypatch.setattr(sys, "platform", "linux")
-    assert workers.may_fork()
-    release = threading.Event()
-    other = threading.Thread(target=release.wait, args=(10.0,))
-    other.start()
-    try:
-        assert not workers.may_fork()
-    finally:
-        release.set()
-        other.join(timeout=10.0)
-    assert not other.is_alive()
-    monkeypatch.setattr(sys, "platform", "darwin")
-    assert not workers.may_fork()
-
-
 def test_the_secular_roots_do_not_depend_on_the_frequency_scale():
     """Baths scaled from 1e-10 to 1e30 factor, with the modes of the unscaled bath.
 
@@ -656,6 +615,28 @@ def test_normal_modes_stay_exact_in_baths_of_any_mass(mass):
         e0 = total_energy(full_state(prop, 0.0), tp, [(real, True)])
         e1 = total_energy(full_state(prop, 1234.5), tp, [(real, True)])
         assert abs(e1 - e0) <= ENERGY_DRIFT_TOL * e0, (size, lo, hi, omega)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="known defect 11: _deflate frees a coupled oscillator of a heavy, "
+                          "wide-band bath")
+def test_a_heavy_bath_of_2000_with_a_wide_band_keeps_its_energy(tmp_path):
+    """A bath of 2000 oscillators of mass 1e12 over [1e-4, 1] at Omega = 0.5, seed 1.
+
+    It exits 3 with "NumericalError: total energy drifted from
+    10306.7704724 to 10306.7774736".  _deflate frees every oscillator
+    with |z| <= 8 eps max(alpha, max d); in a heavy bath alpha lies far
+    above the band, so a low oscillator whose spring is far from
+    negligible is freed, keeps its bare pole, and the bound state it
+    would form with the particle below the band is lost.  The normwise
+    mode_residual cannot see it; the end-point energy check does.
+    """
+    out = tmp_path / "run"
+    code = main(["sweep", "--set", "bath1_size=2000", "--set", "bath1_mass=1e12",
+                 "--set", "bath1_omega_ir=1e-4", "--set", "omega_grid=[0.5]",
+                 "--set", "seeds=[1]", "--set", "n_samples=200", "--out", str(out)])
+    assert code == EXIT_OK
+    assert json.loads((out / "manifest.json").read_text())["failures"] == []
 
 
 def test_poles_a_few_ulps_apart_stay_apart_in_a_heavy_bath():

@@ -610,7 +610,7 @@ def _frustration_point(omega, seed, plan, schedule):
     system = build_switched_matrices(TestParticleSpec(mass=1.0, omega=omega),
                                      realize_bath(spec, seed, 0), realize_bath(spec, seed, 1),
                                      renormalization="static")
-    times = make_sampling_times(plan, substream(seed, SAMPLING_TIMES).generator())
+    times = make_sampling_times(plan, substream(seed, SAMPLING_TIMES))
     return SwitchedPropagator(system, schedule), system.initial_vector(), times
 
 
