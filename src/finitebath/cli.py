@@ -52,7 +52,7 @@ from .oracles import (
     mixture_distribution,
 )
 from .output import (RunManifest, emit_curve, emit_histogram, fmt, read_histogram,
-                     write_csv)
+                     write_csv, write_text)
 from .propagator import NumericalError
 from .stats import FitError, fit_temperature
 from .workers import blas_on_one_thread
@@ -126,9 +126,11 @@ def _load_config(args: argparse.Namespace) -> dict:
         except OSError as err:
             raise ConfigError(f"cannot read config {args.config}: {err}") from err
         except json.JSONDecodeError as err:
-            raise ConfigError(f"config is not valid JSON: {err}") from err
+            raise ConfigError(f"config {args.config} is not valid JSON: {err}") from err
+        except (UnicodeDecodeError, RecursionError) as err:     # not UTF-8, nested too deep
+            raise ConfigError(f"config {args.config}: {err}") from err
         if not isinstance(raw, dict):
-            raise ConfigError("config must be a JSON object")
+            raise ConfigError(f"config {args.config} must be a JSON object")
     else:
         raw = {}
     for item in args.overrides:
@@ -139,6 +141,8 @@ def _load_config(args: argparse.Namespace) -> dict:
             raw[key] = json.loads(value)
         except json.JSONDecodeError:
             raw[key] = value  # bare strings such as --set dos=square
+        except RecursionError as err:
+            raise ConfigError(f"--set {key}: {err}") from err
     return check_config(raw)
 
 
@@ -219,7 +223,7 @@ def cmd_single(args: argparse.Namespace) -> int:
           f"T = {fmt(temperature)} +- {fmt(sigma)}")
     summary = {"omega": spec.omega_grid[0], "temperature": temperature,
                "sigma": sigma, "n_seeds": len(curve.points)}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_text(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     manifest.outputs.append("summary.json")
     manifest.write(out / "manifest.json")
     return EXIT_OK
@@ -321,7 +325,7 @@ def cmd_exchange(args: argparse.Namespace) -> int:
                "dominant_frequency": ex.dominant_frequency,
                "secondary_ratio": ex.secondary_ratio,
                "ks_statistic": d, "ks_pvalue": p}
-    (out / "summary.json").write_text(json.dumps(summary, indent=2) + "\n")
+    write_text(out / "summary.json", json.dumps(summary, indent=2) + "\n")
     manifest.outputs = [trace.name, "summary.json"]
     manifest.write(out / "manifest.json")
     return EXIT_OK

@@ -39,9 +39,8 @@ from .model import (MAX_BATH_SIZE, BathSpec, DensityOfStates, SystemState, TestP
 from .propagator import (NumericalError, build_multi_coupling_matrix, diagonalize,
                          factorization_fits, factorization_resolves, flow_factors)
 from .rng import SAMPLING_TIMES, substream
-from .stats import (DEFAULT_N_BINS, DEFAULT_SPAN_FACTOR, EnergyHistogram,
-                    FitError, SamplingPlan, TemperatureFit, aggregate_seeds,
-                    check_bin_count, fit_energy_samples, fit_temperature,
+from .stats import (EnergyHistogram, FitError, SamplingPlan, TemperatureFit,
+                    aggregate_seeds, check_bin_count, fit_temperature,
                     make_sampling_times, span_histogram)
 from .switched import (SwitchSchedule, SwitchedPropagator, TwoBathSystem,
                        build_switched_matrices, default_step_size)
@@ -65,8 +64,8 @@ class SweepSpec:
     initial_energy: float = 0.0
     seeds: tuple = tuple(range(1, 16))
     plan: SamplingPlan = field(default_factory=SamplingPlan)
-    n_bins: int = DEFAULT_N_BINS
-    span_factor: float = DEFAULT_SPAN_FACTOR
+    n_bins: int = 40
+    span_factor: float = 8.0
     propagator: str = "eigen"        # "eigen" or "rk4" (RK4 steps, sampled through the modes)
     delta_t_steps: int = 1
     # None: 50 steps per period of the largest bare frequency, or of the
@@ -193,9 +192,7 @@ def _fit_bath_block(energies) -> TemperatureFit | None:
     if len(energies) < 100:
         return None
     try:
-        fit, _ = fit_energy_samples(energies, n_bins=BATH_FIT_BINS,
-                                    span_factor=BATH_FIT_SPAN)
-        return fit
+        return fit_temperature(span_histogram(energies, BATH_FIT_BINS, BATH_FIT_SPAN))
     except (FitError, ValueError):
         return None
 
@@ -490,6 +487,11 @@ def check_exchange(n: int, xi: float, omega_r: float, e0: float, n_periods: int,
     if not dnu >= 1e4 * np.finfo(float).eps * omega_r:
         raise ValueError(f"xi={xi:g} splits the resonance by {dnu / omega_r:.3g} "
                          "of omega_r, below the 1e4 eps double precision resolves")
+    # the trace ends after n_periods beat periods 2 pi / dnu
+    t_beat = 2.0 * np.pi / dnu
+    if not (n_periods <= float(np.finfo(float).max) and float(n_periods) * t_beat < np.inf):
+        raise ValueError(f"n_periods: the trace's end, n_periods beat periods of {t_beat:.6g}, "
+                         "lies beyond the largest double")
     return dnu
 
 

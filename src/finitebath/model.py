@@ -124,6 +124,19 @@ class TestParticleSpec:
 # switched point; a larger size is refused before any table is allocated
 MAX_BATH_SIZE = 1 << 17
 
+# the most samples one point may draw and the most bins its histogram may
+# have.  A point holds up to 175 B per sample (tracemalloc peaks from 2e4 to
+# 2e5 samples: 35 B on the normal-mode path, 85 B on a 2 x 200 switched
+# pair, and on single-bath RK4 59 B at mean_interval 10 and 175 B at 0.5 to
+# 0.005), so 2^20 samples stand for at most 180 MB, below the exact point
+# at MAX_BATH_SIZE.  A point holds 33 B per bin while it fits, its curve
+# keeps 16 B per bin of every point, and writing its histogram CSV takes
+# 190 B per bin, so 2^16 bins stand for 2 MB, 1 MB per kept point and
+# 13 MB; no more bins are needed than 2^20 samples fill with 16 each.  A
+# larger count is refused before any table is allocated
+MAX_SAMPLES = 1 << 20
+MAX_BINS = 1 << 16
+
 
 @dataclass(frozen=True)
 class BathSpec:

@@ -14,6 +14,7 @@ from pathlib import Path
 
 import numpy as np
 
+from .config import ConfigError
 from .experiments import ThermalizationCurve
 from .stats import EnergyHistogram, TemperatureFit
 from .workers import blas_config, blas_counts, usable_cpus
@@ -26,6 +27,14 @@ def fmt(x) -> str:
     return f"{float(x):.17g}"
 
 
+def write_text(path, text: str) -> None:
+    """Write text to path; ConfigError naming the path where it cannot be written."""
+    try:
+        Path(path).write_text(text)
+    except OSError as err:
+        raise ConfigError(f"cannot write {path}: {err.strerror or err}") from err
+
+
 def write_csv(path, header: str, rows) -> None:
     """Write the header line, then one line per row.
 
@@ -35,7 +44,7 @@ def write_csv(path, header: str, rows) -> None:
         return str(int(x)) if isinstance(x, (int, np.integer)) else fmt(x)
 
     lines = [header] + [",".join(cell(x) for x in row) for row in rows]
-    Path(path).write_text("\n".join(lines) + "\n")
+    write_text(path, "\n".join(lines) + "\n")
 
 
 def emit_curve(curve: ThermalizationCurve, path) -> None:
@@ -67,7 +76,7 @@ def emit_histogram(hist: EnergyHistogram, fit: TemperatureFit | None, path) -> N
         "fit": None if fit is None else asdict(fit),
         "manifest": "manifest.json",
     }
-    path.with_suffix(".json").write_text(json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
+    write_text(path.with_suffix(".json"), json.dumps(sidecar, indent=2, sort_keys=True) + "\n")
 
 
 def read_histogram(path) -> EnergyHistogram:
@@ -78,7 +87,10 @@ def read_histogram(path) -> EnergyHistogram:
     negative and the counts total at most 2^63 - 1, so that they and
     their total are int64.  A refused row is named by its line.
     """
-    lines = Path(path).read_text().strip().splitlines()
+    try:
+        lines = Path(path).read_text().strip().splitlines()
+    except UnicodeDecodeError as err:
+        raise ValueError(f"{path}: {err}") from None
     if not lines or lines[0] != "bin_lo,bin_hi,count":
         raise ValueError(f"{path}: not a histogram CSV (bad header)")
     if len(lines) < 2:
@@ -164,7 +176,7 @@ class RunManifest:
         """Stamp the time as finished and write the manifest as JSON."""
         self.finished = self.now()
         payload = {k: _jsonable(v) for k, v in self.__dict__.items()}
-        Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
+        write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
 
 
 def _jsonable(v):

@@ -14,6 +14,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .model import MAX_BINS, MAX_SAMPLES
+
 
 class FitError(RuntimeError):
     """The histogram could not be reduced to a temperature."""
@@ -47,6 +49,9 @@ class SamplingPlan:
             raise ValueError(f"mean_interval must be positive, got {self.mean_interval}")
         if self.n_samples < 100:
             raise ValueError(f"need at least 100 samples for a fit, got {self.n_samples}")
+        if self.n_samples > MAX_SAMPLES:
+            raise ValueError(f"n_samples must be at most MAX_SAMPLES = {MAX_SAMPLES}, "
+                             f"got {self.n_samples}")
         if self.warmup < 0.0:
             raise ValueError(f"warmup must be >= 0, got {self.warmup}")
         # the gaps are drawn on (0, 2 tau), so the last time is below this bound
@@ -83,6 +88,8 @@ class EnergyHistogram:
 def check_bin_count(n_bins: int) -> None:
     if n_bins < 5:
         raise ValueError(f"need at least 5 bins, got {n_bins}")
+    if n_bins > MAX_BINS:
+        raise ValueError(f"n_bins must be at most MAX_BINS = {MAX_BINS}, got {n_bins}")
 
 
 def build_histogram(energies, n_bins: int, e_max: float) -> EnergyHistogram:
@@ -169,20 +176,6 @@ def fit_temperature(hist: EnergyHistogram) -> TemperatureFit:
     goodness = float(np.sum(w * (y - (intercept + slope * x)) ** 2))
     return TemperatureFit(temperature=temperature, sigma=sigma, slope=per_energy,
                           intercept=float(intercept), n_bins_used=n_used, goodness=goodness)
-
-
-DEFAULT_N_BINS = 40
-DEFAULT_SPAN_FACTOR = 8.0
-
-
-def fit_energy_samples(energies, n_bins: int = DEFAULT_N_BINS,
-                       span_factor: float = DEFAULT_SPAN_FACTOR):
-    """Histogram on [0, span_factor * mean] and fit; returns (fit, histogram)."""
-    energies = np.asarray(energies, dtype=float)
-    if energies.size == 0:
-        raise ValueError("cannot fit an empty energy sample")
-    hist = span_histogram(energies, n_bins, span_factor)
-    return fit_temperature(hist), hist
 
 
 def aggregate_seeds(fits) -> tuple[float, float]:

@@ -355,10 +355,6 @@ class _ModalPeriodMap:
         w = (y.conj()[:, :, None] * x[:, None, :]).reshape(len(x), r * r)
         return x, y, w, np.expm1(2 * self.d * self.log_step)
 
-    def phase2(self, v):
-        """One phase-2 RK4 step of the modal vector v."""
-        return self.step * v + self.x_e @ (self.y_e.conj().T @ v)
-
     @cached_property
     def _work(self):
         """Two flat buffers of one piece of roots by dim, reused by every piece.
@@ -563,16 +559,12 @@ class _ModalPeriodMap:
         norm2 = (np.sum(np.abs(d_full) ** 2)
                  + 2.0 * np.sum((d_full.conj() * np.einsum("ij,ij->i", x, y.conj())).real)
                  + np.sum(xx * (y.conj().T @ y).T).real)
-        self.residual_sq = 2.0 * float(np.sum(terms)) / norm2
-        if not self.residual() <= quality_tol:      # NaN fails too
-            raise NumericalError(f"period map factorization residual {self.residual():.2e} "
+        self.residual = float(np.sqrt(2.0 * float(np.sum(terms)) / norm2))
+        if not self.residual <= quality_tol:      # NaN fails too
+            raise NumericalError(f"period map factorization residual {self.residual:.2e} "
                                  f"exceeds {quality_tol:g}")
         return {"log_mu": self.log_mu(sigma), "rows01": rows01, "period": 2 * self.d,
                 "amplitudes": self.amplitudes, "state": self.state}
-
-    def residual(self) -> float:
-        """The relative eigenpair residual of the last floquet() call."""
-        return float(np.sqrt(self.residual_sq))
 
     @staticmethod
     def log_mu(sigma):
@@ -636,7 +628,8 @@ class _ModalPeriodMap:
         """The state vector S w, w over one root per pair, then r more steps of the period."""
         z = self._combine(w)
         for j in range(r):
-            z = z * self.step if j < self.d else self.phase2(z)
+            # phase 1 steps by Lam, phase 2 by Lam + X_E Y_E^H
+            z = z * self.step if j < self.d else self.step * z + self.x_e @ (self.y_e.conj().T @ z)
         n = len(self.sigma)
         z = 0.5 * (z[:n] + z[n:].conj())
         f, g = (self._turn(v, back=True) for v in (z.real, -self.modes.nu * z.imag))

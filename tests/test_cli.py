@@ -161,12 +161,27 @@ def test_unknown_config_key_exits_with_config_error(tmp_path, capsys):
 
 
 def test_invalid_json_config_is_a_config_error(tmp_path, capsys):
+    """Bytes that are not UTF-8 and JSON nested past the decoder's depth are refused too.
+
+    They ended in a UnicodeDecodeError and a RecursionError, tracebacks
+    with exit 1, from a --config file and from a --set value.
+    """
     path = tmp_path / "bad.json"
-    for text, message in (("{not json", "not valid JSON"), ("[1, 2]", "JSON object")):
-        path.write_text(text)
-        code = main(["sweep", "--config", str(path), "--out", str(tmp_path / "x")])
-        assert code == EXIT_CONFIG
-        assert message in capsys.readouterr().err
+    deep = "[" * 100_000 + "]" * 100_000
+    for data, message in ((b"{not json", "not valid JSON"), (b"[1, 2]", "JSON object"),
+                          (b"\xff\xfe{}", "can't decode byte 0xff"),
+                          (deep.encode(), "maximum recursion depth")):
+        path.write_bytes(data)
+        for command in (["sweep"], ["oracle", "kernel"]):
+            code = main(command + ["--config", str(path), "--out", str(tmp_path / "x")])
+            assert code == EXIT_CONFIG
+            err = capsys.readouterr().err
+            assert err.startswith(f"error: config {path}") and message in err
+            assert err.count("\n") == 1
+    seeds = "[" * 3000 + "]" * 3000
+    code = main(["sweep", "--set", f"seeds={seeds}", "--out", str(tmp_path / "x")])
+    assert code == EXIT_CONFIG
+    assert capsys.readouterr().err.startswith("error: --set seeds: maximum recursion depth")
 
 
 def test_sweep_writes_the_curve(tmp_path, quick_config, capsys, read_curve):
@@ -582,13 +597,20 @@ def test_a_half_period_too_long_for_memory_exits_2(tmp_path, twobath_config, cap
     (["sweep", "--set", "bath1_size=1e30"], "bath1_size"),
     (["sweep", "--set", f"bath1_size={MAX_BATH_SIZE + 1}"], "bath1_size"),
     (["twobath", "--set", "bath2_size=5", "--set", "delta_t_steps=1e308"], "delta_t_steps"),
+    (["single", "--set", "bath1_size=10", "--set", "n_samples=1000000000000"], "n_samples"),
+    (["single", "--set", "bath1_size=10", "--set", "n_bins=100000000000"], "n_bins"),
 ])
 def test_a_bath_size_beyond_memory_exits_2(tmp_path, argv, key):
-    """A size above MAX_BATH_SIZE, or a period whose table overflows a float, is refused.
+    """A size or count beyond its bound, or a period whose table overflows a float, is refused.
+
+    The bounds are MAX_BATH_SIZE oscillators, MAX_SAMPLES samples and
+    MAX_BINS bins.
 
     Sizes of 1e308 and 1e30 ended in an OverflowError (formatting the
     period map's entries through float) and a numpy ValueError (a draw
-    beyond numpy's largest array), both tracebacks with exit 1.
+    beyond numpy's largest array), both tracebacks with exit 1; 1e12
+    samples and 1e11 bins in numpy's refusal to allocate 7.28 TiB and
+    745 GiB.
     """
     out = tmp_path / "x"
     env = {**os.environ, "PYTHONPATH": str(Path(finitebath.__file__).parents[1])}
@@ -1120,9 +1142,13 @@ def test_frequencies_whose_higher_powers_overflow_exit_2(tmp_path, capsys, argv)
     pytest.param(["exchange", "--e0", "5e-324"], id="e0-below-the-bath-rounding"),
     pytest.param(["exchange", "--e0", "1e307"], id="e0-overflowing-the-trace-sums"),
     pytest.param(["exchange", "--omega-r", "1e-300"], id="omega-r-underflowing-the-modes"),
+    pytest.param(["exchange", "--n-periods", str(10**400)], id="n-periods-overflowing-the-trace"),
 ])
 def test_exchange_energies_and_frequencies_beyond_double_range_exit_2(tmp_path, capsys, argv):
-    """Once a ValueError traceback from the arcsine check, a RuntimeWarning and exit 3."""
+    """Once a ValueError traceback from the arcsine check, a RuntimeWarning and exit 3.
+
+    10^400 beat periods ended in an OverflowError traceback, exit 1.
+    """
     out = tmp_path / "x"
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -1210,11 +1236,13 @@ def test_fit_header_only_histogram_is_a_config_error(tmp_path, capsys):
     (["0,1,9", "1,2,-5", "2,3,2", "3,4,1"], "non-negative"),
     (["0,1,9", "1,2"], "bad.csv: line 3: not enough values to unpack"),
     (["0,1,9", "1,2,5", "2,3,x"], "bad.csv: line 4: invalid literal for int()"),
+    # a lone surrogate escape writes the byte 0xff, which is not UTF-8
+    (["0,1,9", "1,2,\udcff"], "bad.csv: 'utf-8' codec can't decode byte 0xff"),
 ], ids=["nan-edge", "inf-edge", "empty-bin", "falling-edge", "gap", "negative-count",
-        "two-fields", "non-integer-count"])
+        "two-fields", "non-integer-count", "not-utf-8"])
 def test_fit_malformed_histogram_is_a_config_error(tmp_path, capsys, rows, message):
     path = tmp_path / "bad.csv"
-    path.write_text("\n".join(["bin_lo,bin_hi,count"] + rows) + "\n")
+    path.write_text("\n".join(["bin_lo,bin_hi,count"] + rows) + "\n", errors="surrogateescape")
     assert main(["fit", str(path)]) == EXIT_CONFIG
     err = capsys.readouterr().err
     assert message in err and "Traceback" not in err

@@ -13,6 +13,7 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
 import tempfile
 import warnings
@@ -23,7 +24,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from finitebath import cli, config
-from finitebath.model import MAX_BATH_SIZE
+from finitebath.model import MAX_BATH_SIZE, MAX_BINS, MAX_SAMPLES
 from finitebath.propagator import FAR_FIELD_ROOTS
 
 MASSES = [5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100]
@@ -33,10 +34,12 @@ DELTA_T_STEPS = [1, 2, 7, 100, 2000]
 STEP_SIZES = [1e-4, 1e-3, 0.02, 0.5, 5.0]
 TEMPERATURES = [0.0, 5e-324, 1e-6, 7.5, 1e6, 1e300]
 OMEGAS = [1e-3, 0.55, 1.0, 50.0]
-# the sampling keys of a sweep, each left unset or drawn from its boundary set
+# the sampling keys of a sweep, each left unset or drawn from its boundary set;
+# the counts beyond their bounds are refused before anything is allocated
 BOUNDARY = [-1.0, 0.0, 5e-324, 1e-300, 1e-6, 1e6, 1e154, 1e300]
-SAMPLING = {"n_samples": [-1, 0, 99, 100, 2000], "mean_interval": BOUNDARY + [1e308],
-            "warmup": BOUNDARY, "n_bins": [-1, 4, 5, 40, 10**6],
+SAMPLING = {"n_samples": [-1, 0, 99, 100, 2000, MAX_SAMPLES + 1, 2**63 - 1],
+            "mean_interval": BOUNDARY + [1e308],
+            "warmup": BOUNDARY, "n_bins": [-1, 4, 5, 40, 10**6, MAX_BINS + 1, 2**63 - 1],
             "span_factor": BOUNDARY + [1e308]}
 # bath sizes: small enough to run, or above MAX_BATH_SIZE up to the int64
 # range, which a run refuses (exit 2) before it allocates anything
@@ -341,11 +344,30 @@ def test_an_out_at_or_under_a_file_is_a_configuration_error(command, target):
     assert _run_cli(WRITERS[command], target="new/out")[0] == 0
 
 
+# for each writer, an output file it writes, made a directory before the run
+BLOCKED = {"single": "hist_seed1.json", "sweep": "curve.csv", "twobath": "curve_bath2_alone.csv",
+           "exchange": "manifest.json", "oracle langevin": "langevin.csv",
+           "oracle kernel": "kernel.csv", "oracle mixture": "manifest.json"}
+
+
+@pytest.mark.parametrize("command", sorted(WRITERS))
+def test_an_output_that_cannot_be_written_is_a_configuration_error(command, tmp_path, capsys):
+    """A directory where a run writes a file ended in IsADirectoryError after the run, exit 1."""
+    blocked = tmp_path / BLOCKED[command]
+    blocked.mkdir()
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert cli.main(WRITERS[command] + ["--out", str(tmp_path)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot write {blocked}: ") and err.count("\n") == 1
+    with pytest.raises(ChildProcessError):      # no child left, running or unreaped
+        os.waitpid(-1, os.WNOHANG)
+
+
 # the exchange's flags, each left at its default or drawn from its boundary set
 EXCHANGE = {"--xi": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 0.5, 0.999, 1.0, 1e6],
             "--omega-r": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e12, 1e100, 1e154],
             "--e0": [-1.0, 0.0, 5e-324, 1e-300, 1e-12, 1e-6, 1e6, 1e154, 1e300, 1e308],
-            "--n-periods": [-1, 0, 1, 16, 10**6]}
+            "--n-periods": [-1, 0, 1, 16, 10**6, 10**400]}
 
 
 @st.composite
@@ -508,6 +530,39 @@ def test_a_json_out_that_cannot_be_written_is_a_configuration_error():
     assert _run_fit(rows, "fit.json") == 0
     assert _run_fit(rows, "dir") == 2
     assert _run_fit(rows, "file.txt/fit.json") == 2
+
+
+# a sweep's --config file: arbitrary bytes, or JSON nested 1 to 10^5 deep as a
+# list, an object or the value of the seeds key; the --set keys keep a run quick
+NESTINGS = {"list": ("[", "]"), "object": ('{"a": ', "}"), "seeds": ("[", "]")}
+
+
+@st.composite
+def config_files(draw):
+    """The bytes of one --config file."""
+    if draw(st.booleans()):
+        return draw(st.binary(max_size=64))
+    kind = draw(st.sampled_from(sorted(NESTINGS)))
+    depth = draw(st.integers(min_value=1, max_value=10**5))
+    opening, closing = NESTINGS[kind]
+    text = opening * depth + ("1" if kind == "object" else "") + closing * depth
+    return (f'{{"seeds": {text}}}' if kind == "seeds" else text).encode()
+
+
+@given(data=config_files())
+@settings(max_examples=100, derandomize=True, deadline=None)
+def test_arbitrary_config_files_end_in_a_documented_exit_code(data):
+    """A config that is not UTF-8 or nests past the JSON decoder's depth is refused (2)."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "config.json"
+        path.write_bytes(data)
+        argv = ["sweep", "--config", str(path)] + _argv("omega_grid=[0.5]", "bath1_size=3",
+                                                       "n_samples=200")
+        code, _, _ = _run_cli(argv)
+    try:
+        json.loads(data)
+    except (ValueError, RecursionError):     # not UTF-8, not JSON or nested too deep
+        assert code == 2, data[:64]
 
 
 def _config_keys(example):

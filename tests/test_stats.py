@@ -21,7 +21,6 @@ from finitebath.stats import (
     TemperatureFit,
     aggregate_seeds,
     build_histogram,
-    fit_energy_samples,
     fit_temperature,
     make_sampling_times,
     span_histogram,
@@ -163,7 +162,8 @@ def test_every_error_survives_pickle_and_copy(error):
 def test_fit_on_iid_exponential_samples():
     rng = np.random.default_rng(5)
     energies = rng.exponential(3.0, size=5000)
-    fit, hist = fit_energy_samples(energies)
+    hist = span_histogram(energies, 40, 8.0)
+    fit = fit_temperature(hist)
     assert 2.8 < fit.temperature < 3.3
     assert fit.sigma < 0.15
     assert hist.overflow_fraction < 0.01
@@ -173,8 +173,8 @@ def test_fit_on_iid_exponential_samples():
 @given(scale=st.floats(min_value=0.1, max_value=10.0))
 def test_fit_scales_with_the_energy_unit(scale):
     energies = np.random.default_rng(17).exponential(2.0, size=2000)
-    base, _ = fit_energy_samples(energies)
-    scaled, _ = fit_energy_samples(scale * energies)
+    base = fit_temperature(span_histogram(energies, 40, 8.0))
+    scaled = fit_temperature(span_histogram(scale * energies, 40, 8.0))
     assert scaled.temperature == pytest.approx(scale * base.temperature, rel=1e-9)
 
 
@@ -186,9 +186,9 @@ def test_fit_and_aggregate_scale_by_powers_of_two_to_the_largest_floats():
     bath at T = 1e300 wrote it to stderr.
     """
     energies = np.random.default_rng(17).exponential(2.0, size=2000)
-    base, _ = fit_energy_samples(energies)
+    base = fit_temperature(span_histogram(energies, 40, 8.0))
     with np.errstate(all="raise"):
-        big, _ = fit_energy_samples(2.0**996 * energies)
+        big = fit_temperature(span_histogram(2.0**996 * energies, 40, 8.0))
         t, s = aggregate_seeds([big, big])
     assert big.temperature == 2.0**996 * base.temperature
     assert big.sigma == 2.0**996 * base.sigma
@@ -196,11 +196,6 @@ def test_fit_and_aggregate_scale_by_powers_of_two_to_the_largest_floats():
     assert (big.intercept, big.goodness) == (base.intercept, base.goodness)
     want = aggregate_seeds([base, base])
     assert (t, s) == (2.0**996 * want[0], 2.0**996 * want[1])
-
-
-def test_fit_empty_sample_is_rejected():
-    with pytest.raises(ValueError, match="empty"):
-        fit_energy_samples([])
 
 
 # -- aggregation -------------------------------------------------------
@@ -232,17 +227,16 @@ def test_aggregate_validation():
 def test_bath_temperature_single_realization(band):
     spec = BathSpec(size=2000, mass=0.01, temperature=5.0, dos=band)
     energies = realize_bath(spec, seed=4).energies
-    fit, _ = fit_energy_samples(energies)
+    fit = fit_temperature(span_histogram(energies, 40, 8.0))
     assert 0.9 < fit.temperature / 5.0 < 1.15
-    coarse, _ = fit_energy_samples(energies, n_bins=BATH_FIT_BINS,
-                                   span_factor=BATH_FIT_SPAN)
+    coarse = fit_temperature(span_histogram(energies, BATH_FIT_BINS, BATH_FIT_SPAN))
     assert _fit_bath_block(energies) == coarse
     assert 0.9 < coarse.temperature / 5.0 < 1.15
 
 
 def test_bath_temperature_aggregates_realizations(band):
     spec = BathSpec(size=2000, mass=0.01, temperature=5.0, dos=band)
-    fits = [fit_energy_samples(realize_bath(spec, seed=s).energies)[0]
+    fits = [fit_temperature(span_histogram(realize_bath(spec, seed=s).energies, 40, 8.0))
             for s in (4, 5, 6)]
     temperature, sigma = aggregate_seeds(fits)
     assert sigma < min(f.sigma for f in fits)

@@ -519,9 +519,9 @@ def test_structured_residual_measures_the_root_error():
     modal = switched._ModalPeriodMap(system, SwitchSchedule(delta_t_steps=1, step_size=1e-3))
     roots = modal.roots()[:system.dim // 2]
     assert modal.floquet(roots, SwitchedPropagator.QUALITY_TOL) is not None
-    assert modal.residual() < 1e-16
+    assert modal.residual < 1e-16
     assert modal.floquet(roots + 1e-9, SwitchedPropagator.QUALITY_TOL) is not None
-    assert 1e-9 < modal.residual() < 1e-7
+    assert 1e-9 < modal.residual < 1e-7
     with pytest.raises(NumericalError, match=r"period map factorization residual \d\.\d\de-0\d exceeds 1e-07"):
         modal.floquet(roots + 1e-6, SwitchedPropagator.QUALITY_TOL)
 
